@@ -142,15 +142,21 @@ class CircuitMetrics:
 
 def simulate(circuit: Circuit, state: StateVector | None = None,
              *, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    """Run the circuit on ``state`` (default |0...0>)."""
+    """Run the circuit on ``state`` (default |0...0>) and return a new state.
+
+    ``state`` is copied once and every gate then updates that copy in place;
+    the caller's amplitudes are never written.
+    """
     if state is None:
-        state = StateVector.zero(circuit.n_qubits, max_qubits=max_qubits)
-    if state.n_qubits != circuit.n_qubits:
+        work = StateVector.zero(circuit.n_qubits, max_qubits=max_qubits)
+    elif state.n_qubits != circuit.n_qubits:
         raise SemanticError(
             f"state has {state.n_qubits} qubits, circuit needs {circuit.n_qubits}")
+    else:
+        work = state.copy()
     for g in circuit.gates:
-        state = apply_gate(state, g)
-    return state
+        apply_gate(work, g, out=work)
+    return work
 
 
 @dataclass(frozen=True)

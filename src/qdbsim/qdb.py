@@ -24,6 +24,7 @@ from .gates import GateSpec, rot2, x, y
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
+    _register_scan,
     add_ancillas,
     drop_qubits,
     project,
@@ -260,16 +261,9 @@ class QdbState:
 
     def occupied_labels(self, tol: float = DUMP_THRESHOLD) -> tuple[int, ...]:
         """Labels whose index pattern carries any amplitude."""
-        probs = self.state.probabilities()
-        idx = np.arange(self.state.dim)
-        out = []
-        for label, pat in self.layout.logical_index_map.items():
-            mask = np.ones(self.state.dim, dtype=bool)
-            for i, q in enumerate(self.layout.index_qubits):
-                mask &= ((idx >> q) & 1) == ((pat >> i) & 1)
-            if float(probs[mask].sum()) > tol:
-                out.append(label)
-        return tuple(sorted(out))
+        table = _register_scan(self.state, self.layout.index_qubits)
+        return tuple(sorted(label for label, pat in self.layout.logical_index_map.items()
+                            if table[pat] > tol))
 
     def amplitude(self, label: int, data_value: int | None = None) -> complex:
         """Amplitude at one entry; defaults to the entry's recorded data word."""
@@ -796,11 +790,7 @@ def read_projective(db: QdbState, label: int) -> tuple[StateVector, float]:
         raise SemanticError("database has no data register")
     layout = db.layout
     pat = layout.pattern(label)
-    idx = np.arange(db.state.dim)
-    mask = np.ones(db.state.dim, dtype=bool)
-    for i, q in enumerate(layout.index_qubits):
-        mask &= ((idx >> q) & 1) == ((pat >> i) & 1)
-    collapsed, prob = project(db.state, mask)
+    collapsed, prob = project(db.state, _register_scan(db.state, layout.index_qubits, pat))
     reset = Circuit(db.n_qubits)
     for i, q in enumerate(layout.index_qubits):
         if (pat >> i) & 1:
@@ -883,11 +873,7 @@ def remove_projective(db: QdbState, label: int) -> RemovalOutcome:
         raise SemanticError(f"no entry with label {label}")
     if label not in db.occupied_labels():
         raise SemanticError(f"entry {label} carries no amplitude")
-    pat = db.layout.pattern(label)
-    idx = np.arange(db.state.dim)
-    hit = np.ones(db.state.dim, dtype=bool)
-    for i, q in enumerate(db.layout.index_qubits):
-        hit &= ((idx >> q) & 1) == ((pat >> i) & 1)
+    hit = _register_scan(db.state, db.layout.index_qubits, db.layout.pattern(label))
     amps = db.state.amplitudes
     p_fail = float(np.sum(np.abs(amps[hit]) ** 2))
     p_success = max(0.0, 1.0 - p_fail)

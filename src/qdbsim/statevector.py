@@ -6,7 +6,14 @@ Conventions
   ``|x>`` assigns qubit ``q`` the bit ``(x >> q) & 1``.
 * New qubits are appended at the high-significance end and start in ``|0>``.
 * States are treated as immutable: every operation returns a new
-  ``StateVector`` and never mutates its input.
+  ``StateVector`` and never mutates its input. The one exception is asked
+  for by name: ``apply_gate(state, gate, out=target)`` writes its result
+  into ``target``, which may be ``state`` itself. ``circuit.simulate`` uses
+  that to copy its input once and then update the copy gate by gate.
+* Gates work on the ``(2,)*n`` view of the amplitudes, in which axis
+  ``n-1-q`` is qubit ``q``. Each control fixes its axis, so a gate reads and
+  writes only the slices its controls select; the norm check is taken over
+  those slices too.
 * State equality is judged up to global phase by default.
 
 The default qubit budget is 26; anything above that is rejected rather than
@@ -34,6 +41,8 @@ class StateVector:
 
     def __init__(self, amplitudes, n_qubits: int | None = None, *, copy: bool = True):
         amps = np.array(amplitudes, dtype=complex, copy=copy)
+        if not amps.flags.c_contiguous:
+            amps = np.ascontiguousarray(amps)
         if amps.ndim != 1:
             raise SemanticError("amplitudes must be a 1-d array")
         n = int(amps.size).bit_length() - 1
@@ -77,61 +86,126 @@ class StateVector:
         return f"StateVector(n_qubits={self.n_qubits})"
 
 
-def _control_mask(dim: int, controls) -> np.ndarray:
-    idx = np.arange(dim)
-    ok = np.ones(dim, dtype=bool)
-    for q, bit in controls:
-        ok &= ((idx >> q) & 1) == bit
-    return ok
+def _selector(n: int, fixed) -> tuple:
+    """Index into the ``(2,)*n`` view of a state that fixes each ``(qubit,
+    bit)`` in ``fixed`` (axis ``n-1-q`` is qubit ``q``).
 
-
-def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
-    """Apply one gate, returning a new state.
-
-    Raises if the gate touches qubits outside the register or if the result
-    drifts off unit norm (which would indicate a broken gate matrix).
+    The trailing Ellipsis keeps the result a view even when every axis is
+    fixed: a plain all-integer index would return a scalar copy, and writes
+    to it would be lost.
     """
-    n, dim = state.n_qubits, state.dim
+    idx = [slice(None)] * n
+    for q, bit in fixed:
+        idx[n - 1 - q] = bit
+    return (*idx, Ellipsis)
+
+
+def _register_scan(state: StateVector, qubits, pattern: int | None = None) -> np.ndarray:
+    """One pass over the ``(2,)*n`` view of a state, keyed by the pattern a
+    register reads (``qubits[i]`` holds bit i of a pattern).
+
+    Without ``pattern``, returns the register's probability table: entry p is
+    the probability that the register reads p (the other axes summed out).
+    With ``pattern``, returns the boolean mask over basis indices at which
+    the register reads it.
+    """
+    n = state.n_qubits
+    if pattern is not None:
+        mask = np.zeros((2,) * n, dtype=bool)
+        mask[_selector(n, [(q, (pattern >> i) & 1) for i, q in enumerate(qubits)])] = True
+        return mask.reshape(-1)
+    axes = [n - 1 - q for q in qubits]  # axes[i] holds pattern bit i
+    kept = sorted(axes)
+    table = state.probabilities().reshape((2,) * n).sum(
+        axis=tuple(ax for ax in range(n) if ax not in axes))
+    # most significant pattern bit first, so the flat position is the pattern
+    return table.transpose([kept.index(ax) for ax in reversed(axes)]).reshape(-1)
+
+
+def _touched(gate: GateSpec) -> tuple:
+    """Extra ``(qubit, bit)`` fixings, beyond the controls, of each slice a
+    gate reads and writes (every kind but rot2, which names two basis
+    indices instead)."""
+    if gate.kind == "swap":
+        t1, t2 = gate.targets
+        return (((t1, 0), (t2, 1)), ((t1, 1), (t2, 0)))
+    t = gate.targets[0]
+    if gate.kind == "phase":
+        return (((t, 1),),)
+    return (((t, 0),), ((t, 1),))
+
+
+def _updated(gate: GateSpec, old: list[np.ndarray]) -> list[np.ndarray]:
+    """New contents of the touched slices, given contiguous copies of their
+    old contents (in the order of ``_touched``). May reuse those copies."""
+    if gate.kind == "rot2":
+        theta = gate.params[2]
+        c, s = math.cos(theta), math.sin(theta)
+        va, vb = old
+        return [c * va - s * vb, s * va + c * vb]
+    if gate.kind == "swap":
+        return old[::-1]
+    if gate.kind == "phase":
+        # in place: numpy's in-place and out-of-place complex multiplies can
+        # round differently, and the golden artifacts use the in-place one
+        (a1,) = old
+        a1 *= np.exp(1j * gate.params[0])
+        return [a1]
+    u = matrix_1q(gate.kind, gate.params)
+    a0, a1 = old
+    return [u[0, 0] * a0 + u[0, 1] * a1, u[1, 0] * a0 + u[1, 1] * a1]
+
+
+def _sqnorm(parts) -> float:
+    return sum(np.vdot(a, a).real for a in parts)
+
+
+def apply_gate(state: StateVector, gate: GateSpec, *,
+               out: StateVector | None = None) -> StateVector:
+    """Apply one gate and return the result.
+
+    By default the result is a new state and ``state`` is left untouched.
+    With ``out`` the result is written into ``out`` (which may be ``state``
+    itself) and ``out`` is returned. Only the amplitudes the gate's controls
+    select are read or written.
+
+    Raises if the gate touches qubits outside the register or if it changes
+    the norm of the amplitudes it touches by more than ``NORM_TOL`` (which
+    would indicate a broken gate matrix). The check runs before anything is
+    written, so a failed gate leaves ``out=state`` unchanged.
+    """
+    n = state.n_qubits
     for q in gate.qubits:
         if q >= n:
             raise SemanticError(f"gate {gate.kind} touches qubit {q}, register has {n}")
-
-    amps = state.amplitudes.copy()
     if gate.kind == "rot2":
         a, b = int(gate.params[0]), int(gate.params[1])
-        if a >= dim or b >= dim:
+        if a >= state.dim or b >= state.dim:
             raise SemanticError(f"rot2 basis index out of range for {n} qubits")
-        theta = gate.params[2]
-        c, s = math.cos(theta), math.sin(theta)
-        va, vb = amps[a], amps[b]
-        amps[a] = c * va - s * vb
-        amps[b] = s * va + c * vb
-    elif gate.kind == "swap":
-        t1, t2 = gate.targets
-        idx = np.arange(dim)
-        sel = _control_mask(dim, gate.controls)
-        sel &= (((idx >> t1) & 1) == 0) & (((idx >> t2) & 1) == 1)
-        i01 = idx[sel]
-        i10 = (i01 | (1 << t1)) & ~(1 << t2)
-        amps[i01], amps[i10] = amps[i10], amps[i01].copy()
-    elif gate.kind == "phase":
-        idx = np.arange(dim)
-        sel = _control_mask(dim, gate.controls) & (((idx >> gate.targets[0]) & 1) == 1)
-        amps[sel] *= np.exp(1j * gate.params[0])
-    else:
-        u = matrix_1q(gate.kind, gate.params)
-        t = gate.targets[0]
-        idx = np.arange(dim)
-        sel = _control_mask(dim, gate.controls) & (((idx >> t) & 1) == 0)
-        i0 = idx[sel]
-        i1 = i0 | (1 << t)
-        a0, a1 = amps[i0], amps[i1]
-        amps[i0] = u[0, 0] * a0 + u[0, 1] * a1
-        amps[i1] = u[1, 0] * a0 + u[1, 1] * a1
+    if out is not None and out.n_qubits != n:
+        raise SemanticError(f"out has {out.n_qubits} qubits, state has {n}")
 
-    out = StateVector(amps, copy=False)
-    if abs(out.norm() - state.norm()) > NORM_TOL:
+    if out is None:
+        out = state.copy()
+    elif out is not state:
+        np.copyto(out.amplitudes, state.amplitudes)
+    amps = out.amplitudes
+    if gate.kind == "rot2":
+        views = [amps[a:a + 1], amps[b:b + 1]]
+    else:
+        tensor = amps.reshape((2,) * n)
+        views = [tensor[_selector(n, gate.controls + fixed)] for fixed in _touched(gate)]
+    # Contiguous copies: numpy can round strided operands differently, and
+    # copying keeps the results bitwise independent of the slices' strides.
+    old = [v.copy() for v in views]
+    before = _sqnorm(old)
+    new = _updated(gate, old)
+    # Untouched amplitudes keep their share of the norm, so the drift of the
+    # touched slices bounds the drift of the whole state.
+    if abs(math.sqrt(_sqnorm(new)) - math.sqrt(before)) > NORM_TOL:
         raise SemanticError(f"gate {gate.kind} broke normalization")
+    for v, a in zip(views, new):
+        v[...] = a
     return out
 
 
@@ -204,14 +278,10 @@ def sample_measure(state: StateVector, qubits, seed) -> tuple[str, StateVector]:
         if not 0 <= q < state.n_qubits:
             raise SemanticError(f"qubit {q} out of range")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    idx = np.arange(state.dim)
-    key = np.zeros(state.dim, dtype=np.int64)
-    for i, q in enumerate(qubits):
-        key |= ((idx >> q) & 1) << i
-    marginal = np.bincount(key, weights=state.probabilities(), minlength=2 ** len(qubits))
+    marginal = _register_scan(state, qubits)
     marginal = marginal / marginal.sum()
     outcome = int(rng.choice(len(marginal), p=marginal))
-    collapsed, _ = project(state, key == outcome)
+    collapsed, _ = project(state, _register_scan(state, qubits, outcome))
     bits = "".join(str((outcome >> i) & 1) for i in range(len(qubits)))
     return bits, collapsed
 

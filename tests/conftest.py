@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdbsim.oracle import dense_operator
-from qdbsim.statevector import StateVector
+from qdbsim.statevector import StateVector, _register_scan
 
 
 def dense_column(circuit) -> np.ndarray:
@@ -50,3 +50,16 @@ def random_state(rng, n_qubits: int) -> StateVector:
     amps = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
     amps /= np.linalg.norm(amps)
     return StateVector(amps, copy=False)
+
+
+def assert_register_scan_matches_brute_force(state, qubits) -> list[float]:
+    """Compare the register scan with a loop over every basis index; return
+    the brute-force probability of each pattern the register can read."""
+    pats = np.array([sum(((i >> q) & 1) << b for b, q in enumerate(qubits))
+                     for i in range(state.dim)])
+    probs = np.abs(state.amplitudes) ** 2
+    mass = [float(probs[pats == p].sum()) for p in range(2 ** len(qubits))]
+    assert np.max(np.abs(_register_scan(state, qubits) - mass)) < 1e-12
+    for pat in range(len(mass)):
+        assert np.array_equal(_register_scan(state, qubits, pat), pats == pat)
+    return mass

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import state_matches_oracle
+from conftest import assert_register_scan_matches_brute_force, state_matches_oracle
 from qdbsim.circuit import Circuit, simulate
 from qdbsim.errors import (
     CapacityError,
     SemanticError,
     VerificationError,
 )
+from qdbsim.extend import extend
 from qdbsim.gates import h
 from qdbsim.oracle import expected_qdb_amplitudes, permutation_matrix
 from qdbsim.qdb import (
@@ -40,6 +41,7 @@ from qdbsim.qdb import (
 )
 from qdbsim.statevector import StateVector, schmidt, states_equal
 from qdbsim.text_format import parse_text
+from qdbsim.tolerances import DUMP_THRESHOLD
 
 
 # --- descriptor and layout ---------------------------------------------------
@@ -342,6 +344,32 @@ def test_remove_reservoir_moves_weight_and_keeps_others():
     assert abs(smaller.state.amplitudes[emptied]) < 1e-10
     smaller.check()
     assert state_matches_oracle(smaller) < 1e-12
+
+
+def _assert_occupied_labels_match_brute_force(db):
+    mass = assert_register_scan_matches_brute_force(db.state, db.layout.index_qubits)
+    want = tuple(sorted(j for j, p in db.layout.logical_index_map.items()
+                        if mass[p] > DUMP_THRESHOLD))
+    assert db.occupied_labels() == want
+
+
+@settings(deadline=None, max_examples=20)
+@given(k=st.integers(2, 64), data=st.data())
+def test_occupied_labels_matches_brute_force_after_reshaping(k, data):
+    # extra entries land on patterns 2**kt + i, above a gap of unused ones,
+    # and the new index bit sits above the data bit
+    z = data.draw(st.integers(1, min(8, 2 ** index_width(k))))
+    words = {j: 1 for j in data.draw(st.sets(st.integers(1, k - 1), max_size=4))}
+    db = extend(prepare_general(k, z, words, m_data=1), z)
+    _assert_occupied_labels_match_brute_force(db)
+    movable = [j for j in db.layout.labels if j != 0]
+    perm = dict(zip(movable, data.draw(st.permutations(movable))))
+    db = permute(db, perm)
+    _assert_occupied_labels_match_brute_force(db)
+    gone = data.draw(st.sampled_from(movable))
+    db = remove_reservoir(db, gone)
+    assert gone not in db.occupied_labels()
+    _assert_occupied_labels_match_brute_force(db)
 
 
 def test_remove_reservoir_forgets_the_label():

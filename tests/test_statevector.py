@@ -1,14 +1,16 @@
 """Statevector kernel: gate application, projection, register surgery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_state
+from conftest import assert_register_scan_matches_brute_force, random_state
+from qdbsim.circuit import Circuit, simulate
 from qdbsim.errors import CapacityError, SemanticError, ZeroProbabilityError
-from qdbsim.gates import h, phase, ry, swap, x, y
+from qdbsim.gates import GateSpec, h, phase, ry, swap, x, y
 from qdbsim.oracle import dense_gate
 from qdbsim.statevector import (
     StateVector,
@@ -22,6 +24,7 @@ from qdbsim.statevector import (
     schmidt,
     states_equal,
 )
+from qdbsim.tolerances import ORACLE_TOL
 
 
 def test_zero_and_basis_constructors():
@@ -56,28 +59,6 @@ def test_controlled_x_positive_and_negative():
     assert s.amplitudes[0b10] == 1
 
 
-@settings(deadline=None, max_examples=40)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    target=st.integers(0, 3),
-    kind=st.sampled_from(["x", "h", "ry", "y", "phase"]),
-    param=st.floats(min_value=0.05, max_value=0.95),
-)
-def test_apply_gate_matches_dense_oracle(seed, target, kind, param):
-    rng = np.random.default_rng(seed)
-    state = random_state(rng, 4)
-    gate = {
-        "x": lambda: x(target),
-        "h": lambda: h(target),
-        "ry": lambda: ry(target, 2 * param),
-        "y": lambda: y(target, param),
-        "phase": lambda: phase(target, 6 * param),
-    }[kind]()
-    got = apply_gate(state, gate).amplitudes
-    want = dense_gate(gate, 4) @ state.amplitudes
-    assert np.max(np.abs(got - want)) < 1e-12
-
-
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_controlled_gate_matches_dense_oracle(seed):
@@ -100,6 +81,114 @@ def test_swap_matches_dense_oracle(rng):
     got = apply_gate(state, swap(0, 2)).amplitudes
     want = dense_gate(swap(0, 2), 3) @ state.amplitudes
     assert np.max(np.abs(got - want)) < 1e-14
+
+
+KERNEL_KINDS = ("x", "h", "ry", "y", "ytilde", "phase", "swap")
+
+
+@st.composite
+def gates_on_register(draw):
+    """A gate of any kernel kind on up to 10 qubits, with 0 to n-1 controls
+    of mixed polarity. Half the draws make every non-target qubit a control,
+    so each selected slice is a single amplitude."""
+    kind = draw(st.sampled_from(KERNEL_KINDS))
+    n_targets = 2 if kind == "swap" else 1
+    n = draw(st.integers(n_targets, 10))
+    order = draw(st.permutations(range(n)))
+    targets, rest = tuple(order[:n_targets]), order[n_targets:]
+    if draw(st.booleans()):
+        n_ctrl = len(rest)
+    else:
+        n_ctrl = draw(st.integers(0, len(rest)))
+    controls = tuple((q, draw(st.integers(0, 1))) for q in rest[:n_ctrl])
+    p = draw(st.floats(min_value=0.0, max_value=1.0))
+    params = {"x": (), "h": (), "swap": (), "ry": (6 * p - 3,), "y": (p,),
+              "ytilde": (p,), "phase": (6 * p - 3,)}[kind]
+    return n, GateSpec(kind, params, targets, controls)
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=gates_on_register(), seed=st.integers(0, 2**32 - 1))
+def test_apply_gate_matches_dense_oracle(case, seed):
+    n, gate = case
+    state = random_state(np.random.default_rng(seed), n)
+    got = apply_gate(state, gate).amplitudes
+    want = dense_gate(gate, n) @ state.amplitudes
+    assert np.max(np.abs(got - want)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_fully_controlled_gate_updates_its_single_amplitudes(kind, rng):
+    n = 5
+    targets = (0, 1) if kind == "swap" else (0,)
+    controls = tuple((q, q % 2) for q in range(len(targets), n))
+    params = {"ry": (1.1,), "y": (0.3,), "ytilde": (0.3,), "phase": (0.9,)}.get(kind, ())
+    gate = GateSpec(kind, params, targets, controls)
+    state = random_state(rng, n)
+    got = apply_gate(state, gate).amplitudes
+    want = dense_gate(gate, n) @ state.amplitudes
+    assert np.max(np.abs(got - want)) <= ORACLE_TOL
+    assert np.count_nonzero(got != state.amplitudes) >= 1
+
+
+NON_UNITARY = GateSpec("phase", (0.3 + 0.2j,), (0,))
+
+
+def test_non_unitary_gate_raises_from_apply_gate():
+    one = StateVector.basis(1, 1)
+    with pytest.raises(SemanticError, match="normalization"):
+        apply_gate(one, NON_UNITARY)
+    with pytest.raises(SemanticError, match="normalization"):
+        apply_gate(one, NON_UNITARY, out=one)
+    # the check runs before the write, so an in-place failure leaves no trace
+    assert one.amplitudes.tolist() == [0, 1]
+
+
+def test_non_unitary_gate_raises_from_simulate():
+    circ = Circuit(2, [x(1), NON_UNITARY])
+    with pytest.raises(SemanticError, match="normalization"):
+        simulate(circ, StateVector.basis(2, 1))
+
+
+def test_default_calls_leave_the_callers_amplitudes_alone(rng):
+    state = random_state(rng, 6)
+    before = state.amplitudes.tobytes()
+    apply_gate(state, x(2, ctrl=(0, 1), nctrl=(4,)))
+    assert state.amplitudes.tobytes() == before
+    circ = Circuit(6, [h(0), ry(3, 0.4, ctrl=(0,)), swap(1, 5), phase(2, 1.3, nctrl=(3,))])
+    result = simulate(circ, state)
+    assert state.amplitudes.tobytes() == before
+    assert result is not state and result.amplitudes is not state.amplitudes
+
+
+@pytest.mark.parametrize("gate", [x(2, ctrl=(0,), nctrl=(3,)), h(1), ry(0, 0.7, ctrl=(4,)),
+                                  phase(3, 2.1, ctrl=(1, 2)), swap(0, 4, nctrl=(2,))])
+def test_out_argument_gives_the_default_result(gate, rng):
+    state = random_state(rng, 5)
+    want = apply_gate(state, gate).amplitudes.tobytes()
+    other = StateVector.zero(5)
+    assert apply_gate(state, gate, out=other) is other
+    assert other.amplitudes.tobytes() == want
+    inplace = state.copy()
+    assert apply_gate(inplace, gate, out=inplace) is inplace
+    assert inplace.amplitudes.tobytes() == want
+    with pytest.raises(SemanticError):
+        apply_gate(state, gate, out=StateVector.zero(4))
+
+
+def test_many_controlled_gate_allocates_no_whole_state_array():
+    n = 20  # 16 MiB of amplitudes
+    selected = (1 << 19) - 2  # qubits 1..18 set
+    state = StateVector.basis(n, selected)
+    gate = x(0, ctrl=range(1, 19))
+    tracemalloc.start()
+    try:
+        apply_gate(state, gate, out=state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 // 8, f"peak {peak} bytes"
+    assert state.amplitudes[selected] == 0 and state.amplitudes[selected + 1] == 1
 
 
 def test_norm_preserved_by_gates(rng):
@@ -149,6 +238,16 @@ def test_project_onto_nothing_raises():
     s = StateVector.basis(2, 3)
     with pytest.raises(ZeroProbabilityError):
         project(s, [0])
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), data=st.data())
+def test_register_scan_takes_pattern_bits_in_register_order(seed, n, data):
+    # pattern bit i lives on qubits[i], whatever order those qubits have
+    order = data.draw(st.permutations(range(n)))
+    qubits = tuple(order[:data.draw(st.integers(1, n))])
+    state = random_state(np.random.default_rng(seed), n)
+    assert_register_scan_matches_brute_force(state, qubits)
 
 
 def test_sample_measure_deterministic_and_consistent():
