@@ -4,12 +4,21 @@
 ``name key=value ...`` with ``#`` comments — against a single database
 session and writes numbered artifacts (amplitude dumps, circuit text, plan
 reports, measurement outcomes) into the output directory. Artifacts are
-byte-deterministic for a given script, seed, and format.
+byte-deterministic for a given script, seed, format and numpy build: floats
+are written with ``repr``, and which multiply loop numpy picks can change
+their last bits.
 
-The whole script is dry-run first: each command is checked against the
-evolving descriptor, so semantic mistakes surface before anything is
-simulated or written, and execution can only fail on capacity or numeric
-grounds.
+The whole script is dry-run first. Each line's arguments are converted once,
+and the command's library transition — the precondition-and-effect function
+the library op itself calls before touching amplitudes — is applied to the
+evolving database record, so semantic mistakes surface before anything is
+simulated or written. Only these checks run during execution alone:
+
+- capacity against the qubit budget (exit 4);
+- verification (exit 5): the transfer planner, the transfer preflight and
+  write purity;
+- the amplitude-level checks (exit 3): an entry carrying no amplitude, and
+  entry phase alignment in ``remove_reservoir``.
 
 ``qdbsim verify --level fast|full`` runs the built-in check battery.
 
@@ -20,40 +29,42 @@ Exit codes: 0 success, 2 script/circuit parse error, 3 semantic error,
 from __future__ import annotations
 
 import argparse
-import math
+import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dumps import amplitude_records, dump_records, records_to_csv, records_to_json
 from .errors import CircuitParseError, QdbError, ScriptError, SemanticError
-from .extend import extend, extend_imbalanced, plan_extend_imbalanced
+from .extend import extend, extend_imbalanced, extend_imbalanced_meta, extend_meta
 from .qdb import (
+    QdbMeta,
     QdbState,
-    normalize_permutation,
+    emit_meta,
     permute,
-    plan_descriptor,
+    permute_meta,
     prepare_general,
+    prepare_meta,
     read_copy,
     read_copy_all,
+    read_copy_all_meta,
+    read_copy_meta,
     read_projective,
+    read_projective_meta,
     remove_projective,
+    remove_projective_meta,
     remove_reservoir,
+    remove_reservoir_meta,
     write,
+    write_meta,
     write_swap_conditional,
+    write_swap_meta,
 )
 from .statevector import DEFAULT_MAX_QUBITS, schmidt
 from .text_format import parse_text
-from .tolerances import PROJECTION_ZERO_TOL
 from .verify import run_verify
-
-import json
-
-
-COMMANDS = ("prepare", "extend", "extend-imbalanced", "write", "read-copy",
-            "read-projective", "remove", "permute", "emit", "dump")
 
 
 def parse_script(text: str) -> list[tuple[int, str, dict[str, str]]]:
@@ -81,30 +92,45 @@ def parse_script(text: str) -> list[tuple[int, str, dict[str, str]]]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# argument conversion: one converter per command
+
+
 _MISSING = object()
 
 
-def _take_int(kv: dict, key: str, ln: int, default=_MISSING):
-    if key not in kv:
+class _Args:
+    """One line's key=value pairs; each key is converted as it is taken."""
+
+    def __init__(self, ln: int, kv: dict[str, str], script_dir: Path):
+        self.ln, self.kv, self.script_dir = ln, dict(kv), script_dir
+
+    def text(self, key: str, default=_MISSING) -> str:
+        if key in self.kv:
+            return self.kv.pop(key)
         if default is _MISSING:
-            raise ScriptError(ln, f"missing required key {key!r}")
+            raise ScriptError(self.ln, f"missing required key {key!r}")
         return default
-    raw = kv.pop(key)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScriptError(ln, f"{key} must be an integer, got {raw!r}") from None
 
+    def number(self, key: str, default=_MISSING) -> int:
+        raw = self.text(key, default)
+        try:
+            return int(raw)
+        except ValueError:
+            raise ScriptError(self.ln, f"{key} must be an integer, got {raw!r}") from None
 
-def _require(kv: dict, key: str, ln: int) -> str:
-    if key not in kv:
-        raise ScriptError(ln, f"missing required key {key!r}")
-    return kv.pop(key)
+    def choice(self, key: str, *choices: str) -> str:
+        """One of ``choices``; the first is the default."""
+        value = self.text(key, choices[0])
+        if value not in choices:
+            raise ScriptError(
+                self.ln, f"{key} must be {' or '.join(choices)}, got {value!r}")
+        return value
 
-
-def _reject_extra(kv: dict, ln: int):
-    if kv:
-        raise ScriptError(ln, f"unknown keys: {', '.join(sorted(kv))}")
+    def done(self, **args) -> dict:
+        if self.kv:
+            raise ScriptError(self.ln, f"unknown keys: {', '.join(sorted(self.kv))}")
+        return args
 
 
 def _parse_data_spec(spec: str, ln: int) -> dict[int, str]:
@@ -136,301 +162,80 @@ def _parse_perm_spec(spec: str, ln: int):
         raise ScriptError(ln, f"bad permutation {spec!r}") from None
 
 
-# ---------------------------------------------------------------------------
-# dry run
-#
-# Every script is validated command by command against the evolving
-# descriptor before anything is simulated or written, so execution can only
-# fail on capacity or numeric grounds. The shape below mirrors exactly the
-# state the semantic preconditions consult: counts, labels, data words,
-# attached registers, and the amplitude profile of imbalanced extensions.
-# Seeded projective removals are resolved by drawing from the same PRNG
-# sequence the executor will use.
-
-
-@dataclass
-class _Shape:
-    k: int
-    l: int
-    m: int
-    labels: set[int]
-    data: dict[int, int]
-    profile: dict[int, float] | None = None
-    attached: str | None = None
-    projective: bool = False
-
-
-@dataclass
-class DryRun:
-    seed: int | None
-    script_dir: Path
-    shape: _Shape | None = None
-    consumed: str | None = None
-
-    def __post_init__(self):
-        self.rng = np.random.default_rng(self.seed) if self.seed is not None else None
-
-    def require_shape(self) -> _Shape:
-        if self.consumed:
-            raise SemanticError(f"database was consumed by {self.consumed}")
-        if self.shape is None:
-            raise SemanticError("no database prepared yet")
-        return self.shape
-
-    def require_bare(self, op: str) -> _Shape:
-        shape = self.require_shape()
-        if shape.attached:
-            raise SemanticError(f"{op} requires sensor/copy registers to be detached")
-        return shape
-
-    def writable(self, op: str, label: int) -> _Shape:
-        shape = self.require_bare(op)
-        if label == 0:
-            raise SemanticError("entry 0 is the reservoir and cannot hold data")
-        if label not in shape.labels:
-            raise SemanticError(f"no entry with label {label}")
-        if shape.m == 0:
-            raise SemanticError("database has no data register")
-        return shape
-
-    def word_value(self, word: str) -> int:
-        shape = self.shape
-        if set(word) - {"0", "1"}:
-            raise SemanticError(f"data bitstring must be binary, got {word!r}")
-        value = int(word, 2) if word else 0
-        if value >> shape.m:
-            raise SemanticError(
-                f"data word {word!r} does not fit the {shape.m}-bit data register")
-        return value
-
-    def add_entries(self, l: int, plan=None):
-        shape = self.shape
-        start = max(shape.labels) + 1
-        new = set(range(start, start + l))
-        if plan is not None and not plan.balanced:
-            shape.profile = {0: plan.alpha}
-            shape.profile.update({j: plan.beta for j in shape.labels if j != 0})
-            shape.profile.update({j: plan.gamma for j in new})
-        shape.labels |= new
-        shape.k += l
-        shape.l = 0
-
-
-def _dry_prepare(dry: DryRun, kv: dict, ln: int):
-    if dry.shape is not None or dry.consumed:
-        raise SemanticError("session already holds a database")
-    k = _take_int(kv, "k", ln)
-    l = _take_int(kv, "l", ln, default=0)
-    data = _parse_data_spec(kv.pop("data"), ln) if "data" in kv else None
-    m_data = _take_int(kv, "m", ln, default=0) or None
-    u_d = None
-    if "u_d" in kv:
-        path = dry.script_dir / kv.pop("u_d")
+def _prepare_args(a: _Args) -> dict:
+    k, l = a.number("k"), a.number("l", 0)
+    data = a.text("data", None)
+    data = _parse_data_spec(data, a.ln) if data is not None else None
+    m_data = a.number("m", 0) or None
+    u_d = a.text("u_d", None)
+    if u_d is not None:
         try:
-            u_d = parse_text(path.read_text())
+            u_d = parse_text((a.script_dir / u_d).read_text())
         except OSError as exc:
-            raise ScriptError(ln, f"cannot read data-encoding circuit: {exc}") from None
-    _reject_extra(kv, ln)
-    desc = plan_descriptor(k, l, data, m_data=m_data, u_d=u_d)
-    dry.shape = _Shape(k=desc.k, l=desc.l, m=desc.m_data,
-                       labels=set(range(desc.k)),
-                       data={j: desc.data_value(j) for j in desc.data})
+            raise ScriptError(a.ln, f"cannot read data-encoding circuit: {exc}") from None
+    return a.done(k=k, l=l, data=data, m_data=m_data, u_d=u_d)
 
 
-def _dry_extend(dry: DryRun, kv: dict, ln: int):
-    shape = dry.require_bare("extend")
-    l = _take_int(kv, "l", ln)
-    _reject_extra(kv, ln)
-    if shape.profile is not None:
-        raise SemanticError("extend requires uniformly weighted entries")
-    if l < 0:
-        raise SemanticError("cannot extend by a negative entry count")
-    if shape.l not in (0, l):
-        raise SemanticError(
-            f"reservoir already loaded for {shape.l} entries, not the requested {l}")
-    dry.add_entries(l)
+def _read_copy_args(a: _Args) -> dict:
+    if "all" in a.kv:
+        a.choice("all", "true")
+        return a.done(j=None)
+    return a.done(j=a.number("j"))
 
 
-def _dry_extend_imbalanced(dry: DryRun, kv: dict, ln: int):
-    shape = dry.require_bare("extend")
-    l = _take_int(kv, "l", ln)
-    z = _take_int(kv, "z", ln)
-    route = kv.pop("route", "direct")
-    _reject_extra(kv, ln)
-    if shape.profile is not None:
-        raise SemanticError("extend requires uniformly weighted entries")
-    plan = plan_extend_imbalanced(shape.k, l, z, route=route)
-    if shape.l not in (0, l):
-        raise SemanticError(
-            f"reservoir already loaded for {shape.l} entries, not the requested {l}")
-    dry.add_entries(l, plan)
+def _permute_args(a: _Args) -> dict:
+    spec = a.text("map")
+    return a.done(spec=spec, perm=_parse_perm_spec(spec, a.ln))
 
 
-def _dry_write(dry: DryRun, kv: dict, ln: int):
-    j = _take_int(kv, "j", ln)
-    word = _require(kv, "d", ln)
-    mode = kv.pop("mode", "xor")
-    _reject_extra(kv, ln)
-    shape = dry.writable("write", j)
-    value = dry.word_value(word)
-    if mode == "xor":
-        shape.data[j] = shape.data.get(j, 0) ^ value
-    elif mode == "swap":
-        shape.data[j] = value
-        shape.attached = "write mode=swap"
-    else:
-        raise ScriptError(ln, f"write mode must be xor or swap, got {mode!r}")
-
-
-def _dry_read_copy(dry: DryRun, kv: dict, ln: int):
-    if kv.pop("all", None):
-        _reject_extra(kv, ln)
-        shape = dry.require_bare("read")
-        if shape.m == 0:
-            raise SemanticError("database has no data register")
-    else:
-        j = _take_int(kv, "j", ln)
-        _reject_extra(kv, ln)
-        shape = dry.writable("read", j)
-    shape.attached = "read-copy"
-
-
-def _dry_read_projective(dry: DryRun, kv: dict, ln: int):
-    j = _take_int(kv, "j", ln)
-    _reject_extra(kv, ln)
-    shape = dry.require_bare("read")
-    if j not in shape.labels:
-        raise SemanticError(f"no entry with label {j}")
-    if shape.m == 0:
-        raise SemanticError("database has no data register")
-    dry.consumed = "read-projective"
-    dry.shape = None
-
-
-def _dry_remove(dry: DryRun, kv: dict, ln: int):
-    j = _take_int(kv, "j", ln)
-    mode = kv.pop("mode", "reservoir")
-    _reject_extra(kv, ln)
-    if mode == "reservoir":
-        shape = dry.writable("remove", j)
-        if shape.profile is not None:
-            shape.profile[0] = math.hypot(shape.profile[0], shape.profile.pop(j))
-        shape.labels.discard(j)
-        shape.data.pop(j, None)
-        shape.k -= 1
-        shape.l += 1
-        return
-    if mode != "projective":
-        raise ScriptError(ln, f"remove mode must be reservoir or projective, got {mode!r}")
-    shape = dry.require_bare("remove")
-    if j not in shape.labels:
-        raise SemanticError(f"no entry with label {j}")
-    if dry.seed is None:
-        raise SemanticError("remove mode=projective samples an outcome; pass --seed")
-    if shape.profile is not None:
-        weight_sq = shape.profile[j] ** 2
-    elif j == 0:
-        weight_sq = (shape.l + 1) / (shape.k + shape.l)
-    else:
-        weight_sq = 1.0 / (shape.k + shape.l)
-    p_success = max(0.0, 1.0 - weight_sq)
-    if p_success > PROJECTION_ZERO_TOL and j == 0:
-        raise SemanticError("removing the reservoir would leave no empty entry")
-    if dry.rng.random() < p_success:
-        if shape.profile is not None:
-            scale = 1.0 / math.sqrt(p_success)
-            shape.profile = {t: wgt * scale for t, wgt in shape.profile.items()
-                             if t != j}
-        shape.labels.discard(j)
-        shape.data.pop(j, None)
-        shape.k -= 1
-        shape.projective = True
-    else:
-        dry.consumed = "remove mode=projective (failure branch)"
-        dry.shape = None
-
-
-def _dry_permute(dry: DryRun, kv: dict, ln: int):
-    spec = _require(kv, "map", ln)
-    _reject_extra(kv, ln)
-    shape = dry.require_bare("permute")
-    mapping = normalize_permutation(_parse_perm_spec(spec, ln), shape.labels)
-    if all(j == t for j, t in mapping.items()):
-        return
-    inverse = {t: j for j, t in mapping.items()}
-    if shape.data.get(inverse[0], 0):
-        raise SemanticError(
-            f"entry {inverse[0]} holds data and cannot become the reservoir")
-    if mapping[0] != 0 and shape.l > 0:
-        raise SemanticError("cannot relocate a weighted reservoir (l > 0)")
-    shape.data = {mapping[j]: w for j, w in shape.data.items()}
-    if shape.profile is not None:
-        shape.profile = {mapping[j]: w for j, w in shape.profile.items()}
-
-
-def _dry_emit(dry: DryRun, kv: dict, ln: int):
-    shape = dry.require_shape()
-    _reject_extra(kv, ln)
-    if shape.projective:
-        raise SemanticError(
-            "state passed through a projection; no circuit re-creates it")
-
-
-def _dry_dump(dry: DryRun, kv: dict, ln: int):
-    dry.require_shape()
-    _reject_extra(kv, ln)
-
-
-DRY_HANDLERS = {
-    "prepare": _dry_prepare,
-    "extend": _dry_extend,
-    "extend-imbalanced": _dry_extend_imbalanced,
-    "write": _dry_write,
-    "read-copy": _dry_read_copy,
-    "read-projective": _dry_read_projective,
-    "remove": _dry_remove,
-    "permute": _dry_permute,
-    "emit": _dry_emit,
-    "dump": _dry_dump,
-}
-
-
-def dry_run(steps, *, seed: int | None, script_dir: Path):
-    """Walk a parsed script against the evolving descriptor; raise on the
-    first command that could not execute."""
-    dry = DryRun(seed=seed, script_dir=script_dir)
-    for ln, cmd, kv in steps:
-        try:
-            DRY_HANDLERS[cmd](dry, dict(kv), ln)
-        except (ScriptError, CircuitParseError):
-            raise
-        except QdbError as exc:
-            exc.args = (f"{cmd} (line {ln}): {exc}",)
-            raise
+# ---------------------------------------------------------------------------
+# the session: one database per script
+#
+# The dry run and the execution each walk the script in a Session of their
+# own, through the same command functions. A dry session holds a QdbMeta
+# record and applies the library's transitions; an executing one holds the
+# QdbState and calls the ops, which apply the same transitions first. The
+# session rules (one database per script, none after it is consumed, a seed
+# for sampling, one PRNG drawn in script order) live here once, for both.
 
 
 @dataclass
 class Session:
-    out_dir: Path
-    fmt: str
     seed: int | None
-    max_qubits: int
     script_dir: Path
-    db: QdbState | None = None
+    out_dir: Path | None = None
+    fmt: str = "json"
+    max_qubits: int = DEFAULT_MAX_QUBITS
+    dry: bool = False
+    db: QdbState | QdbMeta | None = None
     consumed: str | None = None
     artifact_count: int = 0
-    lines: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         # one PRNG for the whole script: sampling commands draw sequentially
         self.rng = np.random.default_rng(self.seed) if self.seed is not None else None
 
-    def require_db(self) -> QdbState:
+    def step(self, ln: int, cmd: str, kv: dict[str, str]) -> tuple[str, dict]:
+        """Convert one line's arguments and run the command; return both."""
+        convert, run = COMMANDS[cmd]
+        args = convert(_Args(ln, kv, self.script_dir))
+        run(self, **args)
+        return cmd, args
+
+    def require_db(self):
         if self.consumed:
             raise SemanticError(f"database was consumed by {self.consumed}")
         if self.db is None:
             raise SemanticError("no database prepared yet")
         return self.db
+
+    def consume(self, by: str):
+        self.consumed, self.db = by, None
+
+    def sample(self, p: float) -> bool:
+        if self.rng is None:
+            raise SemanticError("remove mode=projective samples an outcome; pass --seed")
+        return bool(self.rng.random() < p)
 
     def artifact(self, name: str, text: str) -> Path:
         self.artifact_count += 1
@@ -439,86 +244,61 @@ class Session:
         path.write_text(text)
         return path
 
-    def say(self, message: str):
-        self.lines.append(message)
-        print(message)
-
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _cmd_prepare(sess: Session, kv: dict, ln: int):
+def _prepare(sess: Session, **args):
     if sess.db is not None or sess.consumed:
         raise SemanticError("session already holds a database")
-    k = _take_int(kv, "k", ln)
-    l = _take_int(kv, "l", ln, default=0)
-    data = _parse_data_spec(kv.pop("data"), ln) if "data" in kv else None
-    m_data = _take_int(kv, "m", ln, default=0) or None
-    u_d = None
-    if "u_d" in kv:
-        path = sess.script_dir / kv.pop("u_d")
-        try:
-            u_d = parse_text(path.read_text())
-        except OSError as exc:
-            raise ScriptError(ln, f"cannot read data-encoding circuit: {exc}") from None
-    _reject_extra(kv, ln)
-    sess.db = prepare_general(k, l, data, m_data=m_data, u_d=u_d,
-                              max_qubits=sess.max_qubits)
-    sess.say(f"prepare: k={k} l={l} on {sess.db.n_qubits} qubits")
+    if sess.dry:
+        sess.db = prepare_meta(**args)
+        return
+    sess.db = prepare_general(**args, max_qubits=sess.max_qubits)
+    print(f"prepare: k={args['k']} l={args['l']} on {sess.db.n_qubits} qubits")
 
 
-def _cmd_extend(sess: Session, kv: dict, ln: int):
+def _extend(sess: Session, l: int):
     db = sess.require_db()
-    l = _take_int(kv, "l", ln)
-    _reject_extra(kv, ln)
+    if sess.dry:
+        sess.db = extend_meta(db, l)
+        return
     plans = []
     sess.db = extend(db, l, plan_sink=lambda p: plans.append(p.to_report()))
     path = sess.artifact("extend-plan.json", _json_text({"l": l, "plans": plans}))
-    sess.say(f"extend: +{l} -> k={sess.db.k} on {sess.db.n_qubits} qubits "
-             f"({path.name})")
+    print(f"extend: +{l} -> k={sess.db.k} on {sess.db.n_qubits} qubits ({path.name})")
 
 
-def _cmd_extend_imbalanced(sess: Session, kv: dict, ln: int):
+def _extend_imbalanced(sess: Session, l: int, z: int, route: str):
     db = sess.require_db()
-    l = _take_int(kv, "l", ln)
-    z = _take_int(kv, "z", ln)
-    route = kv.pop("route", "direct")
-    _reject_extra(kv, ln)
+    if sess.dry:
+        sess.db = extend_imbalanced_meta(db, l, z, route=route)
+        return
     plans = []
     sess.db = extend_imbalanced(db, l, z, route=route,
                                 plan_sink=lambda p: plans.append(p.to_report()))
     path = sess.artifact("extend-imbalanced-plan.json", _json_text(plans[0]))
-    sess.say(f"extend-imbalanced: +{l} with z={z} -> k={sess.db.k} "
-             f"balanced={plans[0]['balanced']} ({path.name})")
+    print(f"extend-imbalanced: +{l} with z={z} -> k={sess.db.k} "
+          f"balanced={plans[0]['balanced']} ({path.name})")
 
 
-def _cmd_write(sess: Session, kv: dict, ln: int):
+def _write(sess: Session, j: int, word: str, mode: str):
     db = sess.require_db()
-    j = _take_int(kv, "j", ln)
-    word = _require(kv, "d", ln)
-    mode = kv.pop("mode", "xor")
-    _reject_extra(kv, ln)
-    if mode == "xor":
-        sess.db = write(db, j, word)
-    elif mode == "swap":
-        sess.db = write_swap_conditional(db, j, word)
-    else:
-        raise ScriptError(ln, f"write mode must be xor or swap, got {mode!r}")
-    sess.say(f"write: entry {j} d={word} mode={mode}")
+    if sess.dry:
+        sess.db = (write_meta if mode == "xor" else write_swap_meta)(db, j, word)
+        return
+    sess.db = (write if mode == "xor" else write_swap_conditional)(db, j, word)
+    print(f"write: entry {j} d={word} mode={mode}")
 
 
-def _cmd_read_copy(sess: Session, kv: dict, ln: int):
+def _read_copy(sess: Session, j: int | None):
     db = sess.require_db()
-    if kv.pop("all", None):
-        _reject_extra(kv, ln)
-        sess.db = read_copy_all(db)
-        target = "all"
-    else:
-        j = _take_int(kv, "j", ln)
-        _reject_extra(kv, ln)
-        sess.db = read_copy(db, j)
-        target = str(j)
+    if sess.dry:
+        sess.db = read_copy_all_meta(db) if j is None else read_copy_meta(db, j)
+        return
+    sess.db = read_copy_all(db) if j is None else read_copy(db, j)
+    target = "all" if j is None else str(j)
     rep = schmidt(sess.db.state, sess.db.copy_qubits)
     path = sess.artifact("read-copy.json", _json_text({
         "entry": target,
@@ -527,94 +307,122 @@ def _cmd_read_copy(sess: Session, kv: dict, ln: int):
         "entropy_bits": rep.entropy_bits,
         "entangled": rep.entangled,
     }))
-    sess.say(f"read-copy: entry {target} entangled={rep.entangled} ({path.name})")
+    print(f"read-copy: entry {target} entangled={rep.entangled} ({path.name})")
 
 
-def _cmd_read_projective(sess: Session, kv: dict, ln: int):
+def _read_projective(sess: Session, j: int):
     db = sess.require_db()
-    j = _take_int(kv, "j", ln)
-    _reject_extra(kv, ln)
-    data_state, prob = read_projective(db, j)
-    segments = [("D", tuple(range(data_state.n_qubits)))]
-    records = amplitude_records(data_state, segments)
-    path = sess.artifact("read-projective.json", _json_text({
-        "entry": j,
-        "probability": prob,
-        "records": records,
-    }))
-    sess.consumed = "read-projective"
-    sess.db = None
-    sess.say(f"read-projective: entry {j} probability={prob:.12g} ({path.name})")
+    if sess.dry:
+        read_projective_meta(db, j)
+    else:
+        data_state, prob = read_projective(db, j)
+        segments = [("D", tuple(range(data_state.n_qubits)))]
+        path = sess.artifact("read-projective.json", _json_text({
+            "entry": j,
+            "probability": prob,
+            "records": amplitude_records(data_state, segments),
+        }))
+        print(f"read-projective: entry {j} probability={prob:.12g} ({path.name})")
+    sess.consume("read-projective")
 
 
-def _cmd_remove(sess: Session, kv: dict, ln: int):
+def _remove(sess: Session, j: int, mode: str):
     db = sess.require_db()
-    j = _take_int(kv, "j", ln)
-    mode = kv.pop("mode", "reservoir")
-    _reject_extra(kv, ln)
     if mode == "reservoir":
+        if sess.dry:
+            sess.db = remove_reservoir_meta(db, j)
+            return
         sess.db = remove_reservoir(db, j)
-        sess.say(f"remove: entry {j} -> reservoir (k={sess.db.k}, l={sess.db.l})")
+        print(f"remove: entry {j} -> reservoir (k={sess.db.k}, l={sess.db.l})")
         return
-    if mode != "projective":
-        raise ScriptError(ln, f"remove mode must be reservoir or projective, got {mode!r}")
-    if sess.seed is None:
-        raise SemanticError("remove mode=projective samples an outcome; pass --seed")
-    outcome = remove_projective(db, j)
-    success = bool(sess.rng.random() < outcome.success_probability)
+    if sess.dry:
+        p, after = remove_projective_meta(db, j)
+    else:
+        outcome = remove_projective(db, j)
+        p, after = outcome.success_probability, outcome.success_state
+    success = sess.sample(p)
+    if success and after is not None:
+        sess.db = after
+    else:
+        sess.consume("remove mode=projective (failure branch)")
+    if sess.dry:
+        return
+    verdict = "success" if success else "failure"
     path = sess.artifact("remove.json", _json_text({
         "entry": j,
         "mode": "projective",
-        "success_probability": outcome.success_probability,
-        "outcome": "success" if success else "failure",
+        "success_probability": p,
+        "outcome": verdict,
     }))
-    if success and outcome.success_state is not None:
-        sess.db = outcome.success_state
-    else:
-        sess.consumed = "remove mode=projective (failure branch)"
-        sess.db = None
-    sess.say(f"remove: entry {j} projective p={outcome.success_probability:.12g} "
-             f"outcome={'success' if success else 'failure'} ({path.name})")
+    print(f"remove: entry {j} projective p={p:.12g} outcome={verdict} ({path.name})")
 
 
-def _cmd_permute(sess: Session, kv: dict, ln: int):
+def _permute(sess: Session, spec: str, perm):
     db = sess.require_db()
-    spec = _require(kv, "map", ln)
-    _reject_extra(kv, ln)
-    sess.db = permute(db, _parse_perm_spec(spec, ln))
-    sess.say(f"permute: {spec}")
+    if sess.dry:
+        sess.db, _ = permute_meta(db, perm)
+        return
+    sess.db = permute(db, perm)
+    print(f"permute: {spec}")
 
 
-def _cmd_emit(sess: Session, kv: dict, ln: int):
+def _emit(sess: Session):
     db = sess.require_db()
-    _reject_extra(kv, ln)
+    if sess.dry:
+        emit_meta(db)
+        return
     path = sess.artifact("circuit.txt", db.emit())
-    sess.say(f"emit: {len(db.circuit)} gates ({path.name})")
+    print(f"emit: {len(db.circuit)} gates ({path.name})")
 
 
-def _cmd_dump(sess: Session, kv: dict, ln: int):
+def _dump(sess: Session):
     db = sess.require_db()
-    _reject_extra(kv, ln)
+    if sess.dry:
+        return
     records = dump_records(db)
     if sess.fmt == "json":
         path = sess.artifact("dump.json", records_to_json(records))
     else:
         path = sess.artifact("dump.csv", records_to_csv(records))
-    sess.say(f"dump: {len(records)} amplitudes ({path.name})")
+    print(f"dump: {len(records)} amplitudes ({path.name})")
 
 
-HANDLERS = {
-    "prepare": _cmd_prepare,
-    "extend": _cmd_extend,
-    "extend-imbalanced": _cmd_extend_imbalanced,
-    "write": _cmd_write,
-    "read-copy": _cmd_read_copy,
-    "read-projective": _cmd_read_projective,
-    "remove": _cmd_remove,
-    "permute": _cmd_permute,
-    "emit": _cmd_emit,
-    "dump": _cmd_dump,
+# command -> (argument converter, command function)
+COMMANDS = {
+    "prepare": (_prepare_args, _prepare),
+    "extend": (lambda a: a.done(l=a.number("l")), _extend),
+    "extend-imbalanced": (
+        lambda a: a.done(l=a.number("l"), z=a.number("z"), route=a.text("route", "direct")),
+        _extend_imbalanced),
+    "write": (
+        lambda a: a.done(j=a.number("j"), word=a.text("d"), mode=a.choice("mode", "xor", "swap")),
+        _write),
+    "read-copy": (_read_copy_args, _read_copy),
+    "read-projective": (lambda a: a.done(j=a.number("j")), _read_projective),
+    "remove": (
+        lambda a: a.done(j=a.number("j"), mode=a.choice("mode", "reservoir", "projective")),
+        _remove),
+    "permute": (_permute_args, _permute),
+    "emit": (lambda a: a.done(), _emit),
+    "dump": (lambda a: a.done(), _dump),
 }
+
+
+def dry_run(steps, *, seed: int | None, script_dir: Path) -> list[tuple[str, dict]]:
+    """Walk a parsed script through the library's transitions alone; raise on
+    the first command that could not execute. Returns each command with its
+    converted arguments, for the execution to reuse."""
+    sess = Session(seed, script_dir, dry=True)
+    commands = []
+    for ln, cmd, kv in steps:
+        try:
+            commands.append(sess.step(ln, cmd, kv))
+        except (ScriptError, CircuitParseError):
+            raise
+        except QdbError as exc:
+            exc.args = (f"{cmd} (line {ln}): {exc}",)
+            raise
+    return commands
 
 
 def run_script(script_path: Path, out_dir: Path, *, seed: int | None,
@@ -623,13 +431,11 @@ def run_script(script_path: Path, out_dir: Path, *, seed: int | None,
         text = script_path.read_text()
     except OSError as exc:
         raise ScriptError(0, f"cannot read script: {exc}") from None
-    steps = parse_script(text)
-    dry_run(steps, seed=seed, script_dir=script_path.parent)
-    sess = Session(out_dir=out_dir, fmt=fmt, seed=seed, max_qubits=max_qubits,
-                   script_dir=script_path.parent)
-    for ln, cmd, kv in steps:
-        HANDLERS[cmd](sess, dict(kv), ln)
-    print(f"done: {len(steps)} commands, {sess.artifact_count} artifacts"
+    commands = dry_run(parse_script(text), seed=seed, script_dir=script_path.parent)
+    sess = Session(seed, script_path.parent, out_dir, fmt, max_qubits)
+    for cmd, args in commands:
+        COMMANDS[cmd][1](sess, **args)
+    print(f"done: {len(commands)} commands, {sess.artifact_count} artifacts"
           + (f" in {out_dir}" if sess.artifact_count else ""))
     return 0
 

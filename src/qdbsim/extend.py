@@ -18,7 +18,7 @@ amplitudes whenever more than one new entry shares an ancilla pattern.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,9 +26,11 @@ from .circuit import Circuit, simulate
 from .errors import CapacityError, SemanticError, VerificationError
 from .gates import GateSpec, phase, x
 from .qdb import (
-    QdbDescriptor,
+    QdbLayout,
+    QdbMeta,
     QdbState,
     _grow,
+    _successor,
     prepare_circuit,
     prepare_general,
     preparation_circuit,
@@ -187,6 +189,18 @@ def amplification_step_circuit(u_qdb: Circuit, db_qubits, phi: float,
     return circ
 
 
+def transfer_meta(meta: QdbMeta, l: int) -> QdbMeta:
+    """Transition of ``transfer``: the reservoir is loaded for l entries."""
+    meta.require_bare("transfer")
+    if meta.amplitude_profile is not None:
+        raise SemanticError("transfer requires uniformly weighted entries")
+    if meta.l != 0:
+        raise SemanticError("transfer starts from a balanced database (l = 0)")
+    if l < 0:
+        raise SemanticError("cannot transfer weight for a negative entry count")
+    return replace(meta, descriptor=replace(meta.descriptor, l=l))
+
+
 def transfer(db: QdbState, l: int) -> tuple[QdbState, AmplificationPlan]:
     """Load the reservoir entry of a balanced database with weight for l
     future entries, unitarily.
@@ -196,13 +210,7 @@ def transfer(db: QdbState, l: int) -> tuple[QdbState, AmplificationPlan]:
     amplification steps reflect about that prepared state, so a stale circuit
     would silently corrupt the transfer.
     """
-    db.require_bare("transfer")
-    if db.amplitude_profile is not None:
-        raise SemanticError("transfer requires uniformly weighted entries")
-    if db.descriptor.l != 0:
-        raise SemanticError("transfer starts from a balanced database (l = 0)")
-    if l < 0:
-        raise SemanticError("cannot transfer weight for a negative entry count")
+    new = transfer_meta(db.meta, l)
     plan = plan_transfer(db.k, l)
     if l == 0:
         return db, plan
@@ -220,14 +228,39 @@ def transfer(db: QdbState, l: int) -> tuple[QdbState, AmplificationPlan]:
         circ += amplification_step_circuit(u_qdb, db_qubits, math.pi, math.pi)
     circ += amplification_step_circuit(u_qdb, db_qubits, plan.phi, plan.rho)
     circ += zero_phase_circuit(plan.phase_fix, db_qubits, n)
-    state = simulate(circ, db.state)
-    desc = db.descriptor
-    new_desc = QdbDescriptor(k=desc.k, l=l, data=dict(desc.data), u_d=desc.u_d,
-                             m_data=desc.m_data)
-    new_db = QdbState(new_desc, db.layout, state, _grow(db.circuit, circ),
-                      projective=db.projective, max_qubits=db.max_qubits)
+    new_db = _successor(db, new, simulate(circ, db.state), _grow(db.circuit, circ))
     new_db.check(tol=TRANSFER_AMP_TOL)
     return new_db, plan
+
+
+def _with_index_qubits(meta: QdbMeta, qubits, new_patterns, profile=None) -> QdbMeta:
+    """The record after growth: ``qubits`` join the index register and the
+    new labels, numbered on from the largest, take ``new_patterns``."""
+    layout = meta.layout
+    start = max(layout.labels) + 1
+    mapping = dict(layout.logical_index_map)
+    mapping.update((start + i, pat) for i, pat in enumerate(new_patterns))
+    return replace(
+        meta, amplitude_profile=profile,
+        descriptor=replace(meta.descriptor, k=meta.k + len(new_patterns), l=0),
+        layout=QdbLayout(layout.index_qubits + tuple(qubits), layout.data_qubits, mapping))
+
+
+def unfold_meta(meta: QdbMeta) -> QdbMeta:
+    """Transition of ``unfold``: the l reserved entries become real ones,
+    addressed through one new index qubit."""
+    meta.require_bare("unfold")
+    if meta.amplitude_profile is not None:
+        raise SemanticError("unfold requires uniformly weighted entries")
+    l = meta.l
+    if l < 1:
+        raise SemanticError("nothing to unfold: reservoir multiplicity is 0")
+    kt = len(meta.layout.index_qubits)
+    if l > 2 ** kt:
+        raise CapacityError(
+            f"{l} new entries do not fit the {kt}-bit index register")
+    return _with_index_qubits(meta, (meta.layout.n_qubits,),
+                              [(1 << kt) + i for i in range(l)])
 
 
 def unfold(db: QdbState) -> QdbState:
@@ -239,24 +272,16 @@ def unfold(db: QdbState) -> QdbState:
     spreads the branch over l fresh patterns. The result is a balanced
     database of k + l entries.
     """
-    db.require_bare("unfold")
-    if db.amplitude_profile is not None:
-        raise SemanticError("unfold requires uniformly weighted entries")
-    l = db.descriptor.l
-    if l < 1:
-        raise SemanticError("nothing to unfold: reservoir multiplicity is 0")
+    new = unfold_meta(db.meta)
+    l = db.l
     if db.n_qubits != db.layout.n_qubits:
         raise SemanticError("state register does not match the database layout")
-    kt = len(db.layout.index_qubits)
-    if l > 2 ** kt:
-        raise CapacityError(
-            f"{l} new entries do not fit the {kt}-bit index register")
     target = math.sqrt((l + 1) / (db.k + l))
     held = abs(db.reservoir_amplitude())
     if held < target - TRANSFER_AMP_TOL:
         raise SemanticError(
             f"reservoir holds {held:.6g}, needs {target:.6g} to fund {l} entries")
-    anc = db.n_qubits
+    anc = new.layout.index_qubits[-1]
     n = anc + 1
     state = add_ancillas(db.state, 1, max_qubits=db.max_qubits)
     db_qubits = tuple(db.layout.index_qubits) + tuple(db.layout.data_qubits)
@@ -266,24 +291,36 @@ def unfold(db: QdbState) -> QdbState:
     circ.append(GateSpec("ry", (theta,), (anc,), tuple((q, 0) for q in db_qubits)))
     if l > 1:
         circ += prepare_circuit(l, 0, db.layout.index_qubits, n).controlled(ctrl=(anc,))
-    state = simulate(circ, state)
-    old_labels = db.layout.labels
-    start = max(old_labels) + 1
-    new_map = dict(db.layout.logical_index_map)
-    for i in range(l):
-        new_map[start + i] = (1 << kt) + i
-    layout = type(db.layout)(
-        index_qubits=db.layout.index_qubits + (anc,),
-        data_qubits=db.layout.data_qubits,
-        logical_index_map=new_map,
-    )
-    desc = db.descriptor
-    new_desc = QdbDescriptor(k=desc.k + l, l=0, data=dict(desc.data), u_d=desc.u_d,
-                             m_data=desc.m_data)
-    new_db = QdbState(new_desc, layout, state, _grow(db.circuit, circ),
-                      projective=db.projective, max_qubits=db.max_qubits)
+    new_db = _successor(db, new, simulate(circ, state), _grow(db.circuit, circ))
     new_db.check(tol=TRANSFER_AMP_TOL)
     return new_db
+
+
+def _rounds(k: int, l: int):
+    """Entry counts of the transfer + unfold rounds growing k entries by l:
+    each round creates at most as many entries as the database holds."""
+    while l > 0:
+        chunk = min(k, l)
+        yield chunk
+        k, l = k + chunk, l - chunk
+
+
+def extend_meta(meta: QdbMeta, l: int) -> QdbMeta:
+    """Transition of ``extend``: the rounds' transfer and unfold transitions
+    in turn, or one unfold when the reservoir is already loaded for l."""
+    meta.require_bare("extend")
+    if meta.amplitude_profile is not None:
+        raise SemanticError("extend requires uniformly weighted entries")
+    if l < 0:
+        raise SemanticError("cannot extend by a negative entry count")
+    if meta.l != 0:
+        if meta.l != l:
+            raise SemanticError(
+                f"reservoir already loaded for {meta.l} entries, not the requested {l}")
+        return unfold_meta(meta)
+    for chunk in _rounds(meta.k, l):
+        meta = unfold_meta(transfer_meta(meta, chunk))
+    return meta
 
 
 def extend(db: QdbState, l: int, *, plan_sink=None) -> QdbState:
@@ -295,25 +332,14 @@ def extend(db: QdbState, l: int, *, plan_sink=None) -> QdbState:
     directly. ``plan_sink``, if given, receives each round's
     AmplificationPlan.
     """
-    db.require_bare("extend")
-    if db.amplitude_profile is not None:
-        raise SemanticError("extend requires uniformly weighted entries")
-    if l < 0:
-        raise SemanticError("cannot extend by a negative entry count")
-    if db.descriptor.l != 0:
-        if db.descriptor.l != l:
-            raise SemanticError(
-                f"reservoir already loaded for {db.descriptor.l} entries, "
-                f"not the requested {l}")
+    extend_meta(db.meta, l)
+    if db.l != 0:
         return unfold(db)
-    remaining = l
-    while remaining > 0:
-        chunk = min(db.k, remaining)
+    for chunk in _rounds(db.k, l):
         db, plan = transfer(db, chunk)
         if plan_sink is not None:
             plan_sink(plan)
         db = unfold(db)
-        remaining -= chunk
     return db
 
 
@@ -358,12 +384,9 @@ class ExtendPlan:
 ROUTES = ("direct", "marker")
 
 
-def plan_extend_imbalanced(k: int, l: int, z: int, *, route: str = "direct") -> ExtendPlan:
-    """Work out the staging of an ancilla-bounded extension.
-
-    Capacity: z ancillas can create at most (2^z - 1) * k new entries. When
-    l exceeds the 2^z - 1 ancilla patterns, it must split evenly across them.
-    """
+def _imbalanced_shape(k: int, l: int, z: int, route: str):
+    """(l_prime, l_double_prime, alpha, beta, gamma) of an ancilla-bounded
+    extension; raises when z ancillas cannot stage it."""
     if route not in ROUTES:
         raise SemanticError(f"route must be one of {ROUTES}, got {route!r}")
     if z < 1:
@@ -375,23 +398,58 @@ def plan_extend_imbalanced(k: int, l: int, z: int, *, route: str = "direct") -> 
             f"{z} ancilla qubits create at most {(2 ** z - 1) * k} new entries "
             f"for {k} existing ones, requested {l}")
     if z == 1:
-        l_prime, l_double = l, 1
-    else:
-        l_prime = min(l, 2 ** z - 1)
-        if l % l_prime:
-            raise SemanticError(
-                f"{l} new entries do not split evenly over {l_prime} ancilla patterns")
-        l_double = l // l_prime
+        # single-ancilla route reuses the reservoir unfolding, which is balanced
+        beta = math.sqrt(1.0 / (l + k))
+        return l, 1, beta, beta, beta
+    l_prime = min(l, 2 ** z - 1)
+    if l % l_prime:
+        raise SemanticError(
+            f"{l} new entries do not split evenly over {l_prime} ancilla patterns")
+    l_double = l // l_prime
     alpha = math.sqrt((l + 1) / ((l_prime + 1) * (l + k)))
     beta = math.sqrt(1.0 / (l + k))
     gamma = math.sqrt((l + 1) / (l_double * (l_prime + 1) * (l + k)))
-    balanced = l_double == 1
-    if z == 1:
-        # single-ancilla route reuses the reservoir unfolding, which is balanced
-        alpha = gamma = beta
+    return l_prime, l_double, alpha, beta, gamma
+
+
+def plan_extend_imbalanced(k: int, l: int, z: int, *, route: str = "direct") -> ExtendPlan:
+    """Work out the staging of an ancilla-bounded extension.
+
+    Capacity: z ancillas can create at most (2^z - 1) * k new entries. When
+    l exceeds the 2^z - 1 ancilla patterns, it must split evenly across them.
+    """
+    l_prime, l_double, alpha, beta, gamma = _imbalanced_shape(k, l, z, route)
     return ExtendPlan(k=k, l=l, z=z, l_prime=l_prime, l_double_prime=l_double,
-                      alpha=alpha, beta=beta, gamma=gamma, balanced=balanced,
+                      alpha=alpha, beta=beta, gamma=gamma, balanced=l_double == 1,
                       route=route, amplification=plan_transfer(k, l))
+
+
+def extend_imbalanced_meta(meta: QdbMeta, l: int, z: int, *,
+                           route: str = "direct") -> QdbMeta:
+    """Transition of ``extend_imbalanced``: the reservoir is loaded unless it
+    already is, then l entries appear behind z new index qubits, with an
+    amplitude profile when several share an ancilla pattern."""
+    meta.require_bare("extend")
+    if meta.amplitude_profile is not None:
+        raise SemanticError("extend requires uniformly weighted entries")
+    l_prime, l_double, alpha, beta, gamma = _imbalanced_shape(meta.k, l, z, route)
+    if meta.l == 0:
+        meta = transfer_meta(meta, l)
+    elif meta.l != l:
+        raise SemanticError(
+            f"reservoir already loaded for {meta.l} entries, not the requested {l}")
+    if z == 1:
+        return unfold_meta(meta)
+    kt, n0 = len(meta.layout.index_qubits), meta.layout.n_qubits
+    profile = None
+    if l_double > 1:
+        labels = meta.layout.labels
+        profile = {j: beta for j in labels}
+        profile[0] = alpha
+        profile.update((labels[-1] + 1 + i, gamma) for i in range(l))
+    return _with_index_qubits(
+        meta, range(n0, n0 + z),
+        [(i << kt) | h for i in range(1, l_prime + 1) for h in range(l_double)], profile)
 
 
 def _marker_flag_circuit(marker: int, anc_qubits, n: int) -> Circuit:
@@ -420,27 +478,16 @@ def extend_imbalanced(db: QdbState, l: int, z: int, *, route: str = "direct",
     the returned plan. A database whose reservoir already holds weight for
     exactly l entries (a ``prepare_general(k, l)`` result) skips the transfer.
     """
-    db.require_bare("extend")
-    if db.amplitude_profile is not None:
-        raise SemanticError("extend requires uniformly weighted entries")
+    new = extend_imbalanced_meta(db.meta, l, z, route=route)
     plan = plan_extend_imbalanced(db.k, l, z, route=route)
     if plan_sink is not None:
         plan_sink(plan)
-    if db.descriptor.l == l:
-        loaded = db
-    elif db.descriptor.l == 0:
-        loaded, _ = transfer(db, l)
-    else:
-        raise SemanticError(
-            f"reservoir already loaded for {db.descriptor.l} entries, "
-            f"not the requested {l}")
+    loaded = db if db.l == l else transfer(db, l)[0]
     if z == 1:
         return unfold(loaded)
-    kt = len(loaded.layout.index_qubits)
-    n0 = loaded.n_qubits
-    anc = tuple(range(n0, n0 + z))
+    anc = new.layout.index_qubits[-z:]
     state = add_ancillas(loaded.state, z, max_qubits=loaded.max_qubits)
-    n = n0 + z
+    n = anc[-1] + 1
     circ = Circuit(n)
     for q in anc:
         circ.label(q, "I")
@@ -454,41 +501,16 @@ def extend_imbalanced(db: QdbState, l: int, z: int, *, route: str = "direct",
             circ += spread_idx
         else:
             marker = n
-            n += 1
             state = add_ancillas(state, 1, max_qubits=loaded.max_qubits)
-            circ = circ.extended(n)
-            flag = _marker_flag_circuit(marker, anc, n)
+            circ = circ.extended(n + 1)
+            flag = _marker_flag_circuit(marker, anc, n + 1)
             circ += flag
-            circ += spread_idx.extended(n).controlled(ctrl=(marker,))
+            circ += spread_idx.extended(n + 1).controlled(ctrl=(marker,))
             circ += flag.inverse()
     state = simulate(circ, state)
     if route == "marker" and plan.l_double_prime > 1:
-        state = drop_qubits(state, [n - 1])
-        n -= 1
-    old_labels = loaded.layout.labels
-    start = max(old_labels) + 1
-    new_map = dict(loaded.layout.logical_index_map)
-    profile = {0: plan.alpha}
-    for label in old_labels:
-        if label != 0:
-            profile[label] = plan.beta
-    next_label = start
-    for i in range(1, plan.l_prime + 1):
-        for h in range(plan.l_double_prime):
-            new_map[next_label] = (i << kt) | h
-            profile[next_label] = plan.gamma
-            next_label += 1
-    layout = type(loaded.layout)(
-        index_qubits=loaded.layout.index_qubits + anc,
-        data_qubits=loaded.layout.data_qubits,
-        logical_index_map=new_map,
-    )
-    desc = loaded.descriptor
-    new_desc = QdbDescriptor(k=desc.k + l, l=0, data=dict(desc.data), u_d=desc.u_d,
-                             m_data=desc.m_data)
-    new_db = QdbState(new_desc, layout, state, _grow(loaded.circuit, circ),
-                      amplitude_profile=None if plan.balanced else profile,
-                      projective=loaded.projective, max_qubits=loaded.max_qubits)
+        state = drop_qubits(state, [n])
+    new_db = _successor(loaded, new, state, _grow(loaded.circuit, circ))
     new_db.check(tol=TRANSFER_AMP_TOL)
     return new_db
 

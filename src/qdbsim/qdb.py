@@ -83,6 +83,10 @@ class QdbDescriptor:
             raise SemanticError("data register width cannot be negative")
         cleaned: dict[int, str] = {}
         for label, bits in self.data.items():
+            if (label and type(bits) is str and len(bits) == self.m_data
+                    and "1" in bits and not bits.strip("01")):
+                cleaned[int(label)] = bits  # already a full-width nonzero word
+                continue
             if isinstance(bits, int):
                 value, width = bits, bits.bit_length()
             else:
@@ -221,8 +225,43 @@ class QdbLayout:
         )
 
 
+class _Record:
+    """Accessors shared by the metadata record and the live database."""
+
+    @property
+    def k(self) -> int:
+        return self.descriptor.k
+
+    @property
+    def l(self) -> int:
+        return self.descriptor.l
+
+    def require_bare(self, op: str):
+        if self.sensor_qubits or self.copy_qubits:
+            raise SemanticError(f"{op} requires sensor/copy registers to be detached")
+
+
+@dataclass(frozen=True)
+class QdbMeta(_Record):
+    """What an operation's preconditions and effects consult: a QdbState
+    without its amplitudes, build circuit and qubit budget.
+
+    Each operation has a transition ``<op>_meta`` in the module that owns the
+    op: a pure function of the op's arguments and this record that raises the
+    op's SemanticError/CapacityError and returns the record after the op. The
+    op calls it before touching amplitudes; the CLI dry run calls it alone.
+    """
+
+    descriptor: QdbDescriptor
+    layout: QdbLayout
+    sensor_qubits: tuple[int, ...] = ()
+    copy_qubits: tuple[int, ...] = ()
+    amplitude_profile: dict[int, float] | None = None
+    projective: bool = False
+
+
 @dataclass
-class QdbState:
+class QdbState(_Record):
     """A live database: descriptor + layout + statevector + build circuit.
 
     ``sensor_qubits`` / ``copy_qubits`` list registers left attached by a
@@ -244,20 +283,13 @@ class QdbState:
     max_qubits: int = DEFAULT_MAX_QUBITS
 
     @property
-    def k(self) -> int:
-        return self.descriptor.k
-
-    @property
-    def l(self) -> int:
-        return self.descriptor.l
-
-    @property
     def n_qubits(self) -> int:
         return self.state.n_qubits
 
-    def require_bare(self, op: str):
-        if self.sensor_qubits or self.copy_qubits:
-            raise SemanticError(f"{op} requires sensor/copy registers to be detached")
+    @property
+    def meta(self) -> QdbMeta:
+        return QdbMeta(self.descriptor, self.layout, self.sensor_qubits,
+                       self.copy_qubits, self.amplitude_profile, self.projective)
 
     def occupied_labels(self, tol: float = DUMP_THRESHOLD) -> tuple[int, ...]:
         """Labels whose index pattern carries any amplitude."""
@@ -323,10 +355,25 @@ class QdbState:
 
     def emit(self) -> str:
         """Circuit text re-creating this state from |0...0>."""
-        if self.projective:
-            raise SemanticError(
-                "state passed through a projection; no circuit re-creates it")
+        emit_meta(self.meta)
         return emit_text(self.circuit)
+
+
+def _successor(db: QdbState, meta: QdbMeta, state: StateVector,
+               circuit: Circuit) -> QdbState:
+    """The database an operation on ``db`` leaves: its transition's record
+    plus the new amplitudes and build circuit, under the same qubit budget."""
+    return QdbState(meta.descriptor, meta.layout, state, circuit, meta.sensor_qubits,
+                    meta.copy_qubits, meta.amplitude_profile, meta.projective,
+                    db.max_qubits)
+
+
+def emit_meta(meta: QdbMeta) -> QdbMeta:
+    """Transition of ``QdbState.emit``: only unprojected states have a circuit."""
+    if meta.projective:
+        raise SemanticError(
+            "state passed through a projection; no circuit re-creates it")
+    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +570,9 @@ def preparation_circuit(descriptor: QdbDescriptor, layout: QdbLayout) -> Circuit
     return circ + _data_write_circuit(descriptor, layout, n)
 
 
-def plan_descriptor(k: int, l: int = 0, data: dict[int, int | str] | None = None,
-                    *, m_data: int | None = None,
-                    u_d: Circuit | None = None) -> QdbDescriptor:
-    """Normalize preparation arguments into a validated descriptor.
+def prepare_meta(k: int, l: int = 0, data: dict[int, int | str] | None = None,
+                 *, m_data: int | None = None, u_d: Circuit | None = None) -> QdbMeta:
+    """Transition of ``prepare_general``: the fresh database's record.
 
     Pure argument checking — no state is built — so callers can vet a
     preparation before paying for the simulation.
@@ -543,10 +589,11 @@ def plan_descriptor(k: int, l: int = 0, data: dict[int, int | str] | None = None
         norm_data[label] = bits
     m = max(widest if norm_data else 0,
             m_data or 0, u_d.n_qubits if u_d is not None else 0)
-    return QdbDescriptor(
+    desc = QdbDescriptor(
         k=k, l=l,
         data={j: _int_to_bits(_bits_to_int(b), m) for j, b in norm_data.items()},
         u_d=u_d, m_data=m)
+    return QdbMeta(desc, QdbLayout.fresh(k, m))
 
 
 def prepare_general(k: int, l: int = 0, data: dict[int, int | str] | None = None,
@@ -558,12 +605,11 @@ def prepare_general(k: int, l: int = 0, data: dict[int, int | str] | None = None
     the data register beyond what the widest word needs (useful when later
     writes need room).
     """
-    desc = plan_descriptor(k, l, data, m_data=m_data, u_d=u_d)
-    layout = QdbLayout.fresh(k, desc.m_data)
-    circ = preparation_circuit(desc, layout)
+    meta = prepare_meta(k, l, data, m_data=m_data, u_d=u_d)
+    circ = preparation_circuit(meta.descriptor, meta.layout)
     kwargs = {"max_qubits": max_qubits} if max_qubits is not None else {}
     state = simulate(circ, **kwargs)
-    return QdbState(desc, layout, state, circ,
+    return QdbState(meta.descriptor, meta.layout, state, circ,
                     max_qubits=max_qubits or DEFAULT_MAX_QUBITS)
 
 
@@ -626,22 +672,50 @@ def _write_core_circuit(layout: QdbLayout, u_d: Circuit | None, n: int,
     return circ
 
 
-def _normalize_word(db: QdbState, word: int | str) -> int:
+def _fresh_register(layout: QdbLayout) -> tuple[int, ...]:
+    """Where a sensor or copy register as wide as the data register lands:
+    just above the database's own qubits."""
+    n = layout.n_qubits
+    return tuple(range(n, n + len(layout.data_qubits)))
+
+
+def _check_entry(meta: QdbMeta, label: int, op: str):
+    """A bare database with a data-holding entry ``label``."""
+    meta.require_bare(op)
+    if label == 0:
+        raise SemanticError("entry 0 is the reservoir and cannot hold data")
+    meta.layout.pattern(label)
+
+
+def _check_data_register(meta: QdbMeta):
+    if not meta.layout.data_qubits:
+        raise SemanticError("database has no data register")
+
+
+def _word_value(meta: QdbMeta, label: int, word: int | str) -> int:
+    """Check a write of ``word`` into entry ``label``; return the word."""
+    _check_entry(meta, label, "write")
+    _check_data_register(meta)
     value = _bits_to_int(word) if isinstance(word, str) else int(word)
-    m = len(db.layout.data_qubits)
-    if value < 0 or (value and m == 0) or value >> m:
+    m = len(meta.layout.data_qubits)
+    if value < 0 or value >> m:
         raise SemanticError(f"data word {word!r} does not fit the {m}-bit data register")
     return value
 
 
-def _check_writable(db: QdbState, label: int, op: str):
-    db.require_bare(op)
-    if label == 0:
-        raise SemanticError("entry 0 is the reservoir and cannot hold data")
-    if label not in db.layout.logical_index_map:
-        raise SemanticError(f"no entry with label {label}")
+def _check_occupied(db: QdbState, label: int):
     if label not in db.occupied_labels():
         raise SemanticError(f"entry {label} carries no amplitude")
+
+
+def write_meta(meta: QdbMeta, label: int, word: int | str, *,
+               keep_sensor: bool = False) -> QdbMeta:
+    """Transition of ``write``: the entry's recorded word is XORed with
+    ``word``; with ``keep_sensor`` the sensor register stays attached."""
+    value = _word_value(meta, label, word)
+    desc = meta.descriptor
+    return replace(meta, descriptor=desc.with_data_value(label, desc.data_value(label) ^ value),
+                   sensor_qubits=_fresh_register(meta.layout) if keep_sensor else ())
 
 
 def write(db: QdbState, label: int, word: int | str, *,
@@ -653,34 +727,33 @@ def write(db: QdbState, label: int, word: int | str, *,
     dropped. ``keep_sensor`` skips the uncompute so the register can be
     inspected; the returned state then carries ``sensor_qubits``.
     """
-    _check_writable(db, label, "write")
-    value = _normalize_word(db, word)
-    m = len(db.layout.data_qubits)
-    if m == 0:
-        raise SemanticError("database has no data register")
-    n0 = db.n_qubits
-    sensor = tuple(range(n0, n0 + m))
-    state = add_ancillas(db.state, m, max_qubits=db.max_qubits)
-    prep = _sensor_prep_circuit(value, sensor, db.descriptor.u_d, n0 + m)
-    core = _write_core_circuit(db.layout, db.descriptor.u_d, n0 + m, label, sensor)
+    new = write_meta(db.meta, label, word, keep_sensor=keep_sensor)
+    _check_occupied(db, label)
+    value = db.descriptor.data_value(label) ^ new.descriptor.data_value(label)
+    sensor = _fresh_register(db.layout)
+    n = sensor[-1] + 1
+    state = add_ancillas(db.state, len(sensor), max_qubits=db.max_qubits)
+    prep = _sensor_prep_circuit(value, sensor, db.descriptor.u_d, n)
+    core = _write_core_circuit(db.layout, db.descriptor.u_d, n, label, sensor)
     applied = prep + core
     state = simulate(applied, state)
     purity = schmidt(state, sensor).purity
     if abs(purity - 1.0) > WRITE_PURITY_TOL:
         raise VerificationError(
             f"sensor register entangled after write (purity {purity:.12g})")
-    new_desc = db.descriptor.with_data_value(label, db.descriptor.data_value(label) ^ value)
     if keep_sensor:
-        return QdbState(new_desc, db.layout, state, _grow(db.circuit, applied),
-                        sensor_qubits=sensor,
-                        amplitude_profile=db.amplitude_profile,
-                        projective=db.projective, max_qubits=db.max_qubits)
+        return _successor(db, new, state, _grow(db.circuit, applied))
     state = simulate(prep.inverse(), state)
     state = drop_qubits(state, sensor)
-    circuit = _grow(db.circuit, applied + prep.inverse())
-    return QdbState(new_desc, db.layout, state, circuit,
-                    amplitude_profile=db.amplitude_profile,
-                    projective=db.projective, max_qubits=db.max_qubits)
+    return _successor(db, new, state, _grow(db.circuit, applied + prep.inverse()))
+
+
+def write_swap_meta(meta: QdbMeta, label: int, word: int | str) -> QdbMeta:
+    """Transition of ``write_swap_conditional``: the entry records ``word``
+    and the sensor register stays attached."""
+    value = _word_value(meta, label, word)
+    return replace(meta, descriptor=meta.descriptor.with_data_value(label, value),
+                   sensor_qubits=_fresh_register(meta.layout))
 
 
 def write_swap_conditional(db: QdbState, label: int, word: int | str) -> QdbState:
@@ -690,27 +763,54 @@ def write_swap_conditional(db: QdbState, label: int, word: int | str) -> QdbStat
     stays attached and, whenever the incoming and outgoing words differ, ends
     up entangled with the database. The returned state keeps the sensor.
     """
-    _check_writable(db, label, "write")
-    value = _normalize_word(db, word)
-    m = len(db.layout.data_qubits)
-    if m == 0:
-        raise SemanticError("database has no data register")
-    n0 = db.n_qubits
-    sensor = tuple(range(n0, n0 + m))
-    state = add_ancillas(db.state, m, max_qubits=db.max_qubits)
-    circ = _sensor_prep_circuit(value, sensor, db.descriptor.u_d, n0 + m)
+    new = write_swap_meta(db.meta, label, word)
+    _check_occupied(db, label)
+    sensor = new.sensor_qubits
+    n = sensor[-1] + 1
+    state = add_ancillas(db.state, len(sensor), max_qubits=db.max_qubits)
+    circ = _sensor_prep_circuit(new.descriptor.data_value(label), sensor,
+                                db.descriptor.u_d, n)
     ctrls = db.layout.pattern_controls(label)
     for b, dq in enumerate(db.layout.data_qubits):
         circ.append(GateSpec("swap", (), (dq, sensor[b]), ctrls))
-    state = simulate(circ, state)
-    new_desc = db.descriptor.with_data_value(label, value)
-    return QdbState(new_desc, db.layout, state, _grow(db.circuit, circ),
-                    sensor_qubits=sensor, amplitude_profile=db.amplitude_profile,
-                    projective=db.projective, max_qubits=db.max_qubits)
+    return _successor(db, new, simulate(circ, state), _grow(db.circuit, circ))
 
 
 # ---------------------------------------------------------------------------
 # read
+
+
+def read_copy_meta(meta: QdbMeta, label: int) -> QdbMeta:
+    """Transition of ``read_copy``: a copy register is attached."""
+    _check_entry(meta, label, "read")
+    _check_data_register(meta)
+    return replace(meta, copy_qubits=_fresh_register(meta.layout))
+
+
+def read_copy_all_meta(meta: QdbMeta) -> QdbMeta:
+    """Transition of ``read_copy_all``: a copy register is attached."""
+    meta.require_bare("read")
+    _check_data_register(meta)
+    return replace(meta, copy_qubits=_fresh_register(meta.layout))
+
+
+def _copy_data(db: QdbState, new: QdbMeta, ctrls) -> QdbState:
+    """Copy the computational data word onto ``new``'s copy register, one
+    CNOT per data bit, each also controlled on ``ctrls``."""
+    out = new.copy_qubits
+    n = out[-1] + 1
+    state = add_ancillas(db.state, len(out), max_qubits=db.max_qubits)
+    circ = Circuit(n)
+    for q in out:
+        circ.label(q, "A")
+    u_d = db.descriptor.u_d
+    if u_d is not None:
+        circ += _embed_on(u_d.inverse(), db.layout.data_qubits, n)
+    for b, dq in enumerate(db.layout.data_qubits):
+        circ.append(GateSpec("x", (), (out[b],), ctrls + ((dq, 1),)))
+    if u_d is not None:
+        circ += _embed_on(u_d, db.layout.data_qubits, n)
+    return _successor(db, new, simulate(circ, state), _grow(db.circuit, circ))
 
 
 def read_copy(db: QdbState, label: int) -> QdbState:
@@ -720,29 +820,9 @@ def read_copy(db: QdbState, label: int) -> QdbState:
     on the branch addressing the entry and |0> elsewhere, so it is entangled
     with the database whenever the copied word is nonzero.
     """
-    _check_writable(db, label, "read")
-    m = len(db.layout.data_qubits)
-    if m == 0:
-        raise SemanticError("database has no data register")
-    n0 = db.n_qubits
-    out = tuple(range(n0, n0 + m))
-    state = add_ancillas(db.state, m, max_qubits=db.max_qubits)
-    n = n0 + m
-    circ = Circuit(n)
-    for q in out:
-        circ.label(q, "A")
-    u_d = db.descriptor.u_d
-    if u_d is not None:
-        circ += _embed_on(u_d.inverse(), db.layout.data_qubits, n)
-    ctrls = db.layout.pattern_controls(label)
-    for b, dq in enumerate(db.layout.data_qubits):
-        circ.append(GateSpec("x", (), (out[b],), ctrls + ((dq, 1),)))
-    if u_d is not None:
-        circ += _embed_on(u_d, db.layout.data_qubits, n)
-    state = simulate(circ, state)
-    return QdbState(db.descriptor, db.layout, state, _grow(db.circuit, circ),
-                    copy_qubits=out, amplitude_profile=db.amplitude_profile,
-                    projective=db.projective, max_qubits=db.max_qubits)
+    new = read_copy_meta(db.meta, label)
+    _check_occupied(db, label)
+    return _copy_data(db, new, db.layout.pattern_controls(label))
 
 
 def read_copy_all(db: QdbState) -> QdbState:
@@ -752,28 +832,15 @@ def read_copy_all(db: QdbState) -> QdbState:
     holding each entry's word on that entry's branch, entangled with the
     database whenever two occupied entries store different words.
     """
-    db.require_bare("read")
-    m = len(db.layout.data_qubits)
-    if m == 0:
-        raise SemanticError("database has no data register")
-    n0 = db.n_qubits
-    out = tuple(range(n0, n0 + m))
-    state = add_ancillas(db.state, m, max_qubits=db.max_qubits)
-    n = n0 + m
-    circ = Circuit(n)
-    for q in out:
-        circ.label(q, "A")
-    u_d = db.descriptor.u_d
-    if u_d is not None:
-        circ += _embed_on(u_d.inverse(), db.layout.data_qubits, n)
-    for b, dq in enumerate(db.layout.data_qubits):
-        circ.append(GateSpec("x", (), (out[b],), ((dq, 1),)))
-    if u_d is not None:
-        circ += _embed_on(u_d, db.layout.data_qubits, n)
-    state = simulate(circ, state)
-    return QdbState(db.descriptor, db.layout, state, _grow(db.circuit, circ),
-                    copy_qubits=out, amplitude_profile=db.amplitude_profile,
-                    projective=db.projective, max_qubits=db.max_qubits)
+    return _copy_data(db, read_copy_all_meta(db.meta), ())
+
+
+def read_projective_meta(meta: QdbMeta, label: int) -> None:
+    """Transition of ``read_projective``: the read consumes the database, so
+    no record follows it."""
+    meta.require_bare("read")
+    meta.layout.pattern(label)
+    _check_data_register(meta)
 
 
 def read_projective(db: QdbState, label: int) -> tuple[StateVector, float]:
@@ -783,11 +850,7 @@ def read_projective(db: QdbState, label: int) -> tuple[StateVector, float]:
     (1/(k+l) for an occupied entry of a standard database). The database is
     consumed: the branch where the index points elsewhere is discarded.
     """
-    db.require_bare("read")
-    if label not in db.layout.logical_index_map:
-        raise SemanticError(f"no entry with label {label}")
-    if not db.layout.data_qubits:
-        raise SemanticError("database has no data register")
+    read_projective_meta(db.meta, label)
     layout = db.layout
     pat = layout.pattern(label)
     collapsed, prob = project(db.state, _register_scan(db.state, layout.index_qubits, pat))
@@ -813,14 +876,28 @@ class RemovalOutcome:
     failure_state: StateVector
 
 
-def _layout_without(layout: QdbLayout, label: int) -> QdbLayout:
-    """The same layout minus one label; its index pattern becomes unused."""
-    return QdbLayout(
-        index_qubits=layout.index_qubits,
-        data_qubits=layout.data_qubits,
-        logical_index_map={j: p for j, p in layout.logical_index_map.items()
-                           if j != label},
-    )
+def _without_entry(meta: QdbMeta, label: int, l: int, profile, **changes) -> QdbMeta:
+    """The record minus entry ``label``: its word, its label and its index
+    pattern, which stays unused until a relabeling re-keys the survivors."""
+    desc, layout = meta.descriptor, meta.layout
+    return replace(
+        meta,
+        descriptor=QdbDescriptor(k=desc.k - 1, l=l, u_d=desc.u_d, m_data=desc.m_data,
+                                 data={j: w for j, w in desc.data.items() if j != label}),
+        layout=QdbLayout(layout.index_qubits, layout.data_qubits,
+                         {j: p for j, p in layout.logical_index_map.items() if j != label}),
+        amplitude_profile=profile, **changes)
+
+
+def remove_reservoir_meta(meta: QdbMeta, label: int) -> QdbMeta:
+    """Transition of ``remove_reservoir``: the entry's weight folds into the
+    reservoir (k - 1 entries, l + 1)."""
+    _check_entry(meta, label, "remove")
+    profile = meta.amplitude_profile
+    if profile is not None:
+        profile = {j: wgt for j, wgt in profile.items() if j != label}
+        profile[0] = math.hypot(meta.amplitude_profile[0], meta.amplitude_profile[label])
+    return _without_entry(meta, label, meta.l + 1, profile)
 
 
 def remove_reservoir(db: QdbState, label: int) -> QdbState:
@@ -831,7 +908,8 @@ def remove_reservoir(db: QdbState, label: int) -> QdbState:
     string. Entry count drops by one, reservoir multiplicity grows by one;
     the label and its index pattern leave the layout.
     """
-    _check_writable(db, label, "remove")
+    new = remove_reservoir_meta(db.meta, label)
+    _check_occupied(db, label)
     value = db.descriptor.data_value(label)
     if value:
         db = write(db, label, value)
@@ -843,20 +921,32 @@ def remove_reservoir(db: QdbState, label: int) -> QdbState:
         rel = b / a
         if abs(rel.imag) > math.sqrt(STATE_TOL) * abs(rel):
             raise SemanticError("entry phases are not aligned; cannot merge unitarily")
-    theta = -math.atan2(abs(b), abs(a))
-    gate = rot2(a_idx, b_idx, theta)
-    state = simulate(Circuit(db.n_qubits, [gate]), db.state)
-    circ = _grow(db.circuit, Circuit(db.n_qubits, [gate]))
-    desc = db.descriptor
-    new_desc = QdbDescriptor(k=desc.k - 1, l=desc.l + 1, data=dict(desc.data),
-                             u_d=desc.u_d, m_data=desc.m_data)
-    layout = _layout_without(db.layout, label)
-    profile = db.amplitude_profile
+    merge = Circuit(db.n_qubits, [rot2(a_idx, b_idx, -math.atan2(abs(b), abs(a)))])
+    return _successor(db, new, simulate(merge, db.state), _grow(db.circuit, merge))
+
+
+def remove_projective_meta(meta: QdbMeta, label: int) -> tuple[float, QdbMeta | None]:
+    """Transition of ``remove_projective``: the success probability from the
+    closed-form (or profiled) weights, and the record on success — None when
+    nothing else carries amplitude."""
+    meta.require_bare("remove")
+    meta.layout.pattern(label)
+    profile = meta.amplitude_profile
     if profile is not None:
-        profile = {j: wgt for j, wgt in profile.items() if j != label}
-        profile[0] = math.hypot(abs(a), abs(b))
-    return QdbState(new_desc, layout, state, circ, amplitude_profile=profile,
-                    projective=db.projective, max_qubits=db.max_qubits)
+        weight_sq = profile[label] ** 2
+    elif label == 0:
+        weight_sq = (meta.l + 1) / (meta.k + meta.l)
+    else:
+        weight_sq = 1.0 / (meta.k + meta.l)
+    p_success = max(0.0, 1.0 - weight_sq)
+    if p_success <= PROJECTION_ZERO_TOL:
+        return 0.0, None
+    if label == 0:
+        raise SemanticError("removing the reservoir would leave no empty entry")
+    if profile is not None:
+        scale = 1.0 / math.sqrt(p_success)
+        profile = {j: wgt * scale for j, wgt in profile.items() if j != label}
+    return p_success, _without_entry(meta, label, meta.l, profile, projective=True)
 
 
 def remove_projective(db: QdbState, label: int) -> RemovalOutcome:
@@ -868,11 +958,8 @@ def remove_projective(db: QdbState, label: int) -> RemovalOutcome:
     database; it is 0 when nothing else carries amplitude, in which case
     ``success_state`` is None.
     """
-    db.require_bare("remove")
-    if label not in db.layout.logical_index_map:
-        raise SemanticError(f"no entry with label {label}")
-    if label not in db.occupied_labels():
-        raise SemanticError(f"entry {label} carries no amplitude")
+    _, new = remove_projective_meta(db.meta, label)
+    _check_occupied(db, label)
     hit = _register_scan(db.state, db.layout.index_qubits, db.layout.pattern(label))
     amps = db.state.amplitudes
     p_fail = float(np.sum(np.abs(amps[hit]) ** 2))
@@ -881,24 +968,11 @@ def remove_projective(db: QdbState, label: int) -> RemovalOutcome:
         failure_state, _ = project(db.state, hit)
     else:
         failure_state = db.state.copy()
-    if p_success <= PROJECTION_ZERO_TOL:
+    if new is None or p_success <= PROJECTION_ZERO_TOL:
         return RemovalOutcome(0.0, None, failure_state)
-    if label == 0:
-        raise SemanticError("removing the reservoir would leave no empty entry")
     survivor, _ = project(db.state, ~hit)
-    desc = db.descriptor
-    data = {j: w for j, w in desc.data.items() if j != label}
-    new_desc = QdbDescriptor(k=desc.k - 1, l=desc.l, data=data,
-                             u_d=desc.u_d, m_data=desc.m_data)
-    layout = _layout_without(db.layout, label)
-    profile = db.amplitude_profile
-    if profile is not None:
-        scale = 1.0 / math.sqrt(p_success)
-        profile = {j: wgt * scale for j, wgt in profile.items() if j != label}
-    new_db = QdbState(new_desc, layout, survivor, db.circuit,
-                      amplitude_profile=profile, projective=True,
-                      max_qubits=db.max_qubits)
-    return RemovalOutcome(p_success, new_db, failure_state)
+    return RemovalOutcome(p_success, _successor(db, new, survivor, db.circuit),
+                          failure_state)
 
 
 # ---------------------------------------------------------------------------
@@ -926,6 +1000,27 @@ def normalize_permutation(perm, labels) -> dict[int, int]:
     return mapping
 
 
+def permute_meta(meta: QdbMeta, perm) -> tuple[QdbMeta, dict[int, int]]:
+    """Transition of ``permute``: words and profile follow their entries.
+    Also returns the validated label mapping the op routes by."""
+    meta.require_bare("permute")
+    mapping = normalize_permutation(perm, meta.layout.labels)
+    if all(j == t for j, t in mapping.items()):
+        return meta, mapping
+    inverse = {t: j for j, t in mapping.items()}
+    desc = meta.descriptor
+    if desc.data_value(inverse[0]):
+        raise SemanticError(
+            f"entry {inverse[0]} holds data and cannot become the reservoir")
+    if mapping[0] != 0 and desc.l > 0:
+        raise SemanticError("cannot relocate a weighted reservoir (l > 0)")
+    profile = meta.amplitude_profile
+    if profile is not None:
+        profile = {mapping[j]: wgt for j, wgt in profile.items()}
+    return replace(meta, amplitude_profile=profile, descriptor=replace(
+        desc, data={mapping[j]: w for j, w in desc.data.items()})), mapping
+
+
 def permute(db: QdbState, perm) -> QdbState:
     """Send entry j to label perm[j], physically routing index patterns.
 
@@ -934,30 +1029,15 @@ def permute(db: QdbState, perm) -> QdbState:
     label 0 becomes the reservoir and must hold the empty word; relocating a
     weighted reservoir (l > 0) is rejected.
     """
-    db.require_bare("permute")
-    mapping = normalize_permutation(perm, db.layout.labels)
-    if all(j == t for j, t in mapping.items()):
+    meta = db.meta
+    new, mapping = permute_meta(meta, perm)
+    if new is meta:
         return db
-    inverse = {t: j for j, t in mapping.items()}
-    if db.descriptor.data_value(inverse[0]):
-        raise SemanticError(
-            f"entry {inverse[0]} holds data and cannot become the reservoir")
-    if mapping[0] != 0 and db.descriptor.l > 0:
-        raise SemanticError("cannot relocate a weighted reservoir (l > 0)")
     pattern_map = {db.layout.pattern(j): db.layout.pattern(t)
                    for j, t in mapping.items()}
     circ = pattern_permutation_circuit(pattern_map, db.layout.index_qubits,
                                        db.n_qubits)
-    state = simulate(circ, db.state)
-    data = {mapping[j]: w for j, w in db.descriptor.data.items()}
-    desc = QdbDescriptor(k=db.descriptor.k, l=db.descriptor.l, data=data,
-                         u_d=db.descriptor.u_d, m_data=db.descriptor.m_data)
-    profile = db.amplitude_profile
-    if profile is not None:
-        profile = {mapping[j]: wgt for j, wgt in profile.items()}
-    return QdbState(desc, db.layout, state, _grow(db.circuit, circ),
-                    amplitude_profile=profile, projective=db.projective,
-                    max_qubits=db.max_qubits)
+    return _successor(db, new, simulate(circ, db.state), _grow(db.circuit, circ))
 
 
 def transpose_entries(db: QdbState, j1: int, j2: int) -> QdbState:

@@ -4,12 +4,15 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qdbsim.cli import HANDLERS, Session, main, parse_script
-from qdbsim.errors import ScriptError
+from qdbsim.cli import Session, dry_run, main, parse_script
+from qdbsim.errors import QdbError, ScriptError
+from qdbsim.tolerances import STATE_TOL
 
 
 def run_cli(*argv):
@@ -46,10 +49,16 @@ def test_parse_script_commands_and_comments():
 )
 def test_parse_and_value_errors_carry_lines(text, line):
     with pytest.raises(ScriptError) as exc:
-        sess = Session(Path("."), "json", None, 26, Path("."))
-        for ln, cmd, kv in parse_script(text):
-            HANDLERS[cmd](sess, dict(kv), ln)
+        dry_run(parse_script(text), seed=None, script_dir=Path("."))
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize("value", ["false", "1", "yes"])
+def test_read_copy_all_accepts_only_true(tmp_path, capsys, value):
+    script = write_script(tmp_path, f"prepare k=4 m=1\nread-copy all={value}\n")
+    assert run_cli("run", str(script), "--out", str(tmp_path / "o")) == 2
+    assert "line 2: all must be true" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # --- the run subcommand ------------------------------------------------------
@@ -193,24 +202,84 @@ def test_dry_run_rejects_emit_after_projection(tmp_path, capsys):
         "prepare k=4 data=1:1\npermute map=0:1,1:0\n",
         "prepare k=2\nprepare k=3\n",
         "dump\n",
+        "prepare k=4\nremove j=1\n",  # removal needs no data register
+        "prepare k=4 m=1\nwrite j=9 d=1 mode=bogus\n",  # the bad mode is found first
     ],
 )
 def test_dry_run_verdict_matches_execution(tmp_path, body):
     """Anything the dry run rejects must be exactly what execution would
     reject: replaying the commands without the dry run hits the same error."""
-    from qdbsim.cli import HANDLERS, Session, parse_script
-    from qdbsim.errors import QdbError
-
     script = write_script(tmp_path, body)
     code = run_cli("run", str(script), "--out", str(tmp_path / "o"))
-    sess = Session(tmp_path / "raw", "json", None, 26, tmp_path)
-    raw_code = 0
-    try:
-        for ln, cmd, kv in parse_script(script.read_text()):
-            HANDLERS[cmd](sess, dict(kv), ln)
-    except QdbError as exc:
-        raw_code = exc.exit_code
-    assert code == raw_code
+    _, failure = replay(body, None, tmp_path / "raw")
+    assert code == (failure[1] if failure else 0)
+
+
+def replay(text, seed, out_dir, *, dry=False):
+    """Run a script line by line in one session, executing (or, with ``dry``,
+    applying transitions only) and with no separate dry run first; return the
+    session and (line, exit code) of the first failure, or 0."""
+    sess = Session(seed, Path("."), out_dir=out_dir, dry=dry)
+    for ln, cmd, kv in parse_script(text):
+        try:
+            sess.step(ln, cmd, kv)
+        except QdbError as exc:
+            return sess, (ln, exc.exit_code)
+    return sess, 0
+
+
+# Mostly lines that can run, with unknown labels, bad words and modes, a
+# second prepare, and lines that attach registers or consume the database.
+_label = st.sampled_from([1, 1, 2, 2, 3, 3, 4, 0, 7, 9])
+_prepare = st.builds("prepare k={} l={} m={}".format, st.integers(1, 8),
+                     st.sampled_from([0, 0, 0, 1, 2, 4]), st.sampled_from([0, 1, 2, 2]))
+_line = st.one_of(
+    st.builds("extend l={}".format, st.integers(0, 4)),
+    st.builds("extend-imbalanced l={} z={}".format,  # l=6 z=2 leaves a profile
+              st.sampled_from([1, 2, 3, 4, 6, 6]), st.integers(1, 2)),
+    st.builds("write j={} d={} mode={}".format, _label,
+              st.sampled_from(["1", "1", "01", "10", "11", "0", "101", "2"]),
+              st.sampled_from(["xor", "xor", "xor", "xor", "swap", "bogus"])),
+    st.builds("read-copy j={}".format, _label),
+    st.just("read-copy all=true"),
+    st.builds("read-projective j={}".format, _label),
+    st.builds("remove j={} mode={}".format, _label,
+              st.sampled_from(["reservoir"] * 3 + ["projective"] * 2 + ["bogus"])),
+    st.builds("permute map={0}:{1},{1}:{0}".format, _label, _label),
+    st.sampled_from(["emit", "dump"]),
+    _prepare,
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(first=st.one_of(_prepare, st.builds(  # or start from a profiled database
+           "prepare k={} m={}\nextend-imbalanced l=6 z=2".format,
+           st.integers(2, 8), st.integers(0, 2))),
+       rest=st.lists(_line, max_size=4), seed=st.sampled_from([None, 3]))
+def test_dry_run_agrees_with_raw_replay(first, rest, seed):
+    """The dry run fails exactly where raw replay fails with a script or
+    semantic error, passes every line raw replay completes, and ends on the
+    metadata raw replay ends on."""
+    text = "\n".join([first, *rest]) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, raw_fail = replay(text, seed, Path(tmp))
+    dry, dry_fail = replay(text, seed, None, dry=True)
+    if raw_fail and raw_fail[1] in (2, 3):
+        assert dry_fail == raw_fail
+    elif raw_fail:  # capacity or verification: the dry run may stop there, not before
+        assert not dry_fail or dry_fail[0] >= raw_fail[0]
+    else:
+        assert not dry_fail
+        assert dry.consumed == raw.consumed
+        if raw.db is not None:
+            want, got = raw.db, dry.db
+            assert (got.k, got.l, got.layout.labels, got.descriptor.data, got.projective) \
+                == (want.k, want.l, want.layout.labels, want.descriptor.data, want.projective)
+            assert (got.amplitude_profile is None) == (want.amplitude_profile is None)
+            if want.amplitude_profile is not None:
+                assert got.amplitude_profile.keys() == want.amplitude_profile.keys()
+                for j, wgt in want.amplitude_profile.items():
+                    assert abs(got.amplitude_profile[j] - wgt) <= STATE_TOL
 
 
 def test_run_accepts_preloaded_imbalanced_flow(tmp_path):

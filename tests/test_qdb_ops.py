@@ -63,6 +63,11 @@ def test_descriptor_rejects_reservoir_data_and_wide_words():
         QdbDescriptor(k=2, l=0, data={0: "1"}, m_data=1)
     with pytest.raises(SemanticError):
         QdbDescriptor(k=2, l=0, data={1: "101"}, m_data=2)
+    with pytest.raises(SemanticError):  # full width, but not binary
+        QdbDescriptor(k=2, l=0, data={1: "12"}, m_data=2)
+    with pytest.raises(SemanticError):
+        QdbDescriptor(k=2, l=0, data={0: "01"}, m_data=2)
+    assert QdbDescriptor(k=3, l=0, data={1: "00", 2: "10"}, m_data=2).data == {2: "10"}
 
 
 def test_descriptor_json_round_trip():
@@ -379,6 +384,12 @@ def test_remove_reservoir_forgets_the_label():
     assert 2 not in smaller.occupied_labels()
     with pytest.raises(SemanticError):
         write(smaller, 2, 1)  # gone for good; growth goes through extend
+
+
+def test_remove_reservoir_needs_no_data_register():
+    smaller = remove_reservoir(prepare_general(4), 1)
+    assert (smaller.k, smaller.l, smaller.layout.labels) == (3, 1, (0, 2, 3))
+    smaller.check()
 
 
 def test_remove_reservoir_guards():
