@@ -11,9 +11,11 @@ import math
 
 from qdbsim import extend, plan_transfer, prepare_general, transfer, unfold
 
-# The transfer plan is pure arithmetic: m standard amplification steps at
-# (phi, rho) = (pi, pi), then ONE step with solved angles that lands the
-# reservoir amplitude exactly, then a global-phase fix on the zero string.
+# The transfer plan is closed-form arithmetic: m = floor(m*) standard
+# amplification steps at (phi, rho) = (pi, pi), then ONE shorter step whose
+# phases are chosen to turn the state by exactly the remaining angle, so the
+# reservoir amplitude lands on its target, then a global-phase fix on the
+# zero string.
 plan = plan_transfer(4, 2)
 print("plan for k=4, l=2:")
 print(json.dumps(plan.to_report(), indent=2))

@@ -12,11 +12,12 @@ The whole script is dry-run first. Each line's arguments are converted once,
 and the command's library transition — the precondition-and-effect function
 the library op itself calls before touching amplitudes — is applied to the
 evolving database record, so semantic mistakes surface before anything is
-simulated or written. Only these checks run during execution alone:
+simulated or written; errors read ``command (line N): message``. Only these
+checks run during execution alone, and their errors read the same way:
 
 - capacity against the qubit budget (exit 4);
-- verification (exit 5): the transfer planner, the transfer preflight and
-  write purity;
+- verification (exit 5): the transfer planner's replay of its closed-form
+  schedule, the transfer preflight and write purity;
 - the amplitude-level checks (exit 3): an entry carrying no amplitude, and
   entry phase alignment in ``remove_reservoir``.
 
@@ -37,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .dumps import amplitude_records, dump_records, records_to_csv, records_to_json
-from .errors import CircuitParseError, QdbError, ScriptError, SemanticError
+from .errors import QdbError, ScriptError, SemanticError
 from .extend import extend, extend_imbalanced, extend_imbalanced_meta, extend_meta
 from .qdb import (
     QdbMeta,
@@ -215,12 +216,20 @@ class Session:
         # one PRNG for the whole script: sampling commands draw sequentially
         self.rng = np.random.default_rng(self.seed) if self.seed is not None else None
 
-    def step(self, ln: int, cmd: str, kv: dict[str, str]) -> tuple[str, dict]:
-        """Convert one line's arguments and run the command; return both."""
-        convert, run = COMMANDS[cmd]
-        args = convert(_Args(ln, kv, self.script_dir))
-        run(self, **args)
-        return cmd, args
+    def step(self, ln: int, cmd: str, kv: dict[str, str]) -> dict:
+        """Convert one line's arguments and run the command; return the
+        converted arguments."""
+        args = COMMANDS[cmd][0](_Args(ln, kv, self.script_dir))
+        self.run(ln, cmd, args)
+        return args
+
+    def run(self, ln: int, cmd: str, args: dict):
+        """Run one converted command; a library error names it and its line."""
+        try:
+            COMMANDS[cmd][1](self, **args)
+        except QdbError as exc:
+            exc.args = (f"{cmd} (line {ln}): {exc}",)
+            raise
 
     def require_db(self):
         if self.consumed:
@@ -408,21 +417,12 @@ COMMANDS = {
 }
 
 
-def dry_run(steps, *, seed: int | None, script_dir: Path) -> list[tuple[str, dict]]:
+def dry_run(steps, *, seed: int | None, script_dir: Path) -> list[tuple[int, str, dict]]:
     """Walk a parsed script through the library's transitions alone; raise on
     the first command that could not execute. Returns each command with its
-    converted arguments, for the execution to reuse."""
+    line and converted arguments, for the execution to reuse."""
     sess = Session(seed, script_dir, dry=True)
-    commands = []
-    for ln, cmd, kv in steps:
-        try:
-            commands.append(sess.step(ln, cmd, kv))
-        except (ScriptError, CircuitParseError):
-            raise
-        except QdbError as exc:
-            exc.args = (f"{cmd} (line {ln}): {exc}",)
-            raise
-    return commands
+    return [(ln, cmd, sess.step(ln, cmd, kv)) for ln, cmd, kv in steps]
 
 
 def run_script(script_path: Path, out_dir: Path, *, seed: int | None,
@@ -433,8 +433,8 @@ def run_script(script_path: Path, out_dir: Path, *, seed: int | None,
         raise ScriptError(0, f"cannot read script: {exc}") from None
     commands = dry_run(parse_script(text), seed=seed, script_dir=script_path.parent)
     sess = Session(seed, script_path.parent, out_dir, fmt, max_qubits)
-    for cmd, args in commands:
-        COMMANDS[cmd][1](sess, **args)
+    for ln, cmd, args in commands:
+        sess.run(ln, cmd, args)
     print(f"done: {len(commands)} commands, {sess.artifact_count} artifacts"
           + (f" in {out_dir}" if sess.artifact_count else ""))
     return 0

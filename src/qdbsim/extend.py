@@ -17,6 +17,7 @@ amplitudes whenever more than one new entry shares an ancilla pattern.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -52,8 +53,6 @@ class AmplificationPlan:
     k: int
     l: int
     m_star: float
-    n: int
-    sign: int
     m: int
     phi: float
     rho: float
@@ -64,8 +63,8 @@ class AmplificationPlan:
     def to_report(self) -> dict:
         return {
             "m_star": self.m_star,
-            "n": self.n,
-            "sign": self.sign,
+            "n": 0,
+            "sign": 1,
             "m": self.m,
             "phi": self.phi,
             "rho": self.rho,
@@ -81,83 +80,53 @@ def _step_matrix(phi: float, rho: float, theta: float) -> np.ndarray:
     circuit gate is spent on it.
     """
     s, c = math.sin(theta), math.cos(theta)
-    psi = np.array([s, c], dtype=complex)
-    refl = np.eye(2, dtype=complex) + (np.exp(1j * phi) - 1) * np.outer(psi, psi.conj())
-    return refl @ np.diag([np.exp(1j * rho), 1.0]).astype(complex)
+    w, r = cmath.exp(1j * phi) - 1, cmath.exp(1j * rho)
+    # (I + w |psi><psi|) diag(r, 1) with psi = (s, c)
+    return np.array([[(1 + w * s * s) * r, w * s * c],
+                     [w * s * c * r, 1 + w * c * c]])
 
 
 def plan_transfer(k: int, l: int) -> AmplificationPlan:
     """Solve the amplification schedule moving a balanced k-entry database
-    to reservoir weight (l+1)/(k+l).
+    to reservoir weight (l+1)/(k+l), in closed form.
 
-    The fractional step count has candidate branches (n, sign); the smallest
-    positive one fixes m. The final step's phase pair is found by scanning
-    rho and bisecting phi on the reservoir amplitude; the leftover phase
-    mismatch between reservoir and entries becomes ``phase_fix``.
+    In the (reservoir, rest) plane the prepared state sits at angle
+    theta = asin(1/sqrt(k)) and each full step turns it by 2 theta. The
+    target t = sqrt((l+1)/(k+l)) sits at asin t, so the fractional step
+    count is m* = (asin t - theta) / (2 theta) and m = floor(m*) full steps
+    reach alpha = (2m+1) theta. The last step must turn by the remainder
+    beta = 2 theta (m* - m) < 2 theta. With phases (phi, rho) it leaves
+    a e^{i rho} u + b w sin(theta) cos(theta) on the reservoir, where
+    (a, b) = (sin alpha, cos alpha), u = cos^2 + sin^2 e^{i phi} and
+    w = e^{i phi} - 1. Taking sin(phi/2) = sin(beta) / sin(2 theta) makes
+    |u| = cos(beta) and |w| sin cos = sin(beta); taking rho = arg w - arg u
+    puts both terms in phase, so the modulus is sin(alpha + beta) = t. This
+    reaches every target, l > k included. ``_step_matrix`` replays the
+    schedule independently: it gives ``residual`` and the leftover phase
+    mismatch between reservoir and entries, ``phase_fix``.
     """
     if k < 1 or l < 0:
         raise SemanticError("need k >= 1 and l >= 0")
     target = math.sqrt((l + 1) / (k + l))
-    if l == 0:
-        return AmplificationPlan(k=k, l=0, m_star=0.0, n=0, sign=1, m=0,
-                                 phi=0.0, rho=0.0, target_amplitude=target,
-                                 residual=0.0, phase_fix=0.0)
+    if l == 0 or k == 1:
+        # the reservoir already holds the target amplitude
+        return AmplificationPlan(k=k, l=l, m_star=0.0, m=0, phi=0.0, rho=0.0,
+                                 target_amplitude=target, residual=0.0, phase_fix=0.0)
     theta = math.asin(1.0 / math.sqrt(k))
-    theta_kl = math.asin(1.0 / math.sqrt(k + l))
-    candidates = []
-    for n in range(3):
-        for sign in (-1, 1):
-            m_star = (sign * theta_kl - theta + math.pi * n) / (2 * theta)
-            if m_star > 0:
-                candidates.append((m_star, n, sign))
-    if not candidates:
-        raise VerificationError(f"no amplification branch for k={k}, l={l}")
-    m_star, n, sign = min(candidates)
+    m_star = (math.asin(target) - theta) / (2 * theta)
     m = int(math.floor(m_star))
-    v = np.array([math.sin(theta), math.cos(theta)], dtype=complex)
-    full = _step_matrix(math.pi, math.pi, theta)
-    for _ in range(m):
-        v = full @ v
-
-    def reservoir_amp(phi: float, rho: float) -> complex:
-        return (_step_matrix(phi, rho, theta) @ v)[0]
-
-    solution = None
-    for grid in (64, 256, 1024):
-        rhos = np.linspace(1e-9, 2 * math.pi - 1e-9, grid)
-        phis = np.linspace(1e-9, 2 * math.pi - 1e-9, grid)
-        for rho in rhos:
-            vals = np.array([abs(reservoir_amp(p, rho)) - target for p in phis])
-            hits = np.nonzero(vals[:-1] * vals[1:] <= 0)[0]
-            if not len(hits):
-                continue
-            i = hits[0]
-            lo, hi, f_lo = phis[i], phis[i + 1], vals[i]
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                f_mid = abs(reservoir_amp(mid, rho)) - target
-                if abs(f_mid) < 1e-14:
-                    lo = hi = mid
-                    break
-                if f_lo * f_mid <= 0:
-                    hi = mid
-                else:
-                    lo, f_lo = mid, f_mid
-            phi = 0.5 * (lo + hi)
-            if abs(abs(reservoir_amp(phi, rho)) - target) < PLAN_RESIDUAL_TOL:
-                solution = (phi, float(rho))
-                break
-        if solution:
-            break
-    if not solution:
-        raise VerificationError(f"no (phi, rho) pair reaches the target for k={k}, l={l}")
-    phi, rho = solution
-    v_final = _step_matrix(phi, rho, theta) @ v
-    phase_fix = float(np.angle(v_final[1]) - np.angle(v_final[0]))
-    residual = float(abs(abs(v_final[0]) - target))
-    return AmplificationPlan(k=k, l=l, m_star=float(m_star), n=n, sign=sign, m=m,
-                             phi=float(phi), rho=rho, target_amplitude=target,
-                             residual=residual, phase_fix=phase_fix)
+    s, c = math.sin(theta), math.cos(theta)
+    phi = 2 * math.asin(math.sin(2 * theta * (m_star - m)) / math.sin(2 * theta))
+    rho = math.pi / 2 + phi / 2 - math.atan2(s * s * math.sin(phi),
+                                             c * c + s * s * math.cos(phi))
+    full = np.linalg.matrix_power(_step_matrix(math.pi, math.pi, theta), m)
+    v = _step_matrix(phi, rho, theta) @ full @ np.array([s, c], dtype=complex)
+    residual = float(abs(abs(v[0]) - target))
+    if not residual < PLAN_RESIDUAL_TOL:
+        raise VerificationError(f"amplification schedule misses the target for k={k}, l={l}")
+    return AmplificationPlan(k=k, l=l, m_star=m_star, m=m, phi=phi, rho=rho,
+                             target_amplitude=target, residual=residual,
+                             phase_fix=cmath.phase(v[1]) - cmath.phase(v[0]))
 
 
 def zero_phase_circuit(phi: float, qubits, n_qubits: int) -> Circuit:

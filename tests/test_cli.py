@@ -1,18 +1,20 @@
 """Command-line interface: scripts, artifacts, exit codes."""
 
+import importlib
 import json
 import math
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdbsim.cli import Session, dry_run, main, parse_script
-from qdbsim.errors import QdbError, ScriptError
-from qdbsim.tolerances import STATE_TOL
+from qdbsim.errors import QdbError, ScriptError, VerificationError
+from qdbsim.tolerances import PLAN_RESIDUAL_TOL, STATE_TOL
 
 
 def run_cli(*argv):
@@ -151,6 +153,31 @@ def test_run_read_projective_consumes_database(tmp_path, capsys):
     code = run_cli("run", str(script), "--out", str(tmp_path / "o"))
     assert code == 3
     assert "consumed" in capsys.readouterr().err
+
+
+def test_execution_errors_name_command_and_line(tmp_path, capsys, monkeypatch):
+    # capacity is checked only while executing
+    script = write_script(tmp_path, "prepare k=4 m=1\nwrite j=1 d=1\nextend l=2\n")
+    assert run_cli("run", str(script), "--out", str(tmp_path / "o"), "--max-qubits", "3") == 4
+    assert "error: write (line 2): 4 qubits exceeds the budget of 3" in capsys.readouterr().err
+
+    def refuse(k, l):
+        raise VerificationError(f"no schedule for k={k}, l={l}")
+
+    # the package's ``extend`` attribute is the function; patch the module
+    monkeypatch.setattr(importlib.import_module("qdbsim.extend"), "plan_transfer", refuse)
+    script = write_script(tmp_path, "prepare k=4\n\nextend l=2\n")
+    assert run_cli("run", str(script), "--out", str(tmp_path / "o")) == 5
+    assert "error: extend (line 3): no schedule for k=4, l=2" in capsys.readouterr().err
+
+
+def test_imbalanced_extend_far_beyond_k_runs_at_once(tmp_path):
+    script = write_script(tmp_path, "prepare k=6\nextend-imbalanced l=60 z=4\n")
+    start = time.perf_counter()
+    assert run_cli("run", str(script), "--out", str(tmp_path / "o")) == 0
+    assert time.perf_counter() - start < 1.0
+    plan = json.loads((tmp_path / "o" / "001-extend-imbalanced-plan.json").read_text())
+    assert plan["amplification"]["residual"] < PLAN_RESIDUAL_TOL
 
 
 # --- the dry-run pass --------------------------------------------------------

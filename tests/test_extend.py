@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from qdbsim.tolerances import PLAN_RESIDUAL_TOL
 
 
 @settings(deadline=None, max_examples=60)
-@given(k=st.integers(2, 12), l=st.integers(1, 12))
-def test_plan_transfer_solves_within_residual(k, l):
+@given(data=st.data())
+def test_plan_transfer_solves_within_residual(data):
+    k = data.draw(st.integers(2, 64), label="k")
+    l = data.draw(st.integers(1, k), label="l")
     plan = plan_transfer(k, l)
     assert plan.residual < PLAN_RESIDUAL_TOL
     assert plan.m == math.floor(plan.m_star)
@@ -41,6 +44,40 @@ def test_plan_transfer_trivial_cases():
     assert plan.m == 0 and plan.residual == 0.0
     with pytest.raises(SemanticError):
         plan_transfer(0, 1)
+
+
+def test_plan_transfer_sweep_reaches_every_balanced_target():
+    # every chunk extend can ask for up to k = 256, in well under 2 s
+    start = time.perf_counter()
+    worst = 0.0
+    for k in range(2, 257):
+        for l in range(1, k + 1):
+            plan = plan_transfer(k, l)
+            assert plan.m == math.floor(plan.m_star) and plan.m_star > 0, (k, l)
+            worst = max(worst, plan.residual)
+    assert worst < PLAN_RESIDUAL_TOL
+    assert time.perf_counter() - start < 2.0
+
+
+def test_plan_transfer_single_entry_needs_no_steps():
+    # one entry: the reservoir already carries amplitude 1 = sqrt((l+1)/(1+l))
+    plan = plan_transfer(1, 3)
+    assert (plan.m_star, plan.m, plan.residual) == (0.0, 0, 0.0)
+    assert plan.target_amplitude == 1.0
+    grown = extend(prepare_general(1), 3)
+    assert grown.k == 4
+    grown.check()
+
+
+def test_plan_transfer_reaches_imbalanced_targets():
+    # extend_imbalanced asks for l up to (2^z - 1) k; l > k needs the last
+    # step's two phases to differ for many pairs, e.g. (6, 60)
+    start = time.perf_counter()
+    for k in range(2, 17):
+        for l in range(k + 1, 63 * k + 1):
+            plan = plan_transfer(k, l)
+            assert plan.residual < PLAN_RESIDUAL_TOL and plan.m == math.floor(plan.m_star)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_plan_report_is_json_ready():
@@ -156,6 +193,16 @@ def test_extend_keeps_old_data_and_zeroes_new():
         # conditional probability of any set data bit on new entries
         for value in range(1, 4):
             assert abs(amps[grown.layout.physical_index(label, value)]) ** 2 < 1e-12
+
+
+@pytest.mark.parametrize("k,l", [(15, 15), (20, 20)])
+def test_extend_grows_mid_size_databases(k, l):
+    db = prepare_general(k, 0, {1: "1", k - 1: "1"})
+    grown = extend(db, l)
+    assert (grown.k, grown.l) == (k + l, 0)
+    assert grown.descriptor.data == {1: "1", k - 1: "1"}
+    grown.check()
+    assert state_matches_oracle(grown) < 1e-12
 
 
 def test_extend_zero_is_identity():
@@ -281,6 +328,14 @@ def test_imbalanced_rejects_mismatched_preload():
     db = prepare_general(4, 2)
     with pytest.raises(SemanticError, match="already loaded for 2"):
         extend_imbalanced(db, 4, 1)
+
+
+@pytest.mark.parametrize("k,l,z", [(6, 60, 4), (5, 315, 6)])
+def test_imbalanced_far_beyond_k(k, l, z):
+    grown = extend_imbalanced(prepare_general(k, 0, {1: "1"}), l, z)
+    assert grown.k == k + l
+    grown.check(tol=1e-8)
+    assert state_matches_oracle(grown) < 1e-12
 
 
 def test_grown_imbalanced_database_cannot_extend_again():
