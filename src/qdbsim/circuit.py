@@ -13,13 +13,18 @@ from dataclasses import dataclass, field
 
 from .errors import SemanticError
 from .gates import GateSpec, gate_inverse, x
-from .statevector import DEFAULT_MAX_QUBITS, StateVector, apply_gate
+from .statevector import DEFAULT_MAX_QUBITS, StateVector, _check_gate, apply_gate
 
 VALID_LABELS = ("I", "D", "A", "S")
 
 
 @dataclass
 class Circuit:
+    """Gates are checked when they enter a circuit: the constructor's list and
+    each ``append``. ``+`` and ``extended`` reuse checked gates on the same or
+    a wider register, since widening cannot invalidate a gate; every derived
+    circuit owns its own gate list."""
+
     n_qubits: int
     gates: list[GateSpec] = field(default_factory=list)
     labels: dict[int, str] = field(default_factory=dict)
@@ -29,8 +34,16 @@ class Circuit:
             raise SemanticError("a circuit needs at least one qubit")
         for q, lab in self.labels.items():
             self._check_label(q, lab)
-        for g in list(self.gates):
-            self._check_gate(g)
+        for g in self.gates:
+            _check_gate(g, self.n_qubits)
+
+    @classmethod
+    def _reusing(cls, n_qubits: int, gates: list[GateSpec], labels: dict[int, str]) -> "Circuit":
+        """A circuit over ``gates`` already checked on a register no wider than
+        ``n_qubits``: only the labels are checked."""
+        out = cls(n_qubits, labels=labels)
+        out.gates = gates
+        return out
 
     def _check_label(self, q: int, lab: str):
         if not 0 <= q < self.n_qubits:
@@ -38,18 +51,8 @@ class Circuit:
         if lab not in VALID_LABELS:
             raise SemanticError(f"register label must be one of {VALID_LABELS}, got {lab!r}")
 
-    def _check_gate(self, g: GateSpec):
-        for q in g.qubits:
-            if q >= self.n_qubits:
-                raise SemanticError(
-                    f"gate {g.kind} touches qubit {q}, circuit has {self.n_qubits}")
-        if g.kind == "rot2":
-            a, b = int(g.params[0]), int(g.params[1])
-            if max(a, b) >= 2**self.n_qubits:
-                raise SemanticError("rot2 basis index out of range for this circuit")
-
     def append(self, gate: GateSpec) -> "Circuit":
-        self._check_gate(gate)
+        _check_gate(gate, self.n_qubits)
         self.gates.append(gate)
         return self
 
@@ -66,9 +69,8 @@ class Circuit:
     def __add__(self, other: "Circuit") -> "Circuit":
         if other.n_qubits != self.n_qubits:
             raise SemanticError("cannot concatenate circuits of different widths")
-        labels = dict(self.labels)
-        labels.update(other.labels)
-        return Circuit(self.n_qubits, list(self.gates) + list(other.gates), labels)
+        return Circuit._reusing(self.n_qubits, self.gates + other.gates,
+                                {**self.labels, **other.labels})
 
     def __len__(self):
         return len(self.gates)
@@ -77,7 +79,7 @@ class Circuit:
         """Same gates on a wider register (new qubits at the high end)."""
         if n_qubits < self.n_qubits:
             raise SemanticError("cannot shrink a circuit")
-        return Circuit(n_qubits, list(self.gates), dict(self.labels))
+        return Circuit._reusing(n_qubits, list(self.gates), dict(self.labels))
 
     def inverse(self) -> "Circuit":
         return Circuit(self.n_qubits, [gate_inverse(g) for g in reversed(self.gates)],
@@ -206,7 +208,7 @@ def decompose_mcx(circuit: Circuit, config: DecompositionConfig | None = None) -
     n = circuit.n_qubits
     labels = dict(circuit.labels)
     if need == 0:
-        return Circuit(n, list(circuit.gates), labels)
+        return circuit.extended(n)
 
     if config.ancilla_policy == "clean-allocated":
         helpers_pool = list(range(n, n + need))

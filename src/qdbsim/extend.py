@@ -181,8 +181,8 @@ def transfer(db: QdbState, l: int) -> tuple[QdbState, AmplificationPlan]:
     """
     new = transfer_meta(db.meta, l)
     plan = plan_transfer(db.k, l)
-    if l == 0:
-        return db, plan
+    if plan.m_star == 0:  # l == 0, or k == 1: the reservoir already holds its target
+        return (db if l == 0 else _successor(db, new, db.state, db.circuit)), plan
     if db.n_qubits != db.layout.n_qubits:
         raise SemanticError("state register does not match the database layout")
     u_qdb = preparation_circuit(db.descriptor, db.layout)

@@ -385,10 +385,11 @@ def _grow(cumulative: Circuit, piece: Circuit) -> Circuit:
 
     The build circuit can be wider than the live state: detached sensor/copy
     wires stay in it (uncomputed to |0>), and later operations reuse those
-    clean wires. Both sides are widened to the larger register first.
+    clean wires. Both sides' checked gates go onto the larger register.
     """
     width = max(cumulative.n_qubits, piece.n_qubits)
-    return cumulative.extended(width) + piece.extended(width)
+    return Circuit._reusing(width, cumulative.gates + piece.gates,
+                            {**cumulative.labels, **piece.labels})
 
 
 def prepare_circuit(k: int, l: int, qubits, n_qubits: int | None = None) -> Circuit:

@@ -122,6 +122,15 @@ def _register_scan(state: StateVector, qubits, pattern: int | None = None) -> np
     return table.transpose([kept.index(ax) for ax in reversed(axes)]).reshape(-1)
 
 
+def _check_gate(gate: GateSpec, n: int):
+    """Raise unless every qubit (or rot2 basis index) of ``gate`` lies in ``n`` qubits."""
+    for q in gate.qubits:
+        if q >= n:
+            raise SemanticError(f"gate {gate.kind} touches qubit {q}, register has {n}")
+    if gate.kind == "rot2" and max(int(gate.params[0]), int(gate.params[1])) >= 2**n:
+        raise SemanticError(f"rot2 basis index out of range for {n} qubits")
+
+
 def _touched(gate: GateSpec) -> tuple:
     """Extra ``(qubit, bit)`` fixings, beyond the controls, of each slice a
     gate reads and writes (every kind but rot2, which names two basis
@@ -169,19 +178,13 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
     itself) and ``out`` is returned. Only the amplitudes the gate's controls
     select are read or written.
 
-    Raises if the gate touches qubits outside the register or if it changes
+    Raises if the gate does not fit the register or if it changes
     the norm of the amplitudes it touches by more than ``NORM_TOL`` (which
     would indicate a broken gate matrix). The check runs before anything is
     written, so a failed gate leaves ``out=state`` unchanged.
     """
     n = state.n_qubits
-    for q in gate.qubits:
-        if q >= n:
-            raise SemanticError(f"gate {gate.kind} touches qubit {q}, register has {n}")
-    if gate.kind == "rot2":
-        a, b = int(gate.params[0]), int(gate.params[1])
-        if a >= state.dim or b >= state.dim:
-            raise SemanticError(f"rot2 basis index out of range for {n} qubits")
+    _check_gate(gate, n)
     if out is not None and out.n_qubits != n:
         raise SemanticError(f"out has {out.n_qubits} qubits, state has {n}")
 
@@ -191,7 +194,7 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
         np.copyto(out.amplitudes, state.amplitudes)
     amps = out.amplitudes
     if gate.kind == "rot2":
-        views = [amps[a:a + 1], amps[b:b + 1]]
+        views = [amps[int(i):int(i) + 1] for i in gate.params[:2]]
     else:
         tensor = amps.reshape((2,) * n)
         views = [tensor[_selector(n, gate.controls + fixed)] for fixed in _touched(gate)]

@@ -41,6 +41,25 @@ def test_add_requires_equal_widths_and_merges_labels():
         a + Circuit(3)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Circuit(2, [x(2)]),
+    lambda: Circuit(2, [x(0, ctrl=(5,))]),
+    lambda: Circuit(1, [rot2(0, 2, 0.1)]),
+    lambda: Circuit(3).extended(2),
+], ids=["target", "control", "rot2-index", "shrink"])
+def test_gates_are_checked_when_they_enter_a_circuit(build):
+    with pytest.raises(SemanticError):
+        build()
+
+
+def test_derived_circuits_own_their_gate_lists():
+    a = small_circuit()
+    before = list(a.gates)
+    for derived in (a.extended(5), a + a):
+        derived.append(x(0))
+        assert a.gates == before
+
+
 def test_extended_widens_without_moving_gates(rng):
     c = small_circuit(3)
     wide = c.extended(5)

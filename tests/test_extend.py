@@ -117,6 +117,17 @@ def test_transfer_noop_for_zero():
     assert same is db and plan.m == 0
 
 
+def test_transfer_single_entry_builds_no_step():
+    # k = 1: the plan has no step (m* = 0), so the state and history stay put
+    db = prepare_general(1)
+    loaded, plan = transfer(db, 1)
+    assert plan.m_star == 0 and loaded is not db and loaded.l == 1
+    assert loaded.state is db.state and len(loaded.circuit) == len(db.circuit)
+    grown = unfold(loaded)
+    assert grown.k == 2
+    grown.check()
+
+
 def test_transfer_requires_balanced_start():
     db = prepare_general(3, 2)
     with pytest.raises(SemanticError):

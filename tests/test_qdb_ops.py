@@ -1,5 +1,6 @@
 """Database operations: prepare, write, read, remove, permute."""
 
+import importlib
 import json
 import math
 
@@ -282,6 +283,51 @@ def test_write_swap_conditional_mismatch_entangles():
     rep = schmidt(swapped.state, swapped.sensor_qubits)
     assert rep.purity < 1 - 1e-6
     assert rep.schmidt_rank >= 2
+
+
+def test_history_growth_checks_only_new_gates(monkeypatch):
+    # the build history is never checked again: write 40 costs what write 1 does
+    calls = []
+    check = importlib.import_module("qdbsim.statevector")._check_gate
+
+    def counting(gate, n):
+        calls.append(gate)
+        return check(gate, n)
+
+    for mod in ("qdbsim.statevector", "qdbsim.circuit"):
+        monkeypatch.setattr(importlib.import_module(mod), "_check_gate", counting)
+    db = prepare_general(4, 0, {1: "10", 2: "01"}, m_data=2)
+    per_write = []
+    for _ in range(40):
+        start = len(calls)
+        db = write(db, 1, "11")
+        per_write.append(len(calls) - start)
+    assert len(db.circuit) > 200
+    assert per_write[-1] == per_write[0] > 0
+
+
+def test_ops_leave_their_input_history_alone():
+    db = prepare_general(4, 0, {1: "10", 2: "01"}, m_data=2)
+    steps = [
+        lambda d: write(d, 1, "11"),
+        lambda d: write(d, 2, "10", keep_sensor=True),
+        lambda d: read_copy(d, 1),
+        lambda d: permute(d, [0, 2, 1, 3]),
+        lambda d: extend(d, 2),
+        lambda d: remove_reservoir(d, 3),
+    ]
+    for step in steps:
+        gates, text = len(db.circuit), db.emit()
+        out = step(db)
+        assert out.circuit.gates is not db.circuit.gates
+        assert len(db.circuit) == gates and db.emit() == text
+        out.circuit.append(h(0))
+        assert len(db.circuit) == gates
+        out.circuit.gates.pop()
+        if not (out.sensor_qubits or out.copy_qubits):
+            db = out
+    assert (db.k, db.l) == (5, 1)
+    db.check()
 
 
 # --- read --------------------------------------------------------------------
