@@ -15,9 +15,13 @@ evolving database record, so semantic mistakes surface before anything is
 simulated or written; errors read ``command (line N): message``. Only these
 checks run during execution alone, and their errors read the same way:
 
-- capacity against the qubit budget (exit 4);
+- capacity against the qubit budget (exit 4), a write's sensor register
+  included;
 - verification (exit 5): the transfer planner's replay of its closed-form
-  schedule, the transfer preflight and write purity;
+  schedule, the transfer preflight, and the check that a ``mode=xor`` write
+  moved the entry's amplitude from its old word to its new one (the write
+  does not simulate its sensor, so sensor purity is checked only by the
+  library's ``write(keep_sensor=True)``; ``mode=swap`` never checks it);
 - the amplitude-level checks (exit 3): an entry carrying no amplitude, and
   entry phase alignment in ``remove_reservoir``.
 

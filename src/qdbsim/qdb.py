@@ -24,6 +24,7 @@ from .gates import GateSpec, rot2, x, y
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
+    _check_budget,
     _register_scan,
     add_ancillas,
     drop_qubits,
@@ -719,34 +720,71 @@ def write_meta(meta: QdbMeta, label: int, word: int | str, *,
                    sensor_qubits=_fresh_register(meta.layout) if keep_sensor else ())
 
 
+def _write_folded(db: QdbState, label: int, value: int) -> StateVector:
+    """The write core on the unwidened state: each sensor bit is a classical
+    bit of ``value``, so data bit b toggles on the entry's pattern exactly
+    when bit b of ``value`` is set (inside the data encoding, if any).
+
+    Raises VerificationError unless the amplitude at the entry's old
+    computational word has moved to its new word.
+    """
+    layout, u_d = db.layout, db.descriptor.u_d
+    n = db.n_qubits
+    state = db.state
+    if u_d is not None:
+        state = simulate(_embed_on(u_d.inverse(), layout.data_qubits, n), state)
+    old = db.descriptor.data_value(label)
+    moved = state.amplitudes[layout.physical_index(label, old)]
+    ctrls = layout.pattern_controls(label)
+    state = simulate(Circuit(n, [GateSpec("x", (), (q,), ctrls)
+                                 for b, q in enumerate(layout.data_qubits)
+                                 if (value >> b) & 1]), state)
+    if abs(state.amplitudes[layout.physical_index(label, old ^ value)] - moved) > STATE_TOL:
+        raise VerificationError(f"write left entry {label}'s amplitude behind")
+    if u_d is not None:
+        state = simulate(_embed_on(u_d, layout.data_qubits, n), state)
+    return state
+
+
 def write(db: QdbState, label: int, word: int | str, *,
           keep_sensor: bool = False) -> QdbState:
     """Toggle entry ``label``'s data by ``word`` (bitwise XOR semantics).
 
-    A sensor register prepared in |word> drives one controlled toggle per data
-    bit; the sensor is then verified to be unentangled, uncomputed, and
-    dropped. ``keep_sensor`` skips the uncompute so the register can be
-    inspected; the returned state then carries ``sensor_qubits``.
+    In the paper's write, a sensor register prepared in |word> (or
+    u_d|word>) drives one controlled toggle per data bit and is then
+    uncomputed. The build circuit records exactly that, so ``emit()`` gives
+    the paper's circuit, and the sensor counts against the qubit budget
+    (CapacityError when the database plus sensor exceeds ``max_qubits``).
+
+    The sensor is never entangled, so its controls are classical bits of
+    ``word``, and by default the simulation folds them away: it toggles the
+    entry's data bits on the unwidened state. Instead of the sensor's purity
+    it then checks that the amplitude at the entry's old word has moved to
+    the new word (VerificationError otherwise).
+
+    ``keep_sensor`` leaves the sensor attached for inspection: the whole
+    sensor register is simulated, the returned state carries
+    ``sensor_qubits``, and the sensor must come out unentangled (purity
+    within ``WRITE_PURITY_TOL`` of 1, VerificationError otherwise).
     """
     new = write_meta(db.meta, label, word, keep_sensor=keep_sensor)
     _check_occupied(db, label)
     value = db.descriptor.data_value(label) ^ new.descriptor.data_value(label)
     sensor = _fresh_register(db.layout)
     n = sensor[-1] + 1
-    state = add_ancillas(db.state, len(sensor), max_qubits=db.max_qubits)
+    _check_budget(n, db.max_qubits)
     prep = _sensor_prep_circuit(value, sensor, db.descriptor.u_d, n)
     core = _write_core_circuit(db.layout, db.descriptor.u_d, n, label, sensor)
     applied = prep + core
-    state = simulate(applied, state)
+    if not keep_sensor:
+        return _successor(db, new, _write_folded(db, label, value),
+                          _grow(db.circuit, applied + prep.inverse()))
+    state = simulate(applied, add_ancillas(db.state, len(sensor), max_qubits=db.max_qubits))
     purity = schmidt(state, sensor).purity
     if abs(purity - 1.0) > WRITE_PURITY_TOL:
         raise VerificationError(
             f"sensor register entangled after write (purity {purity:.12g})")
-    if keep_sensor:
-        return _successor(db, new, state, _grow(db.circuit, applied))
-    state = simulate(prep.inverse(), state)
-    state = drop_qubits(state, sensor)
-    return _successor(db, new, state, _grow(db.circuit, applied + prep.inverse()))
+    return _successor(db, new, state, _grow(db.circuit, applied))
 
 
 def write_swap_meta(meta: QdbMeta, label: int, word: int | str) -> QdbMeta:
@@ -904,7 +942,7 @@ def remove_reservoir_meta(meta: QdbMeta, label: int) -> QdbMeta:
 def remove_reservoir(db: QdbState, label: int) -> QdbState:
     """Fold entry ``label`` back into the reservoir, unitarily.
 
-    The entry's data word is toggled off first (sensor machinery), then a
+    The entry's data word is toggled off first (by ``write``), then a
     two-basis-state rotation merges the entry's amplitude into the all-zero
     string. Entry count drops by one, reservoir multiplicity grows by one;
     the label and its index pattern leave the layout.

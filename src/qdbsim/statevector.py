@@ -14,6 +14,10 @@ Conventions
   ``n-1-q`` is qubit ``q``. Each control fixes its axis, so a gate reads and
   writes only the slices its controls select; the norm check is taken over
   those slices too.
+* ``x`` and ``swap`` are exact moves: their two slices trade places, so
+  every amplitude (signed zeros included) keeps its bits, and an
+  uncontrolled ``x`` needs one half-state temporary. They skip the norm
+  check, which a permutation cannot fail.
 * State equality is judged up to global phase by default.
 
 The default qubit budget is 26; anything above that is rejected rather than
@@ -32,6 +36,11 @@ from .gates import GateSpec, matrix_1q
 from .tolerances import NORM_TOL, PROJECTION_ZERO_TOL, SCHMIDT_CUTOFF, STATE_TOL
 
 DEFAULT_MAX_QUBITS = 26
+
+
+def _check_budget(n_qubits: int, max_qubits: int):
+    if n_qubits > max_qubits:
+        raise CapacityError(f"{n_qubits} qubits exceeds the budget of {max_qubits}")
 
 
 class StateVector:
@@ -61,8 +70,7 @@ class StateVector:
     def basis(cls, n_qubits: int, index: int, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> "StateVector":
         if n_qubits < 1:
             raise SemanticError("need at least one qubit")
-        if n_qubits > max_qubits:
-            raise CapacityError(f"{n_qubits} qubits exceeds the budget of {max_qubits}")
+        _check_budget(n_qubits, max_qubits)
         if not 0 <= index < 2**n_qubits:
             raise SemanticError(f"basis index {index} out of range for {n_qubits} qubits")
         amps = np.zeros(2**n_qubits, dtype=complex)
@@ -146,14 +154,13 @@ def _touched(gate: GateSpec) -> tuple:
 
 def _updated(gate: GateSpec, old: list[np.ndarray]) -> list[np.ndarray]:
     """New contents of the touched slices, given contiguous copies of their
-    old contents (in the order of ``_touched``). May reuse those copies."""
+    old contents (in the order of ``_touched``). May reuse those copies.
+    ``x`` and ``swap`` never get here: ``apply_gate`` moves their slices."""
     if gate.kind == "rot2":
         theta = gate.params[2]
         c, s = math.cos(theta), math.sin(theta)
         va, vb = old
         return [c * va - s * vb, s * va + c * vb]
-    if gate.kind == "swap":
-        return old[::-1]
     if gate.kind == "phase":
         # in place: numpy's in-place and out-of-place complex multiplies can
         # round differently, and the golden artifacts use the in-place one
@@ -178,10 +185,13 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
     itself) and ``out`` is returned. Only the amplitudes the gate's controls
     select are read or written.
 
-    Raises if the gate does not fit the register or if it changes
-    the norm of the amplitudes it touches by more than ``NORM_TOL`` (which
-    would indicate a broken gate matrix). The check runs before anything is
-    written, so a failed gate leaves ``out=state`` unchanged.
+    ``x`` and ``swap`` are exact moves: their two slices trade places through
+    one temporary as large as one slice, with no arithmetic. A permutation
+    keeps the norm exactly, so only the other kinds are checked: they raise if
+    they change the norm of the amplitudes they touch by more than
+    ``NORM_TOL`` (which would indicate a broken gate matrix). The check runs
+    before anything is written, so a failed gate leaves ``out=state``
+    unchanged. Every kind raises if the gate does not fit the register.
     """
     n = state.n_qubits
     _check_gate(gate, n)
@@ -198,6 +208,14 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
     else:
         tensor = amps.reshape((2,) * n)
         views = [tensor[_selector(n, gate.controls + fixed)] for fixed in _touched(gate)]
+    if gate.kind in ("x", "swap"):
+        v0, v1 = views
+        held = v0.copy()
+        # a ufunc's out= copies in place where a plain assignment between
+        # interleaved slices would first copy its source whole
+        np.positive(v1, out=v0)
+        v1[...] = held
+        return out
     # Contiguous copies: numpy can round strided operands differently, and
     # copying keeps the results bitwise independent of the slices' strides.
     old = [v.copy() for v in views]
@@ -297,8 +315,7 @@ def add_ancillas(state: StateVector, count: int, value: int = 0,
     if count == 0:
         return state.copy()
     n = state.n_qubits + count
-    if n > max_qubits:
-        raise CapacityError(f"{n} qubits exceeds the budget of {max_qubits}")
+    _check_budget(n, max_qubits)
     if not 0 <= value < 2**count:
         raise SemanticError(f"ancilla value {value} out of range for {count} qubits")
     amps = np.zeros(2**n, dtype=complex)

@@ -16,10 +16,12 @@ import numpy as np
 
 from . import oracle
 from .circuit import Circuit, DecompositionConfig, decompose_mcx, simulate
-from .errors import SemanticError
+from .errors import SemanticError, VerificationError
 from .extend import extend, extend_imbalanced, plan_extend_imbalanced, transfer
 from .gates import GateSpec, h, phase, rot2, ry, swap, x, y, ytilde
 from .qdb import (
+    _grow,
+    _sensor_prep_circuit,
     permute,
     prepare_general,
     read_copy,
@@ -27,7 +29,7 @@ from .qdb import (
     remove_reservoir,
     write,
 )
-from .statevector import StateVector, schmidt, states_equal
+from .statevector import StateVector, drop_qubits, schmidt, states_equal
 from .text_format import emit_text, parse_text
 from .tolerances import ORACLE_TOL, STATE_TOL
 
@@ -132,9 +134,25 @@ def _check_imbalanced() -> str:
             f"gamma={plan.gamma:.6f}; preloaded route agrees; z=1 balanced")
 
 
+def _write_through_sensor(db, label: int, word) -> tuple[StateVector, Circuit]:
+    """The paper's write with its sensor register simulated: ``write`` with
+    the sensor kept, then the sensor uncomputed and dropped. Returns the state
+    and build circuit that the folded ``write`` must reproduce."""
+    kept = write(db, label, word, keep_sensor=True)
+    sensor = kept.sensor_qubits
+    value = db.descriptor.data_value(label) ^ kept.descriptor.data_value(label)
+    unprep = _sensor_prep_circuit(value, sensor, db.descriptor.u_d, sensor[-1] + 1).inverse()
+    return drop_qubits(simulate(unprep, kept.state), sensor), _grow(kept.circuit, unprep)
+
+
 def _check_db_ops() -> str:
     db = prepare_general(4, 0, {1: "10", 2: "01"})
+    state, circuit = _write_through_sensor(db, 3, "11")
     db = write(db, 3, "11")
+    if not states_equal(db.state, state, up_to_global_phase=False):
+        raise VerificationError("folded write disagrees with the sensor-register write")
+    if db.emit() != emit_text(circuit):
+        raise VerificationError("folded write built a different circuit")
     if db.descriptor.data_value(3) != 3:
         raise SemanticError("write did not record the data word")
     copied = read_copy(db, 3)
@@ -153,7 +171,7 @@ def _check_db_ops() -> str:
     swapped.check()
     if swapped.descriptor.data_value(2) != 2:
         raise SemanticError("permutation did not move entry data")
-    return "write/read/remove/permute invariants hold"
+    return "folded write matches the sensor register; write/read/remove/permute invariants hold"
 
 
 def _check_mcx() -> str:

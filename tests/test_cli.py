@@ -100,6 +100,42 @@ def test_run_artifacts_are_deterministic(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def _assert_close_json(got, want, where):
+    """Equal JSON values, except that floats may differ by 1e-12: dumped
+    amplitudes and purities carry the last bits of numpy's rounding."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= 1e-12, where
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            _assert_close_json(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close_json(g, w, f"{where}[{i}]")
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("demo,seed", [("sample", 7), ("sample-remove", 11)])
+def test_demo_scripts_reproduce_their_goldens(tmp_path, demo, seed):
+    out = tmp_path / "out"
+    assert run_cli("run", str(DEMOS / f"{demo}.qdb"), "--seed", str(seed),
+                   "--out", str(out)) == 0
+    golden = DEMOS / f"{demo}-out"
+    names = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        got, want = (out / name).read_text(), (golden / name).read_text()
+        if name.endswith(("-circuit.txt", "-plan.json")):
+            assert got == want, name
+        else:
+            _assert_close_json(json.loads(got), json.loads(want), name)
+
+
 def test_run_default_out_dir_next_to_script(tmp_path):
     script = write_script(tmp_path, "prepare k=2\ndump\n", name="demo.qdb")
     assert run_cli("run", str(script)) == 0

@@ -15,8 +15,8 @@ from qdbsim.errors import (
     SemanticError,
     VerificationError,
 )
-from qdbsim.extend import extend
-from qdbsim.gates import h
+from qdbsim.extend import extend, extend_imbalanced
+from qdbsim.gates import h, phase, ry, x
 from qdbsim.oracle import expected_qdb_amplitudes, permutation_matrix
 from qdbsim.qdb import (
     QdbDescriptor,
@@ -41,8 +41,9 @@ from qdbsim.qdb import (
     write_swap_conditional,
 )
 from qdbsim.statevector import StateVector, schmidt, states_equal
-from qdbsim.text_format import parse_text
-from qdbsim.tolerances import DUMP_THRESHOLD
+from qdbsim.text_format import emit_text, parse_text
+from qdbsim.tolerances import DUMP_THRESHOLD, STATE_TOL
+from qdbsim.verify import _write_through_sensor
 
 
 # --- descriptor and layout ---------------------------------------------------
@@ -256,6 +257,55 @@ def test_write_random_descriptors_stay_consistent(k, l, m, seed):
     db2 = write(db, label, word)
     assert db2.descriptor.data_value(label) == expected
     db2.check()
+
+
+@pytest.mark.parametrize("keep_sensor", [False, True])
+def test_write_budget_counts_the_sensor(keep_sensor):
+    # 2 index + 2 data qubits, and the 2-qubit sensor the build circuit holds
+    db = prepare_general(4, 0, {1: "01"}, m_data=2, max_qubits=6)
+    assert write(db, 1, "11", keep_sensor=keep_sensor).descriptor.data_value(1) == 0b10
+    tight = prepare_general(4, 0, {1: "01"}, m_data=2, max_qubits=5)
+    with pytest.raises(CapacityError, match="^6 qubits exceeds the budget of 5$"):
+        write(tight, 1, "11", keep_sensor=keep_sensor)
+
+
+def _random_encoding(rng, m: int) -> Circuit:
+    """A data encoding that mixes every bit: rotations, a CNOT chain, a phase."""
+    circ = Circuit(m, [ry(q, float(rng.uniform(-3, 3))) for q in range(m)])
+    circ.extend_gates(x(q + 1, ctrl=(q,)) for q in range(m - 1))
+    return circ.append(phase(0, float(rng.uniform(-3, 3))))
+
+
+@settings(deadline=None, max_examples=40)
+@given(k=st.integers(2, 64), m=st.integers(1, 4), shape=st.sampled_from(["plain", "u_d", "profile"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_folded_write_matches_sensor_register_write(k, m, shape, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "profile":
+        # no encoding: extend cannot grow an encoded database yet
+        k = min(k, 8)
+    data = {j: int(rng.integers(2**m)) for j in range(1, k) if rng.random() < 0.5}
+    db = prepare_general(k, 0, data, m_data=m,
+                         u_d=_random_encoding(rng, m) if shape == "u_d" else None)
+    if shape == "profile":
+        db = extend_imbalanced(db, 3 * int(rng.integers(2, k + 1)), 2)
+        assert db.amplitude_profile is not None
+    label = int(rng.choice(db.layout.labels[1:]))
+    word = int(rng.integers(2**m))
+    folded = write(db, label, word)
+    state, circuit = _write_through_sensor(db, label, word)
+    assert states_equal(folded.state, state, tol=STATE_TOL, up_to_global_phase=False)
+    assert folded.emit() == emit_text(circuit)
+    assert folded.descriptor.data_value(label) == db.descriptor.data_value(label) ^ word
+    folded.check()
+
+
+def test_folded_write_checks_that_the_entry_moved(monkeypatch):
+    db = prepare_general(4, 0, {1: "01"}, m_data=2)
+    qdb = importlib.import_module("qdbsim.qdb")
+    monkeypatch.setattr(qdb, "simulate", lambda circuit, state: state)  # toggles lost
+    with pytest.raises(VerificationError, match="amplitude behind"):
+        write(db, 1, "11")
 
 
 def test_write_swap_conditional_keeps_sensor_and_moves_word():

@@ -191,6 +191,50 @@ def test_many_controlled_gate_allocates_no_whole_state_array():
     assert state.amplitudes[selected] == 0 and state.amplitudes[selected + 1] == 1
 
 
+def _signed_zero_state(rng, n):
+    """Random amplitudes with a third of the real and imaginary parts set to
+    +0.0 or -0.0, so any arithmetic on them would show in the bits."""
+    parts = rng.normal(size=(2, 2**n))
+    zero = rng.random(parts.shape) < 1 / 3
+    parts[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))
+    return StateVector(parts[0] + 1j * parts[1], copy=False)
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=gates_on_register().filter(lambda c: c[1].kind in ("x", "swap")),
+       seed=st.integers(0, 2**32 - 1))
+def test_x_and_swap_are_exact_index_permutations(case, seed):
+    n, gate = case
+    state = _signed_zero_state(np.random.default_rng(seed), n)
+    index = np.arange(2**n)
+    selected = np.ones(2**n, dtype=bool)
+    for q, bit in gate.controls:
+        selected &= (index >> q & 1) == bit
+    bits = [index >> t & 1 for t in gate.targets]
+    flip = sum(1 << t for t in gate.targets)
+    if gate.kind == "swap":
+        selected &= bits[0] != bits[1]
+    source = np.where(selected, index ^ flip, index)
+    want = state.amplitudes[source]
+    got = apply_gate(state, gate).amplitudes
+    assert got.tobytes() == want.tobytes()
+    assert apply_gate(state, gate, out=state).amplitudes.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("target", [0, 9, 19])
+def test_uncontrolled_x_peaks_at_half_the_state(target, rng):
+    state = random_state(rng, 20)  # 16 MiB of amplitudes
+    want = state.amplitudes.reshape(-1, 2, 2**target)[:, ::-1].reshape(-1).copy()
+    tracemalloc.start()
+    try:
+        apply_gate(state, x(target), out=state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * state.amplitudes.nbytes, f"peak {peak} bytes"
+    assert state.amplitudes.tobytes() == want.tobytes()
+
+
 def test_norm_preserved_by_gates(rng):
     state = random_state(rng, 4)
     for gate in (h(0), ry(1, 1.234), y(2, 0.3), phase(3, 2.2), swap(0, 3)):
