@@ -30,13 +30,14 @@ from .qdb import (
     QdbLayout,
     QdbMeta,
     QdbState,
+    _embed_on,
     _grow,
     _successor,
     prepare_circuit,
     prepare_general,
     preparation_circuit,
 )
-from .statevector import add_ancillas, drop_qubits, overlap, states_equal
+from .statevector import _register_scan, add_ancillas, drop_qubits, overlap, states_equal
 from .tolerances import PLAN_RESIDUAL_TOL, TRANSFER_AMP_TOL
 
 
@@ -146,12 +147,25 @@ def zero_phase_circuit(phi: float, qubits, n_qubits: int) -> Circuit:
     return circ
 
 
+def _data_encoding(db: QdbState, n_qubits: int) -> Circuit | None:
+    """The database's data encoding u_d on its data register, if it has one."""
+    u_d = db.descriptor.u_d
+    return None if u_d is None else _embed_on(u_d, db.layout.data_qubits, n_qubits)
+
+
+def _on_reservoir(circ: Circuit, encoding: Circuit | None) -> Circuit:
+    """``circ``, written for the all-zero string, made to act on the reservoir
+    branch |0>|u_d 0> instead: conjugated by the data encoding, if any."""
+    return circ if encoding is None else encoding.inverse() + circ + encoding
+
+
 def amplification_step_circuit(u_qdb: Circuit, db_qubits, phi: float,
-                               rho: float) -> Circuit:
-    """One amplification step as gates: zero-string phase rho, unprepare,
-    zero-string phase phi, re-prepare."""
+                               rho: float, encoding: Circuit | None) -> Circuit:
+    """One amplification step as gates: reservoir phase rho, unprepare,
+    zero-string phase phi, re-prepare. ``encoding`` is the data encoding on
+    the data register (see ``_on_reservoir``)."""
     n = u_qdb.n_qubits
-    circ = zero_phase_circuit(rho, db_qubits, n)
+    circ = _on_reservoir(zero_phase_circuit(rho, db_qubits, n), encoding)
     circ += u_qdb.inverse()
     circ += zero_phase_circuit(phi, db_qubits, n)
     circ += u_qdb
@@ -192,11 +206,12 @@ def transfer(db: QdbState, l: int) -> tuple[QdbState, AmplificationPlan]:
             "reproduce the live state")
     db_qubits = tuple(db.layout.index_qubits) + tuple(db.layout.data_qubits)
     n = db.n_qubits
+    encoding = _data_encoding(db, n)
     circ = Circuit(n)
     for _ in range(plan.m):
-        circ += amplification_step_circuit(u_qdb, db_qubits, math.pi, math.pi)
-    circ += amplification_step_circuit(u_qdb, db_qubits, plan.phi, plan.rho)
-    circ += zero_phase_circuit(plan.phase_fix, db_qubits, n)
+        circ += amplification_step_circuit(u_qdb, db_qubits, math.pi, math.pi, encoding)
+    circ += amplification_step_circuit(u_qdb, db_qubits, plan.phi, plan.rho, encoding)
+    circ += _on_reservoir(zero_phase_circuit(plan.phase_fix, db_qubits, n), encoding)
     new_db = _successor(db, new, simulate(circ, db.state), _grow(db.circuit, circ))
     new_db.check(tol=TRANSFER_AMP_TOL)
     return new_db, plan
@@ -236,7 +251,8 @@ def unfold(db: QdbState) -> QdbState:
     """Split the loaded reservoir into l new empty entries plus one reserve.
 
     One fresh ancilla becomes the next index bit: a rotation on it (negatively
-    controlled on every database qubit) peels the reservoir branch, and the
+    controlled on every database qubit, inside the data encoding if there is
+    one) peels the reservoir branch, and the
     index-register preparation for l entries, applied under that ancilla,
     spreads the branch over l fresh patterns. The result is a balanced
     database of k + l entries.
@@ -246,7 +262,8 @@ def unfold(db: QdbState) -> QdbState:
     if db.n_qubits != db.layout.n_qubits:
         raise SemanticError("state register does not match the database layout")
     target = math.sqrt((l + 1) / (db.k + l))
-    held = abs(db.reservoir_amplitude())
+    # the reservoir's whole branch: its data is u_d|0> under an encoding
+    held = math.sqrt(_register_scan(db.state, db.layout.index_qubits)[db.layout.pattern(0)])
     if held < target - TRANSFER_AMP_TOL:
         raise SemanticError(
             f"reservoir holds {held:.6g}, needs {target:.6g} to fund {l} entries")
@@ -255,9 +272,8 @@ def unfold(db: QdbState) -> QdbState:
     state = add_ancillas(db.state, 1, max_qubits=db.max_qubits)
     db_qubits = tuple(db.layout.index_qubits) + tuple(db.layout.data_qubits)
     theta = 2 * math.acos(1.0 / math.sqrt(l + 1))
-    circ = Circuit(n)
-    circ.label(anc, "I")
-    circ.append(GateSpec("ry", (theta,), (anc,), tuple((q, 0) for q in db_qubits)))
+    peel = Circuit(n, [GateSpec("ry", (theta,), (anc,), tuple((q, 0) for q in db_qubits))])
+    circ = Circuit(n).label(anc, "I") + _on_reservoir(peel, _data_encoding(db, n))
     if l > 1:
         circ += prepare_circuit(l, 0, db.layout.index_qubits, n).controlled(ctrl=(anc,))
     new_db = _successor(db, new, simulate(circ, state), _grow(db.circuit, circ))

@@ -21,7 +21,7 @@ Kinds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,10 +82,9 @@ class GateSpec:
             seen.add(q)
         if any(q < 0 for q in seen):
             raise SemanticError("negative qubit index")
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return self.targets + tuple(q for q, _ in self.controls)
+        # targets then controls; kept off the fields, so equality, hashing and
+        # repr are unchanged, and built once rather than on every gate applied
+        object.__setattr__(self, "qubits", self.targets + tuple(q for q, _ in self.controls))
 
 
 def _ctrls(ctrl, nctrl) -> tuple[tuple[int, int], ...]:

@@ -116,6 +116,25 @@ def is_unitary(mat: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(mat.conj().T @ mat - eye)) <= tol)
 
 
+def schmidt_coefficients(amplitudes, qubits) -> np.ndarray:
+    """Singular values, descending, of the whole 2^|A| x 2^|B| amplitude
+    matrix of the bipartition (``qubits`` | rest), zero rows and columns
+    included: the uncompacted reference for ``statevector.schmidt``. Each
+    amplitude's row and column are read off its basis index bit by bit."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    n = amps.size.bit_length() - 1
+    if n > ORACLE_MAX_QUBITS:
+        raise CapacityError(f"dense oracle is capped at {ORACLE_MAX_QUBITS} qubits")
+    sub = sorted(set(qubits))
+    rest = [q for q in range(n) if q not in sub]
+    mat = np.zeros((2 ** len(sub), 2 ** len(rest)), dtype=complex)
+    for idx, a in enumerate(amps):
+        row = sum(((idx >> q) & 1) << i for i, q in enumerate(sub))
+        col = sum(((idx >> q) & 1) << i for i, q in enumerate(rest))
+        mat[row, col] = a
+    return np.linalg.svd(mat, compute_uv=False)
+
+
 def expected_qdb_amplitudes(descriptor, layout=None) -> dict[int, float]:
     """Closed-form amplitude map of a database state.
 

@@ -706,7 +706,10 @@ def _word_value(meta: QdbMeta, label: int, word: int | str) -> int:
 
 
 def _check_occupied(db: QdbState, label: int):
-    if label not in db.occupied_labels():
+    """Raise unless entry ``label`` (already known to the layout) carries
+    amplitude; reads only that entry's pattern of the index scan."""
+    table = _register_scan(db.state, db.layout.index_qubits)
+    if not table[db.layout.pattern(label)] > DUMP_THRESHOLD:
         raise SemanticError(f"entry {label} carries no amplitude")
 
 

@@ -363,9 +363,14 @@ class EntanglementReport:
 def schmidt(state: StateVector, qubits) -> EntanglementReport:
     """Schmidt decomposition across the bipartition (``qubits`` | rest).
 
-    Coefficients are returned in descending order; the rank counts
-    coefficients above 1e-9; entropy is in bits; purity is that of the
-    reduced state on either side.
+    Coefficients are returned in descending order, min(2^|A|, 2^|B|) of
+    them; the rank counts coefficients above 1e-9; entropy is in bits;
+    purity is that of the reduced state on either side.
+
+    The SVD runs on the amplitude matrix's nonzero rows and columns only, so
+    its cost follows the state's support rather than 2^n. Deleting all-zero
+    rows and columns leaves every nonzero singular value unchanged; the
+    coefficients it drops are exact zeros and are padded back.
     """
     sub = sorted(set(qubits))
     n = state.n_qubits
@@ -379,7 +384,11 @@ def schmidt(state: StateVector, qubits) -> EntanglementReport:
     # axis n-1-q corresponds to qubit q
     order = [n - 1 - q for q in reversed(sub)] + [n - 1 - q for q in reversed(rest)]
     mat = tensor.transpose(order).reshape(2 ** len(sub), 2 ** len(rest))
-    coeffs = np.linalg.svd(mat, compute_uv=False)
+    nonzero = mat != 0
+    rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
+    core = mat if rows.all() and cols.all() else mat[np.ix_(rows, cols)]
+    coeffs = np.zeros(min(mat.shape))
+    coeffs[:min(core.shape)] = np.linalg.svd(core, compute_uv=False)
     lam2 = coeffs**2
     lam2 = lam2 / lam2.sum()
     rank = int(np.sum(coeffs > SCHMIDT_CUTOFF))

@@ -159,6 +159,10 @@ def _check_db_ops() -> str:
     rep = schmidt(copied.state, copied.copy_qubits)
     if not rep.entangled:
         raise SemanticError("copying a nonzero word must entangle the copy")
+    full = oracle.schmidt_coefficients(copied.state.amplitudes, copied.copy_qubits)
+    if (len(rep.schmidt_coefficients) != len(full)
+            or np.max(np.abs(np.array(rep.schmidt_coefficients) - full)) > ORACLE_TOL):
+        raise VerificationError("Schmidt report disagrees with the full-matrix SVD")
     removed = remove_reservoir(db, 3)
     removed.check()
     if removed.k != 3 or removed.l != 1:
@@ -171,7 +175,8 @@ def _check_db_ops() -> str:
     swapped.check()
     if swapped.descriptor.data_value(2) != 2:
         raise SemanticError("permutation did not move entry data")
-    return "folded write matches the sensor register; write/read/remove/permute invariants hold"
+    return ("folded write matches the sensor register; Schmidt report matches the "
+            "full-matrix SVD; write/read/remove/permute invariants hold")
 
 
 def _check_mcx() -> str:

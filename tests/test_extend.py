@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import state_matches_oracle
+from qdbsim.circuit import Circuit
 from qdbsim.errors import CapacityError, SemanticError, VerificationError
 from qdbsim.extend import (
     check_no_unitary_extend,
@@ -19,6 +20,7 @@ from qdbsim.extend import (
     transfer,
     unfold,
 )
+from qdbsim.gates import h, ry, x
 from qdbsim.qdb import prepare_general
 from qdbsim.statevector import StateVector, states_equal
 from qdbsim.tolerances import PLAN_RESIDUAL_TOL
@@ -244,6 +246,43 @@ def test_unfold_rejects_underfunded_reservoir():
     lying = QdbState(claim, db.layout, db.state, db.circuit)
     with pytest.raises(SemanticError, match="reservoir holds"):
         unfold(lying)
+
+
+# --- data encodings ----------------------------------------------------------
+
+# Both move |0...0> off itself, so the reservoir's data is u_d|0>, not |0>.
+H_ENCODING = Circuit(1, [h(0)])
+RY_CNOT_ENCODING = Circuit(3, [ry(0, 0.7), x(1, ctrl=(0,)), ry(2, 1.3, ctrl=(1,))])
+ENCODED = [pytest.param(H_ENCODING, {1: "1"}, id="h"),
+           pytest.param(RY_CNOT_ENCODING, {1: "101", 2: "011"}, id="ry-cnot")]
+GROWTHS = {
+    "extend": lambda db: extend(db, 2),
+    "transfer": lambda db: transfer(db, 2)[0],
+    "extend_imbalanced": lambda db: extend_imbalanced(db, 6, 2),
+}
+
+
+def _encoded(k, l, u_d, data):
+    return prepare_general(k, l, data, m_data=u_d.n_qubits, u_d=u_d)
+
+
+@pytest.mark.parametrize("u_d,data", ENCODED)
+@pytest.mark.parametrize("op", sorted(GROWTHS))
+def test_growth_under_data_encoding(op, u_d, data):
+    k = 3 if op == "extend_imbalanced" else 4
+    grown = GROWTHS[op](_encoded(k, 0, u_d, data))
+    grown.check()
+    assert grown.descriptor.data == _encoded(k, 0, u_d, data).descriptor.data
+    assert state_matches_oracle(grown) < 1e-12
+
+
+@pytest.mark.parametrize("u_d,data", ENCODED)
+def test_unfold_under_data_encoding(u_d, data):
+    grown = unfold(_encoded(3, 2, u_d, data))
+    assert (grown.k, grown.l) == (5, 0)
+    grown.check()
+    assert grown.descriptor.data == _encoded(3, 2, u_d, data).descriptor.data
+    assert state_matches_oracle(grown) < 1e-12
 
 
 # --- imbalanced extend -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Gate vocabulary: matrices, probability parameterization, inverses."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -122,7 +123,7 @@ def test_rot2_inverse_negates_angle():
 def test_controls_carry_polarity():
     g = x(0, ctrl=(2,), nctrl=(3, 4))
     assert g.controls == ((2, 1), (3, 0), (4, 0))
-    assert set(g.qubits) == {0, 2, 3, 4}
+    assert g.qubits == (0, 2, 3, 4)
 
 
 def test_gatespec_is_hashable_and_frozen():
@@ -130,6 +131,16 @@ def test_gatespec_is_hashable_and_frozen():
     assert hash(g) == hash(x(0, ctrl=(1,)))
     with pytest.raises(Exception):
         g.kind = "h"
+
+
+def test_gatespec_qubits_stay_off_the_fields():
+    g = swap(3, 1, nctrl=(0,))
+    assert g.qubits == (3, 1, 0)
+    assert [f.name for f in dataclasses.fields(g)] == ["kind", "params", "targets", "controls"]
+    assert repr(g) == "GateSpec(kind='swap', params=(), targets=(3, 1), controls=((0, 0),))"
+    assert dataclasses.replace(g, targets=(2, 1)).qubits == (2, 1, 0)
+    with pytest.raises(Exception):
+        g.qubits = ()
 
 
 def test_overlapping_target_and_control_rejected():

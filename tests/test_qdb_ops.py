@@ -1,5 +1,6 @@
 """Database operations: prepare, write, read, remove, permute."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -40,7 +41,7 @@ from qdbsim.qdb import (
     write,
     write_swap_conditional,
 )
-from qdbsim.statevector import StateVector, schmidt, states_equal
+from qdbsim.statevector import StateVector, _register_scan, project, schmidt, states_equal
 from qdbsim.text_format import emit_text, parse_text
 from qdbsim.tolerances import DUMP_THRESHOLD, STATE_TOL
 from qdbsim.verify import _write_through_sensor
@@ -211,6 +212,17 @@ def test_write_guards():
     sensed = write(db, 2, 1, keep_sensor=True)
     with pytest.raises(SemanticError):
         write(sensed, 3, 1)  # sensor still attached
+
+
+def test_write_into_entry_without_amplitude_fails():
+    db = prepare_general(4, 0, {1: "1"})
+    hit = _register_scan(db.state, db.layout.index_qubits, db.layout.pattern(3))
+    hollow, _ = project(db.state, ~hit)
+    ghost = dataclasses.replace(db, state=hollow)  # entry 3 still in the layout
+    with pytest.raises(SemanticError, match="entry 3 carries no amplitude") as err:
+        write(ghost, 3, "1")
+    assert err.value.exit_code == 3
+    assert write(ghost, 2, "1").descriptor.data_value(2) == 1
 
 
 def test_write_keep_sensor_leaves_product_register():

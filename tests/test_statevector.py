@@ -11,7 +11,8 @@ from conftest import assert_register_scan_matches_brute_force, random_state
 from qdbsim.circuit import Circuit, simulate
 from qdbsim.errors import CapacityError, SemanticError, ZeroProbabilityError
 from qdbsim.gates import GateSpec, h, phase, ry, swap, x, y
-from qdbsim.oracle import dense_gate
+from qdbsim.oracle import dense_gate, schmidt_coefficients as oracle_schmidt
+from qdbsim.qdb import prepare_general, read_copy
 from qdbsim.statevector import (
     StateVector,
     add_ancillas,
@@ -24,7 +25,7 @@ from qdbsim.statevector import (
     schmidt,
     states_equal,
 )
-from qdbsim.tolerances import ORACLE_TOL
+from qdbsim.tolerances import ORACLE_TOL, SCHMIDT_CUTOFF
 
 
 def test_zero_and_basis_constructors():
@@ -334,6 +335,50 @@ def test_qubit_budget_enforced():
     s = StateVector.zero(3)
     with pytest.raises(CapacityError):
         add_ancillas(s, 1, max_qubits=3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10), data=st.data())
+def test_schmidt_matches_full_matrix_svd(seed, n, data):
+    # sparse supports, down to one amplitude, and non-contiguous bipartitions
+    support = data.draw(st.integers(1, 2**n), label="support")
+    part = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1),
+                     label="part")
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(2**n, dtype=complex)
+    where = rng.choice(2**n, size=support, replace=False)
+    amps[where] = rng.normal(size=support) + 1j * rng.normal(size=support)
+    state = StateVector(amps / np.linalg.norm(amps))
+    rep = schmidt(state, part)
+    full = oracle_schmidt(state.amplitudes, part)
+    assert len(rep.schmidt_coefficients) == len(full) == 2 ** min(len(part), n - len(part))
+    assert np.max(np.abs(np.array(rep.schmidt_coefficients) - full)) <= ORACLE_TOL
+    lam2 = full**2 / np.sum(full**2)
+    nz = lam2[lam2 > 0]
+    assert rep.schmidt_rank == int(np.sum(full > SCHMIDT_CUTOFF))
+    assert rep.purity == pytest.approx(float(np.sum(lam2**2)), abs=ORACLE_TOL)
+    assert rep.entropy_bits == pytest.approx(float(-np.sum(nz * np.log2(nz))), abs=1e-9)
+
+
+def test_schmidt_svd_spans_only_the_support(monkeypatch):
+    # a 20-qubit copy read: 64 x 16,384 amplitudes, 256 of them nonzero
+    db = read_copy(prepare_general(256, 0, {1: 0b101101, 200: 0b000111}, m_data=6), 1)
+    assert db.n_qubits == 20
+    nonzero = int(np.count_nonzero(db.state.amplitudes))
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(mat, *args, **kwargs):
+        seen.append(mat.shape)
+        return svd(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    rep = schmidt(db.state, db.copy_qubits)
+    assert seen and all(max(shape) <= nonzero for shape in seen), seen
+    assert len(rep.schmidt_coefficients) == 64
+    assert rep.schmidt_coefficients[:2] == pytest.approx(
+        (math.sqrt(255 / 256), math.sqrt(1 / 256)), abs=1e-12)
+    assert not any(rep.schmidt_coefficients[2:])
 
 
 def test_schmidt_product_vs_entangled():
