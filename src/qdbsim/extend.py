@@ -5,7 +5,10 @@ it is done in two unitary moves applied to the concrete state at hand:
 
 * transfer — amplitude amplification steps built from the database's own
   preparation circuit move weight into the reservoir entry until it carries
-  sqrt((l+1)/(k+l));
+  sqrt((l+1)/(k+l)). The build history records each step as the paper's
+  gates; the amplitudes get each step as its two exact reflections, about
+  the reservoir ket and about the preflight state the preparation circuit
+  produces, so only that preparation is simulated gate by gate;
 * unfold — an ancilla qubit splits the enlarged reservoir into l new equal
   entries plus one remaining empty entry.
 
@@ -37,7 +40,14 @@ from .qdb import (
     prepare_general,
     preparation_circuit,
 )
-from .statevector import _register_scan, add_ancillas, drop_qubits, overlap, states_equal
+from .statevector import (
+    StateVector,
+    _register_scan,
+    add_ancillas,
+    drop_qubits,
+    overlap,
+    states_equal,
+)
 from .tolerances import PLAN_RESIDUAL_TOL, TRANSFER_AMP_TOL
 
 
@@ -172,6 +182,41 @@ def amplification_step_circuit(u_qdb: Circuit, db_qubits, phi: float,
     return circ
 
 
+def amplification_circuit(u_qdb: Circuit, db_qubits, plan: AmplificationPlan,
+                          encoding: Circuit | None) -> Circuit:
+    """The gates of a transfer: ``plan.m`` full steps (phi = rho = pi), the
+    last step with the planned (phi, rho), and the closing reservoir phase
+    ``phase_fix``."""
+    n = u_qdb.n_qubits
+    circ = Circuit(n)
+    for _ in range(plan.m):
+        circ += amplification_step_circuit(u_qdb, db_qubits, math.pi, math.pi, encoding)
+    circ += amplification_step_circuit(u_qdb, db_qubits, plan.phi, plan.rho, encoding)
+    circ += _on_reservoir(zero_phase_circuit(plan.phase_fix, db_qubits, n), encoding)
+    return circ
+
+
+def _reservoir_ket(encoding: Circuit | None, n: int, max_qubits: int) -> np.ndarray:
+    """Amplitudes of the reservoir branch |0>|u_d 0> that ``_on_reservoir``
+    phases: E|0...0> for the data encoding E, if any."""
+    zero = StateVector.zero(n, max_qubits=max_qubits)
+    return (zero if encoding is None else simulate(encoding, zero)).amplitudes
+
+
+def _nonzeros(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices where ``amps`` is exactly nonzero, and its values there."""
+    idx = np.flatnonzero(amps)
+    return idx, amps[idx]
+
+
+def _reflect(v: np.ndarray, about: tuple[np.ndarray, np.ndarray], theta: float) -> None:
+    """Apply I + (e^{i theta} - 1)|a><a| to the amplitudes ``v`` in place,
+    with ``about`` the nonzeros of a (see ``_nonzeros``): the update moves v
+    only where a is nonzero, so it reads and writes those entries alone."""
+    idx, a = about
+    v[idx] += (cmath.exp(1j * theta) - 1) * np.vdot(a, v[idx]) * a
+
+
 def transfer_meta(meta: QdbMeta, l: int) -> QdbMeta:
     """Transition of ``transfer``: the reservoir is loaded for l entries."""
     meta.require_bare("transfer")
@@ -188,10 +233,20 @@ def transfer(db: QdbState, l: int) -> tuple[QdbState, AmplificationPlan]:
     """Load the reservoir entry of a balanced database with weight for l
     future entries, unitarily.
 
-    Before running, the database's own preparation circuit is re-simulated
+    Before running, the database's own preparation circuit u is re-simulated
     and must reproduce the live state (up to a global phase) — the
-    amplification steps reflect about that prepared state, so a stale circuit
-    would silently corrupt the transfer.
+    amplification steps reflect about that prepared state psi = u|0>, so a
+    stale circuit would silently corrupt the transfer.
+
+    The build history gets the paper's gates for every step: reservoir phase
+    rho, u^-1, zero-string phase phi, u. The amplitudes get the same
+    operators as exact reflections: a zero-string phase over the whole
+    register is I + (e^{i theta} - 1)|0><0| (conjugated by the data encoding
+    E on the reservoir, so about r = E|0>), and u Z(phi) u^-1 is
+    I + (e^{i phi} - 1)|psi><psi| with psi the preflight's own vector. Only
+    the preflight (and E, a few gates) is simulated, and each reflection
+    touches only the amplitudes where its axis is nonzero; ``verify`` holds
+    the gate-level reference.
     """
     new = transfer_meta(db.meta, l)
     plan = plan_transfer(db.k, l)
@@ -200,19 +255,26 @@ def transfer(db: QdbState, l: int) -> tuple[QdbState, AmplificationPlan]:
     if db.n_qubits != db.layout.n_qubits:
         raise SemanticError("state register does not match the database layout")
     u_qdb = preparation_circuit(db.descriptor, db.layout)
-    if not states_equal(simulate(u_qdb), db.state, tol=TRANSFER_AMP_TOL):
+    psi = simulate(u_qdb)
+    if not states_equal(psi, db.state, tol=TRANSFER_AMP_TOL):
         raise VerificationError(
             "preparation-circuit preflight failed: the rebuilt circuit does not "
             "reproduce the live state")
     db_qubits = tuple(db.layout.index_qubits) + tuple(db.layout.data_qubits)
     n = db.n_qubits
     encoding = _data_encoding(db, n)
-    circ = Circuit(n)
-    for _ in range(plan.m):
-        circ += amplification_step_circuit(u_qdb, db_qubits, math.pi, math.pi, encoding)
-    circ += amplification_step_circuit(u_qdb, db_qubits, plan.phi, plan.rho, encoding)
-    circ += _on_reservoir(zero_phase_circuit(plan.phase_fix, db_qubits, n), encoding)
-    new_db = _successor(db, new, simulate(circ, db.state), _grow(db.circuit, circ))
+    circ = amplification_circuit(u_qdb, db_qubits, plan, encoding)
+    prepared = _nonzeros(psi.amplitudes)
+    del psi  # frees the dense state: only its nonzeros are needed from here on
+    # db_qubits span the whole register (n == layout.n_qubits, checked above),
+    # so each zero-string phase is the reflection about |0...0>
+    r = _nonzeros(_reservoir_ket(encoding, n, db.max_qubits))
+    v = db.state.amplitudes.copy()
+    for phi, rho in [(math.pi, math.pi)] * plan.m + [(plan.phi, plan.rho)]:
+        _reflect(v, r, rho)
+        _reflect(v, prepared, phi)
+    _reflect(v, r, plan.phase_fix)
+    new_db = _successor(db, new, StateVector(v, copy=False), _grow(db.circuit, circ))
     new_db.check(tol=TRANSFER_AMP_TOL)
     return new_db, plan
 

@@ -202,13 +202,28 @@ class QdbLayout:
 
     def physical_index(self, label: int, data_value: int = 0) -> int:
         pat = self.pattern(label)
+        if data_value >> len(self.data_qubits):
+            raise SemanticError(f"data value {data_value} wider than the data register")
+        return self._place(pat, data_value)
+
+    def physical_indices(self, labels, data_values) -> np.ndarray:
+        """``physical_index`` of each (label, data value) pair, in one numpy
+        pass per register bit."""
+        pats = np.fromiter(map(self.pattern, labels), dtype=np.int64, count=len(labels))
+        vals = np.asarray(data_values, dtype=np.int64)
+        wide = np.flatnonzero(vals >> len(self.data_qubits))
+        if wide.size:
+            raise SemanticError(f"data value {vals[wide[0]]} wider than the data register")
+        return self._place(pats, vals)
+
+    def _place(self, pat, data_value):
+        """Basis index of an index pattern with a data value; ints or numpy
+        int arrays alike."""
         idx = 0
         for i, q in enumerate(self.index_qubits):
             idx |= ((pat >> i) & 1) << q
         for b, q in enumerate(self.data_qubits):
             idx |= ((data_value >> b) & 1) << q
-        if data_value >> len(self.data_qubits):
-            raise SemanticError(f"data value {data_value} wider than the data register")
         return idx
 
     def pattern_controls(self, label: int) -> tuple[tuple[int, int], ...]:
@@ -295,8 +310,10 @@ class QdbState(_Record):
     def occupied_labels(self, tol: float = DUMP_THRESHOLD) -> tuple[int, ...]:
         """Labels whose index pattern carries any amplitude."""
         table = _register_scan(self.state, self.layout.index_qubits)
-        return tuple(sorted(label for label, pat in self.layout.logical_index_map.items()
-                            if table[pat] > tol))
+        lmap = self.layout.logical_index_map
+        labels = np.fromiter(lmap, dtype=np.int64, count=len(lmap))
+        pats = np.fromiter(lmap.values(), dtype=np.int64, count=len(lmap))
+        return tuple(sorted(labels[table[pats] > tol].tolist()))
 
     def amplitude(self, label: int, data_value: int | None = None) -> complex:
         """Amplitude at one entry; defaults to the entry's recorded data word."""
@@ -312,11 +329,9 @@ class QdbState(_Record):
         if self.amplitude_profile is not None:
             return dict(self.amplitude_profile)
         k, l = self.descriptor.k, self.descriptor.l
-        occupied = self.occupied_labels()
+        entry = math.sqrt(1.0 / (k + l))
         out = {0: math.sqrt((l + 1) / (k + l))}
-        for label in occupied:
-            if label != 0:
-                out[label] = math.sqrt(1.0 / (k + l))
+        out.update((label, entry) for label in self.occupied_labels() if label != 0)
         return out
 
     def check(self, tol: float = STATE_TOL) -> bool:
@@ -335,21 +350,28 @@ class QdbState(_Record):
                 {i: q for i, q in enumerate(self.layout.data_qubits)}, st.n_qubits)
             st = simulate(dec, st)
         expected = self.expected_moduli()
-        amps = st.amplitudes
-        seen = np.zeros(st.dim, dtype=bool)
-        ref_phase = None
-        for label, want in expected.items():
-            idx = self.layout.physical_index(label, self.descriptor.data_value(label))
-            seen[idx] = True
-            a = amps[idx]
-            if abs(abs(a) - want) > tol:
-                raise VerificationError(
-                    f"entry {label}: |amplitude| {abs(a):.12g}, expected {want:.12g}")
-            if ref_phase is None:
-                ref_phase = a / abs(a)
-            elif abs(a / abs(a) - ref_phase) > math.sqrt(tol):
-                raise VerificationError(f"entry {label} phase differs from entry phase")
-        stray = float(np.abs(np.where(seen, 0.0, amps)).max())
+        labels = list(expected)
+        data = self.descriptor.data
+        idx = self.layout.physical_indices(
+            labels, [int(data[j], 2) if j in data else 0 for j in labels])
+        want = np.fromiter(expected.values(), dtype=float, count=len(labels))
+        amps = st.amplitudes[idx]
+        mods = np.abs(amps)
+        off = np.abs(mods - want) > tol
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phases = amps / mods
+        turned = np.abs(phases - phases[0]) > math.sqrt(tol)
+        # the first failing label, its modulus before its phase
+        bad = np.flatnonzero(off | turned)
+        if bad.size:
+            i = bad[0]
+            if off[i]:
+                raise VerificationError(f"entry {labels[i]}: |amplitude| "
+                                        f"{mods[i]:.12g}, expected {want[i]:.12g}")
+            raise VerificationError(f"entry {labels[i]} phase differs from entry phase")
+        rest = np.abs(st.amplitudes)
+        rest[idx] = 0.0
+        stray = float(rest.max())
         if stray > tol:
             raise VerificationError(f"stray amplitude {stray:.3g} outside the database")
         return True
@@ -947,24 +969,34 @@ def remove_reservoir(db: QdbState, label: int) -> QdbState:
 
     The entry's data word is toggled off first (by ``write``), then a
     two-basis-state rotation merges the entry's amplitude into the all-zero
-    string. Entry count drops by one, reservoir multiplicity grows by one;
-    the label and its index pattern leave the layout.
+    string. Under a data encoding both branches hold u_d|0>, so the rotation
+    is conjugated by u_d on the data register and reads the two amplitudes
+    in the decoded basis. Entry count drops by one, reservoir multiplicity
+    grows by one; the label and its index pattern leave the layout.
     """
     new = remove_reservoir_meta(db.meta, label)
     _check_occupied(db, label)
     value = db.descriptor.data_value(label)
     if value:
         db = write(db, label, value)
+    n = db.n_qubits
+    decoded = db.state
+    encode = decode = Circuit(n)
+    if db.descriptor.u_d is not None:
+        encode = _embed_on(db.descriptor.u_d, db.layout.data_qubits, n)
+        decode = encode.inverse()
+        decoded = simulate(decode, db.state)
     a_idx = db.layout.physical_index(0, 0)
     b_idx = db.layout.physical_index(label, 0)
-    a = complex(db.state.amplitudes[a_idx])
-    b = complex(db.state.amplitudes[b_idx])
+    a = complex(decoded.amplitudes[a_idx])
+    b = complex(decoded.amplitudes[b_idx])
     if abs(b) > PROJECTION_ZERO_TOL and abs(a) > PROJECTION_ZERO_TOL:
         rel = b / a
         if abs(rel.imag) > math.sqrt(STATE_TOL) * abs(rel):
             raise SemanticError("entry phases are not aligned; cannot merge unitarily")
-    merge = Circuit(db.n_qubits, [rot2(a_idx, b_idx, -math.atan2(abs(b), abs(a)))])
-    return _successor(db, new, simulate(merge, db.state), _grow(db.circuit, merge))
+    rotate = Circuit(n, [rot2(a_idx, b_idx, -math.atan2(abs(b), abs(a)))])
+    merge = decode + rotate + encode
+    return _successor(db, new, simulate(rotate + encode, decoded), _grow(db.circuit, merge))
 
 
 def remove_projective_meta(meta: QdbMeta, label: int) -> tuple[float, QdbMeta | None]:

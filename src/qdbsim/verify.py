@@ -17,12 +17,21 @@ import numpy as np
 from . import oracle
 from .circuit import Circuit, DecompositionConfig, decompose_mcx, simulate
 from .errors import SemanticError, VerificationError
-from .extend import extend, extend_imbalanced, plan_extend_imbalanced, transfer
+from .extend import (
+    _data_encoding,
+    amplification_circuit,
+    extend,
+    extend_imbalanced,
+    plan_extend_imbalanced,
+    plan_transfer,
+    transfer,
+)
 from .gates import GateSpec, h, phase, rot2, ry, swap, x, y, ytilde
 from .qdb import (
     _grow,
     _sensor_prep_circuit,
     permute,
+    preparation_circuit,
     prepare_general,
     read_copy,
     remove_projective,
@@ -94,13 +103,33 @@ def _check_transfer_small() -> str:
     return f"transfer (k=2, l=2): m={plan.m}, residual {plan.residual:.2e}"
 
 
+def _transfer_by_gates(db, l: int) -> tuple[StateVector, Circuit]:
+    """The paper's transfer with every amplification step simulated gate by
+    gate on the input state. Returns the state and build circuit that
+    ``transfer``, which applies the steps as reflections, must reproduce."""
+    u_qdb = preparation_circuit(db.descriptor, db.layout)
+    db_qubits = db.layout.index_qubits + db.layout.data_qubits
+    circ = amplification_circuit(u_qdb, db_qubits, plan_transfer(db.k, l),
+                                 _data_encoding(db, db.n_qubits))
+    return simulate(circ, db.state), _grow(db.circuit, circ)
+
+
 def _check_transfer_suite() -> str:
     details = []
     for k, l in [(4, 4), (4, 2), (8, 8)]:
         moved, plan = transfer(prepare_general(k, 0), l)
         moved.check()
         details.append(f"({k},{l}):m={plan.m}")
-    return "transfers " + " ".join(details)
+    for db, l in [(prepare_general(16, 0, {1: "10", 3: "01", 9: "11"}), 16),
+                  (prepare_general(16, 0, {1: "1"}, m_data=1, u_d=Circuit(1, [h(0)])), 13)]:
+        state, circuit = _transfer_by_gates(db, l)
+        moved, plan = transfer(db, l)
+        if not states_equal(moved.state, state, tol=STATE_TOL, up_to_global_phase=False):
+            raise VerificationError("transfer's reflections disagree with its gates")
+        if moved.emit() != emit_text(circuit):
+            raise VerificationError("transfer built a different circuit")
+        details.append(f"({db.k},{l}{',u_d' if db.descriptor.u_d else ''}):m={plan.m}")
+    return "transfers " + " ".join(details) + "; reflections match the gates"
 
 
 def _check_extend_chain() -> str:

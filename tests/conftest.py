@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+from qdbsim.circuit import Circuit
+from qdbsim.gates import h, ry, x
 from qdbsim.oracle import dense_operator
 from qdbsim.statevector import StateVector, _register_scan
+
+# Data encodings that move |0...0> off itself, so the reservoir's data is
+# u_d|0>, not |0>.
+H_ENCODING = Circuit(1, [h(0)])
+RY_CNOT_ENCODING = Circuit(3, [ry(0, 0.7), x(1, ctrl=(0,)), ry(2, 1.3, ctrl=(1,))])
 
 
 def dense_column(circuit) -> np.ndarray:

@@ -151,6 +151,24 @@ def test_run_csv_format(tmp_path):
     assert all(len(line.split(",")) == 4 for line in lines)
 
 
+def test_run_remove_reservoir_under_data_encoding(tmp_path):
+    # under u_d = H both merged branches hold |+>: the removed pattern must
+    # end with no amplitude and the reservoir with (l+1)/(k+l) = 1/2
+    (tmp_path / "h.txt").write_text("qubits 1\nh q[0]\n")
+    script = write_script(
+        tmp_path, "prepare k=4 m=1 data=1:1 u_d=h.txt\nremove j=2 mode=reservoir\ndump\n")
+    out = tmp_path / "o"
+    assert run_cli("run", str(script), "--out", str(out)) == 0
+    dump = json.loads((out / "001-dump.json").read_text())
+    weight = {}
+    for rec in dump:
+        pattern = rec["bits"].split("I=")[1]
+        weight[pattern] = weight.get(pattern, 0.0) + rec["re"] ** 2 + rec["im"] ** 2
+    assert set(weight) == {"00", "01", "11"}
+    assert weight["00"] == pytest.approx(0.5, abs=1e-12)
+    assert weight["01"] == pytest.approx(0.25, abs=1e-12)
+
+
 def test_run_extend_writes_plan_artifacts(tmp_path):
     script = write_script(
         tmp_path,

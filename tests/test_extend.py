@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import state_matches_oracle
-from qdbsim.circuit import Circuit
+from conftest import H_ENCODING, RY_CNOT_ENCODING, state_matches_oracle
+import qdbsim.circuit as circuit_mod
+from qdbsim.circuit import Circuit, simulate
 from qdbsim.errors import CapacityError, SemanticError, VerificationError
 from qdbsim.extend import (
     check_no_unitary_extend,
@@ -20,10 +21,9 @@ from qdbsim.extend import (
     transfer,
     unfold,
 )
-from qdbsim.gates import h, ry, x
-from qdbsim.qdb import prepare_general
+from qdbsim.qdb import preparation_circuit, prepare_general
 from qdbsim.statevector import StateVector, states_equal
-from qdbsim.tolerances import PLAN_RESIDUAL_TOL
+from qdbsim.tolerances import ORACLE_TOL, PLAN_RESIDUAL_TOL
 
 
 # --- planning ----------------------------------------------------------------
@@ -151,6 +151,61 @@ def test_transfer_matches_oracle_route():
     assert state_matches_oracle(loaded) < 1e-12
 
 
+def _padded(amps, n_qubits):
+    out = np.zeros(2 ** n_qubits, dtype=complex)
+    out[: amps.size] = amps
+    return out
+
+
+def _replay_appended(db, grown):
+    """Gate-level simulation, on ``db``'s state, of the gates ``grown``
+    appended to ``db``'s history (both padded with |0> to the history's width)."""
+    n = grown.circuit.n_qubits
+    start = StateVector(_padded(db.state.amplitudes, n), copy=False)
+    return simulate(Circuit(n, grown.circuit.gates[len(db.circuit):]), start).amplitudes
+
+
+ENCODINGS = {"none": None, "h": H_ENCODING, "ry-cnot": RY_CNOT_ENCODING}
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_transfer_reflections_match_its_gates(data):
+    u_d = ENCODINGS[data.draw(st.sampled_from(sorted(ENCODINGS)), label="u_d")]
+    k = data.draw(st.integers(2, 64), label="k")
+    m = u_d.n_qubits if u_d else data.draw(st.integers(1, 2), label="m")
+    words = data.draw(st.dictionaries(st.integers(1, k - 1), st.integers(1, 2 ** m - 1),
+                                      max_size=4), label="words")
+    db = prepare_general(k, 0, words, m_data=m, u_d=u_d)
+    if data.draw(st.booleans(), label="imbalanced"):
+        # l up to (2^z - 1) k: the transfer inside extend_imbalanced
+        z = data.draw(st.integers(2, 6), label="z")
+        l = (2 ** z - 1) * data.draw(st.integers(1, k), label="l''")
+        grown = extend_imbalanced(db, l, z, route=data.draw(st.sampled_from(["direct", "marker"])))
+    else:
+        grown, _ = transfer(db, data.draw(st.integers(1, k), label="l"))
+    got = _padded(grown.state.amplitudes, grown.circuit.n_qubits)
+    assert np.max(np.abs(got - _replay_appended(db, grown))) <= ORACLE_TOL
+
+
+def test_transfer_simulates_only_the_preflight(monkeypatch):
+    # the steps are reflections about the preflight state: the only gates
+    # simulated are the preparation circuit's, once
+    db = prepare_general(128, 0, {j: j % 64 for j in range(1, 128, 3)}, m_data=6)
+    u_qdb = preparation_circuit(db.descriptor, db.layout)
+    real, calls = circuit_mod.apply_gate, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(circuit_mod, "apply_gate", counting)
+    loaded, plan = transfer(db, 128)
+    assert plan.m == 3
+    assert calls == u_qdb.gates
+    loaded.check()
+
+
 # --- unfold ------------------------------------------------------------------
 
 
@@ -250,9 +305,6 @@ def test_unfold_rejects_underfunded_reservoir():
 
 # --- data encodings ----------------------------------------------------------
 
-# Both move |0...0> off itself, so the reservoir's data is u_d|0>, not |0>.
-H_ENCODING = Circuit(1, [h(0)])
-RY_CNOT_ENCODING = Circuit(3, [ry(0, 0.7), x(1, ctrl=(0,)), ry(2, 1.3, ctrl=(1,))])
 ENCODED = [pytest.param(H_ENCODING, {1: "1"}, id="h"),
            pytest.param(RY_CNOT_ENCODING, {1: "101", 2: "011"}, id="ry-cnot")]
 GROWTHS = {

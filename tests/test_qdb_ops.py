@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_register_scan_matches_brute_force, state_matches_oracle
+from conftest import (
+    H_ENCODING,
+    RY_CNOT_ENCODING,
+    assert_register_scan_matches_brute_force,
+    state_matches_oracle,
+)
 from qdbsim.circuit import Circuit, simulate
 from qdbsim.errors import (
     CapacityError,
@@ -500,6 +505,20 @@ def test_remove_reservoir_needs_no_data_register():
     smaller.check()
 
 
+@pytest.mark.parametrize("label", [1, 2, 3])
+@pytest.mark.parametrize("u_d,data", [(H_ENCODING, {1: "1"}),
+                                      (RY_CNOT_ENCODING, {1: "101", 2: "011"})],
+                         ids=["h", "ry-cnot"])
+def test_remove_reservoir_under_data_encoding(u_d, data, label):
+    # both merged branches hold u_d|0>: the merge runs in the decoded basis
+    db = prepare_general(4, 0, data, m_data=u_d.n_qubits, u_d=u_d)
+    smaller = remove_reservoir(db, label)
+    assert (smaller.k, smaller.l) == (3, 1)
+    smaller.check()
+    assert smaller.descriptor.data == {j: w for j, w in data.items() if j != label}
+    assert state_matches_oracle(smaller) < 1e-12
+
+
 def test_remove_reservoir_guards():
     db = prepare_general(3, 0, {1: "1"})
     with pytest.raises(SemanticError):
@@ -709,6 +728,85 @@ def test_check_detects_tampering():
     db.state = StateVector(tampered, copy=False)
     with pytest.raises(VerificationError):
         db.check()
+
+
+def _check_by_label(db, tol=STATE_TOL):
+    """Per-label reference for ``QdbState.check`` on an unencoded database:
+    the message of the first failing label in ``expected_moduli`` order (its
+    modulus before its phase), then of stray support; None if all pass."""
+    amps = db.state.amplitudes
+    seen = np.zeros(amps.size, dtype=bool)
+    ref = None
+    for label, want in db.expected_moduli().items():
+        idx = db.layout.physical_index(label, db.descriptor.data_value(label))
+        seen[idx] = True
+        a = complex(amps[idx])
+        if abs(abs(a) - want) > tol:
+            return f"entry {label}: |amplitude| {abs(a):.12g}, expected {want:.12g}"
+        if ref is None:
+            ref = a / abs(a)
+        elif abs(a / abs(a) - ref) > math.sqrt(tol):
+            return f"entry {label} phase differs from entry phase"
+    stray = float(np.abs(amps[~seen]).max())
+    return f"stray amplitude {stray:.3g} outside the database" if stray > tol else None
+
+
+def _shift_weight(amps, i, j, eps=0.01):
+    """Move weight from basis index j to i, keeping the norm."""
+    total = abs(amps[i]) ** 2 + abs(amps[j]) ** 2
+    amps[i] *= math.sqrt(abs(amps[i]) ** 2 + eps) / abs(amps[i])
+    amps[j] *= math.sqrt(total - abs(amps[i]) ** 2) / abs(amps[j])
+
+
+def _add_stray(amps, i, eps=1e-6):
+    amps[i] += eps
+    amps /= np.linalg.norm(amps)
+
+
+# (mutation, expected start of the message) on prepare_general(6, 0, {1: 1, 5: 1}, m_data=1):
+# entry j with data d sits at index j | d << 3; patterns 6 and 7 are unused
+CHECK_MUTATIONS = {
+    "scaled": (lambda a: _shift_weight(a, 3, 4), "entry 3: |amplitude|"),
+    "flipped-phase": (lambda a: a.__setitem__(13, -a[13]), "entry 5 phase"),
+    "stray": (lambda a: _add_stray(a, 6), "stray amplitude"),
+    "earlier-label-first": (lambda a: (_shift_weight(a, 4, 0), a.__setitem__(2, -a[2])),
+                            "entry 0: |amplitude|"),
+    "modulus-before-phase": (lambda a: (a.__setitem__(9, -a[9]), _shift_weight(a, 9, 2),
+                                        _add_stray(a, 7)), "entry 1: |amplitude|"),
+    "phase-before-stray": (lambda a: (_add_stray(a, 15), a.__setitem__(4, 1j * a[4])),
+                           "entry 4 phase"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_MUTATIONS))
+def test_check_reports_the_first_failing_label(name):
+    mutate, start = CHECK_MUTATIONS[name]
+    db = prepare_general(6, 0, {1: 1, 5: 1}, m_data=1)
+    assert _check_by_label(db) is None and db.check()
+    amps = db.state.amplitudes.copy()
+    mutate(amps)
+    db.state = StateVector(amps, copy=False)
+    assert abs(db.state.norm() - 1) < STATE_TOL
+    with pytest.raises(VerificationError) as err:
+        db.check()
+    assert str(err.value) == _check_by_label(db)
+    assert str(err.value).startswith(start)
+
+
+def test_check_follows_the_amplitude_profile_order():
+    db = imbalanced_db()
+    db.check(tol=1e-8)
+    labels = list(db.amplitude_profile)
+    amps = db.state.amplitudes.copy()
+    late, early = (db.layout.physical_index(j, db.descriptor.data_value(j))
+                   for j in (labels[-1], labels[2]))
+    amps[late] *= -1
+    _shift_weight(amps, early, late)
+    db.state = StateVector(amps, copy=False)
+    with pytest.raises(VerificationError) as err:
+        db.check(tol=1e-8)
+    assert str(err.value) == _check_by_label(db, tol=1e-8)
+    assert str(err.value).startswith(f"entry {labels[2]}: |amplitude|")
 
 
 def test_emit_round_trips_through_text():
