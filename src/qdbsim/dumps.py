@@ -38,21 +38,32 @@ def annotate_bits(index: int, segments) -> str:
     return " ".join(parts)
 
 
+def _annotations(keep: np.ndarray, segments) -> list[str]:
+    """``annotate_bits`` of every index in ``keep``: one row of characters
+    per index, built from a template with one numpy pass per register bit."""
+    template = " ".join(f"{name}={'0' * len(qubits)}" for name, qubits in segments).encode()
+    if not template:
+        return [""] * keep.size
+    rows = np.empty((keep.size, len(template)), dtype=np.uint8)
+    rows[:] = np.frombuffer(template, dtype=np.uint8)
+    col = 0
+    for name, qubits in segments:
+        col += len(f"{name}=".encode())
+        for b, q in enumerate(reversed(qubits)):  # most significant bit first
+            rows[:, col + b] += ((keep >> q) & 1).astype(np.uint8)
+        col += len(qubits) + 1
+    return [row.decode() for row in rows.view(f"S{len(template)}").ravel().tolist()]
+
+
 def amplitude_records(state: StateVector, segments,
                       threshold: float = DUMP_THRESHOLD) -> list[dict]:
     """Support of a state as a list of {index, bits, re, im} dicts."""
     amps = state.amplitudes
     keep = np.nonzero(np.abs(amps) > threshold)[0]
-    out = []
-    for idx in keep:
-        a = amps[idx]
-        out.append({
-            "index": int(idx),
-            "bits": annotate_bits(int(idx), segments),
-            "re": float(a.real),
-            "im": float(a.imag),
-        })
-    return out
+    kept = amps[keep]
+    return [{"index": idx, "bits": bits, "re": re, "im": im}
+            for idx, bits, re, im in zip(keep.tolist(), _annotations(keep, segments),
+                                         kept.real.tolist(), kept.imag.tolist())]
 
 
 def dump_records(db, threshold: float = DUMP_THRESHOLD) -> list[dict]:

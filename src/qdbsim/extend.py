@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .circuit import Circuit, simulate
 from .errors import CapacityError, SemanticError, VerificationError
 from .gates import GateSpec, phase, x
 from .qdb import (
-    QdbLayout,
     QdbMeta,
     QdbState,
     _embed_on,
@@ -226,7 +225,7 @@ def transfer_meta(meta: QdbMeta, l: int) -> QdbMeta:
         raise SemanticError("transfer starts from a balanced database (l = 0)")
     if l < 0:
         raise SemanticError("cannot transfer weight for a negative entry count")
-    return replace(meta, descriptor=replace(meta.descriptor, l=l))
+    return meta._derived(descriptor=meta.descriptor._derived(l=l))
 
 
 def transfer(db: QdbState, l: int) -> tuple[QdbState, AmplificationPlan]:
@@ -249,7 +248,13 @@ def transfer(db: QdbState, l: int) -> tuple[QdbState, AmplificationPlan]:
     the gate-level reference.
     """
     new = transfer_meta(db.meta, l)
-    plan = plan_transfer(db.k, l)
+    return _transfer(db, new, plan_transfer(db.k, l))
+
+
+def _transfer(db: QdbState, new: QdbMeta,
+              plan: AmplificationPlan) -> tuple[QdbState, AmplificationPlan]:
+    """``transfer`` of ``db`` to the record ``new`` by the schedule ``plan``."""
+    l = new.l
     if plan.m_star == 0:  # l == 0, or k == 1: the reservoir already holds its target
         return (db if l == 0 else _successor(db, new, db.state, db.circuit)), plan
     if db.n_qubits != db.layout.n_qubits:
@@ -280,16 +285,25 @@ def transfer(db: QdbState, l: int) -> tuple[QdbState, AmplificationPlan]:
 
 
 def _with_index_qubits(meta: QdbMeta, qubits, new_patterns, profile=None) -> QdbMeta:
-    """The record after growth: ``qubits`` join the index register and the
-    new labels, numbered on from the largest, take ``new_patterns``."""
-    layout = meta.layout
-    start = max(layout.labels) + 1
+    """The record after growth: ``qubits`` join the index register as its
+    new high bits and the new labels, numbered on from the largest, take
+    ``new_patterns``. Only these are checked: they must be distinct and each
+    must set a new bit, which keeps it apart from every old pattern."""
+    layout, qubits = meta.layout, tuple(qubits)
+    kt = len(layout.index_qubits)
+    if len(set(new_patterns)) != len(new_patterns):
+        raise SemanticError("two labels share one index pattern")
+    for pat in new_patterns:
+        if not 0 < pat >> kt < 1 << len(qubits):
+            raise SemanticError(f"index pattern {pat} sets no new index bit")
+    start = max(layout.logical_index_map) + 1
     mapping = dict(layout.logical_index_map)
     mapping.update((start + i, pat) for i, pat in enumerate(new_patterns))
-    return replace(
-        meta, amplitude_profile=profile,
-        descriptor=replace(meta.descriptor, k=meta.k + len(new_patterns), l=0),
-        layout=QdbLayout(layout.index_qubits + tuple(qubits), layout.data_qubits, mapping))
+    return meta._derived(
+        amplitude_profile=profile,
+        descriptor=meta.descriptor._derived(k=meta.k + len(new_patterns), l=0),
+        layout=layout._derived(index_qubits=layout.index_qubits + qubits,
+                               logical_index_map=mapping))
 
 
 def unfold_meta(meta: QdbMeta) -> QdbMeta:
@@ -529,7 +543,7 @@ def extend_imbalanced(db: QdbState, l: int, z: int, *, route: str = "direct",
     plan = plan_extend_imbalanced(db.k, l, z, route=route)
     if plan_sink is not None:
         plan_sink(plan)
-    loaded = db if db.l == l else transfer(db, l)[0]
+    loaded = db if db.l == l else _transfer(db, transfer_meta(db.meta, l), plan.amplification)[0]
     if z == 1:
         return unfold(loaded)
     anc = new.layout.index_qubits[-z:]

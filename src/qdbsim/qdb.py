@@ -14,18 +14,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuit import Circuit, simulate
 from .errors import SemanticError, VerificationError
-from .gates import GateSpec, rot2, x, y
+from .gates import GateSpec, gate_inverse, rot2, x, y
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
     _check_budget,
     _register_scan,
+    _selector,
     add_ancillas,
     drop_qubits,
     project,
@@ -59,14 +60,31 @@ def _int_to_bits(value: int, width: int) -> str:
     return format(value, f"0{width}b") if width else ""
 
 
+class _Derivable:
+    """A frozen record that others are derived from."""
+
+    def _derived(self, **changes):
+        """This record with ``changes`` that keep it valid, built without
+        running the constructor or its checks."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, **changes)
+        return out
+
+
 @dataclass(frozen=True)
-class QdbDescriptor:
+class QdbDescriptor(_Derivable):
     """What a database holds: entry count, reservoir multiplicity, data map.
 
     ``data`` maps entry labels to MSB-first bitstrings; absent labels hold the
     all-zero word. Label 0 is the reservoir and must stay empty. ``u_d`` is an
     optional basis-change circuit on the data register: entry j then stores
     u_d|d_j> instead of |d_j>.
+
+    A record is checked once, when it is built from raw parts: the
+    constructor checks every word. As with ``Circuit``, a record derived from
+    a checked one is not checked again: ``with_data_value`` checks only the
+    word it sets, and the transitions that remap, drop or keep words build
+    their records through ``_derived``.
     """
 
     k: int
@@ -110,12 +128,16 @@ class QdbDescriptor:
         return _bits_to_int(self.data.get(label, ""))
 
     def with_data_value(self, label: int, value: int) -> "QdbDescriptor":
+        """This record with entry ``label`` holding ``value``; only that word
+        is checked."""
         new = dict(self.data)
         if value:
-            new[label] = _int_to_bits(value, self.m_data)
+            new[int(label)] = _int_to_bits(value, self.m_data)
+            if label == 0:
+                raise SemanticError("entry 0 is the reservoir and must stay empty")
         else:
             new.pop(label, None)
-        return replace(self, data=new)
+        return self._derived(data=new)
 
     def to_json(self) -> str:
         obj = {
@@ -160,13 +182,16 @@ class QdbDescriptor:
 
 
 @dataclass(frozen=True)
-class QdbLayout:
+class QdbLayout(_Derivable):
     """Where the database lives inside the simulated register.
 
     ``index_qubits[i]`` holds bit i of the index pattern; ``data_qubits[b]``
     holds data bit b. ``logical_index_map`` sends entry labels to index
     patterns; removals drop their label here, and the freed pattern stays
     unused until a relabeling re-keys the survivors.
+
+    Like ``QdbDescriptor``, a layout is checked whole only by its
+    constructor; removal and growth derive theirs.
     """
 
     index_qubits: tuple[int, ...]
@@ -258,7 +283,7 @@ class _Record:
 
 
 @dataclass(frozen=True)
-class QdbMeta(_Record):
+class QdbMeta(_Record, _Derivable):
     """What an operation's preconditions and effects consult: a QdbState
     without its amplitudes, build circuit and qubit budget.
 
@@ -266,6 +291,13 @@ class QdbMeta(_Record):
     op: a pure function of the op's arguments and this record that raises the
     op's SemanticError/CapacityError and returns the record after the op. The
     op calls it before touching amplitudes; the CLI dry run calls it alone.
+
+    A transition derives its records from the checked ones it is given and
+    checks only what it changes: the words it sets, the labels and patterns
+    it adds. Nothing else is checked again, so its checks cost the same at
+    every entry count k. The full checks run where raw parts come in:
+    ``prepare_meta`` and the ``QdbDescriptor`` and ``QdbLayout``
+    constructors.
     """
 
     descriptor: QdbDescriptor
@@ -663,6 +695,13 @@ def prepare_balanced(k: int, data: dict[int, int | str] | None = None,
 # write
 
 
+def _append_on(circ: Circuit, sub: Circuit, qubits):
+    """Append ``sub`` to ``circ`` in place, its wire i on ``qubits[i]``."""
+    moved = _embed_on(sub, qubits, circ.n_qubits)
+    circ.gates += moved.gates
+    circ.labels.update(moved.labels)
+
+
 def _sensor_prep_circuit(value: int, sensor_qubits, u_d: Circuit | None,
                          n: int) -> Circuit:
     circ = Circuit(n)
@@ -672,28 +711,27 @@ def _sensor_prep_circuit(value: int, sensor_qubits, u_d: Circuit | None,
         if (value >> b) & 1:
             circ.append(x(q))
     if u_d is not None:
-        circ += _embed_on(u_d, sensor_qubits, n)
+        _append_on(circ, u_d, sensor_qubits)
     return circ
 
 
-def _write_core_circuit(layout: QdbLayout, u_d: Circuit | None, n: int,
-                        label: int, sensor_qubits) -> Circuit:
-    """Toggle entry ``label``'s data bits wherever the sensor bit is set.
+def _append_write_core(circ: Circuit, layout: QdbLayout, u_d: Circuit | None,
+                       label: int, sensor_qubits):
+    """Append to ``circ``: toggle entry ``label``'s data bits wherever the
+    sensor bit is set.
 
     With a data encoding the data and sensor registers are rotated to the
     computational basis, toggled, and rotated back.
     """
-    circ = Circuit(n)
     if u_d is not None:
-        circ += _embed_on(u_d.inverse(), layout.data_qubits, n)
-        circ += _embed_on(u_d.inverse(), sensor_qubits, n)
+        _append_on(circ, u_d.inverse(), layout.data_qubits)
+        _append_on(circ, u_d.inverse(), sensor_qubits)
     pattern_ctrls = layout.pattern_controls(label)
     for b, dq in enumerate(layout.data_qubits):
         circ.append(GateSpec("x", (), (dq,), pattern_ctrls + ((sensor_qubits[b], 1),)))
     if u_d is not None:
-        circ += _embed_on(u_d, sensor_qubits, n)
-        circ += _embed_on(u_d, layout.data_qubits, n)
-    return circ
+        _append_on(circ, u_d, sensor_qubits)
+        _append_on(circ, u_d, layout.data_qubits)
 
 
 def _fresh_register(layout: QdbLayout) -> tuple[int, ...]:
@@ -729,9 +767,11 @@ def _word_value(meta: QdbMeta, label: int, word: int | str) -> int:
 
 def _check_occupied(db: QdbState, label: int):
     """Raise unless entry ``label`` (already known to the layout) carries
-    amplitude; reads only that entry's pattern of the index scan."""
-    table = _register_scan(db.state, db.layout.index_qubits)
-    if not table[db.layout.pattern(label)] > DUMP_THRESHOLD:
+    amplitude; reads only the amplitudes at that entry's index pattern."""
+    n = db.n_qubits
+    entry = db.state.amplitudes.reshape((2,) * n)[
+        _selector(n, db.layout.pattern_controls(label))]
+    if not np.vdot(entry, entry).real > DUMP_THRESHOLD:
         raise SemanticError(f"entry {label} carries no amplitude")
 
 
@@ -741,8 +781,8 @@ def write_meta(meta: QdbMeta, label: int, word: int | str, *,
     ``word``; with ``keep_sensor`` the sensor register stays attached."""
     value = _word_value(meta, label, word)
     desc = meta.descriptor
-    return replace(meta, descriptor=desc.with_data_value(label, desc.data_value(label) ^ value),
-                   sensor_qubits=_fresh_register(meta.layout) if keep_sensor else ())
+    return meta._derived(descriptor=desc.with_data_value(label, desc.data_value(label) ^ value),
+                         sensor_qubits=_fresh_register(meta.layout) if keep_sensor else ())
 
 
 def _write_folded(db: QdbState, label: int, value: int) -> StateVector:
@@ -798,26 +838,29 @@ def write(db: QdbState, label: int, word: int | str, *,
     sensor = _fresh_register(db.layout)
     n = sensor[-1] + 1
     _check_budget(n, db.max_qubits)
-    prep = _sensor_prep_circuit(value, sensor, db.descriptor.u_d, n)
-    core = _write_core_circuit(db.layout, db.descriptor.u_d, n, label, sensor)
-    applied = prep + core
+    # one circuit holds the sensor's preparation, the core and, unless the
+    # sensor stays attached, the preparation undone: inverses of checked
+    # gates on the same wires, so they are not checked again
+    circ = _sensor_prep_circuit(value, sensor, db.descriptor.u_d, n)
+    prepared = circ.gates[:]
+    _append_write_core(circ, db.layout, db.descriptor.u_d, label, sensor)
     if not keep_sensor:
-        return _successor(db, new, _write_folded(db, label, value),
-                          _grow(db.circuit, applied + prep.inverse()))
-    state = simulate(applied, add_ancillas(db.state, len(sensor), max_qubits=db.max_qubits))
+        circ.gates += [gate_inverse(g) for g in reversed(prepared)]
+        return _successor(db, new, _write_folded(db, label, value), _grow(db.circuit, circ))
+    state = simulate(circ, add_ancillas(db.state, len(sensor), max_qubits=db.max_qubits))
     purity = schmidt(state, sensor).purity
     if abs(purity - 1.0) > WRITE_PURITY_TOL:
         raise VerificationError(
             f"sensor register entangled after write (purity {purity:.12g})")
-    return _successor(db, new, state, _grow(db.circuit, applied))
+    return _successor(db, new, state, _grow(db.circuit, circ))
 
 
 def write_swap_meta(meta: QdbMeta, label: int, word: int | str) -> QdbMeta:
     """Transition of ``write_swap_conditional``: the entry records ``word``
     and the sensor register stays attached."""
     value = _word_value(meta, label, word)
-    return replace(meta, descriptor=meta.descriptor.with_data_value(label, value),
-                   sensor_qubits=_fresh_register(meta.layout))
+    return meta._derived(descriptor=meta.descriptor.with_data_value(label, value),
+                         sensor_qubits=_fresh_register(meta.layout))
 
 
 def write_swap_conditional(db: QdbState, label: int, word: int | str) -> QdbState:
@@ -848,14 +891,14 @@ def read_copy_meta(meta: QdbMeta, label: int) -> QdbMeta:
     """Transition of ``read_copy``: a copy register is attached."""
     _check_entry(meta, label, "read")
     _check_data_register(meta)
-    return replace(meta, copy_qubits=_fresh_register(meta.layout))
+    return meta._derived(copy_qubits=_fresh_register(meta.layout))
 
 
 def read_copy_all_meta(meta: QdbMeta) -> QdbMeta:
     """Transition of ``read_copy_all``: a copy register is attached."""
     meta.require_bare("read")
     _check_data_register(meta)
-    return replace(meta, copy_qubits=_fresh_register(meta.layout))
+    return meta._derived(copy_qubits=_fresh_register(meta.layout))
 
 
 def _copy_data(db: QdbState, new: QdbMeta, ctrls) -> QdbState:
@@ -944,12 +987,11 @@ def _without_entry(meta: QdbMeta, label: int, l: int, profile, **changes) -> Qdb
     """The record minus entry ``label``: its word, its label and its index
     pattern, which stays unused until a relabeling re-keys the survivors."""
     desc, layout = meta.descriptor, meta.layout
-    return replace(
-        meta,
-        descriptor=QdbDescriptor(k=desc.k - 1, l=l, u_d=desc.u_d, m_data=desc.m_data,
+    return meta._derived(
+        descriptor=desc._derived(k=desc.k - 1, l=l,
                                  data={j: w for j, w in desc.data.items() if j != label}),
-        layout=QdbLayout(layout.index_qubits, layout.data_qubits,
-                         {j: p for j, p in layout.logical_index_map.items() if j != label}),
+        layout=layout._derived(logical_index_map={
+            j: p for j, p in layout.logical_index_map.items() if j != label}),
         amplitude_profile=profile, **changes)
 
 
@@ -1091,8 +1133,8 @@ def permute_meta(meta: QdbMeta, perm) -> tuple[QdbMeta, dict[int, int]]:
     profile = meta.amplitude_profile
     if profile is not None:
         profile = {mapping[j]: wgt for j, wgt in profile.items()}
-    return replace(meta, amplitude_profile=profile, descriptor=replace(
-        desc, data={mapping[j]: w for j, w in desc.data.items()})), mapping
+    return meta._derived(amplitude_profile=profile, descriptor=desc._derived(
+        data={mapping[j]: w for j, w in desc.data.items()})), mapping
 
 
 def permute(db: QdbState, perm) -> QdbState:

@@ -12,6 +12,13 @@ One gate per line::
     # comments run to end of line
 
 Floats are emitted with ``repr`` so emit -> parse -> emit is byte-identical.
+
+A history repeats few wire sets over many gates, so ``emit_text`` renders
+the wires of each distinct (targets, controls) pair once per call. The memo
+lives only as long as the call, so no two callers share it. It is keyed on
+the wires, not on the gate: ``GateSpec`` equality compares floats, so
+``phase(0.0)`` equals ``phase(-0.0)``, and a gate-keyed memo would print
+the second as ``0.0``. Each gate's parameters are formatted on their own.
 """
 
 from __future__ import annotations
@@ -41,21 +48,28 @@ def _fmt_params(g: GateSpec) -> str:
     return "(" + ",".join(parts) + ")"
 
 
+def _fmt_wires(targets, controls) -> str:
+    text = "".join(f" q[{t}]" for t in targets)
+    pos = [f"q[{q}]" for q, b in controls if b == 1]
+    neg = [f"q[{q}]" for q, b in controls if b == 0]
+    if pos:
+        text += " ctrl " + " ".join(pos)
+    if neg:
+        text += " nctrl " + " ".join(neg)
+    return text
+
+
 def emit_text(circuit: Circuit) -> str:
     lines = [f"qubits {circuit.n_qubits}"]
     for q in sorted(circuit.labels):
         lines.append(f"label q[{q}] {circuit.labels[q]}")
+    wires: dict[tuple, str] = {}
     for g in circuit.gates:
-        line = g.kind + _fmt_params(g)
-        if g.targets:
-            line += " " + " ".join(f"q[{t}]" for t in g.targets)
-        pos = [q for q, b in g.controls if b == 1]
-        neg = [q for q, b in g.controls if b == 0]
-        if pos:
-            line += " ctrl " + " ".join(f"q[{q}]" for q in pos)
-        if neg:
-            line += " nctrl " + " ".join(f"q[{q}]" for q in neg)
-        lines.append(line)
+        key = (g.targets, g.controls)
+        text = wires.get(key)
+        if text is None:
+            text = wires[key] = _fmt_wires(*key)
+        lines.append(g.kind + _fmt_params(g) + text)
     return "\n".join(lines) + "\n"
 
 

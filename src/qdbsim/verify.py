@@ -22,21 +22,31 @@ from .extend import (
     amplification_circuit,
     extend,
     extend_imbalanced,
+    extend_imbalanced_meta,
+    extend_meta,
     plan_extend_imbalanced,
     plan_transfer,
     transfer,
 )
 from .gates import GateSpec, h, phase, rot2, ry, swap, x, y, ytilde
 from .qdb import (
+    QdbDescriptor,
+    QdbLayout,
     _grow,
     _sensor_prep_circuit,
     permute,
+    permute_meta,
     preparation_circuit,
     prepare_general,
+    prepare_meta,
     read_copy,
     remove_projective,
+    remove_projective_meta,
     remove_reservoir,
+    remove_reservoir_meta,
     write,
+    write_meta,
+    write_swap_meta,
 )
 from .statevector import StateVector, drop_qubits, schmidt, states_equal
 from .text_format import emit_text, parse_text
@@ -208,6 +218,36 @@ def _check_db_ops() -> str:
             "full-matrix SVD; write/read/remove/permute invariants hold")
 
 
+def _check_derived_records() -> str:
+    """The transitions derive their records without the constructors' full
+    checks. Along a fixed op sequence, rebuild every record through the
+    ``QdbDescriptor`` and ``QdbLayout`` constructors: each must be accepted,
+    come out equal, and track exactly its k labels."""
+    ops = ("write permute remove-reservoir extend(unfold) extend extend-imbalanced "
+           "remove-projective remove-reservoir write write-swap").split()
+    for u_d, m_data in ((None, 2), (Circuit(1, [h(0)]), 1)):
+        m = prepare_meta(6, 0, {3: 1, 5: 1}, m_data=m_data, u_d=u_d)
+        records = [m := write_meta(m, 1, 1), m := permute_meta(m, {1: 3, 3: 1})[0],
+                   m := remove_reservoir_meta(m, 2), m := extend_meta(m, 1),
+                   m := extend_meta(m, 3), m := extend_imbalanced_meta(m, 6, 2),
+                   m := remove_projective_meta(m, 3)[1], m := remove_reservoir_meta(m, 1),
+                   m := write_meta(m, 4, 1), write_swap_meta(m, 5, 1)]
+        for op, meta in zip(ops, records):
+            d, lay = meta.descriptor, meta.layout
+            try:
+                same = (QdbDescriptor(d.k, d.l, dict(d.data), d.u_d, d.m_data) == d
+                        and QdbLayout(lay.index_qubits, lay.data_qubits,
+                                      dict(lay.logical_index_map)) == lay)
+            except SemanticError as exc:
+                raise VerificationError(f"{op} built a record the constructors "
+                                        f"reject: {exc}") from exc
+            if not same or len(lay.logical_index_map) != d.k or not set(d.data) <= set(lay.labels):
+                raise VerificationError(f"{op} built a record the constructors rewrite "
+                                        "or whose labels miss its k")
+    return (f"{len(ops)} transitions, with and without u_d = H, derive records "
+            "the full constructors accept unchanged")
+
+
 def _check_mcx() -> str:
     rng = np.random.default_rng(7)
     for tau in (3, 4, 5):
@@ -243,6 +283,7 @@ FULL_CHECKS = FAST_CHECKS + [
     ("extend-chain", _check_extend_chain),
     ("imbalanced-extend", _check_imbalanced),
     ("database-ops", _check_db_ops),
+    ("derived-records", _check_derived_records),
     ("mcx-decomposition", _check_mcx),
 ]
 

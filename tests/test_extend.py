@@ -1,5 +1,6 @@
 """Growth operations: amplitude transfer, unfold, chunked and imbalanced extend."""
 
+import importlib
 import json
 import math
 import time
@@ -367,6 +368,23 @@ def test_plan_imbalanced_guards():
         plan_extend_imbalanced(4, 2, 0)
     with pytest.raises(SemanticError):
         plan_extend_imbalanced(4, 2, 2, route="scenic")
+
+
+def test_imbalanced_extend_plans_its_transfer_once(monkeypatch):
+    extend_mod = importlib.import_module("qdbsim.extend")  # the package's `extend` is the op
+    calls = []
+
+    def spy(k, l, plan=extend_mod.plan_transfer):
+        calls.append((k, l))
+        return plan(k, l)
+
+    monkeypatch.setattr(extend_mod, "plan_transfer", spy)
+    plans = []
+    grown = extend_imbalanced(prepare_general(8), 6, 2, plan_sink=plans.append)
+    assert calls == [(8, 6)]
+    grown.check(tol=1e-8)
+    monkeypatch.undo()
+    assert plans[0].to_report() == plan_extend_imbalanced(8, 6, 2).to_report()
 
 
 def test_imbalanced_single_ancilla_is_balanced():

@@ -230,6 +230,24 @@ def test_write_into_entry_without_amplitude_fails():
     assert write(ghost, 2, "1").descriptor.data_value(2) == 1
 
 
+def test_hollow_entry_of_a_20_qubit_database_is_refused(monkeypatch, tmp_path, capsys):
+    db = prepare_general(4096, 0, m_data=8)
+    assert db.n_qubits == 20
+    hit = _register_scan(db.state, db.layout.index_qubits, db.layout.pattern(7))
+    ghost = dataclasses.replace(db, state=project(db.state, ~hit)[0])
+    for op in (lambda d: write(d, 7, 1), lambda d: read_copy(d, 7),
+               lambda d: remove_reservoir(d, 7), lambda d: remove_projective(d, 7)):
+        with pytest.raises(SemanticError, match="^entry 7 carries no amplitude$") as err:
+            op(ghost)
+        assert err.value.exit_code == 3
+    cli = importlib.import_module("qdbsim.cli")
+    monkeypatch.setattr(cli, "prepare_general", lambda **kwargs: ghost)
+    script = tmp_path / "hollow.qdb"
+    script.write_text("prepare k=4096 m=8\nwrite j=7 d=1\n")
+    assert cli.main(["run", str(script), "--out", str(tmp_path / "out")]) == 3
+    assert "write (line 2): entry 7 carries no amplitude" in capsys.readouterr().err
+
+
 def test_write_keep_sensor_leaves_product_register():
     db = prepare_general(4, 0, m_data=1)
     kept = write(db, 2, 1, keep_sensor=True)

@@ -109,3 +109,88 @@ def test_random_circuit_round_trip(seed):
         c.append(g)
     text = emit_text(c)
     assert emit_text(parse_text(text)) == text
+
+
+# --- the renderer against a per-gate reference --------------------------------
+
+
+def reference_emit(circuit: Circuit) -> str:
+    """The circuit text rendered gate by gate with no memo."""
+    lines = [f"qubits {circuit.n_qubits}"]
+    lines += [f"label q[{q}] {circuit.labels[q]}" for q in sorted(circuit.labels)]
+    for g in circuit.gates:
+        line = g.kind
+        if g.params:
+            ints = (True, True, False) if g.kind == "rot2" else (False,) * len(g.params)
+            line += "(" + ",".join(str(int(p)) if i else repr(float(p))
+                                   for p, i in zip(g.params, ints)) + ")"
+        if g.targets:
+            line += " " + " ".join(f"q[{t}]" for t in g.targets)
+        pos = [q for q, b in g.controls if b == 1]
+        neg = [q for q, b in g.controls if b == 0]
+        if pos:
+            line += " ctrl " + " ".join(f"q[{q}]" for q in pos)
+        if neg:
+            line += " nctrl " + " ".join(f"q[{q}]" for q in neg)
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+ANGLES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1 + 0.2]),
+                   st.floats(-10, 10, allow_nan=False))
+PROBABILITIES = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0, 1))
+
+
+@st.composite
+def circuits(draw):
+    """Circuits that reuse a few wire sets across gates of every kind."""
+    n = draw(st.integers(3, 7), label="n")
+    wire_sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        wires = draw(st.permutations(range(n)))
+        width = draw(st.integers(0, n - 2))
+        polarity = draw(st.lists(st.integers(0, 1), min_size=width, max_size=width))
+        wire_sets.append((wires[0], wires[1], tuple(zip(wires[2:2 + width], polarity))))
+    c = Circuit(n)
+    for q in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
+        c.label(q, draw(st.sampled_from(["I", "D", "A", "S"])))
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(["x", "h", "ry", "y", "ytilde", "phase", "swap", "rot2"]))
+        if kind == "rot2":
+            a, b = draw(st.lists(st.integers(0, 2**n - 1), min_size=2, max_size=2,
+                                 unique=True))
+            c.append(GateSpec("rot2", (float(a), float(b), draw(ANGLES))))
+            continue
+        t0, t1, controls = draw(st.sampled_from(wire_sets))
+        targets = (t0, t1) if kind == "swap" else (t0,)
+        params = {"x": (), "h": (), "swap": (), "ry": (draw(ANGLES),),
+                  "phase": (draw(ANGLES),), "y": (draw(PROBABILITIES),),
+                  "ytilde": (draw(PROBABILITIES),)}[kind]
+        c.append(GateSpec(kind, params, targets, controls))
+    return c
+
+
+@settings(deadline=None, max_examples=100)
+@given(c=circuits())
+def test_emit_matches_the_per_gate_reference(c):
+    text = emit_text(c)
+    assert text == reference_emit(c)
+    assert emit_text(parse_text(text)) == text
+
+
+def test_signed_zero_phases_on_one_wire_set_stay_apart():
+    c = Circuit(2, [phase(0, 0.0, ctrl=(1,)), phase(0, -0.0, ctrl=(1,)), phase(0, 0.0, ctrl=(1,))])
+    assert c.gates[0] == c.gates[1]  # GateSpec equality cannot tell them apart
+    text = emit_text(c)
+    assert text.splitlines()[1:] == ["phase(0.0) q[0] ctrl q[1]", "phase(-0.0) q[0] ctrl q[1]",
+                                     "phase(0.0) q[0] ctrl q[1]"]
+    assert text == reference_emit(c)
+    assert emit_text(parse_text(text)) == text
+
+
+def test_wide_circuits_name_every_qubit():
+    c = Circuit(80, [x(79, ctrl=(70,), nctrl=(3,)), x(79, ctrl=(70,), nctrl=(3,))])
+    c.label(75, "A")
+    text = emit_text(c)
+    assert text == reference_emit(c)
+    assert "x q[79] ctrl q[70] nctrl q[3]" in text

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qdbsim.errors import SemanticError
+from qdbsim.errors import SemanticError, VerificationError
 from qdbsim.verify import FAST_CHECKS, FULL_CHECKS, VerifyReport, run_verify
 
 
@@ -53,3 +53,17 @@ def test_failures_are_captured_not_raised(monkeypatch):
     failed = [c for c in report.checks if not c.passed]
     assert len(failed) == 1
     assert "simulated defect" in failed[0].detail
+
+
+def test_derived_records_check_catches_a_record_the_constructors_rewrite(monkeypatch):
+    import qdbsim.verify as verify_mod
+
+    def unpadded_write(meta, label, word, write_meta=verify_mod.write_meta):
+        new = write_meta(meta, label, word)
+        data = {j: w.lstrip("0") for j, w in new.descriptor.data.items()}
+        return new._derived(descriptor=new.descriptor._derived(data=data))
+
+    assert "accept unchanged" in verify_mod._check_derived_records()
+    monkeypatch.setattr(verify_mod, "write_meta", unpadded_write)
+    with pytest.raises(VerificationError, match="^write built a record the constructors rewrite"):
+        verify_mod._check_derived_records()
