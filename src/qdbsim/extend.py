@@ -12,6 +12,10 @@ it is done in two unitary moves applied to the concrete state at hand:
 * unfold — an ancilla qubit splits the enlarged reservoir into l new equal
   entries plus one remaining empty entry.
 
+Under a data encoding the reservoir's data is u_d|0>, so every phase on the
+reservoir branch runs inside the encoding (``qdb._decoded``); the index
+spreads act on the index register alone.
+
 ``extend`` chains the two in chunks of at most k new entries per round.
 ``extend_imbalanced`` instead spends z ancilla qubits at once, reaching up to
 (2^z - 1) * k new entries in a single round at the price of unequal
@@ -32,7 +36,8 @@ from .gates import GateSpec, phase, x
 from .qdb import (
     QdbMeta,
     QdbState,
-    _embed_on,
+    _decoded,
+    _encoding,
     _grow,
     _successor,
     prepare_circuit,
@@ -156,25 +161,14 @@ def zero_phase_circuit(phi: float, qubits, n_qubits: int) -> Circuit:
     return circ
 
 
-def _data_encoding(db: QdbState, n_qubits: int) -> Circuit | None:
-    """The database's data encoding u_d on its data register, if it has one."""
-    u_d = db.descriptor.u_d
-    return None if u_d is None else _embed_on(u_d, db.layout.data_qubits, n_qubits)
-
-
-def _on_reservoir(circ: Circuit, encoding: Circuit | None) -> Circuit:
-    """``circ``, written for the all-zero string, made to act on the reservoir
-    branch |0>|u_d 0> instead: conjugated by the data encoding, if any."""
-    return circ if encoding is None else encoding.inverse() + circ + encoding
-
-
 def amplification_step_circuit(u_qdb: Circuit, db_qubits, phi: float,
                                rho: float, encoding: Circuit | None) -> Circuit:
     """One amplification step as gates: reservoir phase rho, unprepare,
     zero-string phase phi, re-prepare. ``encoding`` is the data encoding on
-    the data register (see ``_on_reservoir``)."""
+    the data register (``qdb._encoding``); the reservoir phase acts on the
+    reservoir branch |0>|u_d 0>, so it is conjugated by it (``qdb._decoded``)."""
     n = u_qdb.n_qubits
-    circ = _on_reservoir(zero_phase_circuit(rho, db_qubits, n), encoding)
+    circ = _decoded(zero_phase_circuit(rho, db_qubits, n), encoding)
     circ += u_qdb.inverse()
     circ += zero_phase_circuit(phi, db_qubits, n)
     circ += u_qdb
@@ -191,13 +185,13 @@ def amplification_circuit(u_qdb: Circuit, db_qubits, plan: AmplificationPlan,
     for _ in range(plan.m):
         circ += amplification_step_circuit(u_qdb, db_qubits, math.pi, math.pi, encoding)
     circ += amplification_step_circuit(u_qdb, db_qubits, plan.phi, plan.rho, encoding)
-    circ += _on_reservoir(zero_phase_circuit(plan.phase_fix, db_qubits, n), encoding)
+    circ += _decoded(zero_phase_circuit(plan.phase_fix, db_qubits, n), encoding)
     return circ
 
 
 def _reservoir_ket(encoding: Circuit | None, n: int, max_qubits: int) -> np.ndarray:
-    """Amplitudes of the reservoir branch |0>|u_d 0> that ``_on_reservoir``
-    phases: E|0...0> for the data encoding E, if any."""
+    """Amplitudes of the reservoir branch |0>|u_d 0> that the reservoir
+    phases act on: E|0...0> for the data encoding E, if any."""
     zero = StateVector.zero(n, max_qubits=max_qubits)
     return (zero if encoding is None else simulate(encoding, zero)).amplitudes
 
@@ -241,7 +235,7 @@ def transfer(db: QdbState, l: int) -> tuple[QdbState, AmplificationPlan]:
     rho, u^-1, zero-string phase phi, u. The amplitudes get the same
     operators as exact reflections: a zero-string phase over the whole
     register is I + (e^{i theta} - 1)|0><0| (conjugated by the data encoding
-    E on the reservoir, so about r = E|0>), and u Z(phi) u^-1 is
+    E on the reservoir, ``qdb._decoded``, so about r = E|0>), and u Z(phi) u^-1 is
     I + (e^{i phi} - 1)|psi><psi| with psi the preflight's own vector. Only
     the preflight (and E, a few gates) is simulated, and each reflection
     touches only the amplitudes where its axis is nonzero; ``verify`` holds
@@ -267,7 +261,7 @@ def _transfer(db: QdbState, new: QdbMeta,
             "reproduce the live state")
     db_qubits = tuple(db.layout.index_qubits) + tuple(db.layout.data_qubits)
     n = db.n_qubits
-    encoding = _data_encoding(db, n)
+    encoding = _encoding(db.descriptor.u_d, n, db.layout.data_qubits)
     circ = amplification_circuit(u_qdb, db_qubits, plan, encoding)
     prepared = _nonzeros(psi.amplitudes)
     del psi  # frees the dense state: only its nonzeros are needed from here on
@@ -328,7 +322,7 @@ def unfold(db: QdbState) -> QdbState:
 
     One fresh ancilla becomes the next index bit: a rotation on it (negatively
     controlled on every database qubit, inside the data encoding if there is
-    one) peels the reservoir branch, and the
+    one, ``qdb._decoded``) peels the reservoir branch, and the
     index-register preparation for l entries, applied under that ancilla,
     spreads the branch over l fresh patterns. The result is a balanced
     database of k + l entries.
@@ -349,7 +343,8 @@ def unfold(db: QdbState) -> QdbState:
     db_qubits = tuple(db.layout.index_qubits) + tuple(db.layout.data_qubits)
     theta = 2 * math.acos(1.0 / math.sqrt(l + 1))
     peel = Circuit(n, [GateSpec("ry", (theta,), (anc,), tuple((q, 0) for q in db_qubits))])
-    circ = Circuit(n).label(anc, "I") + _on_reservoir(peel, _data_encoding(db, n))
+    circ = Circuit(n).label(anc, "I") + _decoded(
+        peel, _encoding(db.descriptor.u_d, n, db.layout.data_qubits))
     if l > 1:
         circ += prepare_circuit(l, 0, db.layout.index_qubits, n).controlled(ctrl=(anc,))
     new_db = _successor(db, new, simulate(circ, state), _grow(db.circuit, circ))

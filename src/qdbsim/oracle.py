@@ -73,14 +73,13 @@ def _rot2_matrix(a: int, b: int, theta: float, n: int) -> np.ndarray:
     return out
 
 
-def _control_projector(controls, n: int) -> np.ndarray:
-    diag = np.ones(2**n)
-    for idx in range(2**n):
-        for q, bit in controls:
-            if (idx >> q) & 1 != bit:
-                diag[idx] = 0.0
-                break
-    return np.diag(diag).astype(complex)
+def _control_mask(controls, n: int) -> np.ndarray:
+    """Which basis indices satisfy every (qubit, bit) control."""
+    idx = np.arange(2**n)
+    mask = np.ones(2**n, dtype=bool)
+    for q, bit in controls:
+        mask &= (idx >> q) & 1 == bit
+    return mask
 
 
 def dense_gate(gate, n: int) -> np.ndarray:
@@ -95,9 +94,9 @@ def dense_gate(gate, n: int) -> np.ndarray:
         bare = _embed_1q(_mat_1q(gate.kind, gate.params), gate.targets[0], n)
     if not gate.controls:
         return bare
-    proj = _control_projector(gate.controls, n)
-    eye = np.eye(2**n, dtype=complex)
-    return bare @ proj + (eye - proj)
+    # the gate acts on the columns whose index satisfies the controls and
+    # leaves every other basis state alone
+    return np.where(_control_mask(gate.controls, n), bare, np.eye(2**n, dtype=complex))
 
 
 def dense_operator(circuit) -> np.ndarray:

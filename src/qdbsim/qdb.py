@@ -377,10 +377,9 @@ class QdbState(_Record):
         if abs(self.state.norm() - 1.0) > tol:
             raise VerificationError(f"state norm {self.state.norm()} is off unit")
         st = self.state
-        if self.descriptor.u_d is not None:
-            dec = self.descriptor.u_d.inverse().remapped(
-                {i: q for i, q in enumerate(self.layout.data_qubits)}, st.n_qubits)
-            st = simulate(dec, st)
+        enc = _encoding(self.descriptor.u_d, st.n_qubits, self.layout.data_qubits)
+        if enc is not None:
+            st = simulate(enc.inverse(), st)
         expected = self.expected_moduli()
         labels = list(expected)
         data = self.descriptor.data
@@ -583,8 +582,29 @@ def pattern_permutation_circuit(mapping: dict[int, int], index_qubits,
     return circ
 
 
-def _embed_on(circuit: Circuit, qubits, n_qubits: int) -> Circuit:
-    return circuit.remapped({i: q for i, q in enumerate(qubits)}, n_qubits)
+def _encoding(u_d: Circuit | None, n: int, *registers) -> Circuit | None:
+    """The data encoding E on an n-qubit register: u_d on each of
+    ``registers`` in turn (the data register, and any register such as the
+    sensor that holds a word the way the data register does). None when the
+    database has no encoding."""
+    if u_d is None:
+        return None
+    circ = Circuit(n)
+    for qubits in registers:
+        circ += u_d.remapped(dict(enumerate(qubits)), n)
+    return circ
+
+
+def _decoded(circ: Circuit, encoding: Circuit | None) -> Circuit:
+    """``circ``, written for computational words, made to act inside the
+    data encoding: E^-1 + circ + E, or ``circ`` itself with no encoding.
+
+    The paper stores entry j's word as u_d|d_j> and defines its operations on
+    computational words, so every operation that reads or changes a word
+    (write, copy-read, removal's merge, growth's reservoir phases) runs in
+    this frame.
+    """
+    return circ if encoding is None else encoding.inverse() + circ + encoding
 
 
 def _data_write_circuit(descriptor: QdbDescriptor, layout: QdbLayout,
@@ -599,9 +619,8 @@ def _data_write_circuit(descriptor: QdbDescriptor, layout: QdbLayout,
         for b, q in enumerate(layout.data_qubits):
             if (value >> b) & 1:
                 circ.append(GateSpec("x", (), (q,), ctrls))
-    if descriptor.u_d is not None:
-        circ += _embed_on(descriptor.u_d, layout.data_qubits, n)
-    return circ
+    enc = _encoding(descriptor.u_d, n, layout.data_qubits)
+    return circ if enc is None else circ + enc
 
 
 def preparation_circuit(descriptor: QdbDescriptor, layout: QdbLayout) -> Circuit:
@@ -695,13 +714,6 @@ def prepare_balanced(k: int, data: dict[int, int | str] | None = None,
 # write
 
 
-def _append_on(circ: Circuit, sub: Circuit, qubits):
-    """Append ``sub`` to ``circ`` in place, its wire i on ``qubits[i]``."""
-    moved = _embed_on(sub, qubits, circ.n_qubits)
-    circ.gates += moved.gates
-    circ.labels.update(moved.labels)
-
-
 def _sensor_prep_circuit(value: int, sensor_qubits, u_d: Circuit | None,
                          n: int) -> Circuit:
     circ = Circuit(n)
@@ -710,28 +722,8 @@ def _sensor_prep_circuit(value: int, sensor_qubits, u_d: Circuit | None,
     for b, q in enumerate(sensor_qubits):
         if (value >> b) & 1:
             circ.append(x(q))
-    if u_d is not None:
-        _append_on(circ, u_d, sensor_qubits)
-    return circ
-
-
-def _append_write_core(circ: Circuit, layout: QdbLayout, u_d: Circuit | None,
-                       label: int, sensor_qubits):
-    """Append to ``circ``: toggle entry ``label``'s data bits wherever the
-    sensor bit is set.
-
-    With a data encoding the data and sensor registers are rotated to the
-    computational basis, toggled, and rotated back.
-    """
-    if u_d is not None:
-        _append_on(circ, u_d.inverse(), layout.data_qubits)
-        _append_on(circ, u_d.inverse(), sensor_qubits)
-    pattern_ctrls = layout.pattern_controls(label)
-    for b, dq in enumerate(layout.data_qubits):
-        circ.append(GateSpec("x", (), (dq,), pattern_ctrls + ((sensor_qubits[b], 1),)))
-    if u_d is not None:
-        _append_on(circ, u_d, sensor_qubits)
-        _append_on(circ, u_d, layout.data_qubits)
+    enc = _encoding(u_d, n, sensor_qubits)
+    return circ if enc is None else circ + enc
 
 
 def _fresh_register(layout: QdbLayout) -> tuple[int, ...]:
@@ -793,11 +785,10 @@ def _write_folded(db: QdbState, label: int, value: int) -> StateVector:
     Raises VerificationError unless the amplitude at the entry's old
     computational word has moved to its new word.
     """
-    layout, u_d = db.layout, db.descriptor.u_d
+    layout = db.layout
     n = db.n_qubits
-    state = db.state
-    if u_d is not None:
-        state = simulate(_embed_on(u_d.inverse(), layout.data_qubits, n), state)
+    enc = _encoding(db.descriptor.u_d, n, layout.data_qubits)
+    state = db.state if enc is None else simulate(enc.inverse(), db.state)
     old = db.descriptor.data_value(label)
     moved = state.amplitudes[layout.physical_index(label, old)]
     ctrls = layout.pattern_controls(label)
@@ -806,9 +797,7 @@ def _write_folded(db: QdbState, label: int, value: int) -> StateVector:
                                  if (value >> b) & 1]), state)
     if abs(state.amplitudes[layout.physical_index(label, old ^ value)] - moved) > STATE_TOL:
         raise VerificationError(f"write left entry {label}'s amplitude behind")
-    if u_d is not None:
-        state = simulate(_embed_on(u_d, layout.data_qubits, n), state)
-    return state
+    return state if enc is None else simulate(enc, state)
 
 
 def write(db: QdbState, label: int, word: int | str, *,
@@ -831,6 +820,9 @@ def write(db: QdbState, label: int, word: int | str, *,
     sensor register is simulated, the returned state carries
     ``sensor_qubits``, and the sensor must come out unentangled (purity
     within ``WRITE_PURITY_TOL`` of 1, VerificationError otherwise).
+
+    Under a data encoding the toggles run inside it on the data and sensor
+    registers (``_decoded``).
     """
     new = write_meta(db.meta, label, word, keep_sensor=keep_sensor)
     _check_occupied(db, label)
@@ -838,14 +830,18 @@ def write(db: QdbState, label: int, word: int | str, *,
     sensor = _fresh_register(db.layout)
     n = sensor[-1] + 1
     _check_budget(n, db.max_qubits)
-    # one circuit holds the sensor's preparation, the core and, unless the
-    # sensor stays attached, the preparation undone: inverses of checked
-    # gates on the same wires, so they are not checked again
-    circ = _sensor_prep_circuit(value, sensor, db.descriptor.u_d, n)
-    prepared = circ.gates[:]
-    _append_write_core(circ, db.layout, db.descriptor.u_d, label, sensor)
+    # one circuit holds the sensor's preparation, the core (the toggles,
+    # inside the encoding on data and sensor) and, unless the sensor stays
+    # attached, the preparation undone: inverses of checked gates on the
+    # same wires, so they are not checked again
+    u_d, data = db.descriptor.u_d, db.layout.data_qubits
+    prep = _sensor_prep_circuit(value, sensor, u_d, n)
+    ctrls = db.layout.pattern_controls(label)
+    toggles = Circuit(n, [GateSpec("x", (), (dq,), ctrls + ((sensor[b], 1),))
+                          for b, dq in enumerate(data)])
+    circ = prep + _decoded(toggles, _encoding(u_d, n, sensor, data))
     if not keep_sensor:
-        circ.gates += [gate_inverse(g) for g in reversed(prepared)]
+        circ.gates += [gate_inverse(g) for g in reversed(prep.gates)]
         return _successor(db, new, _write_folded(db, label, value), _grow(db.circuit, circ))
     state = simulate(circ, add_ancillas(db.state, len(sensor), max_qubits=db.max_qubits))
     purity = schmidt(state, sensor).purity
@@ -907,16 +903,12 @@ def _copy_data(db: QdbState, new: QdbMeta, ctrls) -> QdbState:
     out = new.copy_qubits
     n = out[-1] + 1
     state = add_ancillas(db.state, len(out), max_qubits=db.max_qubits)
-    circ = Circuit(n)
+    data = db.layout.data_qubits
+    circ = Circuit(n, [GateSpec("x", (), (out[b],), ctrls + ((dq, 1),))
+                       for b, dq in enumerate(data)])
     for q in out:
         circ.label(q, "A")
-    u_d = db.descriptor.u_d
-    if u_d is not None:
-        circ += _embed_on(u_d.inverse(), db.layout.data_qubits, n)
-    for b, dq in enumerate(db.layout.data_qubits):
-        circ.append(GateSpec("x", (), (out[b],), ctrls + ((dq, 1),)))
-    if u_d is not None:
-        circ += _embed_on(u_d, db.layout.data_qubits, n)
+    circ = _decoded(circ, _encoding(db.descriptor.u_d, n, data))
     return _successor(db, new, simulate(circ, state), _grow(db.circuit, circ))
 
 
@@ -925,7 +917,9 @@ def read_copy(db: QdbState, label: int) -> QdbState:
 
     The copy register stays attached; it holds the entry's computational word
     on the branch addressing the entry and |0> elsewhere, so it is entangled
-    with the database whenever the copied word is nonzero.
+    with the database whenever the copied word is nonzero. Under a data
+    encoding the copy runs inside it on the data register (``_decoded``), so
+    the copy register holds the word unencoded.
     """
     new = read_copy_meta(db.meta, label)
     _check_occupied(db, label)
@@ -1012,8 +1006,8 @@ def remove_reservoir(db: QdbState, label: int) -> QdbState:
     The entry's data word is toggled off first (by ``write``), then a
     two-basis-state rotation merges the entry's amplitude into the all-zero
     string. Under a data encoding both branches hold u_d|0>, so the rotation
-    is conjugated by u_d on the data register and reads the two amplitudes
-    in the decoded basis. Entry count drops by one, reservoir multiplicity
+    runs inside the encoding (``_decoded``) and reads the two amplitudes in
+    the decoded basis. Entry count drops by one, reservoir multiplicity
     grows by one; the label and its index pattern leave the layout.
     """
     new = remove_reservoir_meta(db.meta, label)
@@ -1022,12 +1016,8 @@ def remove_reservoir(db: QdbState, label: int) -> QdbState:
     if value:
         db = write(db, label, value)
     n = db.n_qubits
-    decoded = db.state
-    encode = decode = Circuit(n)
-    if db.descriptor.u_d is not None:
-        encode = _embed_on(db.descriptor.u_d, db.layout.data_qubits, n)
-        decode = encode.inverse()
-        decoded = simulate(decode, db.state)
+    enc = _encoding(db.descriptor.u_d, n, db.layout.data_qubits)
+    decoded = db.state if enc is None else simulate(enc.inverse(), db.state)
     a_idx = db.layout.physical_index(0, 0)
     b_idx = db.layout.physical_index(label, 0)
     a = complex(decoded.amplitudes[a_idx])
@@ -1036,9 +1026,8 @@ def remove_reservoir(db: QdbState, label: int) -> QdbState:
         rel = b / a
         if abs(rel.imag) > math.sqrt(STATE_TOL) * abs(rel):
             raise SemanticError("entry phases are not aligned; cannot merge unitarily")
-    rotate = Circuit(n, [rot2(a_idx, b_idx, -math.atan2(abs(b), abs(a)))])
-    merge = decode + rotate + encode
-    return _successor(db, new, simulate(rotate + encode, decoded), _grow(db.circuit, merge))
+    merge = _decoded(Circuit(n, [rot2(a_idx, b_idx, -math.atan2(abs(b), abs(a)))]), enc)
+    return _successor(db, new, simulate(merge, db.state), _grow(db.circuit, merge))
 
 
 def remove_projective_meta(meta: QdbMeta, label: int) -> tuple[float, QdbMeta | None]:
@@ -1149,8 +1138,9 @@ def permute(db: QdbState, perm) -> QdbState:
     new, mapping = permute_meta(meta, perm)
     if new is meta:
         return db
+    # only the labels that move: the completed bijection fixes the rest
     pattern_map = {db.layout.pattern(j): db.layout.pattern(t)
-                   for j, t in mapping.items()}
+                   for j, t in mapping.items() if j != t}
     circ = pattern_permutation_circuit(pattern_map, db.layout.index_qubits,
                                        db.n_qubits)
     return _successor(db, new, simulate(circ, db.state), _grow(db.circuit, circ))
@@ -1158,11 +1148,10 @@ def permute(db: QdbState, perm) -> QdbState:
 
 def transpose_entries(db: QdbState, j1: int, j2: int) -> QdbState:
     """Exchange two entries (a permutation touching nothing else)."""
-    mapping = {j: j for j in db.layout.labels}
-    if j1 not in mapping or j2 not in mapping:
+    lmap = db.layout.logical_index_map
+    if j1 not in lmap or j2 not in lmap:
         raise SemanticError(f"labels {j1}, {j2} must both exist")
-    mapping[j1], mapping[j2] = j2, j1
-    return permute(db, mapping)
+    return permute(db, {j1: j2, j2: j1})
 
 
 def relabel_contiguous(db: QdbState) -> QdbState:

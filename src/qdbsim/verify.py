@@ -18,7 +18,6 @@ from . import oracle
 from .circuit import Circuit, DecompositionConfig, decompose_mcx, simulate
 from .errors import SemanticError, VerificationError
 from .extend import (
-    _data_encoding,
     amplification_circuit,
     extend,
     extend_imbalanced,
@@ -32,6 +31,7 @@ from .gates import GateSpec, h, phase, rot2, ry, swap, x, y, ytilde
 from .qdb import (
     QdbDescriptor,
     QdbLayout,
+    _encoding,
     _grow,
     _sensor_prep_circuit,
     permute,
@@ -120,7 +120,7 @@ def _transfer_by_gates(db, l: int) -> tuple[StateVector, Circuit]:
     u_qdb = preparation_circuit(db.descriptor, db.layout)
     db_qubits = db.layout.index_qubits + db.layout.data_qubits
     circ = amplification_circuit(u_qdb, db_qubits, plan_transfer(db.k, l),
-                                 _data_encoding(db, db.n_qubits))
+                                 _encoding(db.descriptor.u_d, db.n_qubits, db.layout.data_qubits))
     return simulate(circ, db.state), _grow(db.circuit, circ)
 
 
@@ -185,13 +185,16 @@ def _write_through_sensor(db, label: int, word) -> tuple[StateVector, Circuit]:
 
 
 def _check_db_ops() -> str:
-    db = prepare_general(4, 0, {1: "10", 2: "01"})
-    state, circuit = _write_through_sensor(db, 3, "11")
-    db = write(db, 3, "11")
-    if not states_equal(db.state, state, up_to_global_phase=False):
-        raise VerificationError("folded write disagrees with the sensor-register write")
-    if db.emit() != emit_text(circuit):
-        raise VerificationError("folded write built a different circuit")
+    encoded = prepare_general(4, 0, {1: "1"}, m_data=1, u_d=Circuit(1, [h(0)]))
+    # the plain database goes last: the checks below go on from its write
+    for db, label, word in ((encoded, 2, "1"),
+                            (prepare_general(4, 0, {1: "10", 2: "01"}), 3, "11")):
+        state, circuit = _write_through_sensor(db, label, word)
+        db = write(db, label, word)
+        if not states_equal(db.state, state, up_to_global_phase=False):
+            raise VerificationError("folded write disagrees with the sensor-register write")
+        if db.emit() != emit_text(circuit):
+            raise VerificationError("folded write built a different circuit")
     if db.descriptor.data_value(3) != 3:
         raise SemanticError("write did not record the data word")
     copied = read_copy(db, 3)
@@ -214,8 +217,9 @@ def _check_db_ops() -> str:
     swapped.check()
     if swapped.descriptor.data_value(2) != 2:
         raise SemanticError("permutation did not move entry data")
-    return ("folded write matches the sensor register; Schmidt report matches the "
-            "full-matrix SVD; write/read/remove/permute invariants hold")
+    return ("folded write matches the sensor register, plain and under u_d = H; "
+            "Schmidt report matches the full-matrix SVD; "
+            "write/read/remove/permute invariants hold")
 
 
 def _check_derived_records() -> str:

@@ -5,7 +5,7 @@ import pytest
 
 from qdbsim.circuit import Circuit
 from qdbsim.gates import h, ry, x
-from qdbsim.oracle import dense_operator
+from qdbsim.oracle import dense_gate
 from qdbsim.statevector import StateVector, _register_scan
 
 # Data encodings that move |0...0> off itself, so the reservoir's data is
@@ -15,9 +15,13 @@ RY_CNOT_ENCODING = Circuit(3, [ry(0, 0.7), x(1, ctrl=(0,)), ry(2, 1.3, ctrl=(1,)
 
 
 def dense_column(circuit) -> np.ndarray:
-    """Apply the oracle's dense operator to |0...0>."""
-    op = dense_operator(circuit)
-    return op[:, 0].copy()
+    """The oracle's replay of ``circuit`` on |0...0>: each gate's dense
+    matrix applied to the column in turn."""
+    vec = np.zeros(2 ** circuit.n_qubits, dtype=complex)
+    vec[0] = 1.0
+    for g in circuit.gates:
+        vec = dense_gate(g, circuit.n_qubits) @ vec
+    return vec
 
 
 def canonical(vec) -> np.ndarray:

@@ -406,6 +406,22 @@ def test_exit_code_4_for_capacity(tmp_path, capsys):
     assert run_cli("run", str(script), "--max-qubits", "5") == 4
 
 
+def test_reservoir_too_heavy_to_unfold_is_accepted_and_can_be_spent(tmp_path, capsys):
+    # prepare k=4 l=600 is accepted: one imbalanced extension spends the whole
+    # reservoir, while unfolding 600 entries behind a single new index qubit
+    # would need a 10-bit index register, so the dry run refuses that
+    spend = write_script(tmp_path, "prepare k=4 l=600\nextend-imbalanced l=600 z=10\n")
+    assert run_cli("run", str(spend), "--out", str(tmp_path / "spent")) == 0
+    assert "-> k=604 " in capsys.readouterr().out
+    unfold = write_script(tmp_path, "prepare k=4 l=600\nextend l=600\n", "unfold.qdb")
+    out = tmp_path / "unfolded"
+    assert run_cli("run", str(unfold), "--out", str(out)) == 4
+    captured = capsys.readouterr()
+    assert not out.exists() and "prepare:" not in captured.out
+    assert "error: extend (line 2): 600 new entries do not fit the 2-bit index register" \
+        in captured.err
+
+
 def test_verify_subcommand(capsys):
     assert run_cli("verify", "--level", "fast") == 0
     out = capsys.readouterr().out

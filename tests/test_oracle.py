@@ -7,7 +7,7 @@ import pytest
 
 from qdbsim.circuit import Circuit
 from qdbsim.errors import CapacityError, SemanticError
-from qdbsim.gates import h, phase, rot2, ry, swap, x, y, ytilde
+from qdbsim.gates import GateSpec, h, phase, rot2, ry, swap, x, y, ytilde
 from qdbsim.oracle import (
     dense_gate,
     dense_operator,
@@ -40,6 +40,32 @@ def test_controlled_gate_blocks():
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
     )
     assert np.array_equal(u, want)
+
+
+def _controlled_by_product(gate, n: int) -> np.ndarray:
+    """A controlled gate's matrix as bare @ P + (I - P), with P the
+    projector onto the basis states that satisfy the controls."""
+    bare = dense_gate(GateSpec(gate.kind, gate.params, gate.targets), n)
+    diag = [all((idx >> q) & 1 == bit for q, bit in gate.controls) for idx in range(2**n)]
+    proj = np.diag(np.array(diag, dtype=complex))
+    return bare @ proj + (np.eye(2**n, dtype=complex) - proj)
+
+
+def test_controlled_gates_match_the_projector_product(rng):
+    kinds = {"x": (), "h": (), "ry": (0.9,), "y": (0.3,), "ytilde": (0.7,),
+             "phase": (1.3,), "swap": ()}
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        kind = str(rng.choice(sorted(kinds)))
+        wires = [int(q) for q in rng.permutation(n)]
+        width = 2 if kind == "swap" else 1
+        if len(wires) <= width:
+            continue
+        targets, rest = tuple(wires[:width]), wires[width:]
+        ctrls = tuple((q, int(rng.integers(2)))
+                      for q in rest[:int(rng.integers(1, len(rest) + 1))])
+        gate = GateSpec(kind, kinds[kind], targets, ctrls)
+        assert np.array_equal(dense_gate(gate, n), _controlled_by_product(gate, n)), gate
 
 
 def test_swap_matrix_exchanges_bits():

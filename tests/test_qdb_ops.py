@@ -644,6 +644,35 @@ def test_permute_composition_law(rng):
     assert twice.descriptor.data == once.descriptor.data
 
 
+def _routed_by_full_map(db, mapping):
+    """The gates routing every label's pattern, moved or not."""
+    full = {db.layout.pattern(j): db.layout.pattern(t) for j, t in mapping.items()}
+    return pattern_permutation_circuit(full, db.layout.index_qubits, db.n_qubits).gates
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_permute_routes_the_same_gates_as_the_full_pattern_map(data):
+    k = data.draw(st.integers(3, 12), label="k")
+    db = prepare_general(k, 0, {1: 1}, m_data=1)
+    hole = data.draw(st.none() | st.integers(2, k - 1), label="hole")
+    if hole is not None:  # a freed pattern, and a weighted reservoir that stays put
+        db = remove_reservoir(db, hole)
+    movable = [j for j in db.layout.labels if j]
+    mapping = {0: 0, **dict(zip(movable, data.draw(st.permutations(movable), label="perm")))}
+    moved = permute(db, mapping)
+    assert moved.circuit.gates[len(db.circuit.gates):] == _routed_by_full_map(db, mapping)
+
+
+def test_transpose_entries_at_k_1024_routes_the_full_map_gates():
+    db = prepare_general(1024, 0, {5: 1}, m_data=1)
+    swapped = transpose_entries(db, 5, 9)
+    mapping = {j: j for j in db.layout.labels}
+    mapping[5], mapping[9] = 9, 5
+    assert swapped.circuit.gates[len(db.circuit.gates):] == _routed_by_full_map(db, mapping)
+    assert swapped.descriptor.data == {9: "1"}
+
+
 def test_permute_guards():
     db = prepare_general(3, 1, {1: "1"})
     with pytest.raises(SemanticError):

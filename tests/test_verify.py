@@ -67,3 +67,21 @@ def test_derived_records_check_catches_a_record_the_constructors_rewrite(monkeyp
     monkeypatch.setattr(verify_mod, "write_meta", unpadded_write)
     with pytest.raises(VerificationError, match="^write built a record the constructors rewrite"):
         verify_mod._check_derived_records()
+
+
+def test_database_ops_check_catches_a_folded_write_outside_the_encoding(monkeypatch):
+    import dataclasses
+
+    import qdbsim.qdb as qdb_mod
+    import qdbsim.verify as verify_mod
+
+    fold = qdb_mod._write_folded
+
+    def unencoded(db, label, value):
+        bare = dataclasses.replace(db, descriptor=db.descriptor._derived(u_d=None))
+        return fold(bare, label, value)
+
+    assert "under u_d = H" in verify_mod._check_db_ops()
+    monkeypatch.setattr(qdb_mod, "_write_folded", unencoded)
+    with pytest.raises(VerificationError, match="folded write disagrees"):
+        verify_mod._check_db_ops()
