@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -161,32 +161,36 @@ def zero_phase_circuit(phi: float, qubits, n_qubits: int) -> Circuit:
     return circ
 
 
-def amplification_step_circuit(u_qdb: Circuit, db_qubits, phi: float,
-                               rho: float, encoding: Circuit | None) -> Circuit:
-    """One amplification step as gates: reservoir phase rho, unprepare,
-    zero-string phase phi, re-prepare. ``encoding`` is the data encoding on
-    the data register (``qdb._encoding``); the reservoir phase acts on the
-    reservoir branch |0>|u_d 0>, so it is conjugated by it (``qdb._decoded``)."""
-    n = u_qdb.n_qubits
-    circ = _decoded(zero_phase_circuit(rho, db_qubits, n), encoding)
-    circ += u_qdb.inverse()
-    circ += zero_phase_circuit(phi, db_qubits, n)
-    circ += u_qdb
-    return circ
+def _steps(plan: AmplificationPlan) -> list[tuple[float, float]]:
+    """The (phi, rho) pair of each amplification step: ``plan.m`` full steps
+    at pi, then the planned one."""
+    return [(math.pi, math.pi)] * plan.m + [(plan.phi, plan.rho)]
 
 
 def amplification_circuit(u_qdb: Circuit, db_qubits, plan: AmplificationPlan,
                           encoding: Circuit | None) -> Circuit:
-    """The gates of a transfer: ``plan.m`` full steps (phi = rho = pi), the
-    last step with the planned (phi, rho), and the closing reservoir phase
-    ``phase_fix``."""
+    """The gates of a transfer: for each step of ``_steps``, the reservoir
+    phase rho, u^-1, the zero-string phase phi and u, then the closing
+    reservoir phase ``phase_fix``. ``encoding`` is the data encoding on the
+    data register (``qdb._encoding``); the reservoir phases act on the
+    reservoir branch |0>|u_d 0>, so they are conjugated by it
+    (``qdb._decoded``).
+
+    u^-1 is built and checked once, and every step reuses the gate objects
+    of u and u^-1, which the transfer repeats 2(m + 1) times between them.
+    All parts go into one gate list in a single pass, so the build is linear
+    in its gate count; concatenating step by step would copy the growing
+    list at every step.
+    """
     n = u_qdb.n_qubits
-    circ = Circuit(n)
-    for _ in range(plan.m):
-        circ += amplification_step_circuit(u_qdb, db_qubits, math.pi, math.pi, encoding)
-    circ += amplification_step_circuit(u_qdb, db_qubits, plan.phi, plan.rho, encoding)
-    circ += _decoded(zero_phase_circuit(plan.phase_fix, db_qubits, n), encoding)
-    return circ
+    u_inv = u_qdb.inverse()
+    parts = []
+    for phi, rho in _steps(plan):
+        parts.extend([_decoded(zero_phase_circuit(rho, db_qubits, n), encoding), u_inv,
+                      zero_phase_circuit(phi, db_qubits, n), u_qdb])
+    parts.append(_decoded(zero_phase_circuit(plan.phase_fix, db_qubits, n), encoding))
+    return Circuit._reusing(n, [g for part in parts for g in part.gates],
+                            {q: lab for part in parts for q, lab in part.labels.items()})
 
 
 def _reservoir_ket(encoding: Circuit | None, n: int, max_qubits: int) -> np.ndarray:
@@ -210,11 +214,16 @@ def _reflect(v: np.ndarray, about: tuple[np.ndarray, np.ndarray], theta: float) 
     v[idx] += (cmath.exp(1j * theta) - 1) * np.vdot(a, v[idx]) * a
 
 
+def _check_growable(meta: QdbMeta, op: str):
+    """Growth starts from a bare database whose entries are uniformly weighted."""
+    meta.require_bare(op)
+    if meta.amplitude_profile is not None:
+        raise SemanticError(f"{op} requires uniformly weighted entries")
+
+
 def transfer_meta(meta: QdbMeta, l: int) -> QdbMeta:
     """Transition of ``transfer``: the reservoir is loaded for l entries."""
-    meta.require_bare("transfer")
-    if meta.amplitude_profile is not None:
-        raise SemanticError("transfer requires uniformly weighted entries")
+    _check_growable(meta, "transfer")
     if meta.l != 0:
         raise SemanticError("transfer starts from a balanced database (l = 0)")
     if l < 0:
@@ -269,7 +278,7 @@ def _transfer(db: QdbState, new: QdbMeta,
     # so each zero-string phase is the reflection about |0...0>
     r = _nonzeros(_reservoir_ket(encoding, n, db.max_qubits))
     v = db.state.amplitudes.copy()
-    for phi, rho in [(math.pi, math.pi)] * plan.m + [(plan.phi, plan.rho)]:
+    for phi, rho in _steps(plan):
         _reflect(v, r, rho)
         _reflect(v, prepared, phi)
     _reflect(v, r, plan.phase_fix)
@@ -303,9 +312,7 @@ def _with_index_qubits(meta: QdbMeta, qubits, new_patterns, profile=None) -> Qdb
 def unfold_meta(meta: QdbMeta) -> QdbMeta:
     """Transition of ``unfold``: the l reserved entries become real ones,
     addressed through one new index qubit."""
-    meta.require_bare("unfold")
-    if meta.amplitude_profile is not None:
-        raise SemanticError("unfold requires uniformly weighted entries")
+    _check_growable(meta, "unfold")
     l = meta.l
     if l < 1:
         raise SemanticError("nothing to unfold: reservoir multiplicity is 0")
@@ -364,9 +371,7 @@ def _rounds(k: int, l: int):
 def extend_meta(meta: QdbMeta, l: int) -> QdbMeta:
     """Transition of ``extend``: the rounds' transfer and unfold transitions
     in turn, or one unfold when the reservoir is already loaded for l."""
-    meta.require_bare("extend")
-    if meta.amplitude_profile is not None:
-        raise SemanticError("extend requires uniformly weighted entries")
+    _check_growable(meta, "extend")
     if l < 0:
         raise SemanticError("cannot extend by a negative entry count")
     if meta.l != 0:
@@ -422,19 +427,9 @@ class ExtendPlan:
     amplification: AmplificationPlan
 
     def to_report(self) -> dict:
-        return {
-            "k": self.k,
-            "l": self.l,
-            "z": self.z,
-            "l_prime": self.l_prime,
-            "l_double_prime": self.l_double_prime,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "balanced": self.balanced,
-            "route": self.route,
-            "amplification": self.amplification.to_report(),
-        }
+        report = {f.name: getattr(self, f.name) for f in fields(self)}
+        report["amplification"] = self.amplification.to_report()
+        return report
 
 
 ROUTES = ("direct", "marker")
@@ -485,9 +480,7 @@ def extend_imbalanced_meta(meta: QdbMeta, l: int, z: int, *,
     """Transition of ``extend_imbalanced``: the reservoir is loaded unless it
     already is, then l entries appear behind z new index qubits, with an
     amplitude profile when several share an ancilla pattern."""
-    meta.require_bare("extend")
-    if meta.amplitude_profile is not None:
-        raise SemanticError("extend requires uniformly weighted entries")
+    _check_growable(meta, "extend")
     l_prime, l_double, alpha, beta, gamma = _imbalanced_shape(meta.k, l, z, route)
     if meta.l == 0:
         meta = transfer_meta(meta, l)
@@ -544,11 +537,9 @@ def extend_imbalanced(db: QdbState, l: int, z: int, *, route: str = "direct",
     anc = new.layout.index_qubits[-z:]
     state = add_ancillas(loaded.state, z, max_qubits=loaded.max_qubits)
     n = anc[-1] + 1
-    circ = Circuit(n)
-    for q in anc:
-        circ.label(q, "I")
-    spread_anc = prepare_circuit(plan.l_prime + 1, 0, anc, n)
-    circ += spread_anc.controlled(nctrl=loaded.layout.index_qubits)
+    # the spread labels the ancillas "I": they join the index register
+    circ = prepare_circuit(plan.l_prime + 1, 0, anc, n).controlled(
+        nctrl=loaded.layout.index_qubits)
     if plan.l_double_prime > 1:
         spread_idx = prepare_circuit(plan.l_double_prime, 0,
                                      loaded.layout.index_qubits, n)

@@ -102,10 +102,6 @@ class QdbDescriptor(_Derivable):
             raise SemanticError("data register width cannot be negative")
         cleaned: dict[int, str] = {}
         for label, bits in self.data.items():
-            if (label and type(bits) is str and len(bits) == self.m_data
-                    and "1" in bits and not bits.strip("01")):
-                cleaned[int(label)] = bits  # already a full-width nonzero word
-                continue
             if isinstance(bits, int):
                 value, width = bits, bits.bit_length()
             else:
@@ -499,19 +495,6 @@ def balanced_circuit(k: int, qubits=None, n_qubits: int | None = None) -> Circui
     return circ
 
 
-def _complete_pattern_bijection(partial: dict[int, int], size: int) -> dict[int, int]:
-    used_src = set(partial)
-    used_dst = set(partial.values())
-    if len(used_dst) != len(partial):
-        raise SemanticError("pattern mapping is not injective")
-    free_dst = iter(sorted(set(range(size)) - used_dst))
-    full = dict(partial)
-    for src in range(size):
-        if src not in used_src:
-            full[src] = next(free_dst)
-    return full
-
-
 def _cycles(perm: dict[int, int]) -> list[list[int]]:
     seen: set[int] = set()
     out = []
@@ -530,6 +513,12 @@ def _cycles(perm: dict[int, int]) -> list[list[int]]:
     return out
 
 
+def _check_patterns(patterns, index_qubits):
+    for pat in patterns:
+        if not 0 <= pat < 2 ** len(index_qubits):
+            raise SemanticError(f"pattern {pat} outside the index register")
+
+
 def transposition_circuit(pat_a: int, pat_b: int, index_qubits, n_qubits: int) -> Circuit:
     """Exchange two index patterns, acting as identity elsewhere.
 
@@ -541,9 +530,7 @@ def transposition_circuit(pat_a: int, pat_b: int, index_qubits, n_qubits: int) -
     index_qubits = list(index_qubits)
     if pat_a == pat_b:
         raise SemanticError("transposition needs two distinct patterns")
-    for pat in (pat_a, pat_b):
-        if not 0 <= pat < 2 ** len(index_qubits):
-            raise SemanticError(f"pattern {pat} outside the index register")
+    _check_patterns((pat_a, pat_b), index_qubits)
     circ = Circuit(n_qubits)
     diff = [i for i in range(len(index_qubits)) if ((pat_a ^ pat_b) >> i) & 1]
 
@@ -570,16 +557,28 @@ def pattern_permutation_circuit(mapping: dict[int, int], index_qubits,
                                 n_qubits: int) -> Circuit:
     """Route index patterns: pattern p moves to mapping[p].
 
-    The partial mapping is completed to a bijection over the whole pattern
-    space, decomposed into cycles, and each cycle into transpositions.
+    The partial mapping is completed to a bijection, decomposed into cycles,
+    and each cycle into transpositions, whose checked gates go into one list.
+    The completion pairs the unmapped patterns with the unused ones in
+    sorted order, so it fixes every pattern above the largest one
+    ``mapping`` names. It therefore stops there instead of spanning all 2^t
+    patterns, and routes with the gates of the full completion.
     """
     index_qubits = list(index_qubits)
-    full = _complete_pattern_bijection(mapping, 2 ** len(index_qubits))
-    circ = Circuit(n_qubits)
+    named = [*mapping, *mapping.values()]
+    _check_patterns(named, index_qubits)
+    used = set(mapping.values())
+    if len(used) != len(mapping):
+        raise SemanticError("pattern mapping is not injective")
+    size = max(named, default=-1) + 1
+    free = iter(sorted(set(range(size)) - used))
+    full = {p: mapping[p] if p in mapping else next(free) for p in range(size)}
+    gates = []
     for cyc in _cycles(full):
         for t in range(len(cyc) - 2, -1, -1):
-            circ += transposition_circuit(cyc[t], cyc[t + 1], index_qubits, n_qubits)
-    return circ
+            gates.extend(transposition_circuit(cyc[t], cyc[t + 1], index_qubits,
+                                               n_qubits).gates)
+    return Circuit._reusing(n_qubits, gates, {})
 
 
 def _encoding(u_d: Circuit | None, n: int, *registers) -> Circuit | None:
@@ -664,10 +663,7 @@ def prepare_meta(k: int, l: int = 0, data: dict[int, int | str] | None = None,
         norm_data[label] = bits
     m = max(widest if norm_data else 0,
             m_data or 0, u_d.n_qubits if u_d is not None else 0)
-    desc = QdbDescriptor(
-        k=k, l=l,
-        data={j: _int_to_bits(_bits_to_int(b), m) for j, b in norm_data.items()},
-        u_d=u_d, m_data=m)
+    desc = QdbDescriptor(k=k, l=l, data=norm_data, u_d=u_d, m_data=m)
     return QdbMeta(desc, QdbLayout.fresh(k, m))
 
 
@@ -1069,10 +1065,8 @@ def remove_projective(db: QdbState, label: int) -> RemovalOutcome:
     amps = db.state.amplitudes
     p_fail = float(np.sum(np.abs(amps[hit]) ** 2))
     p_success = max(0.0, 1.0 - p_fail)
-    if p_fail > PROJECTION_ZERO_TOL:
-        failure_state, _ = project(db.state, hit)
-    else:
-        failure_state = db.state.copy()
+    # _check_occupied has refused an entry whose weight is at most DUMP_THRESHOLD
+    failure_state, _ = project(db.state, hit)
     if new is None or p_success <= PROJECTION_ZERO_TOL:
         return RemovalOutcome(0.0, None, failure_state)
     survivor, _ = project(db.state, ~hit)

@@ -53,6 +53,10 @@ from .text_format import emit_text, parse_text
 from .tolerances import ORACLE_TOL, STATE_TOL
 
 
+# A data encoding that is not its own inverse, so the checks tell E from E^-1.
+_RY_ENCODING = Circuit(1, [ry(0, 0.7)])
+
+
 def _check_gate_matrices() -> str:
     samples = [
         x(0), h(1), ry(0, 0.7), y(1, 0.3), ytilde(2, 0.2), phase(0, 1.1),
@@ -131,7 +135,7 @@ def _check_transfer_suite() -> str:
         moved.check()
         details.append(f"({k},{l}):m={plan.m}")
     for db, l in [(prepare_general(16, 0, {1: "10", 3: "01", 9: "11"}), 16),
-                  (prepare_general(16, 0, {1: "1"}, m_data=1, u_d=Circuit(1, [h(0)])), 13)]:
+                  (prepare_general(16, 0, {1: "1"}, m_data=1, u_d=_RY_ENCODING), 13)]:
         state, circuit = _transfer_by_gates(db, l)
         moved, plan = transfer(db, l)
         if not states_equal(moved.state, state, tol=STATE_TOL, up_to_global_phase=False):
@@ -185,7 +189,7 @@ def _write_through_sensor(db, label: int, word) -> tuple[StateVector, Circuit]:
 
 
 def _check_db_ops() -> str:
-    encoded = prepare_general(4, 0, {1: "1"}, m_data=1, u_d=Circuit(1, [h(0)]))
+    encoded = prepare_general(4, 0, {1: "1"}, m_data=1, u_d=_RY_ENCODING)
     # the plain database goes last: the checks below go on from its write
     for db, label, word in ((encoded, 2, "1"),
                             (prepare_general(4, 0, {1: "10", 2: "01"}), 3, "11")):
@@ -217,7 +221,7 @@ def _check_db_ops() -> str:
     swapped.check()
     if swapped.descriptor.data_value(2) != 2:
         raise SemanticError("permutation did not move entry data")
-    return ("folded write matches the sensor register, plain and under u_d = H; "
+    return ("folded write matches the sensor register, plain and under u_d = ry(0.7); "
             "Schmidt report matches the full-matrix SVD; "
             "write/read/remove/permute invariants hold")
 
@@ -229,7 +233,7 @@ def _check_derived_records() -> str:
     come out equal, and track exactly its k labels."""
     ops = ("write permute remove-reservoir extend(unfold) extend extend-imbalanced "
            "remove-projective remove-reservoir write write-swap").split()
-    for u_d, m_data in ((None, 2), (Circuit(1, [h(0)]), 1)):
+    for u_d, m_data in ((None, 2), (_RY_ENCODING, 1)):
         m = prepare_meta(6, 0, {3: 1, 5: 1}, m_data=m_data, u_d=u_d)
         records = [m := write_meta(m, 1, 1), m := permute_meta(m, {1: 3, 3: 1})[0],
                    m := remove_reservoir_meta(m, 2), m := extend_meta(m, 1),
@@ -248,7 +252,7 @@ def _check_derived_records() -> str:
             if not same or len(lay.logical_index_map) != d.k or not set(d.data) <= set(lay.labels):
                 raise VerificationError(f"{op} built a record the constructors rewrite "
                                         "or whose labels miss its k")
-    return (f"{len(ops)} transitions, with and without u_d = H, derive records "
+    return (f"{len(ops)} transitions, with and without u_d = ry(0.7), derive records "
             "the full constructors accept unchanged")
 
 

@@ -11,6 +11,7 @@ from qdbsim.statevector import StateVector, _register_scan
 # Data encodings that move |0...0> off itself, so the reservoir's data is
 # u_d|0>, not |0>.
 H_ENCODING = Circuit(1, [h(0)])
+RY_ENCODING = Circuit(1, [ry(0, 0.7)])  # unlike H, not its own inverse
 RY_CNOT_ENCODING = Circuit(3, [ry(0, 0.7), x(1, ctrl=(0,)), ry(2, 1.3, ctrl=(1,))])
 
 

@@ -1,5 +1,6 @@
 """Growth operations: amplitude transfer, unfold, chunked and imbalanced extend."""
 
+import hashlib
 import importlib
 import json
 import math
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import H_ENCODING, RY_CNOT_ENCODING, state_matches_oracle
+from conftest import H_ENCODING, RY_CNOT_ENCODING, RY_ENCODING, state_matches_oracle
 import qdbsim.circuit as circuit_mod
 from qdbsim.circuit import Circuit, simulate
 from qdbsim.errors import CapacityError, SemanticError, VerificationError
 from qdbsim.extend import (
+    amplification_circuit,
     check_no_unitary_extend,
     extend,
     extend_imbalanced,
@@ -21,9 +23,11 @@ from qdbsim.extend import (
     plan_transfer,
     transfer,
     unfold,
+    zero_phase_circuit,
 )
-from qdbsim.qdb import preparation_circuit, prepare_general
+from qdbsim.qdb import _decoded, _encoding, preparation_circuit, prepare_general
 from qdbsim.statevector import StateVector, states_equal
+from qdbsim.text_format import emit_text
 from qdbsim.tolerances import ORACLE_TOL, PLAN_RESIDUAL_TOL
 
 
@@ -205,6 +209,86 @@ def test_transfer_simulates_only_the_preflight(monkeypatch):
     assert plan.m == 3
     assert calls == u_qdb.gates
     loaded.check()
+
+
+# --- amplification circuit ---------------------------------------------------
+
+
+def _amplification_by_steps(u_qdb, db_qubits, plan, encoding):
+    """Reference: each step built as its own circuit (u^-1 rebuilt each
+    time) and concatenated onto the transfer's circuit one by one."""
+    n = u_qdb.n_qubits
+
+    def step(phi, rho):
+        circ = _decoded(zero_phase_circuit(rho, db_qubits, n), encoding)
+        circ += u_qdb.inverse()
+        circ += zero_phase_circuit(phi, db_qubits, n)
+        return circ + u_qdb
+
+    circ = Circuit(n)
+    for _ in range(plan.m):
+        circ += step(math.pi, math.pi)
+    circ += step(plan.phi, plan.rho)
+    return circ + _decoded(zero_phase_circuit(plan.phase_fix, db_qubits, n), encoding)
+
+
+def _transfer_parts(db, l):
+    """(u, database qubits, plan, encoding) of ``transfer(db, l)``."""
+    return (preparation_circuit(db.descriptor, db.layout),
+            db.layout.index_qubits + db.layout.data_qubits, plan_transfer(db.k, l),
+            _encoding(db.descriptor.u_d, db.n_qubits, db.layout.data_qubits))
+
+
+AMPLIFICATION_ENCODINGS = {"none": None, "h": H_ENCODING, "ry": RY_ENCODING}
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_amplification_circuit_matches_the_per_step_build(data):
+    u_d = AMPLIFICATION_ENCODINGS[data.draw(st.sampled_from(sorted(AMPLIFICATION_ENCODINGS)),
+                                            label="u_d")]
+    k = data.draw(st.integers(2, 64), label="k")
+    words = data.draw(st.dictionaries(st.integers(1, k - 1), st.just(1), max_size=3),
+                      label="words")
+    db = prepare_general(k, 0, words, m_data=1, u_d=u_d)
+    parts = _transfer_parts(db, data.draw(st.integers(1, 3 * k), label="l"))
+    got, want = amplification_circuit(*parts), _amplification_by_steps(*parts)
+    assert emit_text(got) == emit_text(want)
+    assert list(got.labels.items()) == list(want.labels.items())
+
+
+def test_amplification_steps_share_one_inverse_of_u():
+    db = prepare_general(16, 0, {1: 1, 5: 1}, m_data=1)
+    u_qdb, db_qubits, plan, encoding = _transfer_parts(db, 16)
+    assert plan.m == 1
+    circ = amplification_circuit(u_qdb, db_qubits, plan, encoding)
+    phase_gates = len(zero_phase_circuit(0.0, db_qubits, db.n_qubits))
+    step = 2 * (phase_gates + len(u_qdb))
+    first = circ.gates[phase_gates:phase_gates + len(u_qdb)]
+    second = circ.gates[step + phase_gates:step + phase_gates + len(u_qdb)]
+    assert first == u_qdb.inverse().gates
+    assert all(a is b for a, b in zip(first, second, strict=True))
+
+
+def _growth_with_routed_preflight(u_d):
+    """6 -> 16 entries in two rounds (the second preflight routes, as labels
+    no longer sit at contiguous patterns), then a transfer with m = 2 full
+    steps whose preflight routes too."""
+    db = prepare_general(6, 0, {1: 1, 3: 1}, m_data=1 if u_d else 2, u_d=u_d)
+    db = extend(db, 10)
+    assert any(db.layout.pattern(j) != j for j in db.layout.labels)
+    db, plan = transfer(db, 150)
+    assert plan.m == 2
+    return db
+
+
+@pytest.mark.parametrize("u_d,digest", [
+    (None, "9673bb1ce6b7f62b9e2ce21afcb40930b43a0c3adaad3e7e2ce78720e64b5acb"),
+    (RY_ENCODING, "250315dff733e5b77230e60fbb5c758620b152e4c8dd87ce2eb9b2ddffc1307a"),
+], ids=["plain", "ry"])
+def test_growth_history_text_is_pinned(u_d, digest):
+    db = _growth_with_routed_preflight(u_d)
+    assert hashlib.sha256(db.emit().encode()).hexdigest() == digest
 
 
 # --- unfold ------------------------------------------------------------------

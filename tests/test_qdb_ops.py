@@ -617,6 +617,55 @@ def test_pattern_permutation_circuit_matches_oracle(rng):
         assert np.max(np.abs(np.abs(got) - np.abs(want))) < 1e-12
 
 
+def _routed_by_full_completion(mapping, index_qubits, n_qubits):
+    """Reference routing: ``mapping`` completed over all 2^t patterns (the
+    unmapped ones take the unused ones in sorted order), split into cycles
+    from the smallest start, each cycle into transpositions from its end."""
+    t = len(index_qubits)
+    free = iter(sorted(set(range(2 ** t)) - set(mapping.values())))
+    full = {p: mapping[p] if p in mapping else next(free) for p in range(2 ** t)}
+    circ, seen = Circuit(n_qubits), set()
+    for start in range(2 ** t):
+        cyc, cur = [], start
+        while cur not in seen:
+            seen.add(cur)
+            cyc.append(cur)
+            cur = full[cur]
+        for i in range(len(cyc) - 2, -1, -1):
+            circ += transposition_circuit(cyc[i], cyc[i + 1], index_qubits, n_qubits)
+    return circ
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+def test_pattern_permutation_circuit_matches_the_full_completion(data):
+    t = data.draw(st.integers(1, 6), label="t")
+    pats = st.integers(0, 2 ** t - 1)
+    sources = data.draw(st.lists(pats, unique=True, max_size=2 ** t), label="sources")
+    if data.draw(st.booleans(), label="closed"):  # permutes its own pattern set
+        targets = data.draw(st.permutations(sources), label="targets")
+    else:
+        targets = data.draw(st.lists(pats, unique=True, min_size=len(sources),
+                                     max_size=len(sources)), label="targets")
+    mapping = dict(zip(sources, targets))
+    n = t + data.draw(st.integers(0, 2), label="spare qubits")
+    got = pattern_permutation_circuit(mapping, range(t), n)
+    assert got.gates == _routed_by_full_completion(mapping, range(t), n).gates
+
+
+def test_pattern_swap_at_18_bits_routes_the_full_completion_gates():
+    mapping = {5: 70_000, 70_000: 5}
+    got = pattern_permutation_circuit(mapping, range(18), 20)
+    assert len(got) == 2 * bin(5 ^ 70_000).count("1") - 1
+    assert got.gates == _routed_by_full_completion(mapping, range(18), 20).gates
+
+
+@pytest.mark.parametrize("mapping,pattern", [({-1: 0}, -1), ({0: 5}, 5), ({4: 0, 0: 4}, 4)])
+def test_pattern_permutation_circuit_rejects_patterns_outside_the_register(mapping, pattern):
+    with pytest.raises(SemanticError, match=f"^pattern {pattern} outside the index register$"):
+        pattern_permutation_circuit(mapping, [0, 1], 3)
+
+
 def test_permute_moves_content_not_patterns():
     db = prepare_general(4, 0, {1: "01", 2: "10"}, m_data=2)
     moved = permute(db, [0, 2, 1, 3])

@@ -81,7 +81,23 @@ def test_database_ops_check_catches_a_folded_write_outside_the_encoding(monkeypa
         bare = dataclasses.replace(db, descriptor=db.descriptor._derived(u_d=None))
         return fold(bare, label, value)
 
-    assert "under u_d = H" in verify_mod._check_db_ops()
+    assert "under u_d = ry(0.7)" in verify_mod._check_db_ops()
     monkeypatch.setattr(qdb_mod, "_write_folded", unencoded)
     with pytest.raises(VerificationError, match="folded write disagrees"):
         verify_mod._check_db_ops()
+
+
+def test_full_battery_tells_the_encoding_from_its_inverse(monkeypatch):
+    import importlib
+
+    import qdbsim.qdb as qdb_mod
+
+    def swapped(circ, encoding):  # E + circ + E^-1 instead of E^-1 + circ + E
+        return circ if encoding is None else encoding + circ + encoding.inverse()
+
+    # the package's `extend` is the op, so the module is imported by name
+    for mod in (qdb_mod, importlib.import_module("qdbsim.extend")):
+        monkeypatch.setattr(mod, "_decoded", swapped)
+    report = run_verify("full")
+    assert not report.passed
+    assert {"transfer-suite", "database-ops"} <= {c.name for c in report.checks if not c.passed}
