@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .circuit import Circuit, simulate
+from .circuit import Circuit, _run, simulate
 from .errors import CapacityError, SemanticError, VerificationError
 from .gates import GateSpec, phase, x
 from .qdb import (
@@ -354,7 +354,7 @@ def unfold(db: QdbState) -> QdbState:
         peel, _encoding(db.descriptor.u_d, n, db.layout.data_qubits))
     if l > 1:
         circ += prepare_circuit(l, 0, db.layout.index_qubits, n).controlled(ctrl=(anc,))
-    new_db = _successor(db, new, simulate(circ, state), _grow(db.circuit, circ))
+    new_db = _successor(db, new, _run(circ, state), _grow(db.circuit, circ))
     new_db.check(tol=TRANSFER_AMP_TOL)
     return new_db
 
@@ -554,7 +554,7 @@ def extend_imbalanced(db: QdbState, l: int, z: int, *, route: str = "direct",
             circ += flag
             circ += spread_idx.extended(n + 1).controlled(ctrl=(marker,))
             circ += flag.inverse()
-    state = simulate(circ, state)
+    state = _run(circ, state)
     if route == "marker" and plan.l_double_prime > 1:
         state = drop_qubits(state, [n])
     new_db = _successor(loaded, new, state, _grow(loaded.circuit, circ))

@@ -4,6 +4,12 @@ A gate is a small frozen record: a kind tag, numeric parameters, target
 qubits, and polarity-aware controls (a control is a ``(qubit, wanted_bit)``
 pair, so "fire when this qubit is 0" needs no surrounding X gates).
 
+A gate is checked once, when it is built from raw parts: ``GateSpec(...)``
+and the constructors below run every check. Gates that qdbsim builds from
+parts already known valid (a checked layout's registers, or the parts of a
+checked gate, as in ``gate_inverse``) come from ``GateSpec._built``, which
+skips them, as ``Circuit._reusing`` skips re-checking checked gates.
+
 Kinds
 -----
 ``x``, ``h``                    single-qubit, no parameters
@@ -82,9 +88,39 @@ class GateSpec:
             seen.add(q)
         if any(q < 0 for q in seen):
             raise SemanticError("negative qubit index")
-        # targets then controls; kept off the fields, so equality, hashing and
-        # repr are unchanged, and built once rather than on every gate applied
-        object.__setattr__(self, "qubits", self.targets + tuple(q for q, _ in self.controls))
+        self._wire(tuple([q for q, _ in self.controls]))
+
+    @classmethod
+    def _built(cls, kind: str, params: tuple[float, ...], targets: tuple[int, ...],
+               controls: tuple[tuple[int, int], ...] = (),
+               wires: tuple[int, ...] | None = None) -> "GateSpec":
+        """A gate from parts that already make a valid gate: none of the
+        constructor's checks run. ``wires``, if given, is the tuple of the
+        control qubits in order, which gates controlled on one register can
+        share instead of holding one tuple each."""
+        gate = object.__new__(cls)
+        _set(gate, "kind", kind)
+        _set(gate, "params", params)
+        _set(gate, "targets", targets)
+        _set(gate, "controls", controls)
+        gate._wire(tuple([q for q, _ in controls]) if wires is None else wires)
+        return gate
+
+    def _wire(self, wires: tuple[int, ...]):
+        """Set what is derived from the fields, off them so equality,
+        hashing and repr are unchanged, once per gate rather than on every
+        gate applied: ``qubits`` (targets then controls) and ``_run_key``,
+        the control qubits ``wires`` of a controlled ``x`` (None for every
+        other gate). Consecutive ``x`` gates with one key commute, since no
+        target is a control, and ``circuit.simulate`` can move such a run in
+        one pass."""
+        _set(self, "qubits", self.targets + wires)
+        _set(self, "_run_key", wires if wires and self.kind == "x" else None)
+
+
+# attribute stores that keep instance attributes inline (writing through
+# ``__dict__`` would give every gate a dictionary of its own)
+_set = object.__setattr__
 
 
 def _ctrls(ctrl, nctrl) -> tuple[tuple[int, int], ...]:
@@ -153,7 +189,8 @@ def matrix_1q(kind: str, params: tuple[float, ...]) -> np.ndarray:
 
 
 def gate_inverse(g: GateSpec) -> GateSpec:
-    """Inverse gate, expressed within the same vocabulary.
+    """Inverse gate, expressed within the same vocabulary; the inverse of a
+    checked gate is built unchecked (``GateSpec._built``).
 
     y and ytilde are rotations about the y axis, so their inverses are plain
     ry gates with the opposite accumulated angle.
@@ -161,14 +198,15 @@ def gate_inverse(g: GateSpec) -> GateSpec:
     if g.kind in ("x", "h", "swap"):
         return g
     if g.kind == "ry":
-        return GateSpec("ry", (-g.params[0],), g.targets, g.controls)
+        return GateSpec._built("ry", (-g.params[0],), g.targets, g.controls)
     if g.kind == "y":
-        return GateSpec("ry", (-y_angle(g.params[0]),), g.targets, g.controls)
+        return GateSpec._built("ry", (-y_angle(g.params[0]),), g.targets, g.controls)
     if g.kind == "ytilde":
-        return GateSpec("ry", (math.pi / 2 - y_angle(g.params[0]),), g.targets, g.controls)
+        return GateSpec._built("ry", (math.pi / 2 - y_angle(g.params[0]),), g.targets,
+                               g.controls)
     if g.kind == "phase":
-        return GateSpec("phase", (-g.params[0],), g.targets, g.controls)
+        return GateSpec._built("phase", (-g.params[0],), g.targets, g.controls)
     if g.kind == "rot2":
         a, b, theta = g.params
-        return GateSpec("rot2", (a, b, -theta), (), ())
+        return GateSpec._built("rot2", (a, b, -theta), (), ())
     raise SemanticError(f"cannot invert gate kind {g.kind!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, simulate
+from .circuit import Circuit, _run, simulate
 from .errors import SemanticError, VerificationError
 from .gates import GateSpec, gate_inverse, rot2, x, y
 from .statevector import (
@@ -49,7 +49,7 @@ def index_width(k: int) -> int:
 def _bits_to_int(bits: str) -> int:
     if bits == "":
         return 0
-    if set(bits) - {"0", "1"}:
+    if bits.strip("01"):  # anything but 0 and 1 is left
         raise SemanticError(f"data bitstring must be binary, got {bits!r}")
     return int(bits, 2)
 
@@ -203,8 +203,9 @@ class QdbLayout(_Derivable):
         pats = list(self.logical_index_map.values())
         if len(set(pats)) != len(pats):
             raise SemanticError("two labels share one index pattern")
+        bound = 2 ** len(self.index_qubits)
         for pat in pats:
-            if not 0 <= pat < 2 ** len(self.index_qubits):
+            if not 0 <= pat < bound:
                 raise SemanticError(f"index pattern {pat} outside the register")
 
     @property
@@ -519,6 +520,16 @@ def _check_patterns(patterns, index_qubits):
             raise SemanticError(f"pattern {pat} outside the index register")
 
 
+def _check_register(index_qubits, n_qubits: int):
+    """Distinct qubits of an ``n_qubits`` register: the gates
+    ``transposition_circuit`` builds on them need no check of their own."""
+    if len(set(index_qubits)) != len(index_qubits):
+        raise SemanticError("index register names a qubit twice")
+    for q in index_qubits:
+        if not 0 <= q < n_qubits:
+            raise SemanticError(f"index qubit {q} outside the {n_qubits}-qubit register")
+
+
 def transposition_circuit(pat_a: int, pat_b: int, index_qubits, n_qubits: int) -> Circuit:
     """Exchange two index patterns, acting as identity elsewhere.
 
@@ -527,30 +538,25 @@ def transposition_circuit(pat_a: int, pat_b: int, index_qubits, n_qubits: int) -
     targeting one differing bit under register-minus-one polarity-matched
     controls on the remaining index qubits.
     """
-    index_qubits = list(index_qubits)
+    index_qubits = tuple(index_qubits)
     if pat_a == pat_b:
         raise SemanticError("transposition needs two distinct patterns")
     _check_patterns((pat_a, pat_b), index_qubits)
-    circ = Circuit(n_qubits)
+    _check_register(index_qubits, n_qubits)
     diff = [i for i in range(len(index_qubits)) if ((pat_a ^ pat_b) >> i) & 1]
 
     def step(bit_pos: int, reference: int) -> GateSpec:
         ctrls = tuple(
             (q, (reference >> i) & 1)
             for i, q in enumerate(index_qubits) if i != bit_pos)
-        return x(index_qubits[bit_pos]) if not ctrls else GateSpec(
-            "x", (), (index_qubits[bit_pos],), ctrls)
+        return GateSpec._built("x", (), (index_qubits[bit_pos],), ctrls)
 
     cur = pat_a
     vs = []
     for bit_pos in diff[:-1]:
         vs.append(step(bit_pos, cur))
         cur ^= 1 << bit_pos
-    w = step(diff[-1], cur)
-    circ.extend_gates(vs)
-    circ.append(w)
-    circ.extend_gates(reversed(vs))
-    return circ
+    return Circuit._reusing(n_qubits, vs + [step(diff[-1], cur)] + vs[::-1], {})
 
 
 def pattern_permutation_circuit(mapping: dict[int, int], index_qubits,
@@ -558,13 +564,13 @@ def pattern_permutation_circuit(mapping: dict[int, int], index_qubits,
     """Route index patterns: pattern p moves to mapping[p].
 
     The partial mapping is completed to a bijection, decomposed into cycles,
-    and each cycle into transpositions, whose checked gates go into one list.
+    and each cycle into transpositions, whose gates go into one list.
     The completion pairs the unmapped patterns with the unused ones in
     sorted order, so it fixes every pattern above the largest one
     ``mapping`` names. It therefore stops there instead of spanning all 2^t
     patterns, and routes with the gates of the full completion.
     """
-    index_qubits = list(index_qubits)
+    index_qubits = tuple(index_qubits)
     named = [*mapping, *mapping.values()]
     _check_patterns(named, index_qubits)
     used = set(mapping.values())
@@ -576,8 +582,8 @@ def pattern_permutation_circuit(mapping: dict[int, int], index_qubits,
     gates = []
     for cyc in _cycles(full):
         for t in range(len(cyc) - 2, -1, -1):
-            gates.extend(transposition_circuit(cyc[t], cyc[t + 1], index_qubits,
-                                               n_qubits).gates)
+            gates += transposition_circuit(cyc[t], cyc[t + 1], index_qubits,
+                                           n_qubits).gates
     return Circuit._reusing(n_qubits, gates, {})
 
 
@@ -608,16 +614,23 @@ def _decoded(circ: Circuit, encoding: Circuit | None) -> Circuit:
 
 def _data_write_circuit(descriptor: QdbDescriptor, layout: QdbLayout,
                         n: int) -> Circuit:
-    """One multi-controlled X per set data bit, plus the data encoding."""
-    circ = Circuit(n)
-    for b in layout.data_qubits:
-        circ.label(b, "D")
-    for label in sorted(descriptor.data):
-        value = descriptor.data_value(label)
-        ctrls = layout.pattern_controls(label)
-        for b, q in enumerate(layout.data_qubits):
-            if (value >> b) & 1:
-                circ.append(GateSpec("x", (), (q,), ctrls))
+    """One multi-controlled X per set data bit, plus the data encoding.
+
+    The gates are built unchecked from the checked layout. Every control
+    tuple is made from one pair of ``(qubit, bit)`` controls per index
+    qubit, each entry's gates share one tuple, and all share the tuple of
+    control qubits."""
+    pairs = [((q, 0), (q, 1)) for q in layout.index_qubits]
+    wires = tuple(layout.index_qubits)
+    targets = [(q,) for q in layout.data_qubits]
+    gates = []
+    for label, word in sorted(descriptor.data.items()):
+        value = int(word, 2)
+        pat = layout.pattern(label)
+        ctrls = tuple([pair[(pat >> i) & 1] for i, pair in enumerate(pairs)])
+        gates += [GateSpec._built("x", (), t, ctrls, wires)
+                  for b, t in enumerate(targets) if (value >> b) & 1]
+    circ = Circuit._reusing(n, gates, {q: "D" for q in layout.data_qubits})
     enc = _encoding(descriptor.u_d, n, layout.data_qubits)
     return circ if enc is None else circ + enc
 
@@ -712,12 +725,9 @@ def prepare_balanced(k: int, data: dict[int, int | str] | None = None,
 
 def _sensor_prep_circuit(value: int, sensor_qubits, u_d: Circuit | None,
                          n: int) -> Circuit:
-    circ = Circuit(n)
-    for q in sensor_qubits:
-        circ.label(q, "S")
-    for b, q in enumerate(sensor_qubits):
-        if (value >> b) & 1:
-            circ.append(x(q))
+    circ = Circuit._reusing(n, [GateSpec._built("x", (), (q,))
+                                for b, q in enumerate(sensor_qubits) if (value >> b) & 1],
+                            {q: "S" for q in sensor_qubits})
     enc = _encoding(u_d, n, sensor_qubits)
     return circ if enc is None else circ + enc
 
@@ -788,12 +798,12 @@ def _write_folded(db: QdbState, label: int, value: int) -> StateVector:
     old = db.descriptor.data_value(label)
     moved = state.amplitudes[layout.physical_index(label, old)]
     ctrls = layout.pattern_controls(label)
-    state = simulate(Circuit(n, [GateSpec("x", (), (q,), ctrls)
-                                 for b, q in enumerate(layout.data_qubits)
-                                 if (value >> b) & 1]), state)
+    state = simulate(Circuit._reusing(n, [GateSpec._built("x", (), (q,), ctrls)
+                                          for b, q in enumerate(layout.data_qubits)
+                                          if (value >> b) & 1], {}), state)
     if abs(state.amplitudes[layout.physical_index(label, old ^ value)] - moved) > STATE_TOL:
         raise VerificationError(f"write left entry {label}'s amplitude behind")
-    return state if enc is None else simulate(enc, state)
+    return state if enc is None else _run(enc, state)
 
 
 def write(db: QdbState, label: int, word: int | str, *,
@@ -833,13 +843,13 @@ def write(db: QdbState, label: int, word: int | str, *,
     u_d, data = db.descriptor.u_d, db.layout.data_qubits
     prep = _sensor_prep_circuit(value, sensor, u_d, n)
     ctrls = db.layout.pattern_controls(label)
-    toggles = Circuit(n, [GateSpec("x", (), (dq,), ctrls + ((sensor[b], 1),))
-                          for b, dq in enumerate(data)])
+    toggles = Circuit._reusing(n, [GateSpec._built("x", (), (dq,), ctrls + ((sensor[b], 1),))
+                                   for b, dq in enumerate(data)], {})
     circ = prep + _decoded(toggles, _encoding(u_d, n, sensor, data))
     if not keep_sensor:
         circ.gates += [gate_inverse(g) for g in reversed(prep.gates)]
         return _successor(db, new, _write_folded(db, label, value), _grow(db.circuit, circ))
-    state = simulate(circ, add_ancillas(db.state, len(sensor), max_qubits=db.max_qubits))
+    state = _run(circ, add_ancillas(db.state, len(sensor), max_qubits=db.max_qubits))
     purity = schmidt(state, sensor).purity
     if abs(purity - 1.0) > WRITE_PURITY_TOL:
         raise VerificationError(
@@ -870,9 +880,9 @@ def write_swap_conditional(db: QdbState, label: int, word: int | str) -> QdbStat
     circ = _sensor_prep_circuit(new.descriptor.data_value(label), sensor,
                                 db.descriptor.u_d, n)
     ctrls = db.layout.pattern_controls(label)
-    for b, dq in enumerate(db.layout.data_qubits):
-        circ.append(GateSpec("swap", (), (dq, sensor[b]), ctrls))
-    return _successor(db, new, simulate(circ, state), _grow(db.circuit, circ))
+    circ.gates += [GateSpec._built("swap", (), (dq, sensor[b]), ctrls)
+                   for b, dq in enumerate(db.layout.data_qubits)]
+    return _successor(db, new, _run(circ, state), _grow(db.circuit, circ))
 
 
 # ---------------------------------------------------------------------------
@@ -900,12 +910,10 @@ def _copy_data(db: QdbState, new: QdbMeta, ctrls) -> QdbState:
     n = out[-1] + 1
     state = add_ancillas(db.state, len(out), max_qubits=db.max_qubits)
     data = db.layout.data_qubits
-    circ = Circuit(n, [GateSpec("x", (), (out[b],), ctrls + ((dq, 1),))
-                       for b, dq in enumerate(data)])
-    for q in out:
-        circ.label(q, "A")
+    circ = Circuit._reusing(n, [GateSpec._built("x", (), (out[b],), ctrls + ((dq, 1),))
+                                for b, dq in enumerate(data)], {q: "A" for q in out})
     circ = _decoded(circ, _encoding(db.descriptor.u_d, n, data))
-    return _successor(db, new, simulate(circ, state), _grow(db.circuit, circ))
+    return _successor(db, new, _run(circ, state), _grow(db.circuit, circ))
 
 
 def read_copy(db: QdbState, label: int) -> QdbState:
@@ -955,7 +963,7 @@ def read_projective(db: QdbState, label: int) -> tuple[StateVector, float]:
     for i, q in enumerate(layout.index_qubits):
         if (pat >> i) & 1:
             reset.append(x(q))
-    collapsed = simulate(reset, collapsed)
+    collapsed = _run(reset, collapsed)
     data_state = drop_qubits(collapsed, layout.index_qubits)
     return data_state, prob
 
@@ -1081,43 +1089,60 @@ def remove_projective(db: QdbState, label: int) -> RemovalOutcome:
 def normalize_permutation(perm, labels) -> dict[int, int]:
     """Validate a permutation given as a sequence over the label set or as a
     dict; dict entries not mentioned stay put."""
-    labels = set(labels)
+    labels = tuple(labels)
+    moves = _moves(perm, set(labels))
+    return {j: moves.get(j, j) for j in labels}
+
+
+def _moves(perm, labels) -> dict[int, int]:
+    """The labels a valid permutation moves, each with its target.
+
+    ``labels`` is the label set (any container with fast ``in``). A dict is
+    checked on the labels it moves alone: they must be known and their
+    targets must be the same set, since a bijection fixing the other labels
+    permutes the moved ones among themselves. A sequence names every label,
+    so it is checked whole.
+    """
     if isinstance(perm, dict):
         mapping = {int(j): int(t) for j, t in perm.items()}
-        unknown = set(mapping) - labels
+        unknown = [j for j in mapping if j not in labels]
         if unknown:
             raise SemanticError(f"permutation names unknown labels {sorted(unknown)}")
-        for j in labels - set(mapping):
-            mapping[j] = j
     else:
         mapping = {j: int(t) for j, t in enumerate(perm)}
-        if set(mapping) != labels:
+        if len(mapping) != len(labels) or any(j not in labels for j in mapping):
             raise SemanticError(
                 f"permutation keys {sorted(mapping)} must cover labels {sorted(labels)}")
-    if set(mapping.values()) != labels:
+    moves = {j: t for j, t in mapping.items() if j != t}
+    if set(moves.values()) != moves.keys():
         raise SemanticError("permutation must be a bijection on the label set")
-    return mapping
+    return moves
 
 
 def permute_meta(meta: QdbMeta, perm) -> tuple[QdbMeta, dict[int, int]]:
     """Transition of ``permute``: words and profile follow their entries.
-    Also returns the validated label mapping the op routes by."""
+    Also returns the labels the op moves, each with its target; a dict
+    ``perm`` costs only the labels it moves."""
     meta.require_bare("permute")
-    mapping = normalize_permutation(perm, meta.layout.labels)
-    if all(j == t for j, t in mapping.items()):
-        return meta, mapping
-    inverse = {t: j for j, t in mapping.items()}
+    moves = _moves(perm, meta.layout.logical_index_map)
+    if not moves:
+        return meta, moves
     desc = meta.descriptor
-    if desc.data_value(inverse[0]):
+    incoming = {t: j for j, t in moves.items()}.get(0, 0)
+    if desc.data_value(incoming):
         raise SemanticError(
-            f"entry {inverse[0]} holds data and cannot become the reservoir")
-    if mapping[0] != 0 and desc.l > 0:
+            f"entry {incoming} holds data and cannot become the reservoir")
+    if 0 in moves and desc.l > 0:
         raise SemanticError("cannot relocate a weighted reservoir (l > 0)")
     profile = meta.amplitude_profile
     if profile is not None:
-        profile = {mapping[j]: wgt for j, wgt in profile.items()}
-    return meta._derived(amplitude_profile=profile, descriptor=desc._derived(
-        data={mapping[j]: w for j, w in desc.data.items()})), mapping
+        profile = {moves.get(j, j): wgt for j, wgt in profile.items()}
+    data = dict(desc.data)
+    for j in moves:
+        data.pop(j, None)
+    data.update((t, desc.data[j]) for j, t in moves.items() if j in desc.data)
+    return meta._derived(amplitude_profile=profile,
+                         descriptor=desc._derived(data=data)), moves
 
 
 def permute(db: QdbState, perm) -> QdbState:
@@ -1129,14 +1154,12 @@ def permute(db: QdbState, perm) -> QdbState:
     weighted reservoir (l > 0) is rejected.
     """
     meta = db.meta
-    new, mapping = permute_meta(meta, perm)
+    new, moves = permute_meta(meta, perm)
     if new is meta:
         return db
-    # only the labels that move: the completed bijection fixes the rest
-    pattern_map = {db.layout.pattern(j): db.layout.pattern(t)
-                   for j, t in mapping.items() if j != t}
-    circ = pattern_permutation_circuit(pattern_map, db.layout.index_qubits,
-                                       db.n_qubits)
+    lmap = db.layout.logical_index_map
+    circ = pattern_permutation_circuit({lmap[j]: lmap[t] for j, t in moves.items()},
+                                       db.layout.index_qubits, db.n_qubits)
     return _successor(db, new, simulate(circ, db.state), _grow(db.circuit, circ))
 
 

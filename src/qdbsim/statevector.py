@@ -6,10 +6,13 @@ Conventions
   ``|x>`` assigns qubit ``q`` the bit ``(x >> q) & 1``.
 * New qubits are appended at the high-significance end and start in ``|0>``.
 * States are treated as immutable: every operation returns a new
-  ``StateVector`` and never mutates its input. The one exception is asked
-  for by name: ``apply_gate(state, gate, out=target)`` writes its result
-  into ``target``, which may be ``state`` itself. ``circuit.simulate`` uses
-  that to copy its input once and then update the copy gate by gate.
+  ``StateVector`` and never mutates its input. The exceptions are asked for
+  by name: ``apply_gate(state, gate, out=target)`` writes its result into
+  ``target``, which may be ``state`` itself, and ``_apply_x_run`` updates
+  the state it is given. ``circuit.simulate`` copies its input once and
+  updates the copy through them; ``circuit._run`` does the same on a state
+  its caller owns, such as a widened state fresh from ``add_ancillas``,
+  with no copy at all.
 * Gates work on the ``(2,)*n`` view of the amplitudes, in which axis
   ``n-1-q`` is qubit ``q``. Each control fixes its axis, so a gate reads and
   writes only the slices its controls select; the norm check is taken over
@@ -18,6 +21,13 @@ Conventions
   every amplitude (signed zeros included) keeps its bits, and an
   uncontrolled ``x`` needs one half-state temporary. They skip the norm
   check, which a permutation cannot fail.
+* A run of ``x`` gates controlled on one qubit set C, with targets outside
+  it, commutes; when its controls read two or more patterns it is one
+  permutation, basis index i to i XOR T[p], with p the pattern i reads on C.
+  ``_apply_x_run`` moves the amplitudes of all patterns sharing a mask in
+  one gather and one scatter, the same exact move as gate by gate, so the
+  result is bit-identical. ``circuit._run`` hands it runs long enough to
+  repay its set-up.
 * State equality is judged up to global phase by default.
 
 The default qubit budget is 26; anything above that is rejected rather than
@@ -228,6 +238,82 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
     for v, a in zip(views, new):
         v[...] = a
     return out
+
+
+_MOVE_CHUNK = 1 << 17  # amplitudes gathered at once by _apply_x_run
+
+
+def _apply_x_run(state: StateVector, gates) -> None:
+    """A run of ``x`` gates that share one ``_run_key`` (the tuple C of their
+    control qubits), applied to ``state`` in place as one permutation.
+
+    No target lies in C, so no gate changes what another's controls read:
+    the gates commute, and together they send basis index i to
+    i XOR T[p], where p is the pattern i reads on C (bit j on C[j]) and T[p]
+    XORs the targets of the gates whose controls read p. The amplitudes of
+    all patterns sharing one mask M move at once: gathered, flipped along
+    M's qubits and put back, an exact move like each ``x``. Work and
+    temporaries follow the patterns moved, in chunks of at most
+    ``_MOVE_CHUNK`` amplitudes; no index array spans the state. Where one
+    pattern alone holds more (more than log2 ``_MOVE_CHUNK`` qubits lie
+    outside C), the gates go one by one through ``apply_gate``, whose
+    temporary is half of one pattern's amplitudes.
+    """
+    n = state.n_qubits
+    wires = gates[0]._run_key
+    step = _MOVE_CHUNK >> (n - len(wires))  # patterns moved per gather
+    if not step:
+        for g in gates:
+            apply_gate(state, g, out=state)
+        return
+    table: dict[int, int] = {}
+    controls = None
+    for g in gates:
+        if g.controls is not controls:  # a pattern's gates share one tuple
+            controls = g.controls
+            pattern = 0
+            for j, (_, bit) in enumerate(controls):
+                pattern |= bit << j
+        table[pattern] = table.get(pattern, 0) ^ (1 << g.targets[0])
+    by_mask: dict[int, list[int]] = {}
+    for pattern, mask in table.items():
+        if mask:
+            by_mask.setdefault(mask, []).append(pattern)
+    # Axes of the (2,)*n view, highest qubit first: each block of consecutive
+    # qubits in C becomes one axis, indexed by the pattern bits it holds
+    # (``bits[i]`` on its i-th lowest qubit); every other qubit keeps its own
+    # axis, so a mask is a flip. The blocks then go first.
+    bit_of = {q: j for j, q in enumerate(wires)}
+    shape, blocks, free = [], [], []
+    q = n - 1
+    while q >= 0:
+        top = q
+        while q in bit_of and q - 1 in bit_of:
+            q -= 1
+        if top in bit_of:
+            blocks.append((len(shape), [bit_of[p] for p in range(q, top + 1)]))
+            shape.append(1 << (top - q + 1))
+        else:
+            free.append((len(shape), q))
+            shape.append(2)
+        q -= 1
+    view = state.amplitudes.reshape(shape).transpose(
+        [axis for axis, _ in blocks] + [axis for axis, _ in free])
+    for mask, patterns in by_mask.items():
+        flip = tuple(1 + i for i, (_, q) in enumerate(free) if (mask >> q) & 1)
+        patterns = np.array(patterns, dtype=np.int64)
+        for lo in range(0, patterns.size, step):
+            chunk = patterns[lo:lo + step]
+            index = tuple(_block_index(chunk, bits) for _, bits in blocks)
+            view[index] = np.flip(view[index], flip)
+
+
+def _block_index(patterns: np.ndarray, bits: list[int]) -> np.ndarray:
+    """Each pattern's index on a merged axis whose i-th lowest qubit holds
+    pattern bit ``bits[i]``."""
+    if bits == list(range(bits[0], bits[0] + len(bits))):
+        return (patterns >> bits[0]) & ((1 << len(bits)) - 1)
+    return sum(((patterns >> j) & 1) << i for i, j in enumerate(bits))
 
 
 def apply_two_level_rotation(state: StateVector, a: int, b: int, theta: float) -> StateVector:

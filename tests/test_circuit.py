@@ -1,15 +1,20 @@
 """Circuit container: composition, inversion, remapping, control wrapping."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qdbsim.circuit as circuit_mod
 from conftest import dense_column, random_state
+from qdbsim import statevector
 from qdbsim.circuit import Circuit, simulate
-from qdbsim.errors import SemanticError
+from qdbsim.errors import CircuitParseError, SemanticError
 from qdbsim.gates import GateSpec, h, phase, rot2, ry, swap, x, y
 from qdbsim.oracle import dense_operator
-from qdbsim.statevector import StateVector
+from qdbsim.statevector import StateVector, apply_gate
+from qdbsim.text_format import emit_text, parse_text
 
 
 def small_circuit(n=3) -> Circuit:
@@ -184,3 +189,137 @@ def test_random_circuits_match_dense_oracle(seed, n):
     got = simulate(c).amplitudes
     want = dense_column(c)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+# --- fused x runs and the check-once rule ------------------------------------
+
+
+@st.composite
+def x_run_circuits(draw):
+    """Runs of mixed-polarity x gates on one ordered control set C, broken
+    by other kinds and by x gates on other control sets, on up to 14
+    qubits. C is drawn from the whole register, so its qubits may sit above
+    the targets, as the index qubits do after growth. Runs reach past
+    ``_FUSE_MIN`` gates, so both fused and per-gate runs occur."""
+    n = draw(st.integers(2, 14))
+    wires = draw(st.permutations(range(n)))
+    wires = wires[:draw(st.integers(1, n - 1))]
+    others = [q for q in range(n) if q not in wires]
+    patterns = draw(st.lists(st.integers(0, 2 ** len(wires) - 1), min_size=1, max_size=8))
+    gates = []
+    for _ in range(draw(st.integers(1, 4))):
+        for _ in range(draw(st.integers(0, 2 * circuit_mod._FUSE_MIN))):
+            pat = draw(st.sampled_from(patterns))
+            ctrls = tuple((q, (pat >> j) & 1) for j, q in enumerate(wires))
+            gates.append(GateSpec("x", (), (draw(st.sampled_from(others)),), ctrls))
+        t, c = draw(st.permutations(range(n)))[:2]
+        gates.append(draw(st.sampled_from([
+            h(t), ry(t, 0.3, nctrl=(c,)), phase(t, 1.1, ctrl=(c,)), swap(t, c),
+            x(t, ctrl=(c,)), x(t)])))
+    return Circuit(n, gates)
+
+
+@settings(deadline=None, max_examples=60)
+@given(circ=x_run_circuits(), seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from([1, 8, 64, 1 << 17]))
+def test_fused_x_runs_match_gate_by_gate_simulation(circ, seed, chunk):
+    state = random_state(np.random.default_rng(seed), circ.n_qubits)
+    want = state
+    for g in circ.gates:
+        want = apply_gate(want, g)
+    # small chunks make one mask's patterns move in several gathers, or
+    # send a run whose patterns are each larger than a chunk gate by gate
+    with mock.patch.object(statevector, "_MOVE_CHUNK", chunk):
+        got = simulate(circ, state)
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+def two_pattern_run(length):
+    """``length`` x gates on controls (0, 1), alternating pattern 00 (target
+    2) and pattern 11 (target 3)."""
+    return [x(3, ctrl=(0, 1)) if i % 2 else x(2, nctrl=(0, 1)) for i in range(length)]
+
+
+def test_fusion_takes_long_runs_on_two_patterns_only(monkeypatch):
+    runs = []
+    real = circuit_mod._apply_x_run
+
+    def recording(state, run):
+        runs.append(list(run))
+        real(state, run)
+
+    monkeypatch.setattr(circuit_mod, "_apply_x_run", recording)
+    size = circuit_mod._FUSE_MIN
+    one_pattern = [x(2 + i % 2, ctrl=(0,), nctrl=(1,)) for i in range(size)]
+    two_patterns = two_pattern_run(size)
+    short = two_pattern_run(size - 1)
+    other_order = [x(2, ctrl=(1, 0))]  # same control set, other order: a new run
+    simulate(Circuit(4, [h(0), h(1)] + one_pattern + [h(2)] + two_patterns + other_order
+                     + [h(3)] + short))
+    assert runs == [two_patterns]
+
+
+def test_runs_of_wide_patterns_go_gate_by_gate(monkeypatch):
+    # one control qubit leaves 5 qubits, 32 amplitudes, per pattern: more
+    # than a chunk of 8 holds, so the run goes gate by gate through
+    # apply_gate instead of gathering whole patterns
+    monkeypatch.setattr(statevector, "_MOVE_CHUNK", 8)
+    gates = [x(1 + i % 5, ctrl=(0,)) if i % 2 else x(1 + i % 5, nctrl=(0,))
+             for i in range(circuit_mod._FUSE_MIN)]
+    circ = Circuit(6, gates)
+    state = random_state(np.random.default_rng(5), 6)
+    applied = []
+    real = statevector.apply_gate
+
+    def recording(state, gate, **kwargs):
+        applied.append(gate)
+        return real(state, gate, **kwargs)
+
+    monkeypatch.setattr(statevector, "apply_gate", recording)
+    got = simulate(circ, state)
+    assert applied == gates
+    want = state
+    for g in gates:
+        want = real(want, g)
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+BAD_GATES = [
+    (("frob", (), (0,), ()), "unknown gate kind"),
+    (("ry", (), (0,), ()), "takes 1 parameter"),
+    (("y", (1.5,), (0,), ()), r"must lie in \[0, 1\]"),
+    (("swap", (), (1, 1), ()), "two distinct targets"),
+    (("x", (), (0, 1), ()), "exactly one target"),
+    (("x", (), (0,), ((1, 2),)), "polarity"),
+    (("x", (), (0,), ((0, 1),)), "appears twice"),
+    (("x", (), (-1,), ()), "negative qubit"),
+]
+
+
+@pytest.mark.parametrize("parts,message", BAD_GATES, ids=[m for _, m in BAD_GATES])
+def test_gatespec_refuses_invalid_gates(parts, message):
+    with pytest.raises(SemanticError, match=message) as exc:
+        GateSpec(*parts)
+    assert exc.value.exit_code == 3
+
+
+@pytest.mark.parametrize("gate", [x(2), x(0, ctrl=(2,)), swap(0, 5), rot2(0, 4, 0.1)],
+                         ids=["target", "control", "swap", "rot2-index"])
+def test_gates_outside_the_register_are_refused_on_every_public_path(gate):
+    for enter in (lambda: Circuit(2, [gate]), lambda: Circuit(2).append(gate),
+                  lambda: apply_gate(StateVector.zero(2), gate)):
+        with pytest.raises(SemanticError) as exc:
+            enter()
+        assert exc.value.exit_code == 3
+    text = emit_text(Circuit(6, [gate])).replace("qubits 6", "qubits 2")
+    with pytest.raises(CircuitParseError) as exc:
+        parse_text(text)
+    assert exc.value.exit_code == 2 and exc.value.line == 2
+
+
+@pytest.mark.parametrize("line", ["frob q[0]", "ry q[0]", "y(1.5) q[0]", "swap q[1] q[1]",
+                                  "x q[0] q[1]", "x q[0] ctrl q[0]"])
+def test_parse_text_refuses_invalid_gates(line):
+    with pytest.raises(CircuitParseError) as exc:
+        parse_text(f"qubits 2\n{line}\n")
+    assert exc.value.exit_code == 2 and exc.value.line == 2

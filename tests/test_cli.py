@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -430,10 +431,15 @@ def test_verify_subcommand(capsys):
 
 def test_console_script_entry_point(tmp_path):
     script = write_script(tmp_path, "prepare k=2\ndump\n")
+    # the package's source goes first on the child's path, however the suite
+    # was started (installed or not, with or without PYTHONPATH)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "qdbsim.cli", "run", str(script),
          "--out", str(tmp_path / "o")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "o" / "001-dump.json").exists()

@@ -195,19 +195,29 @@ def test_transfer_reflections_match_its_gates(data):
 
 def test_transfer_simulates_only_the_preflight(monkeypatch):
     # the steps are reflections about the preflight state: the only gates
-    # simulated are the preparation circuit's, once
+    # simulated are the preparation circuit's, once. The kernel takes them
+    # one by one or as fused x runs; in order they are exactly u's gates.
     db = prepare_general(128, 0, {j: j % 64 for j in range(1, 128, 3)}, m_data=6)
     u_qdb = preparation_circuit(db.descriptor, db.layout)
-    real, calls = circuit_mod.apply_gate, []
+    simulated = []  # (kernel, the gates it was given), one per kernel call
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def record(name, gates_of):
+        real = getattr(circuit_mod, name)
 
-    monkeypatch.setattr(circuit_mod, "apply_gate", counting)
+        def kernel(state, arg, **kwargs):
+            simulated.append((name, gates_of(arg)))
+            return real(state, arg, **kwargs)
+
+        monkeypatch.setattr(circuit_mod, name, kernel)
+
+    record("apply_gate", lambda gate: [gate])
+    record("_apply_x_run", list)
     loaded, plan = transfer(db, 128)
     assert plan.m == 3
-    assert calls == u_qdb.gates
+    assert [g for _, gates in simulated for g in gates] == u_qdb.gates
+    # the data-write block went as one fused run
+    data_write = sum(bin(j % 64).count("1") for j in range(1, 128, 3))
+    assert [len(gates) for name, gates in simulated if name == "_apply_x_run"] == [data_write]
     loaded.check()
 
 

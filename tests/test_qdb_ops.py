@@ -21,7 +21,7 @@ from qdbsim.errors import (
     SemanticError,
     VerificationError,
 )
-from qdbsim.extend import extend, extend_imbalanced
+from qdbsim.extend import extend, extend_imbalanced, unfold
 from qdbsim.gates import h, phase, ry, x
 from qdbsim.oracle import expected_qdb_amplitudes, permutation_matrix
 from qdbsim.qdb import (
@@ -371,7 +371,9 @@ def test_write_swap_conditional_mismatch_entangles():
 
 
 def test_history_growth_checks_only_new_gates(monkeypatch):
-    # the build history is never checked again: write 40 costs what write 1 does
+    # the build history is never checked again: write 40 costs what write 1
+    # does. A write builds its gates from the checked layout unchecked; the
+    # only checks left are apply_gate's, one per toggle it simulates.
     calls = []
     check = importlib.import_module("qdbsim.statevector")._check_gate
 
@@ -388,7 +390,7 @@ def test_history_growth_checks_only_new_gates(monkeypatch):
         db = write(db, 1, "11")
         per_write.append(len(calls) - start)
     assert len(db.circuit) > 200
-    assert per_write[-1] == per_write[0] > 0
+    assert per_write == [2] * 40  # "11" toggles both data bits
 
 
 def test_ops_leave_their_input_history_alone():
@@ -744,6 +746,46 @@ def test_transpose_entries_is_two_cycle():
     assert swapped.descriptor.data == {1: "11", 3: "01"}
     back = transpose_entries(swapped, 1, 3)
     assert states_equal(back.state, db.state, tol=1e-12)
+
+
+@pytest.mark.parametrize("op", [
+    lambda db: read_copy(db, 1),
+    read_copy_all,
+    lambda db: write(db, 2, "10", keep_sensor=True),
+    lambda db: write_swap_conditional(db, 1, "01"),
+    lambda db: write(db, 1, "01"),
+    lambda db: extend(db, 3),
+    lambda db: extend_imbalanced(db, 6, 2),
+], ids=["read_copy", "read_copy_all", "write-keep-sensor", "write-swap", "write", "extend",
+        "extend_imbalanced"])
+@pytest.mark.parametrize("u_d", [None, H_ENCODING.extended(2)], ids=["plain", "encoded"])
+def test_ops_leave_the_input_amplitudes_alone(op, u_d):
+    # the widened states these ops simulate on are their own; the input's
+    # amplitudes are never written
+    db = prepare_general(4, 0, {1: "11", 3: "01"}, m_data=2, u_d=u_d)
+    before = db.state.amplitudes.tobytes()
+    op(db)
+    assert db.state.amplitudes.tobytes() == before
+
+
+def test_unfold_leaves_the_input_amplitudes_alone():
+    db = prepare_general(4, 3, {1: "11"}, m_data=2)
+    before = db.state.amplitudes.tobytes()
+    unfold(db)
+    assert db.state.amplitudes.tobytes() == before
+
+
+def test_dict_permutations_are_checked_on_the_labels_they_move():
+    labels = range(6)
+    assert normalize_permutation({2: 2, 4: 5, 5: 4}, labels) == {0: 0, 1: 1, 2: 2, 3: 3,
+                                                                  4: 5, 5: 4}
+    with pytest.raises(SemanticError, match="unknown labels \\[7\\]"):
+        normalize_permutation({7: 1, 1: 7}, labels)
+    for bad in ({4: 5}, {4: 5, 5: 5}, {1: 9, 9: 1, 2: 2}):
+        with pytest.raises(SemanticError):
+            normalize_permutation(bad, labels)
+    with pytest.raises(SemanticError, match="bijection"):
+        normalize_permutation({4: 5, 5: 1}, labels)
 
 
 def test_normalize_permutation_forms():
