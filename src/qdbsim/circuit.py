@@ -6,15 +6,10 @@ register labels (``I`` index, ``D`` data, ``A`` ancilla, ``S`` sensor) which
 are purely annotations: simulation ignores them, but layout bookkeeping and
 the text format carry them through.
 
-Simulation has one path. ``simulate`` copies its start state once (or
-starts from |0...0>) and hands the copy to ``_run``, which applies the
-gates in place: a long run of controlled ``x`` gates on one control qubit
-set whose controls read two or more patterns (the data-write block of a
-preparation) as one exact permutation, every other gate on its own through
-``apply_gate``. Both give the same bits as applying the gates one by one.
-``_run`` is also the entry for a state the caller owns outright, such as
-one fresh from ``add_ancillas``: it writes that state's amplitudes, so it
-must never be given a database's own state.
+Simulation has one entry, ``simulate``, the only function that runs a
+circuit's gates. It widens a narrower start state with fresh |0> qubits at
+the high end, makes that one copy, and runs the gates on it in place; the
+result has the same bits as applying the gates one by one.
 """
 
 from __future__ import annotations
@@ -28,6 +23,7 @@ from .statevector import (
     StateVector,
     _apply_x_run,
     _check_gate,
+    add_ancillas,
     apply_gate,
 )
 
@@ -161,32 +157,23 @@ class CircuitMetrics:
     max_controls: int
 
 
-def simulate(circuit: Circuit, state: StateVector | None = None,
-             *, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    """Run the circuit on ``state`` (default |0...0>) and return a new state.
-
-    ``state`` is copied once and the circuit then runs on that copy in place
-    (``_run``); the caller's amplitudes are never written.
-    """
-    if state is None:
-        return _run(circuit, StateVector.zero(circuit.n_qubits, max_qubits=max_qubits))
-    return _run(circuit, state.copy())
-
-
-# Shortest x run that _run fuses. Below it the fused pass's set-up costs
+# Shortest x run that simulate fuses. Below it the fused pass's set-up costs
 # more than the per-gate moves it replaces: with random patterns, fusing
 # broke even at 4 to 16 gates on 5 to 13 qubits, and on 19 qubits the two
 # cost about the same from 16 gates up.
 _FUSE_MIN = 16
 
 
-def _run(circuit: Circuit, state: StateVector) -> StateVector:
-    """Run the circuit on ``state`` in place and return it.
+def simulate(circuit: Circuit, state: StateVector | None = None,
+             *, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+    """Run the circuit on ``state`` (default |0...0>) and return a new state.
 
-    The caller must own ``state``: its amplitudes are overwritten, so no
-    other state, database or caller may hold them. A state fresh from
-    ``add_ancillas`` or ``simulate`` qualifies; a database's own state does
-    not, and goes through ``simulate``'s copy instead.
+    A ``state`` narrower than the circuit is widened with fresh |0> qubits at
+    the high end, up to the circuit's width, and the widened width counts
+    against ``max_qubits`` (CapacityError); a wider one is refused. The
+    widened array, or a copy of a same-width state, is the one copy made:
+    the gates run on it in place, so the caller's amplitudes are never
+    written.
 
     A run of at least ``_FUSE_MIN`` controlled ``x`` gates sharing one
     ``_run_key`` whose controls read at least two patterns moves as one
@@ -194,9 +181,15 @@ def _run(circuit: Circuit, state: StateVector) -> StateVector:
     ``apply_gate``: a run on one pattern, such as a write's toggles, and a
     short run are cheaper as per-gate slice moves.
     """
-    if state.n_qubits != circuit.n_qubits:
-        raise SemanticError(
-            f"state has {state.n_qubits} qubits, circuit needs {circuit.n_qubits}")
+    n = circuit.n_qubits
+    if state is None:
+        state = StateVector.zero(n, max_qubits=max_qubits)
+    elif state.n_qubits == n:
+        state = state.copy()
+    elif state.n_qubits < n:
+        state = add_ancillas(state, n - state.n_qubits, max_qubits=max_qubits)
+    else:
+        raise SemanticError(f"state has {state.n_qubits} qubits, circuit needs {n}")
     gates = circuit.gates
     end, i = len(gates), 0
     while i < end:

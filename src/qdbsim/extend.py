@@ -30,16 +30,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .circuit import Circuit, _run, simulate
+from .circuit import Circuit, simulate
 from .errors import CapacityError, SemanticError, VerificationError
 from .gates import GateSpec, phase, x
 from .qdb import (
     QdbMeta,
     QdbState,
+    _advance,
     _decoded,
     _encoding,
-    _grow,
-    _successor,
     prepare_circuit,
     prepare_general,
     preparation_circuit,
@@ -47,7 +46,6 @@ from .qdb import (
 from .statevector import (
     StateVector,
     _register_scan,
-    add_ancillas,
     drop_qubits,
     overlap,
     states_equal,
@@ -193,17 +191,22 @@ def amplification_circuit(u_qdb: Circuit, db_qubits, plan: AmplificationPlan,
                             {q: lab for part in parts for q, lab in part.labels.items()})
 
 
-def _reservoir_ket(encoding: Circuit | None, n: int, max_qubits: int) -> np.ndarray:
-    """Amplitudes of the reservoir branch |0>|u_d 0> that the reservoir
-    phases act on: E|0...0> for the data encoding E, if any."""
-    zero = StateVector.zero(n, max_qubits=max_qubits)
-    return (zero if encoding is None else simulate(encoding, zero)).amplitudes
-
-
 def _nonzeros(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The indices where ``amps`` is exactly nonzero, and its values there."""
     idx = np.flatnonzero(amps)
     return idx, amps[idx]
+
+
+def _reservoir_ket(db: QdbState) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros (see ``_nonzeros``) of the reservoir branch |0>|u_d 0>
+    that the reservoir phases act on. Only u_d runs, on the m data qubits;
+    the layout places its nonzeros under index pattern 0, in ascending
+    order, so no state-sized array is made."""
+    u_d = db.descriptor.u_d
+    if u_d is None:
+        return np.zeros(1, dtype=np.intp), np.ones(1, dtype=complex)
+    idx, amps = _nonzeros(simulate(u_d, StateVector.zero(u_d.n_qubits)).amplitudes)
+    return db.layout._place(0, idx), amps
 
 
 def _reflect(v: np.ndarray, about: tuple[np.ndarray, np.ndarray], theta: float) -> None:
@@ -259,7 +262,7 @@ def _transfer(db: QdbState, new: QdbMeta,
     """``transfer`` of ``db`` to the record ``new`` by the schedule ``plan``."""
     l = new.l
     if plan.m_star == 0:  # l == 0, or k == 1: the reservoir already holds its target
-        return (db if l == 0 else _successor(db, new, db.state, db.circuit)), plan
+        return (db if l == 0 else _advance(db, new, None, db.state)), plan
     if db.n_qubits != db.layout.n_qubits:
         raise SemanticError("state register does not match the database layout")
     u_qdb = preparation_circuit(db.descriptor, db.layout)
@@ -276,13 +279,13 @@ def _transfer(db: QdbState, new: QdbMeta,
     del psi  # frees the dense state: only its nonzeros are needed from here on
     # db_qubits span the whole register (n == layout.n_qubits, checked above),
     # so each zero-string phase is the reflection about |0...0>
-    r = _nonzeros(_reservoir_ket(encoding, n, db.max_qubits))
+    r = _reservoir_ket(db)
     v = db.state.amplitudes.copy()
     for phi, rho in _steps(plan):
         _reflect(v, r, rho)
         _reflect(v, prepared, phi)
     _reflect(v, r, plan.phase_fix)
-    new_db = _successor(db, new, StateVector(v, copy=False), _grow(db.circuit, circ))
+    new_db = _advance(db, new, circ, StateVector(v, copy=False))
     new_db.check(tol=TRANSFER_AMP_TOL)
     return new_db, plan
 
@@ -346,7 +349,6 @@ def unfold(db: QdbState) -> QdbState:
             f"reservoir holds {held:.6g}, needs {target:.6g} to fund {l} entries")
     anc = new.layout.index_qubits[-1]
     n = anc + 1
-    state = add_ancillas(db.state, 1, max_qubits=db.max_qubits)
     db_qubits = tuple(db.layout.index_qubits) + tuple(db.layout.data_qubits)
     theta = 2 * math.acos(1.0 / math.sqrt(l + 1))
     peel = Circuit(n, [GateSpec("ry", (theta,), (anc,), tuple((q, 0) for q in db_qubits))])
@@ -354,7 +356,7 @@ def unfold(db: QdbState) -> QdbState:
         peel, _encoding(db.descriptor.u_d, n, db.layout.data_qubits))
     if l > 1:
         circ += prepare_circuit(l, 0, db.layout.index_qubits, n).controlled(ctrl=(anc,))
-    new_db = _successor(db, new, _run(circ, state), _grow(db.circuit, circ))
+    new_db = _advance(db, new, circ)
     new_db.check(tol=TRANSFER_AMP_TOL)
     return new_db
 
@@ -535,7 +537,6 @@ def extend_imbalanced(db: QdbState, l: int, z: int, *, route: str = "direct",
     if z == 1:
         return unfold(loaded)
     anc = new.layout.index_qubits[-z:]
-    state = add_ancillas(loaded.state, z, max_qubits=loaded.max_qubits)
     n = anc[-1] + 1
     # the spread labels the ancillas "I": they join the index register
     circ = prepare_circuit(plan.l_prime + 1, 0, anc, n).controlled(
@@ -548,16 +549,16 @@ def extend_imbalanced(db: QdbState, l: int, z: int, *, route: str = "direct",
             circ += spread_idx
         else:
             marker = n
-            state = add_ancillas(state, 1, max_qubits=loaded.max_qubits)
             circ = circ.extended(n + 1)
             flag = _marker_flag_circuit(marker, anc, n + 1)
             circ += flag
             circ += spread_idx.extended(n + 1).controlled(ctrl=(marker,))
             circ += flag.inverse()
-    state = _run(circ, state)
+    # the widened state holds the z ancillas, and the marker on that route
+    state = simulate(circ, loaded.state, max_qubits=loaded.max_qubits)
     if route == "marker" and plan.l_double_prime > 1:
         state = drop_qubits(state, [n])
-    new_db = _successor(loaded, new, state, _grow(loaded.circuit, circ))
+    new_db = _advance(loaded, new, circ, state)
     new_db.check(tol=TRANSFER_AMP_TOL)
     return new_db
 

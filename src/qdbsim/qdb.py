@@ -8,6 +8,8 @@ entry j's data register holding |d_j> (or u_d|d_j> under a data encoding).
 Operations are functional: each returns a new QdbState and leaves its input
 untouched. Every unitary step is also appended to a cumulative circuit, so a
 database can always be re-created from |0...0> by the circuit it carries.
+Every op but preparation ends in ``_advance``, where its record, its circuit
+and its new amplitudes meet.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, _run, simulate
+from .circuit import Circuit, simulate
 from .errors import SemanticError, VerificationError
 from .gates import GateSpec, gate_inverse, rot2, x, y
 from .statevector import (
@@ -27,16 +29,13 @@ from .statevector import (
     _check_budget,
     _register_scan,
     _selector,
-    add_ancillas,
     drop_qubits,
     project,
     schmidt,
     states_equal,
 )
 from .text_format import emit_text, parse_text
-from .tolerances import DUMP_THRESHOLD, PROJECTION_ZERO_TOL, STATE_TOL
-
-WRITE_PURITY_TOL = 1e-10
+from .tolerances import DUMP_THRESHOLD, PROJECTION_ZERO_TOL, STATE_TOL, WRITE_PURITY_TOL
 
 
 def index_width(k: int) -> int:
@@ -410,11 +409,20 @@ class QdbState(_Record):
         return emit_text(self.circuit)
 
 
-def _successor(db: QdbState, meta: QdbMeta, state: StateVector,
-               circuit: Circuit) -> QdbState:
+def _advance(db: QdbState, meta: QdbMeta, circ: Circuit | None,
+             state: StateVector | None = None) -> QdbState:
     """The database an operation on ``db`` leaves: its transition's record
-    plus the new amplitudes and build circuit, under the same qubit budget."""
-    return QdbState(meta.descriptor, meta.layout, state, circuit, meta.sensor_qubits,
+    ``meta``, under the same qubit budget, with ``circ`` appended to the
+    build circuit (left as it is when ``circ`` is None).
+
+    The new amplitudes are ``state`` when the op has made them its own way,
+    and otherwise ``circ`` simulated on ``db``'s state, widened to the
+    circuit's fresh high qubits as ``simulate`` does.
+    """
+    if state is None:
+        state = simulate(circ, db.state, max_qubits=db.max_qubits)
+    history = db.circuit if circ is None else _grow(db.circuit, circ)
+    return QdbState(meta.descriptor, meta.layout, state, history, meta.sensor_qubits,
                     meta.copy_qubits, meta.amplitude_profile, meta.projective,
                     db.max_qubits)
 
@@ -664,19 +672,21 @@ def prepare_meta(k: int, l: int = 0, data: dict[int, int | str] | None = None,
     Pure argument checking — no state is built — so callers can vet a
     preparation before paying for the simulation.
     """
-    data = data or {}
-    norm_data: dict[int, str] = {}
+    words: dict[int, int | str] = {}
     widest = 0
-    for label, word in data.items():
+    for label, word in (data or {}).items():
         if not 0 <= label < k:
             raise SemanticError(f"data label {label} outside [0, {k})")
-        bits = word if isinstance(word, str) else format(int(word), "b")
-        if isinstance(word, str) or _bits_to_int(bits):
-            widest = max(widest, len(bits))
-        norm_data[label] = bits
-    m = max(widest if norm_data else 0,
-            m_data or 0, u_d.n_qubits if u_d is not None else 0)
-    desc = QdbDescriptor(k=k, l=l, data=norm_data, u_d=u_d, m_data=m)
+        if isinstance(word, str):
+            width = len(word)
+        else:
+            word = int(word)  # numpy integers too
+            width = word.bit_length()
+        if width > widest:
+            widest = width
+        words[label] = word
+    m = max(widest, m_data or 0, u_d.n_qubits if u_d is not None else 0)
+    desc = QdbDescriptor(k=k, l=l, data=words, u_d=u_d, m_data=m)
     return QdbMeta(desc, QdbLayout.fresh(k, m))
 
 
@@ -803,7 +813,7 @@ def _write_folded(db: QdbState, label: int, value: int) -> StateVector:
                                           if (value >> b) & 1], {}), state)
     if abs(state.amplitudes[layout.physical_index(label, old ^ value)] - moved) > STATE_TOL:
         raise VerificationError(f"write left entry {label}'s amplitude behind")
-    return state if enc is None else _run(enc, state)
+    return state if enc is None else simulate(enc, state)
 
 
 def write(db: QdbState, label: int, word: int | str, *,
@@ -848,13 +858,13 @@ def write(db: QdbState, label: int, word: int | str, *,
     circ = prep + _decoded(toggles, _encoding(u_d, n, sensor, data))
     if not keep_sensor:
         circ.gates += [gate_inverse(g) for g in reversed(prep.gates)]
-        return _successor(db, new, _write_folded(db, label, value), _grow(db.circuit, circ))
-    state = _run(circ, add_ancillas(db.state, len(sensor), max_qubits=db.max_qubits))
+        return _advance(db, new, circ, _write_folded(db, label, value))
+    state = simulate(circ, db.state, max_qubits=db.max_qubits)
     purity = schmidt(state, sensor).purity
     if abs(purity - 1.0) > WRITE_PURITY_TOL:
         raise VerificationError(
             f"sensor register entangled after write (purity {purity:.12g})")
-    return _successor(db, new, state, _grow(db.circuit, circ))
+    return _advance(db, new, circ, state)
 
 
 def write_swap_meta(meta: QdbMeta, label: int, word: int | str) -> QdbMeta:
@@ -875,14 +885,12 @@ def write_swap_conditional(db: QdbState, label: int, word: int | str) -> QdbStat
     new = write_swap_meta(db.meta, label, word)
     _check_occupied(db, label)
     sensor = new.sensor_qubits
-    n = sensor[-1] + 1
-    state = add_ancillas(db.state, len(sensor), max_qubits=db.max_qubits)
     circ = _sensor_prep_circuit(new.descriptor.data_value(label), sensor,
-                                db.descriptor.u_d, n)
+                                db.descriptor.u_d, sensor[-1] + 1)
     ctrls = db.layout.pattern_controls(label)
     circ.gates += [GateSpec._built("swap", (), (dq, sensor[b]), ctrls)
                    for b, dq in enumerate(db.layout.data_qubits)]
-    return _successor(db, new, _run(circ, state), _grow(db.circuit, circ))
+    return _advance(db, new, circ)
 
 
 # ---------------------------------------------------------------------------
@@ -908,12 +916,10 @@ def _copy_data(db: QdbState, new: QdbMeta, ctrls) -> QdbState:
     CNOT per data bit, each also controlled on ``ctrls``."""
     out = new.copy_qubits
     n = out[-1] + 1
-    state = add_ancillas(db.state, len(out), max_qubits=db.max_qubits)
     data = db.layout.data_qubits
     circ = Circuit._reusing(n, [GateSpec._built("x", (), (out[b],), ctrls + ((dq, 1),))
                                 for b, dq in enumerate(data)], {q: "A" for q in out})
-    circ = _decoded(circ, _encoding(db.descriptor.u_d, n, data))
-    return _successor(db, new, _run(circ, state), _grow(db.circuit, circ))
+    return _advance(db, new, _decoded(circ, _encoding(db.descriptor.u_d, n, data)))
 
 
 def read_copy(db: QdbState, label: int) -> QdbState:
@@ -963,9 +969,7 @@ def read_projective(db: QdbState, label: int) -> tuple[StateVector, float]:
     for i, q in enumerate(layout.index_qubits):
         if (pat >> i) & 1:
             reset.append(x(q))
-    collapsed = _run(reset, collapsed)
-    data_state = drop_qubits(collapsed, layout.index_qubits)
-    return data_state, prob
+    return drop_qubits(simulate(reset, collapsed), layout.index_qubits), prob
 
 
 # ---------------------------------------------------------------------------
@@ -1031,7 +1035,7 @@ def remove_reservoir(db: QdbState, label: int) -> QdbState:
         if abs(rel.imag) > math.sqrt(STATE_TOL) * abs(rel):
             raise SemanticError("entry phases are not aligned; cannot merge unitarily")
     merge = _decoded(Circuit(n, [rot2(a_idx, b_idx, -math.atan2(abs(b), abs(a)))]), enc)
-    return _successor(db, new, simulate(merge, db.state), _grow(db.circuit, merge))
+    return _advance(db, new, merge)
 
 
 def remove_projective_meta(meta: QdbMeta, label: int) -> tuple[float, QdbMeta | None]:
@@ -1078,20 +1082,11 @@ def remove_projective(db: QdbState, label: int) -> RemovalOutcome:
     if new is None or p_success <= PROJECTION_ZERO_TOL:
         return RemovalOutcome(0.0, None, failure_state)
     survivor, _ = project(db.state, ~hit)
-    return RemovalOutcome(p_success, _successor(db, new, survivor, db.circuit),
-                          failure_state)
+    return RemovalOutcome(p_success, _advance(db, new, None, survivor), failure_state)
 
 
 # ---------------------------------------------------------------------------
 # permutation
-
-
-def normalize_permutation(perm, labels) -> dict[int, int]:
-    """Validate a permutation given as a sequence over the label set or as a
-    dict; dict entries not mentioned stay put."""
-    labels = tuple(labels)
-    moves = _moves(perm, set(labels))
-    return {j: moves.get(j, j) for j in labels}
 
 
 def _moves(perm, labels) -> dict[int, int]:
@@ -1160,34 +1155,25 @@ def permute(db: QdbState, perm) -> QdbState:
     lmap = db.layout.logical_index_map
     circ = pattern_permutation_circuit({lmap[j]: lmap[t] for j, t in moves.items()},
                                        db.layout.index_qubits, db.n_qubits)
-    return _successor(db, new, simulate(circ, db.state), _grow(db.circuit, circ))
+    return _advance(db, new, circ)
 
 
 def transpose_entries(db: QdbState, j1: int, j2: int) -> QdbState:
     """Exchange two entries (a permutation touching nothing else)."""
-    lmap = db.layout.logical_index_map
-    if j1 not in lmap or j2 not in lmap:
-        raise SemanticError(f"labels {j1}, {j2} must both exist")
     return permute(db, {j1: j2, j2: j1})
 
 
 def relabel_contiguous(db: QdbState) -> QdbState:
     """Re-key surviving labels to 0..k-1 after removals (metadata only)."""
     db.require_bare("relabel")
-    old = db.layout.labels
-    new_labels = {j: t for t, j in enumerate(old)}
-    layout = QdbLayout(
-        index_qubits=db.layout.index_qubits,
-        data_qubits=db.layout.data_qubits,
-        logical_index_map={new_labels[j]: db.layout.pattern(j) for j in old},
-    )
-    data = {new_labels[j]: w for j, w in db.descriptor.data.items()}
-    desc = QdbDescriptor(k=db.descriptor.k, l=db.descriptor.l, data=data,
-                         u_d=db.descriptor.u_d, m_data=db.descriptor.m_data)
-    profile = None
-    if db.amplitude_profile is not None:
-        profile = {new_labels[j]: v for j, v in db.amplitude_profile.items()
-                   if j in new_labels}
-    return QdbState(desc, layout, db.state, db.circuit,
-                    amplitude_profile=profile, projective=db.projective,
-                    max_qubits=db.max_qubits)
+    meta = db.meta
+    desc, layout, profile = meta.descriptor, meta.layout, meta.amplitude_profile
+    new_labels = {j: t for t, j in enumerate(layout.labels)}
+    if profile is not None:
+        profile = {new_labels[j]: v for j, v in profile.items() if j in new_labels}
+    new = meta._derived(
+        descriptor=desc._derived(data={new_labels[j]: w for j, w in desc.data.items()}),
+        layout=layout._derived(logical_index_map={
+            t: layout.logical_index_map[j] for j, t in new_labels.items()}),
+        amplitude_profile=profile)
+    return _advance(db, new, None, db.state)

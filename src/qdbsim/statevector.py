@@ -9,10 +9,9 @@ Conventions
   ``StateVector`` and never mutates its input. The exceptions are asked for
   by name: ``apply_gate(state, gate, out=target)`` writes its result into
   ``target``, which may be ``state`` itself, and ``_apply_x_run`` updates
-  the state it is given. ``circuit.simulate`` copies its input once and
-  updates the copy through them; ``circuit._run`` does the same on a state
-  its caller owns, such as a widened state fresh from ``add_ancillas``,
-  with no copy at all.
+  the state it is given. ``circuit.simulate`` makes one copy of its input,
+  widened by ``add_ancillas`` when the circuit is wider, and updates that
+  copy through them.
 * Gates work on the ``(2,)*n`` view of the amplitudes, in which axis
   ``n-1-q`` is qubit ``q``. Each control fixes its axis, so a gate reads and
   writes only the slices its controls select; the norm check is taken over
@@ -26,8 +25,8 @@ Conventions
   permutation, basis index i to i XOR T[p], with p the pattern i reads on C.
   ``_apply_x_run`` moves the amplitudes of all patterns sharing a mask in
   one gather and one scatter, the same exact move as gate by gate, so the
-  result is bit-identical. ``circuit._run`` hands it runs long enough to
-  repay its set-up.
+  result is bit-identical. ``circuit.simulate`` hands it runs long enough
+  to repay its set-up.
 * State equality is judged up to global phase by default.
 
 The default qubit budget is 26; anything above that is rejected rather than
@@ -314,11 +313,6 @@ def _block_index(patterns: np.ndarray, bits: list[int]) -> np.ndarray:
     if bits == list(range(bits[0], bits[0] + len(bits))):
         return (patterns >> bits[0]) & ((1 << len(bits)) - 1)
     return sum(((patterns >> j) & 1) << i for i, j in enumerate(bits))
-
-
-def apply_two_level_rotation(state: StateVector, a: int, b: int, theta: float) -> StateVector:
-    """Givens rotation in the plane spanned by basis states ``a`` and ``b``."""
-    return apply_gate(state, GateSpec("rot2", (float(a), float(b), float(theta))))
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:

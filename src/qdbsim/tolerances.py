@@ -28,3 +28,6 @@ PLAN_RESIDUAL_TOL = 1e-10
 
 # Agreement demanded between circuit simulation and dense-operator oracle.
 ORACLE_TOL = 1e-12
+
+# Distance from 1 allowed in the sensor's purity after a write that keeps it.
+WRITE_PURITY_TOL = 1e-10

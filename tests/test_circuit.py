@@ -10,10 +10,10 @@ import qdbsim.circuit as circuit_mod
 from conftest import dense_column, random_state
 from qdbsim import statevector
 from qdbsim.circuit import Circuit, simulate
-from qdbsim.errors import CircuitParseError, SemanticError
+from qdbsim.errors import CapacityError, CircuitParseError, SemanticError
 from qdbsim.gates import GateSpec, h, phase, rot2, ry, swap, x, y
 from qdbsim.oracle import dense_operator
-from qdbsim.statevector import StateVector, apply_gate
+from qdbsim.statevector import StateVector, add_ancillas, apply_gate
 from qdbsim.text_format import emit_text, parse_text
 
 
@@ -282,6 +282,37 @@ def test_runs_of_wide_patterns_go_gate_by_gate(monkeypatch):
     for g in gates:
         want = real(want, g)
     assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+def test_simulate_widens_a_narrower_state_with_fresh_zero_qubits(monkeypatch):
+    # 3 qubits given, 5 simulated: single gates and a fused x run act on
+    # the two fresh high qubits as they do on the ones given
+    fused = []
+    real = circuit_mod._apply_x_run
+
+    def recording(state, run):
+        fused.append(run)
+        real(state, run)
+
+    monkeypatch.setattr(circuit_mod, "_apply_x_run", recording)
+    gates = ([h(3), ry(4, 0.3, ctrl=(3,))] + two_pattern_run(circuit_mod._FUSE_MIN)
+             + [swap(0, 4), phase(2, 0.9, ctrl=(4,))])
+    state = random_state(np.random.default_rng(11), 3)
+    before = state.amplitudes.tobytes()
+    got = simulate(Circuit(5, gates), state)
+    want = add_ancillas(state, 2)
+    for g in gates:
+        want = apply_gate(want, g)
+    assert len(fused) == 1
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+    assert state.amplitudes.tobytes() == before
+
+
+def test_simulate_refuses_a_wider_state_and_a_widening_past_the_budget():
+    with pytest.raises(SemanticError, match="^state has 4 qubits, circuit needs 3$"):
+        simulate(Circuit(3, [x(0)]), StateVector.zero(4))
+    with pytest.raises(CapacityError, match="^6 qubits exceeds the budget of 5$"):
+        simulate(Circuit(6, [x(5)]), StateVector.zero(3), max_qubits=5)
 
 
 BAD_GATES = [

@@ -27,10 +27,11 @@ from qdbsim.oracle import expected_qdb_amplitudes, permutation_matrix
 from qdbsim.qdb import (
     QdbDescriptor,
     QdbLayout,
+    _moves,
     index_width,
-    normalize_permutation,
     pattern_permutation_circuit,
     permute,
+    permute_meta,
     prepare_balanced,
     prepare_circuit,
     prepare_general,
@@ -756,12 +757,17 @@ def test_transpose_entries_is_two_cycle():
     lambda db: write(db, 1, "01"),
     lambda db: extend(db, 3),
     lambda db: extend_imbalanced(db, 6, 2),
+    lambda db: permute(db, {1: 3, 3: 1}),
+    lambda db: remove_reservoir(db, 1),
+    relabel_contiguous,
+    lambda db: read_projective(db, 1),
 ], ids=["read_copy", "read_copy_all", "write-keep-sensor", "write-swap", "write", "extend",
-        "extend_imbalanced"])
+        "extend_imbalanced", "permute", "remove_reservoir", "relabel_contiguous",
+        "read_projective"])
 @pytest.mark.parametrize("u_d", [None, H_ENCODING.extended(2)], ids=["plain", "encoded"])
 def test_ops_leave_the_input_amplitudes_alone(op, u_d):
-    # the widened states these ops simulate on are their own; the input's
-    # amplitudes are never written
+    # simulate runs each op's circuit on its own copy, widened or not; the
+    # input's amplitudes are never written
     db = prepare_general(4, 0, {1: "11", 3: "01"}, m_data=2, u_d=u_d)
     before = db.state.amplitudes.tobytes()
     op(db)
@@ -776,24 +782,25 @@ def test_unfold_leaves_the_input_amplitudes_alone():
 
 
 def test_dict_permutations_are_checked_on_the_labels_they_move():
-    labels = range(6)
-    assert normalize_permutation({2: 2, 4: 5, 5: 4}, labels) == {0: 0, 1: 1, 2: 2, 3: 3,
-                                                                  4: 5, 5: 4}
+    labels = set(range(6))
+    assert _moves({2: 2, 4: 5, 5: 4}, labels) == {4: 5, 5: 4}
     with pytest.raises(SemanticError, match="unknown labels \\[7\\]"):
-        normalize_permutation({7: 1, 1: 7}, labels)
+        _moves({7: 1, 1: 7}, labels)
     for bad in ({4: 5}, {4: 5, 5: 5}, {1: 9, 9: 1, 2: 2}):
         with pytest.raises(SemanticError):
-            normalize_permutation(bad, labels)
+            _moves(bad, labels)
     with pytest.raises(SemanticError, match="bijection"):
-        normalize_permutation({4: 5, 5: 1}, labels)
+        _moves({4: 5, 5: 1}, labels)
 
 
-def test_normalize_permutation_forms():
-    labels = (0, 1, 2)
-    assert normalize_permutation([0, 2, 1], labels) == {0: 0, 1: 2, 2: 1}
-    assert normalize_permutation({1: 2, 2: 1}, labels) == {0: 0, 1: 2, 2: 1}
+def test_permutation_forms_name_the_same_moves():
+    meta = prepare_general(3, 0, {2: "1"}).meta
+    seq, seq_moves = permute_meta(meta, [0, 2, 1])
+    mapped, map_moves = permute_meta(meta, {1: 2, 2: 1})
+    assert seq_moves == map_moves == {1: 2, 2: 1}
+    assert seq.descriptor.data == mapped.descriptor.data == {1: "1"}
     with pytest.raises(SemanticError):
-        normalize_permutation([0, 1], labels)
+        permute_meta(meta, [0, 1])
 
 
 def test_relabel_contiguous_after_removal():

@@ -3,6 +3,7 @@ from checked ones and check only what they change."""
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qdbsim.errors import SemanticError
@@ -93,3 +94,12 @@ def test_growth_checks_only_the_new_patterns():
         _with_index_qubits(meta, (3,), [8])  # beyond the new bit
     with pytest.raises(SemanticError, match="share one index pattern"):
         _with_index_qubits(meta, (3,), [4, 4])
+
+
+def test_prepare_meta_takes_words_as_str_int_or_numpy_int():
+    # a string's width is its length, leading zeros included; an int's is
+    # its bit length
+    meta = prepare_meta(4, 0, {1: "001", 2: np.int64(2), 3: 0})
+    assert meta.descriptor.m_data == 3
+    assert meta.descriptor.data == {1: "001", 2: "010"}
+    assert prepare_meta(4, 0, {1: np.uint8(3)}).descriptor.data == {1: "11"}

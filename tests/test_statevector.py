@@ -10,14 +10,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import assert_register_scan_matches_brute_force, random_state
 from qdbsim.circuit import Circuit, simulate
 from qdbsim.errors import CapacityError, SemanticError, ZeroProbabilityError
-from qdbsim.gates import GateSpec, h, phase, ry, swap, x, y
+from qdbsim.gates import GateSpec, h, phase, rot2, ry, swap, x, y
 from qdbsim.oracle import dense_gate, schmidt_coefficients as oracle_schmidt
 from qdbsim.qdb import prepare_general, read_copy
 from qdbsim.statevector import (
     StateVector,
     add_ancillas,
     apply_gate,
-    apply_two_level_rotation,
     drop_qubits,
     overlap,
     project,
@@ -246,13 +245,13 @@ def test_norm_preserved_by_gates(rng):
 def test_two_level_rotation_moves_weight_between_strings(rng):
     state = StateVector.basis(3, 5)
     theta = 0.7
-    rotated = apply_two_level_rotation(state, 5, 2, theta)
+    rotated = apply_gate(state, rot2(5, 2, theta))
     assert abs(rotated.amplitudes[5] - math.cos(theta)) < 1e-14
     assert abs(abs(rotated.amplitudes[2]) - math.sin(theta)) < 1e-14
     assert abs(rotated.norm() - 1.0) < 1e-14
     # untouched strings stay put
     other = random_state(rng, 3)
-    diff = apply_two_level_rotation(other, 5, 2, theta).amplitudes - other.amplitudes
+    diff = apply_gate(other, rot2(5, 2, theta)).amplitudes - other.amplitudes
     mask = np.ones(8, dtype=bool)
     mask[[5, 2]] = False
     assert np.max(np.abs(diff[mask])) < 1e-14
