@@ -23,10 +23,11 @@ Conventions
 * A run of ``x`` gates controlled on one qubit set C, with targets outside
   it, commutes; when its controls read two or more patterns it is one
   permutation, basis index i to i XOR T[p], with p the pattern i reads on C.
-  ``_apply_x_run`` moves the amplitudes of all patterns sharing a mask in
-  one gather and one scatter, the same exact move as gate by gate, so the
-  result is bit-identical. ``circuit.simulate`` hands it runs long enough
-  to repay its set-up.
+  ``_apply_x_run`` gathers a chunk of patterns at once, reorders each
+  pattern's amplitudes by its own mask T[p] and scatters the chunk back: one
+  gather and one scatter per chunk, the same exact move as gate by gate, so
+  the result is bit-identical. ``circuit.simulate`` hands it runs long
+  enough to repay its set-up.
 * State equality is judged up to global phase by default.
 
 The default qubit budget is 26; anything above that is rejected rather than
@@ -249,14 +250,14 @@ def _apply_x_run(state: StateVector, gates) -> None:
     No target lies in C, so no gate changes what another's controls read:
     the gates commute, and together they send basis index i to
     i XOR T[p], where p is the pattern i reads on C (bit j on C[j]) and T[p]
-    XORs the targets of the gates whose controls read p. The amplitudes of
-    all patterns sharing one mask M move at once: gathered, flipped along
-    M's qubits and put back, an exact move like each ``x``. Work and
-    temporaries follow the patterns moved, in chunks of at most
-    ``_MOVE_CHUNK`` amplitudes; no index array spans the state. Where one
-    pattern alone holds more (more than log2 ``_MOVE_CHUNK`` qubits lie
-    outside C), the gates go one by one through ``apply_gate``, whose
-    temporary is half of one pattern's amplitudes.
+    XORs the targets of the gates whose controls read p. Each chunk of
+    patterns is gathered once, every pattern's amplitudes are reordered by
+    its own mask T[p] (a lookup, an exact move like each ``x``) and the
+    chunk is put back. Work and temporaries follow the patterns moved, in
+    chunks of at most ``_MOVE_CHUNK`` amplitudes; no index array spans the
+    state. Where one pattern alone holds more (more than log2
+    ``_MOVE_CHUNK`` qubits lie outside C), the gates go one by one through
+    ``apply_gate``, whose temporary is half of one pattern's amplitudes.
     """
     n = state.n_qubits
     wires = gates[0]._run_key
@@ -265,23 +266,11 @@ def _apply_x_run(state: StateVector, gates) -> None:
         for g in gates:
             apply_gate(state, g, out=state)
         return
-    table: dict[int, int] = {}
-    controls = None
-    for g in gates:
-        if g.controls is not controls:  # a pattern's gates share one tuple
-            controls = g.controls
-            pattern = 0
-            for j, (_, bit) in enumerate(controls):
-                pattern |= bit << j
-        table[pattern] = table.get(pattern, 0) ^ (1 << g.targets[0])
-    by_mask: dict[int, list[int]] = {}
-    for pattern, mask in table.items():
-        if mask:
-            by_mask.setdefault(mask, []).append(pattern)
     # Axes of the (2,)*n view, highest qubit first: each block of consecutive
     # qubits in C becomes one axis, indexed by the pattern bits it holds
     # (``bits[i]`` on its i-th lowest qubit); every other qubit keeps its own
-    # axis, so a mask is a flip. The blocks then go first.
+    # axis. The blocks then go first, so a pattern's amplitudes are the
+    # free axes, flattened highest qubit first.
     bit_of = {q: j for j, q in enumerate(wires)}
     shape, blocks, free = [], [], []
     q = n - 1
@@ -296,15 +285,28 @@ def _apply_x_run(state: StateVector, gates) -> None:
             free.append((len(shape), q))
             shape.append(2)
         q -= 1
+    flat = {q: 1 << (len(free) - 1 - i) for i, (_, q) in enumerate(free)}
+    table: dict[int, int] = {}  # pattern -> T[p] on the flattened free axes
+    controls = None
+    for g in gates:
+        if g.controls is not controls:  # a pattern's gates share one tuple
+            controls = g.controls
+            pattern = 0
+            for j, (_, bit) in enumerate(controls):
+                pattern |= bit << j
+        table[pattern] = table.get(pattern, 0) ^ flat[g.targets[0]]
+    patterns = np.array([p for p, mask in table.items() if mask], dtype=np.int64)
+    masks = np.array([mask for mask in table.values() if mask], dtype=np.int64)
     view = state.amplitudes.reshape(shape).transpose(
         [axis for axis, _ in blocks] + [axis for axis, _ in free])
-    for mask, patterns in by_mask.items():
-        flip = tuple(1 + i for i, (_, q) in enumerate(free) if (mask >> q) & 1)
-        patterns = np.array(patterns, dtype=np.int64)
-        for lo in range(0, patterns.size, step):
-            chunk = patterns[lo:lo + step]
-            index = tuple(_block_index(chunk, bits) for _, bits in blocks)
-            view[index] = np.flip(view[index], flip)
+    size = 1 << len(free)
+    for lo in range(0, patterns.size, step):
+        chunk = patterns[lo:lo + step]
+        index = tuple(_block_index(chunk, bits) for _, bits in blocks)
+        held = view[index]
+        source = np.arange(size) ^ masks[lo:lo + step, None]
+        view[index] = np.take_along_axis(
+            held.reshape(chunk.size, size), source, axis=1).reshape(held.shape)
 
 
 def _block_index(patterns: np.ndarray, bits: list[int]) -> np.ndarray:
@@ -447,10 +449,14 @@ def schmidt(state: StateVector, qubits) -> EntanglementReport:
     them; the rank counts coefficients above 1e-9; entropy is in bits;
     purity is that of the reduced state on either side.
 
-    The SVD runs on the amplitude matrix's nonzero rows and columns only, so
-    its cost follows the state's support rather than 2^n. Deleting all-zero
-    rows and columns leaves every nonzero singular value unchanged; the
-    coefficients it drops are exact zeros and are padded back.
+    One pass over the amplitude matrix finds its nonzero rows. Their columns
+    come from a copy of those rows when that copy is no larger than a
+    boolean mask over the matrix would be, and from a scan of the whole
+    matrix otherwise, so no temporary outgrows such a mask. The SVD runs on
+    the nonzero rows and columns only, so its cost follows the state's
+    support rather than 2^n. Deleting all-zero rows and columns leaves every
+    nonzero singular value unchanged; the coefficients it drops are exact
+    zeros and are padded back.
     """
     sub = sorted(set(qubits))
     n = state.n_qubits
@@ -464,9 +470,16 @@ def schmidt(state: StateVector, qubits) -> EntanglementReport:
     # axis n-1-q corresponds to qubit q
     order = [n - 1 - q for q in reversed(sub)] + [n - 1 - q for q in reversed(rest)]
     mat = tensor.transpose(order).reshape(2 ** len(sub), 2 ** len(rest))
-    nonzero = mat != 0
-    rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
-    core = mat if rows.all() and cols.all() else mat[np.ix_(rows, cols)]
+    rows = mat.any(axis=1)
+    if np.count_nonzero(rows) * mat.itemsize <= rows.size:
+        # few rows: copying them takes no more bytes than a mask over mat
+        core = mat[rows]
+        cols = core.any(axis=0)
+        if not cols.all():
+            core = core[:, cols]
+    else:
+        cols = mat.any(axis=0)
+        core = mat if rows.all() and cols.all() else mat[np.ix_(rows, cols)]
     coeffs = np.zeros(min(mat.shape))
     coeffs[:min(core.shape)] = np.linalg.svd(core, compute_uv=False)
     lam2 = coeffs**2

@@ -14,9 +14,14 @@ One gate per line::
 Floats are emitted with ``repr`` so emit -> parse -> emit is byte-identical.
 
 A history repeats few wire sets over many gates, so ``emit_text`` renders
-the wires of each distinct (targets, controls) pair once per call. The memo
-lives only as long as the call, so no two callers share it. It is keyed on
-the wires, not on the gate: ``GateSpec`` equality compares floats, so
+the wires of each distinct (targets, controls) pair once per call, and the
+controls of each distinct control tuple once, shared by every target it
+meets; qubit names come from a table built once per call. Both memos live
+only as long as the call, so no two callers share them. They are keyed on
+values, not on tuple identity: each write builds its toggles' control tuple
+anew, equal to the tuple of earlier gates but a different object, and an
+identity key would render it again on every write. They are keyed on the
+wires, not on the gate: ``GateSpec`` equality compares floats, so
 ``phase(0.0)`` equals ``phase(-0.0)``, and a gate-keyed memo would print
 the second as ``0.0``. Each gate's parameters are formatted on their own.
 """
@@ -48,27 +53,27 @@ def _fmt_params(g: GateSpec) -> str:
     return "(" + ",".join(parts) + ")"
 
 
-def _fmt_wires(targets, controls) -> str:
-    text = "".join(f" q[{t}]" for t in targets)
-    pos = [f"q[{q}]" for q, b in controls if b == 1]
-    neg = [f"q[{q}]" for q, b in controls if b == 0]
-    if pos:
-        text += " ctrl " + " ".join(pos)
-    if neg:
-        text += " nctrl " + " ".join(neg)
-    return text
+def _fmt_controls(controls, names: list[str]) -> str:
+    pos = "".join([names[q] for q, b in controls if b == 1])
+    neg = "".join([names[q] for q, b in controls if b == 0])
+    return (" ctrl" + pos if pos else "") + (" nctrl" + neg if neg else "")
 
 
 def emit_text(circuit: Circuit) -> str:
+    names = [f" q[{q}]" for q in range(circuit.n_qubits)]
     lines = [f"qubits {circuit.n_qubits}"]
     for q in sorted(circuit.labels):
         lines.append(f"label q[{q}] {circuit.labels[q]}")
     wires: dict[tuple, str] = {}
+    ctrls: dict[tuple, str] = {}
     for g in circuit.gates:
         key = (g.targets, g.controls)
         text = wires.get(key)
         if text is None:
-            text = wires[key] = _fmt_wires(*key)
+            tail = ctrls.get(g.controls)
+            if tail is None:
+                tail = ctrls[g.controls] = _fmt_controls(g.controls, names)
+            text = wires[key] = "".join([names[t] for t in g.targets]) + tail
         lines.append(g.kind + _fmt_params(g) + text)
     return "\n".join(lines) + "\n"
 

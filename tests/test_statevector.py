@@ -14,6 +14,7 @@ from qdbsim.gates import GateSpec, h, phase, rot2, ry, swap, x, y
 from qdbsim.oracle import dense_gate, schmidt_coefficients as oracle_schmidt
 from qdbsim.qdb import prepare_general, read_copy
 from qdbsim.statevector import (
+    EntanglementReport,
     StateVector,
     add_ancillas,
     apply_gate,
@@ -357,6 +358,79 @@ def test_schmidt_matches_full_matrix_svd(seed, n, data):
     assert rep.schmidt_rank == int(np.sum(full > SCHMIDT_CUTOFF))
     assert rep.purity == pytest.approx(float(np.sum(lam2**2)), abs=ORACLE_TOL)
     assert rep.entropy_bits == pytest.approx(float(-np.sum(nz * np.log2(nz))), abs=1e-9)
+    assert rep == reference_schmidt(state, part)
+
+
+def reference_schmidt(state, qubits):
+    """Schmidt's report from one boolean mask over the amplitude matrix,
+    its nonzero rows and columns cut out with ``np.ix_``."""
+    sub = sorted(set(qubits))
+    n = state.n_qubits
+    rest = [q for q in range(n) if q not in sub]
+    order = [n - 1 - q for q in reversed(sub)] + [n - 1 - q for q in reversed(rest)]
+    mat = state.amplitudes.reshape([2] * n).transpose(order).reshape(
+        2 ** len(sub), 2 ** len(rest))
+    nonzero = mat != 0
+    rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
+    core = mat if rows.all() and cols.all() else mat[np.ix_(rows, cols)]
+    coeffs = np.zeros(min(mat.shape))
+    coeffs[:min(core.shape)] = np.linalg.svd(core, compute_uv=False)
+    lam2 = coeffs**2
+    lam2 = lam2 / lam2.sum()
+    nz = lam2[lam2 > 0]
+    return EntanglementReport(tuple(float(c) for c in coeffs),
+                              int(np.sum(coeffs > SCHMIDT_CUTOFF)),
+                              float(-np.sum(nz * np.log2(nz))), float(np.sum(lam2**2)))
+
+
+def _support_state(rng, rows, cols, n=16, top=6):
+    """A state on ``n`` qubits whose amplitude matrix across its ``top``
+    highest qubits is nonzero on the given rows and, within each, on a random
+    half of the given columns (every column used at least once)."""
+    mat = np.zeros((2**top, 2 ** (n - top)), dtype=complex)
+    for i, r in enumerate(rows):
+        hit = [c for c in cols if rng.random() < 0.5] + [cols[i % len(cols)]]
+        mat[r, hit] = rng.normal(size=len(hit)) + 1j * rng.normal(size=len(hit))
+    amps = mat.reshape(-1)
+    return StateVector(amps / np.linalg.norm(amps), copy=False)
+
+
+SUPPORTS = {
+    # (nonzero rows, nonzero columns) of the 64 x 1024 matrix
+    "every-row-sparse-columns": (range(64), [3, 17, 200, 513, 1000]),
+    "one-row": ([37], list(range(0, 1024, 9))),
+    "most-rows": (range(5, 60), [0, 1, 2, 700, 1023]),  # too many to copy
+}
+
+
+@pytest.mark.parametrize("support", SUPPORTS, ids=list(SUPPORTS))
+def test_schmidt_finds_each_support_without_a_mask_over_the_state(support, rng):
+    rows, cols = SUPPORTS[support]
+    state = _support_state(rng, list(rows), cols)
+    top = list(range(10, 16))
+    tracemalloc.start()
+    try:
+        rep = schmidt(state, top)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep == reference_schmidt(state, top)
+    # a boolean mask over the amplitudes would take 2**16 bytes
+    assert peak < 2**16, f"peak {peak} bytes"
+    assert schmidt(state, range(10)) == reference_schmidt(state, range(10))
+
+
+def test_copy_read_schmidt_allocates_less_than_a_mask():
+    # 64 x 16,384 amplitudes; a boolean mask over them takes 1 MiB
+    db = read_copy(prepare_general(256, 0, {1: 0b101101, 200: 0b000111}, m_data=6), 1)
+    tracemalloc.start()
+    try:
+        rep = schmidt(db.state, db.copy_qubits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak} bytes"
+    assert rep == reference_schmidt(db.state, db.copy_qubits)
 
 
 def test_schmidt_svd_spans_only_the_support(monkeypatch):

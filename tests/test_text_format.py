@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from qdbsim.circuit import Circuit, simulate
 from qdbsim.errors import CircuitParseError
+from qdbsim.extend import extend
 from qdbsim.gates import GateSpec, h, phase, rot2, ry, swap, x, y, ytilde
+from qdbsim.qdb import permute, prepare_general, remove_reservoir, write
 from qdbsim.text_format import emit_text, parse_text
 
 
@@ -162,6 +164,8 @@ def circuits(draw):
             c.append(GateSpec("rot2", (float(a), float(b), draw(ANGLES))))
             continue
         t0, t1, controls = draw(st.sampled_from(wire_sets))
+        if draw(st.booleans()):  # an equal tuple, not the shared one
+            controls = tuple([(q, b) for q, b in controls])
         targets = (t0, t1) if kind == "swap" else (t0,)
         params = {"x": (), "h": (), "swap": (), "ry": (draw(ANGLES),),
                   "phase": (draw(ANGLES),), "y": (draw(PROBABILITIES),),
@@ -175,6 +179,26 @@ def circuits(draw):
 def test_emit_matches_the_per_gate_reference(c):
     text = emit_text(c)
     assert text == reference_emit(c)
+    assert emit_text(parse_text(text)) == text
+
+
+def test_library_history_emit_matches_the_per_gate_reference():
+    db = prepare_general(8, 0, {1: 0b101, 3: 0b011, 6: 0b110}, m_data=3)
+    db = write(db, 3, 0b110)
+    db = write(db, 5, 0b011)
+    db = extend(db, 2)
+    db = permute(db, {1: 6, 6: 1})
+    db = remove_reservoir(db, 6)
+    held: dict[tuple, list[int]] = {}
+    for g in db.circuit.gates:
+        held.setdefault(g.controls, []).append(id(g.controls))
+    held = {c: ids for c, ids in held.items() if c}
+    # one tuple shared by several gates (the data write, u and u^-1) ...
+    assert any(len(ids) > len(set(ids)) for ids in held.values())
+    # ... beside equal tuples built apart (each write's toggles)
+    assert any(len(set(ids)) > 1 for ids in held.values())
+    text = emit_text(db.circuit)
+    assert text == reference_emit(db.circuit)
     assert emit_text(parse_text(text)) == text
 
 
