@@ -15,12 +15,15 @@ result has the same bits as applying the gates one by one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 
 from .errors import SemanticError
 from .gates import GateSpec, gate_inverse, x
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
+    _apply_x_exchange,
     _apply_x_run,
     _check_gate,
     add_ancillas,
@@ -32,10 +35,11 @@ VALID_LABELS = ("I", "D", "A", "S")
 
 @dataclass
 class Circuit:
-    """Gates are checked when they enter a circuit: the constructor's list and
-    each ``append``. ``+``, ``extended`` and ``inverse`` reuse checked gates
-    on the same or a wider register, since widening cannot invalidate a gate,
-    and qdbsim's builders place gates they made from a checked layout
+    """Gates and labels are checked when they enter a circuit: the
+    constructor's, each ``append`` and each ``label``. ``+``, ``extended``
+    and ``inverse`` reuse checked gates and labels on the same or a wider
+    register, since widening cannot invalidate either, and qdbsim's builders
+    place gates and labels they made from a checked layout
     (``GateSpec._built``) through ``_reusing`` too; every derived circuit
     owns its own gate list."""
 
@@ -53,10 +57,13 @@ class Circuit:
 
     @classmethod
     def _reusing(cls, n_qubits: int, gates: list[GateSpec], labels: dict[int, str]) -> "Circuit":
-        """A circuit over ``gates`` already checked, or built valid, on a
-        register no wider than ``n_qubits``: only the labels are checked."""
-        out = cls(n_qubits, labels=labels)
+        """A circuit over ``gates`` and ``labels`` already checked, or built
+        valid, on a register no wider than ``n_qubits``: nothing is checked
+        again, so growing a history does not re-check its labels."""
+        out = object.__new__(cls)
+        out.n_qubits = n_qubits
         out.gates = gates
+        out.labels = labels
         return out
 
     def _check_label(self, q: int, lab: str):
@@ -177,9 +184,11 @@ def simulate(circuit: Circuit, state: StateVector | None = None,
 
     A run of at least ``_FUSE_MIN`` controlled ``x`` gates sharing one
     ``_run_key`` whose controls read at least two patterns moves as one
-    permutation (``_apply_x_run``). Every other gate goes through
-    ``apply_gate``: a run on one pattern, such as a write's toggles, and a
-    short run are cheaper as per-gate slice moves.
+    permutation (``_apply_x_run``). In a shorter run, or a run on one
+    pattern, each stretch of two or more gates on one control tuple, such
+    as a write's toggles, moves as one exchange within the slice those
+    controls select (``_apply_x_exchange``). Every other gate goes through
+    ``apply_gate``.
     """
     n = circuit.n_qubits
     if state is None:
@@ -205,9 +214,13 @@ def simulate(circuit: Circuit, state: StateVector | None = None,
         run = gates[start:i]
         if len(run) >= _FUSE_MIN and any(h.controls != g.controls for h in run):
             _apply_x_run(state, run)
-        else:
-            for h in run:
-                apply_gate(state, h, out=state)
+            continue
+        for _, stretch in groupby(run, attrgetter("controls")):
+            stretch = list(stretch)
+            if len(stretch) > 1:
+                _apply_x_exchange(state, stretch)
+            else:
+                apply_gate(state, stretch[0], out=state)
     return state
 
 

@@ -35,7 +35,7 @@ from .statevector import (
     states_equal,
 )
 from .text_format import emit_text, parse_text
-from .tolerances import DUMP_THRESHOLD, PROJECTION_ZERO_TOL, STATE_TOL, WRITE_PURITY_TOL
+from .tolerances import EMPTY_ENTRY_WEIGHT, PROJECTION_ZERO_TOL, STATE_TOL, WRITE_PURITY_TOL
 
 
 def index_width(k: int) -> int:
@@ -120,7 +120,9 @@ class QdbDescriptor(_Derivable):
                 f"register has {self.m_data}")
 
     def data_value(self, label: int) -> int:
-        return _bits_to_int(self.data.get(label, ""))
+        # stored words were checked on the way in, so they are only parsed
+        word = self.data.get(label)
+        return int(word, 2) if word else 0
 
     def with_data_value(self, label: int, value: int) -> "QdbDescriptor":
         """This record with entry ``label`` holding ``value``; only that word
@@ -335,8 +337,9 @@ class QdbState(_Record):
         return QdbMeta(self.descriptor, self.layout, self.sensor_qubits,
                        self.copy_qubits, self.amplitude_profile, self.projective)
 
-    def occupied_labels(self, tol: float = DUMP_THRESHOLD) -> tuple[int, ...]:
-        """Labels whose index pattern carries any amplitude."""
+    def occupied_labels(self, tol: float = EMPTY_ENTRY_WEIGHT) -> tuple[int, ...]:
+        """Labels whose index pattern carries any amplitude: a weight
+        (squared moduli summed over the pattern) above ``tol``."""
         table = _register_scan(self.state, self.layout.index_qubits)
         lmap = self.layout.logical_index_map
         labels = np.fromiter(lmap, dtype=np.int64, count=len(lmap))
@@ -576,7 +579,10 @@ def pattern_permutation_circuit(mapping: dict[int, int], index_qubits,
     The completion pairs the unmapped patterns with the unused ones in
     sorted order, so it fixes every pattern above the largest one
     ``mapping`` names. It therefore stops there instead of spanning all 2^t
-    patterns, and routes with the gates of the full completion.
+    patterns, and routes with the gates of the full completion. A mapping
+    that permutes its own patterns, as ``permute``'s does, leaves those two
+    sets equal and the completion fixing every other pattern, so it is its
+    own completion.
     """
     index_qubits = tuple(index_qubits)
     named = [*mapping, *mapping.values()]
@@ -584,9 +590,12 @@ def pattern_permutation_circuit(mapping: dict[int, int], index_qubits,
     used = set(mapping.values())
     if len(used) != len(mapping):
         raise SemanticError("pattern mapping is not injective")
-    size = max(named, default=-1) + 1
-    free = iter(sorted(set(range(size)) - used))
-    full = {p: mapping[p] if p in mapping else next(free) for p in range(size)}
+    if used == mapping.keys():
+        full = mapping
+    else:
+        size = max(named, default=-1) + 1
+        free = iter(sorted(set(range(size)) - used))
+        full = {p: mapping[p] if p in mapping else next(free) for p in range(size)}
     gates = []
     for cyc in _cycles(full):
         for t in range(len(cyc) - 2, -1, -1):
@@ -773,14 +782,17 @@ def _word_value(meta: QdbMeta, label: int, word: int | str) -> int:
     return value
 
 
-def _check_occupied(db: QdbState, label: int):
+def _check_occupied(db: QdbState, label: int) -> tuple[tuple[int, int], ...]:
     """Raise unless entry ``label`` (already known to the layout) carries
-    amplitude; reads only the amplitudes at that entry's index pattern."""
+    amplitude, a weight above ``EMPTY_ENTRY_WEIGHT``; reads only the
+    amplitudes at that entry's index pattern. Returns the controls that
+    select the pattern."""
     n = db.n_qubits
-    entry = db.state.amplitudes.reshape((2,) * n)[
-        _selector(n, db.layout.pattern_controls(label))]
-    if not np.vdot(entry, entry).real > DUMP_THRESHOLD:
+    ctrls = db.layout.pattern_controls(label)
+    entry = db.state.amplitudes.reshape((2,) * n)[_selector(n, ctrls)]
+    if not np.vdot(entry, entry).real > EMPTY_ENTRY_WEIGHT:
         raise SemanticError(f"entry {label} carries no amplitude")
+    return ctrls
 
 
 def write_meta(meta: QdbMeta, label: int, word: int | str, *,
@@ -793,10 +805,12 @@ def write_meta(meta: QdbMeta, label: int, word: int | str, *,
                          sensor_qubits=_fresh_register(meta.layout) if keep_sensor else ())
 
 
-def _write_folded(db: QdbState, label: int, value: int) -> StateVector:
+def _write_folded(db: QdbState, label: int, value: int, ctrls) -> StateVector:
     """The write core on the unwidened state: each sensor bit is a classical
-    bit of ``value``, so data bit b toggles on the entry's pattern exactly
-    when bit b of ``value`` is set (inside the data encoding, if any).
+    bit of ``value``, so data bit b toggles on the entry's pattern (selected
+    by ``ctrls``) exactly when bit b of ``value`` is set, inside the data
+    encoding, if any. The toggles share one control tuple, so ``simulate``
+    moves them as one exchange.
 
     Raises VerificationError unless the amplitude at the entry's old
     computational word has moved to its new word.
@@ -807,8 +821,8 @@ def _write_folded(db: QdbState, label: int, value: int) -> StateVector:
     state = db.state if enc is None else simulate(enc.inverse(), db.state)
     old = db.descriptor.data_value(label)
     moved = state.amplitudes[layout.physical_index(label, old)]
-    ctrls = layout.pattern_controls(label)
-    state = simulate(Circuit._reusing(n, [GateSpec._built("x", (), (q,), ctrls)
+    wires = layout.index_qubits  # the qubits of ``ctrls``, in order
+    state = simulate(Circuit._reusing(n, [GateSpec._built("x", (), (q,), ctrls, wires)
                                           for b, q in enumerate(layout.data_qubits)
                                           if (value >> b) & 1], {}), state)
     if abs(state.amplitudes[layout.physical_index(label, old ^ value)] - moved) > STATE_TOL:
@@ -841,24 +855,31 @@ def write(db: QdbState, label: int, word: int | str, *,
     registers (``_decoded``).
     """
     new = write_meta(db.meta, label, word, keep_sensor=keep_sensor)
-    _check_occupied(db, label)
+    ctrls = _check_occupied(db, label)
     value = db.descriptor.data_value(label) ^ new.descriptor.data_value(label)
     sensor = _fresh_register(db.layout)
     n = sensor[-1] + 1
     _check_budget(n, db.max_qubits)
-    # one circuit holds the sensor's preparation, the core (the toggles,
+    # one gate list holds the sensor's preparation, the core (the toggles,
     # inside the encoding on data and sensor) and, unless the sensor stays
     # attached, the preparation undone: inverses of checked gates on the
     # same wires, so they are not checked again
     u_d, data = db.descriptor.u_d, db.layout.data_qubits
-    prep = _sensor_prep_circuit(value, sensor, u_d, n)
-    ctrls = db.layout.pattern_controls(label)
-    toggles = Circuit._reusing(n, [GateSpec._built("x", (), (dq,), ctrls + ((sensor[b], 1),))
-                                   for b, dq in enumerate(data)], {})
-    circ = prep + _decoded(toggles, _encoding(u_d, n, sensor, data))
+    circ = _sensor_prep_circuit(value, sensor, u_d, n)
+    prep = circ.gates[:]
+    wires = db.layout.index_qubits
+    toggles = [GateSpec._built("x", (), (dq,), ctrls + ((sensor[b], 1),),
+                               wires + (sensor[b],))
+               for b, dq in enumerate(data)]
+    if u_d is None:
+        circ.gates += toggles
+    else:
+        core = _decoded(Circuit._reusing(n, toggles, {}), _encoding(u_d, n, sensor, data))
+        circ.gates += core.gates
+        circ.labels.update(core.labels)
     if not keep_sensor:
-        circ.gates += [gate_inverse(g) for g in reversed(prep.gates)]
-        return _advance(db, new, circ, _write_folded(db, label, value))
+        circ.gates += [gate_inverse(g) for g in reversed(prep)]
+        return _advance(db, new, circ, _write_folded(db, label, value, ctrls))
     state = simulate(circ, db.state, max_qubits=db.max_qubits)
     purity = schmidt(state, sensor).purity
     if abs(purity - 1.0) > WRITE_PURITY_TOL:
@@ -883,11 +904,10 @@ def write_swap_conditional(db: QdbState, label: int, word: int | str) -> QdbStat
     up entangled with the database. The returned state keeps the sensor.
     """
     new = write_swap_meta(db.meta, label, word)
-    _check_occupied(db, label)
+    ctrls = _check_occupied(db, label)
     sensor = new.sensor_qubits
     circ = _sensor_prep_circuit(new.descriptor.data_value(label), sensor,
                                 db.descriptor.u_d, sensor[-1] + 1)
-    ctrls = db.layout.pattern_controls(label)
     circ.gates += [GateSpec._built("swap", (), (dq, sensor[b]), ctrls)
                    for b, dq in enumerate(db.layout.data_qubits)]
     return _advance(db, new, circ)
@@ -932,8 +952,7 @@ def read_copy(db: QdbState, label: int) -> QdbState:
     the copy register holds the word unencoded.
     """
     new = read_copy_meta(db.meta, label)
-    _check_occupied(db, label)
-    return _copy_data(db, new, db.layout.pattern_controls(label))
+    return _copy_data(db, new, _check_occupied(db, label))
 
 
 def read_copy_all(db: QdbState) -> QdbState:
@@ -1077,7 +1096,7 @@ def remove_projective(db: QdbState, label: int) -> RemovalOutcome:
     amps = db.state.amplitudes
     p_fail = float(np.sum(np.abs(amps[hit]) ** 2))
     p_success = max(0.0, 1.0 - p_fail)
-    # _check_occupied has refused an entry whose weight is at most DUMP_THRESHOLD
+    # _check_occupied has refused an entry whose weight is at most EMPTY_ENTRY_WEIGHT
     failure_state, _ = project(db.state, hit)
     if new is None or p_success <= PROJECTION_ZERO_TOL:
         return RemovalOutcome(0.0, None, failure_state)
@@ -1140,6 +1159,29 @@ def permute_meta(meta: QdbMeta, perm) -> tuple[QdbMeta, dict[int, int]]:
                          descriptor=desc._derived(data=data)), moves
 
 
+def _routed(db: QdbState, routing: dict[int, int]) -> StateVector:
+    """``db``'s state with each pattern p's slice moved to ``routing[p]``.
+
+    ``routing`` permutes the patterns it names among themselves, so the
+    routing circuit fixes every other pattern, and its ``x`` gates are exact
+    moves: copying each moved slice from the input gives the same bits as
+    simulating them. Work follows the moved patterns, and no temporary is
+    made beyond the one copy of the state.
+    """
+    n = db.n_qubits
+    qubits = db.layout.index_qubits
+
+    def entry(tensor, pat):
+        return tensor[_selector(n, [(q, (pat >> i) & 1) for i, q in enumerate(qubits)])]
+
+    old = db.state.amplitudes.reshape((2,) * n)
+    out = db.state.copy()
+    new = out.amplitudes.reshape((2,) * n)
+    for src, dst in routing.items():
+        entry(new, dst)[...] = entry(old, src)
+    return out
+
+
 def permute(db: QdbState, perm) -> QdbState:
     """Send entry j to label perm[j], physically routing index patterns.
 
@@ -1147,15 +1189,19 @@ def permute(db: QdbState, perm) -> QdbState:
     it must be a bijection on the current label set. The entry landing on
     label 0 becomes the reservoir and must hold the empty word; relocating a
     weighted reservoir (l > 0) is rejected.
+
+    The build circuit records the routing gates
+    (``pattern_permutation_circuit``); the amplitudes move without them,
+    each moved pattern's slice copied to its target (``_routed``).
     """
     meta = db.meta
     new, moves = permute_meta(meta, perm)
     if new is meta:
         return db
     lmap = db.layout.logical_index_map
-    circ = pattern_permutation_circuit({lmap[j]: lmap[t] for j, t in moves.items()},
-                                       db.layout.index_qubits, db.n_qubits)
-    return _advance(db, new, circ)
+    routing = {lmap[j]: lmap[t] for j, t in moves.items()}
+    circ = pattern_permutation_circuit(routing, db.layout.index_qubits, db.n_qubits)
+    return _advance(db, new, circ, _routed(db, routing))
 
 
 def transpose_entries(db: QdbState, j1: int, j2: int) -> QdbState:

@@ -8,10 +8,11 @@ Conventions
 * States are treated as immutable: every operation returns a new
   ``StateVector`` and never mutates its input. The exceptions are asked for
   by name: ``apply_gate(state, gate, out=target)`` writes its result into
-  ``target``, which may be ``state`` itself, and ``_apply_x_run`` updates
-  the state it is given. ``circuit.simulate`` makes one copy of its input,
-  widened by ``add_ancillas`` when the circuit is wider, and updates that
-  copy through them.
+  ``target``, which may be ``state`` itself, and ``_apply_x_run`` and
+  ``_apply_x_exchange`` update the state they are given.
+  ``circuit.simulate`` makes one copy of its input, widened by
+  ``add_ancillas`` when the circuit is wider, and updates that copy through
+  them.
 * Gates work on the ``(2,)*n`` view of the amplitudes, in which axis
   ``n-1-q`` is qubit ``q``. Each control fixes its axis, so a gate reads and
   writes only the slices its controls select; the norm check is taken over
@@ -28,6 +29,11 @@ Conventions
   gather and one scatter per chunk, the same exact move as gate by gate, so
   the result is bit-identical. ``circuit.simulate`` hands it runs long
   enough to repay its set-up.
+* Consecutive ``x`` gates on one control tuple, such as a write's toggles,
+  act on one slice: ``_apply_x_exchange`` trades its two halves, split on
+  the highest target and reversed along the other targets, through one
+  half-slice temporary, as a single ``x`` does. ``circuit.simulate`` hands
+  it every such stretch of two or more gates.
 * State equality is judged up to global phase by default.
 
 The default qubit budget is 26; anything above that is rejected rather than
@@ -238,6 +244,40 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
     for v, a in zip(views, new):
         v[...] = a
     return out
+
+
+def _apply_x_exchange(state: StateVector, gates) -> None:
+    """Consecutive ``x`` gates on one control tuple, applied to ``state`` in
+    place as one exchange.
+
+    The gates commute, and together they send each amplitude the controls
+    select from basis index i to i XOR M, where M XORs their targets (a
+    target named twice cancels). The selected slice splits on the highest
+    target of M into two halves that trade places, one of them read
+    reversed along the other targets' axes: the same exact move as gate by
+    gate, through one temporary as large as one half, as a single ``x``
+    holds.
+    """
+    flips: set[int] = set()
+    for g in gates:
+        flips ^= {g.targets[0]}
+    if not flips:
+        return
+    n = state.n_qubits
+    top = max(flips)
+    idx = [slice(None)] * n
+    for q, bit in gates[0].controls:
+        idx[n - 1 - q] = bit
+    idx[n - 1 - top] = 1
+    tensor = state.amplitudes.reshape((2,) * n)
+    upper = tensor[(*idx, Ellipsis)]
+    for q in flips:
+        idx[n - 1 - q] = slice(None, None, -1)
+    idx[n - 1 - top] = 0
+    lower = tensor[(*idx, Ellipsis)]  # the other half, reversed along M
+    held = upper.copy()
+    np.positive(lower, out=upper)
+    lower[...] = held
 
 
 _MOVE_CHUNK = 1 << 17  # amplitudes gathered at once by _apply_x_run

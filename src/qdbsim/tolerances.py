@@ -17,8 +17,14 @@ SCHMIDT_CUTOFF = 1e-9
 # nothing and rejected.
 PROJECTION_ZERO_TOL = 1e-14
 
-# Amplitude dumps omit entries with magnitude below this.
+# Amplitude dumps omit basis states whose magnitude |amp| is at most this.
 DUMP_THRESHOLD = 1e-12
+
+# An entry whose weight, the sum of |amp|^2 over its index pattern, is at
+# most this carries no amplitude: it counts as unoccupied, and writes, reads
+# and removals refuse it. A weight, not a magnitude: an entry of one basis
+# state with |amp| = 1e-7 is dumped, yet carries no amplitude.
+EMPTY_ENTRY_WEIGHT = 1e-12
 
 # Amplitude agreement demanded of transfer results and preflight checks.
 TRANSFER_AMP_TOL = 1e-8

@@ -34,6 +34,7 @@ from .qdb import (
     _encoding,
     _grow,
     _sensor_prep_circuit,
+    pattern_permutation_circuit,
     permute,
     permute_meta,
     preparation_circuit,
@@ -48,7 +49,7 @@ from .qdb import (
     write_meta,
     write_swap_meta,
 )
-from .statevector import StateVector, drop_qubits, schmidt, states_equal
+from .statevector import StateVector, apply_gate, drop_qubits, schmidt, states_equal
 from .text_format import emit_text, parse_text
 from .tolerances import ORACLE_TOL, STATE_TOL
 
@@ -188,6 +189,40 @@ def _write_through_sensor(db, label: int, word) -> tuple[StateVector, Circuit]:
     return drop_qubits(simulate(unprep, kept.state), sensor), _grow(kept.circuit, unprep)
 
 
+def _permute_by_gates(db, perm: dict[int, int]) -> tuple[StateVector, Circuit]:
+    """The permutation with its routing circuit simulated gate by gate on
+    the input state. Returns the state and build circuit that ``permute``,
+    which moves whole pattern slices, must reproduce."""
+    lmap = db.layout.logical_index_map
+    routing = pattern_permutation_circuit({lmap[j]: lmap[t] for j, t in perm.items()},
+                                          db.layout.index_qubits, db.n_qubits)
+    state = db.state.copy()
+    for g in routing.gates:
+        apply_gate(state, g, out=state)
+    return state, _grow(db.circuit, routing)
+
+
+def _check_permute_routing() -> list[tuple[int, ...]]:
+    """``permute`` against its routing gates on databases whose index
+    register is not contiguous (grown by ``extend``) and has a pattern freed
+    by a removal, plain and under ``_RY_ENCODING``. Returns the index
+    registers checked."""
+    registers = []
+    for data, m_data, u_d in (({1: "10", 6: "01"}, 2, None),
+                              ({1: "1", 6: "1"}, 1, _RY_ENCODING)):
+        db = remove_reservoir(extend(prepare_general(8, 0, data, m_data=m_data, u_d=u_d), 1), 3)
+        perm = {1: 8, 8: 5, 5: 1, 2: 7, 7: 2}
+        state, circuit = _permute_by_gates(db, perm)
+        db = permute(db, perm)
+        if db.state.amplitudes.tobytes() != state.amplitudes.tobytes():
+            raise VerificationError("permute disagrees with its routing gates")
+        if db.emit() != emit_text(circuit):
+            raise VerificationError("permute built a different circuit")
+        db.check()
+        registers.append(db.layout.index_qubits)
+    return registers
+
+
 def _check_db_ops() -> str:
     encoded = prepare_general(4, 0, {1: "1"}, m_data=1, u_d=_RY_ENCODING)
     # the plain database goes last: the checks below go on from its write
@@ -199,6 +234,7 @@ def _check_db_ops() -> str:
             raise VerificationError("folded write disagrees with the sensor-register write")
         if db.emit() != emit_text(circuit):
             raise VerificationError("folded write built a different circuit")
+    registers = _check_permute_routing()
     if db.descriptor.data_value(3) != 3:
         raise SemanticError("write did not record the data word")
     copied = read_copy(db, 3)
@@ -222,6 +258,8 @@ def _check_db_ops() -> str:
     if swapped.descriptor.data_value(2) != 2:
         raise SemanticError("permutation did not move entry data")
     return ("folded write matches the sensor register, plain and under u_d = ry(0.7); "
+            f"permute matches its routing gates on index registers {registers[0]} "
+            f"and {registers[1]} (u_d = ry(0.7)); "
             "Schmidt report matches the full-matrix SVD; "
             "write/read/remove/permute invariants hold")
 

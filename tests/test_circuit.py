@@ -1,5 +1,6 @@
 """Circuit container: composition, inversion, remapping, control wrapping."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -282,6 +283,87 @@ def test_runs_of_wide_patterns_go_gate_by_gate(monkeypatch):
     for g in gates:
         want = real(want, g)
     assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+@st.composite
+def one_tuple_x_stretches(draw):
+    """Stretches of x gates on one control set C, each on one
+    mixed-polarity pattern of C other than the stretch before it, with 1 to
+    5 targets (repeats included) drawn from the other qubits, above and
+    below C. A gate of another kind, or an x on another control set, may
+    break two stretches apart. Runs on C stay shorter than ``_FUSE_MIN``.
+    Returns the circuit and its stretches."""
+    n = draw(st.integers(2, 10))
+    order = draw(st.permutations(range(n)))
+    wires = order[:draw(st.integers(1, n - 1))]
+    others = order[len(wires):]
+    gates, stretches, prev = [], [], None
+    for _ in range(draw(st.integers(1, 3))):
+        pat = draw(st.integers(0, 2 ** len(wires) - 1).filter(lambda p: p != prev))
+        ctrls = tuple((q, (pat >> j) & 1) for j, q in enumerate(wires))
+        stretch = [GateSpec("x", (), (t,), ctrls) for t in draw(
+            st.lists(st.sampled_from(others), min_size=1, max_size=5))]
+        gates += stretch
+        stretches.append(stretch)
+        prev = pat
+        if draw(st.booleans()):
+            t, c = draw(st.permutations(range(n)))[:2]
+            gates.append(draw(st.sampled_from([
+                h(t), ry(t, 0.3, nctrl=(c,)), phase(t, 1.1, ctrl=(c,)), swap(t, c),
+                x(t, ctrl=(c,)) if len(wires) > 1 else x(t)])))
+            prev = None
+    assert sum(map(len, stretches)) < circuit_mod._FUSE_MIN
+    return Circuit(n, gates), stretches
+
+
+@settings(deadline=None, max_examples=80)
+@given(drawn=one_tuple_x_stretches(), seed=st.integers(0, 2**32 - 1))
+def test_x_stretches_on_one_control_tuple_move_as_one_exchange(drawn, seed):
+    circ, stretches = drawn
+    state = random_state(np.random.default_rng(seed), circ.n_qubits)
+    want = state
+    for g in circ.gates:
+        want = apply_gate(want, g)
+    exchanged = []
+    real = statevector._apply_x_exchange
+
+    def recording(state, gates):
+        exchanged.append(list(gates))
+        real(state, gates)
+
+    with mock.patch.object(circuit_mod, "_apply_x_exchange", recording):
+        got = simulate(circ, state)
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+    assert exchanged == [s for s in stretches if len(s) > 1]
+
+
+def test_x_exchange_on_20_qubits_holds_half_a_slice():
+    # controls fix 2 of 20 qubits: the slice holds 2^18 amplitudes (4 MiB)
+    ctrls = ((19, 1), (7, 0))
+    run = [GateSpec("x", (), (t,), ctrls) for t in (3, 12, 18, 0)]
+    state = random_state(np.random.default_rng(3), 20)
+    want = state
+    for g in run:
+        want = apply_gate(want, g)
+    half = 2 ** 17 * state.amplitudes.itemsize
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    got = state.copy()
+    one_x = peak(lambda: apply_gate(got, run[0], out=got))
+    apply_gate(got, run[0], out=got)  # undone: x is its own inverse
+    exchange = peak(lambda: statevector._apply_x_exchange(got, run))
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+    # both hold one half of the slice, plus numpy's copy buffer; the
+    # exchange's own bookkeeping is a few small Python objects
+    assert half <= one_x < half * 5 // 4
+    assert exchange <= one_x + 4096
 
 
 def test_simulate_widens_a_narrower_state_with_fresh_zero_qubits(monkeypatch):

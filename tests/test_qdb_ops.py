@@ -1,6 +1,7 @@
 """Database operations: prepare, write, read, remove, permute."""
 
 import dataclasses
+import functools
 import importlib
 import json
 import math
@@ -16,6 +17,7 @@ from conftest import (
     state_matches_oracle,
 )
 from qdbsim.circuit import Circuit, simulate
+from qdbsim.dumps import dump_records
 from qdbsim.errors import (
     CapacityError,
     SemanticError,
@@ -27,6 +29,7 @@ from qdbsim.oracle import expected_qdb_amplitudes, permutation_matrix
 from qdbsim.qdb import (
     QdbDescriptor,
     QdbLayout,
+    _grow,
     _moves,
     index_width,
     pattern_permutation_circuit,
@@ -49,7 +52,7 @@ from qdbsim.qdb import (
 )
 from qdbsim.statevector import StateVector, _register_scan, project, schmidt, states_equal
 from qdbsim.text_format import emit_text, parse_text
-from qdbsim.tolerances import DUMP_THRESHOLD, STATE_TOL
+from qdbsim.tolerances import DUMP_THRESHOLD, EMPTY_ENTRY_WEIGHT, STATE_TOL
 from qdbsim.verify import _write_through_sensor
 
 
@@ -249,6 +252,57 @@ def test_hollow_entry_of_a_20_qubit_database_is_refused(monkeypatch, tmp_path, c
     assert "write (line 2): entry 7 carries no amplitude" in capsys.readouterr().err
 
 
+def test_dump_threshold_is_a_magnitude_and_empty_entry_weight_a_weight():
+    db = prepare_general(4, 0, {1: "1"}, m_data=1)
+
+    def with_entry_3(*amps):  # entry 3's amplitudes at data words 0 and 1
+        state = db.state.amplitudes.copy()
+        for word, amp in enumerate(amps):
+            state[db.layout.physical_index(3, word)] = amp
+        return dataclasses.replace(db, state=StateVector(state))
+
+    def dumped(ghost):
+        return {r["index"] for r in dump_records(ghost)}
+
+    spot = db.layout.physical_index(3, 0)
+    # a dump keeps a basis state by its magnitude |amp|
+    assert spot in dumped(with_entry_3(2 * DUMP_THRESHOLD))
+    assert spot not in dumped(with_entry_3(DUMP_THRESHOLD / 2))
+    # an entry is occupied by its weight, |amp|^2 summed over its pattern
+    faint = with_entry_3(1e-7)  # dumped, yet its weight is 1e-14
+    assert spot in dumped(faint)
+    assert 3 not in faint.occupied_labels()
+    for op in (lambda d: write(d, 3, 1), lambda d: read_copy(d, 3),
+               lambda d: remove_reservoir(d, 3), lambda d: remove_projective(d, 3)):
+        with pytest.raises(SemanticError, match="^entry 3 carries no amplitude$"):
+            op(faint)
+    assert 3 not in with_entry_3(math.sqrt(EMPTY_ENTRY_WEIGHT / 2)).occupied_labels()
+    assert 3 in with_entry_3(math.sqrt(2 * EMPTY_ENTRY_WEIGHT)).occupied_labels()
+    # two states of weight 0.6 W each: the entry's weight, 1.2 W, counts
+    split = with_entry_3(*[math.sqrt(0.6 * EMPTY_ENTRY_WEIGHT)] * 2)
+    assert 3 in split.occupied_labels()
+    assert read_copy(split, 3).copy_qubits
+
+
+def test_stored_words_are_parsed_without_the_outside_check(monkeypatch):
+    import qdbsim.qdb as qdb_mod
+
+    desc = QdbDescriptor(k=4, l=0, data={1: "10", 2: 1}, m_data=2)
+
+    def refused(bits):
+        raise AssertionError(f"stored word {bits!r} checked again")
+
+    monkeypatch.setattr(qdb_mod, "_bits_to_int", refused)
+    assert [desc.data_value(j) for j in range(4)] == [0, 2, 1, 0]
+    assert desc.with_data_value(3, 3).data_value(3) == 3
+    assert QdbDescriptor(k=2, l=0).data_value(1) == 0
+    monkeypatch.undo()
+    with pytest.raises(SemanticError, match="must be binary"):
+        QdbDescriptor(k=4, l=0, data={1: "12"}, m_data=2)
+    with pytest.raises(SemanticError, match="must be binary"):
+        write(prepare_general(4, 0, m_data=2), 1, "1x")
+
+
 def test_write_keep_sensor_leaves_product_register():
     db = prepare_general(4, 0, m_data=1)
     kept = write(db, 2, 1, keep_sensor=True)
@@ -374,7 +428,8 @@ def test_write_swap_conditional_mismatch_entangles():
 def test_history_growth_checks_only_new_gates(monkeypatch):
     # the build history is never checked again: write 40 costs what write 1
     # does. A write builds its gates from the checked layout unchecked; the
-    # only checks left are apply_gate's, one per toggle it simulates.
+    # only check left is apply_gate's on a lone toggle. Two toggles on one
+    # pattern move as one exchange, which checks nothing.
     calls = []
     check = importlib.import_module("qdbsim.statevector")._check_gate
 
@@ -386,12 +441,12 @@ def test_history_growth_checks_only_new_gates(monkeypatch):
         monkeypatch.setattr(importlib.import_module(mod), "_check_gate", counting)
     db = prepare_general(4, 0, {1: "10", 2: "01"}, m_data=2)
     per_write = []
-    for _ in range(40):
+    for i in range(40):
         start = len(calls)
-        db = write(db, 1, "11")
+        db = write(db, 1, "01" if i % 2 else "11")
         per_write.append(len(calls) - start)
     assert len(db.circuit) > 200
-    assert per_write == [2] * 40  # "11" toggles both data bits
+    assert per_write == [0, 1] * 20  # "11" toggles both data bits, "01" one
 
 
 def test_ops_leave_their_input_history_alone():
@@ -714,6 +769,45 @@ def test_permute_routes_the_same_gates_as_the_full_pattern_map(data):
     mapping = {0: 0, **dict(zip(movable, data.draw(st.permutations(movable), label="perm")))}
     moved = permute(db, mapping)
     assert moved.circuit.gates[len(db.circuit.gates):] == _routed_by_full_map(db, mapping)
+
+
+@functools.lru_cache(maxsize=None)
+def _permute_layouts():
+    """A fresh database, the same grown by ``extend`` (index register
+    (0, 1, 2, 5): the new index qubit sits above the data register) and the
+    grown one with a pattern freed by a reservoir removal (l = 1)."""
+    fresh = prepare_general(8, 0, {1: "10", 3: "01", 6: "11"}, m_data=2)
+    grown = extend(fresh, 3)
+    assert grown.layout.index_qubits == (0, 1, 2, 5)
+    return {"fresh": fresh, "extended": grown, "removed": remove_reservoir(grown, 3)}
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_permute_moves_the_bits_its_routing_gates_would(data):
+    name = data.draw(st.sampled_from(["fresh", "extended", "removed"]), label="layout")
+    db = _permute_layouts()[name]
+    movable = [j for j in db.layout.labels if j]  # the reservoir stays put
+    if name != "removed" and data.draw(st.booleans(), label="as list"):
+        perm = [0] + data.draw(st.permutations(movable), label="perm")
+        moves = {j: t for j, t in enumerate(perm) if j != t}
+    else:
+        chosen = data.draw(st.lists(st.sampled_from(movable), unique=True), label="labels")
+        perm = dict(zip(chosen, data.draw(st.permutations(chosen), label="targets")))
+        moves = {j: t for j, t in perm.items() if j != t}
+    before = db.state.amplitudes.tobytes()
+    moved = permute(db, perm)
+    assert db.state.amplitudes.tobytes() == before
+    if not moves:
+        assert moved is db
+        return
+    lmap = db.layout.logical_index_map
+    routing = pattern_permutation_circuit({lmap[j]: lmap[t] for j, t in moves.items()},
+                                          db.layout.index_qubits, db.n_qubits)
+    want = simulate(routing, db.state)
+    assert moved.state.amplitudes.tobytes() == want.amplitudes.tobytes()
+    assert len(moved.circuit) == len(db.circuit) + len(routing)
+    assert moved.emit() == emit_text(_grow(db.circuit, routing))
 
 
 def test_transpose_entries_at_k_1024_routes_the_full_map_gates():

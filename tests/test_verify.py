@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from qdbsim.errors import SemanticError, VerificationError
@@ -77,13 +78,30 @@ def test_database_ops_check_catches_a_folded_write_outside_the_encoding(monkeypa
 
     fold = qdb_mod._write_folded
 
-    def unencoded(db, label, value):
+    def unencoded(db, *args):
         bare = dataclasses.replace(db, descriptor=db.descriptor._derived(u_d=None))
-        return fold(bare, label, value)
+        return fold(bare, *args)
 
     assert "under u_d = ry(0.7)" in verify_mod._check_db_ops()
     monkeypatch.setattr(qdb_mod, "_write_folded", unencoded)
     with pytest.raises(VerificationError, match="folded write disagrees"):
+        verify_mod._check_db_ops()
+
+
+def test_database_ops_check_catches_a_permute_that_moves_other_bits(monkeypatch):
+    import qdbsim.qdb as qdb_mod
+    import qdbsim.verify as verify_mod
+
+    routed = qdb_mod._routed
+
+    def negated(db, routing):  # the right entries, one amplitude's sign flipped
+        state = routed(db, routing)
+        state.amplitudes[np.flatnonzero(state.amplitudes)[0]] *= -1
+        return state
+
+    assert "permute matches its routing gates" in verify_mod._check_db_ops()
+    monkeypatch.setattr(qdb_mod, "_routed", negated)
+    with pytest.raises(VerificationError, match="^permute disagrees with its routing gates$"):
         verify_mod._check_db_ops()
 
 
