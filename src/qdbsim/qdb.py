@@ -579,10 +579,7 @@ def pattern_permutation_circuit(mapping: dict[int, int], index_qubits,
     The completion pairs the unmapped patterns with the unused ones in
     sorted order, so it fixes every pattern above the largest one
     ``mapping`` names. It therefore stops there instead of spanning all 2^t
-    patterns, and routes with the gates of the full completion. A mapping
-    that permutes its own patterns, as ``permute``'s does, leaves those two
-    sets equal and the completion fixing every other pattern, so it is its
-    own completion.
+    patterns, and routes with the gates of the full completion.
     """
     index_qubits = tuple(index_qubits)
     named = [*mapping, *mapping.values()]
@@ -590,12 +587,9 @@ def pattern_permutation_circuit(mapping: dict[int, int], index_qubits,
     used = set(mapping.values())
     if len(used) != len(mapping):
         raise SemanticError("pattern mapping is not injective")
-    if used == mapping.keys():
-        full = mapping
-    else:
-        size = max(named, default=-1) + 1
-        free = iter(sorted(set(range(size)) - used))
-        full = {p: mapping[p] if p in mapping else next(free) for p in range(size)}
+    size = max(named, default=-1) + 1
+    free = iter(sorted(set(range(size)) - used))
+    full = {p: mapping[p] if p in mapping else next(free) for p in range(size)}
     gates = []
     for cyc in _cycles(full):
         for t in range(len(cyc) - 2, -1, -1):

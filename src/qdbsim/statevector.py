@@ -32,8 +32,8 @@ Conventions
 * Consecutive ``x`` gates on one control tuple, such as a write's toggles,
   act on one slice: ``_apply_x_exchange`` trades its two halves, split on
   the highest target and reversed along the other targets, through one
-  half-slice temporary, as a single ``x`` does. ``circuit.simulate`` hands
-  it every such stretch of two or more gates.
+  half-slice temporary. ``circuit.simulate`` hands it every such stretch
+  of two or more gates, and ``apply_gate`` moves a single ``x`` through it.
 * State equality is judged up to global phase by default.
 
 The default qubit budget is 26; anything above that is rejected rather than
@@ -218,18 +218,19 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
         out = state.copy()
     elif out is not state:
         np.copyto(out.amplitudes, state.amplitudes)
+    if gate.kind == "x":
+        _apply_x_exchange(out, (gate,))
+        return out
     amps = out.amplitudes
     if gate.kind == "rot2":
         views = [amps[int(i):int(i) + 1] for i in gate.params[:2]]
     else:
         tensor = amps.reshape((2,) * n)
         views = [tensor[_selector(n, gate.controls + fixed)] for fixed in _touched(gate)]
-    if gate.kind in ("x", "swap"):
+    if gate.kind == "swap":
         v0, v1 = views
         held = v0.copy()
-        # a ufunc's out= copies in place where a plain assignment between
-        # interleaved slices would first copy its source whole
-        np.positive(v1, out=v0)
+        np.positive(v1, out=v0)  # as in _apply_x_exchange
         v1[...] = held
         return out
     # Contiguous copies: numpy can round strided operands differently, and
@@ -247,8 +248,8 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
 
 
 def _apply_x_exchange(state: StateVector, gates) -> None:
-    """Consecutive ``x`` gates on one control tuple, applied to ``state`` in
-    place as one exchange.
+    """One ``x`` gate, or consecutive ``x`` gates on one control tuple,
+    applied to ``state`` in place as one exchange.
 
     The gates commute, and together they send each amplitude the controls
     select from basis index i to i XOR M, where M XORs their targets (a
@@ -276,6 +277,8 @@ def _apply_x_exchange(state: StateVector, gates) -> None:
     idx[n - 1 - top] = 0
     lower = tensor[(*idx, Ellipsis)]  # the other half, reversed along M
     held = upper.copy()
+    # a ufunc's out= copies in place where a plain assignment between
+    # interleaved slices would first copy its source whole
     np.positive(lower, out=upper)
     lower[...] = held
 
