@@ -1,20 +1,21 @@
-"""Gate-list circuits: construction, simulation, metrics, and the
-linear-cost decomposition of multi-controlled X gates.
+"""Circuits: construction, simulation, metrics, and the linear-cost
+decomposition of multi-controlled X gates.
 
-Circuits are ordered gate lists over a fixed-width register. Qubits may carry
-register labels (``I`` index, ``D`` data, ``A`` ancilla, ``S`` sensor) which
-are purely annotations: simulation ignores them, but layout bookkeeping and
-the text format carry them through.
+A circuit is an ordered gate sequence over a fixed-width register, held as
+a tuple of parts that are shared by reference (see ``Circuit``). Qubits may
+carry register labels (``I`` index, ``D`` data, ``A`` ancilla, ``S``
+sensor) which are purely annotations: simulation ignores them, but layout
+bookkeeping and the text format carry them through.
 
 Simulation has one entry, ``simulate``, the only function that runs a
 circuit's gates. It widens a narrower start state with fresh |0> qubits at
-the high end, makes that one copy, and runs the gates on it in place; the
+the high end, makes that one copy, and runs the parts on it in place; the
 result has the same bits as applying the gates one by one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
 
@@ -33,19 +34,42 @@ from .statevector import (
 VALID_LABELS = ("I", "D", "A", "S")
 
 
-@dataclass
 class Circuit:
-    """Gates and labels are checked when they enter a circuit: the
+    """Gates over an ``n_qubits`` register, with register ``labels``.
+
+    The gates are held as a tuple of parts. A part is a list of checked
+    gates, a block, or a tuple of parts. A block keeps what it was made from
+    instead of its gates: ``qdb._DataWrite``, a preparation's data-write
+    block, is the one kind. A block of ``x`` gates on one control set
+    ``wires`` has a ``len``, iterates over its gates (built when first asked
+    for), has an ``inverse()``, ``x_table()`` (see
+    ``statevector._apply_x_run``) and ``x_entries()`` (each pattern on
+    ``wires`` with its targets, for ``emit_text``), and names the block it
+    reverses, ``forward`` (itself unless reversed), and whether it is
+    ``reversed``.
+
+    Parts are shared, not copied: ``+``, ``extended`` and the history's
+    ``qdb._grow`` join part tuples, so a join costs the same at any length,
+    and every step of a transfer refers to one u and one u^-1. ``gates`` is
+    the flat list, made on first use: a circuit of several parts then
+    becomes one part, that list, which it alone holds, so changing
+    ``gates`` in place changes the circuit. ``append`` adds to a list only
+    this circuit holds, and never to a shared part. ``len`` sums the parts
+    without flattening them.
+
+    Gates and labels are checked when they enter a circuit: the
     constructor's, each ``append`` and each ``label``. ``+``, ``extended``
-    and ``inverse`` reuse checked gates and labels on the same or a wider
+    and ``inverse`` reuse checked parts and labels on the same or a wider
     register, since widening cannot invalidate either, and qdbsim's builders
     place gates and labels they made from a checked layout
-    (``GateSpec._built``) through ``_reusing`` too; every derived circuit
-    owns its own gate list."""
+    (``GateSpec._built``) through ``_reusing`` too."""
 
-    n_qubits: int
-    gates: list[GateSpec] = field(default_factory=list)
-    labels: dict[int, str] = field(default_factory=dict)
+    def __init__(self, n_qubits: int, gates: list[GateSpec] | None = None,
+                 labels: dict[int, str] | None = None):
+        self.n_qubits = n_qubits
+        self.gates = [] if gates is None else gates
+        self.labels = {} if labels is None else labels
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -66,6 +90,47 @@ class Circuit:
         out.labels = labels
         return out
 
+    @classmethod
+    def _joined(cls, n_qubits: int, parts: tuple, labels: dict[int, str],
+                size: int) -> "Circuit":
+        """A circuit over checked ``parts`` holding ``size`` gates, none of
+        them its own to append to; like ``_reusing``, nothing is checked."""
+        out = object.__new__(cls)
+        out.n_qubits = n_qubits
+        out.labels = labels
+        out._parts, out._own, out._size = parts, None, size
+        return out
+
+    @property
+    def gates(self) -> list[GateSpec]:
+        if self._own is None or len(self._parts) > 1:
+            flat: list[GateSpec] = []
+            for part in self._leaves():
+                flat += part
+            self.gates = flat
+        return self._own
+
+    @gates.setter
+    def gates(self, gates: list[GateSpec]):
+        # ``_own`` is the last part when this circuit alone holds it, and
+        # ``_size`` counts the gates of every other part
+        self._parts, self._own, self._size = (gates,), gates, 0
+
+    def _leaves(self):
+        """The gate lists and blocks of the parts, in order."""
+        parts = self._parts
+        if len(parts) == 1 and type(parts[0]) is not tuple:
+            return parts  # most circuits an op builds: one list
+        return _walk(parts)
+
+    def _shared(self) -> tuple:
+        """The parts, for another circuit to hold: none of them is this
+        circuit's own to append to any more."""
+        if self._own is not None:
+            self._size += len(self._own)
+            self._own = None
+        return self._parts
+
     def _check_label(self, q: int, lab: str):
         if not 0 <= q < self.n_qubits:
             raise SemanticError(f"label on qubit {q} outside register of {self.n_qubits}")
@@ -74,7 +139,10 @@ class Circuit:
 
     def append(self, gate: GateSpec) -> "Circuit":
         _check_gate(gate, self.n_qubits)
-        self.gates.append(gate)
+        if self._own is None:
+            self._own = []
+            self._parts += (self._own,)
+        self._own.append(gate)
         return self
 
     def extend_gates(self, gates) -> "Circuit":
@@ -90,22 +158,37 @@ class Circuit:
     def __add__(self, other: "Circuit") -> "Circuit":
         if other.n_qubits != self.n_qubits:
             raise SemanticError("cannot concatenate circuits of different widths")
-        return Circuit._reusing(self.n_qubits, self.gates + other.gates,
-                                {**self.labels, **other.labels})
+        parts = (self._shared(), other._shared())  # both sizes now in _size
+        return Circuit._joined(self.n_qubits, parts, {**self.labels, **other.labels},
+                               self._size + other._size)
 
     def __len__(self):
-        return len(self.gates)
+        return self._size if self._own is None else self._size + len(self._own)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.n_qubits, self.gates, self.labels)
+                == (other.n_qubits, other.gates, other.labels))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"Circuit(n_qubits={self.n_qubits!r}, gates={self.gates!r}, "
+                f"labels={self.labels!r})")
 
     def extended(self, n_qubits: int) -> "Circuit":
         """Same gates on a wider register (new qubits at the high end)."""
         if n_qubits < self.n_qubits:
             raise SemanticError("cannot shrink a circuit")
-        return Circuit._reusing(n_qubits, list(self.gates), dict(self.labels))
+        return Circuit._joined(n_qubits, self._shared(), dict(self.labels), len(self))
 
     def inverse(self) -> "Circuit":
-        return Circuit._reusing(self.n_qubits,
-                                [gate_inverse(g) for g in reversed(self.gates)],
-                                dict(self.labels))
+        """The parts in reverse order, each inverted: a gate list gate by
+        gate, a block by its own ``inverse``."""
+        parts = tuple([gate_inverse(g) for g in reversed(part)] if type(part) is list
+                      else part.inverse() for part in reversed(list(self._leaves())))
+        return Circuit._joined(self.n_qubits, parts, dict(self.labels), len(self))
 
     def remapped(self, mapping: dict[int, int], n_qubits: int) -> "Circuit":
         """Embed into a wider register, sending qubit q to mapping[q].
@@ -156,6 +239,17 @@ class Circuit:
         )
 
 
+def _walk(parts: tuple):
+    """The lists and blocks under nested part tuples, depth first, in order."""
+    stack = [parts]
+    while stack:
+        part = stack.pop()
+        if type(part) is tuple:
+            stack.extend(reversed(part))
+        else:
+            yield part
+
+
 @dataclass(frozen=True)
 class CircuitMetrics:
     gate_count: int
@@ -179,12 +273,13 @@ def simulate(circuit: Circuit, state: StateVector | None = None,
     the high end, up to the circuit's width, and the widened width counts
     against ``max_qubits`` (CapacityError); a wider one is refused. The
     widened array, or a copy of a same-width state, is the one copy made:
-    the gates run on it in place, so the caller's amplitudes are never
+    the parts run on it in place, so the caller's amplitudes are never
     written.
 
-    A run of at least ``_FUSE_MIN`` controlled ``x`` gates sharing one
-    ``_run_key`` whose controls read at least two patterns moves as one
-    permutation (``_apply_x_run``). In a shorter run, or a run on one
+    A block's table moves as one permutation (``_apply_x_run``), with no
+    gate built. Within a gate list, a run of at least ``_FUSE_MIN``
+    controlled ``x`` gates sharing one ``_run_key`` whose controls read at
+    least two patterns moves the same way. In a shorter run, or a run on one
     pattern, each stretch of two or more gates on one control tuple, such
     as a write's toggles, moves as one exchange within the slice those
     controls select (``_apply_x_exchange``). Every other gate goes through
@@ -199,7 +294,16 @@ def simulate(circuit: Circuit, state: StateVector | None = None,
         state = add_ancillas(state, n - state.n_qubits, max_qubits=max_qubits)
     else:
         raise SemanticError(f"state has {state.n_qubits} qubits, circuit needs {n}")
-    gates = circuit.gates
+    for part in circuit._leaves():
+        if type(part) is list:
+            _run_gates(state, part)
+        elif len(part):  # an empty block moves nothing
+            _apply_x_run(state, part, table=part.x_table())
+    return state
+
+
+def _run_gates(state: StateVector, gates: list[GateSpec]):
+    """``simulate``'s pass over one gate list, in place."""
     end, i = len(gates), 0
     while i < end:
         g = gates[i]
@@ -221,7 +325,6 @@ def simulate(circuit: Circuit, state: StateVector | None = None,
                 _apply_x_exchange(state, stretch)
             else:
                 apply_gate(state, stretch[0], out=state)
-    return state
 
 
 @dataclass(frozen=True)

@@ -174,21 +174,26 @@ def amplification_circuit(u_qdb: Circuit, db_qubits, plan: AmplificationPlan,
     reservoir branch |0>|u_d 0>, so they are conjugated by it
     (``qdb._decoded``).
 
-    u^-1 is built and checked once, and every step reuses the gate objects
-    of u and u^-1, which the transfer repeats 2(m + 1) times between them.
-    All parts go into one gate list in a single pass, so the build is linear
-    in its gate count; concatenating step by step would copy the growing
-    list at every step.
+    u^-1 is built once, its data-write block only marked reversed
+    (``qdb._DataWrite``), and every step refers to the same parts of u and
+    u^-1, as the ``plan.m`` full steps do to one set of phase circuits: the
+    circuit joins parts by reference (``Circuit``), so it is built in work
+    that follows the number of steps, not of gates, and ``emit_text``
+    renders each shared part once.
     """
     n = u_qdb.n_qubits
     u_inv = u_qdb.inverse()
-    parts = []
-    for phi, rho in _steps(plan):
-        parts.extend([_decoded(zero_phase_circuit(rho, db_qubits, n), encoding), u_inv,
-                      zero_phase_circuit(phi, db_qubits, n), u_qdb])
-    parts.append(_decoded(zero_phase_circuit(plan.phase_fix, db_qubits, n), encoding))
-    return Circuit._reusing(n, [g for part in parts for g in part.gates],
-                            {q: lab for part in parts for q, lab in part.labels.items()})
+
+    def step(phi: float, rho: float) -> list[Circuit]:
+        return [_decoded(zero_phase_circuit(rho, db_qubits, n), encoding), u_inv,
+                zero_phase_circuit(phi, db_qubits, n), u_qdb]
+
+    circuits = step(math.pi, math.pi) * plan.m if plan.m else []
+    circuits += step(plan.phi, plan.rho)
+    circuits.append(_decoded(zero_phase_circuit(plan.phase_fix, db_qubits, n), encoding))
+    return Circuit._joined(n, tuple(c._shared() for c in circuits),
+                           {q: lab for c in circuits for q, lab in c.labels.items()},
+                           sum(map(len, circuits)))
 
 
 def _nonzeros(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -420,7 +420,9 @@ def _advance(db: QdbState, meta: QdbMeta, circ: Circuit | None,
 
     The new amplitudes are ``state`` when the op has made them its own way,
     and otherwise ``circ`` simulated on ``db``'s state, widened to the
-    circuit's fresh high qubits as ``simulate`` does.
+    circuit's fresh high qubits as ``simulate`` does. ``_grow`` joins
+    ``circ``'s parts to the history by reference, so ``circ`` is not to be
+    changed afterwards.
     """
     if state is None:
         state = simulate(circ, db.state, max_qubits=db.max_qubits)
@@ -447,11 +449,14 @@ def _grow(cumulative: Circuit, piece: Circuit) -> Circuit:
 
     The build circuit can be wider than the live state: detached sensor/copy
     wires stay in it (uncomputed to |0>), and later operations reuse those
-    clean wires. Both sides' checked gates go onto the larger register.
+    clean wires. Both sides' checked parts go onto the larger register,
+    joined by reference (``Circuit``): no gate is copied, so an append costs
+    the same at any history length.
     """
     width = max(cumulative.n_qubits, piece.n_qubits)
-    return Circuit._reusing(width, cumulative.gates + piece.gates,
-                            {**cumulative.labels, **piece.labels})
+    parts = (cumulative._shared(), piece._shared())  # both sizes now in _size
+    return Circuit._joined(width, parts, {**cumulative.labels, **piece.labels},
+                           cumulative._size + piece._size)
 
 
 def prepare_circuit(k: int, l: int, qubits, n_qubits: int | None = None) -> Circuit:
@@ -577,19 +582,22 @@ def pattern_permutation_circuit(mapping: dict[int, int], index_qubits,
     The partial mapping is completed to a bijection, decomposed into cycles,
     and each cycle into transpositions, whose gates go into one list.
     The completion pairs the unmapped patterns with the unused ones in
-    sorted order, so it fixes every pattern above the largest one
-    ``mapping`` names. It therefore stops there instead of spanning all 2^t
-    patterns, and routes with the gates of the full completion.
+    sorted order. Above the largest pattern that is a source or a target
+    but not both, a pattern is unmapped exactly when it is unused, so the
+    pairing fixes each such pattern. The completion therefore stops below
+    that bound, ``mapping`` is merged over it, and the gates are those of
+    the completion over all 2^t patterns, in work that follows the patterns
+    moved.
     """
     index_qubits = tuple(index_qubits)
-    named = [*mapping, *mapping.values()]
-    _check_patterns(named, index_qubits)
+    _check_patterns([*mapping, *mapping.values()], index_qubits)
     used = set(mapping.values())
     if len(used) != len(mapping):
         raise SemanticError("pattern mapping is not injective")
-    size = max(named, default=-1) + 1
+    size = max(used.symmetric_difference(mapping), default=-1) + 1
     free = iter(sorted(set(range(size)) - used))
     full = {p: mapping[p] if p in mapping else next(free) for p in range(size)}
+    full.update(mapping)
     gates = []
     for cyc in _cycles(full):
         for t in range(len(cyc) - 2, -1, -1):
@@ -623,25 +631,109 @@ def _decoded(circ: Circuit, encoding: Circuit | None) -> Circuit:
     return circ if encoding is None else encoding.inverse() + circ + encoding
 
 
+class _DataWrite:
+    """A preparation's data-write block (a ``Circuit`` part): one
+    multi-controlled X per set data bit of ``descriptor``, each controlled
+    on its entry's index pattern of ``layout``, kept as that pair instead of
+    as gates.
+
+    The gates go label by label in ascending order, data bits ascending
+    within an entry, each controlled on ``wires``, the index register. They
+    are built, unchecked from the checked layout, only when asked for
+    (flattening); ``emit_text`` renders the block from ``x_entries`` and
+    ``simulate`` moves it by its ``x_table``. No target is a control, so the
+    gates commute, and
+    each is its own inverse: the inverse is the same block read backwards,
+    marked ``reversed``, not rebuilt. ``forward`` is the block in build
+    order, whose gates and table a reversed block shares.
+    """
+
+    __slots__ = ("descriptor", "layout", "forward", "_size", "_gates", "_table")
+
+    def __init__(self, descriptor: QdbDescriptor, layout: QdbLayout,
+                 forward: "_DataWrite | None" = None):
+        self.descriptor, self.layout = descriptor, layout
+        self.forward = self if forward is None else forward
+        self._size = (sum(word.count("1") for word in descriptor.data.values())
+                      if forward is None else forward._size)
+        self._gates = self._table = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        return iter(self.gates)
+
+    @property
+    def reversed(self) -> bool:
+        return self.forward is not self
+
+    @property
+    def wires(self) -> tuple[int, ...]:
+        return self.layout.index_qubits
+
+    def inverse(self) -> "_DataWrite":
+        if self.forward is not self:
+            return self.forward
+        return _DataWrite(self.descriptor, self.layout, self)
+
+    @property
+    def gates(self) -> list[GateSpec]:
+        """The gates in this block's order. Every control tuple is made from
+        one pair of ``(qubit, bit)`` controls per index qubit, each entry's
+        gates share one tuple, and all share the tuple of control qubits."""
+        if self._gates is None:
+            if self.forward is not self:
+                self._gates = self.forward.gates[::-1]
+            else:
+                wires = self.wires
+                pairs = [((q, 0), (q, 1)) for q in wires]
+                one = {q: (q,) for q in self.layout.data_qubits}
+                gates = []
+                for pat, targets in self.x_entries():
+                    ctrls = tuple([pair[(pat >> i) & 1] for i, pair in enumerate(pairs)])
+                    gates += [GateSpec._built("x", (), one[t], ctrls, wires) for t in targets]
+                self._gates = gates
+        return self._gates
+
+    def x_entries(self):
+        """Each entry's index pattern (its controls' bits on ``wires``) and
+        the data qubits its word sets, in build order: what the gates hold,
+        without building them."""
+        layout = self.layout
+        lmap = layout.logical_index_map
+        targets: dict[str, list[int]] = {}  # word -> the data qubits it sets
+        for label, word in sorted(self.descriptor.data.items()):
+            qubits = targets.get(word)
+            if qubits is None:
+                value = int(word, 2)
+                qubits = targets[word] = [q for b, q in enumerate(layout.data_qubits)
+                                          if (value >> b) & 1]
+            yield lmap[label], qubits
+
+    def x_table(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+        """The ``(C, patterns, masks)`` table of ``statevector._apply_x_run``:
+        C is ``wires``, and each entry's index pattern maps to its word
+        placed on the data qubits."""
+        fwd = self.forward
+        if fwd._table is None:
+            data, lmap = fwd.descriptor.data, fwd.layout.logical_index_map
+            count = len(data)
+            words = np.fromiter((int(word, 2) for word in data.values()),
+                                dtype=np.int64, count=count)
+            fwd._table = (fwd.wires,
+                          np.fromiter(map(lmap.__getitem__, data), dtype=np.int64,
+                                      count=count),
+                          fwd.layout._place(0, words) if count else words)
+        return fwd._table
+
+
 def _data_write_circuit(descriptor: QdbDescriptor, layout: QdbLayout,
                         n: int) -> Circuit:
-    """One multi-controlled X per set data bit, plus the data encoding.
-
-    The gates are built unchecked from the checked layout. Every control
-    tuple is made from one pair of ``(qubit, bit)`` controls per index
-    qubit, each entry's gates share one tuple, and all share the tuple of
-    control qubits."""
-    pairs = [((q, 0), (q, 1)) for q in layout.index_qubits]
-    wires = tuple(layout.index_qubits)
-    targets = [(q,) for q in layout.data_qubits]
-    gates = []
-    for label, word in sorted(descriptor.data.items()):
-        value = int(word, 2)
-        pat = layout.pattern(label)
-        ctrls = tuple([pair[(pat >> i) & 1] for i, pair in enumerate(pairs)])
-        gates += [GateSpec._built("x", (), t, ctrls, wires)
-                  for b, t in enumerate(targets) if (value >> b) & 1]
-    circ = Circuit._reusing(n, gates, {q: "D" for q in layout.data_qubits})
+    """The data-write block (``_DataWrite``), one multi-controlled X per set
+    data bit, then the data encoding."""
+    block = _DataWrite(descriptor, layout)
+    circ = Circuit._joined(n, (block,), {q: "D" for q in layout.data_qubits}, len(block))
     enc = _encoding(descriptor.u_d, n, layout.data_qubits)
     return circ if enc is None else circ + enc
 
@@ -650,8 +742,9 @@ def preparation_circuit(descriptor: QdbDescriptor, layout: QdbLayout) -> Circuit
     """Full build circuit |0...0> -> database state for this descriptor/layout.
 
     Index spread over the label count, pattern routing when labels do not sit
-    at contiguous patterns, one multi-controlled X per set data bit, and the
-    data encoding last.
+    at contiguous patterns, the data-write block (one multi-controlled X per
+    set data bit, kept as ``(descriptor, layout)`` and built into gates only
+    when flattened), and the data encoding last.
     """
     labels = layout.labels
     if len(labels) != descriptor.k:

@@ -27,8 +27,10 @@ Conventions
   ``_apply_x_run`` gathers a chunk of patterns at once, reorders each
   pattern's amplitudes by its own mask T[p] and scatters the chunk back: one
   gather and one scatter per chunk, the same exact move as gate by gate, so
-  the result is bit-identical. ``circuit.simulate`` hands it runs long
-  enough to repay its set-up.
+  the result is bit-identical. The table T comes from an x run's gates or,
+  ready-made, from a data-write block that never builds its gates.
+  ``circuit.simulate`` hands it runs long enough to repay its set-up, and
+  every block.
 * Consecutive ``x`` gates on one control tuple, such as a write's toggles,
   act on one slice: ``_apply_x_exchange`` trades its two halves, split on
   the highest target and reversed along the other targets, through one
@@ -286,24 +288,28 @@ def _apply_x_exchange(state: StateVector, gates) -> None:
 _MOVE_CHUNK = 1 << 17  # amplitudes gathered at once by _apply_x_run
 
 
-def _apply_x_run(state: StateVector, gates) -> None:
+def _apply_x_run(state: StateVector, gates, *, table=None) -> None:
     """A run of ``x`` gates that share one ``_run_key`` (the tuple C of their
     control qubits), applied to ``state`` in place as one permutation.
 
     No target lies in C, so no gate changes what another's controls read:
     the gates commute, and together they send basis index i to
     i XOR T[p], where p is the pattern i reads on C (bit j on C[j]) and T[p]
-    XORs the targets of the gates whose controls read p. Each chunk of
-    patterns is gathered once, every pattern's amplitudes are reordered by
-    its own mask T[p] (a lookup, an exact move like each ``x``) and the
-    chunk is put back. Work and temporaries follow the patterns moved, in
-    chunks of at most ``_MOVE_CHUNK`` amplitudes; no index array spans the
-    state. Where one pattern alone holds more (more than log2
-    ``_MOVE_CHUNK`` qubits lie outside C), the gates go one by one through
-    ``apply_gate``, whose temporary is half of one pattern's amplitudes.
+    XORs the targets of the gates whose controls read p. The table comes
+    from the gates (``_run_table``), or is ``table``, the run's
+    ``(C, patterns, masks)`` given ready-made, as a data-write block gives
+    it without building its gates (a mask sets bit q for each target q).
+    Each chunk of patterns is gathered once, every pattern's amplitudes are
+    reordered by its own mask T[p] (a lookup, an exact move like each
+    ``x``) and the chunk is put back. Work and temporaries follow the
+    patterns moved, in chunks of at most ``_MOVE_CHUNK`` amplitudes; no
+    index array spans the state. Where one pattern alone holds more (more
+    than log2 ``_MOVE_CHUNK`` qubits lie outside C), the gates go one by one
+    through ``apply_gate``, whose temporary is half of one pattern's
+    amplitudes.
     """
     n = state.n_qubits
-    wires = gates[0]._run_key
+    wires, patterns, masks = _run_table(gates) if table is None else table
     step = _MOVE_CHUNK >> (n - len(wires))  # patterns moved per gather
     if not step:
         for g in gates:
@@ -328,18 +334,12 @@ def _apply_x_run(state: StateVector, gates) -> None:
             free.append((len(shape), q))
             shape.append(2)
         q -= 1
-    flat = {q: 1 << (len(free) - 1 - i) for i, (_, q) in enumerate(free)}
-    table: dict[int, int] = {}  # pattern -> T[p] on the flattened free axes
-    controls = None
-    for g in gates:
-        if g.controls is not controls:  # a pattern's gates share one tuple
-            controls = g.controls
-            pattern = 0
-            for j, (_, bit) in enumerate(controls):
-                pattern |= bit << j
-        table[pattern] = table.get(pattern, 0) ^ flat[g.targets[0]]
-    patterns = np.array([p for p, mask in table.items() if mask], dtype=np.int64)
-    masks = np.array([mask for mask in table.values() if mask], dtype=np.int64)
+    moving = masks != 0
+    patterns, masks = patterns[moving], masks[moving]
+    # T[p] on the flattened free axes
+    flat = np.zeros_like(masks)
+    for i, (_, q) in enumerate(free):
+        flat |= ((masks >> q) & 1) << (len(free) - 1 - i)
     view = state.amplitudes.reshape(shape).transpose(
         [axis for axis, _ in blocks] + [axis for axis, _ in free])
     size = 1 << len(free)
@@ -347,9 +347,27 @@ def _apply_x_run(state: StateVector, gates) -> None:
         chunk = patterns[lo:lo + step]
         index = tuple(_block_index(chunk, bits) for _, bits in blocks)
         held = view[index]
-        source = np.arange(size) ^ masks[lo:lo + step, None]
+        source = np.arange(size) ^ flat[lo:lo + step, None]
         view[index] = np.take_along_axis(
             held.reshape(chunk.size, size), source, axis=1).reshape(held.shape)
+
+
+def _run_table(gates) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The ``(C, patterns, masks)`` of a run of ``x`` gates sharing one
+    ``_run_key`` C: each pattern the controls read, and the XOR of
+    ``1 << target`` over the gates reading it."""
+    table: dict[int, int] = {}
+    controls = None
+    for g in gates:
+        if g.controls is not controls:  # a pattern's gates share one tuple
+            controls = g.controls
+            pattern = 0
+            for j, (_, bit) in enumerate(controls):
+                pattern |= bit << j
+        table[pattern] = table.get(pattern, 0) ^ (1 << g.targets[0])
+    count = len(table)
+    return (gates[0]._run_key, np.fromiter(table, dtype=np.int64, count=count),
+            np.fromiter(table.values(), dtype=np.int64, count=count))
 
 
 def _block_index(patterns: np.ndarray, bits: list[int]) -> np.ndarray:

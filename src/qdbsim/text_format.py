@@ -13,11 +13,14 @@ One gate per line::
 
 Floats are emitted with ``repr`` so emit -> parse -> emit is byte-identical.
 
-A history repeats few wire sets over many gates, so ``emit_text`` renders
-the wires of each distinct (targets, controls) pair once per call, and the
-controls of each distinct control tuple once, shared by every target it
-meets; qubit names come from a table built once per call. Both memos live
-only as long as the call, so no two callers share them. They are keyed on
+A history repeats few wire sets over many gates, and shares its parts
+(``Circuit``): a transfer refers to one u and one u^-1 at every step. So
+``emit_text`` walks the parts and renders each distinct part once per call,
+a reversed block as its forward block's lines read backwards; it renders
+the wires of each distinct (targets, controls) pair once, and the controls
+of each distinct control tuple once, shared by every target it meets; qubit
+names come from a table built once per call. The memos live only as long
+as the call, so no two callers share them. They are keyed on
 values, not on tuple identity: each write builds its toggles' control tuple
 anew, equal to the tuple of earlier gates but a different object, and an
 identity key would render it again on every write. They are keyed on the
@@ -66,15 +69,40 @@ def emit_text(circuit: Circuit) -> str:
         lines.append(f"label q[{q}] {circuit.labels[q]}")
     wires: dict[tuple, str] = {}
     ctrls: dict[tuple, str] = {}
-    for g in circuit.gates:
-        key = (g.targets, g.controls)
-        text = wires.get(key)
-        if text is None:
-            tail = ctrls.get(g.controls)
-            if tail is None:
-                tail = ctrls[g.controls] = _fmt_controls(g.controls, names)
-            text = wires[key] = "".join([names[t] for t in g.targets]) + tail
-        lines.append(g.kind + _fmt_params(g) + text)
+    rendered: dict[int, list[str]] = {}  # id of a part -> its lines
+
+    def part_lines(part) -> list[str]:
+        text = rendered.get(id(part))
+        if text is not None:
+            return text
+        if type(part) is list:
+            text = []
+            for g in part:
+                key = (g.targets, g.controls)
+                wire = wires.get(key)
+                if wire is None:
+                    tail = ctrls.get(g.controls)
+                    if tail is None:
+                        tail = ctrls[g.controls] = _fmt_controls(g.controls, names)
+                    wire = wires[key] = "".join([names[t] for t in g.targets]) + tail
+                text.append(g.kind + _fmt_params(g) + wire)
+        elif part.reversed:
+            text = part_lines(part.forward)[::-1]
+        else:  # a block of x gates, rendered without building them
+            on = part.wires
+            text = []
+            for pat, targets in part.x_entries():
+                key = (on, pat)  # the controls that read pat on those wires
+                tail = ctrls.get(key)
+                if tail is None:
+                    tail = ctrls[key] = _fmt_controls(
+                        [(q, (pat >> i) & 1) for i, q in enumerate(on)], names)
+                text += ["x" + names[t] + tail for t in targets]
+        rendered[id(part)] = text
+        return text
+
+    for part in circuit._leaves():
+        lines += part_lines(part)
     return "\n".join(lines) + "\n"
 
 

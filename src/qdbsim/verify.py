@@ -264,6 +264,30 @@ def _check_db_ops() -> str:
             "write/read/remove/permute invariants hold")
 
 
+def _check_history() -> str:
+    """A build history of shared parts against its flat gates. A database
+    under u_d = ry(0.7) is prepared with data, written twice and extended
+    by a transfer with a full step (m = 1), whose u and u^-1 parts every
+    step shares. Its flat gates, simulated one by one from |0...0>, must
+    give the live state within ``STATE_TOL``, and ``emit()``, which renders
+    each shared part once and a reversed data-write block backwards, must
+    equal the text of the flat gates."""
+    db = prepare_general(16, 0, {1: "1", 5: "1", 9: "1"}, m_data=1, u_d=_RY_ENCODING)
+    db = extend(write(write(db, 3, "1"), 5, "1"), 16)
+    text = db.emit()
+    history = db.circuit
+    state = StateVector.zero(history.n_qubits)
+    for g in history.gates:  # from here on the history is one flat list
+        apply_gate(state, g, out=state)
+    state = drop_qubits(state, range(db.n_qubits, history.n_qubits))
+    if not states_equal(state, db.state, STATE_TOL, up_to_global_phase=False):
+        raise VerificationError("the flat history does not rebuild the live state")
+    if text != emit_text(history):
+        raise VerificationError("emit() differs from the text of the flat history")
+    return (f"{len(history)} history gates under u_d = ry(0.7), simulated one by one, "
+            "rebuild the live state; emit() matches the flat text")
+
+
 def _check_derived_records() -> str:
     """The transitions derive their records without the constructors' full
     checks. Along a fixed op sequence, rebuild every record through the
@@ -329,6 +353,7 @@ FULL_CHECKS = FAST_CHECKS + [
     ("extend-chain", _check_extend_chain),
     ("imbalanced-extend", _check_imbalanced),
     ("database-ops", _check_db_ops),
+    ("history", _check_history),
     ("derived-records", _check_derived_records),
     ("mcx-decomposition", _check_mcx),
 ]

@@ -12,8 +12,9 @@ from conftest import dense_column, random_state
 from qdbsim import statevector
 from qdbsim.circuit import Circuit, simulate
 from qdbsim.errors import CapacityError, CircuitParseError, SemanticError
-from qdbsim.gates import GateSpec, h, phase, rot2, ry, swap, x, y
+from qdbsim.gates import GateSpec, gate_inverse, h, phase, rot2, ry, swap, x, y
 from qdbsim.oracle import dense_operator
+from qdbsim.qdb import preparation_circuit, prepare_general
 from qdbsim.statevector import StateVector, add_ancillas, apply_gate
 from qdbsim.text_format import emit_text, parse_text
 
@@ -64,6 +65,34 @@ def test_derived_circuits_own_their_gate_lists():
     for derived in (a.extended(5), a + a):
         derived.append(x(0))
         assert a.gates == before
+
+
+def test_joined_circuits_share_parts_and_stay_apart():
+    a = small_circuit()
+    before = list(a.gates)
+    b = a + a
+    wide = b.extended(4)
+    assert len(b) == len(wide) == 10  # summed over the parts, not flattened
+    a.append(x(0))  # goes to a list only a holds
+    assert len(a) == 6 and b.gates == before * 2 and wide.gates == before * 2
+    b.gates.append(h(2))  # the flat list is b's own: changing it changes b
+    b.gates += [h(1)]
+    assert len(b) == 12 and b.gates[-2:] == [h(2), h(1)]
+    assert a.gates == before + [x(0)] and len(wide) == 10
+
+
+def test_inverse_of_a_data_write_block_reads_it_backwards():
+    db = prepare_general(8, 0, {1: "11", 2: "01", 6: "10"}, m_data=2)
+    u = preparation_circuit(db.descriptor, db.layout)
+    u_inv = u.inverse()
+    block = [p for p in u._leaves() if type(p) is not list]
+    (rev,) = [p for p in u_inv._leaves() if type(p) is not list]
+    assert rev.reversed and rev.forward is block[0] and rev.inverse() is block[0]
+    assert len(rev) == len(block[0]) == 4
+    assert u_inv.gates == [gate_inverse(g) for g in reversed(u.gates)]
+    assert emit_text(u_inv) == emit_text(Circuit(u.n_qubits, list(u_inv.gates), u_inv.labels))
+    back = simulate(u_inv, simulate(u))
+    assert np.max(np.abs(back.amplitudes - StateVector.zero(u.n_qubits).amplitudes)) < 1e-12
 
 
 def test_extended_widens_without_moving_gates(rng):

@@ -25,7 +25,15 @@ from qdbsim.extend import (
     unfold,
     zero_phase_circuit,
 )
-from qdbsim.qdb import _decoded, _encoding, preparation_circuit, prepare_general
+from qdbsim.qdb import (
+    _decoded,
+    _encoding,
+    permute,
+    preparation_circuit,
+    prepare_general,
+    remove_reservoir,
+    write,
+)
 from qdbsim.statevector import StateVector, states_equal
 from qdbsim.text_format import emit_text
 from qdbsim.tolerances import ORACLE_TOL, PLAN_RESIDUAL_TOL
@@ -278,6 +286,43 @@ def test_amplification_steps_share_one_inverse_of_u():
     second = circ.gates[step + phase_gates:step + phase_gates + len(u_qdb)]
     assert first == u_qdb.inverse().gates
     assert all(a is b for a, b in zip(first, second, strict=True))
+
+
+def test_transfer_steps_share_one_u_and_one_u_inverse():
+    db = prepare_general(64, 0, {1: 1, 5: 1, 40: 1}, m_data=1)
+    u_qdb, db_qubits, plan, encoding = _transfer_parts(db, 64)
+    assert plan.m >= 1
+    leaves = list(amplification_circuit(u_qdb, db_qubits, plan, encoding)._leaves())
+    # every step holds u's own parts, and one u^-1 whose block is u's reversed
+    for part in u_qdb._leaves():
+        assert sum(leaf is part for leaf in leaves) == plan.m + 1
+    (block,) = [part for part in u_qdb._leaves() if type(part) is not list]
+    reversed_blocks = [leaf for leaf in leaves if type(leaf) is not list and leaf.reversed]
+    assert len(reversed_blocks) == plan.m + 1
+    assert all(leaf is reversed_blocks[0] for leaf in reversed_blocks)
+    assert reversed_blocks[0].forward is block
+
+
+def test_history_text_and_amplitudes_are_pinned():
+    # sha256 of emit() and of the amplitudes' bytes after a fixed sequence
+    # with a two-round extend (16 -> 32 -> 36 entries; the first transfer
+    # takes a full step), recorded while the history was one flat gate list
+    pinned = {
+        None: ("3c934c753bce9625b98f4f22ee5009e159bf5c78397991a973a1e14a33c3f728",
+               "aad01e2e4872260e20b396cf836af965c61cbd733dbc5fba6f544e882afb9f1e"),
+        "ry": ("e5a7d809fb4f0cc716b0745ba3acb40fd8fc3b47cf40b4e67025da37ee0109cc",
+               "00a8772db04bd70d02c4418ed991f53c2215a94348ab58bf84ed1791489c3bab"),
+    }
+    for name, (text_sha, amps_sha) in pinned.items():
+        if name is None:
+            db = prepare_general(16, 0, {1: "10", 5: "01", 9: "11"}, m_data=2)
+            db = write(db, 3, "11")
+        else:
+            db = prepare_general(16, 0, {1: "1", 5: "1", 9: "1"}, m_data=1, u_d=RY_ENCODING)
+            db = write(db, 3, "1")
+        db = permute(remove_reservoir(extend(db, 20), 5), {1: 9, 9: 1})
+        assert hashlib.sha256(db.emit().encode()).hexdigest() == text_sha
+        assert hashlib.sha256(db.state.amplitudes.tobytes()).hexdigest() == amps_sha
 
 
 def _growth_with_routed_preflight(u_d):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     H_ENCODING,
     RY_CNOT_ENCODING,
+    RY_ENCODING,
     assert_register_scan_matches_brute_force,
     state_matches_oracle,
 )
@@ -23,8 +24,8 @@ from qdbsim.errors import (
     SemanticError,
     VerificationError,
 )
-from qdbsim.extend import extend, extend_imbalanced, unfold
-from qdbsim.gates import h, phase, ry, x
+from qdbsim.extend import extend, extend_imbalanced, transfer, unfold
+from qdbsim.gates import GateSpec, h, phase, ry, x
 from qdbsim.oracle import expected_qdb_amplitudes, permutation_matrix
 from qdbsim.qdb import (
     QdbDescriptor,
@@ -711,6 +712,17 @@ def test_pattern_permutation_circuit_matches_the_full_completion(data):
     assert got.gates == _routed_by_full_completion(mapping, range(t), n).gates
 
 
+@pytest.mark.parametrize("mapping", [
+    {64_000: 65_000, 65_000: 64_000},
+    {60_001: 65_535, 65_535: 61_002, 61_002: 60_001},
+], ids=["swap", "3-cycle"])
+def test_pattern_permutation_of_high_patterns_routes_the_full_completion_gates(mapping):
+    # closed on patterns near 2^16: every source is a target, so the
+    # completion spans no pattern and ``mapping`` alone is routed
+    got = pattern_permutation_circuit(mapping, range(16), 17)
+    assert got.gates == _routed_by_full_completion(mapping, range(16), 17).gates
+
+
 def test_pattern_swap_at_18_bits_routes_the_full_completion_gates():
     mapping = {5: 70_000, 70_000: 5}
     got = pattern_permutation_circuit(mapping, range(18), 20)
@@ -1063,3 +1075,90 @@ def test_json_artifacts_are_plain_json():
     db = prepare_general(3, 1, {1: "1"})
     obj = json.loads(db.descriptor.to_json())
     assert obj["k"] == 3 and obj["l"] == 1
+
+
+# --- build history -----------------------------------------------------------
+
+
+def _assert_history_matches_its_flat_gates(db):
+    """The history's parts emit and simulate as its flat gate list does."""
+    history = db.circuit
+    text = emit_text(history) if db.projective else db.emit()
+    state = simulate(history)
+    # a twin over the same parts, flattened so the history itself keeps them
+    flat = Circuit(history.n_qubits, list(history.extended(history.n_qubits).gates),
+                   dict(history.labels))
+    assert len(flat) == len(history)
+    assert emit_text(flat) == text
+    assert simulate(flat).amplitudes.tobytes() == state.amplitudes.tobytes()
+
+
+HISTORY_OPS = ("write", "extend", "transfer", "permute", "remove-reservoir",
+               "remove-projective", "imbalanced-direct", "imbalanced-marker", "read-copy")
+
+
+def _history_op(data, db, op):
+    labels = [j for j in db.layout.labels if j]
+    label = data.draw(st.sampled_from(labels or [0]), label="label")
+    if op == "write":
+        return write(db, label, data.draw(st.integers(1, 2 ** db.descriptor.m_data - 1)))
+    if op == "extend":  # k >= 16 with l = k takes a full step (m >= 1)
+        return extend(db, data.draw(st.integers(1, db.k), label="l"))
+    if op == "transfer":
+        return transfer(db, data.draw(st.integers(1, 8 * db.k), label="l"))[0]
+    if op == "permute":
+        other = data.draw(st.sampled_from(db.layout.labels), label="other")
+        return permute(db, {label: other, other: label})
+    if op == "remove-reservoir":
+        return remove_reservoir(db, label)
+    if op == "remove-projective":
+        return remove_projective(db, label).success_state
+    if op == "read-copy":
+        return read_copy(db, label)
+    l = data.draw(st.integers(1, 3 * db.k), label="l")
+    return extend_imbalanced(db, l, 2, route=op.split("-")[1])
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_history_parts_emit_and_simulate_as_their_flat_gates(data):
+    u_d = data.draw(st.sampled_from([None, H_ENCODING, RY_ENCODING]), label="u_d")
+    k = data.draw(st.sampled_from([2, 3, 5, 6, 16, 17]), label="k")
+    m = 1 if u_d is not None else data.draw(st.integers(1, 2), label="m")
+    words = data.draw(st.dictionaries(st.integers(1, k - 1), st.integers(1, 2 ** m - 1),
+                                      max_size=k - 1), label="words")
+    db = prepare_general(k, 0, words, m_data=m, u_d=u_d)
+    _assert_history_matches_its_flat_gates(db)
+    for op in data.draw(st.lists(st.sampled_from(HISTORY_OPS), max_size=4), label="ops"):
+        try:
+            new = _history_op(data, db, op)
+        except (SemanticError, CapacityError):
+            continue
+        if new is None:
+            continue
+        _assert_history_matches_its_flat_gates(new)
+        if not (new.sensor_qubits or new.copy_qubits):
+            db = new
+
+
+def test_preparation_builds_gates_by_index_width_not_by_data_bit(monkeypatch):
+    built = []
+    real_built, real_check = GateSpec._built.__func__, GateSpec.__post_init__
+
+    def counted_built(cls, *args, **kwargs):
+        built.append(args[0])
+        return real_built(cls, *args, **kwargs)
+
+    def counted_check(self):
+        built.append(self.kind)
+        real_check(self)
+
+    monkeypatch.setattr(GateSpec, "_built", classmethod(counted_built))
+    monkeypatch.setattr(GateSpec, "__post_init__", counted_check)
+    k = 2 ** 12
+    db = prepare_general(k, 0, {j: 1 + j % 15 for j in range(1, k)}, m_data=4)
+    data_bits = sum(bin(1 + j % 15).count("1") for j in range(1, k))
+    assert len(db.circuit) > data_bits
+    # the index spread's rotations only: at most three per index qubit
+    assert len(built) <= 3 * index_width(k)
+    db.check()

@@ -119,3 +119,13 @@ def test_full_battery_tells_the_encoding_from_its_inverse(monkeypatch):
     report = run_verify("full")
     assert not report.passed
     assert {"transfer-suite", "database-ops"} <= {c.name for c in report.checks if not c.passed}
+
+
+def test_history_check_fails_when_a_reversed_block_renders_forward(monkeypatch):
+    # u^-1's data-write block read forwards: the same state, other text
+    from qdbsim import qdb, verify
+
+    assert verify._check_history()
+    monkeypatch.setattr(qdb._DataWrite, "reversed", property(lambda self: False))
+    with pytest.raises(VerificationError, match="emit"):
+        verify._check_history()
