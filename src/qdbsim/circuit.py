@@ -16,19 +16,17 @@ result has the same bits as applying the gates one by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
 
 from .errors import SemanticError
 from .gates import GateSpec, gate_inverse, x
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
-    _apply_x_exchange,
-    _apply_x_run,
     _check_gate,
+    _control_pattern,
     add_ancillas,
     apply_gate,
+    move_amplitudes,
 )
 
 VALID_LABELS = ("I", "D", "A", "S")
@@ -42,11 +40,11 @@ class Circuit:
     instead of its gates: ``qdb._DataWrite``, a preparation's data-write
     block, is the one kind. A block of ``x`` gates on one control set
     ``wires`` has a ``len``, iterates over its gates (built when first asked
-    for), has an ``inverse()``, ``x_table()`` (see
-    ``statevector._apply_x_run``) and ``x_entries()`` (each pattern on
-    ``wires`` with its targets, for ``emit_text``), and names the block it
-    reverses, ``forward`` (itself unless reversed), and whether it is
-    ``reversed``.
+    for), has an ``inverse()``, ``x_table()`` (each pattern on ``wires``
+    with the mask of its targets, for ``statevector.move_amplitudes``) and
+    ``x_entries()`` (each pattern with its targets, for ``emit_text``), and
+    names the block it reverses, ``forward`` (itself unless reversed), and
+    whether it is ``reversed``.
 
     Parts are shared, not copied: ``+``, ``extended`` and the history's
     ``qdb._grow`` join part tuples, so a join costs the same at any length,
@@ -258,13 +256,6 @@ class CircuitMetrics:
     max_controls: int
 
 
-# Shortest x run that simulate fuses. Below it the fused pass's set-up costs
-# more than the per-gate moves it replaces: with random patterns, fusing
-# broke even at 4 to 16 gates on 5 to 13 qubits, and on 19 qubits the two
-# cost about the same from 16 gates up.
-_FUSE_MIN = 16
-
-
 def simulate(circuit: Circuit, state: StateVector | None = None,
              *, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     """Run the circuit on ``state`` (default |0...0>) and return a new state.
@@ -276,14 +267,14 @@ def simulate(circuit: Circuit, state: StateVector | None = None,
     the parts run on it in place, so the caller's amplitudes are never
     written.
 
-    A block's table moves as one permutation (``_apply_x_run``), with no
-    gate built. Within a gate list, a run of at least ``_FUSE_MIN``
-    controlled ``x`` gates sharing one ``_run_key`` whose controls read at
-    least two patterns moves the same way. In a shorter run, or a run on one
-    pattern, each stretch of two or more gates on one control tuple, such
-    as a write's toggles, moves as one exchange within the slice those
-    controls select (``_apply_x_exchange``). Every other gate goes through
-    ``apply_gate``.
+    Amplitudes that only move go through ``move_amplitudes``. A block moves
+    by its table, with no gate built. Within a gate list, each run of
+    consecutive ``x`` gates sharing one ``_run_key``, the tuple C of their
+    control qubits, moves at once: no target lies in C, so the gates
+    commute, and pattern p of C moves by T[p], the XOR of the targets of
+    the run's gates that read p. A write's toggles are such a run on one
+    pattern. Every other gate goes through ``apply_gate``, which moves an
+    uncontrolled ``x`` and a ``swap`` the same way.
     """
     n = circuit.n_qubits
     if state is None:
@@ -298,7 +289,8 @@ def simulate(circuit: Circuit, state: StateVector | None = None,
         if type(part) is list:
             _run_gates(state, part)
         elif len(part):  # an empty block moves nothing
-            _apply_x_run(state, part, table=part.x_table())
+            wires, patterns, masks = part.x_table()
+            move_amplitudes(state, wires, patterns, patterns, masks)
     return state
 
 
@@ -312,19 +304,19 @@ def _run_gates(state: StateVector, gates: list[GateSpec]):
         if key is None:
             apply_gate(state, g, out=state)
             continue
-        start = i - 1
-        while i < end and gates[i]._run_key == key:
+        table: dict[int, int] = {}  # pattern on ``key`` -> XOR of its targets
+        controls = None
+        while True:
+            if g.controls is not controls:  # a pattern's gates often share one tuple
+                controls = g.controls
+                pattern = _control_pattern(controls)
+            table[pattern] = table.get(pattern, 0) ^ (1 << g.targets[0])
+            if i == end or gates[i]._run_key != key:
+                break
+            g = gates[i]
             i += 1
-        run = gates[start:i]
-        if len(run) >= _FUSE_MIN and any(h.controls != g.controls for h in run):
-            _apply_x_run(state, run)
-            continue
-        for _, stretch in groupby(run, attrgetter("controls")):
-            stretch = list(stretch)
-            if len(stretch) > 1:
-                _apply_x_exchange(state, stretch)
-            else:
-                apply_gate(state, stretch[0], out=state)
+        patterns = tuple(table)
+        move_amplitudes(state, key, patterns, patterns, tuple(table.values()))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .statevector import (
     _register_scan,
     _selector,
     drop_qubits,
+    move_amplitudes,
     project,
     schmidt,
     states_equal,
@@ -712,9 +713,10 @@ class _DataWrite:
             yield lmap[label], qubits
 
     def x_table(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-        """The ``(C, patterns, masks)`` table of ``statevector._apply_x_run``:
-        C is ``wires``, and each entry's index pattern maps to its word
-        placed on the data qubits."""
+        """The block as one move (``statevector.move_amplitudes``): the
+        control set ``wires``, each entry's index pattern, and its mask, the
+        entry's word placed on the data qubits. Each pattern stays in place
+        and its data bits flip by the mask."""
         fwd = self.forward
         if fwd._table is None:
             data, lmap = fwd.descriptor.data, fwd.layout.logical_index_map
@@ -897,7 +899,7 @@ def _write_folded(db: QdbState, label: int, value: int, ctrls) -> StateVector:
     bit of ``value``, so data bit b toggles on the entry's pattern (selected
     by ``ctrls``) exactly when bit b of ``value`` is set, inside the data
     encoding, if any. The toggles share one control tuple, so ``simulate``
-    moves them as one exchange.
+    moves them at once, one pattern by one mask.
 
     Raises VerificationError unless the amplitude at the entry's old
     computational word has moved to its new word.
@@ -1246,29 +1248,6 @@ def permute_meta(meta: QdbMeta, perm) -> tuple[QdbMeta, dict[int, int]]:
                          descriptor=desc._derived(data=data)), moves
 
 
-def _routed(db: QdbState, routing: dict[int, int]) -> StateVector:
-    """``db``'s state with each pattern p's slice moved to ``routing[p]``.
-
-    ``routing`` permutes the patterns it names among themselves, so the
-    routing circuit fixes every other pattern, and its ``x`` gates are exact
-    moves: copying each moved slice from the input gives the same bits as
-    simulating them. Work follows the moved patterns, and no temporary is
-    made beyond the one copy of the state.
-    """
-    n = db.n_qubits
-    qubits = db.layout.index_qubits
-
-    def entry(tensor, pat):
-        return tensor[_selector(n, [(q, (pat >> i) & 1) for i, q in enumerate(qubits)])]
-
-    old = db.state.amplitudes.reshape((2,) * n)
-    out = db.state.copy()
-    new = out.amplitudes.reshape((2,) * n)
-    for src, dst in routing.items():
-        entry(new, dst)[...] = entry(old, src)
-    return out
-
-
 def permute(db: QdbState, perm) -> QdbState:
     """Send entry j to label perm[j], physically routing index patterns.
 
@@ -1278,8 +1257,9 @@ def permute(db: QdbState, perm) -> QdbState:
     weighted reservoir (l > 0) is rejected.
 
     The build circuit records the routing gates
-    (``pattern_permutation_circuit``); the amplitudes move without them,
-    each moved pattern's slice copied to its target (``_routed``).
+    (``pattern_permutation_circuit``); the amplitudes move without them, on
+    one copy of the state, each moved pattern's slice sent to its target
+    (``move_amplitudes``).
     """
     meta = db.meta
     new, moves = permute_meta(meta, perm)
@@ -1288,7 +1268,10 @@ def permute(db: QdbState, perm) -> QdbState:
     lmap = db.layout.logical_index_map
     routing = {lmap[j]: lmap[t] for j, t in moves.items()}
     circ = pattern_permutation_circuit(routing, db.layout.index_qubits, db.n_qubits)
-    return _advance(db, new, circ, _routed(db, routing))
+    state = db.state.copy()
+    move_amplitudes(state, db.layout.index_qubits, tuple(routing), tuple(routing.values()),
+                    (0,) * len(routing))
+    return _advance(db, new, circ, state)
 
 
 def transpose_entries(db: QdbState, j1: int, j2: int) -> QdbState:

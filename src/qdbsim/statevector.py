@@ -8,34 +8,21 @@ Conventions
 * States are treated as immutable: every operation returns a new
   ``StateVector`` and never mutates its input. The exceptions are asked for
   by name: ``apply_gate(state, gate, out=target)`` writes its result into
-  ``target``, which may be ``state`` itself, and ``_apply_x_run`` and
-  ``_apply_x_exchange`` update the state they are given.
-  ``circuit.simulate`` makes one copy of its input, widened by
-  ``add_ancillas`` when the circuit is wider, and updates that copy through
-  them.
+  ``target``, which may be ``state`` itself, and ``move_amplitudes``
+  updates the state it is given. ``circuit.simulate`` makes one copy of its
+  input, widened by ``add_ancillas`` when the circuit is wider, and updates
+  that copy through them.
 * Gates work on the ``(2,)*n`` view of the amplitudes, in which axis
   ``n-1-q`` is qubit ``q``. Each control fixes its axis, so a gate reads and
   writes only the slices its controls select; the norm check is taken over
   those slices too.
-* ``x`` and ``swap`` are exact moves: their two slices trade places, so
-  every amplitude (signed zeros included) keeps its bits, and an
-  uncontrolled ``x`` needs one half-state temporary. They skip the norm
-  check, which a permutation cannot fail.
-* A run of ``x`` gates controlled on one qubit set C, with targets outside
-  it, commutes; when its controls read two or more patterns it is one
-  permutation, basis index i to i XOR T[p], with p the pattern i reads on C.
-  ``_apply_x_run`` gathers a chunk of patterns at once, reorders each
-  pattern's amplitudes by its own mask T[p] and scatters the chunk back: one
-  gather and one scatter per chunk, the same exact move as gate by gate, so
-  the result is bit-identical. The table T comes from an x run's gates or,
-  ready-made, from a data-write block that never builds its gates.
-  ``circuit.simulate`` hands it runs long enough to repay its set-up, and
-  every block.
-* Consecutive ``x`` gates on one control tuple, such as a write's toggles,
-  act on one slice: ``_apply_x_exchange`` trades its two halves, split on
-  the highest target and reversed along the other targets, through one
-  half-slice temporary. ``circuit.simulate`` hands it every such stretch
-  of two or more gates, and ``apply_gate`` moves a single ``x`` through it.
+* Amplitudes move without arithmetic through one entry,
+  ``move_amplitudes``: on a control set C, pattern p with free bits f goes
+  to pattern pi(p) with free bits f XOR T[p]. Every ``x`` and ``swap``, a
+  run of ``x`` gates on C (a write's toggles, a data-write block) and
+  ``permute`` are such moves. Every amplitude (signed zeros included) keeps
+  its bits, so a run moved at once equals its gates one by one, and a move
+  skips the norm check, which a permutation cannot fail.
 * State equality is judged up to global phase by default.
 
 The default qubit budget is 26; anything above that is rejected rather than
@@ -62,12 +49,17 @@ def _check_budget(n_qubits: int, max_qubits: int):
 
 
 class StateVector:
-    """A normalized pure state on ``n_qubits`` qubits."""
+    """A normalized pure state on ``n_qubits`` qubits.
+
+    The amplitudes are copied by default. With ``copy=False`` they are
+    copied only when needed, as ``np.asarray`` does: a contiguous complex
+    array is shared, anything else is converted."""
 
     __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, amplitudes, n_qubits: int | None = None, *, copy: bool = True):
-        amps = np.array(amplitudes, dtype=complex, copy=copy)
+        amps = (np.array(amplitudes, dtype=complex) if copy
+                else np.asarray(amplitudes, dtype=complex))
         if not amps.flags.c_contiguous:
             amps = np.ascontiguousarray(amps)
         if amps.ndim != 1:
@@ -110,6 +102,12 @@ class StateVector:
 
     def __repr__(self):
         return f"StateVector(n_qubits={self.n_qubits})"
+
+
+def _control_pattern(controls) -> int:
+    """The pattern a gate's ``(qubit, bit)`` controls read, bit j from
+    ``controls[j]``."""
+    return sum(bit << j for j, (_, bit) in enumerate(controls))
 
 
 def _selector(n: int, fixed) -> tuple:
@@ -159,11 +157,8 @@ def _check_gate(gate: GateSpec, n: int):
 
 def _touched(gate: GateSpec) -> tuple:
     """Extra ``(qubit, bit)`` fixings, beyond the controls, of each slice a
-    gate reads and writes (every kind but rot2, which names two basis
-    indices instead)."""
-    if gate.kind == "swap":
-        t1, t2 = gate.targets
-        return (((t1, 0), (t2, 1)), ((t1, 1), (t2, 0)))
+    gate that does arithmetic reads and writes (every such kind but rot2,
+    which names two basis indices instead)."""
     t = gate.targets[0]
     if gate.kind == "phase":
         return (((t, 1),),)
@@ -173,7 +168,7 @@ def _touched(gate: GateSpec) -> tuple:
 def _updated(gate: GateSpec, old: list[np.ndarray]) -> list[np.ndarray]:
     """New contents of the touched slices, given contiguous copies of their
     old contents (in the order of ``_touched``). May reuse those copies.
-    ``x`` and ``swap`` never get here: ``apply_gate`` moves their slices."""
+    ``x`` and ``swap`` never get here: ``apply_gate`` moves them."""
     if gate.kind == "rot2":
         theta = gate.params[2]
         c, s = math.cos(theta), math.sin(theta)
@@ -203,13 +198,13 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
     itself) and ``out`` is returned. Only the amplitudes the gate's controls
     select are read or written.
 
-    ``x`` and ``swap`` are exact moves: their two slices trade places through
-    one temporary as large as one slice, with no arithmetic. A permutation
-    keeps the norm exactly, so only the other kinds are checked: they raise if
-    they change the norm of the amplitudes they touch by more than
-    ``NORM_TOL`` (which would indicate a broken gate matrix). The check runs
-    before anything is written, so a failed gate leaves ``out=state``
-    unchanged. Every kind raises if the gate does not fit the register.
+    ``x`` and ``swap`` are exact moves, made by ``move_amplitudes`` with no
+    arithmetic. A permutation keeps the norm exactly, so only the kinds that
+    do arithmetic are checked: they raise if they change the norm of the
+    amplitudes they touch by more than ``NORM_TOL`` (which would indicate a
+    broken gate matrix). The check runs before anything is written, so a
+    failed gate leaves ``out=state`` unchanged. Every kind raises if the gate
+    does not fit the register.
     """
     n = state.n_qubits
     _check_gate(gate, n)
@@ -220,8 +215,14 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
         out = state.copy()
     elif out is not state:
         np.copyto(out.amplitudes, state.amplitudes)
-    if gate.kind == "x":
-        _apply_x_exchange(out, (gate,))
+    if gate.kind == "x" or gate.kind == "swap":
+        wires = gate.qubits[len(gate.targets):]  # the control qubits
+        pattern = _control_pattern(gate.controls)
+        if gate.kind == "x":
+            move_amplitudes(out, wires, (pattern,), (pattern,), (1 << gate.targets[0],))
+        else:  # its targets read as two more pattern bits: 01 and 10 trade
+            one, two = pattern | 1 << len(wires), pattern | 2 << len(wires)
+            move_amplitudes(out, wires + gate.targets, (one, two), (two, one), (0, 0))
         return out
     amps = out.amplitudes
     if gate.kind == "rot2":
@@ -229,12 +230,6 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
     else:
         tensor = amps.reshape((2,) * n)
         views = [tensor[_selector(n, gate.controls + fixed)] for fixed in _touched(gate)]
-    if gate.kind == "swap":
-        v0, v1 = views
-        held = v0.copy()
-        np.positive(v1, out=v0)  # as in _apply_x_exchange
-        v1[...] = held
-        return out
     # Contiguous copies: numpy can round strided operands differently, and
     # copying keeps the results bitwise independent of the slices' strides.
     old = [v.copy() for v in views]
@@ -249,77 +244,50 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
     return out
 
 
-def _apply_x_exchange(state: StateVector, gates) -> None:
-    """One ``x`` gate, or consecutive ``x`` gates on one control tuple,
-    applied to ``state`` in place as one exchange.
+_MOVE_CHUNK = 1 << 17  # amplitudes gathered at once by move_amplitudes
 
-    The gates commute, and together they send each amplitude the controls
-    select from basis index i to i XOR M, where M XORs their targets (a
-    target named twice cancels). The selected slice splits on the highest
-    target of M into two halves that trade places, one of them read
-    reversed along the other targets' axes: the same exact move as gate by
-    gate, through one temporary as large as one half, as a single ``x``
-    holds.
+
+def move_amplitudes(state: StateVector, wires, sources, targets, masks) -> None:
+    """Move amplitudes of ``state`` in place, with no arithmetic: every
+    amplitude on pattern ``sources[i]`` of the qubits ``wires`` (bit j on
+    ``wires[j]``), with free bits f, goes to pattern ``targets[i]`` with free
+    bits f XOR ``masks[i]`` (bit q flips qubit q, which is not a wire). The
+    targets are the sources in some order; patterns not named stay put.
+    Every amplitude keeps its bits, and no index array spans the state:
+
+    * One pattern that stays in place trades the halves of its slice, split
+      on the mask's highest qubit, one read reversed along the mask's other
+      qubits, through one half-slice temporary.
+    * Several patterns that stay in place are gathered, reordered by their
+      masks and put back in chunks of at most ``_MOVE_CHUNK`` amplitudes; a
+      pattern larger than a chunk trades halves instead.
+    * A route, where patterns move, follows each cycle: the first slice is
+      held, each slice is copied into the one it moves to, and the held one
+      goes last, so the temporary is one slice.
     """
-    flips: set[int] = set()
-    for g in gates:
-        flips ^= {g.targets[0]}
-    if not flips:
-        return
     n = state.n_qubits
-    top = max(flips)
-    idx = [slice(None)] * n
-    for q, bit in gates[0].controls:
-        idx[n - 1 - q] = bit
-    idx[n - 1 - top] = 1
     tensor = state.amplitudes.reshape((2,) * n)
-    upper = tensor[(*idx, Ellipsis)]
-    for q in flips:
-        idx[n - 1 - q] = slice(None, None, -1)
-    idx[n - 1 - top] = 0
-    lower = tensor[(*idx, Ellipsis)]  # the other half, reversed along M
-    held = upper.copy()
-    # a ufunc's out= copies in place where a plain assignment between
-    # interleaved slices would first copy its source whole
-    np.positive(lower, out=upper)
-    lower[...] = held
-
-
-_MOVE_CHUNK = 1 << 17  # amplitudes gathered at once by _apply_x_run
-
-
-def _apply_x_run(state: StateVector, gates, *, table=None) -> None:
-    """A run of ``x`` gates that share one ``_run_key`` (the tuple C of their
-    control qubits), applied to ``state`` in place as one permutation.
-
-    No target lies in C, so no gate changes what another's controls read:
-    the gates commute, and together they send basis index i to
-    i XOR T[p], where p is the pattern i reads on C (bit j on C[j]) and T[p]
-    XORs the targets of the gates whose controls read p. The table comes
-    from the gates (``_run_table``), or is ``table``, the run's
-    ``(C, patterns, masks)`` given ready-made, as a data-write block gives
-    it without building its gates (a mask sets bit q for each target q).
-    Each chunk of patterns is gathered once, every pattern's amplitudes are
-    reordered by its own mask T[p] (a lookup, an exact move like each
-    ``x``) and the chunk is put back. Work and temporaries follow the
-    patterns moved, in chunks of at most ``_MOVE_CHUNK`` amplitudes; no
-    index array spans the state. Where one pattern alone holds more (more
-    than log2 ``_MOVE_CHUNK`` qubits lie outside C), the gates go one by one
-    through ``apply_gate``, whose temporary is half of one pattern's
-    amplitudes.
-    """
-    n = state.n_qubits
-    wires, patterns, masks = _run_table(gates) if table is None else table
+    if len(sources) == 1 and sources[0] == targets[0]:
+        _trade_halves(tensor, wires, int(sources[0]), int(masks[0]))
+        return
+    # a table that stays in place may come as one array for both, as
+    # ``simulate`` passes it, so that a long table is not compared with itself
+    if sources is not targets and any(s != t for s, t in zip(sources, targets)):
+        _route(tensor, wires, sources, targets, masks)
+        return
+    masks = np.asarray(masks, dtype=np.int64)
+    moving = masks != 0
+    patterns, masks = np.asarray(sources, dtype=np.int64)[moving], masks[moving]
     step = _MOVE_CHUNK >> (n - len(wires))  # patterns moved per gather
     if not step:
-        for g in gates:
-            apply_gate(state, g, out=state)
+        for pattern, mask in zip(patterns.tolist(), masks.tolist()):
+            _trade_halves(tensor, wires, pattern, mask)
         return
     # Axes of the (2,)*n view, highest qubit first: each block of consecutive
-    # qubits in C becomes one axis, indexed by the pattern bits it holds
-    # (``bits[i]`` on its i-th lowest qubit); every other qubit keeps its own
-    # axis. The blocks then go first, so a pattern's amplitudes are the
-    # free axes, flattened highest qubit first.
+    # qubits in ``wires`` becomes one axis, indexed by the pattern bits it
+    # holds (``bits[i]`` on its i-th lowest qubit); every other qubit keeps
+    # its own axis. The blocks then go first, so a pattern's amplitudes are
+    # the free axes, flattened highest qubit first.
     bit_of = {q: j for j, q in enumerate(wires)}
     shape, blocks, free = [], [], []
     q = n - 1
@@ -334,9 +302,7 @@ def _apply_x_run(state: StateVector, gates, *, table=None) -> None:
             free.append((len(shape), q))
             shape.append(2)
         q -= 1
-    moving = masks != 0
-    patterns, masks = patterns[moving], masks[moving]
-    # T[p] on the flattened free axes
+    # each mask on the flattened free axes
     flat = np.zeros_like(masks)
     for i, (_, q) in enumerate(free):
         flat |= ((masks >> q) & 1) << (len(free) - 1 - i)
@@ -352,22 +318,51 @@ def _apply_x_run(state: StateVector, gates, *, table=None) -> None:
             held.reshape(chunk.size, size), source, axis=1).reshape(held.shape)
 
 
-def _run_table(gates) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The ``(C, patterns, masks)`` of a run of ``x`` gates sharing one
-    ``_run_key`` C: each pattern the controls read, and the XOR of
-    ``1 << target`` over the gates reading it."""
-    table: dict[int, int] = {}
-    controls = None
-    for g in gates:
-        if g.controls is not controls:  # a pattern's gates share one tuple
-            controls = g.controls
-            pattern = 0
-            for j, (_, bit) in enumerate(controls):
-                pattern |= bit << j
-        table[pattern] = table.get(pattern, 0) ^ (1 << g.targets[0])
-    count = len(table)
-    return (gates[0]._run_key, np.fromiter(table, dtype=np.int64, count=count),
-            np.fromiter(table.values(), dtype=np.int64, count=count))
+def _slot(tensor: np.ndarray, wires, pattern: int, mask: int = 0) -> np.ndarray:
+    """The slice of the ``(2,)*n`` view ``tensor`` on which ``wires`` read
+    ``pattern``, reversed along each qubit of ``mask``: what is written at
+    free bits f of it lands at f XOR mask."""
+    n = tensor.ndim
+    idx = [slice(None)] * n
+    for j, q in enumerate(wires):
+        idx[n - 1 - q] = (pattern >> j) & 1
+    while mask:
+        low = mask & -mask
+        idx[n - low.bit_length()] = slice(None, None, -1)
+        mask ^= low
+    # the Ellipsis keeps a view when every axis is fixed (see _selector)
+    return tensor[(*idx, Ellipsis)]
+
+
+def _trade_halves(tensor: np.ndarray, wires, pattern: int, mask: int) -> None:
+    """One pattern that stays in place, moved by ``mask``: the halves of its
+    slice, split on the mask's highest qubit, trade places through one
+    half-slice temporary, the lower one reversed along the other qubits."""
+    if not mask:
+        return
+    top = mask.bit_length() - 1
+    split = (*wires, top)  # the highest mask qubit read as one more wire
+    upper = _slot(tensor, split, pattern | 1 << len(wires))
+    lower = _slot(tensor, split, pattern, mask ^ 1 << top)
+    held = upper.copy()
+    # a ufunc's out= copies in place where a plain assignment between
+    # interleaved slices would first copy its source whole
+    np.positive(lower, out=upper)
+    lower[...] = held
+
+
+def _route(tensor: np.ndarray, wires, sources, targets, masks) -> None:
+    """A route of ``move_amplitudes``, cycle by cycle through one slice."""
+    into = {int(t): (int(s), int(m)) for s, t, m in zip(sources, targets, masks)}  # slot <- pattern
+    while into:
+        first, (pattern, mask) = into.popitem()
+        held = _slot(tensor, wires, first).copy()
+        slot = first
+        while pattern != first:
+            np.positive(_slot(tensor, wires, pattern), out=_slot(tensor, wires, slot, mask))
+            slot = pattern
+            pattern, mask = into.pop(slot)
+        _slot(tensor, wires, slot, mask)[...] = held
 
 
 def _block_index(patterns: np.ndarray, bits: list[int]) -> np.ndarray:
@@ -408,8 +403,13 @@ def _keep_mask(state: StateVector, keep) -> np.ndarray:
         if arr.size != state.dim:
             raise SemanticError("boolean mask length must equal the state dimension")
         return arr
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr) & (np.floor(arr) == arr)):
+        raise SemanticError("basis indices must be integers")
+    index = arr.astype(np.int64)
+    if index.size and not (index.min() >= 0 and index.max() < state.dim):
+        raise SemanticError(f"basis index out of range for {state.n_qubits} qubits")
     mask = np.zeros(state.dim, dtype=bool)
-    mask[arr.astype(int)] = True
+    mask[index] = True
     return mask
 
 
@@ -417,8 +417,9 @@ def project(state: StateVector, keep) -> tuple[StateVector, float]:
     """Project onto the span of the basis states selected by ``keep``.
 
     ``keep`` may be a predicate over basis indices, a boolean mask, or an
-    index list. Returns the renormalized state and the outcome probability.
-    Projections with probability below 1e-14 are rejected.
+    index list, whose entries must be integral basis indices of the state.
+    Returns the renormalized state and the outcome probability. Projections
+    with probability below 1e-14 are rejected.
     """
     mask = _keep_mask(state, keep)
     amps = np.where(mask, state.amplitudes, 0.0)

@@ -64,6 +64,15 @@ def random_state(rng, n_qubits: int) -> StateVector:
     return StateVector(amps, copy=False)
 
 
+def signed_zero_state(rng, n_qubits: int) -> StateVector:
+    """Random amplitudes with a third of the real and imaginary parts set to
+    +0.0 or -0.0, so any arithmetic on them would show in the bits."""
+    parts = rng.normal(size=(2, 2**n_qubits))
+    zero = rng.random(parts.shape) < 1 / 3
+    parts[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))
+    return StateVector(parts[0] + 1j * parts[1], copy=False)
+
+
 def assert_register_scan_matches_brute_force(state, qubits) -> list[float]:
     """Compare the register scan with a loop over every basis index; return
     the brute-force probability of each pattern the register can read."""

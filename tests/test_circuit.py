@@ -1,6 +1,7 @@
 """Circuit container: composition, inversion, remapping, control wrapping."""
 
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qdbsim.circuit as circuit_mod
-from conftest import dense_column, random_state
+from conftest import dense_column, random_state, signed_zero_state
 from qdbsim import statevector
 from qdbsim.circuit import Circuit, simulate
 from qdbsim.errors import CapacityError, CircuitParseError, SemanticError
@@ -221,7 +222,54 @@ def test_random_circuits_match_dense_oracle(seed, n):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-# --- fused x runs and the check-once rule ------------------------------------
+# --- amplitude moves: x runs, stretches, swaps and routes ------------------
+
+
+@st.composite
+def moves(draw):
+    """A move of ``statevector.move_amplitudes`` on up to 10 qubits: up to
+    8 patterns of a control set drawn from the whole register, so its qubits
+    sit above and below the masked ones, sent to themselves or, in a route,
+    to a permutation of themselves; each with a mask of the other qubits,
+    or, in half the routes, none."""
+    n = draw(st.integers(1, 10))
+    order = draw(st.permutations(range(n)))
+    wires = tuple(order[:draw(st.integers(0, n))])
+    free = order[len(wires):]
+    sources = draw(st.lists(st.integers(0, 2 ** len(wires) - 1), unique=True,
+                            min_size=1, max_size=8))
+    route = len(sources) > 1 and draw(st.booleans())
+    targets = draw(st.permutations(sources)) if route else sources
+    masks = [0] * len(sources)
+    if free and not (route and draw(st.booleans())):
+        masks = [sum(1 << q for q in draw(st.sets(st.sampled_from(free))))
+                 for _ in sources]
+    return n, wires, sources, targets, masks
+
+
+@settings(deadline=None, max_examples=150)
+@given(move=moves(), seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from([1, 8, 1 << 17]))
+def test_move_amplitudes_matches_an_explicit_index_map(move, seed, chunk):
+    n, wires, sources, targets, masks = move
+    state = signed_zero_state(np.random.default_rng(seed), n)
+    index = np.arange(2**n)
+    pattern = sum(((index >> q) & 1) << j for j, q in enumerate(wires))
+    dest = index.copy()
+    for src, dst, mask in zip(sources, targets, masks):
+        on = pattern == src
+        moved = index[on] ^ mask
+        for j, q in enumerate(wires):  # pattern bits src -> dst
+            moved ^= (((src ^ dst) >> j) & 1) << q
+        dest[on] = moved
+    want = np.empty_like(state.amplitudes)
+    want[dest] = state.amplitudes
+    got = state.copy()
+    # a chunk of 1 moves each pattern by trading halves, 8 gathers a few
+    # patterns at once, 2^17 every pattern
+    with mock.patch.object(statevector, "_MOVE_CHUNK", chunk):
+        statevector.move_amplitudes(got, wires, sources, targets, masks)
+    assert got.amplitudes.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -229,8 +277,7 @@ def x_run_circuits(draw):
     """Runs of mixed-polarity x gates on one ordered control set C, broken
     by other kinds and by x gates on other control sets, on up to 14
     qubits. C is drawn from the whole register, so its qubits may sit above
-    the targets, as the index qubits do after growth. Runs reach past
-    ``_FUSE_MIN`` gates, so both fused and per-gate runs occur."""
+    the targets, as the index qubits do after growth. Runs reach 32 gates."""
     n = draw(st.integers(2, 14))
     wires = draw(st.permutations(range(n)))
     wires = wires[:draw(st.integers(1, n - 1))]
@@ -238,7 +285,7 @@ def x_run_circuits(draw):
     patterns = draw(st.lists(st.integers(0, 2 ** len(wires) - 1), min_size=1, max_size=8))
     gates = []
     for _ in range(draw(st.integers(1, 4))):
-        for _ in range(draw(st.integers(0, 2 * circuit_mod._FUSE_MIN))):
+        for _ in range(draw(st.integers(0, 32))):
             pat = draw(st.sampled_from(patterns))
             ctrls = tuple((q, (pat >> j) & 1) for j, q in enumerate(wires))
             gates.append(GateSpec("x", (), (draw(st.sampled_from(others)),), ctrls))
@@ -258,7 +305,8 @@ def test_fused_x_runs_match_gate_by_gate_simulation(circ, seed, chunk):
     for g in circ.gates:
         want = apply_gate(want, g)
     # small chunks make one mask's patterns move in several gathers, or
-    # send a run whose patterns are each larger than a chunk gate by gate
+    # move a run whose patterns are each larger than a chunk pattern by
+    # pattern
     with mock.patch.object(statevector, "_MOVE_CHUNK", chunk):
         got = simulate(circ, state)
     assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
@@ -270,48 +318,54 @@ def two_pattern_run(length):
     return [x(3, ctrl=(0, 1)) if i % 2 else x(2, nctrl=(0, 1)) for i in range(length)]
 
 
-def test_fusion_takes_long_runs_on_two_patterns_only(monkeypatch):
-    runs = []
-    real = circuit_mod._apply_x_run
+@contextmanager
+def recorded_moves():
+    """The moves ``simulate`` makes itself, each as ``(wires, sources,
+    masks)``, recorded as they happen."""
+    moves = []
+    real = circuit_mod.move_amplitudes
 
-    def recording(state, run):
-        runs.append(list(run))
-        real(state, run)
+    def recording(state, wires, sources, targets, masks):
+        assert tuple(targets) == tuple(sources)
+        moves.append((tuple(wires), tuple(sources), tuple(masks)))
+        real(state, wires, sources, targets, masks)
 
-    monkeypatch.setattr(circuit_mod, "_apply_x_run", recording)
-    size = circuit_mod._FUSE_MIN
-    one_pattern = [x(2 + i % 2, ctrl=(0,), nctrl=(1,)) for i in range(size)]
-    two_patterns = two_pattern_run(size)
-    short = two_pattern_run(size - 1)
+    with mock.patch.object(circuit_mod, "move_amplitudes", recording):
+        yield moves
+
+
+def test_each_x_run_moves_in_one_call():
+    one_pattern = [x(2 + i % 2, ctrl=(0,), nctrl=(1,)) for i in range(15)]
     other_order = [x(2, ctrl=(1, 0))]  # same control set, other order: a new run
-    simulate(Circuit(4, [h(0), h(1)] + one_pattern + [h(2)] + two_patterns + other_order
-                     + [h(3)] + short))
-    assert runs == [two_patterns]
+    with recorded_moves() as moves:
+        simulate(Circuit(4, [h(0), h(1)] + one_pattern + [h(2)] + two_pattern_run(16)
+                         + other_order + [h(3)] + two_pattern_run(3)))
+    assert moves == [((0, 1), (1,), (0b1000,)),  # 8 gates on q2 cancel, 7 on q3 do not
+                     ((0, 1), (0, 3), (0, 0)),  # 8 gates on each target
+                     ((1, 0), (3,), (0b100,)),
+                     ((0, 1), (0, 3), (0, 0b1000))]
 
 
-def test_runs_of_wide_patterns_go_gate_by_gate(monkeypatch):
-    # one control qubit leaves 5 qubits, 32 amplitudes, per pattern: more
-    # than a chunk of 8 holds, so the run goes gate by gate through
-    # apply_gate instead of gathering whole patterns
-    monkeypatch.setattr(statevector, "_MOVE_CHUNK", 8)
-    gates = [x(1 + i % 5, ctrl=(0,)) if i % 2 else x(1 + i % 5, nctrl=(0,))
-             for i in range(circuit_mod._FUSE_MIN)]
-    circ = Circuit(6, gates)
-    state = random_state(np.random.default_rng(5), 6)
-    applied = []
-    real = statevector.apply_gate
-
-    def recording(state, gate, **kwargs):
-        applied.append(gate)
-        return real(state, gate, **kwargs)
-
-    monkeypatch.setattr(statevector, "apply_gate", recording)
-    got = simulate(circ, state)
-    assert applied == gates
+def test_runs_of_wide_patterns_hold_half_a_pattern():
+    # one control qubit leaves 19 qubits, 2^19 amplitudes, per pattern: more
+    # than a chunk holds, so each pattern trades halves in place instead of
+    # being gathered whole
+    gates = [x(1 + i % 19, ctrl=(0,)) if i % 2 else x(19 - i % 19, nctrl=(0,))
+             for i in range(16)]
+    state = random_state(np.random.default_rng(5), 20)
     want = state
     for g in gates:
-        want = real(want, g)
-    assert np.array_equal(got.amplitudes, want.amplitudes)
+        want = apply_gate(want, g)
+    got = state.copy()
+    tracemalloc.start()
+    try:
+        circuit_mod._run_gates(got, gates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+    half = 2 ** 18 * state.amplitudes.itemsize
+    assert half <= peak < half * 5 // 4
 
 
 @st.composite
@@ -320,50 +374,49 @@ def one_tuple_x_stretches(draw):
     mixed-polarity pattern of C other than the stretch before it, with 1 to
     5 targets (repeats included) drawn from the other qubits, above and
     below C. A gate of another kind, or an x on another control set, may
-    break two stretches apart. Runs on C stay shorter than ``_FUSE_MIN``.
-    Returns the circuit and its stretches."""
+    break two stretches apart. Returns the circuit, C and the runs: each a
+    list of ``(pattern, targets)``, one per stretch, between two breaks."""
     n = draw(st.integers(2, 10))
     order = draw(st.permutations(range(n)))
     wires = order[:draw(st.integers(1, n - 1))]
     others = order[len(wires):]
-    gates, stretches, prev = [], [], None
+    gates, runs, prev = [], [[]], None
     for _ in range(draw(st.integers(1, 3))):
         pat = draw(st.integers(0, 2 ** len(wires) - 1).filter(lambda p: p != prev))
         ctrls = tuple((q, (pat >> j) & 1) for j, q in enumerate(wires))
-        stretch = [GateSpec("x", (), (t,), ctrls) for t in draw(
-            st.lists(st.sampled_from(others), min_size=1, max_size=5))]
-        gates += stretch
-        stretches.append(stretch)
+        targets = draw(st.lists(st.sampled_from(others), min_size=1, max_size=5))
+        gates += [GateSpec("x", (), (t,), ctrls) for t in targets]
+        runs[-1].append((pat, targets))
         prev = pat
         if draw(st.booleans()):
             t, c = draw(st.permutations(range(n)))[:2]
             gates.append(draw(st.sampled_from([
                 h(t), ry(t, 0.3, nctrl=(c,)), phase(t, 1.1, ctrl=(c,)), swap(t, c),
                 x(t, ctrl=(c,)) if len(wires) > 1 else x(t)])))
+            runs.append([])
             prev = None
-    assert sum(map(len, stretches)) < circuit_mod._FUSE_MIN
-    return Circuit(n, gates), stretches
+    return Circuit(n, gates), tuple(wires), [run for run in runs if run]
 
 
 @settings(deadline=None, max_examples=80)
 @given(drawn=one_tuple_x_stretches(), seed=st.integers(0, 2**32 - 1))
 def test_x_stretches_on_one_control_tuple_move_as_one_exchange(drawn, seed):
-    circ, stretches = drawn
+    circ, wires, runs = drawn
     state = random_state(np.random.default_rng(seed), circ.n_qubits)
     want = state
     for g in circ.gates:
         want = apply_gate(want, g)
-    exchanged = []
-    real = statevector._apply_x_exchange
-
-    def recording(state, gates):
-        exchanged.append(list(gates))
-        real(state, gates)
-
-    with mock.patch.object(circuit_mod, "_apply_x_exchange", recording):
+    with recorded_moves() as moves:
         got = simulate(circ, state)
     assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
-    assert exchanged == [s for s in stretches if len(s) > 1]
+    tables = []  # each run's patterns with the XOR of their targets
+    for run in runs:
+        table = {}
+        for pat, targets in run:
+            for t in targets:
+                table[pat] = table.get(pat, 0) ^ (1 << t)
+        tables.append((wires, tuple(table), tuple(table.values())))
+    assert [m for m in moves if m[0] == wires] == tables
 
 
 def test_x_exchange_on_20_qubits_holds_half_a_slice():
@@ -387,7 +440,8 @@ def test_x_exchange_on_20_qubits_holds_half_a_slice():
     got = state.copy()
     one_x = peak(lambda: apply_gate(got, run[0], out=got))
     apply_gate(got, run[0], out=got)  # undone: x is its own inverse
-    exchange = peak(lambda: statevector._apply_x_exchange(got, run))
+    mask = sum(1 << g.targets[0] for g in run)
+    exchange = peak(lambda: statevector.move_amplitudes(got, (19, 7), (1,), (1,), (mask,)))
     assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
     # both hold one half of the slice, plus numpy's copy buffer; the
     # exchange's own bookkeeping is a few small Python objects
@@ -395,26 +449,19 @@ def test_x_exchange_on_20_qubits_holds_half_a_slice():
     assert exchange <= one_x + 4096
 
 
-def test_simulate_widens_a_narrower_state_with_fresh_zero_qubits(monkeypatch):
-    # 3 qubits given, 5 simulated: single gates and a fused x run act on
-    # the two fresh high qubits as they do on the ones given
-    fused = []
-    real = circuit_mod._apply_x_run
-
-    def recording(state, run):
-        fused.append(run)
-        real(state, run)
-
-    monkeypatch.setattr(circuit_mod, "_apply_x_run", recording)
-    gates = ([h(3), ry(4, 0.3, ctrl=(3,))] + two_pattern_run(circuit_mod._FUSE_MIN)
+def test_simulate_widens_a_narrower_state_with_fresh_zero_qubits():
+    # 3 qubits given, 5 simulated: single gates and an x run on two
+    # patterns act on the two fresh high qubits as they do on the ones given
+    gates = ([h(3), ry(4, 0.3, ctrl=(3,))] + two_pattern_run(16)
              + [swap(0, 4), phase(2, 0.9, ctrl=(4,))])
     state = random_state(np.random.default_rng(11), 3)
     before = state.amplitudes.tobytes()
-    got = simulate(Circuit(5, gates), state)
+    with recorded_moves() as moves:
+        got = simulate(Circuit(5, gates), state)
     want = add_ancillas(state, 2)
     for g in gates:
         want = apply_gate(want, g)
-    assert len(fused) == 1
+    assert moves == [((0, 1), (0, 3), (0, 0))]
     assert np.array_equal(got.amplitudes, want.amplitudes)
     assert state.amplitudes.tobytes() == before
 

@@ -202,30 +202,29 @@ def test_transfer_reflections_match_its_gates(data):
 
 
 def test_transfer_simulates_only_the_preflight(monkeypatch):
-    # the steps are reflections about the preflight state: the only gates
-    # simulated are the preparation circuit's, once. The kernel takes them
-    # one by one or as fused x runs; in order they are exactly u's gates.
+    # the steps are reflections about the preflight state: the only circuit
+    # simulated is the preparation circuit, once, and its data-write block
+    # moves its amplitudes in one call, every entry at once
     db = prepare_general(128, 0, {j: j % 64 for j in range(1, 128, 3)}, m_data=6)
     u_qdb = preparation_circuit(db.descriptor, db.layout)
-    simulated = []  # (kernel, the gates it was given), one per kernel call
+    simulated, moved = [], []  # circuits simulated; patterns of each move
+    real_simulate, real_move = simulate, circuit_mod.move_amplitudes
 
-    def record(name, gates_of):
-        real = getattr(circuit_mod, name)
+    def simulating(circuit, *args, **kwargs):
+        simulated.append(circuit)
+        return real_simulate(circuit, *args, **kwargs)
 
-        def kernel(state, arg, **kwargs):
-            simulated.append((name, gates_of(arg)))
-            return real(state, arg, **kwargs)
+    def moving(state, wires, sources, targets, masks):
+        moved.append(len(sources))
+        real_move(state, wires, sources, targets, masks)
 
-        monkeypatch.setattr(circuit_mod, name, kernel)
-
-    record("apply_gate", lambda gate: [gate])
-    record("_apply_x_run", list)
+    for name in ("qdbsim.qdb", "qdbsim.extend"):
+        monkeypatch.setattr(importlib.import_module(name), "simulate", simulating)
+    monkeypatch.setattr(circuit_mod, "move_amplitudes", moving)
     loaded, plan = transfer(db, 128)
     assert plan.m == 3
-    assert [g for _, gates in simulated for g in gates] == u_qdb.gates
-    # the data-write block went as one fused run
-    data_write = sum(bin(j % 64).count("1") for j in range(1, 128, 3))
-    assert [len(gates) for name, gates in simulated if name == "_apply_x_run"] == [data_write]
+    assert [c.gates for c in simulated] == [u_qdb.gates]
+    assert [count for count in moved if count > 1] == [len(db.descriptor.data)]
     loaded.check()
 
 

@@ -428,9 +428,9 @@ def test_write_swap_conditional_mismatch_entangles():
 
 def test_history_growth_checks_only_new_gates(monkeypatch):
     # the build history is never checked again: write 40 costs what write 1
-    # does. A write builds its gates from the checked layout unchecked; the
-    # only check left is apply_gate's on a lone toggle. Two toggles on one
-    # pattern move as one exchange, which checks nothing.
+    # does. A write builds its gates from the checked layout unchecked, and
+    # its toggles, one or two, move at once without going through
+    # apply_gate, so nothing is checked.
     calls = []
     check = importlib.import_module("qdbsim.statevector")._check_gate
 
@@ -447,7 +447,7 @@ def test_history_growth_checks_only_new_gates(monkeypatch):
         db = write(db, 1, "01" if i % 2 else "11")
         per_write.append(len(calls) - start)
     assert len(db.circuit) > 200
-    assert per_write == [0, 1] * 20  # "11" toggles both data bits, "01" one
+    assert per_write == [0] * 40  # "11" toggles both data bits, "01" one
 
 
 def test_ops_leave_their_input_history_alone():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_register_scan_matches_brute_force, random_state
+from conftest import assert_register_scan_matches_brute_force, random_state, signed_zero_state
 from qdbsim.circuit import Circuit, simulate
 from qdbsim.errors import CapacityError, SemanticError, ZeroProbabilityError
 from qdbsim.gates import GateSpec, h, phase, rot2, ry, swap, x, y
@@ -192,21 +192,12 @@ def test_many_controlled_gate_allocates_no_whole_state_array():
     assert state.amplitudes[selected] == 0 and state.amplitudes[selected + 1] == 1
 
 
-def _signed_zero_state(rng, n):
-    """Random amplitudes with a third of the real and imaginary parts set to
-    +0.0 or -0.0, so any arithmetic on them would show in the bits."""
-    parts = rng.normal(size=(2, 2**n))
-    zero = rng.random(parts.shape) < 1 / 3
-    parts[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))
-    return StateVector(parts[0] + 1j * parts[1], copy=False)
-
-
 @settings(deadline=None, max_examples=60)
 @given(case=gates_on_register().filter(lambda c: c[1].kind in ("x", "swap")),
        seed=st.integers(0, 2**32 - 1))
 def test_x_and_swap_are_exact_index_permutations(case, seed):
     n, gate = case
-    state = _signed_zero_state(np.random.default_rng(seed), n)
+    state = signed_zero_state(np.random.default_rng(seed), n)
     index = np.arange(2**n)
     selected = np.ones(2**n, dtype=bool)
     for q, bit in gate.controls:
@@ -234,6 +225,20 @@ def test_uncontrolled_x_peaks_at_half_the_state(target, rng):
         tracemalloc.stop()
     assert peak <= 0.6 * state.amplitudes.nbytes, f"peak {peak} bytes"
     assert state.amplitudes.tobytes() == want.tobytes()
+
+
+def test_uncontrolled_swap_holds_one_of_its_slices(rng):
+    state = random_state(rng, 20)  # 16 MiB of amplitudes
+    want = apply_gate(state, swap(3, 17)).amplitudes.tobytes()
+    slice_bytes = state.amplitudes.nbytes // 4  # qubits 3 and 17 read 01 (or 10)
+    tracemalloc.start()
+    try:
+        apply_gate(state, swap(3, 17), out=state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert slice_bytes <= peak < slice_bytes * 5 // 4, f"peak {peak} bytes"
+    assert state.amplitudes.tobytes() == want
 
 
 def test_norm_preserved_by_gates(rng):
@@ -277,6 +282,26 @@ def test_project_with_predicate_mask_and_indices():
     kept3, prob3 = project(s, [0])
     assert prob3 == pytest.approx(0.5)
     assert np.allclose(kept2.amplitudes, kept3.amplitudes)
+
+
+@pytest.mark.parametrize("keep,message", [([-1], "out of range"), ([2.7], "must be integers"),
+                                          ([99], "out of range")],
+                         ids=["negative", "non-integral", "past-the-end"])
+def test_project_refuses_an_index_list_entry_that_is_no_basis_index(keep, message):
+    s = StateVector(np.full(8, 8**-0.5))
+    with pytest.raises(SemanticError, match=message) as exc:
+        project(s, keep)
+    assert exc.value.exit_code == 3
+
+
+def test_statevector_without_copy_shares_only_a_complex_array():
+    assert StateVector([1, 0], copy=False).amplitudes.tolist() == [1, 0]
+    real = np.array([0.0, 1.0])
+    converted = StateVector(real, copy=False)
+    assert converted.amplitudes.dtype == complex and converted.amplitudes.tolist() == [0, 1]
+    amps = np.array([0.6, 0.8j])
+    assert StateVector(amps, copy=False).amplitudes is amps
+    assert StateVector(amps).amplitudes is not amps
 
 
 def test_project_onto_nothing_raises():

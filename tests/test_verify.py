@@ -92,15 +92,14 @@ def test_database_ops_check_catches_a_permute_that_moves_other_bits(monkeypatch)
     import qdbsim.qdb as qdb_mod
     import qdbsim.verify as verify_mod
 
-    routed = qdb_mod._routed
+    move = qdb_mod.move_amplitudes
 
-    def negated(db, routing):  # the right entries, one amplitude's sign flipped
-        state = routed(db, routing)
+    def negated(state, *args):  # the right entries, one amplitude's sign flipped
+        move(state, *args)
         state.amplitudes[np.flatnonzero(state.amplitudes)[0]] *= -1
-        return state
 
     assert "permute matches its routing gates" in verify_mod._check_db_ops()
-    monkeypatch.setattr(qdb_mod, "_routed", negated)
+    monkeypatch.setattr(qdb_mod, "move_amplitudes", negated)
     with pytest.raises(VerificationError, match="^permute disagrees with its routing gates$"):
         verify_mod._check_db_ops()
 
