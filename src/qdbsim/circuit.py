@@ -2,7 +2,9 @@
 decomposition of multi-controlled X gates.
 
 A circuit is an ordered gate sequence over a fixed-width register, held as
-a tuple of parts that are shared by reference (see ``Circuit``). Qubits may
+a tuple of parts that are shared by reference (see ``Circuit``); a record
+part (``GateRecord``) keeps an op's arguments and makes its gates only when
+they are asked for. Qubits may
 carry register labels (``I`` index, ``D`` data, ``A`` ancilla, ``S``
 sensor) which are purely annotations: simulation ignores them, but layout
 bookkeeping and the text format carry them through.
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SemanticError
-from .gates import GateSpec, gate_inverse, x
+from .gates import GateSpec, gate_inverse, inverse_params, x
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
@@ -36,15 +38,24 @@ class Circuit:
     """Gates over an ``n_qubits`` register, with register ``labels``.
 
     The gates are held as a tuple of parts. A part is a list of checked
-    gates, a block, or a tuple of parts. A block keeps what it was made from
-    instead of its gates: ``qdb._DataWrite``, a preparation's data-write
-    block, is the one kind. A block of ``x`` gates on one control set
-    ``wires`` has a ``len``, iterates over its gates (built when first asked
-    for), has an ``inverse()``, ``x_table()`` (each pattern on ``wires``
-    with the mask of its targets, for ``statevector.move_amplitudes``) and
-    ``x_entries()`` (each pattern with its targets, for ``emit_text``), and
-    names the block it reverses, ``forward`` (itself unless reversed), and
-    whether it is ``reversed``.
+    gates, a tuple of parts, or one of two kinds that keep what they were
+    made from instead of their gates:
+
+    * A record (``GateRecord``) keeps an op's arguments and the generator
+      that yields the fields of its gates. ``qdb.write`` and
+      ``qdb.write_swap_conditional`` add records of the sensor's
+      preparation and of their core (a folded write also the preparation
+      undone), and ``qdb.permute`` a record of its transpositions.
+    * A block, ``qdb._DataWrite``, is a preparation's data-write block: ``x``
+      gates on one control set ``wires``, moved by its ``x_table()`` (each
+      pattern on ``wires`` with the mask of its targets, for
+      ``statevector.move_amplitudes``) and rendered from its ``x_entries()``
+      (each pattern with its targets, for ``emit_text``).
+
+    Both have a ``len``, iterate over their gates (built when first asked
+    for), have an ``inverse()``, and name the part they reverse,
+    ``forward`` (itself unless reversed), and whether they are
+    ``reversed``.
 
     Parts are shared, not copied: ``+``, ``extended`` and the history's
     ``qdb._grow`` join part tuples, so a join costs the same at any length,
@@ -59,8 +70,8 @@ class Circuit:
     constructor's, each ``append`` and each ``label``. ``+``, ``extended``
     and ``inverse`` reuse checked parts and labels on the same or a wider
     register, since widening cannot invalidate either, and qdbsim's builders
-    place gates and labels they made from a checked layout
-    (``GateSpec._built``) through ``_reusing`` too."""
+    place gates, records and labels they made from a checked layout
+    (``GateSpec._built``) through ``_reusing`` and ``_joined`` too."""
 
     def __init__(self, n_qubits: int, gates: list[GateSpec] | None = None,
                  labels: dict[int, str] | None = None):
@@ -115,7 +126,7 @@ class Circuit:
         self._parts, self._own, self._size = (gates,), gates, 0
 
     def _leaves(self):
-        """The gate lists and blocks of the parts, in order."""
+        """The gate lists, records and blocks of the parts, in order."""
         parts = self._parts
         if len(parts) == 1 and type(parts[0]) is not tuple:
             return parts  # most circuits an op builds: one list
@@ -183,7 +194,7 @@ class Circuit:
 
     def inverse(self) -> "Circuit":
         """The parts in reverse order, each inverted: a gate list gate by
-        gate, a block by its own ``inverse``."""
+        gate, a record or block by its own ``inverse``."""
         parts = tuple([gate_inverse(g) for g in reversed(part)] if type(part) is list
                       else part.inverse() for part in reversed(list(self._leaves())))
         return Circuit._joined(self.n_qubits, parts, dict(self.labels), len(self))
@@ -238,7 +249,7 @@ class Circuit:
 
 
 def _walk(parts: tuple):
-    """The lists and blocks under nested part tuples, depth first, in order."""
+    """The lists, records and blocks under nested part tuples, depth first, in order."""
     stack = [parts]
     while stack:
         part = stack.pop()
@@ -246,6 +257,70 @@ def _walk(parts: tuple):
             stack.extend(reversed(part))
         else:
             yield part
+
+
+class GateRecord:
+    """A ``Circuit`` part that keeps an op's arguments ``args`` instead of
+    its ``size`` gates: ``fields_of(*args)`` yields each gate's fields
+    ``(kind, params, targets, controls, wires)``, the arguments of
+    ``GateSpec._built``, from parts already checked.
+
+    ``gates`` builds them on first use and keeps them; ``emit_text``
+    renders the fields without building them, and equal records once per
+    call (``key``). The inverse is the record read backwards, each gate
+    inverted, marked ``reversed``; ``forward`` is the record it reverses
+    (itself unless reversed).
+    """
+
+    __slots__ = ("fields_of", "args", "forward", "key", "_size", "_gates")
+
+    def __init__(self, fields_of, args: tuple, size: int,
+                 forward: "GateRecord | None" = None):
+        self.fields_of, self.args, self._size = fields_of, args, size
+        self.forward = self if forward is None else forward
+        # what fixes the gates: records with equal keys hold equal gates
+        self.key = (fields_of, args, forward is not None)
+        self._gates = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        return iter(self.gates)
+
+    @property
+    def reversed(self) -> bool:
+        return self.forward is not self
+
+    def inverse(self) -> "GateRecord":
+        if self.forward is not self:
+            return self.forward
+        return GateRecord(self.fields_of, self.args, self._size, self)
+
+    def fields(self):
+        """The fields of the gates, in order."""
+        if self.forward is self:
+            return self.fields_of(*self.args)
+        return _inverted_fields(list(self.forward.fields()))
+
+    @property
+    def gates(self) -> list[GateSpec]:
+        if self._gates is None:
+            self._gates = [GateSpec._built(*f) for f in self.fields()]
+        return self._gates
+
+
+def _gate_fields(gates) -> list[tuple]:
+    """The fields of checked gates, as a ``GateRecord`` yields them."""
+    return [(g.kind, g.params, g.targets, g.controls, g.qubits[len(g.targets):])
+            for g in gates]
+
+
+def _inverted_fields(fields: list[tuple]) -> list[tuple]:
+    """The fields of the inverse of the gates with ``fields``: read
+    backwards, each gate inverted on its own wires."""
+    return [(*inverse_params(kind, params), targets, controls, wires)
+            for kind, params, targets, controls, wires in reversed(fields)]
 
 
 @dataclass(frozen=True)
@@ -268,7 +343,8 @@ def simulate(circuit: Circuit, state: StateVector | None = None,
     written.
 
     Amplitudes that only move go through ``move_amplitudes``. A block moves
-    by its table, with no gate built. Within a gate list, each run of
+    by its table, with no gate built; a record runs its gates as a gate
+    list does. Within a gate list, each run of
     consecutive ``x`` gates sharing one ``_run_key``, the tuple C of their
     control qubits, moves at once: no target lies in C, so the gates
     commute, and pattern p of C moves by T[p], the XOR of the targets of
@@ -288,6 +364,8 @@ def simulate(circuit: Circuit, state: StateVector | None = None,
     for part in circuit._leaves():
         if type(part) is list:
             _run_gates(state, part)
+        elif type(part) is GateRecord:
+            _run_gates(state, part.gates)
         elif len(part):  # an empty block moves nothing
             wires, patterns, masks = part.x_table()
             move_amplitudes(state, wires, patterns, patterns, masks)

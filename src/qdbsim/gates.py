@@ -188,25 +188,33 @@ def matrix_1q(kind: str, params: tuple[float, ...]) -> np.ndarray:
     raise SemanticError(f"no single-qubit matrix for kind {kind!r}")
 
 
-def gate_inverse(g: GateSpec) -> GateSpec:
-    """Inverse gate, expressed within the same vocabulary; the inverse of a
-    checked gate is built unchecked (``GateSpec._built``).
+def inverse_params(kind: str, params: tuple[float, ...]) -> tuple[str, tuple[float, ...]]:
+    """The kind and parameters of the inverse of a gate of ``kind`` with
+    ``params``, on the same wires.
 
     y and ytilde are rotations about the y axis, so their inverses are plain
     ry gates with the opposite accumulated angle.
     """
+    if kind in ("x", "h", "swap"):
+        return kind, params
+    if kind == "ry":
+        return "ry", (-params[0],)
+    if kind == "y":
+        return "ry", (-y_angle(params[0]),)
+    if kind == "ytilde":
+        return "ry", (math.pi / 2 - y_angle(params[0]),)
+    if kind == "phase":
+        return "phase", (-params[0],)
+    if kind == "rot2":
+        a, b, theta = params
+        return "rot2", (a, b, -theta)
+    raise SemanticError(f"cannot invert gate kind {kind!r}")
+
+
+def gate_inverse(g: GateSpec) -> GateSpec:
+    """Inverse gate, expressed within the same vocabulary (``inverse_params``);
+    the inverse of a checked gate is built unchecked (``GateSpec._built``),
+    and a self-inverse gate is its own."""
     if g.kind in ("x", "h", "swap"):
         return g
-    if g.kind == "ry":
-        return GateSpec._built("ry", (-g.params[0],), g.targets, g.controls)
-    if g.kind == "y":
-        return GateSpec._built("ry", (-y_angle(g.params[0]),), g.targets, g.controls)
-    if g.kind == "ytilde":
-        return GateSpec._built("ry", (math.pi / 2 - y_angle(g.params[0]),), g.targets,
-                               g.controls)
-    if g.kind == "phase":
-        return GateSpec._built("phase", (-g.params[0],), g.targets, g.controls)
-    if g.kind == "rot2":
-        a, b, theta = g.params
-        return GateSpec._built("rot2", (a, b, -theta), (), ())
-    raise SemanticError(f"cannot invert gate kind {g.kind!r}")
+    return GateSpec._built(*inverse_params(g.kind, g.params), g.targets, g.controls)

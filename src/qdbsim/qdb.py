@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, simulate
+from .circuit import Circuit, GateRecord, _gate_fields, _inverted_fields, simulate
 from .errors import SemanticError, VerificationError
-from .gates import GateSpec, gate_inverse, rot2, x, y
+from .gates import GateSpec, rot2, x, y
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
@@ -44,6 +44,17 @@ def index_width(k: int) -> int:
     if k < 1:
         raise SemanticError("entry count must be at least 1")
     return max(1, math.ceil(math.log2(k)))
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int: an integer (numpy's too) or a float equal to
+    one. Anything else, a fraction or a string among them, is refused
+    rather than truncated or parsed."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise SemanticError(f"{what} must be an integer, got {value!r}")
 
 
 def _bits_to_int(bits: str) -> int:
@@ -102,10 +113,12 @@ class QdbDescriptor(_Derivable):
             raise SemanticError("data register width cannot be negative")
         cleaned: dict[int, str] = {}
         for label, bits in self.data.items():
-            if isinstance(bits, int):
-                value, width = bits, bits.bit_length()
-            else:
+            label = _integer(label, "data label")
+            if isinstance(bits, str):
                 value, width = _bits_to_int(bits), len(bits)
+            else:
+                value = _integer(bits, "data word")
+                width = value.bit_length()
             if label == 0 and value:
                 raise SemanticError("entry 0 is the reservoir and must stay empty")
             if value == 0:
@@ -113,7 +126,7 @@ class QdbDescriptor(_Derivable):
             if width > self.m_data:
                 raise SemanticError(
                     f"data word {bits!r} wider than the {self.m_data}-bit data register")
-            cleaned[int(label)] = _int_to_bits(value, self.m_data)
+            cleaned[label] = _int_to_bits(value, self.m_data)
         object.__setattr__(self, "data", cleaned)
         if self.u_d is not None and self.u_d.n_qubits != self.m_data:
             raise SemanticError(
@@ -547,6 +560,29 @@ def _check_register(index_qubits, n_qubits: int):
             raise SemanticError(f"index qubit {q} outside the {n_qubits}-qubit register")
 
 
+def _gray_steps(pairs, index_qubits):
+    """The fields (``GateRecord``) of the gates that exchange each pair of
+    index patterns in turn: per pair, the Gray path of
+    ``transposition_circuit``. Step j flips the j-th differing bit under
+    controls that read the pattern reached so far on the other index
+    qubits; the steps before the last are then undone in reverse."""
+    for pat_a, pat_b in pairs:
+        reads = [(q, (pat_a >> i) & 1) for i, q in enumerate(index_qubits)]
+        steps = []
+        for j, q in enumerate(index_qubits):
+            if ((pat_a ^ pat_b) >> j) & 1:
+                steps.append(("x", (), (q,), tuple(reads[:j] + reads[j + 1:]),
+                              index_qubits[:j] + index_qubits[j + 1:]))
+                reads[j] = (q, 1 - reads[j][1])
+        yield from steps
+        yield from steps[-2::-1]
+
+
+def _gray_size(pairs) -> int:
+    """How many gates ``_gray_steps`` yields for ``pairs``."""
+    return sum(2 * (a ^ b).bit_count() - 1 for a, b in pairs)
+
+
 def transposition_circuit(pat_a: int, pat_b: int, index_qubits, n_qubits: int) -> Circuit:
     """Exchange two index patterns, acting as identity elsewhere.
 
@@ -560,20 +596,21 @@ def transposition_circuit(pat_a: int, pat_b: int, index_qubits, n_qubits: int) -
         raise SemanticError("transposition needs two distinct patterns")
     _check_patterns((pat_a, pat_b), index_qubits)
     _check_register(index_qubits, n_qubits)
-    diff = [i for i in range(len(index_qubits)) if ((pat_a ^ pat_b) >> i) & 1]
+    return Circuit._reusing(n_qubits, [GateSpec._built(*f) for f in
+                                       _gray_steps(((pat_a, pat_b),), index_qubits)], {})
 
-    def step(bit_pos: int, reference: int) -> GateSpec:
-        ctrls = tuple(
-            (q, (reference >> i) & 1)
-            for i, q in enumerate(index_qubits) if i != bit_pos)
-        return GateSpec._built("x", (), (index_qubits[bit_pos],), ctrls)
 
-    cur = pat_a
-    vs = []
-    for bit_pos in diff[:-1]:
-        vs.append(step(bit_pos, cur))
-        cur ^= 1 << bit_pos
-    return Circuit._reusing(n_qubits, vs + [step(diff[-1], cur)] + vs[::-1], {})
+def _transpositions(mapping: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The plan of ``pattern_permutation_circuit`` for an injective
+    ``mapping`` of patterns: the transpositions, in order, that route
+    pattern p to mapping[p] (see there)."""
+    used = set(mapping.values())
+    size = max(used.symmetric_difference(mapping), default=-1) + 1
+    free = iter(sorted(set(range(size)) - used))
+    full = {p: mapping[p] if p in mapping else next(free) for p in range(size)}
+    full.update(mapping)
+    return tuple((cyc[t], cyc[t + 1]) for cyc in _cycles(full)
+                 for t in range(len(cyc) - 2, -1, -1))
 
 
 def pattern_permutation_circuit(mapping: dict[int, int], index_qubits,
@@ -581,30 +618,26 @@ def pattern_permutation_circuit(mapping: dict[int, int], index_qubits,
     """Route index patterns: pattern p moves to mapping[p].
 
     The partial mapping is completed to a bijection, decomposed into cycles,
-    and each cycle into transpositions, whose gates go into one list.
-    The completion pairs the unmapped patterns with the unused ones in
-    sorted order. Above the largest pattern that is a source or a target
-    but not both, a pattern is unmapped exactly when it is unused, so the
-    pairing fixes each such pattern. The completion therefore stops below
-    that bound, ``mapping`` is merged over it, and the gates are those of
-    the completion over all 2^t patterns, in work that follows the patterns
-    moved.
+    and each cycle into transpositions (``_transpositions``, the plan),
+    whose gates (``transposition_circuit``) go into one list. The
+    completion pairs the unmapped patterns with the unused ones in sorted
+    order. Above the largest pattern that is a source or a target but not
+    both, a pattern is unmapped exactly when it is unused, so the pairing
+    fixes each such pattern. The completion therefore stops below that
+    bound, ``mapping`` is merged over it, and the gates are those of the
+    completion over all 2^t patterns, in work that follows the patterns
+    moved. ``permute`` records the plan (``GateRecord``) instead of
+    building these gates.
     """
     index_qubits = tuple(index_qubits)
     _check_patterns([*mapping, *mapping.values()], index_qubits)
-    used = set(mapping.values())
-    if len(used) != len(mapping):
+    if len(set(mapping.values())) != len(mapping):
         raise SemanticError("pattern mapping is not injective")
-    size = max(used.symmetric_difference(mapping), default=-1) + 1
-    free = iter(sorted(set(range(size)) - used))
-    full = {p: mapping[p] if p in mapping else next(free) for p in range(size)}
-    full.update(mapping)
-    gates = []
-    for cyc in _cycles(full):
-        for t in range(len(cyc) - 2, -1, -1):
-            gates += transposition_circuit(cyc[t], cyc[t + 1], index_qubits,
-                                           n_qubits).gates
-    return Circuit._reusing(n_qubits, gates, {})
+    pairs = _transpositions(mapping)
+    if pairs:
+        _check_register(index_qubits, n_qubits)
+    return Circuit._reusing(n_qubits, [GateSpec._built(*f) for f in
+                                       _gray_steps(pairs, index_qubits)], {})
 
 
 def _encoding(u_d: Circuit | None, n: int, *registers) -> Circuit | None:
@@ -773,12 +806,13 @@ def prepare_meta(k: int, l: int = 0, data: dict[int, int | str] | None = None,
     words: dict[int, int | str] = {}
     widest = 0
     for label, word in (data or {}).items():
+        label = _integer(label, "data label")
         if not 0 <= label < k:
             raise SemanticError(f"data label {label} outside [0, {k})")
         if isinstance(word, str):
             width = len(word)
         else:
-            word = int(word)  # numpy integers too
+            word = _integer(word, "data word")  # numpy integers too
             width = word.bit_length()
         if width > widest:
             widest = width
@@ -831,15 +865,6 @@ def prepare_balanced(k: int, data: dict[int, int | str] | None = None,
 # write
 
 
-def _sensor_prep_circuit(value: int, sensor_qubits, u_d: Circuit | None,
-                         n: int) -> Circuit:
-    circ = Circuit._reusing(n, [GateSpec._built("x", (), (q,))
-                                for b, q in enumerate(sensor_qubits) if (value >> b) & 1],
-                            {q: "S" for q in sensor_qubits})
-    enc = _encoding(u_d, n, sensor_qubits)
-    return circ if enc is None else circ + enc
-
-
 def _fresh_register(layout: QdbLayout) -> tuple[int, ...]:
     """Where a sensor or copy register as wide as the data register lands:
     just above the database's own qubits."""
@@ -864,7 +889,7 @@ def _word_value(meta: QdbMeta, label: int, word: int | str) -> int:
     """Check a write of ``word`` into entry ``label``; return the word."""
     _check_entry(meta, label, "write")
     _check_data_register(meta)
-    value = _bits_to_int(word) if isinstance(word, str) else int(word)
+    value = _bits_to_int(word) if isinstance(word, str) else _integer(word, "data word")
     m = len(meta.layout.data_qubits)
     if value < 0 or value >> m:
         raise SemanticError(f"data word {word!r} does not fit the {m}-bit data register")
@@ -894,26 +919,91 @@ def write_meta(meta: QdbMeta, label: int, word: int | str, *,
                          sensor_qubits=_fresh_register(meta.layout) if keep_sensor else ())
 
 
-def _write_folded(db: QdbState, label: int, value: int, ctrls) -> StateVector:
+def _sensor_prep_steps(value: int, sensor, enc_s: Circuit | None):
+    """The fields (``GateRecord``) of the sensor's preparation in |value>:
+    one ``x`` per set bit, then ``enc_s`` (u_d on the sensor), if any."""
+    for b, q in enumerate(sensor):
+        if (value >> b) & 1:
+            yield "x", (), (q,), (), ()
+    if enc_s is not None:
+        yield from _gate_fields(enc_s.gates)
+
+
+def _write_core_steps(swap: bool, pattern: int, wires, sensor, data, enc: Circuit | None):
+    """The fields (``GateRecord``) of a write's core, between the sensor's
+    preparation and, for a folded write, its undoing. Its controls read the
+    entry's index ``pattern`` on ``wires``, the index register. With
+    ``swap`` (``write_swap_conditional``) each data bit swaps with its
+    sensor bit under them. Otherwise each data bit toggles under them and
+    its sensor bit, inside ``enc`` (u_d on the sensor, then on the data
+    register), if any."""
+    ctrls = tuple([(q, (pattern >> i) & 1) for i, q in enumerate(wires)])
+    if swap:
+        for b, dq in enumerate(data):
+            yield "swap", (), (dq, sensor[b]), ctrls, wires
+        return
+    toggles = [("x", (), (dq,), ctrls + ((sensor[b], 1),), wires + (sensor[b],))
+               for b, dq in enumerate(data)]
+    if enc is None:
+        yield from toggles
+        return
+    encode = _gate_fields(enc.gates)
+    yield from _inverted_fields(encode)
+    yield from toggles
+    yield from encode
+
+
+def _write_circuit(db: QdbState, mode: str, label: int, value: int, sensor) -> Circuit:
+    """The build circuit of a write of ``value`` into entry ``label``, with
+    the sensor register ``sensor``, as records whose gates are made only
+    when asked for: the sensor's preparation (``_sensor_prep_steps``), the
+    core (``_write_core_steps``: swaps for ``mode`` "swap", toggles for
+    "keep" and "write") and, for "write", the preparation's inverse, so the
+    sensor ends in |0>. The preparation and the core are records of their
+    own because a long script repeats each far more often than their pairs,
+    and ``emit_text`` renders each distinct record once. The labels mark
+    the sensor, then take the encodings' labels."""
+    n = sensor[-1] + 1
+    u_d, data = db.descriptor.u_d, db.layout.data_qubits
+    enc_s = _encoding(u_d, n, sensor)
+    enc = None if mode == "swap" else _encoding(u_d, n, sensor, data)
+    labels = {q: "S" for q in sensor}
+    prep_size, core_size = value.bit_count(), len(data)
+    if u_d is not None:
+        labels.update(enc_s.labels)
+        prep_size += len(enc_s)
+        if enc is not None:
+            labels.update(enc.labels)
+            core_size += 2 * len(enc)
+    prep = GateRecord(_sensor_prep_steps, (value, sensor, enc_s), prep_size)
+    core = GateRecord(_write_core_steps, (mode == "swap", db.layout.pattern(label),
+                                          db.layout.index_qubits, sensor, data, enc),
+                      core_size)
+    if mode == "write":
+        return Circuit._joined(n, (prep, core, prep.inverse()), labels,
+                               2 * prep_size + core_size)
+    return Circuit._joined(n, (prep, core), labels, prep_size + core_size)
+
+
+def _write_folded(db: QdbState, label: int, value: int) -> StateVector:
     """The write core on the unwidened state: each sensor bit is a classical
-    bit of ``value``, so data bit b toggles on the entry's pattern (selected
-    by ``ctrls``) exactly when bit b of ``value`` is set, inside the data
-    encoding, if any. The toggles share one control tuple, so ``simulate``
-    moves them at once, one pattern by one mask.
+    bit of ``value``, so data bit b toggles on the entry's pattern exactly
+    when bit b of ``value`` is set, inside the data encoding, if any. The
+    toggles move the entry's slice at once, by one mask
+    (``move_amplitudes``), on the one copy of the state the fold makes (the
+    decoded copy under an encoding).
 
     Raises VerificationError unless the amplitude at the entry's old
     computational word has moved to its new word.
     """
     layout = db.layout
-    n = db.n_qubits
-    enc = _encoding(db.descriptor.u_d, n, layout.data_qubits)
-    state = db.state if enc is None else simulate(enc.inverse(), db.state)
+    enc = _encoding(db.descriptor.u_d, db.n_qubits, layout.data_qubits)
+    state = db.state.copy() if enc is None else simulate(enc.inverse(), db.state)
     old = db.descriptor.data_value(label)
     moved = state.amplitudes[layout.physical_index(label, old)]
-    wires = layout.index_qubits  # the qubits of ``ctrls``, in order
-    state = simulate(Circuit._reusing(n, [GateSpec._built("x", (), (q,), ctrls, wires)
-                                          for b, q in enumerate(layout.data_qubits)
-                                          if (value >> b) & 1], {}), state)
+    pattern = layout.pattern(label)
+    move_amplitudes(state, layout.index_qubits, (pattern,), (pattern,),
+                    (layout._place(0, value),))
     if abs(state.amplitudes[layout.physical_index(label, old ^ value)] - moved) > STATE_TOL:
         raise VerificationError(f"write left entry {label}'s amplitude behind")
     return state if enc is None else simulate(enc, state)
@@ -925,15 +1015,18 @@ def write(db: QdbState, label: int, word: int | str, *,
 
     In the paper's write, a sensor register prepared in |word> (or
     u_d|word>) drives one controlled toggle per data bit and is then
-    uncomputed. The build circuit records exactly that, so ``emit()`` gives
-    the paper's circuit, and the sensor counts against the qubit budget
-    (CapacityError when the database plus sensor exceeds ``max_qubits``).
+    uncomputed. The build circuit records exactly that, as records
+    (``GateRecord``) of the write's arguments whose gates are made only when
+    asked for (``_write_circuit``), so ``emit()`` gives the paper's circuit,
+    and the sensor counts against the qubit budget (CapacityError when the
+    database plus sensor exceeds ``max_qubits``).
 
     The sensor is never entangled, so its controls are classical bits of
-    ``word``, and by default the simulation folds them away: it toggles the
-    entry's data bits on the unwidened state. Instead of the sensor's purity
-    it then checks that the amplitude at the entry's old word has moved to
-    the new word (VerificationError otherwise).
+    ``word``, and by default the simulation folds them away
+    (``_write_folded``): it toggles the entry's data bits on the unwidened
+    state. Instead of the sensor's purity it then checks that the amplitude
+    at the entry's old word has moved to the new word (VerificationError
+    otherwise).
 
     ``keep_sensor`` leaves the sensor attached for inspection: the whole
     sensor register is simulated, the returned state carries
@@ -941,34 +1034,16 @@ def write(db: QdbState, label: int, word: int | str, *,
     within ``WRITE_PURITY_TOL`` of 1, VerificationError otherwise).
 
     Under a data encoding the toggles run inside it on the data and sensor
-    registers (``_decoded``).
+    registers, as ``_decoded`` would place them.
     """
     new = write_meta(db.meta, label, word, keep_sensor=keep_sensor)
-    ctrls = _check_occupied(db, label)
+    _check_occupied(db, label)
     value = db.descriptor.data_value(label) ^ new.descriptor.data_value(label)
     sensor = _fresh_register(db.layout)
-    n = sensor[-1] + 1
-    _check_budget(n, db.max_qubits)
-    # one gate list holds the sensor's preparation, the core (the toggles,
-    # inside the encoding on data and sensor) and, unless the sensor stays
-    # attached, the preparation undone: inverses of checked gates on the
-    # same wires, so they are not checked again
-    u_d, data = db.descriptor.u_d, db.layout.data_qubits
-    circ = _sensor_prep_circuit(value, sensor, u_d, n)
-    prep = circ.gates[:]
-    wires = db.layout.index_qubits
-    toggles = [GateSpec._built("x", (), (dq,), ctrls + ((sensor[b], 1),),
-                               wires + (sensor[b],))
-               for b, dq in enumerate(data)]
-    if u_d is None:
-        circ.gates += toggles
-    else:
-        core = _decoded(Circuit._reusing(n, toggles, {}), _encoding(u_d, n, sensor, data))
-        circ.gates += core.gates
-        circ.labels.update(core.labels)
+    _check_budget(sensor[-1] + 1, db.max_qubits)
+    circ = _write_circuit(db, "keep" if keep_sensor else "write", label, value, sensor)
     if not keep_sensor:
-        circ.gates += [gate_inverse(g) for g in reversed(prep)]
-        return _advance(db, new, circ, _write_folded(db, label, value, ctrls))
+        return _advance(db, new, circ, _write_folded(db, label, value))
     state = simulate(circ, db.state, max_qubits=db.max_qubits)
     purity = schmidt(state, sensor).purity
     if abs(purity - 1.0) > WRITE_PURITY_TOL:
@@ -993,13 +1068,10 @@ def write_swap_conditional(db: QdbState, label: int, word: int | str) -> QdbStat
     up entangled with the database. The returned state keeps the sensor.
     """
     new = write_swap_meta(db.meta, label, word)
-    ctrls = _check_occupied(db, label)
-    sensor = new.sensor_qubits
-    circ = _sensor_prep_circuit(new.descriptor.data_value(label), sensor,
-                                db.descriptor.u_d, sensor[-1] + 1)
-    circ.gates += [GateSpec._built("swap", (), (dq, sensor[b]), ctrls)
-                   for b, dq in enumerate(db.layout.data_qubits)]
-    return _advance(db, new, circ)
+    _check_occupied(db, label)
+    return _advance(db, new, _write_circuit(db, "swap", label,
+                                            new.descriptor.data_value(label),
+                                            new.sensor_qubits))
 
 
 # ---------------------------------------------------------------------------
@@ -1204,15 +1276,18 @@ def _moves(perm, labels) -> dict[int, int]:
     checked on the labels it moves alone: they must be known and their
     targets must be the same set, since a bijection fixing the other labels
     permutes the moved ones among themselves. A sequence names every label,
-    so it is checked whole.
+    so it is checked whole. Labels and targets must be integers
+    (``_integer``): a fraction or a string is refused, not truncated or
+    parsed.
     """
     if isinstance(perm, dict):
-        mapping = {int(j): int(t) for j, t in perm.items()}
+        mapping = {_integer(j, "permutation label"): _integer(t, "permutation label")
+                   for j, t in perm.items()}
         unknown = [j for j in mapping if j not in labels]
         if unknown:
             raise SemanticError(f"permutation names unknown labels {sorted(unknown)}")
     else:
-        mapping = {j: int(t) for j, t in enumerate(perm)}
+        mapping = {j: _integer(t, "permutation label") for j, t in enumerate(perm)}
         if len(mapping) != len(labels) or any(j not in labels for j in mapping):
             raise SemanticError(
                 f"permutation keys {sorted(mapping)} must cover labels {sorted(labels)}")
@@ -1256,9 +1331,10 @@ def permute(db: QdbState, perm) -> QdbState:
     label 0 becomes the reservoir and must hold the empty word; relocating a
     weighted reservoir (l > 0) is rejected.
 
-    The build circuit records the routing gates
-    (``pattern_permutation_circuit``); the amplitudes move without them, on
-    one copy of the state, each moved pattern's slice sent to its target
+    The build circuit records the routing: one record (``GateRecord``) of
+    the plan of ``pattern_permutation_circuit``, its transpositions, whose
+    gates are made only when asked for. The amplitudes move without them,
+    on one copy of the state, each moved pattern's slice sent to its target
     (``move_amplitudes``).
     """
     meta = db.meta
@@ -1267,9 +1343,13 @@ def permute(db: QdbState, perm) -> QdbState:
         return db
     lmap = db.layout.logical_index_map
     routing = {lmap[j]: lmap[t] for j, t in moves.items()}
-    circ = pattern_permutation_circuit(routing, db.layout.index_qubits, db.n_qubits)
+    index_qubits = db.layout.index_qubits
+    pairs = _transpositions(routing)
+    size = _gray_size(pairs)
+    circ = Circuit._joined(db.n_qubits, (GateRecord(_gray_steps, (pairs, index_qubits), size),),
+                           {}, size)
     state = db.state.copy()
-    move_amplitudes(state, db.layout.index_qubits, tuple(routing), tuple(routing.values()),
+    move_amplitudes(state, index_qubits, tuple(routing), tuple(routing.values()),
                     (0,) * len(routing))
     return _advance(db, new, circ, state)
 

@@ -264,6 +264,11 @@ def move_amplitudes(state: StateVector, wires, sources, targets, masks) -> None:
     * A route, where patterns move, follows each cycle: the first slice is
       held, each slice is copied into the one it moves to, and the held one
       goes last, so the temporary is one slice.
+
+    The three tables are sequences of one type: a route's are tuples or
+    lists of Python ints, which are compared and used as they come. A table
+    that stays in place may also be numpy arrays, one array passed as both
+    ``sources`` and ``targets``.
     """
     n = state.n_qubits
     tensor = state.amplitudes.reshape((2,) * n)
@@ -272,7 +277,7 @@ def move_amplitudes(state: StateVector, wires, sources, targets, masks) -> None:
         return
     # a table that stays in place may come as one array for both, as
     # ``simulate`` passes it, so that a long table is not compared with itself
-    if sources is not targets and any(s != t for s, t in zip(sources, targets)):
+    if sources is not targets and sources != targets:
         _route(tensor, wires, sources, targets, masks)
         return
     masks = np.asarray(masks, dtype=np.int64)
@@ -353,7 +358,7 @@ def _trade_halves(tensor: np.ndarray, wires, pattern: int, mask: int) -> None:
 
 def _route(tensor: np.ndarray, wires, sources, targets, masks) -> None:
     """A route of ``move_amplitudes``, cycle by cycle through one slice."""
-    into = {int(t): (int(s), int(m)) for s, t, m in zip(sources, targets, masks)}  # slot <- pattern
+    into = dict(zip(targets, zip(sources, masks)))  # slot <- pattern
     while into:
         first, (pattern, mask) = into.popitem()
         held = _slot(tensor, wires, first).copy()

@@ -16,24 +16,31 @@ Floats are emitted with ``repr`` so emit -> parse -> emit is byte-identical.
 A history repeats few wire sets over many gates, and shares its parts
 (``Circuit``): a transfer refers to one u and one u^-1 at every step. So
 ``emit_text`` walks the parts and renders each distinct part once per call,
-a reversed block as its forward block's lines read backwards; it renders
-the wires of each distinct (targets, controls) pair once, and the controls
-of each distinct control tuple once, shared by every target it meets; qubit
-names come from a table built once per call. The memos live only as long
-as the call, so no two callers share them. They are keyed on
-values, not on tuple identity: each write builds its toggles' control tuple
-anew, equal to the tuple of earlier gates but a different object, and an
-identity key would render it again on every write. They are keyed on the
-wires, not on the gate: ``GateSpec`` equality compares floats, so
-``phase(0.0)`` equals ``phase(-0.0)``, and a gate-keyed memo would print
-the second as ``0.0``. Each gate's parameters are formatted on their own.
+a reversed block as its forward block's lines read backwards. A record
+(``GateRecord``) is rendered straight from the fields its generator yields,
+with no gate built, and records with equal keys (an op's arguments) once
+per call: a long script prepares the sensor in the same word, toggles the
+same entry and swaps the same two entries many times. It renders the wires
+of each distinct (targets, controls) pair once, and the controls of each
+distinct control tuple once, shared by every target it meets; qubit names
+come from a table built once per call. The memos live only as long as the
+call, so no two callers share them. They are keyed on values, not on tuple
+identity: each write builds its toggles' control tuple anew, equal to the
+tuple of earlier gates but a different object, and an identity key would
+render it again on every write. They are keyed on the wires, not on the
+gate: ``GateSpec`` equality compares floats, so ``phase(0.0)`` equals
+``phase(-0.0)``, and a gate-keyed memo would print the second as ``0.0``.
+Each gate's parameters are formatted on their own. A record's key is its
+generator and its arguments, ints and tuples of ints, except that a write
+under a data encoding also holds its encoding circuits, which do not hash:
+such a record is rendered on its own.
 """
 
 from __future__ import annotations
 
 import re
 
-from .circuit import VALID_LABELS, Circuit
+from .circuit import VALID_LABELS, Circuit, GateRecord
 from .errors import CircuitParseError
 from .gates import GateSpec
 
@@ -43,12 +50,12 @@ _QUBIT_RE = re.compile(r"^q\[(\d+)\]$")
 _PARAM_KINDS_INT = {"rot2": (True, True, False)}  # which params print as ints
 
 
-def _fmt_params(g: GateSpec) -> str:
-    if not g.params:
+def _fmt_params(kind: str, params: tuple[float, ...]) -> str:
+    if not params:
         return ""
-    ints = _PARAM_KINDS_INT.get(g.kind)
+    ints = _PARAM_KINDS_INT.get(kind)
     parts = []
-    for i, p in enumerate(g.params):
+    for i, p in enumerate(params):
         if ints and ints[i]:
             parts.append(str(int(p)))
         else:
@@ -70,22 +77,38 @@ def emit_text(circuit: Circuit) -> str:
     wires: dict[tuple, str] = {}
     ctrls: dict[tuple, str] = {}
     rendered: dict[int, list[str]] = {}  # id of a part -> its lines
+    by_key: dict[tuple, list[str]] = {}  # key of a record -> its lines
+
+    def wire(targets, controls) -> str:
+        key = (targets, controls)
+        text = wires.get(key)
+        if text is None:
+            tail = ctrls.get(controls)
+            if tail is None:
+                tail = ctrls[controls] = _fmt_controls(controls, names)
+            text = wires[key] = "".join([names[t] for t in targets]) + tail
+        return text
+
+    def record_lines(record) -> list[str]:
+        return [kind + _fmt_params(kind, params) + wire(targets, controls)
+                for kind, params, targets, controls, _ in record.fields()]
 
     def part_lines(part) -> list[str]:
+        if type(part) is GateRecord:
+            key = part.key
+            try:
+                text = by_key.get(key)
+            except TypeError:  # a key holding circuits
+                return record_lines(part)
+            if text is None:
+                text = by_key[key] = record_lines(part)
+            return text
         text = rendered.get(id(part))
         if text is not None:
             return text
         if type(part) is list:
-            text = []
-            for g in part:
-                key = (g.targets, g.controls)
-                wire = wires.get(key)
-                if wire is None:
-                    tail = ctrls.get(g.controls)
-                    if tail is None:
-                        tail = ctrls[g.controls] = _fmt_controls(g.controls, names)
-                    wire = wires[key] = "".join([names[t] for t in g.targets]) + tail
-                text.append(g.kind + _fmt_params(g) + wire)
+            text = [g.kind + _fmt_params(g.kind, g.params) + wire(g.targets, g.controls)
+                    for g in part]
         elif part.reversed:
             text = part_lines(part.forward)[::-1]
         else:  # a block of x gates, rendered without building them

@@ -33,7 +33,6 @@ from .qdb import (
     QdbLayout,
     _encoding,
     _grow,
-    _sensor_prep_circuit,
     pattern_permutation_circuit,
     permute,
     permute_meta,
@@ -185,7 +184,10 @@ def _write_through_sensor(db, label: int, word) -> tuple[StateVector, Circuit]:
     kept = write(db, label, word, keep_sensor=True)
     sensor = kept.sensor_qubits
     value = db.descriptor.data_value(label) ^ kept.descriptor.data_value(label)
-    unprep = _sensor_prep_circuit(value, sensor, db.descriptor.u_d, sensor[-1] + 1).inverse()
+    n = sensor[-1] + 1
+    prep = Circuit(n, [x(q) for b, q in enumerate(sensor) if (value >> b) & 1])
+    enc = _encoding(db.descriptor.u_d, n, sensor)
+    unprep = (prep if enc is None else prep + enc).inverse()
     return drop_qubits(simulate(unprep, kept.state), sensor), _grow(kept.circuit, unprep)
 
 
@@ -266,14 +268,16 @@ def _check_db_ops() -> str:
 
 def _check_history() -> str:
     """A build history of shared parts against its flat gates. A database
-    under u_d = ry(0.7) is prepared with data, written twice and extended
-    by a transfer with a full step (m = 1), whose u and u^-1 parts every
-    step shares. Its flat gates, simulated one by one from |0...0>, must
-    give the live state within ``STATE_TOL``, and ``emit()``, which renders
-    each shared part once and a reversed data-write block backwards, must
-    equal the text of the flat gates."""
+    under u_d = ry(0.7) is prepared with data, written twice (two write
+    records), extended by a transfer with a full step (m = 1), whose u and
+    u^-1 parts every step shares, and permuted by a 3-cycle whose route
+    (a permute record) runs through the index qubit the growth added. Its
+    flat gates, simulated one by one from |0...0>, must give the live state
+    within ``STATE_TOL``, and ``emit()``, which renders each shared part
+    once, a reversed data-write block backwards and each record from its
+    fields, must equal the text of the flat gates."""
     db = prepare_general(16, 0, {1: "1", 5: "1", 9: "1"}, m_data=1, u_d=_RY_ENCODING)
-    db = extend(write(write(db, 3, "1"), 5, "1"), 16)
+    db = permute(extend(write(write(db, 3, "1"), 5, "1"), 16), {3: 9, 9: 20, 20: 3})
     text = db.emit()
     history = db.circuit
     state = StateVector.zero(history.n_qubits)
@@ -284,8 +288,9 @@ def _check_history() -> str:
         raise VerificationError("the flat history does not rebuild the live state")
     if text != emit_text(history):
         raise VerificationError("emit() differs from the text of the flat history")
-    return (f"{len(history)} history gates under u_d = ry(0.7), simulated one by one, "
-            "rebuild the live state; emit() matches the flat text")
+    return (f"{len(history)} history gates under u_d = ry(0.7), with write and "
+            "permute records, simulated one by one, rebuild the live state; "
+            "emit() matches the flat text")
 
 
 def _check_derived_records() -> str:

@@ -17,7 +17,7 @@ from conftest import (
     assert_register_scan_matches_brute_force,
     state_matches_oracle,
 )
-from qdbsim.circuit import Circuit, simulate
+from qdbsim.circuit import Circuit, GateRecord, simulate
 from qdbsim.dumps import dump_records
 from qdbsim.errors import (
     CapacityError,
@@ -25,11 +25,13 @@ from qdbsim.errors import (
     VerificationError,
 )
 from qdbsim.extend import extend, extend_imbalanced, transfer, unfold
-from qdbsim.gates import GateSpec, h, phase, ry, x
+from qdbsim.gates import GateSpec, gate_inverse, h, phase, ry, x
 from qdbsim.oracle import expected_qdb_amplitudes, permutation_matrix
 from qdbsim.qdb import (
     QdbDescriptor,
     QdbLayout,
+    _decoded,
+    _encoding,
     _grow,
     _moves,
     index_width,
@@ -394,7 +396,7 @@ def test_folded_write_matches_sensor_register_write(k, m, shape, seed):
 def test_folded_write_checks_that_the_entry_moved(monkeypatch):
     db = prepare_general(4, 0, {1: "01"}, m_data=2)
     qdb = importlib.import_module("qdbsim.qdb")
-    monkeypatch.setattr(qdb, "simulate", lambda circuit, state: state)  # toggles lost
+    monkeypatch.setattr(qdb, "move_amplitudes", lambda *args: None)  # the fold's move lost
     with pytest.raises(VerificationError, match="amplitude behind"):
         write(db, 1, "11")
 
@@ -909,6 +911,28 @@ def test_permutation_forms_name_the_same_moves():
         permute_meta(meta, [0, 1])
 
 
+@pytest.mark.parametrize("call,what", [
+    (lambda db: permute(db, {1.7: 2.2, 2.2: 1.7}), "permutation label"),
+    (lambda db: permute(db, [0, 2.9, 1.2, 3]), "permutation label"),
+    (lambda db: permute(db, {"1": "2", "2": "1"}), "permutation label"),
+    (lambda db: write(db, 1, 2.7), "data word"),
+    (lambda db: prepare_general(4, 0, {1: 2.7}, m_data=2), "data word"),
+    (lambda db: prepare_general(4, 0, {1.5: "1"}, m_data=2), "data label"),
+], ids=["permute-dict-floats", "permute-list-floats", "permute-dict-strings",
+        "write-float-word", "prepare-float-word", "prepare-float-label"])
+def test_non_integral_labels_and_words_are_refused_not_truncated(call, what):
+    db = prepare_general(4, 0, {1: "01", 2: "10"}, m_data=2)
+    with pytest.raises(SemanticError, match=f"^{what} must be an integer"):
+        call(db)
+
+
+def test_integral_floats_and_numpy_integers_still_name_labels_and_words():
+    db = prepare_general(4, 0, {np.int64(1): 1.0, 2: "10"}, m_data=2)
+    assert db.descriptor.data == {1: "01", 2: "10"}
+    assert permute(db, {1.0: np.int64(2), 2: 1}).descriptor.data == {2: "01", 1: "10"}
+    assert write(db, 2, np.int64(3)).descriptor.data_value(2) == 0b01
+
+
 def test_relabel_contiguous_after_removal():
     db = prepare_general(4, 0, {1: "01", 2: "10", 3: "11"}, m_data=2)
     out = remove_projective(db, 1)
@@ -1093,15 +1117,19 @@ def _assert_history_matches_its_flat_gates(db):
     assert simulate(flat).amplitudes.tobytes() == state.amplitudes.tobytes()
 
 
-HISTORY_OPS = ("write", "extend", "transfer", "permute", "remove-reservoir",
-               "remove-projective", "imbalanced-direct", "imbalanced-marker", "read-copy")
+HISTORY_OPS = ("write", "write-keep-sensor", "write-swap", "extend", "transfer", "permute",
+               "permute-list", "remove-reservoir", "remove-projective", "imbalanced-direct",
+               "imbalanced-marker", "read-copy")
 
 
 def _history_op(data, db, op):
     labels = [j for j in db.layout.labels if j]
     label = data.draw(st.sampled_from(labels or [0]), label="label")
-    if op == "write":
-        return write(db, label, data.draw(st.integers(1, 2 ** db.descriptor.m_data - 1)))
+    if op.startswith("write"):
+        word = data.draw(st.integers(1, 2 ** db.descriptor.m_data - 1), label="word")
+        if op == "write-swap":
+            return write_swap_conditional(db, label, word)
+        return write(db, label, word, keep_sensor=op == "write-keep-sensor")
     if op == "extend":  # k >= 16 with l = k takes a full step (m >= 1)
         return extend(db, data.draw(st.integers(1, db.k), label="l"))
     if op == "transfer":
@@ -1109,6 +1137,8 @@ def _history_op(data, db, op):
     if op == "permute":
         other = data.draw(st.sampled_from(db.layout.labels), label="other")
         return permute(db, {label: other, other: label})
+    if op == "permute-list":  # refused unless the labels are 0..k-1
+        return permute(db, [0] + data.draw(st.permutations(range(1, db.k)), label="perm"))
     if op == "remove-reservoir":
         return remove_reservoir(db, label)
     if op == "remove-projective":
@@ -1141,7 +1171,9 @@ def test_history_parts_emit_and_simulate_as_their_flat_gates(data):
             db = new
 
 
-def test_preparation_builds_gates_by_index_width_not_by_data_bit(monkeypatch):
+@pytest.fixture
+def built_gates(monkeypatch):
+    """The kind of each gate built from here on, checked or not."""
     built = []
     real_built, real_check = GateSpec._built.__func__, GateSpec.__post_init__
 
@@ -1155,6 +1187,11 @@ def test_preparation_builds_gates_by_index_width_not_by_data_bit(monkeypatch):
 
     monkeypatch.setattr(GateSpec, "_built", classmethod(counted_built))
     monkeypatch.setattr(GateSpec, "__post_init__", counted_check)
+    return built
+
+
+def test_preparation_builds_gates_by_index_width_not_by_data_bit(built_gates):
+    built = built_gates
     k = 2 ** 12
     db = prepare_general(k, 0, {j: 1 + j % 15 for j in range(1, k)}, m_data=4)
     data_bits = sum(bin(1 + j % 15).count("1") for j in range(1, k))
@@ -1162,3 +1199,94 @@ def test_preparation_builds_gates_by_index_width_not_by_data_bit(monkeypatch):
     # the index spread's rotations only: at most three per index qubit
     assert len(built) <= 3 * index_width(k)
     db.check()
+
+
+def test_writes_and_permutes_build_no_gates_until_asked(built_gates):
+    db = prepare_general(16, 0, {j: 1 + j % 15 for j in range(1, 16, 2)}, m_data=4)
+    before = len(db.circuit)
+    built_gates.clear()
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        a, b = (int(j) for j in rng.choice(np.arange(1, 16), size=2, replace=False))
+        db = write(db, a, int(rng.integers(1, 16)))
+        db = permute(db, {a: b, b: a})
+    text = db.emit()
+    assert built_gates == []
+    assert len(db.circuit) > before + 40 * (4 + 1)
+    # asked for, the gates are built and say what was emitted
+    history = db.circuit
+    flat = Circuit(history.n_qubits, list(history.extended(history.n_qubits).gates),
+                   dict(history.labels))
+    assert built_gates and emit_text(flat) == text
+
+
+def _records(circ):
+    return [part for part in circ._leaves() if type(part) is GateRecord]
+
+
+def _write_gates_built_at_once(db, label, value, mode):
+    """The gates a write recorded as records, built as ``write`` and
+    ``write_swap_conditional`` built them before records: the sensor
+    prepared in |value> and encoded, then one swap per data bit ("swap") or
+    the toggles inside the encoding of sensor and data, then, for a folded
+    write ("write"), the preparation undone."""
+    data, u_d = db.layout.data_qubits, db.descriptor.u_d
+    sensor = tuple(range(db.n_qubits, db.n_qubits + len(data)))
+    n = sensor[-1] + 1
+    ctrls = db.layout.pattern_controls(label)
+    prep = Circuit(n, [x(q) for b, q in enumerate(sensor) if (value >> b) & 1])
+    if u_d is not None:
+        prep += _encoding(u_d, n, sensor)
+    if mode == "swap":
+        core = Circuit(n, [GateSpec("swap", (), (dq, sensor[b]), ctrls)
+                           for b, dq in enumerate(data)])
+    else:
+        core = _decoded(Circuit(n, [GateSpec("x", (), (dq,), ctrls + ((sensor[b], 1),))
+                                    for b, dq in enumerate(data)]),
+                        _encoding(u_d, n, sensor, data))
+    circ = prep + core
+    return (circ + prep.inverse() if mode == "write" else circ).gates
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_records_hold_the_gates_their_ops_would_build(data):
+    u_d = data.draw(st.sampled_from([None, H_ENCODING, RY_ENCODING]), label="u_d")
+    t = data.draw(st.integers(1, 5), label="index qubits")
+    k = data.draw(st.integers(2 ** (t - 1) + 1, 2 ** t), label="k")
+    m = 1 if u_d is not None else data.draw(st.integers(1, 3), label="m")
+    db = prepare_general(k, 0, {1: 1}, m_data=m, u_d=u_d)
+    # the reservoir stays put; the rest may form several cycles
+    perm = [0] + data.draw(st.permutations(range(1, k)), label="perm")
+    moved = permute(db, perm)
+    routing = {j: p for j, p in enumerate(perm) if j != p}  # fresh layout: labels are patterns
+    if routing:
+        (record,) = _records(moved.circuit)
+        want = pattern_permutation_circuit(routing, db.layout.index_qubits, db.n_qubits)
+        assert len(record) == len(record.gates) == len(want)
+        assert record.gates == want.gates
+    label = data.draw(st.integers(1, k - 1), label="label")
+    word = data.draw(st.integers(0, 2 ** m - 1), label="word")
+    mode = data.draw(st.sampled_from(["write", "keep", "swap"]), label="mode")
+    if mode == "swap":
+        written = write_swap_conditional(moved, label, word)
+    else:
+        written = write(moved, label, word, keep_sensor=mode == "keep")
+    # the sensor's preparation, the core and, for a folded write, the
+    # preparation undone
+    records = _records(written.circuit)[len(_records(moved.circuit)):]
+    assert len(records) == (3 if mode == "write" else 2)
+    assert all(len(rec) == len(rec.gates) for rec in records)
+    assert [g for rec in records for g in rec.gates] == _write_gates_built_at_once(
+        moved, label, word, mode)
+    # the history inverted keeps its records in reverse order, each one read
+    # the other way, and stands for the inverse of its gates, which it emits
+    history = written.circuit
+    n = history.n_qubits
+    inverse = history.inverse()
+    assert [rec.key for rec in _records(inverse)] == [
+        (fields_of, args, not reversed_) for fields_of, args, reversed_
+        in reversed([rec.key for rec in _records(history)])]
+    flat = [gate_inverse(g) for g in reversed(history.extended(n).gates)]
+    assert emit_text(inverse) == emit_text(Circuit(n, flat, dict(history.labels)))
+    assert inverse.gates == flat

@@ -94,9 +94,12 @@ def test_database_ops_check_catches_a_permute_that_moves_other_bits(monkeypatch)
 
     move = qdb_mod.move_amplitudes
 
-    def negated(state, *args):  # the right entries, one amplitude's sign flipped
-        move(state, *args)
-        state.amplitudes[np.flatnonzero(state.amplitudes)[0]] *= -1
+    def negated(state, wires, sources, targets, masks):
+        # a route's right entries, one amplitude's sign flipped; the write
+        # fold, whose pattern stays in place, moves as it should
+        move(state, wires, sources, targets, masks)
+        if sources != targets:
+            state.amplitudes[np.flatnonzero(state.amplitudes)[0]] *= -1
 
     assert "permute matches its routing gates" in verify_mod._check_db_ops()
     monkeypatch.setattr(qdb_mod, "move_amplitudes", negated)
