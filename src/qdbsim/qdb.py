@@ -578,11 +578,6 @@ def _gray_steps(pairs, index_qubits):
         yield from steps[-2::-1]
 
 
-def _gray_size(pairs) -> int:
-    """How many gates ``_gray_steps`` yields for ``pairs``."""
-    return sum(2 * (a ^ b).bit_count() - 1 for a, b in pairs)
-
-
 def transposition_circuit(pat_a: int, pat_b: int, index_qubits, n_qubits: int) -> Circuit:
     """Exchange two index patterns, acting as identity elsewhere.
 
@@ -1345,7 +1340,7 @@ def permute(db: QdbState, perm) -> QdbState:
     routing = {lmap[j]: lmap[t] for j, t in moves.items()}
     index_qubits = db.layout.index_qubits
     pairs = _transpositions(routing)
-    size = _gray_size(pairs)
+    size = sum(2 * (a ^ b).bit_count() - 1 for a, b in pairs)  # gates _gray_steps yields
     circ = Circuit._joined(db.n_qubits, (GateRecord(_gray_steps, (pairs, index_qubits), size),),
                            {}, size)
     state = db.state.copy()
