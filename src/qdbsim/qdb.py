@@ -28,7 +28,7 @@ from .statevector import (
     StateVector,
     _check_budget,
     _register_scan,
-    _selector,
+    _slot,
     drop_qubits,
     move_amplitudes,
     project,
@@ -891,17 +891,14 @@ def _word_value(meta: QdbMeta, label: int, word: int | str) -> int:
     return value
 
 
-def _check_occupied(db: QdbState, label: int) -> tuple[tuple[int, int], ...]:
-    """Raise unless entry ``label`` (already known to the layout) carries
-    amplitude, a weight above ``EMPTY_ENTRY_WEIGHT``; reads only the
-    amplitudes at that entry's index pattern. Returns the controls that
-    select the pattern."""
-    n = db.n_qubits
-    ctrls = db.layout.pattern_controls(label)
-    entry = db.state.amplitudes.reshape((2,) * n)[_selector(n, ctrls)]
+def _check_occupied(state: StateVector, layout: QdbLayout, label: int):
+    """Raise unless entry ``label`` (already known to ``layout``) carries
+    amplitude in ``state``, a weight above ``EMPTY_ENTRY_WEIGHT``; reads
+    only the slice at that entry's index pattern."""
+    entry = _slot(state.amplitudes.reshape((2,) * state.n_qubits), layout.index_qubits,
+                  layout.pattern(label))
     if not np.vdot(entry, entry).real > EMPTY_ENTRY_WEIGHT:
         raise SemanticError(f"entry {label} carries no amplitude")
-    return ctrls
 
 
 def write_meta(meta: QdbMeta, label: int, word: int | str, *,
@@ -980,26 +977,34 @@ def _write_circuit(db: QdbState, mode: str, label: int, value: int, sensor) -> C
     return Circuit._joined(n, (prep, core), labels, prep_size + core_size)
 
 
-def _write_folded(db: QdbState, label: int, value: int) -> StateVector:
+def _write_folded(db: QdbState, label: int, value: int, width: int) -> StateVector:
     """The write core on the unwidened state: each sensor bit is a classical
     bit of ``value``, so data bit b toggles on the entry's pattern exactly
-    when bit b of ``value`` is set, inside the data encoding, if any. The
-    toggles move the entry's slice at once, by one mask
-    (``move_amplitudes``), on the one copy of the state the fold makes (the
-    decoded copy under an encoding).
+    when bit b of ``value`` is set, inside the data encoding, if any.
 
-    Raises VerificationError unless the amplitude at the entry's old
-    computational word has moved to its new word.
+    The fold reads the entry from its source, the input state (its decoded
+    copy under an encoding), and checks in order:
+
+    * that the entry is occupied (SemanticError), from its slice;
+    * that ``width`` qubits, the database with its sensor, fit the budget
+      (CapacityError);
+    * after the move, that the amplitude at the entry's old computational
+      word has reached its new word (VerificationError), two amplitudes
+      read at indices one mask apart.
+
+    The toggles move the entry's slice at once, by one mask, from the source
+    into its one copy (``move_amplitudes``, out of place).
     """
     layout = db.layout
     enc = _encoding(db.descriptor.u_d, db.n_qubits, layout.data_qubits)
-    state = db.state.copy() if enc is None else simulate(enc.inverse(), db.state)
-    old = db.descriptor.data_value(label)
-    moved = state.amplitudes[layout.physical_index(label, old)]
-    pattern = layout.pattern(label)
-    move_amplitudes(state, layout.index_qubits, (pattern,), (pattern,),
-                    (layout._place(0, value),))
-    if abs(state.amplitudes[layout.physical_index(label, old ^ value)] - moved) > STATE_TOL:
+    source = db.state if enc is None else simulate(enc.inverse(), db.state)
+    _check_occupied(source, layout, label)
+    _check_budget(width, db.max_qubits)
+    pattern, mask = layout.pattern(label), layout._place(0, value)
+    state = source.copy()
+    move_amplitudes(state, layout.index_qubits, (pattern,), (pattern,), (mask,), src=source)
+    at = layout._place(pattern, db.descriptor.data_value(label))
+    if abs(state.amplitudes[at ^ mask] - source.amplitudes[at]) > STATE_TOL:
         raise VerificationError(f"write left entry {label}'s amplitude behind")
     return state if enc is None else simulate(enc, state)
 
@@ -1019,9 +1024,15 @@ def write(db: QdbState, label: int, word: int | str, *,
     The sensor is never entangled, so its controls are classical bits of
     ``word``, and by default the simulation folds them away
     (``_write_folded``): it toggles the entry's data bits on the unwidened
-    state. Instead of the sensor's purity it then checks that the amplitude
+    state, moving the entry's slice once from the input state into its one
+    copy. Instead of the sensor's purity it then checks that the amplitude
     at the entry's old word has moved to the new word (VerificationError
     otherwise).
+
+    The checks run in one order on either path: the transition
+    (``write_meta``), then that the entry carries amplitude
+    (SemanticError), then that the sensor fits the budget, then the move
+    and its own check.
 
     ``keep_sensor`` leaves the sensor attached for inspection: the whole
     sensor register is simulated, the returned state carries
@@ -1032,13 +1043,14 @@ def write(db: QdbState, label: int, word: int | str, *,
     registers, as ``_decoded`` would place them.
     """
     new = write_meta(db.meta, label, word, keep_sensor=keep_sensor)
-    _check_occupied(db, label)
     value = db.descriptor.data_value(label) ^ new.descriptor.data_value(label)
     sensor = _fresh_register(db.layout)
-    _check_budget(sensor[-1] + 1, db.max_qubits)
-    circ = _write_circuit(db, "keep" if keep_sensor else "write", label, value, sensor)
     if not keep_sensor:
-        return _advance(db, new, circ, _write_folded(db, label, value))
+        state = _write_folded(db, label, value, sensor[-1] + 1)
+        return _advance(db, new, _write_circuit(db, "write", label, value, sensor), state)
+    _check_occupied(db.state, db.layout, label)
+    _check_budget(sensor[-1] + 1, db.max_qubits)
+    circ = _write_circuit(db, "keep", label, value, sensor)
     state = simulate(circ, db.state, max_qubits=db.max_qubits)
     purity = schmidt(state, sensor).purity
     if abs(purity - 1.0) > WRITE_PURITY_TOL:
@@ -1063,7 +1075,7 @@ def write_swap_conditional(db: QdbState, label: int, word: int | str) -> QdbStat
     up entangled with the database. The returned state keeps the sensor.
     """
     new = write_swap_meta(db.meta, label, word)
-    _check_occupied(db, label)
+    _check_occupied(db.state, db.layout, label)
     return _advance(db, new, _write_circuit(db, "swap", label,
                                             new.descriptor.data_value(label),
                                             new.sensor_qubits))
@@ -1108,7 +1120,8 @@ def read_copy(db: QdbState, label: int) -> QdbState:
     the copy register holds the word unencoded.
     """
     new = read_copy_meta(db.meta, label)
-    return _copy_data(db, new, _check_occupied(db, label))
+    _check_occupied(db.state, db.layout, label)
+    return _copy_data(db, new, db.layout.pattern_controls(label))
 
 
 def read_copy_all(db: QdbState) -> QdbState:
@@ -1194,10 +1207,11 @@ def remove_reservoir(db: QdbState, label: int) -> QdbState:
     grows by one; the label and its index pattern leave the layout.
     """
     new = remove_reservoir_meta(db.meta, label)
-    _check_occupied(db, label)
     value = db.descriptor.data_value(label)
     if value:
-        db = write(db, label, value)
+        db = write(db, label, value)  # refuses an entry that carries no amplitude
+    else:
+        _check_occupied(db.state, db.layout, label)
     n = db.n_qubits
     enc = _encoding(db.descriptor.u_d, n, db.layout.data_qubits)
     decoded = db.state if enc is None else simulate(enc.inverse(), db.state)
@@ -1247,7 +1261,7 @@ def remove_projective(db: QdbState, label: int) -> RemovalOutcome:
     ``success_state`` is None.
     """
     _, new = remove_projective_meta(db.meta, label)
-    _check_occupied(db, label)
+    _check_occupied(db.state, db.layout, label)
     hit = _register_scan(db.state, db.layout.index_qubits, db.layout.pattern(label))
     amps = db.state.amplitudes
     p_fail = float(np.sum(np.abs(amps[hit]) ** 2))
@@ -1328,9 +1342,10 @@ def permute(db: QdbState, perm) -> QdbState:
 
     The build circuit records the routing: one record (``GateRecord``) of
     the plan of ``pattern_permutation_circuit``, its transpositions, whose
-    gates are made only when asked for. The amplitudes move without them,
-    on one copy of the state, each moved pattern's slice sent to its target
-    (``move_amplitudes``).
+    gates are made only when asked for. The amplitudes move without them:
+    the state is copied once, and each moved pattern's slice is copied from
+    the input state into that copy at its target (``move_amplitudes``, out
+    of place).
     """
     meta = db.meta
     new, moves = permute_meta(meta, perm)
@@ -1345,7 +1360,7 @@ def permute(db: QdbState, perm) -> QdbState:
                            {}, size)
     state = db.state.copy()
     move_amplitudes(state, index_qubits, tuple(routing), tuple(routing.values()),
-                    (0,) * len(routing))
+                    (0,) * len(routing), src=db.state)
     return _advance(db, new, circ, state)
 
 

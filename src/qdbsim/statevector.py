@@ -9,9 +9,13 @@ Conventions
   ``StateVector`` and never mutates its input. The exceptions are asked for
   by name: ``apply_gate(state, gate, out=target)`` writes its result into
   ``target``, which may be ``state`` itself, and ``move_amplitudes``
-  updates the state it is given. ``circuit.simulate`` makes one copy of its
-  input, widened by ``add_ancillas`` when the circuit is wider, and updates
-  that copy through them.
+  writes the state it is given. It moves that state in place, or, out of
+  place, writes only its destination, on the patterns it names, reading
+  them from ``src=``, which it never writes. ``circuit.simulate`` makes
+  one copy of its input, widened by ``add_ancillas`` when the circuit is
+  wider, and updates that copy in place through them; an op that only
+  moves amplitudes (``qdb.write``'s fold, ``qdb.permute``) copies its
+  input once and moves into the copy out of place.
 * Gates work on the ``(2,)*n`` view of the amplitudes, in which axis
   ``n-1-q`` is qubit ``q``. Each control fixes its axis, so a gate reads and
   writes only the slices its controls select; the norm check is taken over
@@ -98,7 +102,10 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
     def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes, copy=True)
+        # the amplitudes were checked when this state was made
+        out = object.__new__(StateVector)
+        out.n_qubits, out.amplitudes = self.n_qubits, self.amplitudes.copy()
+        return out
 
     def __repr__(self):
         return f"StateVector(n_qubits={self.n_qubits})"
@@ -247,13 +254,23 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
 _MOVE_CHUNK = 1 << 17  # amplitudes gathered at once by move_amplitudes
 
 
-def move_amplitudes(state: StateVector, wires, sources, targets, masks) -> None:
-    """Move amplitudes of ``state`` in place, with no arithmetic: every
-    amplitude on pattern ``sources[i]`` of the qubits ``wires`` (bit j on
+def move_amplitudes(state: StateVector, wires, sources, targets, masks, *,
+                    src: StateVector | None = None) -> None:
+    """Move amplitudes into ``state``, with no arithmetic: every amplitude
+    on pattern ``sources[i]`` of the qubits ``wires`` (bit j on
     ``wires[j]``), with free bits f, goes to pattern ``targets[i]`` with free
     bits f XOR ``masks[i]`` (bit q flips qubit q, which is not a wire). The
-    targets are the sources in some order; patterns not named stay put.
-    Every amplitude keeps its bits, and no index array spans the state:
+    targets are the sources in some order. Every amplitude keeps its bits,
+    and no index array spans the state.
+
+    With ``src``, a state as wide as ``state`` that shares no memory with
+    it, the move is out of place: the amplitudes are read from ``src``,
+    which is not written, and each named pattern is one slice copy into
+    ``state``, whose amplitudes on the patterns not named stay as they
+    were. This is how an op moves its input state into its own copy.
+
+    Without ``src``, ``state`` is moved in place and patterns not named stay
+    put:
 
     * One pattern that stays in place trades the halves of its slice, split
       on the mask's highest qubit, one read reversed along the mask's other
@@ -265,13 +282,20 @@ def move_amplitudes(state: StateVector, wires, sources, targets, masks) -> None:
       held, each slice is copied into the one it moves to, and the held one
       goes last, so the temporary is one slice.
 
-    The three tables are sequences of one type: a route's are tuples or
-    lists of Python ints, which are compared and used as they come. A table
-    that stays in place may also be numpy arrays, one array passed as both
-    ``sources`` and ``targets``.
+    The three tables are sequences of one type: an out-of-place move's and
+    a route's are tuples or lists of Python ints, which are compared and
+    used as they come. A table that stays in place may also be numpy
+    arrays, one array passed as both ``sources`` and ``targets``.
     """
     n = state.n_qubits
     tensor = state.amplitudes.reshape((2,) * n)
+    if src is not None:
+        if src.n_qubits != n:
+            raise SemanticError(f"src has {src.n_qubits} qubits, state has {n}")
+        read = src.amplitudes.reshape((2,) * n)
+        for source, target, mask in zip(sources, targets, masks):
+            _slot(tensor, wires, target, mask)[...] = _slot(read, wires, source)
+        return
     if len(sources) == 1 and sources[0] == targets[0]:
         _trade_halves(tensor, wires, int(sources[0]), int(masks[0]))
         return
@@ -323,20 +347,24 @@ def move_amplitudes(state: StateVector, wires, sources, targets, masks) -> None:
             held.reshape(chunk.size, size), source, axis=1).reshape(held.shape)
 
 
+_WHOLE, _REVERSED = slice(None), slice(None, None, -1)
+
+
 def _slot(tensor: np.ndarray, wires, pattern: int, mask: int = 0) -> np.ndarray:
     """The slice of the ``(2,)*n`` view ``tensor`` on which ``wires`` read
     ``pattern``, reversed along each qubit of ``mask``: what is written at
     free bits f of it lands at f XOR mask."""
     n = tensor.ndim
-    idx = [slice(None)] * n
+    idx = [_WHOLE] * n
     for j, q in enumerate(wires):
         idx[n - 1 - q] = (pattern >> j) & 1
     while mask:
         low = mask & -mask
-        idx[n - low.bit_length()] = slice(None, None, -1)
+        idx[n - low.bit_length()] = _REVERSED
         mask ^= low
     # the Ellipsis keeps a view when every axis is fixed (see _selector)
-    return tensor[(*idx, Ellipsis)]
+    idx.append(Ellipsis)
+    return tensor[tuple(idx)]
 
 
 def _trade_halves(tensor: np.ndarray, wires, pattern: int, mask: int) -> None:

@@ -249,10 +249,11 @@ def moves(draw):
 
 @settings(deadline=None, max_examples=150)
 @given(move=moves(), seed=st.integers(0, 2**32 - 1),
-       chunk=st.sampled_from([1, 8, 1 << 17]))
-def test_move_amplitudes_matches_an_explicit_index_map(move, seed, chunk):
+       chunk=st.sampled_from([1, 8, 1 << 17]), out_of_place=st.booleans())
+def test_move_amplitudes_matches_an_explicit_index_map(move, seed, chunk, out_of_place):
     n, wires, sources, targets, masks = move
-    state = signed_zero_state(np.random.default_rng(seed), n)
+    rng = np.random.default_rng(seed)
+    state = signed_zero_state(rng, n)
     index = np.arange(2**n)
     pattern = sum(((index >> q) & 1) << j for j, q in enumerate(wires))
     dest = index.copy()
@@ -262,14 +263,31 @@ def test_move_amplitudes_matches_an_explicit_index_map(move, seed, chunk):
         for j, q in enumerate(wires):  # pattern bits src -> dst
             moved ^= (((src ^ dst) >> j) & 1) << q
         dest[on] = moved
-    want = np.empty_like(state.amplitudes)
-    want[dest] = state.amplitudes
-    got = state.copy()
-    # a chunk of 1 moves each pattern by trading halves, 8 gathers a few
-    # patterns at once, 2^17 every pattern
+    before = state.amplitudes.tobytes()
+    if out_of_place:
+        # into a state of its own bits: only the named patterns' moves land
+        got = signed_zero_state(rng, n)
+        named = np.isin(pattern, sources)
+        want = got.amplitudes.copy()
+        want[dest[named]] = state.amplitudes[named]
+    else:
+        got = state.copy()
+        want = np.empty_like(state.amplitudes)
+        want[dest] = state.amplitudes
+    # in place, a chunk of 1 moves each pattern by trading halves, 8 gathers
+    # a few patterns at once, 2^17 every pattern
     with mock.patch.object(statevector, "_MOVE_CHUNK", chunk):
-        statevector.move_amplitudes(got, wires, sources, targets, masks)
+        statevector.move_amplitudes(got, wires, sources, targets, masks,
+                                    src=state if out_of_place else None)
     assert got.amplitudes.tobytes() == want.tobytes()
+    if out_of_place:  # the source is only read
+        assert state.amplitudes.tobytes() == before
+
+
+def test_an_out_of_place_move_needs_a_source_as_wide_as_its_destination():
+    with pytest.raises(SemanticError, match="src has 2 qubits, state has 3"):
+        statevector.move_amplitudes(StateVector.zero(3), (0,), (1,), (1,), (0,),
+                                    src=StateVector.zero(2))
 
 
 @st.composite

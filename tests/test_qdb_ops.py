@@ -237,6 +237,21 @@ def test_write_into_entry_without_amplitude_fails():
     assert write(ghost, 2, "1").descriptor.data_value(2) == 1
 
 
+@pytest.mark.parametrize("u_d", [None, RY_ENCODING], ids=["plain", "u_d"])
+def test_hollow_entry_is_refused_whether_or_not_it_holds_data(u_d):
+    # entry 1 holds a word, so its removal writes it off first; entry 3 does not
+    db = prepare_general(4, 0, {1: "1"}, u_d=u_d)
+    index = db.layout.index_qubits
+    hit = (_register_scan(db.state, index, db.layout.pattern(1))
+           | _register_scan(db.state, index, db.layout.pattern(3)))
+    ghost = dataclasses.replace(db, state=project(db.state, ~hit)[0])
+    for label in (1, 3):
+        for op in (remove_reservoir, lambda d, j: write(d, j, 1),
+                   lambda d, j: write(d, j, 1, keep_sensor=True)):
+            with pytest.raises(SemanticError, match=f"^entry {label} carries no amplitude$"):
+                op(ghost, label)
+
+
 def test_hollow_entry_of_a_20_qubit_database_is_refused(monkeypatch, tmp_path, capsys):
     db = prepare_general(4096, 0, m_data=8)
     assert db.n_qubits == 20
@@ -396,9 +411,24 @@ def test_folded_write_matches_sensor_register_write(k, m, shape, seed):
 def test_folded_write_checks_that_the_entry_moved(monkeypatch):
     db = prepare_general(4, 0, {1: "01"}, m_data=2)
     qdb = importlib.import_module("qdbsim.qdb")
-    monkeypatch.setattr(qdb, "move_amplitudes", lambda *args: None)  # the fold's move lost
+    monkeypatch.setattr(qdb, "move_amplitudes", lambda *args, **kwargs: None)  # the fold's move lost
     with pytest.raises(VerificationError, match="amplitude behind"):
         write(db, 1, "11")
+
+
+def test_folded_write_checks_the_bits_its_entry_moved_by(monkeypatch):
+    db = prepare_general(4, 0, {1: "01"}, m_data=2)
+    qdb = importlib.import_module("qdbsim.qdb")
+    move = qdb.move_amplitudes
+    both = sum(1 << q for q in db.layout.data_qubits)
+
+    def misdirected(state, wires, sources, targets, masks, **kwargs):
+        # the move lands, but flips data bit 1 where the word sets bit 0
+        move(state, wires, sources, targets, [mask ^ both for mask in masks], **kwargs)
+
+    monkeypatch.setattr(qdb, "move_amplitudes", misdirected)
+    with pytest.raises(VerificationError, match="amplitude behind"):
+        write(db, 1, "01")
 
 
 def test_write_swap_conditional_keeps_sensor_and_moves_word():
@@ -822,6 +852,25 @@ def test_permute_moves_the_bits_its_routing_gates_would(data):
     assert moved.state.amplitudes.tobytes() == want.amplitudes.tobytes()
     assert len(moved.circuit) == len(db.circuit) + len(routing)
     assert moved.emit() == emit_text(_grow(db.circuit, routing))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_write_moves_the_bits_its_toggles_would(data):
+    name = data.draw(st.sampled_from(["fresh", "extended", "removed"]), label="layout")
+    db = _permute_layouts()[name]
+    layout = db.layout
+    label = data.draw(st.sampled_from(layout.labels[1:]), label="label")
+    word = data.draw(st.integers(0, 2 ** len(layout.data_qubits) - 1), label="word")
+    before = db.state.amplitudes.tobytes()
+    written = write(db, label, word)
+    assert db.state.amplitudes.tobytes() == before
+    # one x per set bit of the word, controlled on the entry's pattern
+    toggles = Circuit(db.n_qubits, [GateSpec("x", (), (q,), layout.pattern_controls(label))
+                                    for b, q in enumerate(layout.data_qubits)
+                                    if (word >> b) & 1])
+    want = simulate(toggles, db.state)
+    assert written.state.amplitudes.tobytes() == want.amplitudes.tobytes()
 
 
 def test_transpose_entries_at_k_1024_routes_the_full_map_gates():
