@@ -2,9 +2,9 @@
 decomposition of multi-controlled X gates.
 
 A circuit is an ordered gate sequence over a fixed-width register, held as
-a tuple of parts that are shared by reference (see ``Circuit``); a record
-part (``GateRecord``) keeps an op's arguments and makes its gates only when
-they are asked for. Qubits may
+a tuple of parts that are shared by reference (see ``Circuit``): gate lists
+and records (``GateRecord``), which keep an op's arguments and make their
+gates only when they are asked for. Qubits may
 carry register labels (``I`` index, ``D`` data, ``A`` ancilla, ``S``
 sensor) which are purely annotations: simulation ignores them, but layout
 bookkeeping and the text format carry them through.
@@ -38,24 +38,14 @@ class Circuit:
     """Gates over an ``n_qubits`` register, with register ``labels``.
 
     The gates are held as a tuple of parts. A part is a list of checked
-    gates, a tuple of parts, or one of two kinds that keep what they were
-    made from instead of their gates:
-
-    * A record (``GateRecord``) keeps an op's arguments and the generator
-      that yields the fields of its gates. ``qdb.write`` and
-      ``qdb.write_swap_conditional`` add records of the sensor's
-      preparation and of their core (a folded write also the preparation
-      undone), and ``qdb.permute`` a record of its transpositions.
-    * A block, ``qdb._DataWrite``, is a preparation's data-write block: ``x``
-      gates on one control set ``wires``, moved by its ``x_table()`` (each
-      pattern on ``wires`` with the mask of its targets, for
-      ``statevector.move_amplitudes``) and rendered from its ``x_entries()``
-      (each pattern with its targets, for ``emit_text``).
-
-    Both have a ``len``, iterate over their gates (built when first asked
-    for), have an ``inverse()``, and name the part they reverse,
-    ``forward`` (itself unless reversed), and whether they are
-    ``reversed``.
+    gates, a tuple of parts, or a record (``GateRecord``), which keeps an
+    op's arguments and the generator that yields the fields of its gates,
+    and builds the gates only when they are asked for. ``qdb.write`` and
+    ``qdb.write_swap_conditional`` add records of the sensor's preparation
+    and of their core (a folded write also the preparation undone),
+    ``qdb.permute`` a record of its transpositions, and a preparation a
+    record of its data-write block, which also offers a move table
+    (``GateRecord.table``).
 
     Parts are shared, not copied: ``+``, ``extended`` and the history's
     ``qdb._grow`` join part tuples, so a join costs the same at any length,
@@ -126,7 +116,7 @@ class Circuit:
         self._parts, self._own, self._size = (gates,), gates, 0
 
     def _leaves(self):
-        """The gate lists, records and blocks of the parts, in order."""
+        """The gate lists and records of the parts, in order."""
         parts = self._parts
         if len(parts) == 1 and type(parts[0]) is not tuple:
             return parts  # most circuits an op builds: one list
@@ -194,7 +184,7 @@ class Circuit:
 
     def inverse(self) -> "Circuit":
         """The parts in reverse order, each inverted: a gate list gate by
-        gate, a record or block by its own ``inverse``."""
+        gate, a record by its own ``inverse``."""
         parts = tuple([gate_inverse(g) for g in reversed(part)] if type(part) is list
                       else part.inverse() for part in reversed(list(self._leaves())))
         return Circuit._joined(self.n_qubits, parts, dict(self.labels), len(self))
@@ -249,7 +239,7 @@ class Circuit:
 
 
 def _walk(parts: tuple):
-    """The lists, records and blocks under nested part tuples, depth first, in order."""
+    """The lists and records under nested part tuples, depth first, in order."""
     stack = [parts]
     while stack:
         part = stack.pop()
@@ -269,18 +259,29 @@ class GateRecord:
     renders the fields without building them, and equal records once per
     call (``key``). The inverse is the record read backwards, each gate
     inverted, marked ``reversed``; ``forward`` is the record it reverses
-    (itself unless reversed).
+    (itself unless reversed). A reversed record builds its gates from its
+    forward's (``gate_inverse``), and yields its fields from its forward's
+    fields (``_inverted_fields``).
+
+    A record of ``x`` gates that share one control set and target none of
+    it (they commute, and each is its own inverse) may offer a move table,
+    ``table_of(*args)``: the control set, each pattern on it and the mask
+    its gates flip there, for ``statevector.move_amplitudes``. ``table()``
+    computes it once, on the forward record, and a reversed record moves by
+    its forward's table.
     """
 
-    __slots__ = ("fields_of", "args", "forward", "key", "_size", "_gates")
+    __slots__ = ("fields_of", "args", "forward", "key", "_size", "_gates",
+                 "_table_of", "_table")
 
     def __init__(self, fields_of, args: tuple, size: int,
-                 forward: "GateRecord | None" = None):
+                 forward: "GateRecord | None" = None, *, table_of=None):
         self.fields_of, self.args, self._size = fields_of, args, size
         self.forward = self if forward is None else forward
         # what fixes the gates: records with equal keys hold equal gates
         self.key = (fields_of, args, forward is not None)
-        self._gates = None
+        self._gates = self._table = None
+        self._table_of = table_of
 
     def __len__(self) -> int:
         return self._size
@@ -295,18 +296,28 @@ class GateRecord:
     def inverse(self) -> "GateRecord":
         if self.forward is not self:
             return self.forward
-        return GateRecord(self.fields_of, self.args, self._size, self)
+        return GateRecord(self.fields_of, self.args, self._size, self,
+                          table_of=self._table_of)
 
     def fields(self):
         """The fields of the gates, in order."""
-        if self.forward is self:
+        if not self.reversed:
             return self.fields_of(*self.args)
         return _inverted_fields(list(self.forward.fields()))
+
+    def table(self):
+        """The move table (see above), or None if the record offers none."""
+        fwd = self.forward
+        if fwd._table is None and fwd._table_of is not None:
+            fwd._table = fwd._table_of(*fwd.args)
+        return fwd._table
 
     @property
     def gates(self) -> list[GateSpec]:
         if self._gates is None:
-            self._gates = [GateSpec._built(*f) for f in self.fields()]
+            fwd = self.forward
+            self._gates = ([GateSpec._built(*f) for f in self.fields_of(*self.args)]
+                           if fwd is self else [gate_inverse(g) for g in reversed(fwd.gates)])
         return self._gates
 
 
@@ -342,9 +353,9 @@ def simulate(circuit: Circuit, state: StateVector | None = None,
     the parts run on it in place, so the caller's amplitudes are never
     written.
 
-    Amplitudes that only move go through ``move_amplitudes``. A block moves
-    by its table, with no gate built; a record runs its gates as a gate
-    list does. Within a gate list, each run of
+    Amplitudes that only move go through ``move_amplitudes``. A record
+    with a move table moves by it in one call, with no gate built; any other
+    record runs its gates as a gate list does. Within a gate list, each run of
     consecutive ``x`` gates sharing one ``_run_key``, the tuple C of their
     control qubits, moves at once: no target lies in C, so the gates
     commute, and pattern p of C moves by T[p], the XOR of the targets of
@@ -364,10 +375,12 @@ def simulate(circuit: Circuit, state: StateVector | None = None,
     for part in circuit._leaves():
         if type(part) is list:
             _run_gates(state, part)
-        elif type(part) is GateRecord:
+            continue
+        table = part.table()
+        if table is None:
             _run_gates(state, part.gates)
-        elif len(part):  # an empty block moves nothing
-            wires, patterns, masks = part.x_table()
+        elif len(part):  # an empty table moves nothing
+            wires, patterns, masks = table
             move_amplitudes(state, wires, patterns, patterns, masks)
     return state
 

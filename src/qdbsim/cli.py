@@ -145,9 +145,12 @@ def _parse_data_spec(spec: str, ln: int) -> dict[int, str]:
             raise ScriptError(ln, f"data entries look like label:bits, got {part!r}")
         label, _, bits = part.partition(":")
         try:
-            out[int(label)] = bits
+            label = int(label)
         except ValueError:
             raise ScriptError(ln, f"data label {label!r} is not an integer") from None
+        if label in out:
+            raise ScriptError(ln, f"data label {label} given twice")
+        out[label] = bits
     return out
 
 
@@ -157,9 +160,12 @@ def _parse_perm_spec(spec: str, ln: int):
         for part in spec.split(","):
             src, _, dst = part.partition(":")
             try:
-                out[int(src)] = int(dst)
+                src, dst = int(src), int(dst)
             except ValueError:
                 raise ScriptError(ln, f"bad mapping pair {part!r}") from None
+            if src in out:
+                raise ScriptError(ln, f"mapping label {src} given twice")
+            out[src] = dst
         return out
     try:
         return [int(tok) for tok in spec.split(",")]

@@ -174,8 +174,8 @@ def amplification_circuit(u_qdb: Circuit, db_qubits, plan: AmplificationPlan,
     reservoir branch |0>|u_d 0>, so they are conjugated by it
     (``qdb._decoded``).
 
-    u^-1 is built once, its data-write block only marked reversed
-    (``qdb._DataWrite``), and every step refers to the same parts of u and
+    u^-1 is built once, its data-write record only marked reversed
+    (``circuit.GateRecord``), and every step refers to the same parts of u and
     u^-1, as the ``plan.m`` full steps do to one set of phase circuits: the
     circuit joins parts by reference (``Circuit``), so it is built in work
     that follows the number of steps, not of gates, and ``emit_text``

@@ -156,6 +156,7 @@ class QdbDescriptor(_Derivable):
             "l": self.l,
             "data": {str(j): self.data[j] for j in sorted(self.data)},
             "u_d": emit_text(self.u_d) if self.u_d is not None else None,
+            "m_data": self.m_data,
         }
         return json.dumps(obj, indent=2) + "\n"
 
@@ -167,7 +168,7 @@ class QdbDescriptor(_Derivable):
             raise SemanticError(f"descriptor is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise SemanticError("descriptor JSON must be an object")
-        unknown = set(obj) - {"k", "l", "data", "u_d"}
+        unknown = set(obj) - {"k", "l", "data", "u_d", "m_data"}
         if unknown:
             raise SemanticError(f"descriptor has unknown keys {sorted(unknown)}")
         try:
@@ -186,9 +187,14 @@ class QdbDescriptor(_Derivable):
             data[label] = bits
         u_d_text = obj.get("u_d")
         u_d = parse_text(u_d_text) if u_d_text else None
-        m_data = max([len(b) for b in data.values()] or [0])
-        if u_d is not None:
-            m_data = max(m_data, u_d.n_qubits)
+        if "m_data" in obj:  # the constructor checks that the words fit it
+            m_data = obj["m_data"]
+            if type(m_data) is not int:
+                raise SemanticError(f"descriptor m_data must be an integer, got {m_data!r}")
+        else:  # older text: as wide as the widest word or the encoding
+            m_data = max([len(b) for b in data.values()] or [0])
+            if u_d is not None:
+                m_data = max(m_data, u_d.n_qubits)
         return cls(k=k, l=l, data=data, u_d=u_d, m_data=m_data)
 
 
@@ -660,110 +666,50 @@ def _decoded(circ: Circuit, encoding: Circuit | None) -> Circuit:
     return circ if encoding is None else encoding.inverse() + circ + encoding
 
 
-class _DataWrite:
-    """A preparation's data-write block (a ``Circuit`` part): one
-    multi-controlled X per set data bit of ``descriptor``, each controlled
-    on its entry's index pattern of ``layout``, kept as that pair instead of
-    as gates.
+def _data_write_steps(descriptor: QdbDescriptor, layout: QdbLayout):
+    """The fields (``GateRecord``) of a preparation's data-write block: one
+    ``x`` per set data bit of ``descriptor``, label by label in ascending
+    order, data bits ascending within an entry. Each is controlled on its
+    entry's index pattern of ``layout``; an entry's gates share one control
+    tuple, and every gate shares ``wires``, the index register."""
+    wires = layout.index_qubits
+    pairs = [((q, 0), (q, 1)) for q in wires]
+    lmap = layout.logical_index_map
+    targets: dict[str, list[tuple[int]]] = {}  # word -> the data qubits it sets
+    for label, word in sorted(descriptor.data.items()):
+        qubits = targets.get(word)
+        if qubits is None:
+            value = int(word, 2)
+            qubits = targets[word] = [(q,) for b, q in enumerate(layout.data_qubits)
+                                      if (value >> b) & 1]
+        pat = lmap[label]
+        ctrls = tuple([pair[(pat >> i) & 1] for i, pair in enumerate(pairs)])
+        for t in qubits:
+            yield "x", (), t, ctrls, wires
 
-    The gates go label by label in ascending order, data bits ascending
-    within an entry, each controlled on ``wires``, the index register. They
-    are built, unchecked from the checked layout, only when asked for
-    (flattening); ``emit_text`` renders the block from ``x_entries`` and
-    ``simulate`` moves it by its ``x_table``. No target is a control, so the
-    gates commute, and
-    each is its own inverse: the inverse is the same block read backwards,
-    marked ``reversed``, not rebuilt. ``forward`` is the block in build
-    order, whose gates and table a reversed block shares.
-    """
 
-    __slots__ = ("descriptor", "layout", "forward", "_size", "_gates", "_table")
-
-    def __init__(self, descriptor: QdbDescriptor, layout: QdbLayout,
-                 forward: "_DataWrite | None" = None):
-        self.descriptor, self.layout = descriptor, layout
-        self.forward = self if forward is None else forward
-        self._size = (sum(word.count("1") for word in descriptor.data.values())
-                      if forward is None else forward._size)
-        self._gates = self._table = None
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self):
-        return iter(self.gates)
-
-    @property
-    def reversed(self) -> bool:
-        return self.forward is not self
-
-    @property
-    def wires(self) -> tuple[int, ...]:
-        return self.layout.index_qubits
-
-    def inverse(self) -> "_DataWrite":
-        if self.forward is not self:
-            return self.forward
-        return _DataWrite(self.descriptor, self.layout, self)
-
-    @property
-    def gates(self) -> list[GateSpec]:
-        """The gates in this block's order. Every control tuple is made from
-        one pair of ``(qubit, bit)`` controls per index qubit, each entry's
-        gates share one tuple, and all share the tuple of control qubits."""
-        if self._gates is None:
-            if self.forward is not self:
-                self._gates = self.forward.gates[::-1]
-            else:
-                wires = self.wires
-                pairs = [((q, 0), (q, 1)) for q in wires]
-                one = {q: (q,) for q in self.layout.data_qubits}
-                gates = []
-                for pat, targets in self.x_entries():
-                    ctrls = tuple([pair[(pat >> i) & 1] for i, pair in enumerate(pairs)])
-                    gates += [GateSpec._built("x", (), one[t], ctrls, wires) for t in targets]
-                self._gates = gates
-        return self._gates
-
-    def x_entries(self):
-        """Each entry's index pattern (its controls' bits on ``wires``) and
-        the data qubits its word sets, in build order: what the gates hold,
-        without building them."""
-        layout = self.layout
-        lmap = layout.logical_index_map
-        targets: dict[str, list[int]] = {}  # word -> the data qubits it sets
-        for label, word in sorted(self.descriptor.data.items()):
-            qubits = targets.get(word)
-            if qubits is None:
-                value = int(word, 2)
-                qubits = targets[word] = [q for b, q in enumerate(layout.data_qubits)
-                                          if (value >> b) & 1]
-            yield lmap[label], qubits
-
-    def x_table(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-        """The block as one move (``statevector.move_amplitudes``): the
-        control set ``wires``, each entry's index pattern, and its mask, the
-        entry's word placed on the data qubits. Each pattern stays in place
-        and its data bits flip by the mask."""
-        fwd = self.forward
-        if fwd._table is None:
-            data, lmap = fwd.descriptor.data, fwd.layout.logical_index_map
-            count = len(data)
-            words = np.fromiter((int(word, 2) for word in data.values()),
-                                dtype=np.int64, count=count)
-            fwd._table = (fwd.wires,
-                          np.fromiter(map(lmap.__getitem__, data), dtype=np.int64,
-                                      count=count),
-                          fwd.layout._place(0, words) if count else words)
-        return fwd._table
+def _data_write_table(descriptor: QdbDescriptor, layout: QdbLayout):
+    """The data-write block as one move (``GateRecord.table``): the index
+    register, each entry's index pattern, and its mask, the entry's word
+    placed on the data qubits. Each pattern stays in place and its data
+    bits flip by the mask."""
+    data, lmap = descriptor.data, layout.logical_index_map
+    count = len(data)
+    words = np.fromiter((int(word, 2) for word in data.values()), dtype=np.int64, count=count)
+    return (layout.index_qubits,
+            np.fromiter(map(lmap.__getitem__, data), dtype=np.int64, count=count),
+            layout._place(0, words) if count else words)
 
 
 def _data_write_circuit(descriptor: QdbDescriptor, layout: QdbLayout,
                         n: int) -> Circuit:
-    """The data-write block (``_DataWrite``), one multi-controlled X per set
-    data bit, then the data encoding."""
-    block = _DataWrite(descriptor, layout)
-    circ = Circuit._joined(n, (block,), {q: "D" for q in layout.data_qubits}, len(block))
+    """The data-write block, one multi-controlled X per set data bit, kept
+    as a record of ``(descriptor, layout)`` that moves by its table, then
+    the data encoding."""
+    size = sum(word.count("1") for word in descriptor.data.values())
+    block = GateRecord(_data_write_steps, (descriptor, layout), size,
+                       table_of=_data_write_table)
+    circ = Circuit._joined(n, (block,), {q: "D" for q in layout.data_qubits}, size)
     enc = _encoding(descriptor.u_d, n, layout.data_qubits)
     return circ if enc is None else circ + enc
 
@@ -773,8 +719,9 @@ def preparation_circuit(descriptor: QdbDescriptor, layout: QdbLayout) -> Circuit
 
     Index spread over the label count, pattern routing when labels do not sit
     at contiguous patterns, the data-write block (one multi-controlled X per
-    set data bit, kept as ``(descriptor, layout)`` and built into gates only
-    when flattened), and the data encoding last.
+    set data bit, a record of ``(descriptor, layout)`` that moves by its
+    table and is built into gates only when flattened), and the data
+    encoding last.
     """
     labels = layout.labels
     if len(labels) != descriptor.k:
@@ -798,6 +745,8 @@ def prepare_meta(k: int, l: int = 0, data: dict[int, int | str] | None = None,
     Pure argument checking — no state is built — so callers can vet a
     preparation before paying for the simulation.
     """
+    if m_data is not None and m_data < 0:
+        raise SemanticError("data register width cannot be negative")
     words: dict[int, int | str] = {}
     widest = 0
     for label, word in (data or {}).items():

@@ -23,7 +23,8 @@ Conventions
 * Amplitudes move without arithmetic through one entry,
   ``move_amplitudes``: on a control set C, pattern p with free bits f goes
   to pattern pi(p) with free bits f XOR T[p]. Every ``x`` and ``swap``, a
-  run of ``x`` gates on C (a write's toggles, a data-write block) and
+  run of ``x`` gates on C (a write's toggles, a data-write record's
+  table) and
   ``permute`` are such moves. Every amplitude (signed zeros included) keeps
   its bits, so a run moved at once equals its gates one by one, and a move
   skips the norm check, which a permutation cannot fail.

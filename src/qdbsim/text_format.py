@@ -15,33 +15,33 @@ Floats are emitted with ``repr`` so emit -> parse -> emit is byte-identical.
 
 A history repeats few wire sets over many gates, and shares its parts
 (``Circuit``): a transfer refers to one u and one u^-1 at every step. So
-``emit_text`` walks the parts and renders each distinct part once per call,
-a reversed block as its forward block's lines read backwards. A record
-(``GateRecord``) is rendered straight from the fields its generator yields,
-with no gate built, and records with equal keys (an op's arguments) once
-per call: a long script prepares the sensor in the same word, toggles the
-same entry and swaps the same two entries many times. It renders the wires
-of each distinct (targets, controls) pair once, and the controls of each
-distinct control tuple once, shared by every target it meets; qubit names
-come from a table built once per call. The memos live only as long as the
-call, so no two callers share them. They are keyed on values, not on tuple
-identity: each write builds its toggles' control tuple anew, equal to the
-tuple of earlier gates but a different object, and an identity key would
-render it again on every write. They are keyed on the wires, not on the
-gate: ``GateSpec`` equality compares floats, so ``phase(0.0)`` equals
-``phase(-0.0)``, and a gate-keyed memo would print the second as ``0.0``.
-Each gate's parameters are formatted on their own. A record's key is its
-generator and its arguments, ints and tuples of ints, except that a write
-under a data encoding also holds its encoding circuits, which do not hash:
-such a record is rendered on its own.
+``emit_text`` walks the parts and renders each distinct part once per call.
+Gate lists and records (``GateRecord``) go through one path, from their
+gates' fields; a record builds no gate. A record is memoized by its key (an
+op's arguments), so equal records are rendered once: a long script prepares
+the sensor in the same word, toggles the same entry and swaps the same two
+entries many times. A gate list, and a record whose key does not hash (a
+data-write block's descriptor holds a dict; a write under a data encoding
+holds its encoding circuits), is memoized by identity. A reversed record
+with a move table (commuting ``x`` gates, each its own inverse) is rendered
+as its forward's lines, reversed.
+
+Qubit names come from a table built once per call. The text of a control
+tuple is reused while consecutive gates share it (an entry's gates do) and
+memoized by value, as are each target tuple's names: each write builds its
+toggles' control tuple anew, equal to the tuple of earlier gates but a
+different object. Each gate's parameters are formatted on their own:
+``0.0 == -0.0``, so a memo keyed on them would print ``phase(-0.0)`` as
+``phase(0.0)``. The memos live only as long as the call, so no two callers
+share them.
 """
 
 from __future__ import annotations
 
 import re
 
-from .circuit import VALID_LABELS, Circuit, GateRecord
-from .errors import CircuitParseError
+from .circuit import VALID_LABELS, Circuit
+from .errors import CircuitParseError, SemanticError
 from .gates import GateSpec
 
 _HEAD_RE = re.compile(r"^([a-z0-9]+)\((.*)\)$")
@@ -74,54 +74,43 @@ def emit_text(circuit: Circuit) -> str:
     lines = [f"qubits {circuit.n_qubits}"]
     for q in sorted(circuit.labels):
         lines.append(f"label q[{q}] {circuit.labels[q]}")
-    wires: dict[tuple, str] = {}
-    ctrls: dict[tuple, str] = {}
-    rendered: dict[int, list[str]] = {}  # id of a part -> its lines
-    by_key: dict[tuple, list[str]] = {}  # key of a record -> its lines
+    heads: dict[tuple, str] = {}  # targets -> their names
+    tails: dict[tuple, str] = {}  # controls -> their text
+    # a part's lines, by the key of a record (an op's arguments) or, for a
+    # gate list or a record whose key does not hash, by the part's identity
+    rendered: dict = {}
 
-    def wire(targets, controls) -> str:
-        key = (targets, controls)
-        text = wires.get(key)
-        if text is None:
-            tail = ctrls.get(controls)
-            if tail is None:
-                tail = ctrls[controls] = _fmt_controls(controls, names)
-            text = wires[key] = "".join([names[t] for t in targets]) + tail
+    def lines_of(fields) -> list[str]:
+        text = []
+        controls = tail = None
+        for kind, params, targets, ctrl, _ in fields:
+            if ctrl is not controls:  # an entry's gates often share one tuple
+                controls = ctrl
+                tail = tails.get(ctrl)
+                if tail is None:
+                    tail = tails[ctrl] = _fmt_controls(ctrl, names)
+            head = heads.get(targets)
+            if head is None:
+                head = heads[targets] = "".join([names[t] for t in targets])
+            text.append((kind + _fmt_params(kind, params) if params else kind) + head + tail)
         return text
 
-    def record_lines(record) -> list[str]:
-        return [kind + _fmt_params(kind, params) + wire(targets, controls)
-                for kind, params, targets, controls, _ in record.fields()]
-
     def part_lines(part) -> list[str]:
-        if type(part) is GateRecord:
-            key = part.key
-            try:
-                text = by_key.get(key)
-            except TypeError:  # a key holding circuits
-                return record_lines(part)
-            if text is None:
-                text = by_key[key] = record_lines(part)
-            return text
-        text = rendered.get(id(part))
+        key = id(part) if type(part) is list else part.key
+        try:
+            text = rendered.get(key)
+        except TypeError:  # a key holding a dict or circuits
+            key = id(part)
+            text = rendered.get(key)
         if text is not None:
             return text
         if type(part) is list:
-            text = [g.kind + _fmt_params(g.kind, g.params) + wire(g.targets, g.controls)
-                    for g in part]
-        elif part.reversed:
-            text = part_lines(part.forward)[::-1]
-        else:  # a block of x gates, rendered without building them
-            on = part.wires
-            text = []
-            for pat, targets in part.x_entries():
-                key = (on, pat)  # the controls that read pat on those wires
-                tail = ctrls.get(key)
-                if tail is None:
-                    tail = ctrls[key] = _fmt_controls(
-                        [(q, (pat >> i) & 1) for i, q in enumerate(on)], names)
-                text += ["x" + names[t] + tail for t in targets]
-        rendered[id(part)] = text
+            text = lines_of([(g.kind, g.params, g.targets, g.controls, None) for g in part])
+        elif part.reversed and part._table_of is not None:
+            text = part_lines(part.forward)[::-1]  # x gates: each its own inverse
+        else:
+            text = lines_of(part.fields())
+        rendered[key] = text
         return text
 
     for part in circuit._leaves():
@@ -165,7 +154,10 @@ def parse_text(text: str) -> Circuit:
                 raise CircuitParseError(ln, "duplicate qubits header")
             if len(tokens) != 2 or not tokens[1].isdigit():
                 raise CircuitParseError(ln, "qubits header needs one integer")
-            circ = Circuit(int(tokens[1]))
+            try:
+                circ = Circuit(int(tokens[1]))
+            except SemanticError as exc:  # an empty register
+                raise CircuitParseError(ln, str(exc)) from None
             continue
         if circ is None:
             raise CircuitParseError(ln, "first directive must be 'qubits N'")

@@ -13,10 +13,11 @@ from conftest import dense_column, random_state, signed_zero_state
 from qdbsim import statevector
 from qdbsim.circuit import Circuit, simulate
 from qdbsim.errors import CapacityError, CircuitParseError, SemanticError
+from qdbsim.extend import extend
 from qdbsim.gates import GateSpec, gate_inverse, h, phase, rot2, ry, swap, x, y
 from qdbsim.oracle import dense_operator
-from qdbsim.qdb import preparation_circuit, prepare_general
-from qdbsim.statevector import StateVector, add_ancillas, apply_gate
+from qdbsim.qdb import permute, preparation_circuit, prepare_general, remove_reservoir
+from qdbsim.statevector import StateVector, add_ancillas, apply_gate, states_equal
 from qdbsim.text_format import emit_text, parse_text
 
 
@@ -82,17 +83,39 @@ def test_joined_circuits_share_parts_and_stay_apart():
     assert a.gates == before + [x(0)] and len(wide) == 10
 
 
-def test_inverse_of_a_data_write_block_reads_it_backwards():
-    db = prepare_general(8, 0, {1: "11", 2: "01", 6: "10"}, m_data=2)
+def _fresh_database():
+    return prepare_general(8, 0, {1: "11", 2: "01", 6: "10"}, m_data=2)
+
+
+def _grown_holey_database():
+    # extend puts index qubit 4 above the data register (2, 3), the removal
+    # leaves a hole among the labels, and the permute moves two words
+    db = extend(prepare_general(4, 0, {1: "11", 2: "01", 3: "10"}, m_data=2), 3)
+    db = permute(remove_reservoir(db, 2), {1: 5, 5: 1, 3: 4, 4: 3})
+    assert max(db.layout.index_qubits) > max(db.layout.data_qubits)
+    return db
+
+
+@pytest.mark.parametrize("build", [_fresh_database, _grown_holey_database],
+                         ids=["fresh", "grown-holey"])
+def test_inverse_of_a_data_write_block_reads_it_backwards(build):
+    db = build()
     u = preparation_circuit(db.descriptor, db.layout)
     u_inv = u.inverse()
-    block = [p for p in u._leaves() if type(p) is not list]
+    (block,) = [p for p in u._leaves() if type(p) is not list]
     (rev,) = [p for p in u_inv._leaves() if type(p) is not list]
-    assert rev.reversed and rev.forward is block[0] and rev.inverse() is block[0]
-    assert len(rev) == len(block[0]) == 4
+    assert block.table() is not None and rev.table() is block.table()
+    assert rev.reversed and rev.forward is block and rev.inverse() is block
+    data_bits = sum(word.count("1") for word in db.descriptor.data.values())
+    assert len(rev) == len(block) == len(block.gates) == data_bits
     assert u_inv.gates == [gate_inverse(g) for g in reversed(u.gates)]
     assert emit_text(u_inv) == emit_text(Circuit(u.n_qubits, list(u_inv.gates), u_inv.labels))
-    back = simulate(u_inv, simulate(u))
+    # the block moved by its table is its gates run one list at a time
+    built = simulate(u)
+    flat = simulate(Circuit(u.n_qubits, list(u.gates), u.labels))
+    assert np.array_equal(built.amplitudes, flat.amplitudes)
+    assert states_equal(built, db.state)  # a transfer leaves a global phase
+    back = simulate(u_inv, built)
     assert np.max(np.abs(back.amplitudes - StateVector.zero(u.n_qubits).amplitudes)) < 1e-12
 
 

@@ -64,6 +64,24 @@ def test_read_copy_all_accepts_only_true(tmp_path, capsys, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("prepare k=4 m=2 data=1:01,1:10\n", 1, "data label 1 given twice"),
+    ("prepare k=4 m=2 data=1:01,01:01\n", 1, "data label 1 given twice"),
+    ("prepare k=4 m=2\npermute map=1:2,2:1,1:1,2:2\n", 2, "mapping label 1 given twice"),
+])
+def test_a_repeated_label_is_refused_on_its_line(tmp_path, capsys, text, line, message):
+    script = write_script(tmp_path, text)
+    assert run_cli("run", str(script), "--out", str(tmp_path / "o")) == 2
+    assert f"line {line}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_negative_data_width_exits_3(tmp_path, capsys):
+    script = write_script(tmp_path, "prepare k=4 m=-3\n")
+    assert run_cli("run", str(script), "--out", str(tmp_path / "o")) == 3
+    assert "data register width cannot be negative" in capsys.readouterr().err
+
+
 # --- the run subcommand ------------------------------------------------------
 
 

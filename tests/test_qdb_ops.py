@@ -41,6 +41,7 @@ from qdbsim.qdb import (
     prepare_balanced,
     prepare_circuit,
     prepare_general,
+    prepare_meta,
     preparation_circuit,
     read_copy,
     read_copy_all,
@@ -85,6 +86,12 @@ def test_descriptor_rejects_reservoir_data_and_wide_words():
     assert QdbDescriptor(k=3, l=0, data={1: "00", 2: "10"}, m_data=2).data == {2: "10"}
 
 
+def test_a_negative_data_width_is_refused_not_masked():
+    for prepare in (prepare_meta, prepare_general):
+        with pytest.raises(SemanticError, match="data register width cannot be negative"):
+            prepare(4, 0, {}, m_data=-3)
+
+
 def test_descriptor_json_round_trip():
     circ = Circuit(2)
     circ.append(h(0))
@@ -94,6 +101,16 @@ def test_descriptor_json_round_trip():
     assert again.u_d is not None and len(again.u_d) == 1
     plain = QdbDescriptor.from_json(QdbDescriptor(k=2, l=0).to_json())
     assert plain.u_d is None
+    # a register wider than every word keeps its width
+    wide = QdbDescriptor(4, 0, {}, m_data=3)
+    assert QdbDescriptor.from_json(wide.to_json()) == wide
+    # text without m_data, as written before it was kept, takes the widest word
+    assert QdbDescriptor.from_json('{"k": 3, "l": 0, "data": {"1": "010"}}').m_data == 3
+    with pytest.raises(SemanticError, match="wider than the 1-bit"):
+        QdbDescriptor.from_json('{"k": 3, "l": 0, "data": {"1": "10"}, "m_data": 1}')
+    for bad in ('"wide"', "true", "2.5"):
+        with pytest.raises(SemanticError, match="m_data must be an integer"):
+            QdbDescriptor.from_json('{"k": 3, "l": 0, "m_data": %s}' % bad)
 
 
 def test_descriptor_json_rejects_garbage():
@@ -1270,7 +1287,9 @@ def test_writes_and_permutes_build_no_gates_until_asked(built_gates):
 
 
 def _records(circ):
-    return [part for part in circ._leaves() if type(part) is GateRecord]
+    """The records of writes and permutes: data-write blocks offer a table."""
+    return [part for part in circ._leaves()
+            if type(part) is GateRecord and part.table() is None]
 
 
 def _write_gates_built_at_once(db, label, value, mode):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdbsim.circuit import Circuit, simulate
+from qdbsim.circuit import Circuit, GateRecord, simulate
 from qdbsim.errors import CircuitParseError
 from qdbsim.extend import extend
 from qdbsim.gates import GateSpec, h, phase, rot2, ry, swap, x, y, ytilde
@@ -67,6 +67,7 @@ def test_float_params_survive_exactly():
         ("qubits 2\nry q[0]\n", 2),  # missing parameter
         ("qubits 2\nx q[0] ctrl q[0]\n", 2),  # overlapping wires
         ("qubits two\n", 1),
+        ("# no qubits\nqubits 0\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -210,6 +211,19 @@ def test_signed_zero_phases_on_one_wire_set_stay_apart():
                                      "phase(0.0) q[0] ctrl q[1]"]
     assert text == reference_emit(c)
     assert emit_text(parse_text(text)) == text
+    # a record yields the same fields, one control tuple shared by all three
+    controls = ((1, 1),)
+
+    def steps():
+        for angle in (0.0, -0.0, 0.0):
+            yield "phase", (angle,), (0,), controls, (1,)
+
+    record = GateRecord(steps, (), 3)
+    assert emit_text(Circuit._joined(2, (record,), {}, 3)) == text
+    inverse = Circuit._joined(2, (record.inverse(),), {}, 3)
+    assert emit_text(inverse).splitlines()[1:] == [
+        "phase(-0.0) q[0] ctrl q[1]", "phase(0.0) q[0] ctrl q[1]", "phase(-0.0) q[0] ctrl q[1]"]
+    assert emit_text(inverse) == reference_emit(inverse)
 
 
 def test_wide_circuits_name_every_qubit():

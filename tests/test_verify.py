@@ -124,10 +124,13 @@ def test_full_battery_tells_the_encoding_from_its_inverse(monkeypatch):
 
 
 def test_history_check_fails_when_a_reversed_block_renders_forward(monkeypatch):
-    # u^-1's data-write block read forwards: the same state, other text
-    from qdbsim import qdb, verify
+    # u^-1's data-write block and the undone sensor preparations rendered
+    # forwards: the flat gates, built from each record's forward, keep the
+    # state, but the text differs
+    from qdbsim import verify
+    from qdbsim.circuit import GateRecord
 
     assert verify._check_history()
-    monkeypatch.setattr(qdb._DataWrite, "reversed", property(lambda self: False))
+    monkeypatch.setattr(GateRecord, "reversed", property(lambda self: False))
     with pytest.raises(VerificationError, match="emit"):
         verify._check_history()
