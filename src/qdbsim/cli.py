@@ -104,6 +104,15 @@ def parse_script(text: str) -> list[tuple[int, str, dict[str, str]]]:
 _MISSING = object()
 
 
+def _decimal(text: str) -> int:
+    """``text`` as an int: an optional '-' and ASCII digits, nothing else.
+    ``int`` would also take '_' separators, '+', spaces and other scripts'
+    digits; ValueError, as from ``int``, for anything but the plain form."""
+    if text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit()):
+        return int(text)
+    raise ValueError(f"not a decimal integer: {text!r}")
+
+
 class _Args:
     """One line's key=value pairs; each key is converted as it is taken."""
 
@@ -118,9 +127,11 @@ class _Args:
         return default
 
     def number(self, key: str, default=_MISSING) -> int:
-        raw = self.text(key, default)
+        if key not in self.kv and default is not _MISSING:
+            return default
+        raw = self.text(key)
         try:
-            return int(raw)
+            return _decimal(raw)
         except ValueError:
             raise ScriptError(self.ln, f"{key} must be an integer, got {raw!r}") from None
 
@@ -145,7 +156,7 @@ def _parse_data_spec(spec: str, ln: int) -> dict[int, str]:
             raise ScriptError(ln, f"data entries look like label:bits, got {part!r}")
         label, _, bits = part.partition(":")
         try:
-            label = int(label)
+            label = _decimal(label)
         except ValueError:
             raise ScriptError(ln, f"data label {label!r} is not an integer") from None
         if label in out:
@@ -160,7 +171,7 @@ def _parse_perm_spec(spec: str, ln: int):
         for part in spec.split(","):
             src, _, dst = part.partition(":")
             try:
-                src, dst = int(src), int(dst)
+                src, dst = _decimal(src), _decimal(dst)
             except ValueError:
                 raise ScriptError(ln, f"bad mapping pair {part!r}") from None
             if src in out:
@@ -168,7 +179,7 @@ def _parse_perm_spec(spec: str, ln: int):
             out[src] = dst
         return out
     try:
-        return [int(tok) for tok in spec.split(",")]
+        return [_decimal(tok) for tok in spec.split(",")]
     except ValueError:
         raise ScriptError(ln, f"bad permutation {spec!r}") from None
 
@@ -451,7 +462,7 @@ def run_script(script_path: Path, out_dir: Path, *, seed: int | None,
 
 
 def _seed_type(text: str) -> int:
-    value = int(text)
+    value = _decimal(text)
     if not 0 <= value < 2 ** 64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
     return value
@@ -469,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="RNG seed (unsigned 64-bit); required by sampling commands")
     run_p.add_argument("--out", type=Path, default=None,
                        help="artifact directory (default: <script>-out beside the script)")
-    run_p.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS,
+    run_p.add_argument("--max-qubits", type=_decimal, default=DEFAULT_MAX_QUBITS,
                        help="qubit budget for the session")
     run_p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="amplitude dump format")

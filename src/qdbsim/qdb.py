@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, GateRecord, _gate_fields, _inverted_fields, simulate
+from .circuit import Circuit, GateRecord, _gate_fields, _inverted_fields, _run_gates, simulate
 from .errors import SemanticError, VerificationError
 from .gates import GateSpec, rot2, x, y
 from .statevector import (
@@ -171,17 +171,20 @@ class QdbDescriptor(_Derivable):
         unknown = set(obj) - {"k", "l", "data", "u_d", "m_data"}
         if unknown:
             raise SemanticError(f"descriptor has unknown keys {sorted(unknown)}")
-        try:
-            k, l = int(obj["k"]), int(obj["l"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SemanticError("descriptor needs integer k and l") from exc
+        k, l = obj.get("k"), obj.get("l")
+        if type(k) is not int or type(l) is not int:  # not a float, a bool or a string
+            raise SemanticError(f"descriptor needs integer k and l, got {k!r} and {l!r}")
         raw = obj.get("data") or {}
+        if not isinstance(raw, dict):
+            raise SemanticError("descriptor data must be an object")
         data: dict[int, str] = {}
         for key, bits in raw.items():
             try:
                 label = int(key)
-            except ValueError as exc:
-                raise SemanticError(f"data label {key!r} is not an integer") from exc
+            except ValueError:
+                label = None
+            if label is None or str(label) != key:  # int() also takes "1_0" and " 2"
+                raise SemanticError(f"data label {key!r} is not an integer")
             if not isinstance(bits, str):
                 raise SemanticError(f"data word for label {key} must be a string")
             data[label] = bits
@@ -1050,13 +1053,60 @@ def read_copy_all_meta(meta: QdbMeta) -> QdbMeta:
 
 def _copy_data(db: QdbState, new: QdbMeta, ctrls) -> QdbState:
     """Copy the computational data word onto ``new``'s copy register, one
-    CNOT per data bit, each also controlled on ``ctrls``."""
+    CNOT per data bit, each also controlled on ``ctrls``. The build circuit
+    records those CNOTs; the state comes from ``_copy_folded``."""
     out = new.copy_qubits
     n = out[-1] + 1
     data = db.layout.data_qubits
     circ = Circuit._reusing(n, [GateSpec._built("x", (), (out[b],), ctrls + ((dq, 1),))
                                 for b, dq in enumerate(data)], {q: "A" for q in out})
-    return _advance(db, new, _decoded(circ, _encoding(db.descriptor.u_d, n, data)))
+    return _advance(db, new, _decoded(circ, _encoding(db.descriptor.u_d, n, data)),
+                    _copy_folded(db, n, out, ctrls))
+
+
+def _copy_folded(db: QdbState, n: int, out, ctrls) -> StateVector:
+    """The copy's CNOT fan-out on the state widened to ``n`` qubits, written
+    directly rather than simulated over the whole widened array.
+
+    The copy register ``out`` starts in |0>, so the CNOTs send the amplitude
+    at index i of the source (the input state, decoded under an encoding)
+    to i with each data bit b copied onto ``out[b]``, on the indices that
+    match ``ctrls``, and leave +0.0 behind. An index whose word is 0 does
+    not move, and one whose amplitude's bits are all zero would only move
+    +0.0 onto +0.0, so neither is touched; unencoded, the result equals the
+    CNOTs' bits exactly. Only the low block, the source's copy, and the
+    pages the moved amplitudes land on are written. Under an encoding, the
+    encoding is then run on the widened state in place, which keeps the
+    peak at one widened array.
+
+    The widened width is checked against the budget (CapacityError) before
+    anything is allocated.
+    """
+    _check_budget(n, db.max_qubits)
+    if db.n_qubits > n:
+        raise SemanticError(f"state has {db.n_qubits} qubits, circuit needs {n}")
+    u_d, data = db.descriptor.u_d, db.layout.data_qubits
+    src = db.state
+    if u_d is not None:
+        src = simulate(_encoding(u_d, db.n_qubits, data).inverse(), src)
+    amps = src.amplitudes
+    idx = np.flatnonzero(amps.view(np.uint64).reshape(-1, 2).any(axis=1))
+    if ctrls:
+        cmask = sum(1 << q for q, _ in ctrls)
+        idx = idx[idx & cmask == sum(bit << q for q, bit in ctrls)]
+    mask = np.zeros_like(idx)
+    for b, dq in enumerate(data):
+        mask |= (idx >> dq & 1) << out[b]
+    moved = mask != 0
+    idx, mask = idx[moved], mask[moved]
+    wide = np.zeros(2**n, dtype=complex)
+    wide[:amps.size] = amps
+    wide[idx | mask] = amps[idx]
+    wide[idx] = 0
+    state = StateVector(wide, copy=False)
+    if u_d is not None:
+        _run_gates(state, _encoding(u_d, n, data).gates)
+    return state
 
 
 def read_copy(db: QdbState, label: int) -> QdbState:
@@ -1067,6 +1117,13 @@ def read_copy(db: QdbState, label: int) -> QdbState:
     with the database whenever the copied word is nonzero. Under a data
     encoding the copy runs inside it on the data register (``_decoded``), so
     the copy register holds the word unencoded.
+
+    The build circuit records the CNOTs; the state is written without
+    simulating them (``_copy_folded``): the entry's amplitudes are
+    scattered to their copy blocks of the widened state. The checks run
+    in order: the transition (``read_copy_meta``), that the entry carries
+    amplitude (SemanticError), then that the copy register fits the
+    budget (CapacityError).
     """
     new = read_copy_meta(db.meta, label)
     _check_occupied(db.state, db.layout, label)
@@ -1078,7 +1135,9 @@ def read_copy_all(db: QdbState) -> QdbState:
 
     One CNOT per data bit, no index controls: the copy register ends up
     holding each entry's word on that entry's branch, entangled with the
-    database whenever two occupied entries store different words.
+    database whenever two occupied entries store different words. As in
+    ``read_copy``, the CNOTs are recorded and every amplitude with a
+    nonzero word is scattered to its copy block (``_copy_folded``).
     """
     return _copy_data(db, read_copy_all_meta(db.meta), ())
 

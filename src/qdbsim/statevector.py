@@ -15,7 +15,10 @@ Conventions
   one copy of its input, widened by ``add_ancillas`` when the circuit is
   wider, and updates that copy in place through them; an op that only
   moves amplitudes (``qdb.write``'s fold, ``qdb.permute``) copies its
-  input once and moves into the copy out of place.
+  input once and moves into the copy out of place, and a copy-read
+  (``qdb.read_copy``, ``read_copy_all``) copies its input once into the
+  low block of a zeroed wider array and scatters the copied amplitudes
+  from there.
 * Gates work on the ``(2,)*n`` view of the amplitudes, in which axis
   ``n-1-q`` is qubit ``q``. Each control fixes its axis, so a gate reads and
   writes only the slices its controls select; the norm check is taken over

@@ -31,6 +31,7 @@ from .gates import GateSpec, h, phase, rot2, ry, swap, x, y, ytilde
 from .qdb import (
     QdbDescriptor,
     QdbLayout,
+    _decoded,
     _encoding,
     _grow,
     pattern_permutation_circuit,
@@ -40,6 +41,7 @@ from .qdb import (
     prepare_general,
     prepare_meta,
     read_copy,
+    read_copy_all,
     remove_projective,
     remove_projective_meta,
     remove_reservoir,
@@ -48,7 +50,14 @@ from .qdb import (
     write_meta,
     write_swap_meta,
 )
-from .statevector import StateVector, apply_gate, drop_qubits, schmidt, states_equal
+from .statevector import (
+    StateVector,
+    add_ancillas,
+    apply_gate,
+    drop_qubits,
+    schmidt,
+    states_equal,
+)
 from .text_format import emit_text, parse_text
 from .tolerances import ORACLE_TOL, STATE_TOL
 
@@ -204,6 +213,47 @@ def _permute_by_gates(db, perm: dict[int, int]) -> tuple[StateVector, Circuit]:
     return state, _grow(db.circuit, routing)
 
 
+def _copy_circuit(db, label: int | None) -> Circuit:
+    """The circuit a copy-read appends: one CNOT per data bit onto a copy
+    register above ``db``'s qubits, on entry ``label``'s index pattern (on
+    every entry when ``label`` is None), inside the data encoding, if any."""
+    data = db.layout.data_qubits
+    n = db.n_qubits + len(data)
+    out = range(db.n_qubits, n)
+    ctrls = () if label is None else db.layout.pattern_controls(label)
+    fanout = Circuit(n, [GateSpec("x", (), (out[b],), ctrls + ((dq, 1),))
+                         for b, dq in enumerate(data)], {q: "A" for q in out})
+    return _decoded(fanout, _encoding(db.descriptor.u_d, n, data))
+
+
+def _copy_by_gates(db, label: int | None) -> tuple[StateVector, Circuit]:
+    """The copy-read with ``_copy_circuit`` simulated gate by gate on the
+    input state widened by the copy register. Returns the state and build
+    circuit that ``read_copy`` or ``read_copy_all``, which scatter only the
+    copied amplitudes, must reproduce."""
+    circ = _copy_circuit(db, label)
+    state = add_ancillas(db.state, circ.n_qubits - db.n_qubits)
+    for g in circ.gates:
+        apply_gate(state, g, out=state)
+    return state, _grow(db.circuit, circ)
+
+
+def _check_copy_reads(db, label: int):
+    """``read_copy(db, label)`` and ``read_copy_all(db)`` against
+    ``_copy_by_gates``: bit for bit without an encoding, within
+    ``STATE_TOL`` under one, and with the same ``emit()`` text."""
+    for copied, at in ((read_copy(db, label), label), (read_copy_all(db), None)):
+        state, circuit = _copy_by_gates(db, at)
+        if db.descriptor.u_d is None:
+            same = copied.state.amplitudes.tobytes() == state.amplitudes.tobytes()
+        else:
+            same = states_equal(copied.state, state, up_to_global_phase=False)
+        if not same:
+            raise VerificationError("folded copy-read disagrees with its CNOTs")
+        if copied.emit() != emit_text(circuit):
+            raise VerificationError("folded copy-read built a different circuit")
+
+
 def _check_permute_routing() -> list[tuple[int, ...]]:
     """``permute`` against its routing gates on databases whose index
     register is not contiguous (grown by ``extend``) and has a pattern freed
@@ -236,6 +286,7 @@ def _check_db_ops() -> str:
             raise VerificationError("folded write disagrees with the sensor-register write")
         if db.emit() != emit_text(circuit):
             raise VerificationError("folded write built a different circuit")
+        _check_copy_reads(db, label)
     registers = _check_permute_routing()
     if db.descriptor.data_value(3) != 3:
         raise SemanticError("write did not record the data word")
@@ -259,7 +310,8 @@ def _check_db_ops() -> str:
     swapped.check()
     if swapped.descriptor.data_value(2) != 2:
         raise SemanticError("permutation did not move entry data")
-    return ("folded write matches the sensor register, plain and under u_d = ry(0.7); "
+    return ("folded write matches the sensor register and folded copy-reads their "
+            "CNOTs, plain and under u_d = ry(0.7); "
             f"permute matches its routing gates on index registers {registers[0]} "
             f"and {registers[1]} (u_d = ry(0.7)); "
             "Schmidt report matches the full-matrix SVD; "

@@ -76,6 +76,40 @@ def test_a_repeated_label_is_refused_on_its_line(tmp_path, capsys, text, line, m
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("prepare k=16 m=1 data=1_1:1\n", 1, "data label '1_1' is not an integer"),
+    ("prepare k=16 m=1\nwrite j=1_2 d=1\n", 2, "j must be an integer, got '1_2'"),
+    ("prepare k=1_6 m=1\n", 1, "k must be an integer, got '1_6'"),
+    ("prepare k=+4 m=1\n", 1, "k must be an integer, got '+4'"),
+    ("prepare k=\u0664 m=1\n", 1, "k must be an integer"),
+    ("prepare k=4 m=1\nread-copy j=--1\n", 2, "j must be an integer, got '--1'"),
+    ("prepare k=4 m=1\npermute map=1:2,2_0:1\n", 2, "bad mapping pair '2_0:1'"),
+    ("prepare k=4 m=1\npermute map=0,2,1,3_0\n", 2, "bad permutation '0,2,1,3_0'"),
+    ("prepare k=4 m=1\npermute map=0,2,1,\n", 2, "bad permutation '0,2,1,'"),
+])
+def test_numbers_are_plain_decimals(tmp_path, capsys, text, line, message):
+    # int() would read 1_1 as 11, +4 as 4 and other scripts' digits as digits
+    script = write_script(tmp_path, text)
+    assert run_cli("run", str(script), "--out", str(tmp_path / "o")) == 2
+    assert f"line {line}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("option", ["--seed", "--max-qubits"])
+def test_options_take_plain_decimals(tmp_path, capsys, option):
+    script = write_script(tmp_path, "prepare k=2\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", str(script), option, "2_0")
+    assert exc.value.code == 2
+    assert "'2_0'" in capsys.readouterr().err
+    assert run_cli("run", str(script), option, "20", "--out", str(tmp_path / "o")) == 0
+
+
+def test_negative_numbers_still_parse_and_fail_on_their_meaning(tmp_path, capsys):
+    script = write_script(tmp_path, "prepare k=4 m=1\nwrite j=-1 d=1\n")
+    assert run_cli("run", str(script), "--out", str(tmp_path / "o")) == 3
+
+
 def test_a_negative_data_width_exits_3(tmp_path, capsys):
     script = write_script(tmp_path, "prepare k=4 m=-3\n")
     assert run_cli("run", str(script), "--out", str(tmp_path / "o")) == 3

@@ -5,6 +5,10 @@ import functools
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +61,7 @@ from qdbsim.qdb import (
 from qdbsim.statevector import StateVector, _register_scan, project, schmidt, states_equal
 from qdbsim.text_format import emit_text, parse_text
 from qdbsim.tolerances import DUMP_THRESHOLD, EMPTY_ENTRY_WEIGHT, STATE_TOL
-from qdbsim.verify import _write_through_sensor
+from qdbsim.verify import _copy_circuit, _write_through_sensor
 
 
 # --- descriptor and layout ---------------------------------------------------
@@ -120,6 +124,26 @@ def test_descriptor_json_rejects_garbage():
         QdbDescriptor.from_json('{"k": 2, "l": 0, "bogus": 1}')
     with pytest.raises(SemanticError):
         QdbDescriptor.from_json('{"k": 2, "l": 0, "data": {"x": "1"}}')
+    with pytest.raises(SemanticError, match="data must be an object"):
+        QdbDescriptor.from_json('{"k": 2, "l": 0, "data": ["1"]}')
+
+
+@pytest.mark.parametrize("k,l", [("4.7", '"2"'), ("true", "0"), ("4", "0.0"), ("4", "null"),
+                                 ('"4"', "0"), ("4.0", "0")])
+def test_descriptor_json_needs_json_integers(k, l):
+    # int() would truncate 4.7, parse "2" and take true as 1
+    with pytest.raises(SemanticError, match="needs integer k and l"):
+        QdbDescriptor.from_json('{"k": %s, "l": %s}' % (k, l))
+    with pytest.raises(SemanticError, match="needs integer k and l"):
+        QdbDescriptor.from_json('{"l": 0}')
+
+
+@pytest.mark.parametrize("key", ["1_0", " 2", "2 ", "+2", "02", "-0", "\u0662", ""])
+def test_descriptor_json_data_labels_are_plain_decimals(key):
+    # int() would read "1_0" as 10 and " 2" as 2
+    with pytest.raises(SemanticError, match="is not an integer"):
+        QdbDescriptor.from_json('{"k": 16, "l": 0, "data": {"%s": "1"}}' % key)
+    assert QdbDescriptor.from_json('{"k": 16, "l": 0, "data": {"10": "1"}}').data == {10: "1"}
 
 
 def test_layout_fresh_geometry():
@@ -554,6 +578,85 @@ def test_read_copy_with_encoding_copies_computational_word():
     # data register is encoded, copy register is computational |1>
     rep = schmidt(copied.state, copied.copy_qubits)
     assert rep.entangled  # copy differs per entry
+
+
+def _copy_read_case(k, m, shape, coded, seed):
+    """A database of ``shape``, with random words, and an occupied entry: fresh,
+    grown by ``extend`` (a new index qubit above the data register), then
+    with an entry removed, then permuted."""
+    rng = np.random.default_rng(seed)
+    data = {j: int(rng.integers(2**m)) for j in range(1, k) if rng.random() < 0.7}
+    db = prepare_general(k, 0, data, m_data=m, u_d=_random_encoding(rng, m) if coded else None)
+    if shape != "fresh":
+        db = extend(db, int(rng.integers(1, k + 2)))
+        db = write(db, int(rng.choice(db.layout.labels[1:])), int(rng.integers(2**m)))
+    if shape in ("removed", "permuted"):
+        db = remove_reservoir(db, int(rng.choice(db.layout.labels[1:])))
+    if shape == "permuted":
+        movable = list(db.layout.labels[1:])
+        db = permute(db, dict(zip(movable, map(int, rng.permutation(movable)))))
+    return db, int(rng.choice(db.occupied_labels()[1:]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(k=st.integers(2, 20), m=st.integers(1, 4),
+       shape=st.sampled_from(["fresh", "extended", "removed", "permuted"]),
+       coded=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_folded_copy_reads_match_their_cnots(k, m, shape, coded, seed):
+    db, label = _copy_read_case(k, m, shape, coded, seed)
+    for copied, at in ((read_copy(db, label), label), (read_copy_all(db), None)):
+        circ = _copy_circuit(db, at)
+        want = simulate(circ, db.state).amplitudes
+        got = copied.state.amplitudes
+        assert copied.emit() == emit_text(_grow(db.circuit, circ))
+        if not coded:
+            assert got.tobytes() == want.tobytes()
+            continue
+        # the encoding's arithmetic on the all-zero copy blocks may sign
+        # their zeros differently; every other amplitude keeps its bits
+        assert states_equal(copied.state, StateVector(want), tol=STATE_TOL,
+                            up_to_global_phase=False)
+        nonzero = (got != 0) | (want != 0)
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+
+
+def test_copy_read_checks_run_in_order():
+    # 2 index + 2 data qubits; the copy register needs 2 more
+    db = prepare_general(4, 0, {1: "01", 2: "11"}, m_data=2, max_qubits=6)
+    assert read_copy(db, 2).n_qubits == read_copy_all(db).n_qubits == 6
+    tight = dataclasses.replace(db, max_qubits=5)
+    for op in (lambda d: read_copy(d, 2), read_copy_all):
+        with pytest.raises(CapacityError, match="^6 qubits exceeds the budget of 5$"):
+            op(tight)
+    # an empty entry is refused before the budget, a non-bare database first of all
+    hit = _register_scan(tight.state, tight.layout.index_qubits, tight.layout.pattern(3))
+    hollow = dataclasses.replace(tight, state=project(tight.state, ~hit)[0])
+    with pytest.raises(SemanticError, match="^entry 3 carries no amplitude$"):
+        read_copy(hollow, 3)
+    copied = dataclasses.replace(read_copy(db, 1), state=hollow.state, max_qubits=5)
+    for op in (lambda d: read_copy(d, 3), read_copy_all):
+        with pytest.raises(SemanticError, match="requires sensor/copy registers to be detached"):
+            op(copied)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_read_copy_writes_only_the_copied_amplitudes():
+    # 17 -> 22 qubits: the widened array is 64 MiB, the source block 2 MiB and
+    # the copied entry a handful of pages; simulating the CNOTs wrote all 64
+    code = (
+        "import resource\n"
+        "from qdbsim.qdb import prepare_general, read_copy\n"
+        "db = prepare_general(2**12, 0, {j: j % 32 for j in range(1, 2**12)}, m_data=5)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "copied = read_copy(db, 7)\n"
+        "assert copied.n_qubits == 22\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert int(proc.stdout) < 24 * 1024  # KiB
 
 
 def test_read_projective_probability_and_state():
