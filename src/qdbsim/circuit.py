@@ -25,7 +25,6 @@ from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
     _check_gate,
-    _control_pattern,
     add_ancillas,
     apply_gate,
     move_amplitudes,
@@ -61,7 +60,7 @@ class Circuit:
     and ``inverse`` reuse checked parts and labels on the same or a wider
     register, since widening cannot invalidate either, and qdbsim's builders
     place gates, records and labels they made from a checked layout
-    (``GateSpec._built``) through ``_reusing`` and ``_joined`` too."""
+    (``GateSpec._built``) through ``_joined`` too."""
 
     def __init__(self, n_qubits: int, gates: list[GateSpec] | None = None,
                  labels: dict[int, str] | None = None):
@@ -79,21 +78,12 @@ class Circuit:
             _check_gate(g, self.n_qubits)
 
     @classmethod
-    def _reusing(cls, n_qubits: int, gates: list[GateSpec], labels: dict[int, str]) -> "Circuit":
-        """A circuit over ``gates`` and ``labels`` already checked, or built
-        valid, on a register no wider than ``n_qubits``: nothing is checked
-        again, so growing a history does not re-check its labels."""
-        out = object.__new__(cls)
-        out.n_qubits = n_qubits
-        out.gates = gates
-        out.labels = labels
-        return out
-
-    @classmethod
     def _joined(cls, n_qubits: int, parts: tuple, labels: dict[int, str],
                 size: int) -> "Circuit":
-        """A circuit over checked ``parts`` holding ``size`` gates, none of
-        them its own to append to; like ``_reusing``, nothing is checked."""
+        """A circuit over ``parts`` holding ``size`` gates, none of them its
+        own to append to. The parts and ``labels`` were checked, or built
+        valid, on a register no wider than ``n_qubits``, so nothing is
+        checked again."""
         out = object.__new__(cls)
         out.n_qubits = n_qubits
         out.labels = labels
@@ -353,15 +343,10 @@ def simulate(circuit: Circuit, state: StateVector | None = None,
     the parts run on it in place, so the caller's amplitudes are never
     written.
 
-    Amplitudes that only move go through ``move_amplitudes``. A record
-    with a move table moves by it in one call, with no gate built; any other
-    record runs its gates as a gate list does. Within a gate list, each run of
-    consecutive ``x`` gates sharing one ``_run_key``, the tuple C of their
-    control qubits, moves at once: no target lies in C, so the gates
-    commute, and pattern p of C moves by T[p], the XOR of the targets of
-    the run's gates that read p. A write's toggles are such a run on one
-    pattern. Every other gate goes through ``apply_gate``, which moves an
-    uncontrolled ``x`` and a ``swap`` the same way.
+    A record with a move table (a preparation's data-write block, forward
+    or reversed) moves by it in one ``move_amplitudes`` call, in place,
+    with no gate built. Every other part, a gate list or a record without
+    a table, runs gate by gate through ``apply_gate``.
     """
     n = circuit.n_qubits
     if state is None:
@@ -373,41 +358,19 @@ def simulate(circuit: Circuit, state: StateVector | None = None,
     else:
         raise SemanticError(f"state has {state.n_qubits} qubits, circuit needs {n}")
     for part in circuit._leaves():
-        if type(part) is list:
-            _run_gates(state, part)
-            continue
-        table = part.table()
+        table = None if type(part) is list else part.table()
         if table is None:
-            _run_gates(state, part.gates)
+            _run_gates(state, part)
         elif len(part):  # an empty table moves nothing
             wires, patterns, masks = table
             move_amplitudes(state, wires, patterns, patterns, masks)
     return state
 
 
-def _run_gates(state: StateVector, gates: list[GateSpec]):
-    """``simulate``'s pass over one gate list, in place."""
-    end, i = len(gates), 0
-    while i < end:
-        g = gates[i]
-        i += 1
-        key = g._run_key
-        if key is None:
-            apply_gate(state, g, out=state)
-            continue
-        table: dict[int, int] = {}  # pattern on ``key`` -> XOR of its targets
-        controls = None
-        while True:
-            if g.controls is not controls:  # a pattern's gates often share one tuple
-                controls = g.controls
-                pattern = _control_pattern(controls)
-            table[pattern] = table.get(pattern, 0) ^ (1 << g.targets[0])
-            if i == end or gates[i]._run_key != key:
-                break
-            g = gates[i]
-            i += 1
-        patterns = tuple(table)
-        move_amplitudes(state, key, patterns, patterns, tuple(table.values()))
+def _run_gates(state: StateVector, gates):
+    """Apply ``gates``, a list or a record, to ``state`` in place."""
+    for g in gates:
+        apply_gate(state, g, out=state)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ A gate is checked once, when it is built from raw parts: ``GateSpec(...)``
 and the constructors below run every check. Gates that qdbsim builds from
 parts already known valid (a checked layout's registers, or the parts of a
 checked gate, as in ``gate_inverse``) come from ``GateSpec._built``, which
-skips them, as ``Circuit._reusing`` skips re-checking checked gates.
+skips them, as ``Circuit._joined`` skips re-checking checked gates.
 
 Kinds
 -----
@@ -96,8 +96,7 @@ class GateSpec:
                wires: tuple[int, ...] | None = None) -> "GateSpec":
         """A gate from parts that already make a valid gate: none of the
         constructor's checks run. ``wires``, if given, is the tuple of the
-        control qubits in order, which gates controlled on one register can
-        share instead of holding one tuple each."""
+        control qubits in order, so it is not rebuilt from ``controls``."""
         gate = object.__new__(cls)
         _set(gate, "kind", kind)
         _set(gate, "params", params)
@@ -107,15 +106,12 @@ class GateSpec:
         return gate
 
     def _wire(self, wires: tuple[int, ...]):
-        """Set what is derived from the fields, off them so equality,
-        hashing and repr are unchanged, once per gate rather than on every
-        gate applied: ``qubits`` (targets then controls) and ``_run_key``,
-        the control qubits ``wires`` of a controlled ``x`` (None for every
-        other gate). Consecutive ``x`` gates with one key commute, since no
-        target is a control, and ``circuit.simulate`` can move such a run in
-        one pass."""
+        """Set ``qubits``, the targets then the control qubits ``wires``,
+        off the fields so equality, hashing and repr are unchanged, once per
+        gate rather than on every gate applied: every gate checked against
+        a register reads it, and ``apply_gate`` reads the control qubits of
+        an ``x`` or a ``swap`` from it."""
         _set(self, "qubits", self.targets + wires)
-        _set(self, "_run_key", wires if wires and self.kind == "x" else None)
 
 
 # attribute stores that keep instance attributes inline (writing through

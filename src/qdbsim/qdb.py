@@ -48,9 +48,9 @@ def index_width(k: int) -> int:
 
 def _integer(value, what: str) -> int:
     """``value`` as an int: an integer (numpy's too) or a float equal to
-    one. Anything else, a fraction or a string among them, is refused
-    rather than truncated or parsed."""
-    if isinstance(value, (int, np.integer)):
+    one. Anything else, a bool, a fraction or a string among them, is
+    refused rather than truncated or parsed."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
@@ -220,6 +220,8 @@ class QdbLayout(_Derivable):
 
     def __post_init__(self):
         qubits = self.index_qubits + self.data_qubits
+        if any(q < 0 for q in qubits):
+            raise SemanticError("negative qubit index")
         if len(set(qubits)) != len(qubits):
             raise SemanticError("index and data registers overlap")
         if not self.index_qubits:
@@ -600,8 +602,8 @@ def transposition_circuit(pat_a: int, pat_b: int, index_qubits, n_qubits: int) -
         raise SemanticError("transposition needs two distinct patterns")
     _check_patterns((pat_a, pat_b), index_qubits)
     _check_register(index_qubits, n_qubits)
-    return Circuit._reusing(n_qubits, [GateSpec._built(*f) for f in
-                                       _gray_steps(((pat_a, pat_b),), index_qubits)], {})
+    gates = [GateSpec._built(*f) for f in _gray_steps(((pat_a, pat_b),), index_qubits)]
+    return Circuit._joined(n_qubits, (gates,), {}, len(gates))
 
 
 def _transpositions(mapping: dict[int, int]) -> tuple[tuple[int, int], ...]:
@@ -640,8 +642,8 @@ def pattern_permutation_circuit(mapping: dict[int, int], index_qubits,
     pairs = _transpositions(mapping)
     if pairs:
         _check_register(index_qubits, n_qubits)
-    return Circuit._reusing(n_qubits, [GateSpec._built(*f) for f in
-                                       _gray_steps(pairs, index_qubits)], {})
+    gates = [GateSpec._built(*f) for f in _gray_steps(pairs, index_qubits)]
+    return Circuit._joined(n_qubits, (gates,), {}, len(gates))
 
 
 def _encoding(u_d: Circuit | None, n: int, *registers) -> Circuit | None:
@@ -1058,8 +1060,9 @@ def _copy_data(db: QdbState, new: QdbMeta, ctrls) -> QdbState:
     out = new.copy_qubits
     n = out[-1] + 1
     data = db.layout.data_qubits
-    circ = Circuit._reusing(n, [GateSpec._built("x", (), (out[b],), ctrls + ((dq, 1),))
-                                for b, dq in enumerate(data)], {q: "A" for q in out})
+    gates = [GateSpec._built("x", (), (out[b],), ctrls + ((dq, 1),))
+             for b, dq in enumerate(data)]
+    circ = Circuit._joined(n, (gates,), {q: "A" for q in out}, len(gates))
     return _advance(db, new, _decoded(circ, _encoding(db.descriptor.u_d, n, data)),
                     _copy_folded(db, n, out, ctrls))
 

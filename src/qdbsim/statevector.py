@@ -9,28 +9,26 @@ Conventions
   ``StateVector`` and never mutates its input. The exceptions are asked for
   by name: ``apply_gate(state, gate, out=target)`` writes its result into
   ``target``, which may be ``state`` itself, and ``move_amplitudes``
-  writes the state it is given. It moves that state in place, or, out of
-  place, writes only its destination, on the patterns it names, reading
-  them from ``src=``, which it never writes. ``circuit.simulate`` makes
-  one copy of its input, widened by ``add_ancillas`` when the circuit is
-  wider, and updates that copy in place through them; an op that only
-  moves amplitudes (``qdb.write``'s fold, ``qdb.permute``) copies its
-  input once and moves into the copy out of place, and a copy-read
-  (``qdb.read_copy``, ``read_copy_all``) copies its input once into the
-  low block of a zeroed wider array and scatters the copied amplitudes
-  from there.
+  writes the state it is given. ``circuit.simulate`` makes one copy of its
+  input, widened by ``add_ancillas`` when the circuit is wider, and updates
+  that copy in place through them; an op that only moves amplitudes
+  (``qdb.write``'s fold, ``qdb.permute``) copies its input once and moves
+  into the copy out of place, and a copy-read (``qdb.read_copy``,
+  ``read_copy_all``) copies its input once into the low block of a zeroed
+  wider array and scatters the copied amplitudes from there.
 * Gates work on the ``(2,)*n`` view of the amplitudes, in which axis
   ``n-1-q`` is qubit ``q``. Each control fixes its axis, so a gate reads and
   writes only the slices its controls select; the norm check is taken over
   those slices too.
-* Amplitudes move without arithmetic through one entry,
-  ``move_amplitudes``: on a control set C, pattern p with free bits f goes
-  to pattern pi(p) with free bits f XOR T[p]. Every ``x`` and ``swap``, a
-  run of ``x`` gates on C (a write's toggles, a data-write record's
-  table) and
-  ``permute`` are such moves. Every amplitude (signed zeros included) keeps
-  its bits, so a run moved at once equals its gates one by one, and a move
-  skips the norm check, which a permutation cannot fail.
+* Amplitudes move without arithmetic, and every amplitude (signed zeros
+  included) keeps its bits, so a move skips the norm check, which a
+  permutation cannot fail. An ``x`` or a ``swap`` in ``apply_gate`` trades
+  two slices of its controls' slice (``_exchange``). ``move_amplitudes``
+  moves a table: on a control set C, pattern p with free bits f goes to
+  pattern pi(p) with free bits f XOR T[p]. Out of place, from a source
+  state, it serves ``qdb.write``'s fold and ``qdb.permute``; in place it
+  takes only tables whose patterns stay put, and serves ``simulate``'s
+  data-write records.
 * State equality is judged up to global phase by default.
 
 The default qubit budget is 26; anything above that is rejected rather than
@@ -209,9 +207,10 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
     itself) and ``out`` is returned. Only the amplitudes the gate's controls
     select are read or written.
 
-    ``x`` and ``swap`` are exact moves, made by ``move_amplitudes`` with no
-    arithmetic. A permutation keeps the norm exactly, so only the kinds that
-    do arithmetic are checked: they raise if they change the norm of the
+    ``x`` and ``swap`` are exact moves with no arithmetic: two slices
+    trade places through one temporary the size of one (``_exchange``). A
+    permutation keeps the norm exactly, so only the kinds that do
+    arithmetic are checked: they raise if they change the norm of the
     amplitudes they touch by more than ``NORM_TOL`` (which would indicate a
     broken gate matrix). The check runs before anything is written, so a
     failed gate leaves ``out=state`` unchanged. Every kind raises if the gate
@@ -227,13 +226,14 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
     elif out is not state:
         np.copyto(out.amplitudes, state.amplitudes)
     if gate.kind == "x" or gate.kind == "swap":
-        wires = gate.qubits[len(gate.targets):]  # the control qubits
+        # the controls, then the targets, read as one pattern: slot ``one``
+        # sets the first target; an x trades it with that target clear, a
+        # swap with the second target set instead
+        wires = gate.qubits[len(gate.targets):] + gate.targets
         pattern = _control_pattern(gate.controls)
-        if gate.kind == "x":
-            move_amplitudes(out, wires, (pattern,), (pattern,), (1 << gate.targets[0],))
-        else:  # its targets read as two more pattern bits: 01 and 10 trade
-            one, two = pattern | 1 << len(wires), pattern | 2 << len(wires)
-            move_amplitudes(out, wires + gate.targets, (one, two), (two, one), (0, 0))
+        one = pattern | 1 << len(gate.controls)
+        two = pattern if gate.kind == "x" else pattern | 2 << len(gate.controls)
+        _exchange(out.amplitudes.reshape((2,) * n), wires, one, two)
         return out
     amps = out.amplitudes
     if gate.kind == "rot2":
@@ -271,25 +271,25 @@ def move_amplitudes(state: StateVector, wires, sources, targets, masks, *,
     it, the move is out of place: the amplitudes are read from ``src``,
     which is not written, and each named pattern is one slice copy into
     ``state``, whose amplitudes on the patterns not named stay as they
-    were. This is how an op moves its input state into its own copy.
+    were. ``qdb.write``'s fold and ``qdb.permute`` move their input state
+    into its one copy this way.
 
-    Without ``src``, ``state`` is moved in place and patterns not named stay
-    put:
+    Without ``src``, ``state`` is moved in place, and each pattern must
+    stay in place (``targets`` equal to ``sources``; anything else is a
+    SemanticError). Patterns not named stay put. ``circuit.simulate`` moves
+    a data-write record's table this way:
 
-    * One pattern that stays in place trades the halves of its slice, split
-      on the mask's highest qubit, one read reversed along the mask's other
-      qubits, through one half-slice temporary.
-    * Several patterns that stay in place are gathered, reordered by their
-      masks and put back in chunks of at most ``_MOVE_CHUNK`` amplitudes; a
-      pattern larger than a chunk trades halves instead.
-    * A route, where patterns move, follows each cycle: the first slice is
-      held, each slice is copied into the one it moves to, and the held one
-      goes last, so the temporary is one slice.
+    * One pattern trades the halves of its slice, split on the mask's
+      highest qubit, one read reversed along the mask's other qubits,
+      through one half-slice temporary.
+    * Several patterns are gathered, reordered by their masks and put back
+      in chunks of at most ``_MOVE_CHUNK`` amplitudes; a pattern larger
+      than a chunk trades halves instead.
 
-    The three tables are sequences of one type: an out-of-place move's and
-    a route's are tuples or lists of Python ints, which are compared and
-    used as they come. A table that stays in place may also be numpy
-    arrays, one array passed as both ``sources`` and ``targets``.
+    The three tables are sequences of one type: an out-of-place move's are
+    tuples or lists of Python ints, which are used as they come. An
+    in-place table may also be numpy arrays, one array passed as both
+    ``sources`` and ``targets``.
     """
     n = state.n_qubits
     tensor = state.amplitudes.reshape((2,) * n)
@@ -300,13 +300,12 @@ def move_amplitudes(state: StateVector, wires, sources, targets, masks, *,
         for source, target, mask in zip(sources, targets, masks):
             _slot(tensor, wires, target, mask)[...] = _slot(read, wires, source)
         return
-    if len(sources) == 1 and sources[0] == targets[0]:
-        _trade_halves(tensor, wires, int(sources[0]), int(masks[0]))
-        return
-    # a table that stays in place may come as one array for both, as
-    # ``simulate`` passes it, so that a long table is not compared with itself
+    # one array passed as both is not compared with itself
     if sources is not targets and sources != targets:
-        _route(tensor, wires, sources, targets, masks)
+        raise SemanticError("an in-place move keeps every pattern in place; "
+                            "a move between patterns reads from src=")
+    if len(sources) == 1:
+        _trade_halves(tensor, wires, int(sources[0]), int(masks[0]))
         return
     masks = np.asarray(masks, dtype=np.int64)
     moving = masks != 0
@@ -371,35 +370,28 @@ def _slot(tensor: np.ndarray, wires, pattern: int, mask: int = 0) -> np.ndarray:
     return tensor[tuple(idx)]
 
 
+def _exchange(tensor: np.ndarray, wires, one: int, two: int, mask: int = 0) -> None:
+    """Trade the slices of the ``(2,)*n`` view ``tensor`` on which
+    ``wires`` read patterns ``one`` and ``two``, the second reversed along
+    each qubit of ``mask``, through one temporary the size of a slice."""
+    first = _slot(tensor, wires, one)
+    second = _slot(tensor, wires, two, mask)
+    held = first.copy()
+    # a ufunc's out= copies in place where a plain assignment between
+    # interleaved slices would first copy its source whole
+    np.positive(second, out=first)
+    second[...] = held
+
+
 def _trade_halves(tensor: np.ndarray, wires, pattern: int, mask: int) -> None:
     """One pattern that stays in place, moved by ``mask``: the halves of its
-    slice, split on the mask's highest qubit, trade places through one
-    half-slice temporary, the lower one reversed along the other qubits."""
+    slice, split on the mask's highest qubit, trade places, the lower one
+    reversed along the other qubits."""
     if not mask:
         return
     top = mask.bit_length() - 1
-    split = (*wires, top)  # the highest mask qubit read as one more wire
-    upper = _slot(tensor, split, pattern | 1 << len(wires))
-    lower = _slot(tensor, split, pattern, mask ^ 1 << top)
-    held = upper.copy()
-    # a ufunc's out= copies in place where a plain assignment between
-    # interleaved slices would first copy its source whole
-    np.positive(lower, out=upper)
-    lower[...] = held
-
-
-def _route(tensor: np.ndarray, wires, sources, targets, masks) -> None:
-    """A route of ``move_amplitudes``, cycle by cycle through one slice."""
-    into = dict(zip(targets, zip(sources, masks)))  # slot <- pattern
-    while into:
-        first, (pattern, mask) = into.popitem()
-        held = _slot(tensor, wires, first).copy()
-        slot = first
-        while pattern != first:
-            np.positive(_slot(tensor, wires, pattern), out=_slot(tensor, wires, slot, mask))
-            slot = pattern
-            pattern, mask = into.pop(slot)
-        _slot(tensor, wires, slot, mask)[...] = held
+    # the highest mask qubit read as one more wire
+    _exchange(tensor, (*wires, top), pattern | 1 << len(wires), pattern, mask ^ 1 << top)
 
 
 def _block_index(patterns: np.ndarray, bits: list[int]) -> np.ndarray:

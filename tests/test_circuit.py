@@ -1,7 +1,6 @@
 """Circuit container: composition, inversion, remapping, control wrapping."""
 
 import tracemalloc
-from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -245,36 +244,38 @@ def test_random_circuits_match_dense_oracle(seed, n):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-# --- amplitude moves: x runs, stretches, swaps and routes ------------------
+# --- amplitude moves: tables in place and out of place ---------------------
 
 
 @st.composite
 def moves(draw):
-    """A move of ``statevector.move_amplitudes`` on up to 10 qubits: up to
-    8 patterns of a control set drawn from the whole register, so its qubits
-    sit above and below the masked ones, sent to themselves or, in a route,
-    to a permutation of themselves; each with a mask of the other qubits,
-    or, in half the routes, none."""
+    """A move of ``statevector.move_amplitudes`` on up to 10 qubits, in
+    place or out of place: up to 8 patterns of a control set drawn from the
+    whole register, so its qubits sit above and below the masked ones, sent
+    to themselves or, in a route (out of place only), to a permutation of
+    themselves; each with a mask of the other qubits, or, in half the
+    routes, none."""
+    out_of_place = draw(st.booleans())
     n = draw(st.integers(1, 10))
     order = draw(st.permutations(range(n)))
     wires = tuple(order[:draw(st.integers(0, n))])
     free = order[len(wires):]
     sources = draw(st.lists(st.integers(0, 2 ** len(wires) - 1), unique=True,
                             min_size=1, max_size=8))
-    route = len(sources) > 1 and draw(st.booleans())
+    route = out_of_place and len(sources) > 1 and draw(st.booleans())
     targets = draw(st.permutations(sources)) if route else sources
     masks = [0] * len(sources)
     if free and not (route and draw(st.booleans())):
         masks = [sum(1 << q for q in draw(st.sets(st.sampled_from(free))))
                  for _ in sources]
-    return n, wires, sources, targets, masks
+    return out_of_place, n, wires, sources, targets, masks
 
 
 @settings(deadline=None, max_examples=150)
 @given(move=moves(), seed=st.integers(0, 2**32 - 1),
-       chunk=st.sampled_from([1, 8, 1 << 17]), out_of_place=st.booleans())
-def test_move_amplitudes_matches_an_explicit_index_map(move, seed, chunk, out_of_place):
-    n, wires, sources, targets, masks = move
+       chunk=st.sampled_from([1, 8, 1 << 17]))
+def test_move_amplitudes_matches_an_explicit_index_map(move, seed, chunk):
+    out_of_place, n, wires, sources, targets, masks = move
     rng = np.random.default_rng(seed)
     state = signed_zero_state(rng, n)
     index = np.arange(2**n)
@@ -313,44 +314,15 @@ def test_an_out_of_place_move_needs_a_source_as_wide_as_its_destination():
                                     src=StateVector.zero(2))
 
 
-@st.composite
-def x_run_circuits(draw):
-    """Runs of mixed-polarity x gates on one ordered control set C, broken
-    by other kinds and by x gates on other control sets, on up to 14
-    qubits. C is drawn from the whole register, so its qubits may sit above
-    the targets, as the index qubits do after growth. Runs reach 32 gates."""
-    n = draw(st.integers(2, 14))
-    wires = draw(st.permutations(range(n)))
-    wires = wires[:draw(st.integers(1, n - 1))]
-    others = [q for q in range(n) if q not in wires]
-    patterns = draw(st.lists(st.integers(0, 2 ** len(wires) - 1), min_size=1, max_size=8))
-    gates = []
-    for _ in range(draw(st.integers(1, 4))):
-        for _ in range(draw(st.integers(0, 32))):
-            pat = draw(st.sampled_from(patterns))
-            ctrls = tuple((q, (pat >> j) & 1) for j, q in enumerate(wires))
-            gates.append(GateSpec("x", (), (draw(st.sampled_from(others)),), ctrls))
-        t, c = draw(st.permutations(range(n)))[:2]
-        gates.append(draw(st.sampled_from([
-            h(t), ry(t, 0.3, nctrl=(c,)), phase(t, 1.1, ctrl=(c,)), swap(t, c),
-            x(t, ctrl=(c,)), x(t)])))
-    return Circuit(n, gates)
-
-
-@settings(deadline=None, max_examples=60)
-@given(circ=x_run_circuits(), seed=st.integers(0, 2**32 - 1),
-       chunk=st.sampled_from([1, 8, 64, 1 << 17]))
-def test_fused_x_runs_match_gate_by_gate_simulation(circ, seed, chunk):
-    state = random_state(np.random.default_rng(seed), circ.n_qubits)
-    want = state
-    for g in circ.gates:
-        want = apply_gate(want, g)
-    # small chunks make one mask's patterns move in several gathers, or
-    # move a run whose patterns are each larger than a chunk pattern by
-    # pattern
-    with mock.patch.object(statevector, "_MOVE_CHUNK", chunk):
-        got = simulate(circ, state)
-    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+@pytest.mark.parametrize("sources,targets", [((0, 1), (1, 0)), ((1,), (0,))],
+                         ids=["two-cycle", "one-pattern"])
+def test_an_in_place_move_refuses_a_route(sources, targets):
+    state = random_state(np.random.default_rng(2), 3)
+    before = state.amplitudes.tobytes()
+    with pytest.raises(SemanticError, match="keeps every pattern in place") as exc:
+        statevector.move_amplitudes(state, (0,), sources, targets, (0,) * len(sources))
+    assert exc.value.exit_code == 3
+    assert state.amplitudes.tobytes() == before
 
 
 def two_pattern_run(length):
@@ -359,38 +331,9 @@ def two_pattern_run(length):
     return [x(3, ctrl=(0, 1)) if i % 2 else x(2, nctrl=(0, 1)) for i in range(length)]
 
 
-@contextmanager
-def recorded_moves():
-    """The moves ``simulate`` makes itself, each as ``(wires, sources,
-    masks)``, recorded as they happen."""
-    moves = []
-    real = circuit_mod.move_amplitudes
-
-    def recording(state, wires, sources, targets, masks):
-        assert tuple(targets) == tuple(sources)
-        moves.append((tuple(wires), tuple(sources), tuple(masks)))
-        real(state, wires, sources, targets, masks)
-
-    with mock.patch.object(circuit_mod, "move_amplitudes", recording):
-        yield moves
-
-
-def test_each_x_run_moves_in_one_call():
-    one_pattern = [x(2 + i % 2, ctrl=(0,), nctrl=(1,)) for i in range(15)]
-    other_order = [x(2, ctrl=(1, 0))]  # same control set, other order: a new run
-    with recorded_moves() as moves:
-        simulate(Circuit(4, [h(0), h(1)] + one_pattern + [h(2)] + two_pattern_run(16)
-                         + other_order + [h(3)] + two_pattern_run(3)))
-    assert moves == [((0, 1), (1,), (0b1000,)),  # 8 gates on q2 cancel, 7 on q3 do not
-                     ((0, 1), (0, 3), (0, 0)),  # 8 gates on each target
-                     ((1, 0), (3,), (0b100,)),
-                     ((0, 1), (0, 3), (0, 0b1000))]
-
-
 def test_runs_of_wide_patterns_hold_half_a_pattern():
-    # one control qubit leaves 19 qubits, 2^19 amplitudes, per pattern: more
-    # than a chunk holds, so each pattern trades halves in place instead of
-    # being gathered whole
+    # one control qubit leaves 19 qubits, 2^19 amplitudes, per pattern:
+    # each gate trades the halves of its pattern's slice in place
     gates = [x(1 + i % 19, ctrl=(0,)) if i % 2 else x(19 - i % 19, nctrl=(0,))
              for i in range(16)]
     state = random_state(np.random.default_rng(5), 20)
@@ -407,57 +350,6 @@ def test_runs_of_wide_patterns_hold_half_a_pattern():
     assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
     half = 2 ** 18 * state.amplitudes.itemsize
     assert half <= peak < half * 5 // 4
-
-
-@st.composite
-def one_tuple_x_stretches(draw):
-    """Stretches of x gates on one control set C, each on one
-    mixed-polarity pattern of C other than the stretch before it, with 1 to
-    5 targets (repeats included) drawn from the other qubits, above and
-    below C. A gate of another kind, or an x on another control set, may
-    break two stretches apart. Returns the circuit, C and the runs: each a
-    list of ``(pattern, targets)``, one per stretch, between two breaks."""
-    n = draw(st.integers(2, 10))
-    order = draw(st.permutations(range(n)))
-    wires = order[:draw(st.integers(1, n - 1))]
-    others = order[len(wires):]
-    gates, runs, prev = [], [[]], None
-    for _ in range(draw(st.integers(1, 3))):
-        pat = draw(st.integers(0, 2 ** len(wires) - 1).filter(lambda p: p != prev))
-        ctrls = tuple((q, (pat >> j) & 1) for j, q in enumerate(wires))
-        targets = draw(st.lists(st.sampled_from(others), min_size=1, max_size=5))
-        gates += [GateSpec("x", (), (t,), ctrls) for t in targets]
-        runs[-1].append((pat, targets))
-        prev = pat
-        if draw(st.booleans()):
-            t, c = draw(st.permutations(range(n)))[:2]
-            gates.append(draw(st.sampled_from([
-                h(t), ry(t, 0.3, nctrl=(c,)), phase(t, 1.1, ctrl=(c,)), swap(t, c),
-                x(t, ctrl=(c,)) if len(wires) > 1 else x(t)])))
-            runs.append([])
-            prev = None
-    return Circuit(n, gates), tuple(wires), [run for run in runs if run]
-
-
-@settings(deadline=None, max_examples=80)
-@given(drawn=one_tuple_x_stretches(), seed=st.integers(0, 2**32 - 1))
-def test_x_stretches_on_one_control_tuple_move_as_one_exchange(drawn, seed):
-    circ, wires, runs = drawn
-    state = random_state(np.random.default_rng(seed), circ.n_qubits)
-    want = state
-    for g in circ.gates:
-        want = apply_gate(want, g)
-    with recorded_moves() as moves:
-        got = simulate(circ, state)
-    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
-    tables = []  # each run's patterns with the XOR of their targets
-    for run in runs:
-        table = {}
-        for pat, targets in run:
-            for t in targets:
-                table[pat] = table.get(pat, 0) ^ (1 << t)
-        tables.append((wires, tuple(table), tuple(table.values())))
-    assert [m for m in moves if m[0] == wires] == tables
 
 
 def test_x_exchange_on_20_qubits_holds_half_a_slice():
@@ -491,18 +383,16 @@ def test_x_exchange_on_20_qubits_holds_half_a_slice():
 
 
 def test_simulate_widens_a_narrower_state_with_fresh_zero_qubits():
-    # 3 qubits given, 5 simulated: single gates and an x run on two
+    # 3 qubits given, 5 simulated: single gates and x gates on two
     # patterns act on the two fresh high qubits as they do on the ones given
     gates = ([h(3), ry(4, 0.3, ctrl=(3,))] + two_pattern_run(16)
              + [swap(0, 4), phase(2, 0.9, ctrl=(4,))])
     state = random_state(np.random.default_rng(11), 3)
     before = state.amplitudes.tobytes()
-    with recorded_moves() as moves:
-        got = simulate(Circuit(5, gates), state)
+    got = simulate(Circuit(5, gates), state)
     want = add_ancillas(state, 2)
     for g in gates:
         want = apply_gate(want, g)
-    assert moves == [((0, 1), (0, 3), (0, 0))]
     assert np.array_equal(got.amplitudes, want.amplitudes)
     assert state.amplitudes.tobytes() == before
 

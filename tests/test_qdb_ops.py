@@ -146,6 +146,14 @@ def test_descriptor_json_data_labels_are_plain_decimals(key):
     assert QdbDescriptor.from_json('{"k": 16, "l": 0, "data": {"10": "1"}}').data == {10: "1"}
 
 
+@pytest.mark.parametrize("index,data", [((-1,), ()), ((0, 1), (2, -3))],
+                         ids=["index", "data"])
+def test_layout_refuses_negative_qubits(index, data):
+    with pytest.raises(SemanticError, match="^negative qubit index$") as exc:
+        QdbLayout(index_qubits=index, data_qubits=data, logical_index_map={0: 0})
+    assert exc.value.exit_code == 3
+
+
 def test_layout_fresh_geometry():
     lay = QdbLayout.fresh(5, 2)
     assert lay.index_qubits == (0, 1, 2)
@@ -1087,8 +1095,14 @@ def test_permutation_forms_name_the_same_moves():
     (lambda db: write(db, 1, 2.7), "data word"),
     (lambda db: prepare_general(4, 0, {1: 2.7}, m_data=2), "data word"),
     (lambda db: prepare_general(4, 0, {1.5: "1"}, m_data=2), "data label"),
+    # a bool is an int in Python, but True for entry 1 is a slip
+    (lambda db: prepare_general(4, 0, {True: 1}), "data label"),
+    (lambda db: prepare_general(4, 0, {1: True}), "data word"),
+    (lambda db: write(db, 1, True), "data word"),
+    (lambda db: permute(db, {True: 2, 2: True}), "permutation label"),
 ], ids=["permute-dict-floats", "permute-list-floats", "permute-dict-strings",
-        "write-float-word", "prepare-float-word", "prepare-float-label"])
+        "write-float-word", "prepare-float-word", "prepare-float-label",
+        "prepare-bool-label", "prepare-bool-word", "write-bool-word", "permute-dict-bools"])
 def test_non_integral_labels_and_words_are_refused_not_truncated(call, what):
     db = prepare_general(4, 0, {1: "01", 2: "10"}, m_data=2)
     with pytest.raises(SemanticError, match=f"^{what} must be an integer"):
