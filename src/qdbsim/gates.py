@@ -5,10 +5,12 @@ qubits, and polarity-aware controls (a control is a ``(qubit, wanted_bit)``
 pair, so "fire when this qubit is 0" needs no surrounding X gates).
 
 A gate is checked once, when it is built from raw parts: ``GateSpec(...)``
-and the constructors below run every check. Gates that qdbsim builds from
-parts already known valid (a checked layout's registers, or the parts of a
-checked gate, as in ``gate_inverse``) come from ``GateSpec._built``, which
-skips them, as ``Circuit._joined`` skips re-checking checked gates.
+and the constructors below run every check. Every parameter must be a
+finite number, and rot2's two basis indices must be integers. Gates that
+qdbsim builds from parts already known valid (a checked layout's registers,
+or the parts of a checked gate, as in ``gate_inverse``) come from
+``GateSpec._built``, which skips them, as ``Circuit._joined`` skips
+re-checking checked gates.
 
 Kinds
 -----
@@ -26,6 +28,7 @@ Kinds
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -63,12 +66,22 @@ class GateSpec:
                 f"{self.kind} takes {_PARAM_COUNT[self.kind]} parameter(s), "
                 f"got {len(self.params)}"
             )
+        try:
+            finite = all(map(cmath.isfinite, self.params))  # reals or complex
+        except TypeError:  # not a number
+            finite = False
+        if not finite:
+            raise SemanticError(f"{self.kind} parameters must be finite numbers, "
+                                f"got {self.params}")
         if self.kind in ("y", "ytilde"):
             p = self.params[0]
             if not 0.0 <= p <= 1.0:
                 raise SemanticError(f"{self.kind} parameter must lie in [0, 1], got {p}")
         if self.kind == "rot2":
-            a, b = int(self.params[0]), int(self.params[1])
+            a, b = self.params[0], self.params[1]
+            if not (float(a).is_integer() and float(b).is_integer()):
+                raise SemanticError(f"rot2 basis indices must be integers, got {a} and {b}")
+            a, b = int(a), int(b)
             if a == b or a < 0 or b < 0:
                 raise SemanticError("rot2 needs two distinct non-negative basis indices")
             if self.targets or self.controls:

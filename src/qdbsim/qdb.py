@@ -14,6 +14,7 @@ and its new amplitudes meet.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -50,6 +51,8 @@ def _integer(value, what: str) -> int:
     """``value`` as an int: an integer (numpy's too) or a float equal to
     one. Anything else, a bool, a fraction or a string among them, is
     refused rather than truncated or parsed."""
+    if type(value) is int:  # the common case; a bool is not of this type
+        return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
@@ -201,6 +204,30 @@ class QdbDescriptor(_Derivable):
         return cls(k=k, l=l, data=data, u_d=u_d, m_data=m_data)
 
 
+@functools.lru_cache(maxsize=256)
+def _runs(qubits: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """A register ``qubits`` (bit i on ``qubits[i]``) as its runs of
+    consecutive bits on consecutive qubits: per run, the mask of its bits
+    and the shift that moves them onto their qubits, negative when they
+    move down. Memoized by the qubit tuple, so a layout derived with other
+    qubits gets its own runs."""
+    runs, start = [], 0
+    for i in range(1, len(qubits) + 1):
+        if i == len(qubits) or qubits[i] != qubits[i - 1] + 1:
+            runs.append((((1 << (i - start)) - 1) << start, qubits[start] - start))
+            start = i
+    return tuple(runs)
+
+
+def _spread(value, qubits: tuple[int, ...]):
+    """The bits of ``value`` (an int or a numpy int array) that a register
+    ``qubits`` holds, each moved onto its qubit, run by run (``_runs``)."""
+    out = 0
+    for mask, shift in _runs(qubits):
+        out |= (value & mask) << shift if shift >= 0 else (value & mask) >> -shift
+    return out
+
+
 @dataclass(frozen=True)
 class QdbLayout(_Derivable):
     """Where the database lives inside the simulated register.
@@ -219,6 +246,9 @@ class QdbLayout(_Derivable):
     logical_index_map: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        # tuples, which ``_place`` memoizes its runs by
+        object.__setattr__(self, "index_qubits", tuple(self.index_qubits))
+        object.__setattr__(self, "data_qubits", tuple(self.data_qubits))
         qubits = self.index_qubits + self.data_qubits
         if any(q < 0 for q in qubits):
             raise SemanticError("negative qubit index")
@@ -266,13 +296,13 @@ class QdbLayout(_Derivable):
 
     def _place(self, pat, data_value):
         """Basis index of an index pattern with a data value; ints or numpy
-        int arrays alike."""
-        idx = 0
-        for i, q in enumerate(self.index_qubits):
-            idx |= ((pat >> i) & 1) << q
-        for b, q in enumerate(self.data_qubits):
-            idx |= ((data_value >> b) & 1) << q
-        return idx
+        int arrays alike. Each register is spread by its runs (``_runs``):
+        one mask and one shift per run of bits that lands on consecutive
+        qubits, so a fresh layout places each register in one step. The
+        folded write places the word's mask and the old word's index this
+        way, as ``physical_index``, ``physical_indices`` (and so ``check``)
+        and the data-write table do."""
+        return _spread(pat, self.index_qubits) | _spread(data_value, self.data_qubits)
 
     def pattern_controls(self, label: int) -> tuple[tuple[int, int], ...]:
         """(qubit, bit) controls selecting one entry's index pattern."""
@@ -359,8 +389,13 @@ class QdbState(_Record):
 
     @property
     def meta(self) -> QdbMeta:
-        return QdbMeta(self.descriptor, self.layout, self.sensor_qubits,
-                       self.copy_qubits, self.amplitude_profile, self.projective)
+        # built as ``_derived`` builds records: these parts make a valid one
+        meta = object.__new__(QdbMeta)
+        meta.__dict__.update(descriptor=self.descriptor, layout=self.layout,
+                             sensor_qubits=self.sensor_qubits, copy_qubits=self.copy_qubits,
+                             amplitude_profile=self.amplitude_profile,
+                             projective=self.projective)
+        return meta
 
     def occupied_labels(self, tol: float = EMPTY_ENTRY_WEIGHT) -> tuple[int, ...]:
         """Labels whose index pattern carries any amplitude: a weight
@@ -845,14 +880,17 @@ def _word_value(meta: QdbMeta, label: int, word: int | str) -> int:
     return value
 
 
-def _check_occupied(state: StateVector, layout: QdbLayout, label: int):
+def _check_occupied(state: StateVector, layout: QdbLayout, label: int) -> np.ndarray:
     """Raise unless entry ``label`` (already known to ``layout``) carries
     amplitude in ``state``, a weight above ``EMPTY_ENTRY_WEIGHT``; reads
-    only the slice at that entry's index pattern."""
+    only the slice at that entry's index pattern, a view of the ``(2,)*n``
+    view of ``state``, and returns it. The folded write moves that slice
+    into its copy of the state, so it selects the entry once."""
     entry = _slot(state.amplitudes.reshape((2,) * state.n_qubits), layout.index_qubits,
                   layout.pattern(label))
     if not np.vdot(entry, entry).real > EMPTY_ENTRY_WEIGHT:
         raise SemanticError(f"entry {label} carries no amplitude")
+    return entry
 
 
 def write_meta(meta: QdbMeta, label: int, word: int | str, *,
@@ -946,17 +984,22 @@ def _write_folded(db: QdbState, label: int, value: int, width: int) -> StateVect
       word has reached its new word (VerificationError), two amplitudes
       read at indices one mask apart.
 
-    The toggles move the entry's slice at once, by one mask, from the source
-    into its one copy (``move_amplitudes``, out of place).
+    The entry's slice of the source is selected once, by the occupancy
+    check (``_check_occupied``). The toggles then move that slice at once,
+    by one mask, into the source's one copy: the slice copy that
+    ``move_amplitudes`` makes per pattern out of place, written here into
+    the copy's slot at the entry's pattern, reversed along the mask
+    (``_slot``).
     """
     layout = db.layout
     enc = _encoding(db.descriptor.u_d, db.n_qubits, layout.data_qubits)
     source = db.state if enc is None else simulate(enc.inverse(), db.state)
-    _check_occupied(source, layout, label)
+    entry = _check_occupied(source, layout, label)
     _check_budget(width, db.max_qubits)
     pattern, mask = layout.pattern(label), layout._place(0, value)
     state = source.copy()
-    move_amplitudes(state, layout.index_qubits, (pattern,), (pattern,), (mask,), src=source)
+    _slot(state.amplitudes.reshape((2,) * state.n_qubits), layout.index_qubits,
+          pattern, mask)[...] = entry
     at = layout._place(pattern, db.descriptor.data_value(label))
     if abs(state.amplitudes[at ^ mask] - source.amplitudes[at]) > STATE_TOL:
         raise VerificationError(f"write left entry {label}'s amplitude behind")

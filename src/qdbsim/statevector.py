@@ -26,9 +26,11 @@ Conventions
   two slices of its controls' slice (``_exchange``). ``move_amplitudes``
   moves a table: on a control set C, pattern p with free bits f goes to
   pattern pi(p) with free bits f XOR T[p]. Out of place, from a source
-  state, it serves ``qdb.write``'s fold and ``qdb.permute``; in place it
-  takes only tables whose patterns stay put, and serves ``simulate``'s
-  data-write records.
+  state, it serves ``qdb.permute``; in place it takes only tables whose
+  patterns stay put, and serves ``simulate``'s data-write records.
+  ``qdb.write``'s fold moves one pattern by one mask, the slice copy an
+  out-of-place move makes per pattern: it writes the entry's slice, which
+  its occupancy check selected (``_slot``), into its copy's slot.
 * State equality is judged up to global phase by default.
 
 The default qubit budget is 26; anything above that is rejected rather than
@@ -37,6 +39,7 @@ silently thrashing memory.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -247,8 +250,8 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
     before = _sqnorm(old)
     new = _updated(gate, old)
     # Untouched amplitudes keep their share of the norm, so the drift of the
-    # touched slices bounds the drift of the whole state.
-    if abs(math.sqrt(_sqnorm(new)) - math.sqrt(before)) > NORM_TOL:
+    # touched slices bounds the drift of the whole state; a NaN drift fails.
+    if not abs(math.sqrt(_sqnorm(new)) - math.sqrt(before)) <= NORM_TOL:
         raise SemanticError(f"gate {gate.kind} broke normalization")
     for v, a in zip(views, new):
         v[...] = a
@@ -271,8 +274,10 @@ def move_amplitudes(state: StateVector, wires, sources, targets, masks, *,
     it, the move is out of place: the amplitudes are read from ``src``,
     which is not written, and each named pattern is one slice copy into
     ``state``, whose amplitudes on the patterns not named stay as they
-    were. ``qdb.write``'s fold and ``qdb.permute`` move their input state
-    into its one copy this way.
+    were. ``qdb.permute`` moves its input state into its one copy this way.
+    ``qdb.write``'s fold makes the same slice copy for its one pattern
+    itself, from the entry's slice that its occupancy check has already
+    selected, so it does not call this function.
 
     Without ``src``, ``state`` is moved in place, and each pattern must
     stay in place (``targets`` equal to ``sources``; anything else is a
@@ -293,6 +298,7 @@ def move_amplitudes(state: StateVector, wires, sources, targets, masks, *,
     """
     n = state.n_qubits
     tensor = state.amplitudes.reshape((2,) * n)
+    wires = tuple(wires)  # a key of _slot's memo
     if src is not None:
         if src.n_qubits != n:
             raise SemanticError(f"src has {src.n_qubits} qubits, state has {n}")
@@ -353,11 +359,18 @@ def move_amplitudes(state: StateVector, wires, sources, targets, masks, *,
 _WHOLE, _REVERSED = slice(None), slice(None, None, -1)
 
 
-def _slot(tensor: np.ndarray, wires, pattern: int, mask: int = 0) -> np.ndarray:
+def _slot(tensor: np.ndarray, wires: tuple[int, ...], pattern: int,
+          mask: int = 0) -> np.ndarray:
     """The slice of the ``(2,)*n`` view ``tensor`` on which ``wires`` read
     ``pattern``, reversed along each qubit of ``mask``: what is written at
     free bits f of it lands at f XOR mask."""
-    n = tensor.ndim
+    return tensor[_slot_index(tensor.ndim, wires, pattern, mask)]
+
+
+@functools.lru_cache(maxsize=1024)
+def _slot_index(n: int, wires: tuple[int, ...], pattern: int, mask: int) -> tuple:
+    """The index ``_slot`` takes, memoized: a write or a permute selects the
+    same few slots of a register over and over."""
     idx = [_WHOLE] * n
     for j, q in enumerate(wires):
         idx[n - 1 - q] = (pattern >> j) & 1
@@ -367,7 +380,7 @@ def _slot(tensor: np.ndarray, wires, pattern: int, mask: int = 0) -> np.ndarray:
         mask ^= low
     # the Ellipsis keeps a view when every axis is fixed (see _selector)
     idx.append(Ellipsis)
-    return tensor[tuple(idx)]
+    return tuple(idx)
 
 
 def _exchange(tensor: np.ndarray, wires, one: int, two: int, mask: int = 0) -> None:

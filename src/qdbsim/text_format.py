@@ -183,13 +183,17 @@ def parse_text(text: str) -> Circuit:
         ctrl: list[int] = []
         nctrl: list[int] = []
         bucket = targets
+        bare = None  # a ctrl or nctrl no qubit has followed yet
         for tok in tokens[1:]:
-            if tok == "ctrl":
-                bucket = ctrl
-            elif tok == "nctrl":
-                bucket = nctrl
+            if tok == "ctrl" or tok == "nctrl":
+                if bare:
+                    raise CircuitParseError(ln, f"{bare} names no qubit")
+                bucket, bare = (ctrl if tok == "ctrl" else nctrl), tok
             else:
                 bucket.append(_parse_qubit(tok, ln))
+                bare = None
+        if bare:
+            raise CircuitParseError(ln, f"{bare} names no qubit")
         controls = tuple((q, 1) for q in ctrl) + tuple((q, 0) for q in nctrl)
         try:
             circ.append(GateSpec(kind, params, tuple(targets), controls))

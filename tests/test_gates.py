@@ -151,3 +151,22 @@ def test_overlapping_target_and_control_rejected():
 def test_swap_needs_two_distinct_targets():
     with pytest.raises(SemanticError):
         swap(1, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ry(0, math.nan),
+    lambda: ry(0, math.inf),
+    lambda: phase(0, math.nan),
+    lambda: phase(0, -math.inf),
+    lambda: y(0, math.nan),
+    lambda: rot2(0, 1, math.nan),
+    lambda: rot2(math.nan, 1, 0.5),
+    lambda: rot2(math.inf, 1, 0.5),
+    lambda: rot2(0, 1.5, 0.5),
+    lambda: GateSpec("ry", ("1",), (0,)),
+], ids=["ry-nan", "ry-inf", "phase-nan", "phase-minus-inf", "y-nan", "rot2-angle-nan",
+        "rot2-index-nan", "rot2-index-inf", "rot2-index-fraction", "ry-string"])
+def test_gate_parameters_must_be_finite_and_rot2_indices_integral(make):
+    with pytest.raises(SemanticError) as exc:
+        make()
+    assert exc.value.exit_code == 3

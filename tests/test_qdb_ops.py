@@ -28,7 +28,7 @@ from qdbsim.errors import (
     SemanticError,
     VerificationError,
 )
-from qdbsim.extend import extend, extend_imbalanced, transfer, unfold
+from qdbsim.extend import extend, extend_imbalanced, extend_meta, transfer, unfold
 from qdbsim.gates import GateSpec, gate_inverse, h, phase, ry, x
 from qdbsim.oracle import expected_qdb_amplitudes, permutation_matrix
 from qdbsim.qdb import (
@@ -53,6 +53,7 @@ from qdbsim.qdb import (
     relabel_contiguous,
     remove_projective,
     remove_reservoir,
+    remove_reservoir_meta,
     transpose_entries,
     transposition_circuit,
     write,
@@ -162,6 +163,68 @@ def test_layout_fresh_geometry():
     assert lay.pattern(3) == 3
     assert lay.physical_index(2, 0b10) == 0b10010
     assert lay.pattern_controls(4) == ((0, 0), (1, 0), (2, 1))
+
+
+def test_layout_registers_given_as_lists_place_as_tuples():
+    lay = QdbLayout(index_qubits=[2, 0], data_qubits=[1], logical_index_map={0: 0, 1: 3})
+    assert lay == QdbLayout((2, 0), (1,), {0: 0, 1: 3})
+    assert lay.physical_index(1, 1) == 0b111
+
+
+def _place_by_qubit(layout, pat, data_value):
+    """Basis index by a loop over every index and data qubit: the reference
+    for ``QdbLayout._place``, which places each register by its runs."""
+    idx = 0
+    for i, q in enumerate(layout.index_qubits):
+        idx |= ((pat >> i) & 1) << q
+    for b, q in enumerate(layout.data_qubits):
+        idx |= ((data_value >> b) & 1) << q
+    return idx
+
+
+@st.composite
+def _layouts(draw):
+    """Fresh, extended (the new index qubit above the data register),
+    reservoir-removed, permuted and hand-built non-monotone layouts."""
+    shape = draw(st.sampled_from(["fresh", "extended", "removed", "permuted", "hand"]))
+    if shape == "hand":  # distinct qubits, gaps allowed, in any order
+        size = draw(st.integers(1, 12))
+        base = sorted(draw(st.lists(st.integers(0, 40), min_size=size, max_size=size,
+                                    unique=True)))
+        qubits = [base[i] for i in draw(st.permutations(range(size)))]
+        t = draw(st.integers(1, min(size, 8)))
+        patterns = draw(st.lists(st.integers(0, (1 << t) - 1), min_size=1, max_size=8,
+                                 unique=True))
+        return QdbLayout(tuple(qubits[:t]), tuple(qubits[t:]), dict(enumerate(patterns)))
+    meta = prepare_meta(draw(st.integers(2, 40)), m_data=draw(st.integers(0, 5)))
+    if shape == "extended":
+        meta = extend_meta(meta, draw(st.integers(1, meta.k)))
+    elif shape != "fresh":
+        meta = remove_reservoir_meta(meta, draw(st.sampled_from(meta.layout.labels[1:])))
+    layout = meta.layout
+    if shape == "permuted":  # the survivors' patterns dealt out anew
+        lmap = layout.logical_index_map
+        patterns = draw(st.permutations(list(lmap.values())))
+        layout = QdbLayout(layout.index_qubits, layout.data_qubits, dict(zip(lmap, patterns)))
+    return layout
+
+
+@settings(deadline=None, max_examples=120)
+@given(layout=_layouts(), data=st.data())
+def test_place_by_runs_matches_the_per_qubit_loop(layout, data):
+    t, m = len(layout.index_qubits), len(layout.data_qubits)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, (1 << t) - 1),
+                                         st.integers(0, (1 << m) - 1)), min_size=1, max_size=6))
+    want = [_place_by_qubit(layout, pat, value) for pat, value in pairs]
+    assert [layout._place(pat, value) for pat, value in pairs] == want
+    pats, values = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+    got = layout._place(pats, values)
+    assert got.dtype == np.int64 and got.tolist() == want
+    entries = data.draw(st.lists(st.tuples(st.sampled_from(layout.labels),
+                                           st.integers(0, (1 << m) - 1)), min_size=1, max_size=6))
+    labels, words = zip(*entries)
+    assert layout.physical_indices(labels, words).tolist() == [
+        layout.physical_index(label, word) for label, word in entries]
 
 
 # --- preparation -------------------------------------------------------------
@@ -457,10 +520,21 @@ def test_folded_write_matches_sensor_register_write(k, m, shape, seed):
     folded.check()
 
 
+# The fold reads its entry through ``_slot`` without a mask and moves it into
+# the copy's slot with the word's mask, so these tests corrupt that move.
+
+
 def test_folded_write_checks_that_the_entry_moved(monkeypatch):
     db = prepare_general(4, 0, {1: "01"}, m_data=2)
     qdb = importlib.import_module("qdbsim.qdb")
-    monkeypatch.setattr(qdb, "move_amplitudes", lambda *args, **kwargs: None)  # the fold's move lost
+    slot = qdb._slot
+
+    def lost(tensor, wires, pattern, mask=0):
+        # the fold's move lands in a throwaway copy of its target slot
+        view = slot(tensor, wires, pattern, mask)
+        return view.copy() if mask else view
+
+    monkeypatch.setattr(qdb, "_slot", lost)
     with pytest.raises(VerificationError, match="amplitude behind"):
         write(db, 1, "11")
 
@@ -468,14 +542,14 @@ def test_folded_write_checks_that_the_entry_moved(monkeypatch):
 def test_folded_write_checks_the_bits_its_entry_moved_by(monkeypatch):
     db = prepare_general(4, 0, {1: "01"}, m_data=2)
     qdb = importlib.import_module("qdbsim.qdb")
-    move = qdb.move_amplitudes
+    slot = qdb._slot
     both = sum(1 << q for q in db.layout.data_qubits)
 
-    def misdirected(state, wires, sources, targets, masks, **kwargs):
+    def misdirected(tensor, wires, pattern, mask=0):
         # the move lands, but flips data bit 1 where the word sets bit 0
-        move(state, wires, sources, targets, [mask ^ both for mask in masks], **kwargs)
+        return slot(tensor, wires, pattern, mask ^ both if mask else mask)
 
-    monkeypatch.setattr(qdb, "move_amplitudes", misdirected)
+    monkeypatch.setattr(qdb, "_slot", misdirected)
     with pytest.raises(VerificationError, match="amplitude behind"):
         write(db, 1, "01")
 

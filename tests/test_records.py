@@ -11,7 +11,9 @@ from qdbsim.extend import _with_index_qubits, transfer_meta, unfold_meta
 from qdbsim.qdb import (
     QdbDescriptor,
     QdbLayout,
+    QdbMeta,
     permute_meta,
+    prepare_general,
     prepare_meta,
     remove_projective_meta,
     remove_reservoir_meta,
@@ -60,6 +62,14 @@ def test_derived_records_equal_their_full_check_rebuilds():
     assert lay == QdbLayout(lay.index_qubits, lay.data_qubits, dict(lay.logical_index_map))
     assert d.data == {1: "01", 2: "10", 3: "10"}
     assert (d.k, d.l, len(lay.index_qubits)) == (22, 0, 6)
+
+
+def test_a_states_meta_is_the_record_its_constructor_builds():
+    db = prepare_general(4, 0, {1: "01"}, m_data=2)
+    db.sensor_qubits, db.amplitude_profile = (4, 5), {0: 0.5, 1: 0.5}
+    meta = db.meta
+    assert type(meta) is QdbMeta
+    assert meta == QdbMeta(db.descriptor, db.layout, (4, 5), (), {0: 0.5, 1: 0.5}, False)
 
 
 def test_with_data_value_checks_the_word_it_sets():

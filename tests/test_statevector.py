@@ -248,6 +248,22 @@ def test_norm_preserved_by_gates(rng):
     assert abs(state.norm() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("gate", [
+    GateSpec._built("ry", (math.nan,), (1,)),
+    GateSpec._built("phase", (math.nan,), (1,)),
+    GateSpec._built("rot2", (0.0, 3.0, math.nan), ()),
+], ids=["ry", "phase", "rot2"])
+def test_norm_check_fails_on_a_nan_drift(rng, gate):
+    # built unchecked, as only qdbsim's own builders may; the constructor
+    # refuses these parameters
+    state = random_state(rng, 2)
+    state.amplitudes[2:] = 0  # phase(nan) would turn these zeros into NaN
+    before = state.amplitudes.tobytes()
+    with pytest.raises(SemanticError, match="broke normalization"):
+        apply_gate(state, gate, out=state)
+    assert state.amplitudes.tobytes() == before
+
+
 def test_two_level_rotation_moves_weight_between_strings(rng):
     state = StateVector.basis(3, 5)
     theta = 0.7

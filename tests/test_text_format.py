@@ -66,6 +66,16 @@ def test_float_params_survive_exactly():
         ("qubits 2\nx nonsense\n", 2),
         ("qubits 2\nry q[0]\n", 2),  # missing parameter
         ("qubits 2\nx q[0] ctrl q[0]\n", 2),  # overlapping wires
+        ("qubits 2\nx q[0] ctrl\n", 2),  # a control keyword with no qubit
+        ("qubits 2\nx q[0] nctrl\n", 2),
+        ("qubits 3\nx q[0] ctrl nctrl q[1]\n", 2),
+        ("qubits 3\nx q[0] ctrl q[1] nctrl\n", 2),
+        ("qubits 2\nry(nan) q[0]\n", 2),  # parameters must be finite
+        ("qubits 2\nphase(inf) q[0]\n", 2),
+        ("qubits 2\nrot2(0,1,nan)\n", 2),
+        ("qubits 2\nrot2(nan,1,0.5)\n", 2),
+        ("qubits 2\nrot2(inf,1,0.5)\n", 2),
+        ("qubits 2\nrot2(0,1.5,0.5)\n", 2),  # rot2 indices must be integers
         ("qubits two\n", 1),
         ("# no qubits\nqubits 0\n", 2),
     ],

@@ -96,7 +96,7 @@ def test_database_ops_check_catches_a_permute_that_moves_other_bits(monkeypatch)
 
     def negated(state, wires, sources, targets, masks, **kwargs):
         # a route's right entries, one amplitude's sign flipped; the write
-        # fold, whose pattern stays in place, moves as it should
+        # fold moves its entry without this function
         move(state, wires, sources, targets, masks, **kwargs)
         if sources != targets:
             state.amplitudes[np.flatnonzero(state.amplitudes)[0]] *= -1
