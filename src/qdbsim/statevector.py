@@ -39,7 +39,6 @@ silently thrashing memory.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -298,7 +297,6 @@ def move_amplitudes(state: StateVector, wires, sources, targets, masks, *,
     """
     n = state.n_qubits
     tensor = state.amplitudes.reshape((2,) * n)
-    wires = tuple(wires)  # a key of _slot's memo
     if src is not None:
         if src.n_qubits != n:
             raise SemanticError(f"src has {src.n_qubits} qubits, state has {n}")
@@ -359,18 +357,11 @@ def move_amplitudes(state: StateVector, wires, sources, targets, masks, *,
 _WHOLE, _REVERSED = slice(None), slice(None, None, -1)
 
 
-def _slot(tensor: np.ndarray, wires: tuple[int, ...], pattern: int,
-          mask: int = 0) -> np.ndarray:
+def _slot(tensor: np.ndarray, wires, pattern: int, mask: int = 0) -> np.ndarray:
     """The slice of the ``(2,)*n`` view ``tensor`` on which ``wires`` read
     ``pattern``, reversed along each qubit of ``mask``: what is written at
     free bits f of it lands at f XOR mask."""
-    return tensor[_slot_index(tensor.ndim, wires, pattern, mask)]
-
-
-@functools.lru_cache(maxsize=1024)
-def _slot_index(n: int, wires: tuple[int, ...], pattern: int, mask: int) -> tuple:
-    """The index ``_slot`` takes, memoized: a write or a permute selects the
-    same few slots of a register over and over."""
+    n = tensor.ndim
     idx = [_WHOLE] * n
     for j, q in enumerate(wires):
         idx[n - 1 - q] = (pattern >> j) & 1
@@ -380,7 +371,7 @@ def _slot_index(n: int, wires: tuple[int, ...], pattern: int, mask: int) -> tupl
         mask ^= low
     # the Ellipsis keeps a view when every axis is fixed (see _selector)
     idx.append(Ellipsis)
-    return tuple(idx)
+    return tensor[tuple(idx)]
 
 
 def _exchange(tensor: np.ndarray, wires, one: int, two: int, mask: int = 0) -> None:

@@ -204,13 +204,15 @@ def test_run_csv_format(tmp_path):
     assert all(len(line.split(",")) == 4 for line in lines)
 
 
-@pytest.mark.parametrize("gate", ["ry(nan) q[0]", "phase(inf) q[0]", "rot2(0,1.5,0.3)"])
-def test_a_data_encoding_with_a_bad_parameter_is_refused(tmp_path, capsys, gate):
+@pytest.mark.parametrize("gate, why", [("ry(nan) q[0]", "must be finite"),
+                                       ("phase(inf) q[0]", "must be finite"),
+                                       ("rot2(0,1.5,0.3)", "must be integers")])
+def test_a_data_encoding_with_a_bad_parameter_is_refused(tmp_path, capsys, gate, why):
     # a NaN angle would fill the state with NaN; rot2(0,1.5,.) would act as rot2(0,1,.)
     (tmp_path / "u.txt").write_text(f"qubits 1\n{gate}\n")
     script = write_script(tmp_path, "prepare k=4 m=1 data=1:1 u_d=u.txt\n")
     assert run_cli("run", str(script), "--out", str(tmp_path / "o")) == 2
-    assert "line 2: " in capsys.readouterr().err
+    assert why in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
