@@ -53,7 +53,8 @@ class Circuit:
     becomes one part, that list, which it alone holds, so changing
     ``gates`` in place changes the circuit. ``append`` adds to a list only
     this circuit holds, and never to a shared part. ``len`` sums the parts
-    without flattening them.
+    without flattening them, and ``==``, ``metrics``, ``remapped`` and
+    ``controlled`` read the gates' fields off the parts (``_fields``).
 
     Gates and labels are checked when they enter a circuit: the
     constructor's, each ``append`` and each ``label``. ``+``, ``extended``
@@ -157,8 +158,8 @@ class Circuit:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.n_qubits, self.gates, self.labels)
-                == (other.n_qubits, other.gates, other.labels))
+        return ((self.n_qubits, self.labels) == (other.n_qubits, other.labels)
+                and list(self._fields()) == list(other._fields()))
 
     __hash__ = None
 
@@ -182,50 +183,67 @@ class Circuit:
     def remapped(self, mapping: dict[int, int], n_qubits: int) -> "Circuit":
         """Embed into a wider register, sending qubit q to mapping[q].
 
-        rot2 gates are tied to whole-register basis indices and cannot be
-        embedded this way.
+        The mapping must send distinct qubits to distinct qubits and name
+        every qubit a gate uses. rot2 gates are tied to whole-register basis
+        indices and cannot be embedded this way.
         """
+        if len(set(mapping.values())) != len(mapping):
+            raise SemanticError("a remapping cannot send two qubits to one")
         out = Circuit(n_qubits)
         for q, lab in self.labels.items():
             if q in mapping:
                 out.label(mapping[q], lab)
-        for g in self.gates:
-            if g.kind == "rot2":
+        for kind, params, targets, controls in self._fields():
+            if kind == "rot2":
                 raise SemanticError("rot2 gates cannot be remapped to a sub-register")
-            out.append(GateSpec(
-                g.kind, g.params,
-                tuple(mapping[t] for t in g.targets),
-                tuple((mapping[q], b) for q, b in g.controls)))
+            try:
+                wired = (tuple(mapping[t] for t in targets),
+                         tuple((mapping[q], b) for q, b in controls))
+            except KeyError as exc:
+                raise SemanticError(f"the remapping misses qubit {exc.args[0]}") from None
+            out.append(GateSpec(kind, params, *wired))
         return out
 
     def controlled(self, ctrl=(), nctrl=()) -> "Circuit":
         """Add the given controls to every gate."""
         extra = tuple((q, 1) for q in ctrl) + tuple((q, 0) for q in nctrl)
         out = Circuit(self.n_qubits, labels=dict(self.labels))
-        for g in self.gates:
-            if g.kind == "rot2":
+        for kind, params, targets, controls in self._fields():
+            if kind == "rot2":
                 raise SemanticError("rot2 gates cannot take controls")
-            out.append(GateSpec(g.kind, g.params, g.targets, g.controls + extra))
+            out.append(GateSpec(kind, params, targets, controls + extra))
         return out
 
     def metrics(self) -> "CircuitMetrics":
         depth_at = [0] * self.n_qubits
         mcx = 0
         max_ctrl = 0
-        for g in self.gates:
-            qubits = range(self.n_qubits) if g.kind == "rot2" else g.qubits
+        for kind, _, targets, controls in self._fields():
+            qubits = (range(self.n_qubits) if kind == "rot2"
+                      else [*targets, *(q for q, _ in controls)])
             level = 1 + max((depth_at[q] for q in qubits), default=0)
             for q in qubits:
                 depth_at[q] = level
-            if g.kind == "x" and len(g.controls) >= 2:
+            if kind == "x" and len(controls) >= 2:
                 mcx += 1
-            max_ctrl = max(max_ctrl, len(g.controls))
+            max_ctrl = max(max_ctrl, len(controls))
         return CircuitMetrics(
-            gate_count=len(self.gates),
+            gate_count=len(self),
             depth=max(depth_at, default=0),
             mcx_count=mcx,
             max_controls=max_ctrl,
         )
+
+    def _fields(self):
+        """The fields of the gates, in order, as a ``GateRecord`` yields
+        them, read off the parts without building a gate or flattening
+        the circuit."""
+        for part in self._leaves():
+            if type(part) is list:
+                for g in part:
+                    yield g.kind, g.params, g.targets, g.controls
+            else:
+                yield from part.fields()
 
 
 def _walk(parts: tuple):
@@ -242,7 +260,7 @@ def _walk(parts: tuple):
 class GateRecord:
     """A ``Circuit`` part that keeps an op's arguments ``args`` instead of
     its ``size`` gates: ``fields_of(*args)`` yields each gate's fields
-    ``(kind, params, targets, controls, wires)``, the arguments of
+    ``(kind, params, targets, controls)``, the arguments of
     ``GateSpec._built``, from parts already checked.
 
     ``gates`` builds them on first use and keeps them; ``emit_text``
@@ -311,17 +329,11 @@ class GateRecord:
         return self._gates
 
 
-def _gate_fields(gates) -> list[tuple]:
-    """The fields of checked gates, as a ``GateRecord`` yields them."""
-    return [(g.kind, g.params, g.targets, g.controls, g.qubits[len(g.targets):])
-            for g in gates]
-
-
 def _inverted_fields(fields: list[tuple]) -> list[tuple]:
     """The fields of the inverse of the gates with ``fields``: read
     backwards, each gate inverted on its own wires."""
-    return [(*inverse_params(kind, params), targets, controls, wires)
-            for kind, params, targets, controls, wires in reversed(fields)]
+    return [(*inverse_params(kind, params), targets, controls)
+            for kind, params, targets, controls in reversed(fields)]
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .dumps import amplitude_records, dump_records, records_to_csv, records_to_json
-from .errors import QdbError, ScriptError, SemanticError
+from .errors import CircuitParseError, QdbError, ScriptError, SemanticError
 from .extend import extend, extend_imbalanced, extend_imbalanced_meta, extend_meta
 from .qdb import (
     QdbMeta,
@@ -195,6 +195,8 @@ def _prepare_args(a: _Args) -> dict:
             u_d = parse_text((a.script_dir / u_d).read_text())
         except OSError as exc:
             raise ScriptError(a.ln, f"cannot read data-encoding circuit: {exc}") from None
+        except CircuitParseError as exc:  # its own line, inside the script's
+            raise ScriptError(a.ln, f"data-encoding circuit {u_d}, {exc}") from None
     return a.done(k=k, l=l, data=data, m_data=m_data, u_d=u_d)
 
 

@@ -39,13 +39,13 @@ from .qdb import (
     _advance,
     _decoded,
     _encoding,
+    _entry,
     prepare_circuit,
     prepare_general,
     preparation_circuit,
 )
 from .statevector import (
     StateVector,
-    _register_scan,
     drop_qubits,
     overlap,
     states_equal,
@@ -340,7 +340,9 @@ def unfold(db: QdbState) -> QdbState:
     one, ``qdb._decoded``) peels the reservoir branch, and the
     index-register preparation for l entries, applied under that ancilla,
     spreads the branch over l fresh patterns. The result is a balanced
-    database of k + l entries.
+    database of k + l entries. First the reservoir's branch (``qdb._entry``)
+    is weighed, as the occupancy check weighs an entry: it must hold what
+    the l entries need (SemanticError otherwise).
     """
     new = unfold_meta(db.meta)
     l = db.l
@@ -348,7 +350,8 @@ def unfold(db: QdbState) -> QdbState:
         raise SemanticError("state register does not match the database layout")
     target = math.sqrt((l + 1) / (db.k + l))
     # the reservoir's whole branch: its data is u_d|0> under an encoding
-    held = math.sqrt(_register_scan(db.state, db.layout.index_qubits)[db.layout.pattern(0)])
+    branch = _entry(db.state, db.layout, 0)
+    held = math.sqrt(np.vdot(branch, branch).real)
     if held < target - TRANSFER_AMP_TOL:
         raise SemanticError(
             f"reservoir holds {held:.6g}, needs {target:.6g} to fund {l} entries")

@@ -6,11 +6,11 @@ pair, so "fire when this qubit is 0" needs no surrounding X gates).
 
 A gate is checked once, when it is built from raw parts: ``GateSpec(...)``
 and the constructors below run every check. Every parameter must be a
-finite number, and rot2's two basis indices must be integers. Gates that
-qdbsim builds from parts already known valid (a checked layout's registers,
-or the parts of a checked gate, as in ``gate_inverse``) come from
-``GateSpec._built``, which skips them, as ``Circuit._joined`` skips
-re-checking checked gates.
+finite real number (a complex one is refused), and rot2's two basis
+indices must be integers. Gates that qdbsim builds from parts already known
+valid (a checked layout's registers, or the parts of a checked gate, as in
+``gate_inverse``) come from ``GateSpec._built``, which skips them, as
+``Circuit._joined`` skips re-checking checked gates.
 
 Kinds
 -----
@@ -28,9 +28,9 @@ Kinds
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -66,12 +66,8 @@ class GateSpec:
                 f"{self.kind} takes {_PARAM_COUNT[self.kind]} parameter(s), "
                 f"got {len(self.params)}"
             )
-        try:
-            finite = all(map(cmath.isfinite, self.params))  # reals or complex
-        except TypeError:  # not a number
-            finite = False
-        if not finite:
-            raise SemanticError(f"{self.kind} parameters must be finite numbers, "
+        if not all(isinstance(p, Real) and math.isfinite(p) for p in self.params):
+            raise SemanticError(f"{self.kind} parameters must be finite real numbers, "
                                 f"got {self.params}")
         if self.kind in ("y", "ytilde"):
             p = self.params[0]
@@ -101,35 +97,35 @@ class GateSpec:
             seen.add(q)
         if any(q < 0 for q in seen):
             raise SemanticError("negative qubit index")
-        self._wire(tuple([q for q, _ in self.controls]))
+        # the targets then the control qubits, set once per gate and off the
+        # fields (equality, hashing and repr are unchanged): every gate
+        # checked or applied reads them
+        _set(self, "qubits", self.targets + tuple([q for q, _ in self.controls]))
 
     @classmethod
     def _built(cls, kind: str, params: tuple[float, ...], targets: tuple[int, ...],
-               controls: tuple[tuple[int, int], ...] = (),
-               wires: tuple[int, ...] | None = None) -> "GateSpec":
-        """A gate from parts that already make a valid gate: none of the
-        constructor's checks run. ``wires``, if given, is the tuple of the
-        control qubits in order, so it is not rebuilt from ``controls``."""
+               controls: tuple[tuple[int, int], ...] = ()) -> "GateSpec":
+        """A gate from parts that already make a valid gate, the four fields
+        a ``circuit.GateRecord`` yields: none of the constructor's checks
+        run."""
         gate = object.__new__(cls)
         _set(gate, "kind", kind)
         _set(gate, "params", params)
         _set(gate, "targets", targets)
         _set(gate, "controls", controls)
-        gate._wire(tuple([q for q, _ in controls]) if wires is None else wires)
+        _set(gate, "qubits", targets + tuple([q for q, _ in controls]))
         return gate
-
-    def _wire(self, wires: tuple[int, ...]):
-        """Set ``qubits``, the targets then the control qubits ``wires``,
-        off the fields so equality, hashing and repr are unchanged, once per
-        gate rather than on every gate applied: every gate checked against
-        a register reads it, and ``apply_gate`` reads the control qubits of
-        an ``x`` or a ``swap`` from it."""
-        _set(self, "qubits", self.targets + wires)
 
 
 # attribute stores that keep instance attributes inline (writing through
 # ``__dict__`` would give every gate a dictionary of its own)
 _set = object.__setattr__
+
+
+def _real(value):
+    """``value`` as a float when it is a real number; anything else is left
+    as it is, for ``GateSpec`` to refuse."""
+    return float(value) if isinstance(value, Real) else value
 
 
 def _ctrls(ctrl, nctrl) -> tuple[tuple[int, int], ...]:
@@ -147,19 +143,19 @@ def h(target: int, ctrl=(), nctrl=()) -> GateSpec:
 
 
 def ry(target: int, theta: float, ctrl=(), nctrl=()) -> GateSpec:
-    return GateSpec("ry", (float(theta),), (target,), _ctrls(ctrl, nctrl))
+    return GateSpec("ry", (_real(theta),), (target,), _ctrls(ctrl, nctrl))
 
 
 def y(target: int, p: float, ctrl=(), nctrl=()) -> GateSpec:
-    return GateSpec("y", (float(p),), (target,), _ctrls(ctrl, nctrl))
+    return GateSpec("y", (_real(p),), (target,), _ctrls(ctrl, nctrl))
 
 
 def ytilde(target: int, p: float, ctrl=(), nctrl=()) -> GateSpec:
-    return GateSpec("ytilde", (float(p),), (target,), _ctrls(ctrl, nctrl))
+    return GateSpec("ytilde", (_real(p),), (target,), _ctrls(ctrl, nctrl))
 
 
 def phase(target: int, phi: float, ctrl=(), nctrl=()) -> GateSpec:
-    return GateSpec("phase", (float(phi),), (target,), _ctrls(ctrl, nctrl))
+    return GateSpec("phase", (_real(phi),), (target,), _ctrls(ctrl, nctrl))
 
 
 def swap(t1: int, t2: int, ctrl=(), nctrl=()) -> GateSpec:
@@ -167,7 +163,7 @@ def swap(t1: int, t2: int, ctrl=(), nctrl=()) -> GateSpec:
 
 
 def rot2(a: int, b: int, theta: float) -> GateSpec:
-    return GateSpec("rot2", (float(a), float(b), float(theta)), (), ())
+    return GateSpec("rot2", (_real(a), _real(b), _real(theta)), (), ())
 
 
 def y_angle(p: float) -> float:

@@ -21,16 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, GateRecord, _gate_fields, _inverted_fields, _run_gates, simulate
+from .circuit import Circuit, GateRecord, _inverted_fields, _run_gates, simulate
 from .errors import SemanticError, VerificationError
-from .gates import GateSpec, rot2, x, y
+from .gates import GateSpec, rot2, y
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
     _check_budget,
     _register_scan,
     _slot,
-    drop_qubits,
     move_amplitudes,
     project,
     schmidt,
@@ -617,8 +616,7 @@ def _gray_steps(pairs, index_qubits):
         steps = []
         for j, q in enumerate(index_qubits):
             if ((pat_a ^ pat_b) >> j) & 1:
-                steps.append(("x", (), (q,), tuple(reads[:j] + reads[j + 1:]),
-                              index_qubits[:j] + index_qubits[j + 1:]))
+                steps.append(("x", (), (q,), tuple(reads[:j] + reads[j + 1:])))
                 reads[j] = (q, 1 - reads[j][1])
         yield from steps
         yield from steps[-2::-1]
@@ -711,9 +709,8 @@ def _data_write_steps(descriptor: QdbDescriptor, layout: QdbLayout):
     ``x`` per set data bit of ``descriptor``, label by label in ascending
     order, data bits ascending within an entry. Each is controlled on its
     entry's index pattern of ``layout``; an entry's gates share one control
-    tuple, and every gate shares ``wires``, the index register."""
-    wires = layout.index_qubits
-    pairs = [((q, 0), (q, 1)) for q in wires]
+    tuple."""
+    pairs = [((q, 0), (q, 1)) for q in layout.index_qubits]
     lmap = layout.logical_index_map
     targets: dict[str, list[tuple[int]]] = {}  # word -> the data qubits it sets
     for label, word in sorted(descriptor.data.items()):
@@ -725,7 +722,7 @@ def _data_write_steps(descriptor: QdbDescriptor, layout: QdbLayout):
         pat = lmap[label]
         ctrls = tuple([pair[(pat >> i) & 1] for i, pair in enumerate(pairs)])
         for t in qubits:
-            yield "x", (), t, ctrls, wires
+            yield "x", (), t, ctrls
 
 
 def _data_write_table(descriptor: QdbDescriptor, layout: QdbLayout):
@@ -880,14 +877,21 @@ def _word_value(meta: QdbMeta, label: int, word: int | str) -> int:
     return value
 
 
+def _entry(state: StateVector, layout: QdbLayout, label: int, mask: int = 0) -> np.ndarray:
+    """Entry ``label``'s branch of ``state``: the slot (``_slot``) of the
+    ``(2,)*n`` view of ``state`` at the entry's index pattern, reversed
+    along each qubit of ``mask``."""
+    return _slot(state.amplitudes.reshape((2,) * state.n_qubits), layout.index_qubits,
+                 layout.pattern(label), mask)
+
+
 def _check_occupied(state: StateVector, layout: QdbLayout, label: int) -> np.ndarray:
     """Raise unless entry ``label`` (already known to ``layout``) carries
     amplitude in ``state``, a weight above ``EMPTY_ENTRY_WEIGHT``; reads
-    only the slice at that entry's index pattern, a view of the ``(2,)*n``
-    view of ``state``, and returns it. The folded write moves that slice
-    into its copy of the state, so it selects the entry once."""
-    entry = _slot(state.amplitudes.reshape((2,) * state.n_qubits), layout.index_qubits,
-                  layout.pattern(label))
+    only the entry's branch (``_entry``) and returns it. The folded write
+    moves that slice into its copy of the state, so it selects the entry
+    once."""
+    entry = _entry(state, layout, label)
     if not np.vdot(entry, entry).real > EMPTY_ENTRY_WEIGHT:
         raise SemanticError(f"entry {label} carries no amplitude")
     return entry
@@ -908,9 +912,9 @@ def _sensor_prep_steps(value: int, sensor, enc_s: Circuit | None):
     one ``x`` per set bit, then ``enc_s`` (u_d on the sensor), if any."""
     for b, q in enumerate(sensor):
         if (value >> b) & 1:
-            yield "x", (), (q,), (), ()
+            yield "x", (), (q,), ()
     if enc_s is not None:
-        yield from _gate_fields(enc_s.gates)
+        yield from enc_s._fields()
 
 
 def _write_core_steps(swap: bool, pattern: int, wires, sensor, data, enc: Circuit | None):
@@ -924,14 +928,13 @@ def _write_core_steps(swap: bool, pattern: int, wires, sensor, data, enc: Circui
     ctrls = tuple([(q, (pattern >> i) & 1) for i, q in enumerate(wires)])
     if swap:
         for b, dq in enumerate(data):
-            yield "swap", (), (dq, sensor[b]), ctrls, wires
+            yield "swap", (), (dq, sensor[b]), ctrls
         return
-    toggles = [("x", (), (dq,), ctrls + ((sensor[b], 1),), wires + (sensor[b],))
-               for b, dq in enumerate(data)]
+    toggles = [("x", (), (dq,), ctrls + ((sensor[b], 1),)) for b, dq in enumerate(data)]
     if enc is None:
         yield from toggles
         return
-    encode = _gate_fields(enc.gates)
+    encode = list(enc._fields())
     yield from _inverted_fields(encode)
     yield from toggles
     yield from encode
@@ -989,18 +992,17 @@ def _write_folded(db: QdbState, label: int, value: int, width: int) -> StateVect
     by one mask, into the source's one copy: the slice copy that
     ``move_amplitudes`` makes per pattern out of place, written here into
     the copy's slot at the entry's pattern, reversed along the mask
-    (``_slot``).
+    (``_entry``).
     """
     layout = db.layout
     enc = _encoding(db.descriptor.u_d, db.n_qubits, layout.data_qubits)
     source = db.state if enc is None else simulate(enc.inverse(), db.state)
     entry = _check_occupied(source, layout, label)
     _check_budget(width, db.max_qubits)
-    pattern, mask = layout.pattern(label), layout._place(0, value)
+    mask = layout._place(0, value)
     state = source.copy()
-    _slot(state.amplitudes.reshape((2,) * state.n_qubits), layout.index_qubits,
-          pattern, mask)[...] = entry
-    at = layout._place(pattern, db.descriptor.data_value(label))
+    _entry(state, layout, label, mask)[...] = entry
+    at = layout._place(layout.pattern(label), db.descriptor.data_value(label))
     if abs(state.amplitudes[at ^ mask] - source.amplitudes[at]) > STATE_TOL:
         raise VerificationError(f"write left entry {label}'s amplitude behind")
     return state if enc is None else simulate(enc, state)
@@ -1202,16 +1204,16 @@ def read_projective(db: QdbState, label: int) -> tuple[StateVector, float]:
     Returns the entry's data-register state and the outcome probability
     (1/(k+l) for an occupied entry of a standard database). The database is
     consumed: the branch where the index points elsewhere is discarded.
+    The data state is the entry's branch (``_entry``) of the collapsed
+    state, flattened, highest remaining qubit first, and divided by its
+    norm.
     """
     read_projective_meta(db.meta, label)
     layout = db.layout
-    pat = layout.pattern(label)
-    collapsed, prob = project(db.state, _register_scan(db.state, layout.index_qubits, pat))
-    reset = Circuit(db.n_qubits)
-    for i, q in enumerate(layout.index_qubits):
-        if (pat >> i) & 1:
-            reset.append(x(q))
-    return drop_qubits(simulate(reset, collapsed), layout.index_qubits), prob
+    hit = _register_scan(db.state, layout.index_qubits, layout.pattern(label))
+    collapsed, prob = project(db.state, hit)
+    data = _entry(collapsed, layout, label).reshape(-1)
+    return StateVector(data / np.linalg.norm(data), copy=False), prob
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,18 @@ Conventions
   into the copy out of place, and a copy-read (``qdb.read_copy``,
   ``read_copy_all``) copies its input once into the low block of a zeroed
   wider array and scatters the copied amplitudes from there.
-* Gates work on the ``(2,)*n`` view of the amplitudes, in which axis
-  ``n-1-q`` is qubit ``q``. Each control fixes its axis, so a gate reads and
-  writes only the slices its controls select; the norm check is taken over
-  those slices too.
+* Slices are taken from the ``(2,)*n`` view of the amplitudes, in which
+  axis ``n-1-q`` is qubit ``q``, by one selector, ``_slot``: the slice on
+  which some wires read one pattern. A gate (every kind but rot2, which
+  names two basis indices) reads its controls then its targets as one
+  pattern, so it reads and writes only the slots its controls select; the
+  norm check is taken over those slots too. An entry's branch is the slot
+  of its index pattern on the index register: the occupancy check, the
+  folded write, ``qdb.read_projective`` and ``extend.unfold`` read it there.
 * Amplitudes move without arithmetic, and every amplitude (signed zeros
   included) keeps its bits, so a move skips the norm check, which a
   permutation cannot fail. An ``x`` or a ``swap`` in ``apply_gate`` trades
-  two slices of its controls' slice (``_exchange``). ``move_amplitudes``
+  two slots (``_exchange``). ``move_amplitudes``
   moves a table: on a control set C, pattern p with free bits f goes to
   pattern pi(p) with free bits f XOR T[p]. Out of place, from a source
   state, it serves ``qdb.permute``; in place it takes only tables whose
@@ -121,20 +125,6 @@ def _control_pattern(controls) -> int:
     return sum(bit << j for j, (_, bit) in enumerate(controls))
 
 
-def _selector(n: int, fixed) -> tuple:
-    """Index into the ``(2,)*n`` view of a state that fixes each ``(qubit,
-    bit)`` in ``fixed`` (axis ``n-1-q`` is qubit ``q``).
-
-    The trailing Ellipsis keeps the result a view even when every axis is
-    fixed: a plain all-integer index would return a scalar copy, and writes
-    to it would be lost.
-    """
-    idx = [slice(None)] * n
-    for q, bit in fixed:
-        idx[n - 1 - q] = bit
-    return (*idx, Ellipsis)
-
-
 def _register_scan(state: StateVector, qubits, pattern: int | None = None) -> np.ndarray:
     """One pass over the ``(2,)*n`` view of a state, keyed by the pattern a
     register reads (``qubits[i]`` holds bit i of a pattern).
@@ -147,7 +137,7 @@ def _register_scan(state: StateVector, qubits, pattern: int | None = None) -> np
     n = state.n_qubits
     if pattern is not None:
         mask = np.zeros((2,) * n, dtype=bool)
-        mask[_selector(n, [(q, (pattern >> i) & 1) for i, q in enumerate(qubits)])] = True
+        _slot(mask, qubits, pattern)[...] = True
         return mask.reshape(-1)
     axes = [n - 1 - q for q in qubits]  # axes[i] holds pattern bit i
     kept = sorted(axes)
@@ -166,20 +156,11 @@ def _check_gate(gate: GateSpec, n: int):
         raise SemanticError(f"rot2 basis index out of range for {n} qubits")
 
 
-def _touched(gate: GateSpec) -> tuple:
-    """Extra ``(qubit, bit)`` fixings, beyond the controls, of each slice a
-    gate that does arithmetic reads and writes (every such kind but rot2,
-    which names two basis indices instead)."""
-    t = gate.targets[0]
-    if gate.kind == "phase":
-        return (((t, 1),),)
-    return (((t, 0),), ((t, 1),))
-
-
 def _updated(gate: GateSpec, old: list[np.ndarray]) -> list[np.ndarray]:
-    """New contents of the touched slices, given contiguous copies of their
-    old contents (in the order of ``_touched``). May reuse those copies.
-    ``x`` and ``swap`` never get here: ``apply_gate`` moves them."""
+    """New contents of the slices a gate reads (rot2's two indices, phase's
+    slot with its target set, else the target's slots clear then set), given
+    contiguous copies of their old contents. May reuse those copies. ``x``
+    and ``swap`` never get here: ``apply_gate`` moves them."""
     if gate.kind == "rot2":
         theta = gate.params[2]
         c, s = math.cos(theta), math.sin(theta)
@@ -227,22 +208,25 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
         out = state.copy()
     elif out is not state:
         np.copyto(out.amplitudes, state.amplitudes)
-    if gate.kind == "x" or gate.kind == "swap":
+    kind = gate.kind
+    if kind == "rot2":
+        amps = out.amplitudes
+        views = [amps[int(i):int(i) + 1] for i in gate.params[:2]]
+    else:
         # the controls, then the targets, read as one pattern: slot ``one``
-        # sets the first target; an x trades it with that target clear, a
-        # swap with the second target set instead
+        # sets the first target, slot ``pattern`` clears it
+        tensor = out.amplitudes.reshape((2,) * n)
         wires = gate.qubits[len(gate.targets):] + gate.targets
         pattern = _control_pattern(gate.controls)
         one = pattern | 1 << len(gate.controls)
-        two = pattern if gate.kind == "x" else pattern | 2 << len(gate.controls)
-        _exchange(out.amplitudes.reshape((2,) * n), wires, one, two)
-        return out
-    amps = out.amplitudes
-    if gate.kind == "rot2":
-        views = [amps[int(i):int(i) + 1] for i in gate.params[:2]]
-    else:
-        tensor = amps.reshape((2,) * n)
-        views = [tensor[_selector(n, gate.controls + fixed)] for fixed in _touched(gate)]
+        if kind == "x" or kind == "swap":
+            # an x trades slot ``one`` with slot ``pattern``, a swap with the
+            # second target set instead
+            _exchange(tensor, wires, one,
+                      pattern if kind == "x" else pattern | 2 << len(gate.controls))
+            return out
+        views = ([_slot(tensor, wires, one)] if kind == "phase"
+                 else [_slot(tensor, wires, pattern), _slot(tensor, wires, one)])
     # Contiguous copies: numpy can round strided operands differently, and
     # copying keeps the results bitwise independent of the slices' strides.
     old = [v.copy() for v in views]
@@ -281,14 +265,12 @@ def move_amplitudes(state: StateVector, wires, sources, targets, masks, *,
     Without ``src``, ``state`` is moved in place, and each pattern must
     stay in place (``targets`` equal to ``sources``; anything else is a
     SemanticError). Patterns not named stay put. ``circuit.simulate`` moves
-    a data-write record's table this way:
-
-    * One pattern trades the halves of its slice, split on the mask's
-      highest qubit, one read reversed along the mask's other qubits,
-      through one half-slice temporary.
-    * Several patterns are gathered, reordered by their masks and put back
-      in chunks of at most ``_MOVE_CHUNK`` amplitudes; a pattern larger
-      than a chunk trades halves instead.
+    a data-write record's table this way: the patterns are gathered,
+    reordered by their masks and put back in chunks of at most
+    ``_MOVE_CHUNK`` amplitudes. A pattern larger than a chunk instead
+    trades the halves of its slice, split on the mask's highest qubit, one
+    read reversed along the mask's other qubits, through one half-slice
+    temporary (``_trade_halves``).
 
     The three tables are sequences of one type: an out-of-place move's are
     tuples or lists of Python ints, which are used as they come. An
@@ -308,9 +290,6 @@ def move_amplitudes(state: StateVector, wires, sources, targets, masks, *,
     if sources is not targets and sources != targets:
         raise SemanticError("an in-place move keeps every pattern in place; "
                             "a move between patterns reads from src=")
-    if len(sources) == 1:
-        _trade_halves(tensor, wires, int(sources[0]), int(masks[0]))
-        return
     masks = np.asarray(masks, dtype=np.int64)
     moving = masks != 0
     patterns, masks = np.asarray(sources, dtype=np.int64)[moving], masks[moving]
@@ -369,7 +348,8 @@ def _slot(tensor: np.ndarray, wires, pattern: int, mask: int = 0) -> np.ndarray:
         low = mask & -mask
         idx[n - low.bit_length()] = _REVERSED
         mask ^= low
-    # the Ellipsis keeps a view when every axis is fixed (see _selector)
+    # the Ellipsis keeps a view when every axis is fixed: a plain all-integer
+    # index would return a scalar copy, and writes to it would be lost
     idx.append(Ellipsis)
     return tensor[tuple(idx)]
 

@@ -83,7 +83,7 @@ def emit_text(circuit: Circuit) -> str:
     def lines_of(fields) -> list[str]:
         text = []
         controls = tail = None
-        for kind, params, targets, ctrl, _ in fields:
+        for kind, params, targets, ctrl in fields:
             if ctrl is not controls:  # an entry's gates often share one tuple
                 controls = ctrl
                 tail = tails.get(ctrl)
@@ -105,7 +105,7 @@ def emit_text(circuit: Circuit) -> str:
         if text is not None:
             return text
         if type(part) is list:
-            text = lines_of([(g.kind, g.params, g.targets, g.controls, None) for g in part])
+            text = lines_of([(g.kind, g.params, g.targets, g.controls) for g in part])
         elif part.reversed and part._table_of is not None:
             text = part_lines(part.forward)[::-1]  # x gates: each its own inverse
         else:

@@ -165,6 +165,15 @@ def test_remapped_rejects_two_level_rotation():
         c.remapped({0: 0, 1: 1, 2: 2}, 3)
 
 
+@pytest.mark.parametrize("mapping, why", [({0: 2, 1: 2}, "two qubits to one"),
+                                           ({0: 2}, "misses qubit 1"),
+                                           ({1: 0}, "misses qubit 0")])
+def test_remapped_refuses_a_merging_or_partial_mapping(mapping, why):
+    c = Circuit(2, [h(0), x(1, ctrl=(0,))])
+    with pytest.raises(SemanticError, match=why):
+        c.remapped(mapping, 3)
+
+
 def test_controlled_wraps_every_gate(rng):
     c = Circuit(2)
     c.append(h(0))

@@ -209,10 +209,13 @@ def test_run_csv_format(tmp_path):
                                        ("rot2(0,1.5,0.3)", "must be integers")])
 def test_a_data_encoding_with_a_bad_parameter_is_refused(tmp_path, capsys, gate, why):
     # a NaN angle would fill the state with NaN; rot2(0,1.5,.) would act as rot2(0,1,.)
-    (tmp_path / "u.txt").write_text(f"qubits 1\n{gate}\n")
-    script = write_script(tmp_path, "prepare k=4 m=1 data=1:1 u_d=u.txt\n")
+    (tmp_path / "u.txt").write_text(f"qubits 1\n# one gate\n{gate}\n")
+    script = write_script(tmp_path, "# an encoded database\nprepare k=4 m=1 data=1:1 u_d=u.txt\n")
     assert run_cli("run", str(script), "--out", str(tmp_path / "o")) == 2
-    assert why in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the script's line, then the file and the gate's line in it
+    assert "line 2: data-encoding circuit u.txt, line 3: " in err
+    assert why in err
     assert not (tmp_path / "o").exists()
 
 

@@ -164,9 +164,20 @@ def test_swap_needs_two_distinct_targets():
     lambda: rot2(math.inf, 1, 0.5),
     lambda: rot2(0, 1.5, 0.5),
     lambda: GateSpec("ry", ("1",), (0,)),
+    # complex parameters, which would fail inside the kernel or break the norm
+    lambda: GateSpec("ry", (1j,), (0,)),
+    lambda: GateSpec("phase", (0.3 + 0.2j,), (0,)),
+    lambda: GateSpec("phase", (np.complex128(0.3),), (0,)),
+    lambda: ry(0, 1j),
+    lambda: phase(0, 0.3 + 0.2j),
+    lambda: rot2(0, 1, 0.5j),
+    lambda: rot2(1j, 1, 0.5),
 ], ids=["ry-nan", "ry-inf", "phase-nan", "phase-minus-inf", "y-nan", "rot2-angle-nan",
-        "rot2-index-nan", "rot2-index-inf", "rot2-index-fraction", "ry-string"])
+        "rot2-index-nan", "rot2-index-inf", "rot2-index-fraction", "ry-string",
+        "ry-complex", "phase-complex", "phase-numpy-complex", "ry-helper-complex",
+        "phase-helper-complex", "rot2-angle-complex", "rot2-index-complex"])
 def test_gate_parameters_must_be_finite_and_rot2_indices_integral(make):
     with pytest.raises(SemanticError) as exc:
         make()
     assert exc.value.exit_code == 3
+    assert "must be finite" in str(exc.value) or "must be integers" in str(exc.value)

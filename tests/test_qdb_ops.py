@@ -59,7 +59,14 @@ from qdbsim.qdb import (
     write,
     write_swap_conditional,
 )
-from qdbsim.statevector import StateVector, _register_scan, project, schmidt, states_equal
+from qdbsim.statevector import (
+    StateVector,
+    _register_scan,
+    drop_qubits,
+    project,
+    schmidt,
+    states_equal,
+)
 from qdbsim.text_format import emit_text, parse_text
 from qdbsim.tolerances import DUMP_THRESHOLD, EMPTY_ENTRY_WEIGHT, STATE_TOL
 from qdbsim.verify import _copy_circuit, _write_through_sensor
@@ -747,6 +754,41 @@ def test_read_projective_probability_and_state():
     assert prob == pytest.approx(1 / 7, abs=1e-12)
     assert word.n_qubits == db.descriptor.m_data
     assert abs(word.amplitudes[0b10]) == pytest.approx(1.0, abs=1e-12)
+
+
+def _read_projective_by_reset(db, label):
+    """The reference read-out: project onto the entry, reset the index
+    register to |0> with x gates, then drop it (``drop_qubits``)."""
+    layout = db.layout
+    pat = layout.pattern(label)
+    collapsed, prob = project(db.state, _register_scan(db.state, layout.index_qubits, pat))
+    reset = Circuit(db.n_qubits, [x(q) for i, q in enumerate(layout.index_qubits)
+                                  if (pat >> i) & 1])
+    return drop_qubits(simulate(reset, collapsed), layout.index_qubits), prob
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_read_projective_matches_the_reset_read_out_bit_for_bit(data):
+    u_d = data.draw(st.sampled_from([None, RY_ENCODING, RY_CNOT_ENCODING]), label="u_d")
+    k = data.draw(st.integers(2, 8), label="k")
+    m = u_d.n_qubits if u_d is not None else data.draw(st.integers(1, 3), label="m")
+    words = data.draw(st.dictionaries(st.integers(1, k - 1), st.integers(0, 2 ** m - 1)),
+                      label="words")
+    db = prepare_general(k, 0, words, m_data=m, u_d=u_d)
+    how = data.draw(st.sampled_from(["fresh", "extended", "permuted", "removed"]), label="how")
+    if how == "extended":  # the new index qubit sits above the data register
+        db = extend(db, data.draw(st.integers(1, k), label="l"))
+    elif how == "permuted":
+        db = permute(db, [0] + data.draw(st.permutations(range(1, k)), label="perm"))
+    elif how == "removed":
+        db = remove_reservoir(db, data.draw(st.integers(1, k - 1), label="removed"))
+    label = data.draw(st.sampled_from(db.layout.labels), label="label")
+    got, prob = read_projective(db, label)
+    want, want_prob = _read_projective_by_reset(db, label)
+    assert got.n_qubits == m
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+    assert prob == want_prob
 
 
 def test_read_projective_rejects_reservoir_and_unknown():
@@ -1475,6 +1517,28 @@ def test_writes_and_permutes_build_no_gates_until_asked(built_gates):
     flat = Circuit(history.n_qubits, list(history.extended(history.n_qubits).gates),
                    dict(history.labels))
     assert built_gates and emit_text(flat) == text
+
+
+def test_equality_and_metrics_read_a_shared_history_as_it_is(built_gates):
+    db = prepare_general(4, 0, {1: 1, 3: 2}, m_data=2)
+    db = permute(write(db, 1, 3), {1: 2, 2: 1})
+    db = extend(db, 3)  # each transfer step refers to one u and one u^-1
+    history = db.circuit
+    n, parts = history.n_qubits, history._parts
+    assert any(type(part) is GateRecord for part in history._leaves())
+    built_gates.clear()
+    twin = history.extended(n)  # the same parts, held by another circuit
+    metrics = history.metrics()
+    assert history == twin
+    assert built_gates == []
+    assert history._parts is parts and twin._parts is parts
+    # against the flat gates, built only now
+    flat = Circuit(n, list(twin.gates), dict(history.labels))
+    assert history == flat and flat == history
+    assert history != Circuit(n, flat.gates[:-1], dict(history.labels))
+    assert metrics == flat.metrics()
+    assert metrics.gate_count == len(flat.gates)
+    assert history._parts is parts
 
 
 def _records(circ):

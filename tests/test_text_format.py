@@ -226,7 +226,7 @@ def test_signed_zero_phases_on_one_wire_set_stay_apart():
 
     def steps():
         for angle in (0.0, -0.0, 0.0):
-            yield "phase", (angle,), (0,), controls, (1,)
+            yield "phase", (angle,), (0,), controls
 
     record = GateRecord(steps, (), 3)
     assert emit_text(Circuit._joined(2, (record,), {}, 3)) == text
