@@ -8,20 +8,19 @@ byte-deterministic for a given script, seed, format and numpy build: floats
 are written with ``repr``, and which multiply loop numpy picks can change
 their last bits.
 
-The whole script is dry-run first. Each line's arguments are converted once,
-and the command's library transition — the precondition-and-effect function
-the library op itself calls before touching amplitudes — is applied to the
-evolving database record, so semantic mistakes surface before anything is
-simulated or written; errors read ``command (line N): message``. Only these
-checks run during execution alone, and their errors read the same way:
+The whole script is dry-run first: each line's arguments are converted
+once and its library transition (``<op>_meta``) is applied to the evolving
+database record, so semantic mistakes surface before anything is simulated
+or written; errors read ``command (line N): message``. The transition runs
+only there: the execution hands the record the dry run left to the op's
+effect (the two ``extend`` commands run the op, which derives its records
+round by round). Only these checks run during execution, named the same way:
 
-- capacity against the qubit budget (exit 4), a write's sensor register
-  included;
+- capacity against the qubit budget (exit 4), a write's sensor included;
 - verification (exit 5): the transfer planner's replay of its closed-form
   schedule, the transfer preflight, and the check that a ``mode=xor`` write
-  moved the entry's amplitude from its old word to its new one (the write
-  does not simulate its sensor, so sensor purity is checked only by the
-  library's ``write(keep_sensor=True)``; ``mode=swap`` never checks it);
+  moved the entry's amplitude from its old word to its new one (sensor
+  purity is checked only by the library's ``write(keep_sensor=True)``);
 - the amplitude-level checks (exit 3): an entry carrying no amplitude, and
   entry phase alignment in ``remove_reservoir``.
 
@@ -47,28 +46,27 @@ from .extend import extend, extend_imbalanced, extend_imbalanced_meta, extend_me
 from .qdb import (
     QdbMeta,
     QdbState,
+    _copy_data,
+    _permute,
+    _prepare,
+    _read_projective,
+    _remove_projective,
+    _remove_reservoir,
+    _write,
+    _write_swap,
     emit_meta,
-    permute,
     permute_meta,
-    prepare_general,
     prepare_meta,
-    read_copy,
-    read_copy_all,
     read_copy_all_meta,
     read_copy_meta,
-    read_projective,
     read_projective_meta,
-    remove_projective,
     remove_projective_meta,
-    remove_reservoir,
     remove_reservoir_meta,
-    write,
     write_meta,
-    write_swap_conditional,
     write_swap_meta,
 )
 from .statevector import DEFAULT_MAX_QUBITS, schmidt
-from .text_format import parse_text
+from .text_format import emit_text, parse_text
 from .verify import run_verify
 
 
@@ -215,12 +213,13 @@ def _permute_args(a: _Args) -> dict:
 # ---------------------------------------------------------------------------
 # the session: one database per script
 #
-# The dry run and the execution each walk the script in a Session of their
-# own, through the same command functions. A dry session holds a QdbMeta
-# record and applies the library's transitions; an executing one holds the
-# QdbState and calls the ops, which apply the same transitions first. The
-# session rules (one database per script, none after it is consumed, a seed
-# for sampling, one PRNG drawn in script order) live here once, for both.
+# Each command is a transition and an effect. The transition applies the
+# library's transition to the database's record and returns what the effect
+# takes: the record the line leaves, or a tuple that starts with it (a
+# string there names what consumed the database). The effect hands that to
+# the op's private effect on the live database and writes the line's
+# artifacts. The session rules (one database per script, none after it is
+# consumed, one PRNG drawn in script order) live in the transitions.
 
 
 @dataclass
@@ -239,35 +238,37 @@ class Session:
         # one PRNG for the whole script: sampling commands draw sequentially
         self.rng = np.random.default_rng(self.seed) if self.seed is not None else None
 
-    def step(self, ln: int, cmd: str, kv: dict[str, str]) -> dict:
-        """Convert one line's arguments and run the command; return the
-        converted arguments."""
+    def step(self, ln: int, cmd: str, kv: dict[str, str]) -> tuple:
+        """Run one line's transition, and its effect unless dry; return the line."""
         args = COMMANDS[cmd][0](_Args(ln, kv, self.script_dir))
-        self.run(ln, cmd, args)
-        return args
+        line = (ln, cmd, args, self._named(ln, cmd, COMMANDS[cmd][1], args))
+        self.run(*line)
+        return line
 
-    def run(self, ln: int, cmd: str, args: dict):
-        """Run one converted command; a library error names it and its line."""
+    def run(self, ln: int, cmd: str, args: dict, derived):
+        """Run one line's effect on what its transition ``derived``, if not dry."""
+        if not self.dry:
+            self._named(ln, cmd, COMMANDS[cmd][2], args, derived)
+        after = derived[0] if isinstance(derived, tuple) else derived
+        if isinstance(after, str):
+            self.consumed, self.db = after, None
+        elif self.dry:
+            self.db = after
+
+    def _named(self, ln: int, cmd: str, fn, args: dict, *derived):
+        """``fn`` on this session; a library error names the command and its line."""
         try:
-            COMMANDS[cmd][1](self, **args)
+            return fn(self, *derived, **args)
         except QdbError as exc:
             exc.args = (f"{cmd} (line {ln}): {exc}",)
             raise
 
-    def require_db(self):
+    def record(self) -> QdbMeta:
         if self.consumed:
             raise SemanticError(f"database was consumed by {self.consumed}")
         if self.db is None:
             raise SemanticError("no database prepared yet")
-        return self.db
-
-    def consume(self, by: str):
-        self.consumed, self.db = by, None
-
-    def sample(self, p: float) -> bool:
-        if self.rng is None:
-            raise SemanticError("remove mode=projective samples an outcome; pass --seed")
-        return bool(self.rng.random() < p)
+        return self.db if self.dry else self.db.meta
 
     def artifact(self, name: str, text: str) -> Path:
         self.artifact_count += 1
@@ -281,171 +282,143 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _prepare(sess: Session, **args):
+def _prepare_meta(sess: Session, **args) -> QdbMeta:
     if sess.db is not None or sess.consumed:
         raise SemanticError("session already holds a database")
-    if sess.dry:
-        sess.db = prepare_meta(**args)
-        return
-    sess.db = prepare_general(**args, max_qubits=sess.max_qubits)
+    return prepare_meta(**args)
+
+
+def _run_prepare(sess: Session, new: QdbMeta, **args):
+    sess.db = _prepare(new, sess.max_qubits)
     print(f"prepare: k={args['k']} l={args['l']} on {sess.db.n_qubits} qubits")
 
 
-def _extend(sess: Session, l: int):
-    db = sess.require_db()
-    if sess.dry:
-        sess.db = extend_meta(db, l)
-        return
+def _run_extend(sess: Session, _, l: int):
+    """Runs the public ``extend``, whose ``extend_meta`` runs again: an
+    extension derives a chain of records, one per transfer and unfold round."""
     plans = []
-    sess.db = extend(db, l, plan_sink=lambda p: plans.append(p.to_report()))
+    sess.db = extend(sess.db, l, plan_sink=lambda p: plans.append(p.to_report()))
     path = sess.artifact("extend-plan.json", _json_text({"l": l, "plans": plans}))
     print(f"extend: +{l} -> k={sess.db.k} on {sess.db.n_qubits} qubits ({path.name})")
 
 
-def _extend_imbalanced(sess: Session, l: int, z: int, route: str):
-    db = sess.require_db()
-    if sess.dry:
-        sess.db = extend_imbalanced_meta(db, l, z, route=route)
-        return
+def _run_extend_imbalanced(sess: Session, _, l: int, z: int, route: str):
+    """Runs the public ``extend_imbalanced``, for ``_run_extend``'s reason."""
     plans = []
-    sess.db = extend_imbalanced(db, l, z, route=route,
+    sess.db = extend_imbalanced(sess.db, l, z, route=route,
                                 plan_sink=lambda p: plans.append(p.to_report()))
     path = sess.artifact("extend-imbalanced-plan.json", _json_text(plans[0]))
     print(f"extend-imbalanced: +{l} with z={z} -> k={sess.db.k} "
           f"balanced={plans[0]['balanced']} ({path.name})")
 
 
-def _write(sess: Session, j: int, word: str, mode: str):
-    db = sess.require_db()
-    if sess.dry:
-        sess.db = (write_meta if mode == "xor" else write_swap_meta)(db, j, word)
-        return
-    sess.db = (write if mode == "xor" else write_swap_conditional)(db, j, word)
+def _run_write(sess: Session, new: QdbMeta, j: int, word: str, mode: str):
+    sess.db = (_write if mode == "xor" else _write_swap)(sess.db, new, j)
     print(f"write: entry {j} d={word} mode={mode}")
 
 
-def _read_copy(sess: Session, j: int | None):
-    db = sess.require_db()
-    if sess.dry:
-        sess.db = read_copy_all_meta(db) if j is None else read_copy_meta(db, j)
-        return
-    sess.db = read_copy_all(db) if j is None else read_copy(db, j)
+def _run_read_copy(sess: Session, new: QdbMeta, j: int | None):
+    sess.db = _copy_data(sess.db, new, j)
     target = "all" if j is None else str(j)
     rep = schmidt(sess.db.state, sess.db.copy_qubits)
     path = sess.artifact("read-copy.json", _json_text({
-        "entry": target,
-        "purity": rep.purity,
-        "schmidt_rank": rep.schmidt_rank,
-        "entropy_bits": rep.entropy_bits,
-        "entangled": rep.entangled,
-    }))
+        "entry": target, "purity": rep.purity, "schmidt_rank": rep.schmidt_rank,
+        "entropy_bits": rep.entropy_bits, "entangled": rep.entangled}))
     print(f"read-copy: entry {target} entangled={rep.entangled} ({path.name})")
 
 
-def _read_projective(sess: Session, j: int):
-    db = sess.require_db()
-    if sess.dry:
-        read_projective_meta(db, j)
-    else:
-        data_state, prob = read_projective(db, j)
-        segments = [("D", tuple(range(data_state.n_qubits)))]
-        path = sess.artifact("read-projective.json", _json_text({
-            "entry": j,
-            "probability": prob,
-            "records": amplitude_records(data_state, segments),
-        }))
-        print(f"read-projective: entry {j} probability={prob:.12g} ({path.name})")
-    sess.consume("read-projective")
+def _read_projective_meta(sess: Session, j: int) -> str:
+    read_projective_meta(sess.record(), j)
+    return "read-projective"
 
 
-def _remove(sess: Session, j: int, mode: str):
-    db = sess.require_db()
+def _run_read_projective(sess: Session, _, j: int):
+    data_state, prob = _read_projective(sess.db, j)
+    segments = [("D", tuple(range(data_state.n_qubits)))]
+    path = sess.artifact("read-projective.json", _json_text({
+        "entry": j, "probability": prob, "records": amplitude_records(data_state, segments)}))
+    print(f"read-projective: entry {j} probability={prob:.12g} ({path.name})")
+
+
+def _remove_meta(sess: Session, j: int, mode: str):
     if mode == "reservoir":
-        if sess.dry:
-            sess.db = remove_reservoir_meta(db, j)
-            return
-        sess.db = remove_reservoir(db, j)
+        return remove_reservoir_meta(sess.record(), j)
+    p, new = remove_projective_meta(sess.record(), j)
+    if sess.rng is None:
+        raise SemanticError("remove mode=projective samples an outcome; pass --seed")
+    # a success is never drawn when new is None: p is 0 then
+    return (new if sess.rng.random() < p else "remove mode=projective (failure branch)"), new
+
+
+def _run_remove(sess: Session, derived, j: int, mode: str):
+    if mode == "reservoir":
+        sess.db = _remove_reservoir(sess.db, derived, j)
         print(f"remove: entry {j} -> reservoir (k={sess.db.k}, l={sess.db.l})")
         return
-    if sess.dry:
-        p, after = remove_projective_meta(db, j)
-    else:
-        outcome = remove_projective(db, j)
-        p, after = outcome.success_probability, outcome.success_state
-    success = sess.sample(p)
-    if success and after is not None:
-        sess.db = after
-    else:
-        sess.consume("remove mode=projective (failure branch)")
-    if sess.dry:
-        return
-    verdict = "success" if success else "failure"
+    after, new = derived
+    outcome = _remove_projective(sess.db, new, j)
+    p = outcome.success_probability
+    verdict = "failure" if isinstance(after, str) else "success"
+    if verdict == "success":
+        sess.db = outcome.success_state
     path = sess.artifact("remove.json", _json_text({
-        "entry": j,
-        "mode": "projective",
-        "success_probability": p,
-        "outcome": verdict,
-    }))
+        "entry": j, "mode": "projective", "success_probability": p, "outcome": verdict}))
     print(f"remove: entry {j} projective p={p:.12g} outcome={verdict} ({path.name})")
 
 
-def _permute(sess: Session, spec: str, perm):
-    db = sess.require_db()
-    if sess.dry:
-        sess.db, _ = permute_meta(db, perm)
-        return
-    sess.db = permute(db, perm)
+def _run_permute(sess: Session, derived, spec: str, perm):
+    sess.db = _permute(sess.db, *derived)
     print(f"permute: {spec}")
 
 
-def _emit(sess: Session):
-    db = sess.require_db()
-    if sess.dry:
-        emit_meta(db)
-        return
-    path = sess.artifact("circuit.txt", db.emit())
-    print(f"emit: {len(db.circuit)} gates ({path.name})")
+def _run_emit(sess: Session, _):
+    path = sess.artifact("circuit.txt", emit_text(sess.db.circuit))
+    print(f"emit: {len(sess.db.circuit)} gates ({path.name})")
 
 
-def _dump(sess: Session):
-    db = sess.require_db()
-    if sess.dry:
-        return
-    records = dump_records(db)
-    if sess.fmt == "json":
-        path = sess.artifact("dump.json", records_to_json(records))
-    else:
-        path = sess.artifact("dump.csv", records_to_csv(records))
+def _run_dump(sess: Session, _):
+    records = dump_records(sess.db)
+    text = (records_to_json if sess.fmt == "json" else records_to_csv)(records)
+    path = sess.artifact(f"dump.{sess.fmt}", text)
     print(f"dump: {len(records)} amplitudes ({path.name})")
 
 
-# command -> (argument converter, command function)
+# command -> (argument converter, transition, effect)
 COMMANDS = {
-    "prepare": (_prepare_args, _prepare),
-    "extend": (lambda a: a.done(l=a.number("l")), _extend),
+    "prepare": (_prepare_args, _prepare_meta, _run_prepare),
+    "extend": (lambda a: a.done(l=a.number("l")),
+               lambda sess, l: extend_meta(sess.record(), l), _run_extend),
     "extend-imbalanced": (
         lambda a: a.done(l=a.number("l"), z=a.number("z"), route=a.text("route", "direct")),
-        _extend_imbalanced),
+        lambda sess, l, z, route: extend_imbalanced_meta(sess.record(), l, z, route=route),
+        _run_extend_imbalanced),
     "write": (
         lambda a: a.done(j=a.number("j"), word=a.text("d"), mode=a.choice("mode", "xor", "swap")),
-        _write),
-    "read-copy": (_read_copy_args, _read_copy),
-    "read-projective": (lambda a: a.done(j=a.number("j")), _read_projective),
+        lambda sess, j, word, mode: (write_meta if mode == "xor" else write_swap_meta)(
+            sess.record(), j, word),
+        _run_write),
+    "read-copy": (_read_copy_args, lambda sess, j: (
+        read_copy_all_meta(sess.record()) if j is None else read_copy_meta(sess.record(), j)),
+        _run_read_copy),
+    "read-projective": (lambda a: a.done(j=a.number("j")), _read_projective_meta,
+                        _run_read_projective),
     "remove": (
         lambda a: a.done(j=a.number("j"), mode=a.choice("mode", "reservoir", "projective")),
-        _remove),
-    "permute": (_permute_args, _permute),
-    "emit": (lambda a: a.done(), _emit),
-    "dump": (lambda a: a.done(), _dump),
+        _remove_meta, _run_remove),
+    "permute": (_permute_args, lambda sess, spec, perm: permute_meta(sess.record(), perm),
+                _run_permute),
+    "emit": (lambda a: a.done(), lambda sess: emit_meta(sess.record()), _run_emit),
+    "dump": (lambda a: a.done(), lambda sess: sess.record(), _run_dump),
 }
 
 
-def dry_run(steps, *, seed: int | None, script_dir: Path) -> list[tuple[int, str, dict]]:
+def dry_run(steps, *, seed: int | None, script_dir: Path) -> list[tuple]:
     """Walk a parsed script through the library's transitions alone; raise on
     the first command that could not execute. Returns each command with its
-    line and converted arguments, for the execution to reuse."""
+    line, converted arguments and what its transition derived, for the
+    execution to run the effects on."""
     sess = Session(seed, script_dir, dry=True)
-    return [(ln, cmd, sess.step(ln, cmd, kv)) for ln, cmd, kv in steps]
+    return [sess.step(ln, cmd, kv) for ln, cmd, kv in steps]
 
 
 def run_script(script_path: Path, out_dir: Path, *, seed: int | None,
@@ -456,8 +429,8 @@ def run_script(script_path: Path, out_dir: Path, *, seed: int | None,
         raise ScriptError(0, f"cannot read script: {exc}") from None
     commands = dry_run(parse_script(text), seed=seed, script_dir=script_path.parent)
     sess = Session(seed, script_path.parent, out_dir, fmt, max_qubits)
-    for ln, cmd, args in commands:
-        sess.run(ln, cmd, args)
+    for line in commands:
+        sess.run(*line)
     print(f"done: {len(commands)} commands, {sess.artifact_count} artifacts"
           + (f" in {out_dir}" if sess.artifact_count else ""))
     return 0
@@ -467,6 +440,13 @@ def _seed_type(text: str) -> int:
     value = _decimal(text)
     if not 0 <= value < 2 ** 64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
+    return value
+
+
+def _budget_type(text: str) -> int:
+    value = _decimal(text)
+    if value < 1:  # no database fits in fewer qubits
+        raise argparse.ArgumentTypeError("the qubit budget must be at least 1")
     return value
 
 
@@ -482,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="RNG seed (unsigned 64-bit); required by sampling commands")
     run_p.add_argument("--out", type=Path, default=None,
                        help="artifact directory (default: <script>-out beside the script)")
-    run_p.add_argument("--max-qubits", type=_decimal, default=DEFAULT_MAX_QUBITS,
+    run_p.add_argument("--max-qubits", type=_budget_type, default=DEFAULT_MAX_QUBITS,
                        help="qubit budget for the session")
     run_p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="amplitude dump format")
@@ -496,9 +476,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            out = args.out
-            if out is None:
-                out = args.script.parent / (args.script.stem + "-out")
+            out = args.out or args.script.parent / (args.script.stem + "-out")
             return run_script(args.script, out, seed=args.seed,
                               max_qubits=args.max_qubits, fmt=args.format)
         report = run_verify(args.level)

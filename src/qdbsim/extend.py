@@ -258,8 +258,7 @@ def transfer(db: QdbState, l: int) -> tuple[QdbState, AmplificationPlan]:
     touches only the amplitudes where its axis is nonzero; ``verify`` holds
     the gate-level reference.
     """
-    new = transfer_meta(db.meta, l)
-    return _transfer(db, new, plan_transfer(db.k, l))
+    return _transfer(db, transfer_meta(db.meta, l), plan_transfer(db.k, l))
 
 
 def _transfer(db: QdbState, new: QdbMeta,

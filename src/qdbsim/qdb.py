@@ -342,7 +342,8 @@ class QdbMeta(_Record, _Derivable):
     Each operation has a transition ``<op>_meta`` in the module that owns the
     op: a pure function of the op's arguments and this record that raises the
     op's SemanticError/CapacityError and returns the record after the op. The
-    op calls it before touching amplitudes; the CLI dry run calls it alone.
+    op hands that to its private effect (``_write(db, write_meta(...), j)``);
+    a CLI script runs each line's transition once, in its dry run.
 
     A transition derives its records from the checked ones it is given and
     checks only what it changes: the words it sets, the labels and patterns
@@ -812,12 +813,15 @@ def prepare_general(k: int, l: int = 0, data: dict[int, int | str] | None = None
     the data register beyond what the widest word needs (useful when later
     writes need room).
     """
-    meta = prepare_meta(k, l, data, m_data=m_data, u_d=u_d)
+    return _prepare(prepare_meta(k, l, data, m_data=m_data, u_d=u_d), max_qubits)
+
+
+def _prepare(meta: QdbMeta, max_qubits: int | None) -> QdbState:
+    """Effect of ``prepare_general``: the database ``meta`` records."""
     circ = preparation_circuit(meta.descriptor, meta.layout)
-    kwargs = {"max_qubits": max_qubits} if max_qubits is not None else {}
-    state = simulate(circ, **kwargs)
-    return QdbState(meta.descriptor, meta.layout, state, circ,
-                    max_qubits=max_qubits or DEFAULT_MAX_QUBITS)
+    budget = DEFAULT_MAX_QUBITS if max_qubits is None else max_qubits
+    return QdbState(meta.descriptor, meta.layout, simulate(circ, max_qubits=budget), circ,
+                    max_qubits=budget)
 
 
 def prepare_balanced(k: int, data: dict[int, int | str] | None = None,
@@ -834,8 +838,7 @@ def prepare_balanced(k: int, data: dict[int, int | str] | None = None,
     layout = general.layout
     circ = balanced_circuit(k, layout.index_qubits, layout.n_qubits)
     circ += _data_write_circuit(general.descriptor, layout, layout.n_qubits)
-    kwargs = {"max_qubits": max_qubits} if max_qubits is not None else {}
-    state = simulate(circ, **kwargs)
+    state = simulate(circ, max_qubits=general.max_qubits)
     if not states_equal(state, general.state, up_to_global_phase=False):
         raise VerificationError("balanced preparation disagrees with the general route")
     return QdbState(general.descriptor, layout, state, circ,
@@ -987,12 +990,9 @@ def _write_folded(db: QdbState, label: int, value: int, width: int) -> StateVect
       word has reached its new word (VerificationError), two amplitudes
       read at indices one mask apart.
 
-    The entry's slice of the source is selected once, by the occupancy
-    check (``_check_occupied``). The toggles then move that slice at once,
-    by one mask, into the source's one copy: the slice copy that
-    ``move_amplitudes`` makes per pattern out of place, written here into
-    the copy's slot at the entry's pattern, reversed along the mask
-    (``_entry``).
+    The occupancy check selects the entry's slice of the source once; the
+    toggles write it, reversed along one mask, into the copy's slot at the
+    entry's pattern (``_entry``), as ``move_amplitudes`` would out of place.
     """
     layout = db.layout
     enc = _encoding(db.descriptor.u_d, db.n_qubits, layout.data_qubits)
@@ -1022,16 +1022,12 @@ def write(db: QdbState, label: int, word: int | str, *,
 
     The sensor is never entangled, so its controls are classical bits of
     ``word``, and by default the simulation folds them away
-    (``_write_folded``): it toggles the entry's data bits on the unwidened
-    state, moving the entry's slice once from the input state into its one
-    copy. Instead of the sensor's purity it then checks that the amplitude
-    at the entry's old word has moved to the new word (VerificationError
-    otherwise).
+    (``_write_folded``) and checks, instead of the sensor's purity, that the
+    entry's amplitude has moved to its new word (VerificationError).
 
     The checks run in one order on either path: the transition
-    (``write_meta``), then that the entry carries amplitude
-    (SemanticError), then that the sensor fits the budget, then the move
-    and its own check.
+    (``write_meta``), the entry's amplitude (SemanticError), the sensor's
+    budget, then the move and its own check.
 
     ``keep_sensor`` leaves the sensor attached for inspection: the whole
     sensor register is simulated, the returned state carries
@@ -1041,10 +1037,15 @@ def write(db: QdbState, label: int, word: int | str, *,
     Under a data encoding the toggles run inside it on the data and sensor
     registers, as ``_decoded`` would place them.
     """
-    new = write_meta(db.meta, label, word, keep_sensor=keep_sensor)
+    return _write(db, write_meta(db.meta, label, word, keep_sensor=keep_sensor), label)
+
+
+def _write(db: QdbState, new: QdbMeta, label: int) -> QdbState:
+    """Effect of ``write``, given ``write_meta``'s record ``new``: the change in
+    entry ``label``'s word, keeping the sensor (``keep_sensor``) if ``new`` does."""
     value = db.descriptor.data_value(label) ^ new.descriptor.data_value(label)
     sensor = _fresh_register(db.layout)
-    if not keep_sensor:
+    if not new.sensor_qubits:
         state = _write_folded(db, label, value, sensor[-1] + 1)
         return _advance(db, new, _write_circuit(db, "write", label, value, sensor), state)
     _check_occupied(db.state, db.layout, label)
@@ -1073,7 +1074,11 @@ def write_swap_conditional(db: QdbState, label: int, word: int | str) -> QdbStat
     stays attached and, whenever the incoming and outgoing words differ, ends
     up entangled with the database. The returned state keeps the sensor.
     """
-    new = write_swap_meta(db.meta, label, word)
+    return _write_swap(db, write_swap_meta(db.meta, label, word), label)
+
+
+def _write_swap(db: QdbState, new: QdbMeta, label: int) -> QdbState:
+    """Effect of ``write_swap_conditional``, given ``write_swap_meta``'s record."""
     _check_occupied(db.state, db.layout, label)
     return _advance(db, new, _write_circuit(db, "swap", label,
                                             new.descriptor.data_value(label),
@@ -1098,10 +1103,14 @@ def read_copy_all_meta(meta: QdbMeta) -> QdbMeta:
     return meta._derived(copy_qubits=_fresh_register(meta.layout))
 
 
-def _copy_data(db: QdbState, new: QdbMeta, ctrls) -> QdbState:
-    """Copy the computational data word onto ``new``'s copy register, one
-    CNOT per data bit, each also controlled on ``ctrls``. The build circuit
-    records those CNOTs; the state comes from ``_copy_folded``."""
+def _copy_data(db: QdbState, new: QdbMeta, label: int | None = None) -> QdbState:
+    """Effect of ``read_copy`` (``read_copy_all`` when ``label`` is None): one
+    recorded CNOT per data bit onto ``new``'s copy register, under entry
+    ``label``'s pattern, once the entry is found occupied (``_copy_folded``)."""
+    ctrls = ()
+    if label is not None:
+        _check_occupied(db.state, db.layout, label)
+        ctrls = db.layout.pattern_controls(label)
     out = new.copy_qubits
     n = out[-1] + 1
     data = db.layout.data_qubits
@@ -1166,16 +1175,12 @@ def read_copy(db: QdbState, label: int) -> QdbState:
     encoding the copy runs inside it on the data register (``_decoded``), so
     the copy register holds the word unencoded.
 
-    The build circuit records the CNOTs; the state is written without
-    simulating them (``_copy_folded``): the entry's amplitudes are
-    scattered to their copy blocks of the widened state. The checks run
-    in order: the transition (``read_copy_meta``), that the entry carries
-    amplitude (SemanticError), then that the copy register fits the
-    budget (CapacityError).
+    The build circuit records the CNOTs; the entry's amplitudes are scattered
+    to their copy blocks without simulating them (``_copy_folded``). The
+    checks run in order: the transition (``read_copy_meta``), the entry's
+    amplitude (SemanticError), then the copy register's budget.
     """
-    new = read_copy_meta(db.meta, label)
-    _check_occupied(db.state, db.layout, label)
-    return _copy_data(db, new, db.layout.pattern_controls(label))
+    return _copy_data(db, read_copy_meta(db.meta, label), label)
 
 
 def read_copy_all(db: QdbState) -> QdbState:
@@ -1187,7 +1192,7 @@ def read_copy_all(db: QdbState) -> QdbState:
     ``read_copy``, the CNOTs are recorded and every amplitude with a
     nonzero word is scattered to its copy block (``_copy_folded``).
     """
-    return _copy_data(db, read_copy_all_meta(db.meta), ())
+    return _copy_data(db, read_copy_all_meta(db.meta))
 
 
 def read_projective_meta(meta: QdbMeta, label: int) -> None:
@@ -1209,6 +1214,11 @@ def read_projective(db: QdbState, label: int) -> tuple[StateVector, float]:
     norm.
     """
     read_projective_meta(db.meta, label)
+    return _read_projective(db, label)
+
+
+def _read_projective(db: QdbState, label: int) -> tuple[StateVector, float]:
+    """Effect of ``read_projective``."""
     layout = db.layout
     hit = _register_scan(db.state, layout.index_qubits, layout.pattern(label))
     collapsed, prob = project(db.state, hit)
@@ -1262,10 +1272,15 @@ def remove_reservoir(db: QdbState, label: int) -> QdbState:
     the decoded basis. Entry count drops by one, reservoir multiplicity
     grows by one; the label and its index pattern leave the layout.
     """
-    new = remove_reservoir_meta(db.meta, label)
+    return _remove_reservoir(db, remove_reservoir_meta(db.meta, label), label)
+
+
+def _remove_reservoir(db: QdbState, new: QdbMeta, label: int) -> QdbState:
+    """Effect of ``remove_reservoir``; ``write``'s effect clears the word."""
     value = db.descriptor.data_value(label)
-    if value:
-        db = write(db, label, value)  # refuses an entry that carries no amplitude
+    if value:  # refuses an entry that carries no amplitude
+        db = _write(db, db.meta._derived(descriptor=db.descriptor.with_data_value(label, 0)),
+                    label)
     else:
         _check_occupied(db.state, db.layout, label)
     n = db.n_qubits
@@ -1316,7 +1331,12 @@ def remove_projective(db: QdbState, label: int) -> RemovalOutcome:
     database; it is 0 when nothing else carries amplitude, in which case
     ``success_state`` is None.
     """
-    _, new = remove_projective_meta(db.meta, label)
+    return _remove_projective(db, remove_projective_meta(db.meta, label)[1], label)
+
+
+def _remove_projective(db: QdbState, new: QdbMeta | None, label: int) -> RemovalOutcome:
+    """Effect of ``remove_projective``, given its transition's record; the
+    probability it reports is the state's own."""
     _check_occupied(db.state, db.layout, label)
     hit = _register_scan(db.state, db.layout.index_qubits, db.layout.pattern(label))
     amps = db.state.amplitudes
@@ -1403,9 +1423,12 @@ def permute(db: QdbState, perm) -> QdbState:
     the input state into that copy at its target (``move_amplitudes``, out
     of place).
     """
-    meta = db.meta
-    new, moves = permute_meta(meta, perm)
-    if new is meta:
+    return _permute(db, *permute_meta(db.meta, perm))
+
+
+def _permute(db: QdbState, new: QdbMeta, moves: dict[int, int]) -> QdbState:
+    """Effect of ``permute``, given ``permute_meta``'s record and moves."""
+    if not moves:
         return db
     lmap = db.layout.logical_index_map
     routing = {lmap[j]: lmap[t] for j, t in moves.items()}

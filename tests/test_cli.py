@@ -8,13 +8,16 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdbsim.cli import Session, dry_run, main, parse_script
+import qdbsim
+from qdbsim.cli import Session, dry_run, main, parse_script, run_script
 from qdbsim.errors import QdbError, ScriptError, VerificationError
+from qdbsim.statevector import DEFAULT_MAX_QUBITS
 from qdbsim.tolerances import PLAN_RESIDUAL_TOL, STATE_TOL
 
 
@@ -103,6 +106,15 @@ def test_options_take_plain_decimals(tmp_path, capsys, option):
     assert exc.value.code == 2
     assert "'2_0'" in capsys.readouterr().err
     assert run_cli("run", str(script), option, "20", "--out", str(tmp_path / "o")) == 0
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_a_budget_below_one_qubit_is_refused_when_parsed(tmp_path, capsys, budget):
+    script = write_script(tmp_path, "prepare k=2\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", str(script), f"--max-qubits={budget}")
+    assert exc.value.code == 2
+    assert "the qubit budget must be at least 1" in capsys.readouterr().err
 
 
 def test_negative_numbers_still_parse_and_fail_on_their_meaning(tmp_path, capsys):
@@ -429,6 +441,114 @@ def test_dry_run_agrees_with_raw_replay(first, rest, seed):
                 assert got.amplitude_profile.keys() == want.amplitude_profile.keys()
                 for j, wgt in want.amplitude_profile.items():
                     assert abs(got.amplitude_profile[j] - wgt) <= STATE_TOL
+
+
+@settings(deadline=None, max_examples=40)
+@given(first=_prepare, rest=st.lists(_line, max_size=4), seed=st.sampled_from([None, 3]))
+def test_execution_applies_the_records_its_dry_run_derived(first, rest, seed):
+    """After each line the executing session's record equals, field by field,
+    the record the dry run derived for that line; and ``run_script`` writes
+    the bytes raw replay writes, with the same verdict."""
+    text = "\n".join([first, *rest]) + "\n"
+    dry = Session(seed, Path("."), dry=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        executed = Session(seed, Path("."), out_dir=tmp / "lines")
+        for ln, cmd, kv in parse_script(text):
+            try:
+                executed.run(*dry.step(ln, cmd, kv))
+            except QdbError:
+                break  # where raw replay fails too: see the tests above
+            assert executed.consumed == dry.consumed
+            if dry.db is not None:
+                assert executed.db.meta == dry.db, (ln, cmd)
+        script = write_script(tmp, text)
+        try:
+            code = run_script(script, tmp / "run", seed=seed, max_qubits=DEFAULT_MAX_QUBITS,
+                              fmt="json")
+        except QdbError as exc:
+            code = exc.exit_code
+        _, failure = replay(text, seed, tmp / "raw")
+        assert code == (failure[1] if failure else 0)
+        ran = sorted(p.name for p in (tmp / "run").glob("*"))
+        if code == 0:
+            assert ran == sorted(p.name for p in (tmp / "raw").glob("*"))
+        for name in ran:  # a failed run wrote what raw replay wrote before failing
+            assert (tmp / "run" / name).read_bytes() == (tmp / "raw" / name).read_bytes(), name
+
+
+# Scripts that between them run every command. Seed 0 keeps the database
+# after the projective removal.
+_EVERY_COMMAND = [
+    "prepare k=5 m=2 data=1:01,3:11\nextend l=2\nextend-imbalanced l=6 z=2\n"
+    "write j=2 d=10\npermute map=1:2,2:1\nremove j=3\nemit\n"
+    "remove j=4 mode=projective\ndump\nread-copy j=1\ndump\n",
+    "prepare k=4 m=1\nwrite j=1 d=1 mode=swap\nemit\ndump\n",
+    "prepare k=4 m=1 data=2:1\nread-copy all=true\ndump\n",
+    "prepare k=4 m=1 data=2:1\nread-projective j=2\n",
+]
+
+
+def _transition_of(cmd, kv):
+    """The library transition a script line's command runs."""
+    if cmd == "write":
+        return "write_meta" if kv.get("mode", "xor") == "xor" else "write_swap_meta"
+    if cmd == "read-copy":
+        return "read_copy_all_meta" if "all" in kv else "read_copy_meta"
+    if cmd == "remove":
+        return "remove_projective_meta" if kv.get("mode") == "projective" \
+            else "remove_reservoir_meta"
+    if cmd == "dump":  # a dump only reads the record
+        return None
+    return cmd.replace("-", "_") + "_meta"
+
+
+@pytest.fixture
+def transition_calls(monkeypatch):
+    """Count the calls of each transition ``qdbsim.cli`` calls, wherever in
+    the package they are made."""
+    cli = importlib.import_module("qdbsim.cli")
+    calls = Counter()
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "qdbsim"]
+    for name, fn in list(vars(cli).items()):
+        if not (name.endswith("_meta") and not name.startswith("_")):
+            continue
+        calls[name] = 0  # listed even if never called
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("text", _EVERY_COMMAND)
+def test_each_script_line_runs_its_transition_once(tmp_path, transition_calls, text):
+    script = write_script(tmp_path, text)
+    assert run_cli("run", str(script), "--seed", "0", "--out", str(tmp_path / "o")) == 0
+    lines = Counter(_transition_of(cmd, kv) for _, cmd, kv in parse_script(text))
+    for name, count in transition_calls.items():
+        if name in ("extend_meta", "extend_imbalanced_meta"):
+            # the CLI runs the public op, which runs its transition again
+            assert count == 2 * lines[name], name
+        else:
+            assert count == lines[name], name
+
+
+def test_the_command_scripts_cover_every_transition(transition_calls):
+    lines = {_transition_of(cmd, kv) for text in _EVERY_COMMAND
+             for _, cmd, kv in parse_script(text)}
+    assert lines - {None} == set(transition_calls)
+
+
+def test_a_library_op_still_runs_its_own_transition(transition_calls):
+    db = qdbsim.prepare_general(4, 0, m_data=1)
+    qdbsim.write(db, 1, "1")
+    assert transition_calls["write_meta"] == 1 and transition_calls["prepare_meta"] == 1
 
 
 def test_run_accepts_preloaded_imbalanced_flow(tmp_path):

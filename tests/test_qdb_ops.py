@@ -382,7 +382,7 @@ def test_hollow_entry_of_a_20_qubit_database_is_refused(monkeypatch, tmp_path, c
             op(ghost)
         assert err.value.exit_code == 3
     cli = importlib.import_module("qdbsim.cli")
-    monkeypatch.setattr(cli, "prepare_general", lambda **kwargs: ghost)
+    monkeypatch.setattr(cli, "_prepare", lambda meta, max_qubits: ghost)
     script = tmp_path / "hollow.qdb"
     script.write_text("prepare k=4096 m=8\nwrite j=7 d=1\n")
     assert cli.main(["run", str(script), "--out", str(tmp_path / "out")]) == 3
