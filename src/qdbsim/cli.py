@@ -10,17 +10,17 @@ their last bits.
 
 The whole script is dry-run first: each line's arguments are converted
 once and its library transition (``<op>_meta``) is applied to the evolving
-database record, so semantic mistakes surface before anything is simulated
-or written; errors read ``command (line N): message``. The transition runs
-only there: the execution hands the record the dry run left to the op's
-effect (the two ``extend`` commands run the op, which derives its records
-round by round). Only these checks run during execution, named the same way:
+database record (and plans each extension), so semantic mistakes, a
+prepare wider than the budget and an unplannable transfer surface before
+anything is simulated or written; errors read ``command (line N): message``.
+The transition runs only there: the execution hands what it derived to the
+op's effect. Only these checks run during execution, named the same way:
 
 - capacity against the qubit budget (exit 4), a write's sensor included;
-- verification (exit 5): the transfer planner's replay of its closed-form
-  schedule, the transfer preflight, and the check that a ``mode=xor`` write
-  moved the entry's amplitude from its old word to its new one (sensor
-  purity is checked only by the library's ``write(keep_sensor=True)``);
+- verification (exit 5): the transfer preflight, and the check that a
+  ``mode=xor`` write moved the entry's amplitude from its old word to its
+  new one (sensor purity is checked only by the library's
+  ``write(keep_sensor=True)``);
 - the amplitude-level checks (exit 3): an entry carrying no amplitude, and
   entry phase alignment in ``remove_reservoir``.
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from .dumps import amplitude_records, dump_records, records_to_csv, records_to_json
 from .errors import CircuitParseError, QdbError, ScriptError, SemanticError
-from .extend import extend, extend_imbalanced, extend_imbalanced_meta, extend_meta
+from .extend import _extend, _extend_imbalanced, extend_imbalanced_meta, extend_meta
 from .qdb import (
     QdbMeta,
     QdbState,
@@ -285,7 +285,7 @@ def _json_text(obj) -> str:
 def _prepare_meta(sess: Session, **args) -> QdbMeta:
     if sess.db is not None or sess.consumed:
         raise SemanticError("session already holds a database")
-    return prepare_meta(**args)
+    return prepare_meta(**args, max_qubits=sess.max_qubits)
 
 
 def _run_prepare(sess: Session, new: QdbMeta, **args):
@@ -293,23 +293,18 @@ def _run_prepare(sess: Session, new: QdbMeta, **args):
     print(f"prepare: k={args['k']} l={args['l']} on {sess.db.n_qubits} qubits")
 
 
-def _run_extend(sess: Session, _, l: int):
-    """Runs the public ``extend``, whose ``extend_meta`` runs again: an
-    extension derives a chain of records, one per transfer and unfold round."""
-    plans = []
-    sess.db = extend(sess.db, l, plan_sink=lambda p: plans.append(p.to_report()))
+def _run_extend(sess: Session, derived, l: int):
+    sess.db = _extend(sess.db, derived[1])
+    plans = [plan.to_report() for _, plan in derived[1] if plan is not None]
     path = sess.artifact("extend-plan.json", _json_text({"l": l, "plans": plans}))
     print(f"extend: +{l} -> k={sess.db.k} on {sess.db.n_qubits} qubits ({path.name})")
 
 
-def _run_extend_imbalanced(sess: Session, _, l: int, z: int, route: str):
-    """Runs the public ``extend_imbalanced``, for ``_run_extend``'s reason."""
-    plans = []
-    sess.db = extend_imbalanced(sess.db, l, z, route=route,
-                                plan_sink=lambda p: plans.append(p.to_report()))
-    path = sess.artifact("extend-imbalanced-plan.json", _json_text(plans[0]))
+def _run_extend_imbalanced(sess: Session, derived, l: int, z: int, route: str):
+    sess.db = _extend_imbalanced(sess.db, *derived)
+    path = sess.artifact("extend-imbalanced-plan.json", _json_text(derived[2].to_report()))
     print(f"extend-imbalanced: +{l} with z={z} -> k={sess.db.k} "
-          f"balanced={plans[0]['balanced']} ({path.name})")
+          f"balanced={derived[2].balanced} ({path.name})")
 
 
 def _run_write(sess: Session, new: QdbMeta, j: int, word: str, mode: str):
@@ -412,12 +407,13 @@ COMMANDS = {
 }
 
 
-def dry_run(steps, *, seed: int | None, script_dir: Path) -> list[tuple]:
+def dry_run(steps, *, seed: int | None, script_dir: Path,
+            max_qubits: int = DEFAULT_MAX_QUBITS) -> list[tuple]:
     """Walk a parsed script through the library's transitions alone; raise on
     the first command that could not execute. Returns each command with its
     line, converted arguments and what its transition derived, for the
     execution to run the effects on."""
-    sess = Session(seed, script_dir, dry=True)
+    sess = Session(seed, script_dir, max_qubits=max_qubits, dry=True)
     return [sess.step(ln, cmd, kv) for ln, cmd, kv in steps]
 
 
@@ -427,7 +423,8 @@ def run_script(script_path: Path, out_dir: Path, *, seed: int | None,
         text = script_path.read_text()
     except OSError as exc:
         raise ScriptError(0, f"cannot read script: {exc}") from None
-    commands = dry_run(parse_script(text), seed=seed, script_dir=script_path.parent)
+    commands = dry_run(parse_script(text), seed=seed, script_dir=script_path.parent,
+                       max_qubits=max_qubits)
     sess = Session(seed, script_path.parent, out_dir, fmt, max_qubits)
     for line in commands:
         sess.run(*line)
@@ -437,14 +434,22 @@ def run_script(script_path: Path, out_dir: Path, *, seed: int | None,
 
 
 def _seed_type(text: str) -> int:
-    value = _decimal(text)
+    try:
+        value = _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"the seed must be a plain decimal integer, got {text!r}") from None
     if not 0 <= value < 2 ** 64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
     return value
 
 
 def _budget_type(text: str) -> int:
-    value = _decimal(text)
+    try:
+        value = _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"the qubit budget must be a plain decimal integer, got {text!r}") from None
     if value < 1:  # no database fits in fewer qubits
         raise argparse.ArgumentTypeError("the qubit budget must be at least 1")
     return value

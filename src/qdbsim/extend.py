@@ -258,15 +258,15 @@ def transfer(db: QdbState, l: int) -> tuple[QdbState, AmplificationPlan]:
     touches only the amplitudes where its axis is nonzero; ``verify`` holds
     the gate-level reference.
     """
-    return _transfer(db, transfer_meta(db.meta, l), plan_transfer(db.k, l))
+    new, plan = transfer_meta(db.meta, l), plan_transfer(db.k, l)
+    return _transfer(db, new, plan), plan
 
 
-def _transfer(db: QdbState, new: QdbMeta,
-              plan: AmplificationPlan) -> tuple[QdbState, AmplificationPlan]:
+def _transfer(db: QdbState, new: QdbMeta, plan: AmplificationPlan) -> QdbState:
     """``transfer`` of ``db`` to the record ``new`` by the schedule ``plan``."""
     l = new.l
     if plan.m_star == 0:  # l == 0, or k == 1: the reservoir already holds its target
-        return (db if l == 0 else _advance(db, new, None, db.state)), plan
+        return db if l == 0 else _advance(db, new, None, db.state)
     if db.n_qubits != db.layout.n_qubits:
         raise SemanticError("state register does not match the database layout")
     u_qdb = preparation_circuit(db.descriptor, db.layout)
@@ -291,7 +291,7 @@ def _transfer(db: QdbState, new: QdbMeta,
     _reflect(v, r, plan.phase_fix)
     new_db = _advance(db, new, circ, StateVector(v, copy=False))
     new_db.check(tol=TRANSFER_AMP_TOL)
-    return new_db, plan
+    return new_db
 
 
 def _with_index_qubits(meta: QdbMeta, qubits, new_patterns, profile=None) -> QdbMeta:
@@ -343,7 +343,11 @@ def unfold(db: QdbState) -> QdbState:
     is weighed, as the occupancy check weighs an entry: it must hold what
     the l entries need (SemanticError otherwise).
     """
-    new = unfold_meta(db.meta)
+    return _unfold(db, unfold_meta(db.meta))
+
+
+def _unfold(db: QdbState, new: QdbMeta) -> QdbState:
+    """``unfold`` of ``db`` to the record ``new``."""
     l = db.l
     if db.n_qubits != db.layout.n_qubits:
         raise SemanticError("state register does not match the database layout")
@@ -368,18 +372,10 @@ def unfold(db: QdbState) -> QdbState:
     return new_db
 
 
-def _rounds(k: int, l: int):
-    """Entry counts of the transfer + unfold rounds growing k entries by l:
-    each round creates at most as many entries as the database holds."""
-    while l > 0:
-        chunk = min(k, l)
-        yield chunk
-        k, l = k + chunk, l - chunk
-
-
-def extend_meta(meta: QdbMeta, l: int) -> QdbMeta:
-    """Transition of ``extend``: the rounds' transfer and unfold transitions
-    in turn, or one unfold when the reservoir is already loaded for l."""
+def extend_meta(meta: QdbMeta, l: int) -> tuple[QdbMeta, list]:
+    """Transition of ``extend``: the record it leaves and its steps. A round,
+    at most k new entries, is the transfer's record with its AmplificationPlan
+    and the unfold's with None; a reservoir loaded for l is one unfold step."""
     _check_growable(meta, "extend")
     if l < 0:
         raise SemanticError("cannot extend by a negative entry count")
@@ -387,10 +383,15 @@ def extend_meta(meta: QdbMeta, l: int) -> QdbMeta:
         if meta.l != l:
             raise SemanticError(
                 f"reservoir already loaded for {meta.l} entries, not the requested {l}")
-        return unfold_meta(meta)
-    for chunk in _rounds(meta.k, l):
-        meta = unfold_meta(transfer_meta(meta, chunk))
-    return meta
+        meta = unfold_meta(meta)
+        return meta, [(meta, None)]
+    steps = []
+    while l > 0:
+        loaded = transfer_meta(meta, min(meta.k, l))
+        meta = unfold_meta(loaded)
+        steps += [(loaded, plan_transfer(loaded.k, loaded.l)), (meta, None)]
+        l -= loaded.l
+    return meta, steps
 
 
 def extend(db: QdbState, l: int, *, plan_sink=None) -> QdbState:
@@ -400,16 +401,19 @@ def extend(db: QdbState, l: int, *, plan_sink=None) -> QdbState:
     k new entries (k the current count); a database whose reservoir already
     holds weight for exactly l entries skips the transfer and unfolds
     directly. ``plan_sink``, if given, receives each round's
-    AmplificationPlan.
+    AmplificationPlan, all of them planned before the first round runs.
     """
-    extend_meta(db.meta, l)
-    if db.l != 0:
-        return unfold(db)
-    for chunk in _rounds(db.k, l):
-        db, plan = transfer(db, chunk)
-        if plan_sink is not None:
+    _, steps = extend_meta(db.meta, l)
+    for _, plan in steps:
+        if plan is not None and plan_sink is not None:
             plan_sink(plan)
-        db = unfold(db)
+    return _extend(db, steps)
+
+
+def _extend(db: QdbState, steps) -> QdbState:
+    """``extend`` by ``extend_meta``'s steps: a transfer where one has a plan."""
+    for new, plan in steps:
+        db = _unfold(db, new) if plan is None else _transfer(db, new, plan)
     return db
 
 
@@ -444,9 +448,12 @@ class ExtendPlan:
 ROUTES = ("direct", "marker")
 
 
-def _imbalanced_shape(k: int, l: int, z: int, route: str):
-    """(l_prime, l_double_prime, alpha, beta, gamma) of an ancilla-bounded
-    extension; raises when z ancillas cannot stage it."""
+def plan_extend_imbalanced(k: int, l: int, z: int, *, route: str = "direct") -> ExtendPlan:
+    """Work out the staging of an ancilla-bounded extension.
+
+    Capacity: z ancillas can create at most (2^z - 1) * k new entries. When
+    l exceeds the 2^z - 1 ancilla patterns, it must split evenly across them.
+    """
     if route not in ROUTES:
         raise SemanticError(f"route must be one of {ROUTES}, got {route!r}")
     if z < 1:
@@ -457,57 +464,48 @@ def _imbalanced_shape(k: int, l: int, z: int, route: str):
         raise CapacityError(
             f"{z} ancilla qubits create at most {(2 ** z - 1) * k} new entries "
             f"for {k} existing ones, requested {l}")
+    beta = math.sqrt(1.0 / (l + k))
     if z == 1:
         # single-ancilla route reuses the reservoir unfolding, which is balanced
-        beta = math.sqrt(1.0 / (l + k))
-        return l, 1, beta, beta, beta
-    l_prime = min(l, 2 ** z - 1)
-    if l % l_prime:
-        raise SemanticError(
-            f"{l} new entries do not split evenly over {l_prime} ancilla patterns")
-    l_double = l // l_prime
-    alpha = math.sqrt((l + 1) / ((l_prime + 1) * (l + k)))
-    beta = math.sqrt(1.0 / (l + k))
-    gamma = math.sqrt((l + 1) / (l_double * (l_prime + 1) * (l + k)))
-    return l_prime, l_double, alpha, beta, gamma
-
-
-def plan_extend_imbalanced(k: int, l: int, z: int, *, route: str = "direct") -> ExtendPlan:
-    """Work out the staging of an ancilla-bounded extension.
-
-    Capacity: z ancillas can create at most (2^z - 1) * k new entries. When
-    l exceeds the 2^z - 1 ancilla patterns, it must split evenly across them.
-    """
-    l_prime, l_double, alpha, beta, gamma = _imbalanced_shape(k, l, z, route)
+        l_prime, l_double, alpha, gamma = l, 1, beta, beta
+    else:
+        l_prime = min(l, 2 ** z - 1)
+        if l % l_prime:
+            raise SemanticError(
+                f"{l} new entries do not split evenly over {l_prime} ancilla patterns")
+        l_double = l // l_prime
+        alpha = math.sqrt((l + 1) / ((l_prime + 1) * (l + k)))
+        gamma = math.sqrt((l + 1) / (l_double * (l_prime + 1) * (l + k)))
     return ExtendPlan(k=k, l=l, z=z, l_prime=l_prime, l_double_prime=l_double,
                       alpha=alpha, beta=beta, gamma=gamma, balanced=l_double == 1,
                       route=route, amplification=plan_transfer(k, l))
 
 
-def extend_imbalanced_meta(meta: QdbMeta, l: int, z: int, *,
-                           route: str = "direct") -> QdbMeta:
-    """Transition of ``extend_imbalanced``: the reservoir is loaded unless it
-    already is, then l entries appear behind z new index qubits, with an
-    amplitude profile when several share an ancilla pattern."""
+def extend_imbalanced_meta(meta: QdbMeta, l: int, z: int, *, route: str = "direct"
+                           ) -> tuple[QdbMeta, QdbMeta | None, ExtendPlan]:
+    """Transition of ``extend_imbalanced``: the record it leaves, where l
+    entries sit behind z new index qubits, the transfer's record (None when the
+    reservoir is loaded for l) and the ExtendPlan, which gives the profile."""
     _check_growable(meta, "extend")
-    l_prime, l_double, alpha, beta, gamma = _imbalanced_shape(meta.k, l, z, route)
+    plan = plan_extend_imbalanced(meta.k, l, z, route=route)
+    loading = None
     if meta.l == 0:
-        meta = transfer_meta(meta, l)
+        meta = loading = transfer_meta(meta, l)
     elif meta.l != l:
         raise SemanticError(
             f"reservoir already loaded for {meta.l} entries, not the requested {l}")
     if z == 1:
-        return unfold_meta(meta)
+        return unfold_meta(meta), loading, plan
     kt, n0 = len(meta.layout.index_qubits), meta.layout.n_qubits
     profile = None
-    if l_double > 1:
+    if plan.l_double_prime > 1:
         labels = meta.layout.labels
-        profile = {j: beta for j in labels}
-        profile[0] = alpha
-        profile.update((labels[-1] + 1 + i, gamma) for i in range(l))
-    return _with_index_qubits(
-        meta, range(n0, n0 + z),
-        [(i << kt) | h for i in range(1, l_prime + 1) for h in range(l_double)], profile)
+        profile = {j: plan.beta for j in labels}
+        profile[0] = plan.alpha
+        profile.update((labels[-1] + 1 + i, plan.gamma) for i in range(l))
+    patterns = [(i << kt) | h for i in range(1, plan.l_prime + 1)
+                for h in range(plan.l_double_prime)]
+    return _with_index_qubits(meta, range(n0, n0 + z), patterns, profile), loading, plan
 
 
 def _marker_flag_circuit(marker: int, anc_qubits, n: int) -> Circuit:
@@ -533,17 +531,23 @@ def extend_imbalanced(db: QdbState, l: int, z: int, *, route: str = "direct",
 
     With one entry per ancilla pattern the result is balanced; otherwise new
     entries carry gamma < beta and the reservoir alpha > beta, as recorded in
-    the returned plan. A database whose reservoir already holds weight for
-    exactly l entries (a ``prepare_general(k, l)`` result) skips the transfer.
+    the plan. A database whose reservoir already holds weight for exactly l
+    entries (a ``prepare_general(k, l)`` result) skips the transfer.
+    ``plan_sink``, if given, receives the ExtendPlan before the transfer runs.
     """
-    new = extend_imbalanced_meta(db.meta, l, z, route=route)
-    plan = plan_extend_imbalanced(db.k, l, z, route=route)
+    new, loading, plan = extend_imbalanced_meta(db.meta, l, z, route=route)
     if plan_sink is not None:
         plan_sink(plan)
-    loaded = db if db.l == l else _transfer(db, transfer_meta(db.meta, l), plan.amplification)[0]
-    if z == 1:
-        return unfold(loaded)
-    anc = new.layout.index_qubits[-z:]
+    return _extend_imbalanced(db, new, loading, plan)
+
+
+def _extend_imbalanced(db: QdbState, new: QdbMeta, loading: QdbMeta | None,
+                       plan: ExtendPlan) -> QdbState:
+    """``extend_imbalanced`` of ``db`` to ``new``; no transfer if ``loading`` is None."""
+    loaded = db if loading is None else _transfer(db, loading, plan.amplification)
+    if plan.z == 1:
+        return _unfold(loaded, new)
+    anc = new.layout.index_qubits[-plan.z:]
     n = anc[-1] + 1
     # the spread labels the ancillas "I": they join the index register
     circ = prepare_circuit(plan.l_prime + 1, 0, anc, n).controlled(
@@ -551,7 +555,7 @@ def extend_imbalanced(db: QdbState, l: int, z: int, *, route: str = "direct",
     if plan.l_double_prime > 1:
         spread_idx = prepare_circuit(plan.l_double_prime, 0,
                                      loaded.layout.index_qubits, n)
-        if route == "direct":
+        if plan.route == "direct":
             circ += spread_idx.inverse().controlled(nctrl=anc)
             circ += spread_idx
         else:
@@ -563,7 +567,7 @@ def extend_imbalanced(db: QdbState, l: int, z: int, *, route: str = "direct",
             circ += flag.inverse()
     # the widened state holds the z ancillas, and the marker on that route
     state = simulate(circ, loaded.state, max_qubits=loaded.max_qubits)
-    if route == "marker" and plan.l_double_prime > 1:
+    if plan.route == "marker" and plan.l_double_prime > 1:
         state = drop_qubits(state, [n])
     new_db = _advance(loaded, new, circ, state)
     new_db.check(tol=TRANSFER_AMP_TOL)

@@ -341,9 +341,10 @@ class QdbMeta(_Record, _Derivable):
 
     Each operation has a transition ``<op>_meta`` in the module that owns the
     op: a pure function of the op's arguments and this record that raises the
-    op's SemanticError/CapacityError and returns the record after the op. The
-    op hands that to its private effect (``_write(db, write_meta(...), j)``);
-    a CLI script runs each line's transition once, in its dry run.
+    op's errors and returns the record after the op, or a tuple that starts
+    with it (growth adds its plans). The op hands that to its private effect
+    (``_write(db, write_meta(...), j)``); a CLI script runs each line's
+    transition once, in its dry run.
 
     A transition derives its records from the checked ones it is given and
     checks only what it changes: the words it sets, the labels and patterns
@@ -777,11 +778,13 @@ def preparation_circuit(descriptor: QdbDescriptor, layout: QdbLayout) -> Circuit
 
 
 def prepare_meta(k: int, l: int = 0, data: dict[int, int | str] | None = None,
-                 *, m_data: int | None = None, u_d: Circuit | None = None) -> QdbMeta:
+                 *, m_data: int | None = None, u_d: Circuit | None = None,
+                 max_qubits: int = DEFAULT_MAX_QUBITS) -> QdbMeta:
     """Transition of ``prepare_general``: the fresh database's record.
 
     Pure argument checking — no state is built — so callers can vet a
-    preparation before paying for the simulation.
+    preparation before paying for the simulation. The width is checked
+    against ``max_qubits`` before the layout's k labels are built.
     """
     if m_data is not None and m_data < 0:
         raise SemanticError("data register width cannot be negative")
@@ -801,6 +804,7 @@ def prepare_meta(k: int, l: int = 0, data: dict[int, int | str] | None = None,
         words[label] = word
     m = max(widest, m_data or 0, u_d.n_qubits if u_d is not None else 0)
     desc = QdbDescriptor(k=k, l=l, data=words, u_d=u_d, m_data=m)
+    _check_budget(index_width(k) + m, max_qubits)
     return QdbMeta(desc, QdbLayout.fresh(k, m))
 
 
@@ -813,15 +817,16 @@ def prepare_general(k: int, l: int = 0, data: dict[int, int | str] | None = None
     the data register beyond what the widest word needs (useful when later
     writes need room).
     """
-    return _prepare(prepare_meta(k, l, data, m_data=m_data, u_d=u_d), max_qubits)
+    budget = DEFAULT_MAX_QUBITS if max_qubits is None else max_qubits
+    return _prepare(prepare_meta(k, l, data, m_data=m_data, u_d=u_d, max_qubits=budget),
+                    budget)
 
 
-def _prepare(meta: QdbMeta, max_qubits: int | None) -> QdbState:
+def _prepare(meta: QdbMeta, max_qubits: int) -> QdbState:
     """Effect of ``prepare_general``: the database ``meta`` records."""
     circ = preparation_circuit(meta.descriptor, meta.layout)
-    budget = DEFAULT_MAX_QUBITS if max_qubits is None else max_qubits
-    return QdbState(meta.descriptor, meta.layout, simulate(circ, max_qubits=budget), circ,
-                    max_qubits=budget)
+    return QdbState(meta.descriptor, meta.layout, simulate(circ, max_qubits=max_qubits),
+                    circ, max_qubits=max_qubits)
 
 
 def prepare_balanced(k: int, data: dict[int, int | str] | None = None,

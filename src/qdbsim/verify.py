@@ -355,8 +355,8 @@ def _check_derived_records() -> str:
     for u_d, m_data in ((None, 2), (_RY_ENCODING, 1)):
         m = prepare_meta(6, 0, {3: 1, 5: 1}, m_data=m_data, u_d=u_d)
         records = [m := write_meta(m, 1, 1), m := permute_meta(m, {1: 3, 3: 1})[0],
-                   m := remove_reservoir_meta(m, 2), m := extend_meta(m, 1),
-                   m := extend_meta(m, 3), m := extend_imbalanced_meta(m, 6, 2),
+                   m := remove_reservoir_meta(m, 2), m := extend_meta(m, 1)[0],
+                   m := extend_meta(m, 3)[0], m := extend_imbalanced_meta(m, 6, 2)[0],
                    m := remove_projective_meta(m, 3)[1], m := remove_reservoir_meta(m, 1),
                    m := write_meta(m, 4, 1), write_swap_meta(m, 5, 1)]
         for op, meta in zip(ops, records):

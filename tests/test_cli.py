@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import qdbsim
 from qdbsim.cli import Session, dry_run, main, parse_script, run_script
-from qdbsim.errors import QdbError, ScriptError, VerificationError
+from qdbsim.errors import CapacityError, QdbError, ScriptError, VerificationError
 from qdbsim.statevector import DEFAULT_MAX_QUBITS
 from qdbsim.tolerances import PLAN_RESIDUAL_TOL, STATE_TOL
 
@@ -106,6 +106,21 @@ def test_options_take_plain_decimals(tmp_path, capsys, option):
     assert exc.value.code == 2
     assert "'2_0'" in capsys.readouterr().err
     assert run_cli("run", str(script), option, "20", "--out", str(tmp_path / "o")) == 0
+
+
+@pytest.mark.parametrize("option,value,rule", [
+    ("--seed", "x", "the seed must be a plain decimal integer"),
+    ("--seed", "1_0", "the seed must be a plain decimal integer"),
+    ("--max-qubits", "2_0", "the qubit budget must be a plain decimal integer"),
+])
+def test_a_malformed_option_names_its_rule(tmp_path, capsys, option, value, rule):
+    script = write_script(tmp_path, "prepare k=2\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", str(script), option, value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: {rule}, got '{value}'" in err
+    assert not any(name in err for name in ("_seed_type", "_budget_type", "_decimal"))
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])
@@ -201,6 +216,17 @@ def test_demo_scripts_reproduce_their_goldens(tmp_path, demo, seed):
             _assert_close_json(json.loads(got), json.loads(want), name)
 
 
+@pytest.mark.parametrize("demo", sorted(DEMOS.glob("0*.py")), ids=lambda p: p.name)
+def test_demo_programs_run(tmp_path, demo):
+    # the package's source goes first on the child's path, as for the entry point
+    src = str(DEMOS.parent / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_run_default_out_dir_next_to_script(tmp_path):
     script = write_script(tmp_path, "prepare k=2\ndump\n", name="demo.qdb")
     assert run_cli("run", str(script)) == 0
@@ -289,20 +315,39 @@ def test_run_read_projective_consumes_database(tmp_path, capsys):
     assert "consumed" in capsys.readouterr().err
 
 
-def test_execution_errors_name_command_and_line(tmp_path, capsys, monkeypatch):
-    # capacity is checked only while executing
+def test_execution_errors_name_command_and_line(tmp_path, capsys):
+    # a write's capacity is checked only while executing
     script = write_script(tmp_path, "prepare k=4 m=1\nwrite j=1 d=1\nextend l=2\n")
     assert run_cli("run", str(script), "--out", str(tmp_path / "o"), "--max-qubits", "3") == 4
     assert "error: write (line 2): 4 qubits exceeds the budget of 3" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("line,l", [("extend l=2", 2), ("extend-imbalanced l=3 z=2", 3)])
+def test_a_planner_failure_comes_from_the_dry_run(tmp_path, capsys, monkeypatch, line, l):
     def refuse(k, l):
         raise VerificationError(f"no schedule for k={k}, l={l}")
 
     # the package's ``extend`` attribute is the function; patch the module
     monkeypatch.setattr(importlib.import_module("qdbsim.extend"), "plan_transfer", refuse)
-    script = write_script(tmp_path, "prepare k=4\n\nextend l=2\n")
+    script = write_script(tmp_path, f"prepare k=4\ndump\n{line}\n")
     assert run_cli("run", str(script), "--out", str(tmp_path / "o")) == 5
-    assert "error: extend (line 3): no schedule for k=4, l=2" in capsys.readouterr().err
+    cmd = line.split()[0]
+    assert f"error: {cmd} (line 3): no schedule for k=4, l={l}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # not even the dump before it
+
+
+def test_an_over_budget_prepare_is_refused_by_the_dry_run(tmp_path, capsys):
+    script = write_script(tmp_path, "prepare k=4194304 m=1\ndump\n")
+    with pytest.raises(CapacityError, match="23 qubits exceeds the budget of 10"):
+        dry_run(parse_script(script.read_text()), seed=None, script_dir=tmp_path, max_qubits=10)
+    assert run_cli("run", str(script), "--max-qubits", "10", "--out", str(tmp_path / "o")) == 4
+    assert ("error: prepare (line 1): 23 qubits exceeds the budget of 10"
+            in capsys.readouterr().err)
+    # the descriptor's checks still come first
+    script = write_script(tmp_path, "prepare k=4194304 data=0:1\n")
+    assert run_cli("run", str(script), "--max-qubits", "10", "--out", str(tmp_path / "o")) == 3
+    assert "entry 0 is the reservoir" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_imbalanced_extend_far_beyond_k_runs_at_once(tmp_path):
@@ -532,11 +577,7 @@ def test_each_script_line_runs_its_transition_once(tmp_path, transition_calls, t
     assert run_cli("run", str(script), "--seed", "0", "--out", str(tmp_path / "o")) == 0
     lines = Counter(_transition_of(cmd, kv) for _, cmd, kv in parse_script(text))
     for name, count in transition_calls.items():
-        if name in ("extend_meta", "extend_imbalanced_meta"):
-            # the CLI runs the public op, which runs its transition again
-            assert count == 2 * lines[name], name
-        else:
-            assert count == lines[name], name
+        assert count == lines[name], name
 
 
 def test_the_command_scripts_cover_every_transition(transition_calls):

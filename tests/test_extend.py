@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,10 +16,13 @@ import qdbsim.circuit as circuit_mod
 from qdbsim.circuit import Circuit, simulate
 from qdbsim.errors import CapacityError, SemanticError, VerificationError
 from qdbsim.extend import (
+    ROUTES,
     amplification_circuit,
     check_no_unitary_extend,
     extend,
     extend_imbalanced,
+    extend_imbalanced_meta,
+    extend_meta,
     plan_extend_imbalanced,
     plan_transfer,
     transfer,
@@ -430,6 +434,92 @@ def test_extend_accepts_matching_preload():
     assert pre.k == 5 and pre.l == 0
     pre.check()
     assert states_equal(pre.state, ref.state)
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls of the ``qdbsim.extend`` functions ``names``."""
+    extend_mod = importlib.import_module("qdbsim.extend")  # the package's `extend` is the op
+    calls = Counter({name: 0 for name in names})
+    for name in names:
+        def counted(*args, _fn=getattr(extend_mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(extend_mod, name, counted)
+    return calls
+
+
+def test_extend_derives_and_plans_each_round_once(monkeypatch):
+    db = prepare_general(4)
+    calls = _count_calls(monkeypatch, "transfer_meta", "unfold_meta", "plan_transfer")
+    assert extend(db, 12).k == 16  # rounds of 4 and 8
+    assert calls == {"transfer_meta": 2, "unfold_meta": 2, "plan_transfer": 2}
+
+
+def test_imbalanced_extend_works_out_its_shape_once(monkeypatch):
+    # the shape is worked out only by plan_extend_imbalanced
+    db = prepare_general(4)
+    calls = _count_calls(monkeypatch, "plan_extend_imbalanced", "transfer_meta")
+    assert extend_imbalanced(db, 6, 2).k == 10
+    assert calls == {"plan_extend_imbalanced": 1, "transfer_meta": 1}
+
+
+def _extend_by_rounds(db, l):
+    """Reference for ``extend``: public ``transfer`` and ``unfold`` rounds of
+    at most k new entries each, or one unfold of a preloaded reservoir; the
+    grown database and the rounds' plans."""
+    if db.l:
+        return unfold(db), []
+    plans = []
+    while l > 0:
+        db, plan = transfer(db, min(db.k, l))
+        plans.append(plan)
+        db = unfold(db)
+        l -= plan.l
+    return db, plans
+
+
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_extend_is_its_chain_of_rounds(data):
+    u_d = ENCODINGS[data.draw(st.sampled_from(sorted(ENCODINGS)), label="u_d")]
+    k = data.draw(st.integers(1, 12), label="k")
+    m = u_d.n_qubits if u_d else data.draw(st.integers(0, 2), label="m")
+    words = data.draw(st.dictionaries(st.integers(1, k - 1), st.integers(1, 2 ** m - 1),
+                                      max_size=3), label="words") if k > 1 and m else {}
+    preload = data.draw(st.booleans(), label="preload")
+    # a preloaded reservoir unfolds at once, so at most k entries
+    l = data.draw(st.integers(1 if preload else 0, k if preload else 3 * k), label="l")
+    db = prepare_general(k, l if preload else 0, words, m_data=m, u_d=u_d)
+    plans = []
+    grown = extend(db, l, plan_sink=plans.append)
+    want, want_plans = _extend_by_rounds(db, l)
+    assert grown.state.amplitudes.tobytes() == want.state.amplitudes.tobytes()
+    assert grown.emit() == want.emit()
+    assert grown.meta == want.meta
+    assert plans == want_plans == [p for _, p in extend_meta(db.meta, l)[1] if p is not None]
+
+
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_imbalanced_extend_runs_what_its_transition_derived(data):
+    u_d = ENCODINGS[data.draw(st.sampled_from(sorted(ENCODINGS)), label="u_d")]
+    case = data.draw(st.sampled_from(["direct", "marker", "z=1", "preloaded"]), label="case")
+    k = data.draw(st.integers(2, 8), label="k")
+    z = 1 if case == "z=1" else data.draw(st.integers(2, 3), label="z")
+    if z == 1:
+        l = data.draw(st.integers(1, k), label="l")
+    else:  # l'' entries on each of the 2^z - 1 ancilla patterns
+        l = (2 ** z - 1) * data.draw(st.integers(1, k), label="l''")
+    route = case if case in ROUTES else data.draw(st.sampled_from(ROUTES), label="route")
+    m = u_d.n_qubits if u_d else 1
+    db = prepare_general(k, l if case == "preloaded" else 0, {1: 1}, m_data=m, u_d=u_d)
+    new, loading, plan = extend_imbalanced_meta(db.meta, l, z, route=route)
+    assert (loading is None) == (case == "preloaded")
+    plans = []
+    grown = extend_imbalanced(db, l, z, route=route, plan_sink=plans.append)
+    assert plans == [plan]
+    assert grown.meta == new
 
 
 def test_unfold_rejects_underfunded_reservoir():

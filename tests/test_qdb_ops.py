@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -205,7 +206,7 @@ def _layouts(draw):
         return QdbLayout(tuple(qubits[:t]), tuple(qubits[t:]), dict(enumerate(patterns)))
     meta = prepare_meta(draw(st.integers(2, 40)), m_data=draw(st.integers(0, 5)))
     if shape == "extended":
-        meta = extend_meta(meta, draw(st.integers(1, meta.k)))
+        meta = extend_meta(meta, draw(st.integers(1, meta.k)))[0]
     elif shape != "fresh":
         meta = remove_reservoir_meta(meta, draw(st.sampled_from(meta.layout.labels[1:])))
     layout = meta.layout
@@ -309,6 +310,19 @@ def test_power_of_two_general_prepare_is_depth_one_rotations():
 def test_prepare_capacity_guard():
     with pytest.raises(CapacityError):
         prepare_general(8, 0, {1: "1"}, m_data=2, max_qubits=4)
+
+
+def test_an_over_budget_prepare_fails_before_it_builds_its_labels():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="^23 qubits exceeds the budget of 10$"):
+            prepare_general(2 ** 22, m_data=1, max_qubits=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # one label per entry would take hundreds of MiB
+    with pytest.raises(CapacityError, match="^27 qubits exceeds the budget of 26$"):
+        prepare_meta(2 ** 26, m_data=1)  # the default budget
 
 
 def test_preparation_circuit_rebuilds_holey_layouts():
