@@ -11,12 +11,12 @@ their last bits.
 The whole script is dry-run first: each line's arguments are converted
 once and its library transition (``<op>_meta``) is applied to the evolving
 database record (and plans each extension), so semantic mistakes, a
-prepare wider than the budget and an unplannable transfer surface before
-anything is simulated or written; errors read ``command (line N): message``.
-The transition runs only there: the execution hands what it derived to the
-op's effect. Only these checks run during execution, named the same way:
+command that widens past the qubit budget (exit 4) and an unplannable
+transfer surface before anything is simulated or written; errors read
+``command (line N): message``. The transition runs only there: the execution
+hands what it derived to the op's effect. Only these checks run during
+execution, named the same way:
 
-- capacity against the qubit budget (exit 4), a write's sensor included;
 - verification (exit 5): the transfer preflight, and the check that a
   ``mode=xor`` write moved the entry's amplitude from its old word to its
   new one (sensor purity is checked only by the library's
@@ -50,8 +50,9 @@ from .qdb import (
     _permute,
     _prepare,
     _read_projective,
-    _remove_projective,
+    _removal_odds,
     _remove_reservoir,
+    _survivor,
     _write,
     _write_swap,
     emit_meta,
@@ -289,7 +290,7 @@ def _prepare_meta(sess: Session, **args) -> QdbMeta:
 
 
 def _run_prepare(sess: Session, new: QdbMeta, **args):
-    sess.db = _prepare(new, sess.max_qubits)
+    sess.db = _prepare(new)
     print(f"prepare: k={args['k']} l={args['l']} on {sess.db.n_qubits} qubits")
 
 
@@ -351,11 +352,10 @@ def _run_remove(sess: Session, derived, j: int, mode: str):
         print(f"remove: entry {j} -> reservoir (k={sess.db.k}, l={sess.db.l})")
         return
     after, new = derived
-    outcome = _remove_projective(sess.db, new, j)
-    p = outcome.success_probability
+    p, _ = _removal_odds(sess.db, new, j)
     verdict = "failure" if isinstance(after, str) else "success"
-    if verdict == "success":
-        sess.db = outcome.success_state
+    if verdict == "success":  # only the branch the session goes on with is built
+        sess.db = _survivor(sess.db, new, j)
     path = sess.artifact("remove.json", _json_text({
         "entry": j, "mode": "projective", "success_probability": p, "outcome": verdict}))
     print(f"remove: entry {j} projective p={p:.12g} outcome={verdict} ({path.name})")
@@ -425,7 +425,7 @@ def run_script(script_path: Path, out_dir: Path, *, seed: int | None,
         raise ScriptError(0, f"cannot read script: {exc}") from None
     commands = dry_run(parse_script(text), seed=seed, script_dir=script_path.parent,
                        max_qubits=max_qubits)
-    sess = Session(seed, script_path.parent, out_dir, fmt, max_qubits)
+    sess = Session(seed, script_path.parent, out_dir, fmt)  # the records carry the budget
     for line in commands:
         sess.run(*line)
     print(f"done: {len(commands)} commands, {sess.artifact_count} artifacts"

@@ -46,6 +46,7 @@ from .qdb import (
 )
 from .statevector import (
     StateVector,
+    _check_budget,
     drop_qubits,
     overlap,
     states_equal,
@@ -270,7 +271,7 @@ def _transfer(db: QdbState, new: QdbMeta, plan: AmplificationPlan) -> QdbState:
     if db.n_qubits != db.layout.n_qubits:
         raise SemanticError("state register does not match the database layout")
     u_qdb = preparation_circuit(db.descriptor, db.layout)
-    psi = simulate(u_qdb)
+    psi = simulate(u_qdb, max_qubits=db.max_qubits)
     if not states_equal(psi, db.state, tol=TRANSFER_AMP_TOL):
         raise VerificationError(
             "preparation-circuit preflight failed: the rebuilt circuit does not "
@@ -297,9 +298,11 @@ def _transfer(db: QdbState, new: QdbMeta, plan: AmplificationPlan) -> QdbState:
 def _with_index_qubits(meta: QdbMeta, qubits, new_patterns, profile=None) -> QdbMeta:
     """The record after growth: ``qubits`` join the index register as its
     new high bits and the new labels, numbered on from the largest, take
-    ``new_patterns``. Only these are checked: they must be distinct and each
-    must set a new bit, which keeps it apart from every old pattern."""
+    ``new_patterns``. Only these are checked: the widened database against
+    the budget (CapacityError), and the patterns, which must be distinct and
+    each set a new bit, which keeps it apart from every old pattern."""
     layout, qubits = meta.layout, tuple(qubits)
+    _check_budget(layout.n_qubits + len(qubits), meta.max_qubits)
     kt = len(layout.index_qubits)
     if len(set(new_patterns)) != len(new_patterns):
         raise SemanticError("two labels share one index pattern")
@@ -503,6 +506,8 @@ def extend_imbalanced_meta(meta: QdbMeta, l: int, z: int, *, route: str = "direc
         profile = {j: plan.beta for j in labels}
         profile[0] = plan.alpha
         profile.update((labels[-1] + 1 + i, plan.gamma) for i in range(l))
+        if route == "marker":  # its flag qubit joins the z ancillas while it runs
+            _check_budget(n0 + z + 1, meta.max_qubits)
     patterns = [(i << kt) | h for i in range(1, plan.l_prime + 1)
                 for h in range(plan.l_double_prime)]
     return _with_index_qubits(meta, range(n0, n0 + z), patterns, profile), loading, plan

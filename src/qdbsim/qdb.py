@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .statevector import (
     StateVector,
     _check_budget,
     _register_scan,
+    _renormalized,
     _slot,
     move_amplitudes,
     project,
@@ -337,7 +338,7 @@ class _Record:
 @dataclass(frozen=True)
 class QdbMeta(_Record, _Derivable):
     """What an operation's preconditions and effects consult: a QdbState
-    without its amplitudes, build circuit and qubit budget.
+    without its amplitudes and build circuit (its qubit budget included).
 
     Each operation has a transition ``<op>_meta`` in the module that owns the
     op: a pure function of the op's arguments and this record that raises the
@@ -348,10 +349,10 @@ class QdbMeta(_Record, _Derivable):
 
     A transition derives its records from the checked ones it is given and
     checks only what it changes: the words it sets, the labels and patterns
-    it adds. Nothing else is checked again, so its checks cost the same at
-    every entry count k. The full checks run where raw parts come in:
-    ``prepare_meta`` and the ``QdbDescriptor`` and ``QdbLayout``
-    constructors.
+    it adds, and the width it widens to against the budget (CapacityError,
+    which no effect checks). Nothing else is checked again, so its checks
+    cost the same at every k. The full checks run where raw parts come in:
+    ``prepare_meta`` and the ``QdbDescriptor`` and ``QdbLayout`` constructors.
     """
 
     descriptor: QdbDescriptor
@@ -360,6 +361,7 @@ class QdbMeta(_Record, _Derivable):
     copy_qubits: tuple[int, ...] = ()
     amplitude_profile: dict[int, float] | None = None
     projective: bool = False
+    max_qubits: int = DEFAULT_MAX_QUBITS
 
 
 @dataclass
@@ -395,7 +397,7 @@ class QdbState(_Record):
         meta.__dict__.update(descriptor=self.descriptor, layout=self.layout,
                              sensor_qubits=self.sensor_qubits, copy_qubits=self.copy_qubits,
                              amplitude_profile=self.amplitude_profile,
-                             projective=self.projective)
+                             projective=self.projective, max_qubits=self.max_qubits)
         return meta
 
     def occupied_labels(self, tol: float = EMPTY_ENTRY_WEIGHT) -> tuple[int, ...]:
@@ -476,8 +478,8 @@ class QdbState(_Record):
 def _advance(db: QdbState, meta: QdbMeta, circ: Circuit | None,
              state: StateVector | None = None) -> QdbState:
     """The database an operation on ``db`` leaves: its transition's record
-    ``meta``, under the same qubit budget, with ``circ`` appended to the
-    build circuit (left as it is when ``circ`` is None).
+    ``meta``, qubit budget included, with ``circ`` appended to the build
+    circuit (left as it is when ``circ`` is None).
 
     The new amplitudes are ``state`` when the op has made them its own way,
     and otherwise ``circ`` simulated on ``db``'s state, widened to the
@@ -486,11 +488,11 @@ def _advance(db: QdbState, meta: QdbMeta, circ: Circuit | None,
     changed afterwards.
     """
     if state is None:
-        state = simulate(circ, db.state, max_qubits=db.max_qubits)
+        state = simulate(circ, db.state, max_qubits=meta.max_qubits)
     history = db.circuit if circ is None else _grow(db.circuit, circ)
     return QdbState(meta.descriptor, meta.layout, state, history, meta.sensor_qubits,
                     meta.copy_qubits, meta.amplitude_profile, meta.projective,
-                    db.max_qubits)
+                    meta.max_qubits)
 
 
 def emit_meta(meta: QdbMeta) -> QdbMeta:
@@ -784,7 +786,7 @@ def prepare_meta(k: int, l: int = 0, data: dict[int, int | str] | None = None,
 
     Pure argument checking — no state is built — so callers can vet a
     preparation before paying for the simulation. The width is checked
-    against ``max_qubits`` before the layout's k labels are built.
+    against ``max_qubits``, the record's budget, before the k labels are built.
     """
     if m_data is not None and m_data < 0:
         raise SemanticError("data register width cannot be negative")
@@ -805,7 +807,7 @@ def prepare_meta(k: int, l: int = 0, data: dict[int, int | str] | None = None,
     m = max(widest, m_data or 0, u_d.n_qubits if u_d is not None else 0)
     desc = QdbDescriptor(k=k, l=l, data=words, u_d=u_d, m_data=m)
     _check_budget(index_width(k) + m, max_qubits)
-    return QdbMeta(desc, QdbLayout.fresh(k, m))
+    return QdbMeta(desc, QdbLayout.fresh(k, m), max_qubits=max_qubits)
 
 
 def prepare_general(k: int, l: int = 0, data: dict[int, int | str] | None = None,
@@ -818,15 +820,13 @@ def prepare_general(k: int, l: int = 0, data: dict[int, int | str] | None = None
     writes need room).
     """
     budget = DEFAULT_MAX_QUBITS if max_qubits is None else max_qubits
-    return _prepare(prepare_meta(k, l, data, m_data=m_data, u_d=u_d, max_qubits=budget),
-                    budget)
+    return _prepare(prepare_meta(k, l, data, m_data=m_data, u_d=u_d, max_qubits=budget))
 
 
-def _prepare(meta: QdbMeta, max_qubits: int) -> QdbState:
+def _prepare(meta: QdbMeta) -> QdbState:
     """Effect of ``prepare_general``: the database ``meta`` records."""
     circ = preparation_circuit(meta.descriptor, meta.layout)
-    return QdbState(meta.descriptor, meta.layout, simulate(circ, max_qubits=max_qubits),
-                    circ, max_qubits=max_qubits)
+    return QdbState(state=simulate(circ, max_qubits=meta.max_qubits), circuit=circ, **vars(meta))
 
 
 def prepare_balanced(k: int, data: dict[int, int | str] | None = None,
@@ -846,8 +846,7 @@ def prepare_balanced(k: int, data: dict[int, int | str] | None = None,
     state = simulate(circ, max_qubits=general.max_qubits)
     if not states_equal(state, general.state, up_to_global_phase=False):
         raise VerificationError("balanced preparation disagrees with the general route")
-    return QdbState(general.descriptor, layout, state, circ,
-                    max_qubits=general.max_qubits)
+    return replace(general, state=state, circuit=circ)
 
 
 # ---------------------------------------------------------------------------
@@ -859,6 +858,14 @@ def _fresh_register(layout: QdbLayout) -> tuple[int, ...]:
     just above the database's own qubits."""
     n = layout.n_qubits
     return tuple(range(n, n + len(layout.data_qubits)))
+
+
+def _widen(meta: QdbMeta) -> tuple[int, ...]:
+    """``_fresh_register``, for a transition: refused (CapacityError) when
+    the database with the register exceeds its budget."""
+    register = _fresh_register(meta.layout)
+    _check_budget(register[-1] + 1, meta.max_qubits)
+    return register
 
 
 def _check_entry(meta: QdbMeta, label: int, op: str):
@@ -875,13 +882,14 @@ def _check_data_register(meta: QdbMeta):
 
 
 def _word_value(meta: QdbMeta, label: int, word: int | str) -> int:
-    """Check a write of ``word`` into entry ``label``; return the word."""
+    """Check a write of ``word`` into entry ``label``, sensor included; return the word."""
     _check_entry(meta, label, "write")
     _check_data_register(meta)
     value = _bits_to_int(word) if isinstance(word, str) else _integer(word, "data word")
     m = len(meta.layout.data_qubits)
     if value < 0 or value >> m:
         raise SemanticError(f"data word {word!r} does not fit the {m}-bit data register")
+    _check_budget(meta.layout.n_qubits + m, meta.max_qubits)  # the sensor, m qubits wide
     return value
 
 
@@ -948,16 +956,18 @@ def _write_core_steps(swap: bool, pattern: int, wires, sensor, data, enc: Circui
     yield from encode
 
 
-def _write_circuit(db: QdbState, mode: str, label: int, value: int, sensor) -> Circuit:
+def _write_circuit(db: QdbState, mode: str, label: int, value: int) -> Circuit:
     """The build circuit of a write of ``value`` into entry ``label``, with
-    the sensor register ``sensor``, as records whose gates are made only
-    when asked for: the sensor's preparation (``_sensor_prep_steps``), the
-    core (``_write_core_steps``: swaps for ``mode`` "swap", toggles for
-    "keep" and "write") and, for "write", the preparation's inverse, so the
-    sensor ends in |0>. The preparation and the core are records of their
-    own because a long script repeats each far more often than their pairs,
-    and ``emit_text`` renders each distinct record once. The labels mark
-    the sensor, then take the encodings' labels."""
+    the sensor where the transition placed it (``_fresh_register``), as
+    records whose gates are made only when asked for: the sensor's
+    preparation (``_sensor_prep_steps``), the core (``_write_core_steps``:
+    swaps for ``mode`` "swap", toggles for "keep" and "write") and, for
+    "write", the preparation's inverse, so the sensor ends in |0>. The
+    preparation and the core are records of their own because a long script
+    repeats each far more often than their pairs, and ``emit_text`` renders
+    each distinct record once. The labels mark the sensor, then take the
+    encodings' labels."""
+    sensor = _fresh_register(db.layout)
     n = sensor[-1] + 1
     u_d, data = db.descriptor.u_d, db.layout.data_qubits
     enc_s = _encoding(u_d, n, sensor)
@@ -980,7 +990,7 @@ def _write_circuit(db: QdbState, mode: str, label: int, value: int, sensor) -> C
     return Circuit._joined(n, (prep, core), labels, prep_size + core_size)
 
 
-def _write_folded(db: QdbState, label: int, value: int, width: int) -> StateVector:
+def _write_folded(db: QdbState, label: int, value: int) -> StateVector:
     """The write core on the unwidened state: each sensor bit is a classical
     bit of ``value``, so data bit b toggles on the entry's pattern exactly
     when bit b of ``value`` is set, inside the data encoding, if any.
@@ -989,8 +999,6 @@ def _write_folded(db: QdbState, label: int, value: int, width: int) -> StateVect
     copy under an encoding), and checks in order:
 
     * that the entry is occupied (SemanticError), from its slice;
-    * that ``width`` qubits, the database with its sensor, fit the budget
-      (CapacityError);
     * after the move, that the amplitude at the entry's old computational
       word has reached its new word (VerificationError), two amplitudes
       read at indices one mask apart.
@@ -1003,7 +1011,6 @@ def _write_folded(db: QdbState, label: int, value: int, width: int) -> StateVect
     enc = _encoding(db.descriptor.u_d, db.n_qubits, layout.data_qubits)
     source = db.state if enc is None else simulate(enc.inverse(), db.state)
     entry = _check_occupied(source, layout, label)
-    _check_budget(width, db.max_qubits)
     mask = layout._place(0, value)
     state = source.copy()
     _entry(state, layout, label, mask)[...] = entry
@@ -1021,9 +1028,7 @@ def write(db: QdbState, label: int, word: int | str, *,
     u_d|word>) drives one controlled toggle per data bit and is then
     uncomputed. The build circuit records exactly that, as records
     (``GateRecord``) of the write's arguments whose gates are made only when
-    asked for (``_write_circuit``), so ``emit()`` gives the paper's circuit,
-    and the sensor counts against the qubit budget (CapacityError when the
-    database plus sensor exceeds ``max_qubits``).
+    asked for (``_write_circuit``), so ``emit()`` gives the paper's circuit.
 
     The sensor is never entangled, so its controls are classical bits of
     ``word``, and by default the simulation folds them away
@@ -1031,8 +1036,9 @@ def write(db: QdbState, label: int, word: int | str, *,
     entry's amplitude has moved to its new word (VerificationError).
 
     The checks run in one order on either path: the transition
-    (``write_meta``), the entry's amplitude (SemanticError), the sensor's
-    budget, then the move and its own check.
+    (``write_meta``; CapacityError when the database plus sensor exceeds
+    ``max_qubits``), the entry's amplitude (SemanticError), then the move and
+    its own check.
 
     ``keep_sensor`` leaves the sensor attached for inspection: the whole
     sensor register is simulated, the returned state carries
@@ -1049,15 +1055,13 @@ def _write(db: QdbState, new: QdbMeta, label: int) -> QdbState:
     """Effect of ``write``, given ``write_meta``'s record ``new``: the change in
     entry ``label``'s word, keeping the sensor (``keep_sensor``) if ``new`` does."""
     value = db.descriptor.data_value(label) ^ new.descriptor.data_value(label)
-    sensor = _fresh_register(db.layout)
     if not new.sensor_qubits:
-        state = _write_folded(db, label, value, sensor[-1] + 1)
-        return _advance(db, new, _write_circuit(db, "write", label, value, sensor), state)
+        state = _write_folded(db, label, value)
+        return _advance(db, new, _write_circuit(db, "write", label, value), state)
     _check_occupied(db.state, db.layout, label)
-    _check_budget(sensor[-1] + 1, db.max_qubits)
-    circ = _write_circuit(db, "keep", label, value, sensor)
-    state = simulate(circ, db.state, max_qubits=db.max_qubits)
-    purity = schmidt(state, sensor).purity
+    circ = _write_circuit(db, "keep", label, value)
+    state = simulate(circ, db.state, max_qubits=new.max_qubits)
+    purity = schmidt(state, new.sensor_qubits).purity
     if abs(purity - 1.0) > WRITE_PURITY_TOL:
         raise VerificationError(
             f"sensor register entangled after write (purity {purity:.12g})")
@@ -1086,8 +1090,7 @@ def _write_swap(db: QdbState, new: QdbMeta, label: int) -> QdbState:
     """Effect of ``write_swap_conditional``, given ``write_swap_meta``'s record."""
     _check_occupied(db.state, db.layout, label)
     return _advance(db, new, _write_circuit(db, "swap", label,
-                                            new.descriptor.data_value(label),
-                                            new.sensor_qubits))
+                                            new.descriptor.data_value(label)))
 
 
 # ---------------------------------------------------------------------------
@@ -1098,14 +1101,14 @@ def read_copy_meta(meta: QdbMeta, label: int) -> QdbMeta:
     """Transition of ``read_copy``: a copy register is attached."""
     _check_entry(meta, label, "read")
     _check_data_register(meta)
-    return meta._derived(copy_qubits=_fresh_register(meta.layout))
+    return meta._derived(copy_qubits=_widen(meta))
 
 
 def read_copy_all_meta(meta: QdbMeta) -> QdbMeta:
     """Transition of ``read_copy_all``: a copy register is attached."""
     meta.require_bare("read")
     _check_data_register(meta)
-    return meta._derived(copy_qubits=_fresh_register(meta.layout))
+    return meta._derived(copy_qubits=_widen(meta))
 
 
 def _copy_data(db: QdbState, new: QdbMeta, label: int | None = None) -> QdbState:
@@ -1140,11 +1143,7 @@ def _copy_folded(db: QdbState, n: int, out, ctrls) -> StateVector:
     pages the moved amplitudes land on are written. Under an encoding, the
     encoding is then run on the widened state in place, which keeps the
     peak at one widened array.
-
-    The widened width is checked against the budget (CapacityError) before
-    anything is allocated.
     """
-    _check_budget(n, db.max_qubits)
     if db.n_qubits > n:
         raise SemanticError(f"state has {db.n_qubits} qubits, circuit needs {n}")
     u_d, data = db.descriptor.u_d, db.layout.data_qubits
@@ -1182,8 +1181,8 @@ def read_copy(db: QdbState, label: int) -> QdbState:
 
     The build circuit records the CNOTs; the entry's amplitudes are scattered
     to their copy blocks without simulating them (``_copy_folded``). The
-    checks run in order: the transition (``read_copy_meta``), the entry's
-    amplitude (SemanticError), then the copy register's budget.
+    checks run in order: the transition (``read_copy_meta``, the copy
+    register's budget included), then the entry's amplitude (SemanticError).
     """
     return _copy_data(db, read_copy_meta(db.meta, label), label)
 
@@ -1258,8 +1257,10 @@ def _without_entry(meta: QdbMeta, label: int, l: int, profile, **changes) -> Qdb
 
 def remove_reservoir_meta(meta: QdbMeta, label: int) -> QdbMeta:
     """Transition of ``remove_reservoir``: the entry's weight folds into the
-    reservoir (k - 1 entries, l + 1)."""
+    reservoir (k - 1 entries, l + 1). A word is first cleared by a write."""
     _check_entry(meta, label, "remove")
+    if meta.descriptor.data_value(label):
+        _widen(meta)
     profile = meta.amplitude_profile
     if profile is not None:
         profile = {j: wgt for j, wgt in profile.items() if j != label}
@@ -1340,19 +1341,33 @@ def remove_projective(db: QdbState, label: int) -> RemovalOutcome:
 
 
 def _remove_projective(db: QdbState, new: QdbMeta | None, label: int) -> RemovalOutcome:
-    """Effect of ``remove_projective``, given its transition's record; the
-    probability it reports is the state's own."""
-    _check_occupied(db.state, db.layout, label)
-    hit = _register_scan(db.state, db.layout.index_qubits, db.layout.pattern(label))
-    amps = db.state.amplitudes
-    p_fail = float(np.sum(np.abs(amps[hit]) ** 2))
-    p_success = max(0.0, 1.0 - p_fail)
-    # _check_occupied has refused an entry whose weight is at most EMPTY_ENTRY_WEIGHT
-    failure_state, _ = project(db.state, hit)
-    if new is None or p_success <= PROJECTION_ZERO_TOL:
-        return RemovalOutcome(0.0, None, failure_state)
-    survivor, _ = project(db.state, ~hit)
-    return RemovalOutcome(p_success, _advance(db, new, None, survivor), failure_state)
+    """Effect of ``remove_projective``, given its transition's record: the
+    failure state is the weighed branch written into zeros, renormalized as
+    ``project`` does."""
+    p_success, entry = _removal_odds(db, new, label)
+    # filled, not np.zeros_like, whose lazily zeroed pages read slower in write_heavy
+    failure = StateVector(np.empty_like(db.state.amplitudes), copy=False)
+    failure.amplitudes[...] = 0
+    _entry(failure, db.layout, label)[...] = entry
+    return RemovalOutcome(p_success, _survivor(db, new, label) if p_success else None,
+                          _renormalized(failure.amplitudes)[0])
+
+
+def _removal_odds(db: QdbState, new: QdbMeta | None, label: int) -> tuple[float, np.ndarray]:
+    """The state's own success probability of removing entry ``label``, 0.0
+    when ``new`` is None or nothing else carries amplitude, and the entry's
+    branch it is weighed from (``_check_occupied``)."""
+    entry = _check_occupied(db.state, db.layout, label)
+    p_success = max(0.0, 1.0 - float(np.sum(np.abs(entry) ** 2)))
+    return (0.0 if new is None or p_success <= PROJECTION_ZERO_TOL else p_success), entry
+
+
+def _survivor(db: QdbState, new: QdbMeta, label: int) -> QdbState:
+    """The success branch: the state with entry ``label``'s branch zeroed,
+    renormalized as ``project`` does."""
+    state = db.state.copy()
+    _entry(state, db.layout, label)[...] = 0
+    return _advance(db, new, None, _renormalized(state.amplitudes)[0])
 
 
 # ---------------------------------------------------------------------------

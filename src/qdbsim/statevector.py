@@ -434,8 +434,12 @@ def project(state: StateVector, keep) -> tuple[StateVector, float]:
     Returns the renormalized state and the outcome probability. Projections
     with probability below 1e-14 are rejected.
     """
-    mask = _keep_mask(state, keep)
-    amps = np.where(mask, state.amplitudes, 0.0)
+    return _renormalized(np.where(_keep_mask(state, keep), state.amplitudes, 0.0))
+
+
+def _renormalized(amps: np.ndarray) -> tuple[StateVector, float]:
+    """A projection's amplitudes ``amps`` (zero where it discards) divided
+    by their norm, and the probability they carry, as ``project`` gives them."""
     prob = float(np.sum(np.abs(amps) ** 2))
     if prob < PROJECTION_ZERO_TOL:
         raise ZeroProbabilityError(f"projection probability {prob:.3e} is numerically zero")

@@ -1,5 +1,6 @@
 """Command-line interface: scripts, artifacts, exit codes."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 import qdbsim
 from qdbsim.cli import Session, dry_run, main, parse_script, run_script
 from qdbsim.errors import CapacityError, QdbError, ScriptError, VerificationError
-from qdbsim.statevector import DEFAULT_MAX_QUBITS
+from qdbsim.qdb import prepare_general
+from qdbsim.statevector import DEFAULT_MAX_QUBITS, _register_scan, project
 from qdbsim.tolerances import PLAN_RESIDUAL_TOL, STATE_TOL
 
 
@@ -306,6 +308,21 @@ def test_run_remove_projective_samples_with_seed(tmp_path):
     assert (out / "001-remove.json").read_bytes() == (out2 / "001-remove.json").read_bytes()
 
 
+@pytest.mark.parametrize("seed,verdict,built", [(4, "failure", 0), (1, "success", 1)])
+def test_projective_removal_builds_only_the_state_it_keeps(tmp_path, monkeypatch,
+                                                          seed, verdict, built):
+    qdb_mod = importlib.import_module("qdbsim.qdb")
+    states = []
+    renormalized = qdb_mod._renormalized
+    monkeypatch.setattr(qdb_mod, "_renormalized",
+                        lambda amps: states.append(amps.size) or renormalized(amps))
+    monkeypatch.setattr(qdb_mod, "project", None)  # no full-state projection either
+    script = write_script(tmp_path, "prepare k=4\nremove j=1 mode=projective\n")
+    assert run_cli("run", str(script), "--seed", str(seed), "--out", str(tmp_path / "o")) == 0
+    assert json.loads((tmp_path / "o" / "001-remove.json").read_text())["outcome"] == verdict
+    assert len(states) == built  # the survivor on success, nothing on failure
+
+
 def test_run_read_projective_consumes_database(tmp_path, capsys):
     script = write_script(
         tmp_path, "prepare k=4 data=2:1\nread-projective j=2\nemit\n"
@@ -315,11 +332,39 @@ def test_run_read_projective_consumes_database(tmp_path, capsys):
     assert "consumed" in capsys.readouterr().err
 
 
-def test_execution_errors_name_command_and_line(tmp_path, capsys):
-    # a write's capacity is checked only while executing
-    script = write_script(tmp_path, "prepare k=4 m=1\nwrite j=1 d=1\nextend l=2\n")
-    assert run_cli("run", str(script), "--out", str(tmp_path / "o"), "--max-qubits", "3") == 4
-    assert "error: write (line 2): 4 qubits exceeds the budget of 3" in capsys.readouterr().err
+def test_execution_errors_name_command_and_line(tmp_path, capsys, monkeypatch):
+    # an entry's amplitude is checked only while executing: entry 1 is hollowed
+    db = prepare_general(4, 0, m_data=1)
+    hit = _register_scan(db.state, db.layout.index_qubits, db.layout.pattern(1))
+    ghost = dataclasses.replace(db, state=project(db.state, ~hit)[0])
+    monkeypatch.setattr(importlib.import_module("qdbsim.cli"), "_prepare", lambda meta: ghost)
+    script = write_script(tmp_path, "prepare k=4 m=1\ndump\nwrite j=1 d=1\n")
+    assert run_cli("run", str(script), "--out", str(tmp_path / "o")) == 3
+    assert "error: write (line 3): entry 1 carries no amplitude" in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["001-dump.json"]
+
+
+@pytest.mark.parametrize("line,budget,width", [
+    ("write j=1 d=1", 3, 4),
+    ("write j=1 d=1 mode=swap", 3, 4),
+    ("read-copy j=1", 3, 4),
+    ("read-copy all=true", 3, 4),
+    ("extend l=2", 3, 4),  # the unfold's index qubit
+    ("extend-imbalanced l=6 z=2", 4, 5),  # z ancillas
+    ("extend-imbalanced l=6 z=2 route=marker", 5, 6),  # and the marker qubit
+    ("remove j=1", 3, 4),  # clearing entry 1's word takes a sensor
+])
+def test_an_over_budget_line_is_refused_by_the_dry_run(tmp_path, capsys, line, budget, width):
+    script = write_script(tmp_path, f"prepare k=4 m=1 data=1:1\ndump\n{line}\n")
+    message = f"{line.split()[0]} (line 3): {width} qubits exceeds the budget of {budget}"
+    with pytest.raises(CapacityError) as exc:
+        dry_run(parse_script(script.read_text()), seed=None, script_dir=tmp_path,
+                max_qubits=budget)
+    assert str(exc.value) == message
+    out = tmp_path / "o"
+    assert run_cli("run", str(script), "--max-qubits", str(budget), "--out", str(out)) == 4
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()  # not even the dump before it
 
 
 @pytest.mark.parametrize("line,l", [("extend l=2", 2), ("extend-imbalanced l=3 z=2", 3)])
@@ -421,11 +466,11 @@ def test_dry_run_verdict_matches_execution(tmp_path, body):
     assert code == (failure[1] if failure else 0)
 
 
-def replay(text, seed, out_dir, *, dry=False):
+def replay(text, seed, out_dir, *, dry=False, max_qubits=DEFAULT_MAX_QUBITS):
     """Run a script line by line in one session, executing (or, with ``dry``,
     applying transitions only) and with no separate dry run first; return the
     session and (line, exit code) of the first failure, or 0."""
-    sess = Session(seed, Path("."), out_dir=out_dir, dry=dry)
+    sess = Session(seed, Path("."), out_dir=out_dir, max_qubits=max_qubits, dry=dry)
     for ln, cmd, kv in parse_script(text):
         try:
             sess.step(ln, cmd, kv)
@@ -441,8 +486,9 @@ _prepare = st.builds("prepare k={} l={} m={}".format, st.integers(1, 8),
                      st.sampled_from([0, 0, 0, 1, 2, 4]), st.sampled_from([0, 1, 2, 2]))
 _line = st.one_of(
     st.builds("extend l={}".format, st.integers(0, 4)),
-    st.builds("extend-imbalanced l={} z={}".format,  # l=6 z=2 leaves a profile
-              st.sampled_from([1, 2, 3, 4, 6, 6]), st.integers(1, 2)),
+    st.builds("extend-imbalanced l={} z={} route={}".format,  # l=6 z=2 leaves a profile
+              st.sampled_from([1, 2, 3, 4, 6, 6]), st.integers(1, 2),
+              st.sampled_from(["direct", "marker"])),
     st.builds("write j={} d={} mode={}".format, _label,
               st.sampled_from(["1", "1", "01", "10", "11", "0", "101", "2"]),
               st.sampled_from(["xor", "xor", "xor", "xor", "swap", "bogus"])),
@@ -461,18 +507,22 @@ _line = st.one_of(
 @given(first=st.one_of(_prepare, st.builds(  # or start from a profiled database
            "prepare k={} m={}\nextend-imbalanced l=6 z=2".format,
            st.integers(2, 8), st.integers(0, 2))),
-       rest=st.lists(_line, max_size=4), seed=st.sampled_from([None, 3]))
-def test_dry_run_agrees_with_raw_replay(first, rest, seed):
-    """The dry run fails exactly where raw replay fails with a script or
-    semantic error, passes every line raw replay completes, and ends on the
-    metadata raw replay ends on."""
+       rest=st.lists(_line, max_size=4), seed=st.sampled_from([None, 3]),
+       spare=st.sampled_from([0, 1, 2, DEFAULT_MAX_QUBITS]))
+def test_dry_run_agrees_with_raw_replay(first, rest, seed, spare):
+    """The dry run fails exactly where raw replay fails with a script,
+    semantic or capacity error, passes every line raw replay completes, and
+    ends on the metadata raw replay ends on. The budget is the width the
+    first lines leave plus ``spare`` qubits, so writes, copy-reads and
+    growth overflow it."""
     text = "\n".join([first, *rest]) + "\n"
+    budget = replay(first, None, None, dry=True)[0].db.layout.n_qubits + spare
     with tempfile.TemporaryDirectory() as tmp:
-        raw, raw_fail = replay(text, seed, Path(tmp))
-    dry, dry_fail = replay(text, seed, None, dry=True)
-    if raw_fail and raw_fail[1] in (2, 3):
+        raw, raw_fail = replay(text, seed, Path(tmp), max_qubits=budget)
+    dry, dry_fail = replay(text, seed, None, dry=True, max_qubits=budget)
+    if raw_fail and raw_fail[1] in (2, 3, 4):
         assert dry_fail == raw_fail
-    elif raw_fail:  # capacity or verification: the dry run may stop there, not before
+    elif raw_fail:  # verification: the dry run may stop there, not before
         assert not dry_fail or dry_fail[0] >= raw_fail[0]
     else:
         assert not dry_fail

@@ -386,7 +386,8 @@ def test_hollow_entry_is_refused_whether_or_not_it_holds_data(u_d):
 
 
 def test_hollow_entry_of_a_20_qubit_database_is_refused(monkeypatch, tmp_path, capsys):
-    db = prepare_general(4096, 0, m_data=8)
+    # the budget its 8-qubit sensor or copy register needs: capacity is refused first
+    db = prepare_general(4096, 0, m_data=8, max_qubits=28)
     assert db.n_qubits == 20
     hit = _register_scan(db.state, db.layout.index_qubits, db.layout.pattern(7))
     ghost = dataclasses.replace(db, state=project(db.state, ~hit)[0])
@@ -396,10 +397,11 @@ def test_hollow_entry_of_a_20_qubit_database_is_refused(monkeypatch, tmp_path, c
             op(ghost)
         assert err.value.exit_code == 3
     cli = importlib.import_module("qdbsim.cli")
-    monkeypatch.setattr(cli, "_prepare", lambda meta, max_qubits: ghost)
+    monkeypatch.setattr(cli, "_prepare", lambda meta: ghost)
     script = tmp_path / "hollow.qdb"
     script.write_text("prepare k=4096 m=8\nwrite j=7 d=1\n")
-    assert cli.main(["run", str(script), "--out", str(tmp_path / "out")]) == 3
+    assert cli.main(["run", str(script), "--out", str(tmp_path / "out"),
+                     "--max-qubits", "28"]) == 3
     assert "write (line 2): entry 7 carries no amplitude" in capsys.readouterr().err
 
 
@@ -731,11 +733,13 @@ def test_copy_read_checks_run_in_order():
     for op in (lambda d: read_copy(d, 2), read_copy_all):
         with pytest.raises(CapacityError, match="^6 qubits exceeds the budget of 5$"):
             op(tight)
-    # an empty entry is refused before the budget, a non-bare database first of all
+    # the budget is refused before an empty entry, a non-bare database first of all
     hit = _register_scan(tight.state, tight.layout.index_qubits, tight.layout.pattern(3))
     hollow = dataclasses.replace(tight, state=project(tight.state, ~hit)[0])
-    with pytest.raises(SemanticError, match="^entry 3 carries no amplitude$"):
+    with pytest.raises(CapacityError, match="^6 qubits exceeds the budget of 5$"):
         read_copy(hollow, 3)
+    with pytest.raises(SemanticError, match="^entry 3 carries no amplitude$"):
+        read_copy(dataclasses.replace(hollow, max_qubits=6), 3)
     copied = dataclasses.replace(read_copy(db, 1), state=hollow.state, max_qubits=5)
     for op in (lambda d: read_copy(d, 3), read_copy_all):
         with pytest.raises(SemanticError, match="requires sensor/copy registers to be detached"):
@@ -1303,6 +1307,31 @@ def test_remove_projective_rescales_amplitude_profile():
     assert 4 not in survivor.amplitude_profile
     assert outcome.success_probability == pytest.approx(1 - gamma**2)
     survivor.check(tol=1e-8)
+
+
+@settings(deadline=None, max_examples=40)
+@given(k=st.integers(2, 24), m=st.integers(0, 3), shape=st.sampled_from(["plain", "encoded",
+       "extended", "imbalanced"]), seed=st.integers(0, 2**32 - 1))
+def test_remove_projective_matches_the_full_projections_bit_for_bit(k, m, shape, seed):
+    """The removal weighs and writes the entry's branch alone; its weight,
+    survivor and failure state are those of projecting the whole state
+    onto the entry's pattern and away from it."""
+    rng = np.random.default_rng(seed)
+    data = {j: int(rng.integers(0, 2**m)) for j in range(1, k)} if m else {}
+    db = prepare_general(k, 0, data, m_data=m,
+                         u_d=_random_encoding(rng, m) if shape == "encoded" and m else None)
+    if shape == "extended":
+        db = extend(db, int(rng.integers(1, 5)))
+    elif shape == "imbalanced":
+        db = extend_imbalanced(db, 6, 2)  # leaves a profile
+    label = int(rng.choice(db.layout.labels[1:]))
+    hit = _register_scan(db.state, db.layout.index_qubits, db.layout.pattern(label))
+    p_fail = float(np.sum(np.abs(db.state.amplitudes[hit]) ** 2))
+    out = remove_projective(db, label)
+    assert out.success_probability == max(0.0, 1.0 - p_fail)
+    assert out.failure_state.amplitudes.tobytes() == project(db.state, hit)[0].amplitudes.tobytes()
+    survivor = project(db.state, ~hit)[0]
+    assert out.success_state.state.amplitudes.tobytes() == survivor.amplitudes.tobytes()
 
 
 # --- state bookkeeping -------------------------------------------------------
