@@ -260,11 +260,16 @@ def transfer(db: QdbState, l: int) -> tuple[QdbState, AmplificationPlan]:
     the gate-level reference.
     """
     new, plan = transfer_meta(db.meta, l), plan_transfer(db.k, l)
-    return _transfer(db, new, plan), plan
+    moved = _transfer(db, new, plan)
+    if plan.m_star:  # the reflections ran
+        moved.check(tol=TRANSFER_AMP_TOL)
+    return moved, plan
 
 
 def _transfer(db: QdbState, new: QdbMeta, plan: AmplificationPlan) -> QdbState:
-    """``transfer`` of ``db`` to the record ``new`` by the schedule ``plan``."""
+    """``transfer`` of ``db`` to the record ``new`` by the schedule ``plan``,
+    unchecked: ``transfer`` checks the loaded state, and growth checks it
+    after the unfold that follows (its reservoir weight, then ``check``)."""
     l = new.l
     if plan.m_star == 0:  # l == 0, or k == 1: the reservoir already holds its target
         return db if l == 0 else _advance(db, new, None, db.state)
@@ -290,9 +295,7 @@ def _transfer(db: QdbState, new: QdbMeta, plan: AmplificationPlan) -> QdbState:
         _reflect(v, r, rho)
         _reflect(v, prepared, phi)
     _reflect(v, r, plan.phase_fix)
-    new_db = _advance(db, new, circ, StateVector(v, copy=False))
-    new_db.check(tol=TRANSFER_AMP_TOL)
-    return new_db
+    return _advance(db, new, circ, StateVector(v, copy=False))
 
 
 def _with_index_qubits(meta: QdbMeta, qubits, new_patterns, profile=None) -> QdbMeta:

@@ -28,10 +28,10 @@ from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
     _check_budget,
+    _exchange,
     _register_scan,
     _renormalized,
     _slot,
-    move_amplitudes,
     project,
     schmidt,
     states_equal,
@@ -299,9 +299,9 @@ class QdbLayout(_Derivable):
         int arrays alike. Each register is spread by its runs (``_runs``):
         one mask and one shift per run of bits that lands on consecutive
         qubits, so a fresh layout places each register in one step. The
-        folded write places the word's mask and the old word's index this
-        way, as ``physical_index``, ``physical_indices`` (and so ``check``)
-        and the data-write table do."""
+        folded write places the old word's index this way (and spreads its
+        mask on the data register alone), as ``physical_index``,
+        ``physical_indices`` (and so ``check``) and the data-write table do."""
         return _spread(pat, self.index_qubits) | _spread(data_value, self.data_qubits)
 
     def pattern_controls(self, label: int) -> tuple[tuple[int, int], ...]:
@@ -646,12 +646,14 @@ def transposition_circuit(pat_a: int, pat_b: int, index_qubits, n_qubits: int) -
 def _transpositions(mapping: dict[int, int]) -> tuple[tuple[int, int], ...]:
     """The plan of ``pattern_permutation_circuit`` for an injective
     ``mapping`` of patterns: the transpositions, in order, that route
-    pattern p to mapping[p] (see there)."""
-    used = set(mapping.values())
-    size = max(used.symmetric_difference(mapping), default=-1) + 1
-    free = iter(sorted(set(range(size)) - used))
-    full = {p: mapping[p] if p in mapping else next(free) for p in range(size)}
-    full.update(mapping)
+    pattern p to mapping[p] (see there). A mapping that permutes its own
+    keys, as every ``permute`` routing does, is its own completion."""
+    full, used = mapping, set(mapping.values())
+    if used != mapping.keys():
+        size = max(used.symmetric_difference(mapping)) + 1
+        free = iter(sorted(set(range(size)) - used))
+        full = {p: mapping[p] if p in mapping else next(free) for p in range(size)}
+        full.update(mapping)
     return tuple((cyc[t], cyc[t + 1]) for cyc in _cycles(full)
                  for t in range(len(cyc) - 2, -1, -1))
 
@@ -868,11 +870,12 @@ def _widen(meta: QdbMeta) -> tuple[int, ...]:
     return register
 
 
-def _check_entry(meta: QdbMeta, label: int, op: str):
-    """A bare database with a data-holding entry ``label``."""
+def _check_entry(meta: QdbMeta, label: int, op: str, refusal: str = "cannot hold data"):
+    """A bare database with a data-holding entry ``label``; entry 0, the
+    reservoir, is refused with ``refusal``."""
     meta.require_bare(op)
     if label == 0:
-        raise SemanticError("entry 0 is the reservoir and cannot hold data")
+        raise SemanticError(f"entry 0 is the reservoir and {refusal}")
     meta.layout.pattern(label)
 
 
@@ -970,11 +973,12 @@ def _write_circuit(db: QdbState, mode: str, label: int, value: int) -> Circuit:
     sensor = _fresh_register(db.layout)
     n = sensor[-1] + 1
     u_d, data = db.descriptor.u_d, db.layout.data_qubits
-    enc_s = _encoding(u_d, n, sensor)
-    enc = None if mode == "swap" else _encoding(u_d, n, sensor, data)
+    enc_s = enc = None
     labels = {q: "S" for q in sensor}
     prep_size, core_size = value.bit_count(), len(data)
     if u_d is not None:
+        enc_s = _encoding(u_d, n, sensor)
+        enc = None if mode == "swap" else _encoding(u_d, n, sensor, data)
         labels.update(enc_s.labels)
         prep_size += len(enc_s)
         if enc is not None:
@@ -990,7 +994,7 @@ def _write_circuit(db: QdbState, mode: str, label: int, value: int) -> Circuit:
     return Circuit._joined(n, (prep, core), labels, prep_size + core_size)
 
 
-def _write_folded(db: QdbState, label: int, value: int) -> StateVector:
+def _write_folded(db: QdbState, label: int, value: int, old: int) -> StateVector:
     """The write core on the unwidened state: each sensor bit is a classical
     bit of ``value``, so data bit b toggles on the entry's pattern exactly
     when bit b of ``value`` is set, inside the data encoding, if any.
@@ -999,22 +1003,24 @@ def _write_folded(db: QdbState, label: int, value: int) -> StateVector:
     copy under an encoding), and checks in order:
 
     * that the entry is occupied (SemanticError), from its slice;
-    * after the move, that the amplitude at the entry's old computational
-      word has reached its new word (VerificationError), two amplitudes
-      read at indices one mask apart.
+    * after the move, that the amplitude at the entry's ``old`` word has
+      reached its new word (VerificationError), two amplitudes read at
+      indices one mask apart.
 
     The occupancy check selects the entry's slice of the source once; the
-    toggles write it, reversed along one mask, into the copy's slot at the
-    entry's pattern (``_entry``), as ``move_amplitudes`` would out of place.
+    toggles write it, reversed along the word's mask (``value`` spread onto
+    the data qubits), into the copy's slot at the entry's pattern
+    (``_slot``), one slice copy.
     """
-    layout = db.layout
-    enc = _encoding(db.descriptor.u_d, db.n_qubits, layout.data_qubits)
+    layout, u_d = db.layout, db.descriptor.u_d
+    enc = None if u_d is None else _encoding(u_d, db.n_qubits, layout.data_qubits)
     source = db.state if enc is None else simulate(enc.inverse(), db.state)
     entry = _check_occupied(source, layout, label)
-    mask = layout._place(0, value)
+    pattern, mask = layout.pattern(label), _spread(value, layout.data_qubits)
     state = source.copy()
-    _entry(state, layout, label, mask)[...] = entry
-    at = layout._place(layout.pattern(label), db.descriptor.data_value(label))
+    _slot(state.amplitudes.reshape((2,) * state.n_qubits), layout.index_qubits, pattern,
+          mask)[...] = entry
+    at = layout._place(pattern, old)
     if abs(state.amplitudes[at ^ mask] - source.amplitudes[at]) > STATE_TOL:
         raise VerificationError(f"write left entry {label}'s amplitude behind")
     return state if enc is None else simulate(enc, state)
@@ -1054,9 +1060,10 @@ def write(db: QdbState, label: int, word: int | str, *,
 def _write(db: QdbState, new: QdbMeta, label: int) -> QdbState:
     """Effect of ``write``, given ``write_meta``'s record ``new``: the change in
     entry ``label``'s word, keeping the sensor (``keep_sensor``) if ``new`` does."""
-    value = db.descriptor.data_value(label) ^ new.descriptor.data_value(label)
+    old = db.descriptor.data_value(label)
+    value = old ^ new.descriptor.data_value(label)
     if not new.sensor_qubits:
-        state = _write_folded(db, label, value)
+        state = _write_folded(db, label, value, old)
         return _advance(db, new, _write_circuit(db, "write", label, value), state)
     _check_occupied(db.state, db.layout, label)
     circ = _write_circuit(db, "keep", label, value)
@@ -1151,7 +1158,8 @@ def _copy_folded(db: QdbState, n: int, out, ctrls) -> StateVector:
     if u_d is not None:
         src = simulate(_encoding(u_d, db.n_qubits, data).inverse(), src)
     amps = src.amplitudes
-    idx = np.flatnonzero(amps.view(np.uint64).reshape(-1, 2).any(axis=1))
+    bits = amps.view(np.uint64)  # an amplitude's real then imaginary part
+    idx = np.flatnonzero(bits[0::2] | bits[1::2])
     if ctrls:
         cmask = sum(1 << q for q, _ in ctrls)
         idx = idx[idx & cmask == sum(bit << q for q, bit in ctrls)]
@@ -1258,7 +1266,7 @@ def _without_entry(meta: QdbMeta, label: int, l: int, profile, **changes) -> Qdb
 def remove_reservoir_meta(meta: QdbMeta, label: int) -> QdbMeta:
     """Transition of ``remove_reservoir``: the entry's weight folds into the
     reservoir (k - 1 entries, l + 1). A word is first cleared by a write."""
-    _check_entry(meta, label, "remove")
+    _check_entry(meta, label, "remove", "cannot be removed")
     if meta.descriptor.data_value(label):
         _widen(meta)
     profile = meta.amplitude_profile
@@ -1438,10 +1446,11 @@ def permute(db: QdbState, perm) -> QdbState:
 
     The build circuit records the routing: one record (``GateRecord``) of
     the plan of ``pattern_permutation_circuit``, its transpositions, whose
-    gates are made only when asked for. The amplitudes move without them:
-    the state is copied once, and each moved pattern's slice is copied from
-    the input state into that copy at its target (``move_amplitudes``, out
-    of place).
+    gates are made only when asked for. The amplitudes move by that plan
+    without them: the state is copied once, and for each transposition, in
+    order, the two patterns' slices trade places in the copy
+    (``statevector._exchange``, two slot selections and one slice-sized
+    temporary), as the transposition's gates would move them.
     """
     return _permute(db, *permute_meta(db.meta, perm))
 
@@ -1451,15 +1460,15 @@ def _permute(db: QdbState, new: QdbMeta, moves: dict[int, int]) -> QdbState:
     if not moves:
         return db
     lmap = db.layout.logical_index_map
-    routing = {lmap[j]: lmap[t] for j, t in moves.items()}
     index_qubits = db.layout.index_qubits
-    pairs = _transpositions(routing)
+    pairs = _transpositions({lmap[j]: lmap[t] for j, t in moves.items()})
     size = sum(2 * (a ^ b).bit_count() - 1 for a, b in pairs)  # gates _gray_steps yields
     circ = Circuit._joined(db.n_qubits, (GateRecord(_gray_steps, (pairs, index_qubits), size),),
                            {}, size)
     state = db.state.copy()
-    move_amplitudes(state, index_qubits, tuple(routing), tuple(routing.values()),
-                    (0,) * len(routing), src=db.state)
+    tensor = state.amplitudes.reshape((2,) * state.n_qubits)
+    for a, b in pairs:
+        _exchange(tensor, index_qubits, a, b)
     return _advance(db, new, circ, state)
 
 

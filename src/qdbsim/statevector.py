@@ -11,11 +11,12 @@ Conventions
   ``target``, which may be ``state`` itself, and ``move_amplitudes``
   writes the state it is given. ``circuit.simulate`` makes one copy of its
   input, widened by ``add_ancillas`` when the circuit is wider, and updates
-  that copy in place through them; an op that only moves amplitudes
-  (``qdb.write``'s fold, ``qdb.permute``) copies its input once and moves
-  into the copy out of place, and a copy-read (``qdb.read_copy``,
-  ``read_copy_all``) copies its input once into the low block of a zeroed
-  wider array and scatters the copied amplitudes from there.
+  that copy in place through them; an op that only moves amplitudes copies
+  its input once and moves within the copy (``qdb.permute``, by
+  ``_exchange``) or into it from the input (``qdb.write``'s fold, one
+  slice), and a copy-read (``qdb.read_copy``, ``read_copy_all``) copies its
+  input once into the low block of a zeroed wider array and scatters the
+  copied amplitudes from there.
 * Slices are taken from the ``(2,)*n`` view of the amplitudes, in which
   axis ``n-1-q`` is qubit ``q``, by one selector, ``_slot``: the slice on
   which some wires read one pattern. A gate (every kind but rot2, which
@@ -26,15 +27,14 @@ Conventions
   folded write, ``qdb.read_projective`` and ``extend.unfold`` read it there.
 * Amplitudes move without arithmetic, and every amplitude (signed zeros
   included) keeps its bits, so a move skips the norm check, which a
-  permutation cannot fail. An ``x`` or a ``swap`` in ``apply_gate`` trades
-  two slots (``_exchange``). ``move_amplitudes``
-  moves a table: on a control set C, pattern p with free bits f goes to
-  pattern pi(p) with free bits f XOR T[p]. Out of place, from a source
-  state, it serves ``qdb.permute``; in place it takes only tables whose
-  patterns stay put, and serves ``simulate``'s data-write records.
-  ``qdb.write``'s fold moves one pattern by one mask, the slice copy an
-  out-of-place move makes per pattern: it writes the entry's slice, which
-  its occupancy check selected (``_slot``), into its copy's slot.
+  permutation cannot fail. Two slots trade places (``_exchange``) for an
+  ``x`` or a ``swap`` in ``apply_gate`` and for each transposition of
+  ``qdb.permute``'s plan. ``move_amplitudes`` moves a table in place: on a
+  control set C, pattern p with free bits f goes to free bits f XOR T[p],
+  every pattern staying put; it serves ``simulate``'s data-write records.
+  ``qdb.write``'s fold moves one pattern by one mask: it writes the entry's
+  slice, which its occupancy check selected (``_slot``), reversed along
+  the mask into its copy's slot.
 * State equality is judged up to global phase by default.
 
 The default qubit budget is 26; anything above that is rejected rather than
@@ -244,57 +244,36 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
 _MOVE_CHUNK = 1 << 17  # amplitudes gathered at once by move_amplitudes
 
 
-def move_amplitudes(state: StateVector, wires, sources, targets, masks, *,
-                    src: StateVector | None = None) -> None:
-    """Move amplitudes into ``state``, with no arithmetic: every amplitude
-    on pattern ``sources[i]`` of the qubits ``wires`` (bit j on
-    ``wires[j]``), with free bits f, goes to pattern ``targets[i]`` with free
-    bits f XOR ``masks[i]`` (bit q flips qubit q, which is not a wire). The
-    targets are the sources in some order. Every amplitude keeps its bits,
-    and no index array spans the state.
+def move_amplitudes(state: StateVector, wires, sources, targets, masks) -> None:
+    """Move amplitudes of ``state`` in place, with no arithmetic: every
+    amplitude on pattern ``sources[i]`` of the qubits ``wires`` (bit j on
+    ``wires[j]``), with free bits f, goes to free bits f XOR ``masks[i]``
+    (bit q flips qubit q, which is not a wire). Each pattern stays in place
+    (``targets`` equal to ``sources``; anything else is a SemanticError),
+    and patterns not named stay put. Every amplitude keeps its bits, and no
+    index array spans the state.
 
-    With ``src``, a state as wide as ``state`` that shares no memory with
-    it, the move is out of place: the amplitudes are read from ``src``,
-    which is not written, and each named pattern is one slice copy into
-    ``state``, whose amplitudes on the patterns not named stay as they
-    were. ``qdb.permute`` moves its input state into its one copy this way.
-    ``qdb.write``'s fold makes the same slice copy for its one pattern
-    itself, from the entry's slice that its occupancy check has already
-    selected, so it does not call this function.
+    ``circuit.simulate`` moves a data-write record's table this way: the
+    patterns are gathered, reordered by their masks and put back in chunks
+    of at most ``_MOVE_CHUNK`` amplitudes. A pattern larger than a chunk
+    instead trades the halves of its slice, split on the mask's highest
+    qubit, one read reversed along the mask's other qubits, through one
+    half-slice temporary (``_trade_halves``).
 
-    Without ``src``, ``state`` is moved in place, and each pattern must
-    stay in place (``targets`` equal to ``sources``; anything else is a
-    SemanticError). Patterns not named stay put. ``circuit.simulate`` moves
-    a data-write record's table this way: the patterns are gathered,
-    reordered by their masks and put back in chunks of at most
-    ``_MOVE_CHUNK`` amplitudes. A pattern larger than a chunk instead
-    trades the halves of its slice, split on the mask's highest qubit, one
-    read reversed along the mask's other qubits, through one half-slice
-    temporary (``_trade_halves``).
-
-    The three tables are sequences of one type: an out-of-place move's are
-    tuples or lists of Python ints, which are used as they come. An
-    in-place table may also be numpy arrays, one array passed as both
-    ``sources`` and ``targets``.
+    The three tables are sequences of one type: tuples or lists of Python
+    ints, or numpy arrays, one array passed as both ``sources`` and
+    ``targets``.
     """
     n = state.n_qubits
-    tensor = state.amplitudes.reshape((2,) * n)
-    if src is not None:
-        if src.n_qubits != n:
-            raise SemanticError(f"src has {src.n_qubits} qubits, state has {n}")
-        read = src.amplitudes.reshape((2,) * n)
-        for source, target, mask in zip(sources, targets, masks):
-            _slot(tensor, wires, target, mask)[...] = _slot(read, wires, source)
-        return
     # one array passed as both is not compared with itself
     if sources is not targets and sources != targets:
-        raise SemanticError("an in-place move keeps every pattern in place; "
-                            "a move between patterns reads from src=")
+        raise SemanticError("an in-place move keeps every pattern in place")
     masks = np.asarray(masks, dtype=np.int64)
     moving = masks != 0
     patterns, masks = np.asarray(sources, dtype=np.int64)[moving], masks[moving]
     step = _MOVE_CHUNK >> (n - len(wires))  # patterns moved per gather
     if not step:
+        tensor = state.amplitudes.reshape((2,) * n)
         for pattern, mask in zip(patterns.tolist(), masks.tolist()):
             _trade_halves(tensor, wires, pattern, mask)
         return
@@ -357,7 +336,10 @@ def _slot(tensor: np.ndarray, wires, pattern: int, mask: int = 0) -> np.ndarray:
 def _exchange(tensor: np.ndarray, wires, one: int, two: int, mask: int = 0) -> None:
     """Trade the slices of the ``(2,)*n`` view ``tensor`` on which
     ``wires`` read patterns ``one`` and ``two``, the second reversed along
-    each qubit of ``mask``, through one temporary the size of a slice."""
+    each qubit of ``mask``, through one temporary the size of a slice: two
+    slot selections (``_slot``) per trade. ``apply_gate``'s ``x`` and
+    ``swap``, ``_trade_halves`` and each transposition of ``qdb.permute``
+    move this way."""
     first = _slot(tensor, wires, one)
     second = _slot(tensor, wires, two, mask)
     held = first.copy()

@@ -253,74 +253,48 @@ def test_random_circuits_match_dense_oracle(seed, n):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-# --- amplitude moves: tables in place and out of place ---------------------
+# --- amplitude moves: tables in place --------------------------------------
 
 
 @st.composite
 def moves(draw):
-    """A move of ``statevector.move_amplitudes`` on up to 10 qubits, in
-    place or out of place: up to 8 patterns of a control set drawn from the
-    whole register, so its qubits sit above and below the masked ones, sent
-    to themselves or, in a route (out of place only), to a permutation of
-    themselves; each with a mask of the other qubits, or, in half the
-    routes, none."""
-    out_of_place = draw(st.booleans())
+    """An in-place move of ``statevector.move_amplitudes`` on up to 10
+    qubits: up to 8 patterns of a control set drawn from the whole register,
+    so its qubits sit above and below the masked ones, each with a mask of
+    the other qubits."""
     n = draw(st.integers(1, 10))
     order = draw(st.permutations(range(n)))
     wires = tuple(order[:draw(st.integers(0, n))])
     free = order[len(wires):]
     sources = draw(st.lists(st.integers(0, 2 ** len(wires) - 1), unique=True,
                             min_size=1, max_size=8))
-    route = out_of_place and len(sources) > 1 and draw(st.booleans())
-    targets = draw(st.permutations(sources)) if route else sources
     masks = [0] * len(sources)
-    if free and not (route and draw(st.booleans())):
+    if free:
         masks = [sum(1 << q for q in draw(st.sets(st.sampled_from(free))))
                  for _ in sources]
-    return out_of_place, n, wires, sources, targets, masks
+    return n, wires, sources, masks
 
 
 @settings(deadline=None, max_examples=150)
 @given(move=moves(), seed=st.integers(0, 2**32 - 1),
        chunk=st.sampled_from([1, 8, 1 << 17]))
 def test_move_amplitudes_matches_an_explicit_index_map(move, seed, chunk):
-    out_of_place, n, wires, sources, targets, masks = move
-    rng = np.random.default_rng(seed)
-    state = signed_zero_state(rng, n)
+    n, wires, sources, masks = move
+    state = signed_zero_state(np.random.default_rng(seed), n)
     index = np.arange(2**n)
     pattern = sum(((index >> q) & 1) << j for j, q in enumerate(wires))
     dest = index.copy()
-    for src, dst, mask in zip(sources, targets, masks):
+    for src, mask in zip(sources, masks):
         on = pattern == src
-        moved = index[on] ^ mask
-        for j, q in enumerate(wires):  # pattern bits src -> dst
-            moved ^= (((src ^ dst) >> j) & 1) << q
-        dest[on] = moved
-    before = state.amplitudes.tobytes()
-    if out_of_place:
-        # into a state of its own bits: only the named patterns' moves land
-        got = signed_zero_state(rng, n)
-        named = np.isin(pattern, sources)
-        want = got.amplitudes.copy()
-        want[dest[named]] = state.amplitudes[named]
-    else:
-        got = state.copy()
-        want = np.empty_like(state.amplitudes)
-        want[dest] = state.amplitudes
-    # in place, a chunk of 1 moves each pattern by trading halves, 8 gathers
-    # a few patterns at once, 2^17 every pattern
+        dest[on] = index[on] ^ mask
+    got = state.copy()
+    want = np.empty_like(state.amplitudes)
+    want[dest] = state.amplitudes
+    # a chunk of 1 moves each pattern by trading halves, 8 gathers a few
+    # patterns at once, 2^17 every pattern
     with mock.patch.object(statevector, "_MOVE_CHUNK", chunk):
-        statevector.move_amplitudes(got, wires, sources, targets, masks,
-                                    src=state if out_of_place else None)
+        statevector.move_amplitudes(got, wires, sources, sources, masks)
     assert got.amplitudes.tobytes() == want.tobytes()
-    if out_of_place:  # the source is only read
-        assert state.amplitudes.tobytes() == before
-
-
-def test_an_out_of_place_move_needs_a_source_as_wide_as_its_destination():
-    with pytest.raises(SemanticError, match="src has 2 qubits, state has 3"):
-        statevector.move_amplitudes(StateVector.zero(3), (0,), (1,), (1,), (0,),
-                                    src=StateVector.zero(2))
 
 
 @pytest.mark.parametrize("sources,targets", [((0, 1), (1, 0)), ((1,), (0,))],

@@ -277,6 +277,13 @@ def test_run_remove_reservoir_under_data_encoding(tmp_path):
     assert weight["01"] == pytest.approx(0.25, abs=1e-12)
 
 
+def test_removing_the_reservoir_says_it_cannot_be_removed(tmp_path, capsys):
+    script = write_script(tmp_path, "prepare k=4 m=1\nremove j=0\n")
+    assert run_cli("run", str(script), "--out", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert "remove (line 2): entry 0 is the reservoir and cannot be removed" in err
+
+
 def test_run_extend_writes_plan_artifacts(tmp_path):
     script = write_script(
         tmp_path,

@@ -464,6 +464,30 @@ def test_imbalanced_extend_works_out_its_shape_once(monkeypatch):
     assert calls == {"plan_extend_imbalanced": 1, "transfer_meta": 1}
 
 
+@pytest.mark.parametrize("db,grow,checks", [
+    (prepare_general(4), lambda db: extend(db, 12), 2),  # rounds of 4 and 8
+    (prepare_general(3, 0, {1: 1}, m_data=1), lambda db: extend_imbalanced(db, 6, 2), 1),
+    (prepare_general(4), lambda db: extend_imbalanced(db, 3, 1), 1),
+    (prepare_general(4), lambda db: transfer(db, 4), 1),
+    (prepare_general(4), lambda db: transfer(db, 0), 0),
+], ids=["extend", "imbalanced", "single-ancilla", "transfer", "transfer-none"])
+def test_growth_checks_the_state_once_per_round(monkeypatch, db, grow, checks):
+    # a round's transfer is checked by the unfold or spread that follows it;
+    # the public transfer checks what its reflections loaded
+    from qdbsim.qdb import QdbState
+
+    calls = []
+    check = QdbState.check
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return check(self, *args, **kwargs)
+
+    monkeypatch.setattr(QdbState, "check", counted)
+    grow(db)
+    assert len(calls) == checks
+
+
 def _extend_by_rounds(db, l):
     """Reference for ``extend``: public ``transfer`` and ``unfold`` rounds of
     at most k new entries each, or one unfold of a preloaded reservoir; the

@@ -898,6 +898,15 @@ def test_remove_reservoir_guards():
         remove_reservoir(db, 5)
 
 
+def test_remove_reservoir_refuses_the_reservoir_itself():
+    # the reservoir is refused for what the op would do to it
+    db = prepare_general(4, 0, {1: "1"}, m_data=1)
+    with pytest.raises(SemanticError,
+                       match="^entry 0 is the reservoir and cannot be removed$") as exc:
+        remove_reservoir(db, 0)
+    assert exc.value.exit_code == 3
+
+
 def test_remove_projective_branches():
     db = prepare_general(4, 0, {1: "1", 2: "1"})
     out = remove_projective(db, 2)
@@ -1158,6 +1167,25 @@ def test_permute_guards():
     assert moved.descriptor.data_value(0) == 0
     assert moved.descriptor.data_value(2) == 1
     moved.check()
+
+
+@pytest.mark.parametrize("perm,slots", [({1: 2, 2: 1}, 2), ({1: 2, 2: 3, 3: 1}, 4)],
+                         ids=["2-cycle", "3-cycle"])
+def test_permute_trades_two_slots_per_transposition(monkeypatch, perm, slots):
+    # one _exchange per transposition of the recorded plan, and no table move
+    sv = importlib.import_module("qdbsim.statevector")
+    db = prepare_general(4, 0, {1: "01", 2: "10", 3: "11"}, m_data=2)
+    selected, moved = [], []
+    slot = sv._slot
+    monkeypatch.setattr(sv, "_slot", lambda *args: selected.append(args) or slot(*args))
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qdbsim") and hasattr(mod, "move_amplitudes"):
+            monkeypatch.setattr(mod, "move_amplitudes", lambda *args: moved.append(args))
+    permuted = permute(db, perm)
+    assert (len(selected), moved) == (slots, [])
+    permuted.check()
+    assert {j: permuted.descriptor.data_value(t) for j, t in perm.items()} == {
+        j: db.descriptor.data_value(j) for j in perm}
 
 
 def test_transpose_entries_is_two_cycle():

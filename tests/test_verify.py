@@ -92,17 +92,20 @@ def test_database_ops_check_catches_a_permute_that_moves_other_bits(monkeypatch)
     import qdbsim.qdb as qdb_mod
     import qdbsim.verify as verify_mod
 
-    move = qdb_mod.move_amplitudes
+    exchange = qdb_mod._exchange
+    traded = []
 
-    def negated(state, wires, sources, targets, masks, **kwargs):
-        # a route's right entries, one amplitude's sign flipped; the write
-        # fold moves its entry without this function
-        move(state, wires, sources, targets, masks, **kwargs)
-        if sources != targets:
-            state.amplitudes[np.flatnonzero(state.amplitudes)[0]] *= -1
+    def negated(tensor, *args):
+        # the route's right trades, one amplitude's sign flipped after the
+        # first; in qdb only permute trades slots
+        exchange(tensor, *args)
+        if not traded:
+            flat = tensor.reshape(-1)
+            flat[np.flatnonzero(flat)[0]] *= -1
+        traded.append(args)
 
     assert "permute matches its routing gates" in verify_mod._check_db_ops()
-    monkeypatch.setattr(qdb_mod, "move_amplitudes", negated)
+    monkeypatch.setattr(qdb_mod, "_exchange", negated)
     with pytest.raises(VerificationError, match="^permute disagrees with its routing gates$"):
         verify_mod._check_db_ops()
 
