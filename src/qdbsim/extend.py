@@ -359,7 +359,7 @@ def _unfold(db: QdbState, new: QdbMeta) -> QdbState:
         raise SemanticError("state register does not match the database layout")
     target = math.sqrt((l + 1) / (db.k + l))
     # the reservoir's whole branch: its data is u_d|0> under an encoding
-    branch = _entry(db.state, db.layout, 0)
+    branch = _entry(db.state, db.layout, db.layout.pattern(0))
     held = math.sqrt(np.vdot(branch, branch).real)
     if held < target - TRANSFER_AMP_TOL:
         raise SemanticError(

@@ -28,10 +28,8 @@ from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
     _check_budget,
-    _exchange,
     _register_scan,
     _renormalized,
-    _slot,
     project,
     schmidt,
     states_equal,
@@ -228,6 +226,75 @@ def _spread(value, qubits: tuple[int, ...]):
     return out
 
 
+class _EntryAxes:
+    """A state on ``n`` qubits split into axes, highest qubit first: each
+    run of consecutive bits of the index register, of the data register or
+    of the qubits in neither (free) on consecutive qubits is one axis, so
+    ``shape`` reshapes the amplitudes without a copy.
+
+    An index pattern is one integer per index axis (``index``: axis, lowest
+    bit, mask), so an entry's branch is one reshape and a short key
+    (``_entry``). The branch keeps the data and free axes, in order; a data
+    word is one position per data axis (``data``: branch axis, lowest bit,
+    mask, mesh shape), a free axis reading 0."""
+
+    __slots__ = ("shape", "key", "index", "data", "grids")
+
+    def __init__(self, index_qubits: tuple[int, ...], data_qubits: tuple[int, ...], n: int):
+        held = {q: ("index", i) for i, q in enumerate(index_qubits)}
+        held.update((q, ("data", b)) for b, q in enumerate(data_qubits))
+        runs = []  # (register, lowest bit, width)
+        for q in reversed(range(n)):
+            reg, bit = held.get(q, (None, None))
+            if runs and runs[-1][0] == reg and (reg is None or runs[-1][1] == bit + 1):
+                runs[-1] = (reg, bit, runs[-1][2] + 1)
+            else:
+                runs.append((reg, bit, 1))
+        self.shape = tuple(1 << width for _, _, width in runs)
+        # the Ellipsis keeps a view when every axis is fixed: an all-integer
+        # key would give a scalar copy, and writes to it would be lost
+        self.key = [slice(None)] * len(runs) + [Ellipsis]
+        self.index = tuple((axis, bit, (1 << width) - 1)
+                           for axis, (reg, bit, width) in enumerate(runs) if reg == "index")
+        branch = [(reg, bit, width) for reg, bit, width in runs if reg != "index"]
+        meshes = [tuple(1 << w if a == axis else 1 for a, (_, _, w) in enumerate(branch))
+                  for axis in range(len(branch))]
+        self.grids = tuple(_mesh(shape, 0) for shape in meshes)
+        self.data = tuple((axis, bit, (1 << width) - 1, meshes[axis])
+                          for axis, (reg, bit, width) in enumerate(branch) if reg == "data")
+
+    def position(self, word: int) -> tuple[int, ...]:
+        """Where data word ``word`` lies in a branch."""
+        at = [0] * len(self.grids)
+        for axis, low, mask, _ in self.data:
+            at[axis] = word >> low & mask
+        return tuple(at)
+
+    def moved(self, branch: np.ndarray, word: int) -> np.ndarray:
+        """A copy of ``branch`` moved by ``word`` along its data axes, an XOR
+        index on each: what lies at data word w lands at w XOR ``word``."""
+        index = list(self.grids)
+        for axis, low, mask, shape in self.data:
+            index[axis] = _mesh(shape, word >> low & mask)
+        return branch[tuple(index)]
+
+
+@functools.lru_cache(maxsize=256)
+def _mesh(shape: tuple[int, ...], bits: int) -> np.ndarray:
+    """The open-mesh index along the one axis of ``shape`` longer than 1,
+    position p reading p XOR ``bits``; memoized, as a script writes few
+    distinct words."""
+    return np.arange(max(shape)).reshape(shape) ^ bits
+
+
+@functools.lru_cache(maxsize=256)
+def _entry_axes(index_qubits: tuple[int, ...], data_qubits: tuple[int, ...],
+                n: int) -> _EntryAxes:
+    """``_EntryAxes``, memoized by the registers and the width as ``_runs``
+    is, never on a layout, whose derived copies can hold other qubits."""
+    return _EntryAxes(index_qubits, data_qubits, n)
+
+
 @dataclass(frozen=True)
 class QdbLayout(_Derivable):
     """Where the database lives inside the simulated register.
@@ -298,10 +365,10 @@ class QdbLayout(_Derivable):
         """Basis index of an index pattern with a data value; ints or numpy
         int arrays alike. Each register is spread by its runs (``_runs``):
         one mask and one shift per run of bits that lands on consecutive
-        qubits, so a fresh layout places each register in one step. The
-        folded write places the old word's index this way (and spreads its
-        mask on the data register alone), as ``physical_index``,
-        ``physical_indices`` (and so ``check``) and the data-write table do."""
+        qubits, so a fresh layout places each register in one step.
+        ``physical_index``, ``physical_indices`` (and so ``check``) and the
+        data-write table place their indices this way; an entry op selects
+        its entry's branch by the same runs (``_entry``) instead."""
         return _spread(pat, self.index_qubits) | _spread(data_value, self.data_qubits)
 
     def pattern_controls(self, label: int) -> tuple[tuple[int, int], ...]:
@@ -870,13 +937,20 @@ def _widen(meta: QdbMeta) -> tuple[int, ...]:
     return register
 
 
+def _known(meta: QdbMeta, label: int) -> int:
+    """The index pattern of entry ``label``, which must be an integer
+    (``_integer``: a bool is refused) that the layout knows. Every
+    transition that takes one entry's label looks it up here."""
+    return meta.layout.pattern(_integer(label, "entry label"))
+
+
 def _check_entry(meta: QdbMeta, label: int, op: str, refusal: str = "cannot hold data"):
     """A bare database with a data-holding entry ``label``; entry 0, the
     reservoir, is refused with ``refusal``."""
     meta.require_bare(op)
+    _known(meta, label)
     if label == 0:
         raise SemanticError(f"entry 0 is the reservoir and {refusal}")
-    meta.layout.pattern(label)
 
 
 def _check_data_register(meta: QdbMeta):
@@ -896,21 +970,23 @@ def _word_value(meta: QdbMeta, label: int, word: int | str) -> int:
     return value
 
 
-def _entry(state: StateVector, layout: QdbLayout, label: int, mask: int = 0) -> np.ndarray:
-    """Entry ``label``'s branch of ``state``: the slot (``_slot``) of the
-    ``(2,)*n`` view of ``state`` at the entry's index pattern, reversed
-    along each qubit of ``mask``."""
-    return _slot(state.amplitudes.reshape((2,) * state.n_qubits), layout.index_qubits,
-                 layout.pattern(label), mask)
+def _entry(state: StateVector, layout: QdbLayout, pattern: int) -> np.ndarray:
+    """The branch of ``state`` on which the index register reads ``pattern``:
+    a view of the amplitudes reshaped by the layout's runs (``_EntryAxes``),
+    every index axis fixed. Every entry op selects its entry here."""
+    axes = _entry_axes(layout.index_qubits, layout.data_qubits, state.n_qubits)
+    key = axes.key.copy()
+    for axis, low, mask in axes.index:
+        key[axis] = pattern >> low & mask
+    return state.amplitudes.reshape(axes.shape)[tuple(key)]
 
 
 def _check_occupied(state: StateVector, layout: QdbLayout, label: int) -> np.ndarray:
     """Raise unless entry ``label`` (already known to ``layout``) carries
     amplitude in ``state``, a weight above ``EMPTY_ENTRY_WEIGHT``; reads
-    only the entry's branch (``_entry``) and returns it. The folded write
-    moves that slice into its copy of the state, so it selects the entry
-    once."""
-    entry = _entry(state, layout, label)
+    only the entry's branch (``_entry``) and returns it, so the folded write
+    and a projective removal select the entry once."""
+    entry = _entry(state, layout, layout.pattern(label))
     if not np.vdot(entry, entry).real > EMPTY_ENTRY_WEIGHT:
         raise SemanticError(f"entry {label} carries no amplitude")
     return entry
@@ -1002,26 +1078,24 @@ def _write_folded(db: QdbState, label: int, value: int, old: int) -> StateVector
     The fold reads the entry from its source, the input state (its decoded
     copy under an encoding), and checks in order:
 
-    * that the entry is occupied (SemanticError), from its slice;
-    * after the move, that the amplitude at the entry's ``old`` word has
-      reached its new word (VerificationError), two amplitudes read at
-      indices one mask apart.
+    * that the entry is occupied (SemanticError), from its branch;
+    * after the move, that the amplitude at the entry's ``old`` word in the
+      source's branch has reached its new word in the copy's
+      (VerificationError).
 
-    The occupancy check selects the entry's slice of the source once; the
-    toggles write it, reversed along the word's mask (``value`` spread onto
-    the data qubits), into the copy's slot at the entry's pattern
-    (``_slot``), one slice copy.
+    The occupancy check selects the entry's branch of the source once
+    (``_entry``); the toggles write it, moved by ``value`` along the data
+    axes (``_EntryAxes.moved``), into the branch of the source's one copy.
     """
     layout, u_d = db.layout, db.descriptor.u_d
     enc = None if u_d is None else _encoding(u_d, db.n_qubits, layout.data_qubits)
     source = db.state if enc is None else simulate(enc.inverse(), db.state)
     entry = _check_occupied(source, layout, label)
-    pattern, mask = layout.pattern(label), _spread(value, layout.data_qubits)
+    axes = _entry_axes(layout.index_qubits, layout.data_qubits, source.n_qubits)
     state = source.copy()
-    _slot(state.amplitudes.reshape((2,) * state.n_qubits), layout.index_qubits, pattern,
-          mask)[...] = entry
-    at = layout._place(pattern, old)
-    if abs(state.amplitudes[at ^ mask] - source.amplitudes[at]) > STATE_TOL:
+    branch = _entry(state, layout, layout.pattern(label))
+    branch[...] = axes.moved(entry, value)
+    if abs(branch[axes.position(old ^ value)] - entry[axes.position(old)]) > STATE_TOL:
         raise VerificationError(f"write left entry {label}'s amplitude behind")
     return state if enc is None else simulate(enc, state)
 
@@ -1211,7 +1285,7 @@ def read_projective_meta(meta: QdbMeta, label: int) -> None:
     """Transition of ``read_projective``: the read consumes the database, so
     no record follows it."""
     meta.require_bare("read")
-    meta.layout.pattern(label)
+    _known(meta, label)
     _check_data_register(meta)
 
 
@@ -1223,18 +1297,20 @@ def read_projective(db: QdbState, label: int) -> tuple[StateVector, float]:
     consumed: the branch where the index points elsewhere is discarded.
     The data state is the entry's branch (``_entry``) of the collapsed
     state, flattened, highest remaining qubit first, and divided by its
-    norm.
+    norm. The projection runs on the whole state (``project``), so its
+    probability keeps the bits it has always had.
     """
     read_projective_meta(db.meta, label)
     return _read_projective(db, label)
 
 
 def _read_projective(db: QdbState, label: int) -> tuple[StateVector, float]:
-    """Effect of ``read_projective``."""
+    """Effect of ``read_projective``: the whole state projected, then the
+    entry's branch of it selected once."""
     layout = db.layout
-    hit = _register_scan(db.state, layout.index_qubits, layout.pattern(label))
-    collapsed, prob = project(db.state, hit)
-    data = _entry(collapsed, layout, label).reshape(-1)
+    pattern = layout.pattern(label)
+    collapsed, prob = project(db.state, _register_scan(db.state, layout.index_qubits, pattern))
+    data = _entry(collapsed, layout, pattern).reshape(-1)
     return StateVector(data / np.linalg.norm(data), copy=False), prob
 
 
@@ -1317,7 +1393,7 @@ def remove_projective_meta(meta: QdbMeta, label: int) -> tuple[float, QdbMeta | 
     closed-form (or profiled) weights, and the record on success — None when
     nothing else carries amplitude."""
     meta.require_bare("remove")
-    meta.layout.pattern(label)
+    _known(meta, label)
     profile = meta.amplitude_profile
     if profile is not None:
         weight_sq = profile[label] ** 2
@@ -1356,7 +1432,7 @@ def _remove_projective(db: QdbState, new: QdbMeta | None, label: int) -> Removal
     # filled, not np.zeros_like, whose lazily zeroed pages read slower in write_heavy
     failure = StateVector(np.empty_like(db.state.amplitudes), copy=False)
     failure.amplitudes[...] = 0
-    _entry(failure, db.layout, label)[...] = entry
+    _entry(failure, db.layout, db.layout.pattern(label))[...] = entry
     return RemovalOutcome(p_success, _survivor(db, new, label) if p_success else None,
                           _renormalized(failure.amplitudes)[0])
 
@@ -1374,7 +1450,7 @@ def _survivor(db: QdbState, new: QdbMeta, label: int) -> QdbState:
     """The success branch: the state with entry ``label``'s branch zeroed,
     renormalized as ``project`` does."""
     state = db.state.copy()
-    _entry(state, db.layout, label)[...] = 0
+    _entry(state, db.layout, db.layout.pattern(label))[...] = 0
     return _advance(db, new, None, _renormalized(state.amplitudes)[0])
 
 
@@ -1448,15 +1524,16 @@ def permute(db: QdbState, perm) -> QdbState:
     the plan of ``pattern_permutation_circuit``, its transpositions, whose
     gates are made only when asked for. The amplitudes move by that plan
     without them: the state is copied once, and for each transposition, in
-    order, the two patterns' slices trade places in the copy
-    (``statevector._exchange``, two slot selections and one slice-sized
-    temporary), as the transposition's gates would move them.
+    order, the two patterns' entry branches (``_entry``) trade places in the
+    copy through one branch-sized temporary, as the transposition's gates
+    would move them.
     """
     return _permute(db, *permute_meta(db.meta, perm))
 
 
 def _permute(db: QdbState, new: QdbMeta, moves: dict[int, int]) -> QdbState:
-    """Effect of ``permute``, given ``permute_meta``'s record and moves."""
+    """Effect of ``permute``, given ``permute_meta``'s record and moves: two
+    entry selections per transposition of the plan."""
     if not moves:
         return db
     lmap = db.layout.logical_index_map
@@ -1466,9 +1543,13 @@ def _permute(db: QdbState, new: QdbMeta, moves: dict[int, int]) -> QdbState:
     circ = Circuit._joined(db.n_qubits, (GateRecord(_gray_steps, (pairs, index_qubits), size),),
                            {}, size)
     state = db.state.copy()
-    tensor = state.amplitudes.reshape((2,) * state.n_qubits)
     for a, b in pairs:
-        _exchange(tensor, index_qubits, a, b)
+        first, second = _entry(state, db.layout, a), _entry(state, db.layout, b)
+        held = first.copy()
+        # a ufunc's out= copies in place where a plain assignment between
+        # interleaved branches would first copy its source whole
+        np.positive(second, out=first)
+        second[...] = held
     return _advance(db, new, circ, state)
 
 

@@ -12,29 +12,28 @@ Conventions
   writes the state it is given. ``circuit.simulate`` makes one copy of its
   input, widened by ``add_ancillas`` when the circuit is wider, and updates
   that copy in place through them; an op that only moves amplitudes copies
-  its input once and moves within the copy (``qdb.permute``, by
-  ``_exchange``) or into it from the input (``qdb.write``'s fold, one
-  slice), and a copy-read (``qdb.read_copy``, ``read_copy_all``) copies its
+  its input once and moves entry branches within the copy (``qdb.permute``)
+  or into it from the input (``qdb.write``'s fold, one branch), and a
+  copy-read (``qdb.read_copy``, ``read_copy_all``) copies its
   input once into the low block of a zeroed wider array and scatters the
   copied amplitudes from there.
-* Slices are taken from the ``(2,)*n`` view of the amplitudes, in which
-  axis ``n-1-q`` is qubit ``q``, by one selector, ``_slot``: the slice on
-  which some wires read one pattern. A gate (every kind but rot2, which
-  names two basis indices) reads its controls then its targets as one
-  pattern, so it reads and writes only the slots its controls select; the
-  norm check is taken over those slots too. An entry's branch is the slot
-  of its index pattern on the index register: the occupancy check, the
-  folded write, ``qdb.read_projective`` and ``extend.unfold`` read it there.
+* A gate's slices are taken from the ``(2,)*n`` view of the amplitudes, in
+  which axis ``n-1-q`` is qubit ``q``, by one selector, ``_slot``: the
+  slice on which some wires read one pattern. A gate (every kind but rot2,
+  which names two basis indices) reads its controls then its targets as
+  one pattern, so it reads and writes only the slots its controls select;
+  the norm check is taken over those slots too. An entry's branch is not a
+  slot: ``qdb._entry`` selects it from the amplitudes reshaped by the
+  runs of the database's registers, one axis per run.
 * Amplitudes move without arithmetic, and every amplitude (signed zeros
   included) keeps its bits, so a move skips the norm check, which a
   permutation cannot fail. Two slots trade places (``_exchange``) for an
-  ``x`` or a ``swap`` in ``apply_gate`` and for each transposition of
-  ``qdb.permute``'s plan. ``move_amplitudes`` moves a table in place: on a
-  control set C, pattern p with free bits f goes to free bits f XOR T[p],
-  every pattern staying put; it serves ``simulate``'s data-write records.
-  ``qdb.write``'s fold moves one pattern by one mask: it writes the entry's
-  slice, which its occupancy check selected (``_slot``), reversed along
-  the mask into its copy's slot.
+  ``x`` or a ``swap`` in ``apply_gate`` and for the halves of a large
+  pattern (``_trade_halves``). ``move_amplitudes`` moves a table in place:
+  on a control set C, pattern p with free bits f goes to free bits
+  f XOR T[p], every pattern staying put; it serves ``simulate``'s
+  data-write records. ``qdb.permute`` trades entry branches and
+  ``qdb.write``'s fold moves one branch by one word, the same way.
 * State equality is judged up to global phase by default.
 
 The default qubit budget is 26; anything above that is rejected rather than
@@ -338,8 +337,7 @@ def _exchange(tensor: np.ndarray, wires, one: int, two: int, mask: int = 0) -> N
     ``wires`` read patterns ``one`` and ``two``, the second reversed along
     each qubit of ``mask``, through one temporary the size of a slice: two
     slot selections (``_slot``) per trade. ``apply_gate``'s ``x`` and
-    ``swap``, ``_trade_halves`` and each transposition of ``qdb.permute``
-    move this way."""
+    ``swap`` and ``_trade_halves`` move this way."""
     first = _slot(tensor, wires, one)
     second = _slot(tensor, wires, two, mask)
     held = first.copy()

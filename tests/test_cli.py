@@ -170,6 +170,31 @@ def test_run_produces_expected_artifacts(tmp_path, capsys):
     assert "done: 5 commands, 3 artifacts" in capsys.readouterr().out
 
 
+def test_a_script_builds_each_layouts_entry_axes_once(tmp_path, capsys):
+    # writes select two branches and permutes two per transposition, all
+    # through one memoized split per layout: before and after the extend
+    qdb = importlib.import_module("qdbsim.qdb")
+    lines = ["prepare k=16 m=4 data=" + ",".join(f"{j}:{j:04b}" for j in range(1, 16))]
+    for i in range(50):
+        if i == 25:
+            lines.append("extend l=3")
+        elif i % 3:
+            lines.append(f"write j={1 + i % 15} d={(i * 7) % 16:04b}")
+        else:
+            a, b = 1 + i % 15, 1 + (i + 4) % 15
+            lines.append(f"permute map={a}:{b},{b}:{a}")
+    before = qdb._entry_axes.cache_info()
+    assert run_cli("run", str(write_script(tmp_path, "\n".join(lines) + "\n")),
+                   "--out", str(tmp_path / "out")) == 0
+    after = qdb._entry_axes.cache_info()
+    # a folded write looks its split up three times, a 2-cycle permute twice
+    lookups = sum(3 if line.startswith("write") else 2 for line in lines[1:]
+                  if not line.startswith("extend"))
+    assert after.misses - before.misses <= 2
+    assert after.hits - before.hits >= lookups - 2
+    capsys.readouterr()
+
+
 def test_run_artifacts_are_deterministic(tmp_path):
     script = write_script(
         tmp_path, "prepare k=3 data=1:1\nextend l=4\ndump\nemit\n"

@@ -35,6 +35,7 @@ from qdbsim.oracle import expected_qdb_amplitudes, permutation_matrix
 from qdbsim.qdb import (
     QdbDescriptor,
     QdbLayout,
+    QdbState,
     _decoded,
     _encoding,
     _grow,
@@ -53,6 +54,7 @@ from qdbsim.qdb import (
     read_projective,
     relabel_contiguous,
     remove_projective,
+    remove_projective_meta,
     remove_reservoir,
     remove_reservoir_meta,
     transpose_entries,
@@ -543,21 +545,112 @@ def test_folded_write_matches_sensor_register_write(k, m, shape, seed):
     folded.check()
 
 
-# The fold reads its entry through ``_slot`` without a mask and moves it into
-# the copy's slot with the word's mask, so these tests corrupt that move.
+@st.composite
+def _databases(draw):
+    """Fresh, extended (the new index qubit above the data register),
+    permuted and reservoir-removed databases with 0 to 4 data qubits, and
+    hand-built ones on a random state whose data register need not be one
+    ascending run and whose qubits need not all lie in a register."""
+    shape = draw(st.sampled_from(["fresh", "extended", "permuted", "removed", "hand"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "hand":
+        n = draw(st.integers(2, 8))
+        qubits = draw(st.permutations(range(n)))
+        t = draw(st.integers(1, min(n, 3)))
+        m = draw(st.integers(0, n - t))
+        k = draw(st.integers(2, 1 << t))
+        patterns = rng.permutation(1 << t)[:k].tolist()
+        layout = QdbLayout(tuple(qubits[:t]), tuple(qubits[t:t + m]), dict(enumerate(patterns)))
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        return QdbState(QdbDescriptor(k, 0, m_data=m), layout,
+                        StateVector(amps / np.linalg.norm(amps)), Circuit(n))
+    k, m = draw(st.integers(3, 10)), draw(st.integers(0, 4))
+    db = prepare_general(k, 0, {j: int(rng.integers(1 << m)) for j in range(1, k)}, m_data=m)
+    if shape == "extended":
+        db = extend(db, draw(st.integers(1, k)))
+    elif shape == "permuted":
+        labels = list(db.layout.labels[1:])
+        db = permute(db, dict(zip(labels, draw(st.permutations(labels)))))
+    elif shape == "removed":
+        db = remove_reservoir(db, draw(st.sampled_from(db.layout.labels[1:])))
+    return db
+
+
+def _slot_of(state, layout, pattern, mask=0):
+    """Reference selection: the slot of the ``(2,)*n`` view on which the
+    index register reads ``pattern``, reversed along the qubits of ``mask``."""
+    sv = importlib.import_module("qdbsim.statevector")
+    return sv._slot(state.amplitudes.reshape((2,) * state.n_qubits), layout.index_qubits,
+                    pattern, mask)
+
+
+@settings(deadline=None, max_examples=150)
+@given(db=_databases(), data=st.data())
+def test_entry_ops_move_what_slots_on_the_qubit_view_move(db, data):
+    qdb = importlib.import_module("qdbsim.qdb")
+    sv = importlib.import_module("qdbsim.statevector")
+    layout, state = db.layout, db.state
+    lmap = layout.logical_index_map
+    for label, pattern in lmap.items():
+        branch = qdb._entry(state, layout, pattern)
+        assert branch.tobytes() == _slot_of(state, layout, pattern).tobytes()
+        assert np.shares_memory(branch, state.amplitudes)  # a view, also with every axis fixed
+    label = data.draw(st.sampled_from(layout.labels[1:]))
+    pattern, m = lmap[label], len(layout.data_qubits)
+    if m:  # a write: the branch moved by the word's mask into one copy
+        word, old = data.draw(st.integers(1, (1 << m) - 1)), db.descriptor.data_value(label)
+        mask = sum(((word >> b) & 1) << q for b, q in enumerate(layout.data_qubits))
+        want = state.copy()
+        _slot_of(want, layout, pattern, mask)[...] = _slot_of(state, layout, pattern)
+        got = qdb._write_folded(db, label, word, old)
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+    # a permute: one slot trade per transposition of its plan
+    labels = list(layout.labels[1:])
+    perm = dict(zip(labels, data.draw(st.permutations(labels))))
+    new, moves = permute_meta(db.meta, perm)
+    want = state.copy()
+    for a, b in qdb._transpositions({lmap[j]: lmap[t] for j, t in moves.items()}):
+        first, second = _slot_of(want, layout, a), _slot_of(want, layout, b)
+        held = first.copy()
+        first[...] = second
+        second[...] = held
+    assert qdb._permute(db, new, moves).state.amplitudes.tobytes() == want.amplitudes.tobytes()
+    # a projective removal: the branch kept alone, or zeroed
+    out = qdb._remove_projective(db, remove_projective_meta(db.meta, label)[1], label)
+    failure = StateVector(np.zeros_like(state.amplitudes), copy=False)
+    _slot_of(failure, layout, pattern)[...] = _slot_of(state, layout, pattern)
+    survivor = state.copy()
+    _slot_of(survivor, layout, pattern)[...] = 0
+    assert (out.failure_state.amplitudes.tobytes()
+            == sv._renormalized(failure.amplitudes)[0].amplitudes.tobytes())
+    assert (out.success_state.state.amplitudes.tobytes()
+            == sv._renormalized(survivor.amplitudes)[0].amplitudes.tobytes())
+
+
+def test_hand_built_layouts_split_into_register_runs():
+    qdb = importlib.import_module("qdbsim.qdb")
+    # index bits 0 and 1 on qubits 0 and 2; data bit 0 on qubit 5, bits 1, 2
+    # on qubits 3, 4; qubit 1 in neither register
+    axes = qdb._entry_axes((0, 2), (5, 3, 4), 6)
+    assert axes.shape == (2, 4, 2, 2, 2)
+    assert [axis for axis, _, _ in axes.index] == [2, 4]
+    assert axes.position(0b110) == (0, 3, 0)
+
+
+# The fold selects its entry's branch (``_entry``) in its source and in its
+# copy, and writes the source's branch into the copy's moved by the word
+# (``_EntryAxes.moved``), so these tests corrupt that move.
 
 
 def test_folded_write_checks_that_the_entry_moved(monkeypatch):
     db = prepare_general(4, 0, {1: "01"}, m_data=2)
     qdb = importlib.import_module("qdbsim.qdb")
-    slot = qdb._slot
 
-    def lost(tensor, wires, pattern, mask=0):
-        # the fold's move lands in a throwaway copy of its target slot
-        view = slot(tensor, wires, pattern, mask)
-        return view.copy() if mask else view
+    def lost(self, branch, word):
+        # the move is lost: the copy's branch gets the entry back unmoved
+        return branch.copy()
 
-    monkeypatch.setattr(qdb, "_slot", lost)
+    monkeypatch.setattr(qdb._EntryAxes, "moved", lost)
     with pytest.raises(VerificationError, match="amplitude behind"):
         write(db, 1, "11")
 
@@ -565,14 +658,13 @@ def test_folded_write_checks_that_the_entry_moved(monkeypatch):
 def test_folded_write_checks_the_bits_its_entry_moved_by(monkeypatch):
     db = prepare_general(4, 0, {1: "01"}, m_data=2)
     qdb = importlib.import_module("qdbsim.qdb")
-    slot = qdb._slot
-    both = sum(1 << q for q in db.layout.data_qubits)
+    moved = qdb._EntryAxes.moved
 
-    def misdirected(tensor, wires, pattern, mask=0):
+    def misdirected(self, branch, word):
         # the move lands, but flips data bit 1 where the word sets bit 0
-        return slot(tensor, wires, pattern, mask ^ both if mask else mask)
+        return moved(self, branch, word ^ 0b11 if word else word)
 
-    monkeypatch.setattr(qdb, "_slot", misdirected)
+    monkeypatch.setattr(qdb._EntryAxes, "moved", misdirected)
     with pytest.raises(VerificationError, match="amplitude behind"):
         write(db, 1, "01")
 
@@ -1169,23 +1261,28 @@ def test_permute_guards():
     moved.check()
 
 
-@pytest.mark.parametrize("perm,slots", [({1: 2, 2: 1}, 2), ({1: 2, 2: 3, 3: 1}, 4)],
+@pytest.mark.parametrize("perm,branches", [({1: 2, 2: 1}, 2), ({1: 2, 2: 3, 3: 1}, 4)],
                          ids=["2-cycle", "3-cycle"])
-def test_permute_trades_two_slots_per_transposition(monkeypatch, perm, slots):
-    # one _exchange per transposition of the recorded plan, and no table move
-    sv = importlib.import_module("qdbsim.statevector")
+def test_permute_trades_two_slots_per_transposition(monkeypatch, perm, branches):
+    # two entry selections per transposition of the recorded plan; neither a
+    # permute nor a folded write selects a gate's slot or moves a table
+    sv, qdb = (importlib.import_module(f"qdbsim.{name}") for name in ("statevector", "qdb"))
     db = prepare_general(4, 0, {1: "01", 2: "10", 3: "11"}, m_data=2)
-    selected, moved = [], []
-    slot = sv._slot
-    monkeypatch.setattr(sv, "_slot", lambda *args: selected.append(args) or slot(*args))
+    selected, slots, moved = [], [], []
+    entry, slot = qdb._entry, sv._slot
+    monkeypatch.setattr(qdb, "_entry", lambda *args: selected.append(args) or entry(*args))
+    monkeypatch.setattr(sv, "_slot", lambda *args: slots.append(args) or slot(*args))
     for name, mod in list(sys.modules.items()):
         if name.startswith("qdbsim") and hasattr(mod, "move_amplitudes"):
             monkeypatch.setattr(mod, "move_amplitudes", lambda *args: moved.append(args))
     permuted = permute(db, perm)
-    assert (len(selected), moved) == (slots, [])
+    assert (len(selected), slots, moved) == (branches, [], [])
     permuted.check()
     assert {j: permuted.descriptor.data_value(t) for j, t in perm.items()} == {
         j: db.descriptor.data_value(j) for j in perm}
+    written = write(permuted, 1, "11")
+    assert (len(selected), slots, moved) == (branches + 2, [], [])
+    written.check()
 
 
 def test_transpose_entries_is_two_cycle():
@@ -1276,6 +1373,28 @@ def test_integral_floats_and_numpy_integers_still_name_labels_and_words():
     assert db.descriptor.data == {1: "01", 2: "10"}
     assert permute(db, {1.0: np.int64(2), 2: 1}).descriptor.data == {2: "01", 1: "10"}
     assert write(db, 2, np.int64(3)).descriptor.data_value(2) == 0b01
+
+
+_ENTRY_OPS = {
+    "write": lambda db, j: write(db, j, 1).state,
+    "write-swap": lambda db, j: write_swap_conditional(db, j, 1).state,
+    "read-copy": lambda db, j: read_copy(db, j).state,
+    "read-projective": lambda db, j: read_projective(db, j)[0],
+    "remove-reservoir": lambda db, j: remove_reservoir(db, j).state,
+    "remove-projective": lambda db, j: remove_projective(db, j).failure_state,
+    "permute": lambda db, j: permute(db, {j: 2, 2: j}).state,
+}
+
+
+@pytest.mark.parametrize("op", list(_ENTRY_OPS))
+def test_every_entry_op_takes_an_integer_label_and_refuses_a_bool(op):
+    # True == 1 in Python, so a lookup by it would act on entry 1
+    db = prepare_general(4, 0, {1: 1, 2: 2}, m_data=2)
+    with pytest.raises(SemanticError, match=r"label must be an integer, got True$"):
+        _ENTRY_OPS[op](db, True)
+    want = _ENTRY_OPS[op](db, 1).amplitudes.tobytes()
+    for label in (1.0, np.int64(1)):
+        assert _ENTRY_OPS[op](db, label).amplitudes.tobytes() == want
 
 
 def test_relabel_contiguous_after_removal():

@@ -89,23 +89,26 @@ def test_database_ops_check_catches_a_folded_write_outside_the_encoding(monkeypa
 
 
 def test_database_ops_check_catches_a_permute_that_moves_other_bits(monkeypatch):
+    import sys
+
     import qdbsim.qdb as qdb_mod
     import qdbsim.verify as verify_mod
 
-    exchange = qdb_mod._exchange
-    traded = []
+    entry = qdb_mod._entry
+    selected = []
 
-    def negated(tensor, *args):
+    def negated(state, *args):
         # the route's right trades, one amplitude's sign flipped after the
-        # first; in qdb only permute trades slots
-        exchange(tensor, *args)
-        if not traded:
-            flat = tensor.reshape(-1)
-            flat[np.flatnonzero(flat)[0]] *= -1
-        traded.append(args)
+        # first: when permute selects the second trade's first branch
+        if sys._getframe(1).f_code is qdb_mod._permute.__code__:
+            selected.append(args)
+            if len(selected) == 3:
+                flat = state.amplitudes
+                flat[np.flatnonzero(flat)[0]] *= -1
+        return entry(state, *args)
 
     assert "permute matches its routing gates" in verify_mod._check_db_ops()
-    monkeypatch.setattr(qdb_mod, "_exchange", negated)
+    monkeypatch.setattr(qdb_mod, "_entry", negated)
     with pytest.raises(VerificationError, match="^permute disagrees with its routing gates$"):
         verify_mod._check_db_ops()
 
