@@ -177,7 +177,7 @@ class Circuit:
         """The parts in reverse order, each inverted: a gate list gate by
         gate, a record by its own ``inverse``."""
         parts = tuple([gate_inverse(g) for g in reversed(part)] if type(part) is list
-                      else part.inverse() for part in reversed(list(self._leaves())))
+                      else part.inverse() for part in reversed(self._leaves()))
         return Circuit._joined(self.n_qubits, parts, dict(self.labels), len(self))
 
     def remapped(self, mapping: dict[int, int], n_qubits: int) -> "Circuit":
@@ -246,15 +246,17 @@ class Circuit:
                 yield from part.fields()
 
 
-def _walk(parts: tuple):
-    """The lists and records under nested part tuples, depth first, in order."""
-    stack = [parts]
+def _walk(parts: tuple) -> list:
+    """The lists and records under nested part tuples, depth first, in
+    order: a list, which a loop walks faster than a generator."""
+    stack, out = [parts], []
     while stack:
         part = stack.pop()
         if type(part) is tuple:
             stack.extend(reversed(part))
         else:
-            yield part
+            out.append(part)
+    return out
 
 
 class GateRecord:
@@ -276,20 +278,23 @@ class GateRecord:
     ``table_of(*args)``: the control set, each pattern on it and the mask
     its gates flip there, for ``statevector.move_amplitudes``. ``table()``
     computes it once, on the forward record, and a reversed record moves by
-    its forward's table.
+    its forward's table. Such a record may also offer its own renderer,
+    ``text_of(*args, names, memo)``: the lines of its circuit text, with
+    ``names`` the qubits' names and ``memo`` a dict that lives for one
+    ``emit_text`` call.
     """
 
     __slots__ = ("fields_of", "args", "forward", "key", "_size", "_gates",
-                 "_table_of", "_table")
+                 "_table_of", "_table", "_text_of")
 
     def __init__(self, fields_of, args: tuple, size: int,
-                 forward: "GateRecord | None" = None, *, table_of=None):
+                 forward: "GateRecord | None" = None, *, table_of=None, text_of=None):
         self.fields_of, self.args, self._size = fields_of, args, size
         self.forward = self if forward is None else forward
         # what fixes the gates: records with equal keys hold equal gates
         self.key = (fields_of, args, forward is not None)
         self._gates = self._table = None
-        self._table_of = table_of
+        self._table_of, self._text_of = table_of, text_of
 
     def __len__(self) -> int:
         return self._size
@@ -305,7 +310,7 @@ class GateRecord:
         if self.forward is not self:
             return self.forward
         return GateRecord(self.fields_of, self.args, self._size, self,
-                          table_of=self._table_of)
+                          table_of=self._table_of, text_of=self._text_of)
 
     def fields(self):
         """The fields of the gates, in order."""

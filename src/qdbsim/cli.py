@@ -67,7 +67,7 @@ from .qdb import (
     write_swap_meta,
 )
 from .statevector import DEFAULT_MAX_QUBITS, schmidt
-from .text_format import emit_text, parse_text
+from .text_format import _chunks, parse_text
 from .verify import run_verify
 
 
@@ -271,11 +271,15 @@ class Session:
             raise SemanticError("no database prepared yet")
         return self.db if self.dry else self.db.meta
 
-    def artifact(self, name: str, text: str) -> Path:
+    def artifact(self, name: str, text) -> Path:
+        """Write the next artifact: ``text``, a string or an iterable of
+        chunks written as they come, with ``Path.write_text``'s encoding
+        and newlines."""
         self.artifact_count += 1
         path = self.out_dir / f"{self.artifact_count:03d}-{name}"
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as out:
+            out.writelines((text,) if isinstance(text, str) else text)
         return path
 
 
@@ -367,7 +371,7 @@ def _run_permute(sess: Session, derived, spec: str, perm):
 
 
 def _run_emit(sess: Session, _):
-    path = sess.artifact("circuit.txt", emit_text(sess.db.circuit))
+    path = sess.artifact("circuit.txt", _chunks(sess.db.circuit))
     print(f"emit: {len(sess.db.circuit)} gates ({path.name})")
 
 

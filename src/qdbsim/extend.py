@@ -40,6 +40,7 @@ from .qdb import (
     _decoded,
     _encoding,
     _entry,
+    _spread_steps,
     prepare_circuit,
     prepare_general,
     preparation_circuit,
@@ -368,11 +369,15 @@ def _unfold(db: QdbState, new: QdbMeta) -> QdbState:
     n = anc + 1
     db_qubits = tuple(db.layout.index_qubits) + tuple(db.layout.data_qubits)
     theta = 2 * math.acos(1.0 / math.sqrt(l + 1))
-    peel = Circuit(n, [GateSpec("ry", (theta,), (anc,), tuple((q, 0) for q in db_qubits))])
-    circ = Circuit(n).label(anc, "I") + _decoded(
-        peel, _encoding(db.descriptor.u_d, n, db.layout.data_qubits))
-    if l > 1:
-        circ += prepare_circuit(l, 0, db.layout.index_qubits, n).controlled(ctrl=(anc,))
+    # built from the checked layout's qubits (``GateSpec._built``)
+    peel = [GateSpec._built("ry", (theta,), (anc,), tuple((q, 0) for q in db_qubits))]
+    circ = _decoded(Circuit._joined(n, (peel,), {anc: "I"}, 1),
+                    _encoding(db.descriptor.u_d, n, db.layout.data_qubits))
+    if l > 1:  # the index spread for l entries, under the ancilla
+        index = db.layout.index_qubits
+        spread = [GateSpec._built(kind, params, targets, controls + ((anc, 1),))
+                  for kind, params, targets, controls in _spread_steps(l, 0, index)]
+        circ += Circuit._joined(n, (spread,), {q: "I" for q in index}, len(spread))
     new_db = _advance(db, new, circ)
     new_db.check(tol=TRANSFER_AMP_TOL)
     return new_db

@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuit import Circuit, GateRecord, _inverted_fields, _run_gates, simulate
 from .errors import SemanticError, VerificationError
-from .gates import GateSpec, rot2, y
+from .gates import GateSpec, rot2
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
@@ -605,25 +605,31 @@ def prepare_circuit(k: int, l: int, qubits, n_qubits: int | None = None) -> Circ
     circ = Circuit(width)
     for q in qubits:
         circ.label(q, "I")
+    for fields in _spread_steps(k, l, qubits):
+        circ.append(GateSpec(*fields))
+    return circ
+
+
+def _spread_steps(k: int, l: int, qubits):
+    """The fields (``GateRecord``) of ``prepare_circuit``'s gates."""
     if k == 1:
-        return circ
+        return
     t = index_width(k)
     s = k - 1
-    circ.append(y(qubits[t - 1], (2 ** (t - 1) + l) / (k + l)))
+    yield "y", (float((2 ** (t - 1) + l) / (k + l)),), (qubits[t - 1],), ()
     for j in range(t - 2, -1, -1):
-        circ.append(y(qubits[j], 0.5))
+        yield "y", (0.5,), (qubits[j],), ()
         prefix = tuple((qubits[i], (s >> i) & 1) for i in range(t - 1, j, -1))
         if (s >> j) & 1 == 0:
-            circ.append(GateSpec("ry", (-math.pi / 2,), (qubits[j],), prefix))
+            yield "ry", (-math.pi / 2,), (qubits[j],), prefix
         else:
             p = 2 ** j / ((s & ((1 << (j + 1)) - 1)) + 1)
             if p != 0.5:
-                circ.append(GateSpec("ytilde", (p,), (qubits[j],), prefix))
+                yield "ytilde", (p,), (qubits[j],), prefix
         zero_prefix = tuple((qubits[i], 0) for i in range(t - 1, j, -1))
         p = (2 ** j + l) / (2 ** (j + 1) + l)
         if p != 0.5:
-            circ.append(GateSpec("ytilde", (p,), (qubits[j],), zero_prefix))
-    return circ
+            yield "ytilde", (p,), (qubits[j],), zero_prefix
 
 
 def balanced_circuit(k: int, qubits=None, n_qubits: int | None = None) -> Circuit:
@@ -811,14 +817,70 @@ def _data_write_table(descriptor: QdbDescriptor, layout: QdbLayout):
             layout._place(0, words) if count else words)
 
 
+def _data_write_text(descriptor: QdbDescriptor, layout: QdbLayout, names: list[str],
+                     memo: dict) -> list[str]:
+    """The lines of the data-write block (``GateRecord``'s renderer), in
+    ``_data_write_steps``' order, entry by entry (``_entry_lines``).
+    ``memo``, one ``emit_text`` call's, keeps per register pair each
+    entry's lines by its pattern and word, the index register's names four
+    bits at a time (``_quads``) and each word's targets: the u and u^-1 of
+    every transfer repeat most of the preparation's entries, and each
+    unchanged one costs a lookup."""
+    index, data = layout.index_qubits, layout.data_qubits
+    known = memo.get((index, data))
+    if known is None:
+        known = memo[index, data] = ({}, _quads(index, names), {})
+    entries, quads, heads = known
+    lmap = layout.logical_index_map
+    lines: list[str] = []
+    for label, word in sorted(descriptor.data.items()):
+        key = (lmap[label], word)
+        text = entries.get(key)
+        if text is None:
+            head = heads.get(word)
+            if head is None:
+                value = int(word, 2)
+                head = heads[word] = ["x" + names[q] for b, q in enumerate(data)
+                                      if value >> b & 1]
+            text = entries[key] = _entry_lines(key[0], quads, head)
+        lines += text
+    return lines
+
+
+def _quads(index: tuple[int, ...], names: list[str]) -> list:
+    """The names of the index register's qubits four bits at a time: per run
+    of up to four bits from bit ``low``, for each value of the run, the names
+    of its qubits whose bit is set and of those whose bit is clear."""
+    out = []
+    for low in range(0, len(index), 4):
+        qubits = index[low:low + 4]
+        out.append((low, [("".join([names[q] for i, q in enumerate(qubits) if v >> i & 1]),
+                           "".join([names[q] for i, q in enumerate(qubits) if not v >> i & 1]))
+                          for v in range(1 << len(qubits))]))
+    return out
+
+
+def _entry_lines(pattern: int, quads: list, heads: list[str]) -> list[str]:
+    """One entry's lines of the data-write block: ``heads``, an ``x`` on
+    each data qubit its word sets, under the control text of its index
+    ``pattern``, built from the pattern's bits by ``_quads``."""
+    pos = neg = ""
+    for low, texts in quads:
+        set_, clear = texts[pattern >> low & 15]
+        pos += set_
+        neg += clear
+    tail = (" ctrl" + pos if pos else "") + (" nctrl" + neg if neg else "")
+    return [head + tail for head in heads]
+
+
 def _data_write_circuit(descriptor: QdbDescriptor, layout: QdbLayout,
                         n: int) -> Circuit:
     """The data-write block, one multi-controlled X per set data bit, kept
-    as a record of ``(descriptor, layout)`` that moves by its table, then
-    the data encoding."""
+    as a record of ``(descriptor, layout)`` that moves by its table and is
+    rendered entry by entry, then the data encoding."""
     size = sum(word.count("1") for word in descriptor.data.values())
     block = GateRecord(_data_write_steps, (descriptor, layout), size,
-                       table_of=_data_write_table)
+                       table_of=_data_write_table, text_of=_data_write_text)
     circ = Circuit._joined(n, (block,), {q: "D" for q in layout.data_qubits}, size)
     enc = _encoding(descriptor.u_d, n, layout.data_qubits)
     return circ if enc is None else circ + enc
@@ -924,9 +986,26 @@ def prepare_balanced(k: int, data: dict[int, int | str] | None = None,
 
 def _fresh_register(layout: QdbLayout) -> tuple[int, ...]:
     """Where a sensor or copy register as wide as the data register lands:
-    just above the database's own qubits."""
-    n = layout.n_qubits
-    return tuple(range(n, n + len(layout.data_qubits)))
+    just above the highest qubit of either register."""
+    return _above(layout.index_qubits, layout.data_qubits)
+
+
+@functools.lru_cache(maxsize=256)
+def _above(index_qubits: tuple[int, ...], data_qubits: tuple[int, ...]) -> tuple[int, ...]:
+    """``_fresh_register``, memoized by the registers as ``_runs`` is: every
+    write and copy-read asks for it."""
+    n = max(index_qubits + data_qubits) + 1
+    return tuple(range(n, n + len(data_qubits)))
+
+
+def _attached(db: QdbState) -> tuple[int, ...]:
+    """``_fresh_register`` for an effect: refused (SemanticError) when the
+    state already holds a qubit where the register lands."""
+    register = _fresh_register(db.layout)
+    if db.n_qubits > register[0]:
+        raise SemanticError(f"the state already holds qubit {register[0]}, "
+                            "where a fresh register lands")
+    return register
 
 
 def _widen(meta: QdbMeta) -> tuple[int, ...]:
@@ -966,7 +1045,7 @@ def _word_value(meta: QdbMeta, label: int, word: int | str) -> int:
     m = len(meta.layout.data_qubits)
     if value < 0 or value >> m:
         raise SemanticError(f"data word {word!r} does not fit the {m}-bit data register")
-    _check_budget(meta.layout.n_qubits + m, meta.max_qubits)  # the sensor, m qubits wide
+    _check_budget(_fresh_register(meta.layout)[-1] + 1, meta.max_qubits)  # with the sensor
     return value
 
 
@@ -1037,7 +1116,7 @@ def _write_core_steps(swap: bool, pattern: int, wires, sensor, data, enc: Circui
 
 def _write_circuit(db: QdbState, mode: str, label: int, value: int) -> Circuit:
     """The build circuit of a write of ``value`` into entry ``label``, with
-    the sensor where the transition placed it (``_fresh_register``), as
+    the sensor where the transition placed it (``_attached``), as
     records whose gates are made only when asked for: the sensor's
     preparation (``_sensor_prep_steps``), the core (``_write_core_steps``:
     swaps for ``mode`` "swap", toggles for "keep" and "write") and, for
@@ -1046,7 +1125,7 @@ def _write_circuit(db: QdbState, mode: str, label: int, value: int) -> Circuit:
     repeats each far more often than their pairs, and ``emit_text`` renders
     each distinct record once. The labels mark the sensor, then take the
     encodings' labels."""
-    sensor = _fresh_register(db.layout)
+    sensor = _attached(db)
     n = sensor[-1] + 1
     u_d, data = db.descriptor.u_d, db.layout.data_qubits
     enc_s = enc = None
@@ -1117,8 +1196,9 @@ def write(db: QdbState, label: int, word: int | str, *,
 
     The checks run in one order on either path: the transition
     (``write_meta``; CapacityError when the database plus sensor exceeds
-    ``max_qubits``), the entry's amplitude (SemanticError), then the move and
-    its own check.
+    ``max_qubits``), a state that already holds a qubit where the sensor
+    lands (``_attached``, SemanticError), the entry's amplitude
+    (SemanticError), then the move and its own check.
 
     ``keep_sensor`` leaves the sensor attached for inspection: the whole
     sensor register is simulated, the returned state carries
@@ -1137,10 +1217,10 @@ def _write(db: QdbState, new: QdbMeta, label: int) -> QdbState:
     old = db.descriptor.data_value(label)
     value = old ^ new.descriptor.data_value(label)
     if not new.sensor_qubits:
-        state = _write_folded(db, label, value, old)
-        return _advance(db, new, _write_circuit(db, "write", label, value), state)
-    _check_occupied(db.state, db.layout, label)
+        circ = _write_circuit(db, "write", label, value)
+        return _advance(db, new, circ, _write_folded(db, label, value, old))
     circ = _write_circuit(db, "keep", label, value)
+    _check_occupied(db.state, db.layout, label)
     state = simulate(circ, db.state, max_qubits=new.max_qubits)
     purity = schmidt(state, new.sensor_qubits).purity
     if abs(purity - 1.0) > WRITE_PURITY_TOL:
@@ -1169,9 +1249,9 @@ def write_swap_conditional(db: QdbState, label: int, word: int | str) -> QdbStat
 
 def _write_swap(db: QdbState, new: QdbMeta, label: int) -> QdbState:
     """Effect of ``write_swap_conditional``, given ``write_swap_meta``'s record."""
+    circ = _write_circuit(db, "swap", label, new.descriptor.data_value(label))
     _check_occupied(db.state, db.layout, label)
-    return _advance(db, new, _write_circuit(db, "swap", label,
-                                            new.descriptor.data_value(label)))
+    return _advance(db, new, circ)
 
 
 # ---------------------------------------------------------------------------
@@ -1195,12 +1275,12 @@ def read_copy_all_meta(meta: QdbMeta) -> QdbMeta:
 def _copy_data(db: QdbState, new: QdbMeta, label: int | None = None) -> QdbState:
     """Effect of ``read_copy`` (``read_copy_all`` when ``label`` is None): one
     recorded CNOT per data bit onto ``new``'s copy register, under entry
-    ``label``'s pattern, once the entry is found occupied (``_copy_folded``)."""
-    ctrls = ()
+    ``label``'s pattern (``_attached`` places it, as the transition did),
+    once the entry is found occupied (``_copy_folded``)."""
+    out, ctrls = _attached(db), ()
     if label is not None:
         _check_occupied(db.state, db.layout, label)
         ctrls = db.layout.pattern_controls(label)
-    out = new.copy_qubits
     n = out[-1] + 1
     data = db.layout.data_qubits
     gates = [GateSpec._built("x", (), (out[b],), ctrls + ((dq, 1),))

@@ -22,9 +22,13 @@ op's arguments), so equal records are rendered once: a long script prepares
 the sensor in the same word, toggles the same entry and swaps the same two
 entries many times. A gate list, and a record whose key does not hash (a
 data-write block's descriptor holds a dict; a write under a data encoding
-holds its encoding circuits), is memoized by identity. A reversed record
-with a move table (commuting ``x`` gates, each its own inverse) is rendered
-as its forward's lines, reversed.
+holds its encoding circuits), is memoized by identity. A record that offers
+its own renderer (``GateRecord``), the data-write block, is rendered by it,
+entry by entry: an entry's lines are kept for the call by its registers,
+pattern and word, so a transfer's u and u^-1 look up each entry the
+preparation rendered. A reversed record whose forward renders only ``x``,
+``h`` and ``swap`` gates, each its own inverse, is rendered as its
+forward's lines, reversed.
 
 Qubit names come from a table built once per call. The text of a control
 tuple is reused while consecutive gates share it (an entry's gates do) and
@@ -34,11 +38,16 @@ different object. Each gate's parameters are formatted on their own:
 ``0.0 == -0.0``, so a memo keyed on them would print ``phase(-0.0)`` as
 ``phase(0.0)``. The memos live only as long as the call, so no two callers
 share them.
+
+The text comes as chunks (``_chunks``), runs of whole lines: ``emit_text``
+joins one chunk of the whole text, and the CLI ``emit`` writes runs of at
+least ``_RUN`` lines as they come, so it never holds the whole text.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 
 from .circuit import VALID_LABELS, Circuit
 from .errors import CircuitParseError, SemanticError
@@ -47,41 +56,44 @@ from .gates import GateSpec
 _HEAD_RE = re.compile(r"^([a-z0-9]+)\((.*)\)$")
 _QUBIT_RE = re.compile(r"^q\[(\d+)\]$")
 
-_PARAM_KINDS_INT = {"rot2": (True, True, False)}  # which params print as ints
-
 
 def _fmt_params(kind: str, params: tuple[float, ...]) -> str:
-    if not params:
-        return ""
-    ints = _PARAM_KINDS_INT.get(kind)
-    parts = []
-    for i, p in enumerate(params):
-        if ints and ints[i]:
-            parts.append(str(int(p)))
-        else:
-            parts.append(repr(float(p)))
-    return "(" + ",".join(parts) + ")"
+    if kind == "rot2":  # two basis indices, then an angle
+        return f"({int(params[0])},{int(params[1])},{float(params[2])!r})"
+    return "(" + ",".join([repr(float(p)) for p in params]) + ")"
 
 
 def _fmt_controls(controls, names: list[str]) -> str:
-    pos = "".join([names[q] for q, b in controls if b == 1])
-    neg = "".join([names[q] for q, b in controls if b == 0])
+    pos = "".join([names[q] for q, b in controls if b])
+    neg = "".join([names[q] for q, b in controls if not b])
     return (" ctrl" + pos if pos else "") + (" nctrl" + neg if neg else "")
 
 
 def emit_text(circuit: Circuit) -> str:
+    return "".join(_chunks(circuit, sys.maxsize))  # one chunk
+
+
+_RUN = 4096  # lines a chunk of ``_chunks`` gathers at least, but the last
+
+
+def _chunks(circuit: Circuit, run: int = _RUN):
+    """The text of ``circuit`` as chunks, each a run of whole lines: at
+    least ``run`` of them (the last chunk excepted) and at most one part's
+    more, so a writer never holds the whole text."""
     names = [f" q[{q}]" for q in range(circuit.n_qubits)]
     lines = [f"qubits {circuit.n_qubits}"]
-    for q in sorted(circuit.labels):
-        lines.append(f"label q[{q}] {circuit.labels[q]}")
+    lines += [f"label q[{q}] {circuit.labels[q]}" for q in sorted(circuit.labels)]
     heads: dict[tuple, str] = {}  # targets -> their names
     tails: dict[tuple, str] = {}  # controls -> their text
+    memo: dict = {}  # a record renderer's, for this call
     # a part's lines, by the key of a record (an op's arguments) or, for a
     # gate list or a record whose key does not hash, by the part's identity
     rendered: dict = {}
+    plain: set[int] = set()  # ids of those line lists whose gates are x, h or swap
 
     def lines_of(fields) -> list[str]:
         text = []
+        simple = True  # no gate with parameters: x, h and swap, each its own inverse
         controls = tail = None
         for kind, params, targets, ctrl in fields:
             if ctrl is not controls:  # an entry's gates often share one tuple
@@ -92,7 +104,12 @@ def emit_text(circuit: Circuit) -> str:
             head = heads.get(targets)
             if head is None:
                 head = heads[targets] = "".join([names[t] for t in targets])
-            text.append((kind + _fmt_params(kind, params) if params else kind) + head + tail)
+            if params:
+                kind += _fmt_params(kind, params)
+                simple = False
+            text.append(kind + head + tail)
+        if simple:
+            plain.add(id(text))
         return text
 
     def part_lines(part) -> list[str]:
@@ -106,8 +123,13 @@ def emit_text(circuit: Circuit) -> str:
             return text
         if type(part) is list:
             text = lines_of([(g.kind, g.params, g.targets, g.controls) for g in part])
-        elif part.reversed and part._table_of is not None:
-            text = part_lines(part.forward)[::-1]  # x gates: each its own inverse
+        elif part.reversed:
+            forward = part_lines(part.forward)
+            # read backwards when each gate is its own inverse
+            text = forward[::-1] if id(forward) in plain else lines_of(part.fields())
+        elif part._text_of is not None:  # its gates are x gates
+            text = part._text_of(*part.args, names, memo)
+            plain.add(id(text))
         else:
             text = lines_of(part.fields())
         rendered[key] = text
@@ -115,7 +137,11 @@ def emit_text(circuit: Circuit) -> str:
 
     for part in circuit._leaves():
         lines += part_lines(part)
-    return "\n".join(lines) + "\n"
+        if len(lines) >= run:
+            yield "\n".join(lines) + "\n"
+            lines = []
+    if lines:
+        yield "\n".join(lines) + "\n"
 
 
 def _parse_qubit(tok: str, ln: int) -> int:

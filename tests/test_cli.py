@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import qdbsim
 from qdbsim.cli import Session, dry_run, main, parse_script, run_script
 from qdbsim.errors import CapacityError, QdbError, ScriptError, VerificationError
+from qdbsim.extend import extend
 from qdbsim.qdb import prepare_general
 from qdbsim.statevector import DEFAULT_MAX_QUBITS, _register_scan, project
 from qdbsim.tolerances import PLAN_RESIDUAL_TOL, STATE_TOL
@@ -466,6 +468,25 @@ def test_dry_run_predicts_sampled_branch(tmp_path, capsys):
     second = json.loads((out / "002-remove.json").read_text())
     assert first["outcome"] == second["outcome"] == "success"
     assert second["success_probability"] == pytest.approx(2 / 3)
+
+
+def test_emit_streams_its_artifact(tmp_path, capsys):
+    words = {j: format(1 + j % 3, "02b") for j in range(1, 4096)}
+    spec = ",".join(f"{j}:{word}" for j, word in words.items())
+    script = write_script(tmp_path, f"prepare k=4096 m=2 data={spec}\nextend l=2048\nemit\n")
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert run_cli("run", str(script), "--seed", "1", "--out", str(out)) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    text = (out / "002-circuit.txt").read_text()
+    assert len(text) > 18 * 10 ** 6  # a word on every label, in u and u^-1 of every step
+    assert peak < len(text) / 2  # the script's whole run never holds the text
+    db = extend(prepare_general(4096, 0, words, m_data=2), 2048)
+    assert text == db.emit()
+    assert f"emit: {len(db.circuit)} gates" in capsys.readouterr().out
 
 
 def test_dry_run_rejects_emit_after_projection(tmp_path, capsys):

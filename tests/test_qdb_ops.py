@@ -1662,16 +1662,17 @@ def test_history_parts_emit_and_simulate_as_their_flat_gates(data):
 
 @pytest.fixture
 def built_gates(monkeypatch):
-    """The kind of each gate built from here on, checked or not."""
+    """The kind of each gate built from here on, and whether its
+    constructor checked it."""
     built = []
     real_built, real_check = GateSpec._built.__func__, GateSpec.__post_init__
 
     def counted_built(cls, *args, **kwargs):
-        built.append(args[0])
+        built.append((args[0], False))
         return real_built(cls, *args, **kwargs)
 
     def counted_check(self):
-        built.append(self.kind)
+        built.append((self.kind, True))
         real_check(self)
 
     monkeypatch.setattr(GateSpec, "_built", classmethod(counted_built))
@@ -1707,6 +1708,17 @@ def test_writes_and_permutes_build_no_gates_until_asked(built_gates):
     flat = Circuit(history.n_qubits, list(history.extended(history.n_qubits).gates),
                    dict(history.labels))
     assert built_gates and emit_text(flat) == text
+
+
+def test_unfold_builds_its_gates_unchecked(built_gates):
+    loaded, _ = transfer(prepare_general(6, 0, {1: 1, 4: 3}, m_data=2), 5)
+    built_gates.clear()
+    grown = unfold(loaded)
+    # the peel and the spread under the ancilla, from the checked layout's qubits
+    assert built_gates[0] == ("ry", False)
+    assert len(built_gates) == len(grown.circuit) - len(loaded.circuit) > 1
+    assert not any(checked for _, checked in built_gates)
+    grown.check(tol=1e-8)
 
 
 def test_equality_and_metrics_read_a_shared_history_as_it_is(built_gates):
@@ -1803,3 +1815,60 @@ def test_records_hold_the_gates_their_ops_would_build(data):
     flat = [gate_inverse(g) for g in reversed(history.extended(n).gates)]
     assert emit_text(inverse) == emit_text(Circuit(n, flat, dict(history.labels)))
     assert inverse.gates == flat
+
+
+# --- where a sensor or copy register lands ------------------------------------
+
+
+def _free_qubit_database(width: int = 6, max_qubits: int = 26) -> QdbState:
+    """k = 3 on index qubits (0, 1) and data qubits (5, 3, 4), qubit 2 in
+    neither register, over a ``width``-qubit state."""
+    layout = QdbLayout((0, 1), (5, 3, 4), {0: 0, 1: 1, 2: 2})
+    desc = QdbDescriptor(3, 0, {1: "011", 2: "100"}, m_data=3)
+    amps = np.zeros(1 << width, dtype=complex)
+    amps[[layout.physical_index(j, desc.data_value(j)) for j in range(3)]] = 1 / math.sqrt(3)
+    return QdbState(desc, layout, StateVector(amps), Circuit(width), max_qubits=max_qubits)
+
+
+def test_registers_land_above_the_highest_register_qubit():
+    db = _free_qubit_database()
+    db.check()
+    copied = read_copy(db, 1)
+    assert copied.copy_qubits == (6, 7, 8) and copied.n_qubits == 9
+    kept = write(db, 1, 1, keep_sensor=True)  # passes its purity check
+    assert kept.sensor_qubits == (6, 7, 8)
+    assert kept.descriptor.data_value(1) == 0b010
+    folded = write(db, 1, 1)
+    assert folded.circuit.n_qubits == 9 and folded.n_qubits == 6
+    folded.check()
+    # the budget counts the register's top qubit, 8, not the 5 register qubits plus 3
+    tight = _free_qubit_database(max_qubits=8)
+    for op in (lambda: write(tight, 1, 1), lambda: read_copy(tight, 1),
+               lambda: write_swap_conditional(tight, 1, 1), lambda: remove_reservoir(tight, 1)):
+        with pytest.raises(CapacityError, match="^9 qubits exceeds the budget of 8$"):
+            op()
+
+
+def test_an_effect_refuses_a_state_that_holds_the_registers_qubits():
+    db = _free_qubit_database(width=7)  # qubit 6, where the register lands, is held
+    for op in (lambda: read_copy(db, 1), lambda: read_copy_all(db),
+               lambda: write(db, 1, 1), lambda: write(db, 1, 1, keep_sensor=True),
+               lambda: write_swap_conditional(db, 1, 1), lambda: remove_reservoir(db, 1)):
+        with pytest.raises(SemanticError, match="already holds qubit 6"):
+            op()
+
+
+@pytest.mark.parametrize("shape", ["fresh", "extended", "removed"])
+def test_registers_of_gapless_layouts_land_where_they_always_did(shape):
+    db = prepare_general(5, 0, {1: 2, 3: 1, 4: 3}, m_data=2)
+    if shape == "extended":
+        db = extend(db, 3)  # the new index qubit above the data register
+    elif shape == "removed":
+        db = remove_reservoir(db, 3)
+    n = db.layout.n_qubits  # no free qubit: the registers fill 0..n-1
+    assert sorted(db.layout.index_qubits + db.layout.data_qubits) == list(range(n))
+    assert read_copy(db, 1).copy_qubits == (n, n + 1)
+    assert read_copy_all(db).copy_qubits == (n, n + 1)
+    assert write(db, 1, 1, keep_sensor=True).sensor_qubits == (n, n + 1)
+    assert write_swap_conditional(db, 4, 2).sensor_qubits == (n, n + 1)
+    assert write(db, 1, 1).circuit.n_qubits == n + 2

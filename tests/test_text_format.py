@@ -1,15 +1,26 @@
 """Circuit text format: emit/parse round trips and parse diagnostics."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import H_ENCODING, RY_CNOT_ENCODING, RY_ENCODING
 from qdbsim.circuit import Circuit, GateRecord, simulate
-from qdbsim.errors import CircuitParseError
+from qdbsim.errors import CapacityError, CircuitParseError, SemanticError
 from qdbsim.extend import extend
 from qdbsim.gates import GateSpec, h, phase, rot2, ry, swap, x, y, ytilde
-from qdbsim.qdb import permute, prepare_general, remove_reservoir, write
-from qdbsim.text_format import emit_text, parse_text
+from qdbsim.qdb import (
+    QdbDescriptor,
+    QdbLayout,
+    QdbMeta,
+    permute,
+    prepare_general,
+    remove_reservoir,
+    write,
+)
+from qdbsim.text_format import _chunks, emit_text, parse_text
 
 
 def full_vocabulary_circuit() -> Circuit:
@@ -242,3 +253,97 @@ def test_wide_circuits_name_every_qubit():
     text = emit_text(c)
     assert text == reference_emit(c)
     assert "x q[79] ctrl q[70] nctrl q[3]" in text
+
+
+# --- the data-write block, rendered entry by entry ---------------------------
+
+
+@st.composite
+def _databases(draw):
+    """Fresh, extended (an index qubit above the data register) and
+    hand-built databases (qubits in any order, so the data register need
+    not be one ascending run, and labels but the reservoir on any
+    patterns), each with or
+    without a data encoding u_d."""
+    qdb = importlib.import_module("qdbsim.qdb")
+    u_d = draw(st.sampled_from([None, H_ENCODING, RY_ENCODING, RY_CNOT_ENCODING]), label="u_d")
+    m = draw(st.integers(1, 3)) if u_d is None else u_d.n_qubits
+    k = draw(st.integers(2, 9), label="k")
+    words = draw(st.dictionaries(st.integers(1, k - 1), st.integers(1, 2 ** m - 1),
+                                 max_size=k - 1), label="words")
+    shape = draw(st.sampled_from(["fresh", "extended", "hand"]), label="shape")
+    if shape != "hand":
+        db = prepare_general(k, 0, words, m_data=m, u_d=u_d)
+        return extend(db, draw(st.integers(1, k))) if shape == "extended" else db
+    t = qdb.index_width(k)
+    qubits = draw(st.permutations(range(t + m)), label="qubits")
+    # growth reflects about the reservoir at pattern 0, where every op keeps it
+    patterns = [0] + draw(st.permutations(range(1, 1 << t)), label="patterns")[:k - 1]
+    layout = QdbLayout(tuple(qubits[:t]), tuple(qubits[t:]), dict(enumerate(patterns)))
+    return qdb._prepare(QdbMeta(QdbDescriptor(k, 0, words, u_d=u_d, m_data=m), layout))
+
+
+def _history_step(data, db, op):
+    labels = list(db.layout.labels[1:])
+    if op == "extend":
+        return extend(db, db.l or data.draw(st.integers(1, db.k)))
+    if not labels:  # each entry but the reservoir removed
+        return db
+    if op == "write":
+        m = len(db.layout.data_qubits)
+        return write(db, data.draw(st.sampled_from(labels)), data.draw(st.integers(1, 2 ** m - 1)))
+    if op == "permute":
+        return permute(db, dict(zip(labels, data.draw(st.permutations(labels)))))
+    return remove_reservoir(db, data.draw(st.sampled_from(labels)))
+
+
+def _assert_renders_as_its_gates(circuit, data):
+    text = emit_text(circuit)
+    assert text == reference_emit(circuit)
+    run = data.draw(st.integers(1, 40), label="run")
+    chunks = list(_chunks(circuit, run))
+    assert "".join(chunks) == text and list(_chunks(circuit)) == [text]
+    for chunk in chunks[:-1]:  # whole lines, at least a run of them
+        assert chunk.endswith("\n") and chunk.count("\n") >= run
+
+
+@settings(deadline=None, max_examples=60)
+@given(db=_databases(), data=st.data())
+def test_histories_render_as_their_gates_whole_and_in_chunks(db, data):
+    _assert_renders_as_its_gates(db.circuit, data)
+    # a transfer after a write that changes a held word: u's block repeats
+    # the preparation's entries (on a fresh or hand-built layout) but that one
+    held = [j for j in db.layout.labels if db.descriptor.data_value(j)]
+    m = len(db.layout.data_qubits)
+    if held and m > 1:
+        label = data.draw(st.sampled_from(held), label="rewritten")
+        old = db.descriptor.data_value(label)
+        db = write(db, label, data.draw(st.sampled_from(
+            [word for word in range(1, 2 ** m) if word != old]), label="word"))
+    db = extend(db, data.draw(st.integers(1, db.k), label="grow"))
+    ops = st.lists(st.sampled_from(["write", "extend", "permute", "remove"]), max_size=4)
+    for op in data.draw(ops, label="ops"):
+        try:
+            db = _history_step(data, db, op)
+        except (SemanticError, CapacityError):
+            continue
+    _assert_renders_as_its_gates(db.circuit, data)
+
+
+def test_a_second_emit_renders_every_entry_again(monkeypatch):
+    qdb = importlib.import_module("qdbsim.qdb")
+    rendered = []
+    real = qdb._entry_lines
+
+    def counted(*args):
+        rendered.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(qdb, "_entry_lines", counted)
+    db = prepare_general(16, 0, {j: 1 + j % 7 for j in range(1, 16)}, m_data=3)
+    db = extend(write(db, 3, 5), 4)
+    first = db.emit()
+    count = len(rendered)
+    # the preparation's 15 entries, and u's only where the write changed a word
+    assert count == 15 + 1
+    assert db.emit() == first and len(rendered) == 2 * count
