@@ -44,7 +44,7 @@ class Circuit:
     and of their core (a folded write also the preparation undone),
     ``qdb.permute`` a record of its transpositions, and a preparation a
     record of its data-write block, which also offers a move table
-    (``GateRecord.table``).
+    (``GateRecord.table``) that ``simulate`` moves by in one call.
 
     Parts are shared, not copied: ``+``, ``extended`` and the history's
     ``qdb._grow`` join part tuples, so a join costs the same at any length,
@@ -275,8 +275,9 @@ class GateRecord:
 
     A record of ``x`` gates that share one control set and target none of
     it (they commute, and each is its own inverse) may offer a move table,
-    ``table_of(*args)``: the control set, each pattern on it and the mask
-    its gates flip there, for ``statevector.move_amplitudes``. ``table()``
+    ``table_of(*args)``: the control set, each entry's base (its pattern
+    placed on the control set as a basis index) and the mask its gates
+    flip there, for ``statevector.move_amplitudes``. ``table()``
     computes it once, on the forward record, and a reversed record moves by
     its forward's table. Such a record may also offer its own renderer,
     ``text_of(*args, names, memo)``: the lines of its circuit text, with
@@ -362,8 +363,9 @@ def simulate(circuit: Circuit, state: StateVector | None = None,
 
     A record with a move table (a preparation's data-write block, forward
     or reversed) moves by it in one ``move_amplitudes`` call, in place,
-    with no gate built. Every other part, a gate list or a record without
-    a table, runs gate by gate through ``apply_gate``.
+    with no gate built; an empty table moves nothing. Every other part, a
+    gate list or a record without a table, runs gate by gate through
+    ``apply_gate``.
     """
     n = circuit.n_qubits
     if state is None:
@@ -378,9 +380,8 @@ def simulate(circuit: Circuit, state: StateVector | None = None,
         table = None if type(part) is list else part.table()
         if table is None:
             _run_gates(state, part)
-        elif len(part):  # an empty table moves nothing
-            wires, patterns, masks = table
-            move_amplitudes(state, wires, patterns, patterns, masks)
+        else:
+            move_amplitudes(state, *table)
     return state
 
 

@@ -225,10 +225,15 @@ def _reflect(v: np.ndarray, about: tuple[np.ndarray, np.ndarray], theta: float) 
 
 
 def _check_growable(meta: QdbMeta, op: str):
-    """Growth starts from a bare database whose entries are uniformly weighted."""
+    """Growth starts from a bare database whose entries are uniformly
+    weighted and whose reservoir, label 0, sits at index pattern 0: the
+    transfer reflects about it there (``_reservoir_ket``)."""
     meta.require_bare(op)
     if meta.amplitude_profile is not None:
         raise SemanticError(f"{op} requires uniformly weighted entries")
+    pattern = meta.layout.pattern(0)
+    if pattern != 0:
+        raise SemanticError(f"{op} needs the reservoir at index pattern 0, not {pattern}")
 
 
 def transfer_meta(meta: QdbMeta, l: int) -> QdbMeta:

@@ -30,6 +30,7 @@ from .statevector import (
     _check_budget,
     _register_scan,
     _renormalized,
+    _spread,
     project,
     schmidt,
     states_equal,
@@ -202,30 +203,6 @@ class QdbDescriptor(_Derivable):
         return cls(k=k, l=l, data=data, u_d=u_d, m_data=m_data)
 
 
-@functools.lru_cache(maxsize=256)
-def _runs(qubits: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """A register ``qubits`` (bit i on ``qubits[i]``) as its runs of
-    consecutive bits on consecutive qubits: per run, the mask of its bits
-    and the shift that moves them onto their qubits, negative when they
-    move down. Memoized by the qubit tuple, so a layout derived with other
-    qubits gets its own runs."""
-    runs, start = [], 0
-    for i in range(1, len(qubits) + 1):
-        if i == len(qubits) or qubits[i] != qubits[i - 1] + 1:
-            runs.append((((1 << (i - start)) - 1) << start, qubits[start] - start))
-            start = i
-    return tuple(runs)
-
-
-def _spread(value, qubits: tuple[int, ...]):
-    """The bits of ``value`` (an int or a numpy int array) that a register
-    ``qubits`` holds, each moved onto its qubit, run by run (``_runs``)."""
-    out = 0
-    for mask, shift in _runs(qubits):
-        out |= (value & mask) << shift if shift >= 0 else (value & mask) >> -shift
-    return out
-
-
 class _EntryAxes:
     """A state on ``n`` qubits split into axes, highest qubit first: each
     run of consecutive bits of the index register, of the data register or
@@ -290,8 +267,9 @@ def _mesh(shape: tuple[int, ...], bits: int) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def _entry_axes(index_qubits: tuple[int, ...], data_qubits: tuple[int, ...],
                 n: int) -> _EntryAxes:
-    """``_EntryAxes``, memoized by the registers and the width as ``_runs``
-    is, never on a layout, whose derived copies can hold other qubits."""
+    """``_EntryAxes``, memoized by the registers and the width as
+    ``statevector._runs`` is, never on a layout, whose derived copies can
+    hold other qubits."""
     return _EntryAxes(index_qubits, data_qubits, n)
 
 
@@ -363,12 +341,13 @@ class QdbLayout(_Derivable):
 
     def _place(self, pat, data_value):
         """Basis index of an index pattern with a data value; ints or numpy
-        int arrays alike. Each register is spread by its runs (``_runs``):
-        one mask and one shift per run of bits that lands on consecutive
-        qubits, so a fresh layout places each register in one step.
-        ``physical_index``, ``physical_indices`` (and so ``check``) and the
-        data-write table place their indices this way; an entry op selects
-        its entry's branch by the same runs (``_entry``) instead."""
+        int arrays alike. Each register is spread by its runs
+        (``statevector._spread``): one mask and one shift per run of bits
+        that lands on consecutive qubits, so a fresh layout places each
+        register in one step. ``physical_index``, ``physical_indices`` (and
+        so ``check``) and the data-write table place their indices this way,
+        and ``move_amplitudes`` its offsets; an entry op selects its entry's
+        branch by the same runs (``_entry``) instead."""
         return _spread(pat, self.index_qubits) | _spread(data_value, self.data_qubits)
 
     def pattern_controls(self, label: int) -> tuple[tuple[int, int], ...]:
@@ -806,14 +785,14 @@ def _data_write_steps(descriptor: QdbDescriptor, layout: QdbLayout):
 
 def _data_write_table(descriptor: QdbDescriptor, layout: QdbLayout):
     """The data-write block as one move (``GateRecord.table``): the index
-    register, each entry's index pattern, and its mask, the entry's word
-    placed on the data qubits. Each pattern stays in place and its data
-    bits flip by the mask."""
+    register, each entry's base, its index pattern placed with data word 0,
+    and its mask, the entry's word placed on the data qubits. Each entry's
+    data bits flip by its mask."""
     data, lmap = descriptor.data, layout.logical_index_map
     count = len(data)
     words = np.fromiter((int(word, 2) for word in data.values()), dtype=np.int64, count=count)
-    return (layout.index_qubits,
-            np.fromiter(map(lmap.__getitem__, data), dtype=np.int64, count=count),
+    patterns = np.fromiter(map(lmap.__getitem__, data), dtype=np.int64, count=count)
+    return (layout.index_qubits, layout._place(patterns, 0),
             layout._place(0, words) if count else words)
 
 
@@ -992,8 +971,8 @@ def _fresh_register(layout: QdbLayout) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=256)
 def _above(index_qubits: tuple[int, ...], data_qubits: tuple[int, ...]) -> tuple[int, ...]:
-    """``_fresh_register``, memoized by the registers as ``_runs`` is: every
-    write and copy-read asks for it."""
+    """``_fresh_register``, memoized by the registers as
+    ``statevector._runs`` is: every write and copy-read asks for it."""
     n = max(index_qubits + data_qubits) + 1
     return tuple(range(n, n + len(data_qubits)))
 

@@ -28,12 +28,12 @@ Conventions
 * Amplitudes move without arithmetic, and every amplitude (signed zeros
   included) keeps its bits, so a move skips the norm check, which a
   permutation cannot fail. Two slots trade places (``_exchange``) for an
-  ``x`` or a ``swap`` in ``apply_gate`` and for the halves of a large
-  pattern (``_trade_halves``). ``move_amplitudes`` moves a table in place:
-  on a control set C, pattern p with free bits f goes to free bits
-  f XOR T[p], every pattern staying put; it serves ``simulate``'s
-  data-write records. ``qdb.permute`` trades entry branches and
-  ``qdb.write``'s fold moves one branch by one word, the same way.
+  ``x`` or a ``swap`` in ``apply_gate``. ``move_amplitudes`` moves a table
+  in place: on the branch at flat base ``bases[i]``, free bits f go to
+  f XOR ``masks[i]``, by pairs that trade places a chunk at a time; it
+  serves ``simulate``'s data-write records. ``qdb.permute`` trades entry
+  branches and ``qdb.write``'s fold moves one branch by one word, through
+  their entry views (``qdb._entry``).
 * State equality is judged up to global phase by default.
 
 The default qubit budget is 26; anything above that is rejected rather than
@@ -42,6 +42,7 @@ silently thrashing memory.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -240,130 +241,93 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
     return out
 
 
-_MOVE_CHUNK = 1 << 17  # amplitudes gathered at once by move_amplitudes
+_MOVE_CHUNK = 1 << 15  # pairs of amplitudes traded at once by move_amplitudes
 
 
-def move_amplitudes(state: StateVector, wires, sources, targets, masks) -> None:
-    """Move amplitudes of ``state`` in place, with no arithmetic: every
-    amplitude on pattern ``sources[i]`` of the qubits ``wires`` (bit j on
-    ``wires[j]``), with free bits f, goes to free bits f XOR ``masks[i]``
-    (bit q flips qubit q, which is not a wire). Each pattern stays in place
-    (``targets`` equal to ``sources``; anything else is a SemanticError),
-    and patterns not named stay put. Every amplitude keeps its bits, and no
-    index array spans the state.
+def move_amplitudes(state: StateVector, wires, bases, masks) -> None:
+    """Move amplitudes of ``state`` in place, with no arithmetic: on entry
+    i's branch, the basis indices ``bases[i] | f`` (``bases[i]`` sets wire
+    qubits only, f the other qubits), the amplitude at f goes to f XOR
+    ``masks[i]`` (bit q flips qubit q, not a wire). Branches not named stay
+    put, and every amplitude keeps its bits.
 
-    ``circuit.simulate`` moves a data-write record's table this way: the
-    patterns are gathered, reordered by their masks and put back in chunks
-    of at most ``_MOVE_CHUNK`` amplitudes. A pattern larger than a chunk
-    instead trades the halves of its slice, split on the mask's highest
-    qubit, one read reversed along the mask's other qubits, through one
-    half-slice temporary (``_trade_halves``).
-
-    The three tables are sequences of one type: tuples or lists of Python
-    ints, or numpy arrays, one array passed as both ``sources`` and
-    ``targets``.
-    """
-    n = state.n_qubits
-    # one array passed as both is not compared with itself
-    if sources is not targets and sources != targets:
-        raise SemanticError("an in-place move keeps every pattern in place")
-    masks = np.asarray(masks, dtype=np.int64)
-    moving = masks != 0
-    patterns, masks = np.asarray(sources, dtype=np.int64)[moving], masks[moving]
-    step = _MOVE_CHUNK >> (n - len(wires))  # patterns moved per gather
-    if not step:
-        tensor = state.amplitudes.reshape((2,) * n)
-        for pattern, mask in zip(patterns.tolist(), masks.tolist()):
-            _trade_halves(tensor, wires, pattern, mask)
-        return
-    # Axes of the (2,)*n view, highest qubit first: each block of consecutive
-    # qubits in ``wires`` becomes one axis, indexed by the pattern bits it
-    # holds (``bits[i]`` on its i-th lowest qubit); every other qubit keeps
-    # its own axis. The blocks then go first, so a pattern's amplitudes are
-    # the free axes, flattened highest qubit first.
-    bit_of = {q: j for j, q in enumerate(wires)}
-    shape, blocks, free = [], [], []
-    q = n - 1
-    while q >= 0:
-        top = q
-        while q in bit_of and q - 1 in bit_of:
-            q -= 1
-        if top in bit_of:
-            blocks.append((len(shape), [bit_of[p] for p in range(q, top + 1)]))
-            shape.append(1 << (top - q + 1))
-        else:
-            free.append((len(shape), q))
-            shape.append(2)
-        q -= 1
-    # each mask on the flattened free axes
-    flat = np.zeros_like(masks)
-    for i, (_, q) in enumerate(free):
-        flat |= ((masks >> q) & 1) << (len(free) - 1 - i)
-    view = state.amplitudes.reshape(shape).transpose(
-        [axis for axis, _ in blocks] + [axis for axis, _ in free])
-    size = 1 << len(free)
-    for lo in range(0, patterns.size, step):
-        chunk = patterns[lo:lo + step]
-        index = tuple(_block_index(chunk, bits) for _, bits in blocks)
-        held = view[index]
-        source = np.arange(size) ^ flat[lo:lo + step, None]
-        view[index] = np.take_along_axis(
-            held.reshape(chunk.size, size), source, axis=1).reshape(held.shape)
+    A mask is its own inverse, so a branch moves by trading the pairs
+    ``(b | f, b | f ^ mask)``, f with the mask's highest qubit clear.
+    Entries are grouped by that qubit, and each trade takes at most
+    ``_MOVE_CHUNK`` pairs, their offsets f spread onto the free qubits by
+    their runs (``_spread``): no temporary outgrows a chunk. The tables are
+    sequences of ints or numpy int arrays; ``circuit.simulate`` moves a
+    data-write record's table this way."""
+    n, amps = state.n_qubits, state.amplitudes
+    bases, masks = (np.asarray(table, dtype=np.int64) for table in (bases, masks))
+    tops = np.frexp(masks)[1] - 1  # each mask's highest qubit, -1 for none
+    for top in np.flatnonzero(np.bincount(tops[masks != 0])).tolist():
+        at = np.flatnonzero(tops == top)
+        free = tuple(q for q in range(n) if q != top and q not in wires)
+        size = 1 << len(free)
+        width = min(size, _MOVE_CHUNK)  # offsets per trade
+        rows = _MOVE_CHUNK // width  # entries per trade
+        for lo in range(0, size, width):
+            offsets = _spread(np.arange(lo, lo + width, dtype=np.int64), free)
+            for first in range(0, at.size, rows):
+                entries = at[first:first + rows, None]
+                one = bases[entries] | offsets
+                two = one ^ masks[entries]
+                held = amps[one]
+                amps[one] = amps[two]
+                amps[two] = held
+                del one, two, held  # freed before the next trade makes its own
 
 
-_WHOLE, _REVERSED = slice(None), slice(None, None, -1)
+@functools.lru_cache(maxsize=256)
+def _runs(qubits: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """A register ``qubits`` (bit i on ``qubits[i]``) as its runs of
+    consecutive bits on consecutive qubits: per run, the mask of its bits
+    and the shift that moves them onto their qubits, negative when they
+    move down. Memoized by the qubit tuple, so a layout derived with other
+    qubits gets its own runs."""
+    runs, start = [], 0
+    for i in range(1, len(qubits) + 1):
+        if i == len(qubits) or qubits[i] != qubits[i - 1] + 1:
+            runs.append((((1 << (i - start)) - 1) << start, qubits[start] - start))
+            start = i
+    return tuple(runs)
 
 
-def _slot(tensor: np.ndarray, wires, pattern: int, mask: int = 0) -> np.ndarray:
+def _spread(value, qubits: tuple[int, ...]):
+    """The bits of ``value`` (an int or a numpy int array) that a register
+    ``qubits`` holds, each moved onto its qubit, run by run (``_runs``)."""
+    out = 0
+    for mask, shift in _runs(qubits):
+        out |= (value & mask) << shift if shift >= 0 else (value & mask) >> -shift
+    return out
+
+
+def _slot(tensor: np.ndarray, wires, pattern: int) -> np.ndarray:
     """The slice of the ``(2,)*n`` view ``tensor`` on which ``wires`` read
-    ``pattern``, reversed along each qubit of ``mask``: what is written at
-    free bits f of it lands at f XOR mask."""
+    ``pattern``."""
     n = tensor.ndim
-    idx = [_WHOLE] * n
+    idx = [slice(None)] * n
     for j, q in enumerate(wires):
         idx[n - 1 - q] = (pattern >> j) & 1
-    while mask:
-        low = mask & -mask
-        idx[n - low.bit_length()] = _REVERSED
-        mask ^= low
     # the Ellipsis keeps a view when every axis is fixed: a plain all-integer
     # index would return a scalar copy, and writes to it would be lost
     idx.append(Ellipsis)
     return tensor[tuple(idx)]
 
 
-def _exchange(tensor: np.ndarray, wires, one: int, two: int, mask: int = 0) -> None:
+def _exchange(tensor: np.ndarray, wires, one: int, two: int) -> None:
     """Trade the slices of the ``(2,)*n`` view ``tensor`` on which
-    ``wires`` read patterns ``one`` and ``two``, the second reversed along
-    each qubit of ``mask``, through one temporary the size of a slice: two
-    slot selections (``_slot``) per trade. ``apply_gate``'s ``x`` and
-    ``swap`` and ``_trade_halves`` move this way."""
+    ``wires`` read patterns ``one`` and ``two``, through one temporary the
+    size of a slice: two slot selections (``_slot``) per trade.
+    ``apply_gate``'s ``x`` and ``swap`` move this way."""
     first = _slot(tensor, wires, one)
-    second = _slot(tensor, wires, two, mask)
+    second = _slot(tensor, wires, two)
     held = first.copy()
     # a ufunc's out= copies in place where a plain assignment between
     # interleaved slices would first copy its source whole
     np.positive(second, out=first)
     second[...] = held
-
-
-def _trade_halves(tensor: np.ndarray, wires, pattern: int, mask: int) -> None:
-    """One pattern that stays in place, moved by ``mask``: the halves of its
-    slice, split on the mask's highest qubit, trade places, the lower one
-    reversed along the other qubits."""
-    if not mask:
-        return
-    top = mask.bit_length() - 1
-    # the highest mask qubit read as one more wire
-    _exchange(tensor, (*wires, top), pattern | 1 << len(wires), pattern, mask ^ 1 << top)
-
-
-def _block_index(patterns: np.ndarray, bits: list[int]) -> np.ndarray:
-    """Each pattern's index on a merged axis whose i-th lowest qubit holds
-    pattern bit ``bits[i]``."""
-    if bits == list(range(bits[0], bits[0] + len(bits))):
-        return (patterns >> bits[0]) & ((1 << len(bits)) - 1)
-    return sum(((patterns >> j) & 1) << i for i, j in enumerate(bits))
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:

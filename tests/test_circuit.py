@@ -15,7 +15,18 @@ from qdbsim.errors import CapacityError, CircuitParseError, SemanticError
 from qdbsim.extend import extend
 from qdbsim.gates import GateSpec, gate_inverse, h, phase, rot2, ry, swap, x, y
 from qdbsim.oracle import dense_operator
-from qdbsim.qdb import permute, preparation_circuit, prepare_general, remove_reservoir
+from qdbsim.qdb import (
+    QdbDescriptor,
+    QdbLayout,
+    QdbState,
+    _data_write_circuit,
+    permute,
+    prepare_circuit,
+    prepare_meta,
+    preparation_circuit,
+    prepare_general,
+    remove_reservoir,
+)
 from qdbsim.statevector import StateVector, add_ancillas, apply_gate, states_equal
 from qdbsim.text_format import emit_text, parse_text
 
@@ -83,7 +94,8 @@ def test_joined_circuits_share_parts_and_stay_apart():
 
 
 def _fresh_database():
-    return prepare_general(8, 0, {1: "11", 2: "01", 6: "10"}, m_data=2)
+    db = prepare_general(8, 0, {1: "11", 2: "01", 6: "10"}, m_data=2)
+    return db, preparation_circuit(db.descriptor, db.layout)
 
 
 def _grown_holey_database():
@@ -92,14 +104,25 @@ def _grown_holey_database():
     db = extend(prepare_general(4, 0, {1: "11", 2: "01", 3: "10"}, m_data=2), 3)
     db = permute(remove_reservoir(db, 2), {1: 5, 5: 1, 3: 4, 4: 3})
     assert max(db.layout.index_qubits) > max(db.layout.data_qubits)
-    return db
+    return db, preparation_circuit(db.descriptor, db.layout)
 
 
-@pytest.mark.parametrize("build", [_fresh_database, _grown_holey_database],
-                         ids=["fresh", "grown-holey"])
+def _hand_built_database():
+    # index bits on qubits 4 and 0, data bit 0 on qubit 5 and bits 1, 2 on
+    # qubits 1, 2; qubit 3 in neither register, which ``preparation_circuit``
+    # refuses, so u is its index spread and its data-write block
+    layout = QdbLayout((4, 0), (5, 1, 2), {0: 0, 1: 1, 2: 2, 3: 3})
+    desc = QdbDescriptor(4, 0, {1: "011", 2: "100", 3: "110"}, m_data=3)
+    u = prepare_circuit(4, 0, layout.index_qubits, 6) + _data_write_circuit(desc, layout, 6)
+    amps = np.zeros(2**6, dtype=complex)
+    amps[[layout.physical_index(j, desc.data_value(j)) for j in range(4)]] = 0.5
+    return QdbState(desc, layout, StateVector(amps), Circuit(6)), u
+
+
+@pytest.mark.parametrize("build", [_fresh_database, _grown_holey_database, _hand_built_database],
+                         ids=["fresh", "grown-holey", "hand-built"])
 def test_inverse_of_a_data_write_block_reads_it_backwards(build):
-    db = build()
-    u = preparation_circuit(db.descriptor, db.layout)
+    db, u = build()
     u_inv = u.inverse()
     (block,) = [p for p in u._leaves() if type(p) is not list]
     (rev,) = [p for p in u_inv._leaves() if type(p) is not list]
@@ -107,12 +130,19 @@ def test_inverse_of_a_data_write_block_reads_it_backwards(build):
     assert rev.reversed and rev.forward is block and rev.inverse() is block
     data_bits = sum(word.count("1") for word in db.descriptor.data.values())
     assert len(rev) == len(block) == len(block.gates) == data_bits
+    # the block moved by its table, forward or reversed, is its gates run
+    # one list at a time, on |0...0> and on a state whose data register is
+    # not |0>, its signed zeros kept; each circuit moves before ``gates``
+    # flattens it into that one list
+    noisy = signed_zero_state(np.random.default_rng(17), u.n_qubits)
+    for circ in (u, u_inv):
+        moved = [simulate(circ, start) for start in (None, noisy)]
+        flat = Circuit(u.n_qubits, list(circ.gates), circ.labels)
+        for start, got in zip((None, noisy), moved):
+            assert got.amplitudes.tobytes() == simulate(flat, start).amplitudes.tobytes()
     assert u_inv.gates == [gate_inverse(g) for g in reversed(u.gates)]
     assert emit_text(u_inv) == emit_text(Circuit(u.n_qubits, list(u_inv.gates), u_inv.labels))
-    # the block moved by its table is its gates run one list at a time
     built = simulate(u)
-    flat = simulate(Circuit(u.n_qubits, list(u.gates), u.labels))
-    assert np.array_equal(built.amplitudes, flat.amplitudes)
     assert states_equal(built, db.state)  # a transfer leaves a global phase
     back = simulate(u_inv, built)
     assert np.max(np.abs(back.amplitudes - StateVector.zero(u.n_qubits).amplitudes)) < 1e-12
@@ -290,22 +320,13 @@ def test_move_amplitudes_matches_an_explicit_index_map(move, seed, chunk):
     got = state.copy()
     want = np.empty_like(state.amplitudes)
     want[dest] = state.amplitudes
-    # a chunk of 1 moves each pattern by trading halves, 8 gathers a few
-    # patterns at once, 2^17 every pattern
+    # each pattern's base: its bits placed on the wires, qubit by qubit
+    bases = [sum(((src >> j) & 1) << q for j, q in enumerate(wires)) for src in sources]
+    # a chunk of 1 trades one pair at a time, 8 a few pairs or patterns at
+    # once, 2^17 every pattern
     with mock.patch.object(statevector, "_MOVE_CHUNK", chunk):
-        statevector.move_amplitudes(got, wires, sources, sources, masks)
+        statevector.move_amplitudes(got, wires, bases, masks)
     assert got.amplitudes.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("sources,targets", [((0, 1), (1, 0)), ((1,), (0,))],
-                         ids=["two-cycle", "one-pattern"])
-def test_an_in_place_move_refuses_a_route(sources, targets):
-    state = random_state(np.random.default_rng(2), 3)
-    before = state.amplitudes.tobytes()
-    with pytest.raises(SemanticError, match="keeps every pattern in place") as exc:
-        statevector.move_amplitudes(state, (0,), sources, targets, (0,) * len(sources))
-    assert exc.value.exit_code == 3
-    assert state.amplitudes.tobytes() == before
 
 
 def two_pattern_run(length):
@@ -357,12 +378,34 @@ def test_x_exchange_on_20_qubits_holds_half_a_slice():
     one_x = peak(lambda: apply_gate(got, run[0], out=got))
     apply_gate(got, run[0], out=got)  # undone: x is its own inverse
     mask = sum(1 << g.targets[0] for g in run)
-    exchange = peak(lambda: statevector.move_amplitudes(got, (19, 7), (1,), (1,), (mask,)))
+    # the pattern's base: bit 0 set on qubit 19, bit 1 clear on qubit 7
+    exchange = peak(lambda: statevector.move_amplitudes(got, (19, 7), (1 << 19,), (mask,)))
     assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
-    # both hold one half of the slice, plus numpy's copy buffer; the
-    # exchange's own bookkeeping is a few small Python objects
+    # the x holds one half of the slice, plus numpy's copy buffer; the move
+    # holds one chunk of pairs, no more than that
     assert half <= one_x < half * 5 // 4
     assert exchange <= one_x + 4096
+
+
+def test_a_data_write_move_on_large_branches_holds_a_chunk():
+    # 22 qubits: one index qubit and 21 data qubits, so each entry's branch
+    # holds 2^21 amplitudes (32 MiB); entry 1's word sets 20 of them
+    meta = prepare_meta(2, 0, {1: 2**20 - 1}, m_data=21)
+    u = preparation_circuit(meta.descriptor, meta.layout)
+    (block,) = [p for p in u._leaves() if type(p) is not list]
+    table = block.table()
+    state = signed_zero_state(np.random.default_rng(13), u.n_qubits)
+    want = state.copy()
+    circuit_mod._run_gates(want, block.gates)
+    tracemalloc.start()
+    try:
+        statevector.move_amplitudes(state, *table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
+    # a chunk of pairs, not half a branch (16 MiB)
+    assert peak < 4 << 20
 
 
 def test_simulate_widens_a_narrower_state_with_fresh_zero_qubits():

@@ -211,16 +211,16 @@ def test_transfer_simulates_only_the_preflight(monkeypatch):
     # moves its amplitudes in one call, every entry at once
     db = prepare_general(128, 0, {j: j % 64 for j in range(1, 128, 3)}, m_data=6)
     u_qdb = preparation_circuit(db.descriptor, db.layout)
-    simulated, moved = [], []  # circuits simulated; patterns of each move
+    simulated, moved = [], []  # circuits simulated; entries of each move
     real_simulate, real_move = simulate, circuit_mod.move_amplitudes
 
     def simulating(circuit, *args, **kwargs):
         simulated.append(circuit)
         return real_simulate(circuit, *args, **kwargs)
 
-    def moving(state, wires, sources, targets, masks):
-        moved.append(len(sources))
-        real_move(state, wires, sources, targets, masks)
+    def moving(state, wires, bases, masks):
+        moved.append(len(bases))
+        real_move(state, wires, bases, masks)
 
     for name in ("qdbsim.qdb", "qdbsim.extend"):
         monkeypatch.setattr(importlib.import_module(name), "simulate", simulating)
@@ -554,6 +554,43 @@ def test_unfold_rejects_underfunded_reservoir():
     lying = QdbState(claim, db.layout, db.state, db.circuit)
     with pytest.raises(SemanticError, match="reservoir holds"):
         unfold(lying)
+
+
+def _reservoir_off_pattern_zero(l):
+    """k = 3 with reservoir multiplicity ``l`` on a hand-built layout whose
+    reservoir, label 0, sits at index pattern 1 and label 1 at pattern 0."""
+    from qdbsim.qdb import QdbDescriptor, QdbLayout, QdbState
+
+    layout = QdbLayout((0, 1), (2,), {0: 1, 1: 0, 2: 2})
+    desc = QdbDescriptor(3, l, {2: "1"}, m_data=1)
+    amps = np.zeros(8, dtype=complex)
+    for label in range(3):
+        weight = (l + 1 if label == 0 else 1) / (3 + l)
+        amps[layout.physical_index(label, desc.data_value(label))] = math.sqrt(weight)
+    db = QdbState(desc, layout, StateVector(amps), Circuit(3))
+    db.check()
+    return db
+
+
+@pytest.mark.parametrize("l,grow", [
+    (0, lambda db: transfer(db, 2)),
+    (2, unfold),
+    (0, lambda db: extend(db, 2)),
+    (2, lambda db: extend(db, 2)),
+    (0, lambda db: extend_imbalanced(db, 2, 1)),
+], ids=["transfer", "unfold", "extend", "extend-loaded", "extend_imbalanced"])
+def test_growth_refuses_a_reservoir_off_index_pattern_zero(monkeypatch, l, grow):
+    db = _reservoir_off_pattern_zero(l)
+    before = db.state.amplitudes.tobytes()
+    simulated = []
+    for name in ("qdbsim.circuit", "qdbsim.qdb", "qdbsim.extend"):
+        monkeypatch.setattr(importlib.import_module(name), "simulate",
+                            lambda *args, **kwargs: simulated.append(args))
+    with pytest.raises(SemanticError, match="reservoir at index pattern 0, not 1$") as exc:
+        grow(db)
+    assert exc.value.exit_code == 3
+    assert db.state.amplitudes.tobytes() == before
+    assert simulated == []
 
 
 # --- data encodings ----------------------------------------------------------

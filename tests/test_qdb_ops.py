@@ -580,8 +580,13 @@ def _slot_of(state, layout, pattern, mask=0):
     """Reference selection: the slot of the ``(2,)*n`` view on which the
     index register reads ``pattern``, reversed along the qubits of ``mask``."""
     sv = importlib.import_module("qdbsim.statevector")
-    return sv._slot(state.amplitudes.reshape((2,) * state.n_qubits), layout.index_qubits,
-                    pattern, mask)
+    n = state.n_qubits
+    slot = sv._slot(state.amplitudes.reshape((2,) * n), layout.index_qubits, pattern)
+    # the slot keeps the other qubits' axes, highest qubit first; the
+    # Ellipsis keeps a view when there are none
+    kept = [q for q in reversed(range(n)) if q not in layout.index_qubits]
+    return slot[(*(slice(None, None, -1) if mask >> q & 1 else slice(None) for q in kept),
+                 Ellipsis)]
 
 
 @settings(deadline=None, max_examples=150)
