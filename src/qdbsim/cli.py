@@ -356,7 +356,7 @@ def _run_remove(sess: Session, derived, j: int, mode: str):
         print(f"remove: entry {j} -> reservoir (k={sess.db.k}, l={sess.db.l})")
         return
     after, new = derived
-    p, _ = _removal_odds(sess.db, new, j)
+    p = _removal_odds(sess.db, new, j)
     verdict = "failure" if isinstance(after, str) else "success"
     if verdict == "success":  # only the branch the session goes on with is built
         sess.db = _survivor(sess.db, new, j)

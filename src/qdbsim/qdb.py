@@ -27,11 +27,14 @@ from .gates import GateSpec, rot2
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     StateVector,
+    _axes,
     _check_budget,
+    _collapsed,
+    _exchange,
     _register_scan,
     _renormalized,
     _spread,
-    project,
+    apply_gate,
     schmidt,
     states_equal,
 )
@@ -201,76 +204,6 @@ class QdbDescriptor(_Derivable):
             if u_d is not None:
                 m_data = max(m_data, u_d.n_qubits)
         return cls(k=k, l=l, data=data, u_d=u_d, m_data=m_data)
-
-
-class _EntryAxes:
-    """A state on ``n`` qubits split into axes, highest qubit first: each
-    run of consecutive bits of the index register, of the data register or
-    of the qubits in neither (free) on consecutive qubits is one axis, so
-    ``shape`` reshapes the amplitudes without a copy.
-
-    An index pattern is one integer per index axis (``index``: axis, lowest
-    bit, mask), so an entry's branch is one reshape and a short key
-    (``_entry``). The branch keeps the data and free axes, in order; a data
-    word is one position per data axis (``data``: branch axis, lowest bit,
-    mask, mesh shape), a free axis reading 0."""
-
-    __slots__ = ("shape", "key", "index", "data", "grids")
-
-    def __init__(self, index_qubits: tuple[int, ...], data_qubits: tuple[int, ...], n: int):
-        held = {q: ("index", i) for i, q in enumerate(index_qubits)}
-        held.update((q, ("data", b)) for b, q in enumerate(data_qubits))
-        runs = []  # (register, lowest bit, width)
-        for q in reversed(range(n)):
-            reg, bit = held.get(q, (None, None))
-            if runs and runs[-1][0] == reg and (reg is None or runs[-1][1] == bit + 1):
-                runs[-1] = (reg, bit, runs[-1][2] + 1)
-            else:
-                runs.append((reg, bit, 1))
-        self.shape = tuple(1 << width for _, _, width in runs)
-        # the Ellipsis keeps a view when every axis is fixed: an all-integer
-        # key would give a scalar copy, and writes to it would be lost
-        self.key = [slice(None)] * len(runs) + [Ellipsis]
-        self.index = tuple((axis, bit, (1 << width) - 1)
-                           for axis, (reg, bit, width) in enumerate(runs) if reg == "index")
-        branch = [(reg, bit, width) for reg, bit, width in runs if reg != "index"]
-        meshes = [tuple(1 << w if a == axis else 1 for a, (_, _, w) in enumerate(branch))
-                  for axis in range(len(branch))]
-        self.grids = tuple(_mesh(shape, 0) for shape in meshes)
-        self.data = tuple((axis, bit, (1 << width) - 1, meshes[axis])
-                          for axis, (reg, bit, width) in enumerate(branch) if reg == "data")
-
-    def position(self, word: int) -> tuple[int, ...]:
-        """Where data word ``word`` lies in a branch."""
-        at = [0] * len(self.grids)
-        for axis, low, mask, _ in self.data:
-            at[axis] = word >> low & mask
-        return tuple(at)
-
-    def moved(self, branch: np.ndarray, word: int) -> np.ndarray:
-        """A copy of ``branch`` moved by ``word`` along its data axes, an XOR
-        index on each: what lies at data word w lands at w XOR ``word``."""
-        index = list(self.grids)
-        for axis, low, mask, shape in self.data:
-            index[axis] = _mesh(shape, word >> low & mask)
-        return branch[tuple(index)]
-
-
-@functools.lru_cache(maxsize=256)
-def _mesh(shape: tuple[int, ...], bits: int) -> np.ndarray:
-    """The open-mesh index along the one axis of ``shape`` longer than 1,
-    position p reading p XOR ``bits``; memoized, as a script writes few
-    distinct words."""
-    return np.arange(max(shape)).reshape(shape) ^ bits
-
-
-@functools.lru_cache(maxsize=256)
-def _entry_axes(index_qubits: tuple[int, ...], data_qubits: tuple[int, ...],
-                n: int) -> _EntryAxes:
-    """``_EntryAxes``, memoized by the registers and the width as
-    ``statevector._runs`` is, never on a layout, whose derived copies can
-    hold other qubits."""
-    return _EntryAxes(index_qubits, data_qubits, n)
 
 
 @dataclass(frozen=True)
@@ -1024,26 +957,23 @@ def _word_value(meta: QdbMeta, label: int, word: int | str) -> int:
     m = len(meta.layout.data_qubits)
     if value < 0 or value >> m:
         raise SemanticError(f"data word {word!r} does not fit the {m}-bit data register")
-    _check_budget(_fresh_register(meta.layout)[-1] + 1, meta.max_qubits)  # with the sensor
+    _widen(meta)  # with the sensor
     return value
 
 
 def _entry(state: StateVector, layout: QdbLayout, pattern: int) -> np.ndarray:
-    """The branch of ``state`` on which the index register reads ``pattern``:
-    a view of the amplitudes reshaped by the layout's runs (``_EntryAxes``),
-    every index axis fixed. Every entry op selects its entry here."""
-    axes = _entry_axes(layout.index_qubits, layout.data_qubits, state.n_qubits)
-    key = axes.key.copy()
-    for axis, low, mask in axes.index:
-        key[axis] = pattern >> low & mask
-    return state.amplitudes.reshape(axes.shape)[tuple(key)]
+    """The branch of ``state`` on which the index register reads ``pattern``,
+    a view through the layout's split (``statevector._axes``). Every entry
+    op selects its entry here."""
+    axes = _axes(layout.index_qubits, layout.data_qubits, state.n_qubits)
+    return axes.select(state.amplitudes, pattern)
 
 
 def _check_occupied(state: StateVector, layout: QdbLayout, label: int) -> np.ndarray:
     """Raise unless entry ``label`` (already known to ``layout``) carries
     amplitude in ``state``, a weight above ``EMPTY_ENTRY_WEIGHT``; reads
     only the entry's branch (``_entry``) and returns it, so the folded write
-    and a projective removal select the entry once."""
+    and a projective removal's odds select the entry once."""
     entry = _entry(state, layout, layout.pattern(label))
     if not np.vdot(entry, entry).real > EMPTY_ENTRY_WEIGHT:
         raise SemanticError(f"entry {label} carries no amplitude")
@@ -1143,15 +1073,15 @@ def _write_folded(db: QdbState, label: int, value: int, old: int) -> StateVector
 
     The occupancy check selects the entry's branch of the source once
     (``_entry``); the toggles write it, moved by ``value`` along the data
-    axes (``_EntryAxes.moved``), into the branch of the source's one copy.
+    axes (``statevector._Axes.moved``), into the branch of the source's copy.
     """
     layout, u_d = db.layout, db.descriptor.u_d
     enc = None if u_d is None else _encoding(u_d, db.n_qubits, layout.data_qubits)
     source = db.state if enc is None else simulate(enc.inverse(), db.state)
     entry = _check_occupied(source, layout, label)
-    axes = _entry_axes(layout.index_qubits, layout.data_qubits, source.n_qubits)
+    axes = _axes(layout.index_qubits, layout.data_qubits, source.n_qubits)
     state = source.copy()
-    branch = _entry(state, layout, layout.pattern(label))
+    branch = axes.select(state.amplitudes, layout.pattern(label))
     branch[...] = axes.moved(entry, value)
     if abs(branch[axes.position(old ^ value)] - entry[axes.position(old)]) > STATE_TOL:
         raise VerificationError(f"write left entry {label}'s amplitude behind")
@@ -1356,19 +1286,19 @@ def read_projective(db: QdbState, label: int) -> tuple[StateVector, float]:
     consumed: the branch where the index points elsewhere is discarded.
     The data state is the entry's branch (``_entry``) of the collapsed
     state, flattened, highest remaining qubit first, and divided by its
-    norm. The projection runs on the whole state (``project``), so its
-    probability keeps the bits it has always had.
+    norm. The collapsed state (``statevector._collapsed``) is the array
+    ``project`` builds, so its probability keeps the bits it always had.
     """
     read_projective_meta(db.meta, label)
     return _read_projective(db, label)
 
 
 def _read_projective(db: QdbState, label: int) -> tuple[StateVector, float]:
-    """Effect of ``read_projective``: the whole state projected, then the
-    entry's branch of it selected once."""
+    """Effect of ``read_projective``: the state collapsed onto the entry's
+    pattern, then the entry's branch of it selected once."""
     layout = db.layout
     pattern = layout.pattern(label)
-    collapsed, prob = project(db.state, _register_scan(db.state, layout.index_qubits, pattern))
+    collapsed, prob = _collapsed(db.state, layout.index_qubits, pattern)
     data = _entry(collapsed, layout, pattern).reshape(-1)
     return StateVector(data / np.linalg.norm(data), copy=False), prob
 
@@ -1425,7 +1355,8 @@ def remove_reservoir(db: QdbState, label: int) -> QdbState:
 
 
 def _remove_reservoir(db: QdbState, new: QdbMeta, label: int) -> QdbState:
-    """Effect of ``remove_reservoir``; ``write``'s effect clears the word."""
+    """Effect of ``remove_reservoir``; ``write``'s effect clears the word.
+    The merge, then the encoding, run in place on the one decoded copy."""
     value = db.descriptor.data_value(label)
     if value:  # refuses an entry that carries no amplitude
         db = _write(db, db.meta._derived(descriptor=db.descriptor.with_data_value(label, 0)),
@@ -1434,17 +1365,20 @@ def _remove_reservoir(db: QdbState, new: QdbMeta, label: int) -> QdbState:
         _check_occupied(db.state, db.layout, label)
     n = db.n_qubits
     enc = _encoding(db.descriptor.u_d, n, db.layout.data_qubits)
-    decoded = db.state if enc is None else simulate(enc.inverse(), db.state)
+    state = db.state.copy() if enc is None else simulate(enc.inverse(), db.state)
     a_idx = db.layout.physical_index(0, 0)
     b_idx = db.layout.physical_index(label, 0)
-    a = complex(decoded.amplitudes[a_idx])
-    b = complex(decoded.amplitudes[b_idx])
+    a = complex(state.amplitudes[a_idx])
+    b = complex(state.amplitudes[b_idx])
     if abs(b) > PROJECTION_ZERO_TOL and abs(a) > PROJECTION_ZERO_TOL:
         rel = b / a
         if abs(rel.imag) > math.sqrt(STATE_TOL) * abs(rel):
             raise SemanticError("entry phases are not aligned; cannot merge unitarily")
-    merge = _decoded(Circuit(n, [rot2(a_idx, b_idx, -math.atan2(abs(b), abs(a)))]), enc)
-    return _advance(db, new, merge)
+    merge = rot2(a_idx, b_idx, -math.atan2(abs(b), abs(a)))
+    apply_gate(state, merge, out=state)
+    if enc is not None:
+        _run_gates(state, enc.gates)
+    return _advance(db, new, _decoded(Circuit(n, [merge]), enc), state)
 
 
 def remove_projective_meta(meta: QdbMeta, label: int) -> tuple[float, QdbMeta | None]:
@@ -1485,24 +1419,20 @@ def remove_projective(db: QdbState, label: int) -> RemovalOutcome:
 
 def _remove_projective(db: QdbState, new: QdbMeta | None, label: int) -> RemovalOutcome:
     """Effect of ``remove_projective``, given its transition's record: the
-    failure state is the weighed branch written into zeros, renormalized as
-    ``project`` does."""
-    p_success, entry = _removal_odds(db, new, label)
-    # filled, not np.zeros_like, whose lazily zeroed pages read slower in write_heavy
-    failure = StateVector(np.empty_like(db.state.amplitudes), copy=False)
-    failure.amplitudes[...] = 0
-    _entry(failure, db.layout, db.layout.pattern(label))[...] = entry
+    failure state is the state collapsed onto the entry (``_collapsed``)."""
+    p_success = _removal_odds(db, new, label)
+    failure, _ = _collapsed(db.state, db.layout.index_qubits, db.layout.pattern(label))
     return RemovalOutcome(p_success, _survivor(db, new, label) if p_success else None,
-                          _renormalized(failure.amplitudes)[0])
+                          failure)
 
 
-def _removal_odds(db: QdbState, new: QdbMeta | None, label: int) -> tuple[float, np.ndarray]:
-    """The state's own success probability of removing entry ``label``, 0.0
-    when ``new`` is None or nothing else carries amplitude, and the entry's
-    branch it is weighed from (``_check_occupied``)."""
+def _removal_odds(db: QdbState, new: QdbMeta | None, label: int) -> float:
+    """The state's own success probability of removing entry ``label``,
+    weighed from its branch (``_check_occupied``): 0.0 when ``new`` is None
+    or nothing else carries amplitude."""
     entry = _check_occupied(db.state, db.layout, label)
     p_success = max(0.0, 1.0 - float(np.sum(np.abs(entry) ** 2)))
-    return (0.0 if new is None or p_success <= PROJECTION_ZERO_TOL else p_success), entry
+    return 0.0 if new is None or p_success <= PROJECTION_ZERO_TOL else p_success
 
 
 def _survivor(db: QdbState, new: QdbMeta, label: int) -> QdbState:
@@ -1583,16 +1513,16 @@ def permute(db: QdbState, perm) -> QdbState:
     the plan of ``pattern_permutation_circuit``, its transpositions, whose
     gates are made only when asked for. The amplitudes move by that plan
     without them: the state is copied once, and for each transposition, in
-    order, the two patterns' entry branches (``_entry``) trade places in the
-    copy through one branch-sized temporary, as the transposition's gates
-    would move them.
+    order, the two patterns' entry branches trade places in the copy
+    through one branch-sized temporary (``statevector._exchange``), as the
+    transposition's gates would move them.
     """
     return _permute(db, *permute_meta(db.meta, perm))
 
 
 def _permute(db: QdbState, new: QdbMeta, moves: dict[int, int]) -> QdbState:
     """Effect of ``permute``, given ``permute_meta``'s record and moves: two
-    entry selections per transposition of the plan."""
+    entry selections per transposition of the plan (``_exchange``)."""
     if not moves:
         return db
     lmap = db.layout.logical_index_map
@@ -1602,13 +1532,9 @@ def _permute(db: QdbState, new: QdbMeta, moves: dict[int, int]) -> QdbState:
     circ = Circuit._joined(db.n_qubits, (GateRecord(_gray_steps, (pairs, index_qubits), size),),
                            {}, size)
     state = db.state.copy()
+    axes = _axes(index_qubits, db.layout.data_qubits, state.n_qubits)
     for a, b in pairs:
-        first, second = _entry(state, db.layout, a), _entry(state, db.layout, b)
-        held = first.copy()
-        # a ufunc's out= copies in place where a plain assignment between
-        # interleaved branches would first copy its source whole
-        np.positive(second, out=first)
-        second[...] = held
+        _exchange(state.amplitudes, axes, a, b)
     return _advance(db, new, circ, state)
 
 

@@ -17,23 +17,23 @@ Conventions
   copy-read (``qdb.read_copy``, ``read_copy_all``) copies its
   input once into the low block of a zeroed wider array and scatters the
   copied amplitudes from there.
-* A gate's slices are taken from the ``(2,)*n`` view of the amplitudes, in
-  which axis ``n-1-q`` is qubit ``q``, by one selector, ``_slot``: the
-  slice on which some wires read one pattern. A gate (every kind but rot2,
-  which names two basis indices) reads its controls then its targets as
-  one pattern, so it reads and writes only the slots its controls select;
-  the norm check is taken over those slots too. An entry's branch is not a
-  slot: ``qdb._entry`` selects it from the amplitudes reshaped by the
-  runs of the database's registers, one axis per run.
+* Every slice is a view taken by one selector, ``_Axes.select``: the
+  amplitudes split by register runs (``_axes``), some wires fixed to one
+  pattern. A gate (every kind but rot2, which names two basis indices)
+  reads its controls then its targets as one pattern, so it reads and
+  writes only the slices its controls select, and takes its norm check
+  there too. An entry's branch (``qdb._entry``) is the slice on which the
+  index register reads its pattern; a projection onto one pattern writes
+  that slice into zeros (``_collapsed``).
 * Amplitudes move without arithmetic, and every amplitude (signed zeros
   included) keeps its bits, so a move skips the norm check, which a
-  permutation cannot fail. Two slots trade places (``_exchange``) for an
-  ``x`` or a ``swap`` in ``apply_gate``. ``move_amplitudes`` moves a table
-  in place: on the branch at flat base ``bases[i]``, free bits f go to
-  f XOR ``masks[i]``, by pairs that trade places a chunk at a time; it
-  serves ``simulate``'s data-write records. ``qdb.permute`` trades entry
-  branches and ``qdb.write``'s fold moves one branch by one word, through
-  their entry views (``qdb._entry``).
+  permutation cannot fail. Two slices trade places (``_exchange``) for an
+  ``x`` or a ``swap`` in ``apply_gate`` and for each transposition of
+  ``qdb.permute``. ``move_amplitudes`` moves a table in place: on the
+  branch at flat base ``bases[i]``, free bits f go to f XOR ``masks[i]``,
+  by pairs that trade places a chunk at a time; it serves ``simulate``'s
+  data-write records. ``qdb.write``'s fold moves one branch by one word
+  along its data axes (``_Axes.moved``).
 * State equality is judged up to global phase by default.
 
 The default qubit budget is 26; anything above that is rejected rather than
@@ -119,26 +119,12 @@ class StateVector:
         return f"StateVector(n_qubits={self.n_qubits})"
 
 
-def _control_pattern(controls) -> int:
-    """The pattern a gate's ``(qubit, bit)`` controls read, bit j from
-    ``controls[j]``."""
-    return sum(bit << j for j, (_, bit) in enumerate(controls))
-
-
-def _register_scan(state: StateVector, qubits, pattern: int | None = None) -> np.ndarray:
-    """One pass over the ``(2,)*n`` view of a state, keyed by the pattern a
-    register reads (``qubits[i]`` holds bit i of a pattern).
-
-    Without ``pattern``, returns the register's probability table: entry p is
-    the probability that the register reads p (the other axes summed out).
-    With ``pattern``, returns the boolean mask over basis indices at which
-    the register reads it.
-    """
+def _register_scan(state: StateVector, qubits) -> np.ndarray:
+    """The probability table of a register ``qubits`` (``qubits[i]`` holds
+    bit i of a pattern), in one pass over the ``(2,)*n`` view of a state:
+    entry p is the probability that the register reads p, the other axes
+    summed out."""
     n = state.n_qubits
-    if pattern is not None:
-        mask = np.zeros((2,) * n, dtype=bool)
-        _slot(mask, qubits, pattern)[...] = True
-        return mask.reshape(-1)
     axes = [n - 1 - q for q in qubits]  # axes[i] holds pattern bit i
     kept = sorted(axes)
     table = state.probabilities().reshape((2,) * n).sum(
@@ -158,7 +144,7 @@ def _check_gate(gate: GateSpec, n: int):
 
 def _updated(gate: GateSpec, old: list[np.ndarray]) -> list[np.ndarray]:
     """New contents of the slices a gate reads (rot2's two indices, phase's
-    slot with its target set, else the target's slots clear then set), given
+    slice with its target set, else the target's slices clear then set), given
     contiguous copies of their old contents. May reuse those copies. ``x``
     and ``swap`` never get here: ``apply_gate`` moves them."""
     if gate.kind == "rot2":
@@ -209,24 +195,23 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
     elif out is not state:
         np.copyto(out.amplitudes, state.amplitudes)
     kind = gate.kind
+    amps = out.amplitudes
     if kind == "rot2":
-        amps = out.amplitudes
         views = [amps[int(i):int(i) + 1] for i in gate.params[:2]]
     else:
-        # the controls, then the targets, read as one pattern: slot ``one``
-        # sets the first target, slot ``pattern`` clears it
-        tensor = out.amplitudes.reshape((2,) * n)
-        wires = gate.qubits[len(gate.targets):] + gate.targets
-        pattern = _control_pattern(gate.controls)
+        # the controls, then the targets, read as one pattern: slice ``one``
+        # sets the first target, slice ``pattern`` clears it
+        axes = _axes(gate.qubits[len(gate.targets):] + gate.targets, (), n)
+        pattern = sum(bit << j for j, (_, bit) in enumerate(gate.controls))
         one = pattern | 1 << len(gate.controls)
         if kind == "x" or kind == "swap":
-            # an x trades slot ``one`` with slot ``pattern``, a swap with the
-            # second target set instead
-            _exchange(tensor, wires, one,
+            # an x trades slice ``one`` with slice ``pattern``, a swap with
+            # the second target set instead
+            _exchange(amps, axes, one,
                       pattern if kind == "x" else pattern | 2 << len(gate.controls))
             return out
-        views = ([_slot(tensor, wires, one)] if kind == "phase"
-                 else [_slot(tensor, wires, pattern), _slot(tensor, wires, one)])
+        views = ([axes.select(amps, one)] if kind == "phase"
+                 else [axes.select(amps, pattern), axes.select(amps, one)])
     # Contiguous copies: numpy can round strided operands differently, and
     # copying keeps the results bitwise independent of the slices' strides.
     old = [v.copy() for v in views]
@@ -303,26 +288,86 @@ def _spread(value, qubits: tuple[int, ...]):
     return out
 
 
-def _slot(tensor: np.ndarray, wires, pattern: int) -> np.ndarray:
-    """The slice of the ``(2,)*n`` view ``tensor`` on which ``wires`` read
-    ``pattern``."""
-    n = tensor.ndim
-    idx = [slice(None)] * n
-    for j, q in enumerate(wires):
-        idx[n - 1 - q] = (pattern >> j) & 1
-    # the Ellipsis keeps a view when every axis is fixed: a plain all-integer
-    # index would return a scalar copy, and writes to it would be lost
-    idx.append(Ellipsis)
-    return tensor[tuple(idx)]
+class _Axes:
+    """A state on ``n`` qubits split into axes, highest qubit first: each
+    run of consecutive bits of ``wires``, of a data register ``data`` or of
+    the qubits in neither (free) on consecutive qubits is one axis, so
+    ``shape`` reshapes the amplitudes without a copy.
+
+    A pattern is one integer per wire axis (``wire``: axis, lowest bit,
+    mask), so its slice is one reshape and a short key. The slice keeps the
+    data and free axes, in order; a data word is one position per data axis
+    (``data``: slice axis, lowest bit, mask, mesh shape). Gates and
+    projections pass ``data=()``: no mesh for a free run of up to 25 qubits."""
+
+    __slots__ = ("shape", "key", "wire", "data", "grids")
+
+    def __init__(self, wires: tuple[int, ...], data: tuple[int, ...], n: int):
+        held = {q: ("wire", i) for i, q in enumerate(wires)}
+        held.update((q, ("data", b)) for b, q in enumerate(data))
+        runs = []  # (register, lowest bit, width)
+        for q in reversed(range(n)):
+            reg, bit = held.get(q, (None, None))
+            if runs and runs[-1][0] == reg and (reg is None or runs[-1][1] == bit + 1):
+                runs[-1] = (reg, bit, runs[-1][2] + 1)
+            else:
+                runs.append((reg, bit, 1))
+        self.shape = tuple(1 << width for _, _, width in runs)
+        # the Ellipsis keeps a view when every axis is fixed: an all-integer
+        # key would give a scalar copy, and writes to it would be lost
+        self.key = [slice(None)] * len(runs) + [Ellipsis]
+        self.wire = tuple((axis, bit, (1 << width) - 1)
+                          for axis, (reg, bit, width) in enumerate(runs) if reg == "wire")
+        kept = [(reg, bit, width) for reg, bit, width in runs if reg != "wire"]
+        meshes = [tuple(1 << w if a == axis else 1 for a, (_, _, w) in enumerate(kept))
+                  for axis in range(len(kept))] if data else []
+        self.grids = tuple(_mesh(shape, 0) for shape in meshes)
+        self.data = tuple((axis, bit, (1 << width) - 1, meshes[axis])
+                          for axis, (reg, bit, width) in enumerate(kept) if reg == "data")
+
+    def select(self, amps: np.ndarray, pattern: int) -> np.ndarray:
+        """The view of the flat amplitudes ``amps`` on which the wires read
+        ``pattern``."""
+        key = self.key.copy()
+        for axis, low, mask in self.wire:
+            key[axis] = pattern >> low & mask
+        return amps.reshape(self.shape)[tuple(key)]
+
+    def position(self, word: int) -> tuple[int, ...]:
+        """Where data word ``word`` lies in a slice."""
+        at = [0] * (len(self.shape) - len(self.wire))
+        for axis, low, mask, _ in self.data:
+            at[axis] = word >> low & mask
+        return tuple(at)
+
+    def moved(self, piece: np.ndarray, word: int) -> np.ndarray:
+        """A copy of the slice ``piece`` moved by ``word`` along its data
+        axes, an XOR index on each: what lies at data word w lands at
+        w XOR ``word``."""
+        index = list(self.grids)
+        for axis, low, mask, shape in self.data:
+            index[axis] = _mesh(shape, word >> low & mask)
+        return piece[tuple(index)]
 
 
-def _exchange(tensor: np.ndarray, wires, one: int, two: int) -> None:
-    """Trade the slices of the ``(2,)*n`` view ``tensor`` on which
-    ``wires`` read patterns ``one`` and ``two``, through one temporary the
-    size of a slice: two slot selections (``_slot``) per trade.
-    ``apply_gate``'s ``x`` and ``swap`` move this way."""
-    first = _slot(tensor, wires, one)
-    second = _slot(tensor, wires, two)
+@functools.lru_cache(maxsize=256)
+def _mesh(shape: tuple[int, ...], bits: int) -> np.ndarray:
+    """The open-mesh index along the one axis of ``shape`` longer than 1,
+    position p reading p XOR ``bits``; a script writes few distinct words."""
+    return np.arange(max(shape)).reshape(shape) ^ bits
+
+
+@functools.lru_cache(maxsize=256)
+def _axes(wires: tuple[int, ...], data: tuple[int, ...], n: int) -> _Axes:
+    """``_Axes``, memoized by the registers and the width as ``_runs`` is."""
+    return _Axes(wires, data, n)
+
+
+def _exchange(amps: np.ndarray, axes: _Axes, one: int, two: int) -> None:
+    """Trade the slices of ``amps`` on which the wires of ``axes`` read
+    ``one`` and ``two``, through one slice-sized temporary: ``apply_gate``'s
+    ``x`` and ``swap`` and ``qdb.permute``'s transpositions move this way."""
+    first, second = axes.select(amps, one), axes.select(amps, two)
     held = first.copy()
     # a ufunc's out= copies in place where a plain assignment between
     # interleaved slices would first copy its source whole
@@ -381,6 +426,17 @@ def project(state: StateVector, keep) -> tuple[StateVector, float]:
     return _renormalized(np.where(_keep_mask(state, keep), state.amplitudes, 0.0))
 
 
+def _collapsed(state: StateVector, wires, pattern: int) -> tuple[StateVector, float]:
+    """``project`` onto the basis states on which ``wires`` read
+    ``pattern``: that slice of ``state`` written into zeros, renormalized."""
+    axes = _axes(tuple(wires), (), state.n_qubits)
+    # filled, not np.zeros_like, whose lazily zeroed pages read slower
+    amps = np.empty_like(state.amplitudes)
+    amps[...] = 0
+    axes.select(amps, pattern)[...] = axes.select(state.amplitudes, pattern)
+    return _renormalized(amps)
+
+
 def _renormalized(amps: np.ndarray) -> tuple[StateVector, float]:
     """A projection's amplitudes ``amps`` (zero where it discards) divided
     by their norm, and the probability they carry, as ``project`` gives them."""
@@ -407,7 +463,7 @@ def sample_measure(state: StateVector, qubits, seed) -> tuple[str, StateVector]:
     marginal = _register_scan(state, qubits)
     marginal = marginal / marginal.sum()
     outcome = int(rng.choice(len(marginal), p=marginal))
-    collapsed, _ = project(state, _register_scan(state, qubits, outcome))
+    collapsed, _ = _collapsed(state, qubits, outcome)
     bits = "".join(str((outcome >> i) & 1) for i in range(len(qubits)))
     return bits, collapsed
 
@@ -433,7 +489,8 @@ def drop_qubits(state: StateVector, qubits, *, expect_zero: bool = True) -> Stat
     """Remove qubits that are in |0> across the entire support.
 
     This is how detached registers leave the simulation; it refuses to drop a
-    qubit that still carries amplitude on |1>.
+    qubit that still carries amplitude on |1>. With ``expect_zero=False`` the
+    rest is renormalized, or ZeroProbabilityError raised if it is numerically zero.
     """
     qubits = sorted(set(qubits), reverse=True)
     amps = state.amplitudes
@@ -448,6 +505,8 @@ def drop_qubits(state: StateVector, qubits, *, expect_zero: bool = True) -> Stat
         amps = arr[:, :2**q].reshape(-1)
         n -= 1
     nrm = np.linalg.norm(amps)
+    if nrm * nrm < PROJECTION_ZERO_TOL:
+        raise ZeroProbabilityError(f"kept qubits carry probability {nrm * nrm:.3e}")
     return StateVector(amps / nrm, copy=False)
 
 

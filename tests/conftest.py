@@ -1,4 +1,4 @@
-"""Shared helpers: dense-oracle comparisons and phase canonicalization."""
+"""Shared helpers: dense-oracle comparisons, phase canonicalization and brute-force selections."""
 
 import numpy as np
 import pytest
@@ -73,14 +73,33 @@ def signed_zero_state(rng, n_qubits: int) -> StateVector:
     return StateVector(parts[0] + 1j * parts[1], copy=False)
 
 
+def pattern_mask(state, qubits, pattern: int) -> np.ndarray:
+    """The boolean mask over the basis indices of ``state`` at which the
+    register ``qubits`` (``qubits[i]`` holds bit i) reads ``pattern``: the
+    register's reading of every index, bit by bit."""
+    index = np.arange(state.dim)
+    return sum(((index >> q) & 1) << b for b, q in enumerate(qubits)) == pattern
+
+
+def qubit_slot(amps, wires, pattern, mask=0):
+    """Reference selection: the slot of the ``(2,)*n`` view of the flat
+    amplitudes ``amps`` on which ``wires`` read ``pattern`` (axis n-1-q is
+    qubit q), reversed along the qubits of ``mask``."""
+    n = amps.size.bit_length() - 1
+    key = [slice(None)] * n
+    for j, q in enumerate(wires):
+        key[n - 1 - q] = pattern >> j & 1
+    for q in range(n):
+        if mask >> q & 1:
+            key[n - 1 - q] = slice(None, None, -1)
+    # the Ellipsis keeps a view when every axis is fixed
+    return amps.reshape((2,) * n)[(*key, Ellipsis)]
+
+
 def assert_register_scan_matches_brute_force(state, qubits) -> list[float]:
     """Compare the register scan with a loop over every basis index; return
     the brute-force probability of each pattern the register can read."""
-    pats = np.array([sum(((i >> q) & 1) << b for b, q in enumerate(qubits))
-                     for i in range(state.dim)])
     probs = np.abs(state.amplitudes) ** 2
-    mass = [float(probs[pats == p].sum()) for p in range(2 ** len(qubits))]
+    mass = [float(probs[pattern_mask(state, qubits, p)].sum()) for p in range(2 ** len(qubits))]
     assert np.max(np.abs(_register_scan(state, qubits) - mass)) < 1e-12
-    for pat in range(len(mass)):
-        assert np.array_equal(_register_scan(state, qubits, pat), pats == pat)
     return mass

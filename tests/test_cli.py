@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qdbsim
+from conftest import pattern_mask
 from qdbsim.cli import Session, dry_run, main, parse_script, run_script
 from qdbsim.errors import CapacityError, QdbError, ScriptError, VerificationError
 from qdbsim.extend import extend
 from qdbsim.qdb import prepare_general
-from qdbsim.statevector import DEFAULT_MAX_QUBITS, _register_scan, project
+from qdbsim.statevector import DEFAULT_MAX_QUBITS, project
 from qdbsim.tolerances import PLAN_RESIDUAL_TOL, STATE_TOL
 
 
@@ -172,10 +173,11 @@ def test_run_produces_expected_artifacts(tmp_path, capsys):
     assert "done: 5 commands, 3 artifacts" in capsys.readouterr().out
 
 
-def test_a_script_builds_each_layouts_entry_axes_once(tmp_path, capsys):
+def test_a_script_builds_each_layouts_entry_axes_once(tmp_path, capsys, monkeypatch):
     # writes select two branches and permutes two per transposition, all
-    # through one memoized split per layout: before and after the extend
-    qdb = importlib.import_module("qdbsim.qdb")
+    # through one memoized split per layout (``statevector._axes``): before
+    # and after the extend. Gates split by their own wires, with no data.
+    sv = importlib.import_module("qdbsim.statevector")
     lines = ["prepare k=16 m=4 data=" + ",".join(f"{j}:{j:04b}" for j in range(1, 16))]
     for i in range(50):
         if i == 25:
@@ -185,15 +187,27 @@ def test_a_script_builds_each_layouts_entry_axes_once(tmp_path, capsys):
         else:
             a, b = 1 + i % 15, 1 + (i + 4) % 15
             lines.append(f"permute map={a}:{b},{b}:{a}")
-    before = qdb._entry_axes.cache_info()
+    built, selected = [], []
+
+    class Spied(sv._Axes):
+        __slots__ = ()
+
+        def __init__(self, wires, data, n):
+            built.append(data)
+            super().__init__(wires, data, n)
+
+        def select(self, amps, pattern):
+            selected.append(self.data)
+            return super().select(amps, pattern)
+
+    monkeypatch.setattr(sv, "_Axes", Spied)
+    sv._axes.cache_clear()
     assert run_cli("run", str(write_script(tmp_path, "\n".join(lines) + "\n")),
                    "--out", str(tmp_path / "out")) == 0
-    after = qdb._entry_axes.cache_info()
-    # a folded write looks its split up three times, a 2-cycle permute twice
-    lookups = sum(3 if line.startswith("write") else 2 for line in lines[1:]
-                  if not line.startswith("extend"))
-    assert after.misses - before.misses <= 2
-    assert after.hits - before.hits >= lookups - 2
+    sv._axes.cache_clear()  # no spied split outlives the test
+    # a folded write selects two branches, a 2-cycle permute two
+    assert sum(1 for data in selected if data) >= 2 * (len(lines) - 2)
+    assert sum(1 for data in built if data) <= 2
     capsys.readouterr()
 
 
@@ -350,7 +364,7 @@ def test_projective_removal_builds_only_the_state_it_keeps(tmp_path, monkeypatch
     renormalized = qdb_mod._renormalized
     monkeypatch.setattr(qdb_mod, "_renormalized",
                         lambda amps: states.append(amps.size) or renormalized(amps))
-    monkeypatch.setattr(qdb_mod, "project", None)  # no full-state projection either
+    monkeypatch.setattr(qdb_mod, "_collapsed", None)  # no collapsed state either
     script = write_script(tmp_path, "prepare k=4\nremove j=1 mode=projective\n")
     assert run_cli("run", str(script), "--seed", str(seed), "--out", str(tmp_path / "o")) == 0
     assert json.loads((tmp_path / "o" / "001-remove.json").read_text())["outcome"] == verdict
@@ -369,7 +383,7 @@ def test_run_read_projective_consumes_database(tmp_path, capsys):
 def test_execution_errors_name_command_and_line(tmp_path, capsys, monkeypatch):
     # an entry's amplitude is checked only while executing: entry 1 is hollowed
     db = prepare_general(4, 0, m_data=1)
-    hit = _register_scan(db.state, db.layout.index_qubits, db.layout.pattern(1))
+    hit = pattern_mask(db.state, db.layout.index_qubits, db.layout.pattern(1))
     ghost = dataclasses.replace(db, state=project(db.state, ~hit)[0])
     monkeypatch.setattr(importlib.import_module("qdbsim.cli"), "_prepare", lambda meta: ghost)
     script = write_script(tmp_path, "prepare k=4 m=1\ndump\nwrite j=1 d=1\n")

@@ -20,6 +20,8 @@ from conftest import (
     RY_CNOT_ENCODING,
     RY_ENCODING,
     assert_register_scan_matches_brute_force,
+    pattern_mask,
+    qubit_slot,
     state_matches_oracle,
 )
 from qdbsim.circuit import Circuit, GateRecord, simulate
@@ -64,7 +66,6 @@ from qdbsim.qdb import (
 )
 from qdbsim.statevector import (
     StateVector,
-    _register_scan,
     drop_qubits,
     project,
     schmidt,
@@ -363,7 +364,7 @@ def test_write_guards():
 
 def test_write_into_entry_without_amplitude_fails():
     db = prepare_general(4, 0, {1: "1"})
-    hit = _register_scan(db.state, db.layout.index_qubits, db.layout.pattern(3))
+    hit = pattern_mask(db.state, db.layout.index_qubits, db.layout.pattern(3))
     hollow, _ = project(db.state, ~hit)
     ghost = dataclasses.replace(db, state=hollow)  # entry 3 still in the layout
     with pytest.raises(SemanticError, match="entry 3 carries no amplitude") as err:
@@ -377,8 +378,8 @@ def test_hollow_entry_is_refused_whether_or_not_it_holds_data(u_d):
     # entry 1 holds a word, so its removal writes it off first; entry 3 does not
     db = prepare_general(4, 0, {1: "1"}, u_d=u_d)
     index = db.layout.index_qubits
-    hit = (_register_scan(db.state, index, db.layout.pattern(1))
-           | _register_scan(db.state, index, db.layout.pattern(3)))
+    hit = (pattern_mask(db.state, index, db.layout.pattern(1))
+           | pattern_mask(db.state, index, db.layout.pattern(3)))
     ghost = dataclasses.replace(db, state=project(db.state, ~hit)[0])
     for label in (1, 3):
         for op in (remove_reservoir, lambda d, j: write(d, j, 1),
@@ -391,7 +392,7 @@ def test_hollow_entry_of_a_20_qubit_database_is_refused(monkeypatch, tmp_path, c
     # the budget its 8-qubit sensor or copy register needs: capacity is refused first
     db = prepare_general(4096, 0, m_data=8, max_qubits=28)
     assert db.n_qubits == 20
-    hit = _register_scan(db.state, db.layout.index_qubits, db.layout.pattern(7))
+    hit = pattern_mask(db.state, db.layout.index_qubits, db.layout.pattern(7))
     ghost = dataclasses.replace(db, state=project(db.state, ~hit)[0])
     for op in (lambda d: write(d, 7, 1), lambda d: read_copy(d, 7),
                lambda d: remove_reservoir(d, 7), lambda d: remove_projective(d, 7)):
@@ -577,16 +578,9 @@ def _databases(draw):
 
 
 def _slot_of(state, layout, pattern, mask=0):
-    """Reference selection: the slot of the ``(2,)*n`` view on which the
-    index register reads ``pattern``, reversed along the qubits of ``mask``."""
-    sv = importlib.import_module("qdbsim.statevector")
-    n = state.n_qubits
-    slot = sv._slot(state.amplitudes.reshape((2,) * n), layout.index_qubits, pattern)
-    # the slot keeps the other qubits' axes, highest qubit first; the
-    # Ellipsis keeps a view when there are none
-    kept = [q for q in reversed(range(n)) if q not in layout.index_qubits]
-    return slot[(*(slice(None, None, -1) if mask >> q & 1 else slice(None) for q in kept),
-                 Ellipsis)]
+    """``qubit_slot`` of a database's entry: its index register reading
+    ``pattern``."""
+    return qubit_slot(state.amplitudes, layout.index_qubits, pattern, mask)
 
 
 @settings(deadline=None, max_examples=150)
@@ -633,43 +627,44 @@ def test_entry_ops_move_what_slots_on_the_qubit_view_move(db, data):
 
 
 def test_hand_built_layouts_split_into_register_runs():
-    qdb = importlib.import_module("qdbsim.qdb")
+    sv = importlib.import_module("qdbsim.statevector")
     # index bits 0 and 1 on qubits 0 and 2; data bit 0 on qubit 5, bits 1, 2
     # on qubits 3, 4; qubit 1 in neither register
-    axes = qdb._entry_axes((0, 2), (5, 3, 4), 6)
+    axes = sv._axes((0, 2), (5, 3, 4), 6)
     assert axes.shape == (2, 4, 2, 2, 2)
-    assert [axis for axis, _, _ in axes.index] == [2, 4]
+    assert [axis for axis, _, _ in axes.wire] == [2, 4]
     assert axes.position(0b110) == (0, 3, 0)
+    assert sv._axes((0, 2), (5, 3, 4), 6) is axes  # memoized
 
 
 # The fold selects its entry's branch (``_entry``) in its source and in its
 # copy, and writes the source's branch into the copy's moved by the word
-# (``_EntryAxes.moved``), so these tests corrupt that move.
+# (``statevector._Axes.moved``), so these tests corrupt that move.
 
 
 def test_folded_write_checks_that_the_entry_moved(monkeypatch):
     db = prepare_general(4, 0, {1: "01"}, m_data=2)
-    qdb = importlib.import_module("qdbsim.qdb")
+    sv = importlib.import_module("qdbsim.statevector")
 
     def lost(self, branch, word):
         # the move is lost: the copy's branch gets the entry back unmoved
         return branch.copy()
 
-    monkeypatch.setattr(qdb._EntryAxes, "moved", lost)
+    monkeypatch.setattr(sv._Axes, "moved", lost)
     with pytest.raises(VerificationError, match="amplitude behind"):
         write(db, 1, "11")
 
 
 def test_folded_write_checks_the_bits_its_entry_moved_by(monkeypatch):
     db = prepare_general(4, 0, {1: "01"}, m_data=2)
-    qdb = importlib.import_module("qdbsim.qdb")
-    moved = qdb._EntryAxes.moved
+    sv = importlib.import_module("qdbsim.statevector")
+    moved = sv._Axes.moved
 
     def misdirected(self, branch, word):
         # the move lands, but flips data bit 1 where the word sets bit 0
         return moved(self, branch, word ^ 0b11 if word else word)
 
-    monkeypatch.setattr(qdb._EntryAxes, "moved", misdirected)
+    monkeypatch.setattr(sv._Axes, "moved", misdirected)
     with pytest.raises(VerificationError, match="amplitude behind"):
         write(db, 1, "01")
 
@@ -831,7 +826,7 @@ def test_copy_read_checks_run_in_order():
         with pytest.raises(CapacityError, match="^6 qubits exceeds the budget of 5$"):
             op(tight)
     # the budget is refused before an empty entry, a non-bare database first of all
-    hit = _register_scan(tight.state, tight.layout.index_qubits, tight.layout.pattern(3))
+    hit = pattern_mask(tight.state, tight.layout.index_qubits, tight.layout.pattern(3))
     hollow = dataclasses.replace(tight, state=project(tight.state, ~hit)[0])
     with pytest.raises(CapacityError, match="^6 qubits exceeds the budget of 5$"):
         read_copy(hollow, 3)
@@ -876,7 +871,7 @@ def _read_projective_by_reset(db, label):
     register to |0> with x gates, then drop it (``drop_qubits``)."""
     layout = db.layout
     pat = layout.pattern(label)
-    collapsed, prob = project(db.state, _register_scan(db.state, layout.index_qubits, pat))
+    collapsed, prob = project(db.state, pattern_mask(db.state, layout.index_qubits, pat))
     reset = Circuit(db.n_qubits, [x(q) for i, q in enumerate(layout.index_qubits)
                                   if (pat >> i) & 1])
     return drop_qubits(simulate(reset, collapsed), layout.index_qubits), prob
@@ -985,6 +980,23 @@ def test_remove_reservoir_under_data_encoding(u_d, data, label):
     smaller.check()
     assert smaller.descriptor.data == {j: w for j, w in data.items() if j != label}
     assert state_matches_oracle(smaller) < 1e-12
+
+
+@pytest.mark.parametrize("u_d", [None, RY_ENCODING, RY_CNOT_ENCODING],
+                         ids=["plain", "ry", "ry-cnot"])
+def test_remove_reservoir_simulates_its_merge_once(monkeypatch, u_d):
+    # the decoded copy the two amplitudes are read from is the one the merge
+    # and the encoding then run on: the bytes of the recorded merge simulated
+    m = 3 if u_d is None else u_d.n_qubits
+    db = prepare_general(8, 0, {1: 1, 3: 1}, m_data=m, u_d=u_d)
+    qdb = importlib.import_module("qdbsim.qdb")
+    calls = []
+    monkeypatch.setattr(qdb, "simulate", lambda *args, **kw: calls.append(args) or simulate(*args, **kw))
+    smaller = remove_reservoir(db, 2)
+    merge = Circuit(db.n_qubits, smaller.circuit.gates[len(db.circuit.gates):])
+    assert smaller.state.amplitudes.tobytes() == simulate(merge, db.state).amplitudes.tobytes()
+    assert len(calls) == (0 if u_d is None else 1)
+    smaller.check()
 
 
 def test_remove_reservoir_guards():
@@ -1270,23 +1282,25 @@ def test_permute_guards():
                          ids=["2-cycle", "3-cycle"])
 def test_permute_trades_two_slots_per_transposition(monkeypatch, perm, branches):
     # two entry selections per transposition of the recorded plan; neither a
-    # permute nor a folded write selects a gate's slot or moves a table
-    sv, qdb = (importlib.import_module(f"qdbsim.{name}") for name in ("statevector", "qdb"))
+    # permute nor a folded write applies a gate or moves a table
+    sv = importlib.import_module("qdbsim.statevector")
     db = prepare_general(4, 0, {1: "01", 2: "10", 3: "11"}, m_data=2)
-    selected, slots, moved = [], [], []
-    entry, slot = qdb._entry, sv._slot
-    monkeypatch.setattr(qdb, "_entry", lambda *args: selected.append(args) or entry(*args))
-    monkeypatch.setattr(sv, "_slot", lambda *args: slots.append(args) or slot(*args))
+    selected, gates, moved = [], [], []
+    select = sv._Axes.select
+    monkeypatch.setattr(sv._Axes, "select",
+                        lambda self, *args: selected.append(args) or select(self, *args))
     for name, mod in list(sys.modules.items()):
+        if name.startswith("qdbsim") and hasattr(mod, "apply_gate"):
+            monkeypatch.setattr(mod, "apply_gate", lambda *args, **kw: gates.append(args))
         if name.startswith("qdbsim") and hasattr(mod, "move_amplitudes"):
             monkeypatch.setattr(mod, "move_amplitudes", lambda *args: moved.append(args))
     permuted = permute(db, perm)
-    assert (len(selected), slots, moved) == (branches, [], [])
+    assert (len(selected), gates, moved) == (branches, [], [])
     permuted.check()
     assert {j: permuted.descriptor.data_value(t) for j, t in perm.items()} == {
         j: db.descriptor.data_value(j) for j in perm}
     written = write(permuted, 1, "11")
-    assert (len(selected), slots, moved) == (branches + 2, [], [])
+    assert (len(selected), gates, moved) == (branches + 2, [], [])
     written.check()
 
 
@@ -1477,7 +1491,7 @@ def test_remove_projective_matches_the_full_projections_bit_for_bit(k, m, shape,
     elif shape == "imbalanced":
         db = extend_imbalanced(db, 6, 2)  # leaves a profile
     label = int(rng.choice(db.layout.labels[1:]))
-    hit = _register_scan(db.state, db.layout.index_qubits, db.layout.pattern(label))
+    hit = pattern_mask(db.state, db.layout.index_qubits, db.layout.pattern(label))
     p_fail = float(np.sum(np.abs(db.state.amplitudes[hit]) ** 2))
     out = remove_projective(db, label)
     assert out.success_probability == max(0.0, 1.0 - p_fail)

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_register_scan_matches_brute_force, random_state, signed_zero_state
+from conftest import (
+    assert_register_scan_matches_brute_force,
+    pattern_mask,
+    qubit_slot,
+    random_state,
+    signed_zero_state,
+)
 from qdbsim.circuit import Circuit, simulate
 from qdbsim.errors import CapacityError, SemanticError, ZeroProbabilityError
 from qdbsim.gates import GateSpec, h, phase, rot2, ry, swap, x, y
@@ -16,6 +22,8 @@ from qdbsim.qdb import prepare_general, read_copy
 from qdbsim.statevector import (
     EntanglementReport,
     StateVector,
+    _axes,
+    _exchange,
     add_ancillas,
     apply_gate,
     drop_qubits,
@@ -348,6 +356,18 @@ def test_sample_measure_deterministic_and_consistent():
     assert abs(collapsed1.amplitudes[expect]) == pytest.approx(1.0)
 
 
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), data=st.data())
+def test_sample_measure_collapses_as_project_does(seed, n, data):
+    # the collapsed state is the projection onto the outcome, bit for bit
+    qubits = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+    state = signed_zero_state(np.random.default_rng(seed), n)
+    bits, collapsed = sample_measure(state, qubits, seed)
+    outcome = sum(int(c) << i for i, c in enumerate(bits))
+    kept, _ = project(state, pattern_mask(state, qubits, outcome))
+    assert collapsed.amplitudes.tobytes() == kept.amplitudes.tobytes()
+
+
 def test_sample_measure_rejects_duplicates():
     s = StateVector.zero(2)
     with pytest.raises(SemanticError):
@@ -371,6 +391,20 @@ def test_drop_refuses_entangled_qubit():
     s = apply_gate(StateVector.zero(2), h(1))
     with pytest.raises(SemanticError):
         drop_qubits(s, [1])
+
+
+def test_drop_without_expecting_zero_refuses_a_state_it_would_empty():
+    # |01>: qubit 0 reads 1 everywhere, so dropping it keeps no weight
+    with pytest.raises(ZeroProbabilityError):
+        drop_qubits(StateVector.basis(2, 0b01), [0], expect_zero=False)
+
+
+@pytest.mark.parametrize("q", [0, 2, 4])
+def test_drop_without_expecting_zero_keeps_the_bits_it_kept(rng, q):
+    state = signed_zero_state(rng, 5)
+    kept = state.amplitudes.reshape(-1, 2 ** (q + 1))[:, :2**q].reshape(-1)
+    want = kept / np.linalg.norm(kept)
+    assert drop_qubits(state, [q], expect_zero=False).amplitudes.tobytes() == want.tobytes()
 
 
 def test_qubit_budget_enforced():
@@ -507,3 +541,47 @@ def test_schmidt_product_vs_entangled():
     assert rep.schmidt_rank == 2
     assert rep.entropy_bits == pytest.approx(1.0, abs=1e-9)
     assert rep.entangled
+
+
+@st.composite
+def _splits(draw):
+    """A width n, wires in any order (none to all of the qubits), a data
+    register on some of the rest, in any order (split, or above the wires),
+    and free qubits in neither."""
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(n)))
+    w = draw(st.integers(0, n))
+    d = draw(st.integers(0, n - w))
+    return n, tuple(order[:w]), tuple(order[w:w + d])
+
+
+def _place(value, qubits) -> int:
+    return sum((value >> b & 1) << q for b, q in enumerate(qubits))
+
+
+@settings(deadline=None, max_examples=200)
+@given(split=_splits(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_register_run_split_selects_the_qubit_views_slots(split, seed, data):
+    n, wires, reg = split
+    axes = _axes(wires, reg, n)
+    state = signed_zero_state(np.random.default_rng(seed), n)
+    amps = state.amplitudes
+    pattern = data.draw(st.integers(0, (1 << len(wires)) - 1), label="pattern")
+    got = axes.select(amps, pattern)
+    assert np.shares_memory(got, amps)  # a view, also with every axis fixed
+    assert got.tobytes() == qubit_slot(amps, wires, pattern).tobytes()
+    word = data.draw(st.integers(0, (1 << len(reg)) - 1), label="word")
+    at = _place(pattern, wires) | _place(word, reg)
+    assert got[axes.position(word)].tobytes() == amps[at:at + 1].tobytes()
+    if reg:  # what lies at data word w lands at w XOR word
+        assert (axes.moved(got, word).tobytes()
+                == qubit_slot(amps, wires, pattern, _place(word, reg)).tobytes())
+    if wires:
+        two = data.draw(st.integers(0, (1 << len(wires)) - 1), label="two")
+        traded, want = state.copy().amplitudes, state.copy().amplitudes
+        _exchange(traded, axes, pattern, two)
+        first, second = qubit_slot(want, wires, pattern), qubit_slot(want, wires, two)
+        held = first.copy()
+        first[...] = second
+        second[...] = held
+        assert traded.tobytes() == want.tobytes()

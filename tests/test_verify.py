@@ -89,26 +89,22 @@ def test_database_ops_check_catches_a_folded_write_outside_the_encoding(monkeypa
 
 
 def test_database_ops_check_catches_a_permute_that_moves_other_bits(monkeypatch):
-    import sys
-
     import qdbsim.qdb as qdb_mod
     import qdbsim.verify as verify_mod
 
-    entry = qdb_mod._entry
-    selected = []
+    exchange = qdb_mod._exchange
+    trades = []
 
-    def negated(state, *args):
+    def negated(amps, *args):
         # the route's right trades, one amplitude's sign flipped after the
-        # first: when permute selects the second trade's first branch
-        if sys._getframe(1).f_code is qdb_mod._permute.__code__:
-            selected.append(args)
-            if len(selected) == 3:
-                flat = state.amplitudes
-                flat[np.flatnonzero(flat)[0]] *= -1
-        return entry(state, *args)
+        # first: before permute's second trade selects its two branches
+        trades.append(args)
+        if len(trades) == 2:
+            amps[np.flatnonzero(amps)[0]] *= -1
+        exchange(amps, *args)
 
     assert "permute matches its routing gates" in verify_mod._check_db_ops()
-    monkeypatch.setattr(qdb_mod, "_entry", negated)
+    monkeypatch.setattr(qdb_mod, "_exchange", negated)
     with pytest.raises(VerificationError, match="^permute disagrees with its routing gates$"):
         verify_mod._check_db_ops()
 
