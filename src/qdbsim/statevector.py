@@ -461,7 +461,10 @@ def sample_measure(state: StateVector, qubits, seed) -> tuple[str, StateVector]:
             raise SemanticError(f"qubit {q} out of range")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     marginal = _register_scan(state, qubits)
-    marginal = marginal / marginal.sum()
+    total = marginal.sum()
+    if total < PROJECTION_ZERO_TOL:
+        raise ZeroProbabilityError(f"state weight {total:.3e} is numerically zero")
+    marginal = marginal / total
     outcome = int(rng.choice(len(marginal), p=marginal))
     collapsed, _ = _collapsed(state, qubits, outcome)
     bits = "".join(str((outcome >> i) & 1) for i in range(len(qubits)))

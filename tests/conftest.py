@@ -66,9 +66,11 @@ def random_state(rng, n_qubits: int) -> StateVector:
 
 def signed_zero_state(rng, n_qubits: int) -> StateVector:
     """Random amplitudes with a third of the real and imaginary parts set to
-    +0.0 or -0.0, so any arithmetic on them would show in the bits."""
+    +0.0 or -0.0, so any arithmetic on them would show in the bits. The real
+    part of amplitude 0 is never zeroed, so the vector always has weight."""
     parts = rng.normal(size=(2, 2**n_qubits))
     zero = rng.random(parts.shape) < 1 / 3
+    zero[0, 0] = False
     parts[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))
     return StateVector(parts[0] + 1j * parts[1], copy=False)
 

@@ -368,6 +368,11 @@ def test_sample_measure_collapses_as_project_does(seed, n, data):
     assert collapsed.amplitudes.tobytes() == kept.amplitudes.tobytes()
 
 
+def test_sample_measure_refuses_a_weightless_vector():
+    with pytest.raises(ZeroProbabilityError):
+        sample_measure(StateVector(np.zeros(4)), [0], seed=1)
+
+
 def test_sample_measure_rejects_duplicates():
     s = StateVector.zero(2)
     with pytest.raises(SemanticError):
