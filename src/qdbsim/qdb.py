@@ -17,11 +17,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .circuit import Circuit, GateRecord, _inverted_fields, _run_gates, simulate
+from .circuit import Circuit, GateRecord, _run_gates, simulate
 from .errors import SemanticError, VerificationError
 from .gates import GateSpec, rot2
 from .statevector import (
@@ -34,6 +35,7 @@ from .statevector import (
     _register_scan,
     _renormalized,
     _spread,
+    add_ancillas,
     apply_gate,
     schmidt,
     states_equal,
@@ -91,10 +93,11 @@ class _Derivable:
 class QdbDescriptor(_Derivable):
     """What a database holds: entry count, reservoir multiplicity, data map.
 
-    ``data`` maps entry labels to MSB-first bitstrings; absent labels hold the
-    all-zero word. Label 0 is the reservoir and must stay empty. ``u_d`` is an
-    optional basis-change circuit on the data register: entry j then stores
-    u_d|d_j> instead of |d_j>.
+    ``data`` maps entry labels, non-negative integers, to MSB-first
+    bitstrings; absent labels hold the all-zero word. Label 0 is the
+    reservoir and must stay empty. ``u_d`` is an optional basis-change
+    circuit on the data register, as wide as it and free of rot2 gates:
+    entry j then stores u_d|d_j> instead of |d_j>.
 
     A record is checked once, when it is built from raw parts: the
     constructor checks every word. As with ``Circuit``, a record derived from
@@ -119,6 +122,8 @@ class QdbDescriptor(_Derivable):
         cleaned: dict[int, str] = {}
         for label, bits in self.data.items():
             label = _integer(label, "data label")
+            if label < 0:
+                raise SemanticError(f"data label {label} is negative")
             if isinstance(bits, str):
                 value, width = _bits_to_int(bits), len(bits)
             else:
@@ -133,10 +138,13 @@ class QdbDescriptor(_Derivable):
                     f"data word {bits!r} wider than the {self.m_data}-bit data register")
             cleaned[label] = _int_to_bits(value, self.m_data)
         object.__setattr__(self, "data", cleaned)
-        if self.u_d is not None and self.u_d.n_qubits != self.m_data:
-            raise SemanticError(
-                f"data encoding circuit spans {self.u_d.n_qubits} qubits, "
-                f"register has {self.m_data}")
+        if self.u_d is not None:
+            if self.u_d.n_qubits != self.m_data:
+                raise SemanticError(
+                    f"data encoding circuit spans {self.u_d.n_qubits} qubits, "
+                    f"register has {self.m_data}")
+            if any(kind == "rot2" for kind, *_ in self.u_d._fields()):  # whole-register indices
+                raise SemanticError("a data encoding cannot hold rot2 gates")
 
     def data_value(self, label: int) -> int:
         # stored words were checked on the way in, so they are only parsed
@@ -212,8 +220,8 @@ class QdbLayout(_Derivable):
 
     ``index_qubits[i]`` holds bit i of the index pattern; ``data_qubits[b]``
     holds data bit b. ``logical_index_map`` sends entry labels to index
-    patterns; removals drop their label here, and the freed pattern stays
-    unused until a relabeling re-keys the survivors.
+    patterns (labels are non-negative); removals drop their label here, and
+    the freed pattern stays unused until a relabeling re-keys the survivors.
 
     Like ``QdbDescriptor``, a layout is checked whole only by its
     constructor; removal and growth derive theirs.
@@ -234,6 +242,8 @@ class QdbLayout(_Derivable):
             raise SemanticError("index and data registers overlap")
         if not self.index_qubits:
             raise SemanticError("a database needs an index register")
+        if self.logical_index_map and min(self.logical_index_map) < 0:
+            raise SemanticError(f"entry label {min(self.logical_index_map)} is negative")
         pats = list(self.logical_index_map.values())
         if len(set(pats)) != len(pats):
             raise SemanticError("two labels share one index pattern")
@@ -343,6 +353,10 @@ class QdbMeta(_Record, _Derivable):
     max_qubits: int = DEFAULT_MAX_QUBITS
 
 
+_META_FIELDS = tuple(f.name for f in fields(QdbMeta))
+_meta_values = operator.attrgetter(*_META_FIELDS)
+
+
 @dataclass
 class QdbState(_Record):
     """A live database: descriptor + layout + statevector + build circuit.
@@ -373,10 +387,7 @@ class QdbState(_Record):
     def meta(self) -> QdbMeta:
         # built as ``_derived`` builds records: these parts make a valid one
         meta = object.__new__(QdbMeta)
-        meta.__dict__.update(descriptor=self.descriptor, layout=self.layout,
-                             sensor_qubits=self.sensor_qubits, copy_qubits=self.copy_qubits,
-                             amplitude_profile=self.amplitude_profile,
-                             projective=self.projective, max_qubits=self.max_qubits)
+        meta.__dict__.update(zip(_META_FIELDS, _meta_values(self)))
         return meta
 
     def occupied_labels(self, tol: float = EMPTY_ENTRY_WEIGHT) -> tuple[int, ...]:
@@ -417,10 +428,8 @@ class QdbState(_Record):
         self.require_bare("check")
         if abs(self.state.norm() - 1.0) > tol:
             raise VerificationError(f"state norm {self.state.norm()} is off unit")
-        st = self.state
-        enc = _encoding(self.descriptor.u_d, st.n_qubits, self.layout.data_qubits)
-        if enc is not None:
-            st = simulate(enc.inverse(), st)
+        enc = _encoding(self.descriptor.u_d, self.n_qubits, self.layout.data_qubits)
+        st = self.state if enc is None else simulate(enc.inverse(), self.state)
         expected = self.expected_moduli()
         labels = list(expected)
         data = self.descriptor.data
@@ -469,9 +478,9 @@ def _advance(db: QdbState, meta: QdbMeta, circ: Circuit | None,
     if state is None:
         state = simulate(circ, db.state, max_qubits=meta.max_qubits)
     history = db.circuit if circ is None else _grow(db.circuit, circ)
-    return QdbState(meta.descriptor, meta.layout, state, history, meta.sensor_qubits,
-                    meta.copy_qubits, meta.amplitude_profile, meta.projective,
-                    meta.max_qubits)
+    out = object.__new__(QdbState)  # as ``_derived`` builds records: keywords cost more
+    out.__dict__.update(vars(meta), state=state, circuit=history)
+    return out
 
 
 def emit_meta(meta: QdbMeta) -> QdbMeta:
@@ -671,28 +680,50 @@ def pattern_permutation_circuit(mapping: dict[int, int], index_qubits,
 
 
 def _encoding(u_d: Circuit | None, n: int, *registers) -> Circuit | None:
-    """The data encoding E on an n-qubit register: u_d on each of
-    ``registers`` in turn (the data register, and any register such as the
-    sensor that holds a word the way the data register does). None when the
-    database has no encoding."""
+    """The data encoding E on an n-qubit register: u_d, labels too, on each
+    of ``registers`` in turn (the data register, and any register such as
+    the sensor that holds a word the way it does). None without an
+    encoding. A register is a layout's, as wide as u_d, and the descriptor
+    refused rot2, so each mapping is injective and in range and the gates
+    are built from u_d's fields unchecked (``GateSpec._built``)."""
     if u_d is None:
         return None
-    circ = Circuit(n)
-    for qubits in registers:
-        circ += u_d.remapped(dict(enumerate(qubits)), n)
-    return circ
+    steps = list(u_d._fields())
+    gates = [GateSpec._built(kind, params, tuple([qubits[t] for t in targets]),
+                             tuple([(qubits[q], bit) for q, bit in controls]))
+             for qubits in registers for kind, params, targets, controls in steps]
+    labels = {qubits[q]: lab for qubits in registers for q, lab in u_d.labels.items()}
+    return Circuit._joined(n, (gates,), labels, len(gates))
 
 
 def _decoded(circ: Circuit, encoding: Circuit | None) -> Circuit:
     """``circ``, written for computational words, made to act inside the
     data encoding: E^-1 + circ + E, or ``circ`` itself with no encoding.
-
-    The paper stores entry j's word as u_d|d_j> and defines its operations on
-    computational words, so every operation that reads or changes a word
+    The paper stores entry j's word as u_d|d_j> and defines its operations
+    on computational words, so every op that reads or changes a word
     (write, copy-read, removal's merge, growth's reservoir phases) runs in
-    this frame.
-    """
+    this frame."""
     return circ if encoding is None else encoding.inverse() + circ + encoding
+
+
+def _decode(db: QdbState, n: int) -> tuple[StateVector, Circuit | None]:
+    """The one working copy of ``db``'s state that an effect changes in
+    place, widened to ``n`` qubits by ``add_ancillas``, its words
+    computational: E^-1 simulated on the state, under an encoding. Returned
+    with E on ``db``'s qubits, which ``_encode`` then runs on the copy; a
+    copy-read runs its own, widened, E."""
+    enc = _encoding(db.descriptor.u_d, db.n_qubits, db.layout.data_qubits)
+    state = db.state if enc is None else simulate(enc.inverse(), db.state)
+    if state is db.state or n > db.n_qubits:  # ``simulate`` made no copy of this width
+        state = add_ancillas(state, n - db.n_qubits, max_qubits=db.max_qubits)
+    return state, enc
+
+
+def _encode(state: StateVector, enc: Circuit | None) -> StateVector:
+    """``state`` with the encoding ``enc`` run on it in place, if any."""
+    if enc is not None:
+        _run_gates(state, enc.gates)
+    return state
 
 
 def _data_write_steps(descriptor: QdbDescriptor, layout: QdbLayout):
@@ -811,6 +842,8 @@ def preparation_circuit(descriptor: QdbDescriptor, layout: QdbLayout) -> Circuit
     if len(labels) != descriptor.k:
         raise SemanticError(
             f"layout tracks {len(labels)} labels, descriptor says {descriptor.k}")
+    if len(layout.data_qubits) != descriptor.m_data:  # the words' and u_d's width
+        raise SemanticError(f"the layout's data register is not {descriptor.m_data} qubits")
     n = layout.n_qubits
     width = max(max(layout.index_qubits), max(layout.data_qubits, default=-1)) + 1
     if width != n:
@@ -990,72 +1023,58 @@ def write_meta(meta: QdbMeta, label: int, word: int | str, *,
                          sensor_qubits=_fresh_register(meta.layout) if keep_sensor else ())
 
 
-def _sensor_prep_steps(value: int, sensor, enc_s: Circuit | None):
+def _sensor_prep_steps(value: int, sensor):
     """The fields (``GateRecord``) of the sensor's preparation in |value>:
-    one ``x`` per set bit, then ``enc_s`` (u_d on the sensor), if any."""
+    one ``x`` per set bit."""
     for b, q in enumerate(sensor):
         if (value >> b) & 1:
             yield "x", (), (q,), ()
-    if enc_s is not None:
-        yield from enc_s._fields()
 
 
-def _write_core_steps(swap: bool, pattern: int, wires, sensor, data, enc: Circuit | None):
+def _write_core_steps(swap: bool, pattern: int, wires, sensor, data):
     """The fields (``GateRecord``) of a write's core, between the sensor's
     preparation and, for a folded write, its undoing. Its controls read the
     entry's index ``pattern`` on ``wires``, the index register. With
     ``swap`` (``write_swap_conditional``) each data bit swaps with its
-    sensor bit under them. Otherwise each data bit toggles under them and
-    its sensor bit, inside ``enc`` (u_d on the sensor, then on the data
-    register), if any."""
+    sensor bit under them; otherwise each data bit toggles under them and
+    its sensor bit."""
     ctrls = tuple([(q, (pattern >> i) & 1) for i, q in enumerate(wires)])
     if swap:
         for b, dq in enumerate(data):
             yield "swap", (), (dq, sensor[b]), ctrls
         return
-    toggles = [("x", (), (dq,), ctrls + ((sensor[b], 1),)) for b, dq in enumerate(data)]
-    if enc is None:
-        yield from toggles
-        return
-    encode = list(enc._fields())
-    yield from _inverted_fields(encode)
-    yield from toggles
-    yield from encode
+    for b, dq in enumerate(data):
+        yield "x", (), (dq,), ctrls + ((sensor[b], 1),)
 
 
 def _write_circuit(db: QdbState, mode: str, label: int, value: int) -> Circuit:
     """The build circuit of a write of ``value`` into entry ``label``, with
     the sensor where the transition placed it (``_attached``), as
-    records whose gates are made only when asked for: the sensor's
-    preparation (``_sensor_prep_steps``), the core (``_write_core_steps``:
-    swaps for ``mode`` "swap", toggles for "keep" and "write") and, for
-    "write", the preparation's inverse, so the sensor ends in |0>. The
-    preparation and the core are records of their own because a long script
-    repeats each far more often than their pairs, and ``emit_text`` renders
-    each distinct record once. The labels mark the sensor, then take the
-    encodings' labels."""
+    records of words and wires whose gates are made only when asked for:
+    the sensor's preparation (``_sensor_prep_steps``), the core
+    (``_write_core_steps``: swaps for ``mode`` "swap", toggles for "keep"
+    and "write") and, for "write", the preparation's inverse, so the sensor
+    ends in |0>. The preparation and the core are records of their own
+    because a long script repeats each far more often than their pairs, and
+    ``emit_text`` renders each distinct record once. Under an encoding, u_d
+    on the sensor follows the preparation, and the toggles run inside E on
+    the sensor and data registers (``_decoded``)."""
     sensor = _attached(db)
     n = sensor[-1] + 1
     u_d, data = db.descriptor.u_d, db.layout.data_qubits
-    enc_s = enc = None
-    labels = {q: "S" for q in sensor}
     prep_size, core_size = value.bit_count(), len(data)
-    if u_d is not None:
-        enc_s = _encoding(u_d, n, sensor)
-        enc = None if mode == "swap" else _encoding(u_d, n, sensor, data)
-        labels.update(enc_s.labels)
-        prep_size += len(enc_s)
-        if enc is not None:
-            labels.update(enc.labels)
-            core_size += 2 * len(enc)
-    prep = GateRecord(_sensor_prep_steps, (value, sensor, enc_s), prep_size)
+    prep = GateRecord(_sensor_prep_steps, (value, sensor), prep_size)
     core = GateRecord(_write_core_steps, (mode == "swap", db.layout.pattern(label),
-                                          db.layout.index_qubits, sensor, data, enc),
-                      core_size)
-    if mode == "write":
-        return Circuit._joined(n, (prep, core, prep.inverse()), labels,
-                               2 * prep_size + core_size)
-    return Circuit._joined(n, (prep, core), labels, prep_size + core_size)
+                                          db.layout.index_qubits, sensor, data), core_size)
+    labels = {q: "S" for q in sensor}
+    if u_d is None:
+        parts = (prep, core, prep.inverse()) if mode == "write" else (prep, core)
+        return Circuit._joined(n, parts, labels, (len(parts) - 1) * prep_size + core_size)
+    prep = Circuit._joined(n, (prep,), labels, prep_size) + _encoding(u_d, n, sensor)
+    core = Circuit._joined(n, (core,), {}, core_size)
+    if mode != "swap":
+        core = _decoded(core, _encoding(u_d, n, sensor, data))
+    return prep + core + prep.inverse() if mode == "write" else prep + core
 
 
 def _write_folded(db: QdbState, label: int, value: int, old: int) -> StateVector:
@@ -1063,29 +1082,22 @@ def _write_folded(db: QdbState, label: int, value: int, old: int) -> StateVector
     bit of ``value``, so data bit b toggles on the entry's pattern exactly
     when bit b of ``value`` is set, inside the data encoding, if any.
 
-    The fold reads the entry from its source, the input state (its decoded
-    copy under an encoding), and checks in order:
-
-    * that the entry is occupied (SemanticError), from its branch;
-    * after the move, that the amplitude at the entry's ``old`` word in the
-      source's branch has reached its new word in the copy's
-      (VerificationError).
-
-    The occupancy check selects the entry's branch of the source once
-    (``_entry``); the toggles write it, moved by ``value`` along the data
-    axes (``statevector._Axes.moved``), into the branch of the source's copy.
+    The fold selects the entry's branch of the state's working copy
+    (``_decode``) once, and checks in order that the entry is occupied
+    (SemanticError), then that the branch moved by ``value`` along the data
+    axes (``statevector._Axes.moved``) holds at the entry's new word what
+    the branch held at its ``old`` word (VerificationError). The moved
+    branch is written over the branch, and E runs on the copy (``_encode``).
     """
-    layout, u_d = db.layout, db.descriptor.u_d
-    enc = None if u_d is None else _encoding(u_d, db.n_qubits, layout.data_qubits)
-    source = db.state if enc is None else simulate(enc.inverse(), db.state)
-    entry = _check_occupied(source, layout, label)
-    axes = _axes(layout.index_qubits, layout.data_qubits, source.n_qubits)
-    state = source.copy()
-    branch = axes.select(state.amplitudes, layout.pattern(label))
-    branch[...] = axes.moved(entry, value)
-    if abs(branch[axes.position(old ^ value)] - entry[axes.position(old)]) > STATE_TOL:
+    layout = db.layout
+    state, enc = _decode(db, db.n_qubits)
+    branch = _check_occupied(state, layout, label)
+    axes = _axes(layout.index_qubits, layout.data_qubits, state.n_qubits)
+    moved = axes.moved(branch, value)
+    if abs(moved[axes.position(old ^ value)] - branch[axes.position(old)]) > STATE_TOL:
         raise VerificationError(f"write left entry {label}'s amplitude behind")
-    return state if enc is None else simulate(enc, state)
+    branch[...] = moved
+    return _encode(state, enc)
 
 
 def write(db: QdbState, label: int, word: int | str, *,
@@ -1115,7 +1127,7 @@ def write(db: QdbState, label: int, word: int | str, *,
     within ``WRITE_PURITY_TOL`` of 1, VerificationError otherwise).
 
     Under a data encoding the toggles run inside it on the data and sensor
-    registers, as ``_decoded`` would place them.
+    registers (``_decoded``).
     """
     return _write(db, write_meta(db.meta, label, word, keep_sensor=keep_sensor), label)
 
@@ -1195,50 +1207,37 @@ def _copy_data(db: QdbState, new: QdbMeta, label: int | None = None) -> QdbState
     gates = [GateSpec._built("x", (), (out[b],), ctrls + ((dq, 1),))
              for b, dq in enumerate(data)]
     circ = Circuit._joined(n, (gates,), {q: "A" for q in out}, len(gates))
-    return _advance(db, new, _decoded(circ, _encoding(db.descriptor.u_d, n, data)),
-                    _copy_folded(db, n, out, ctrls))
+    enc = _encoding(db.descriptor.u_d, n, data)
+    state = _decode(db, n)[0]
+    _copy_folded(db, state, out, ctrls)
+    return _advance(db, new, _decoded(circ, enc), _encode(state, enc))
 
 
-def _copy_folded(db: QdbState, n: int, out, ctrls) -> StateVector:
-    """The copy's CNOT fan-out on the state widened to ``n`` qubits, written
-    directly rather than simulated over the whole widened array.
+def _copy_folded(db: QdbState, state: StateVector, out, ctrls):
+    """The copy's CNOT fan-out, written directly into ``state``, the
+    working copy (``_decode``) widened by the copy register ``out``, rather
+    than simulated over the whole widened array.
 
-    The copy register ``out`` starts in |0>, so the CNOTs send the amplitude
-    at index i of the source (the input state, decoded under an encoding)
-    to i with each data bit b copied onto ``out[b]``, on the indices that
-    match ``ctrls``, and leave +0.0 behind. An index whose word is 0 does
-    not move, and one whose amplitude's bits are all zero would only move
-    +0.0 onto +0.0, so neither is touched; unencoded, the result equals the
-    CNOTs' bits exactly. Only the low block, the source's copy, and the
-    pages the moved amplitudes land on are written. Under an encoding, the
-    encoding is then run on the widened state in place, which keeps the
-    peak at one widened array.
-    """
-    if db.n_qubits > n:
-        raise SemanticError(f"state has {db.n_qubits} qubits, circuit needs {n}")
-    u_d, data = db.descriptor.u_d, db.layout.data_qubits
-    src = db.state
-    if u_d is not None:
-        src = simulate(_encoding(u_d, db.n_qubits, data).inverse(), src)
-    amps = src.amplitudes
+    The copy register starts in |0>, so the CNOTs send the amplitude at
+    index i of the low block to i with each data bit b copied onto
+    ``out[b]``, on the indices that match ``ctrls``, and leave +0.0 behind.
+    An index whose word is 0 does not move, and one whose amplitude's bits
+    are all zero would only move +0.0 onto +0.0, so neither is touched;
+    unencoded, the result equals the CNOTs' bits exactly."""
+    wide = state.amplitudes
+    amps = wide[:db.state.dim]
     bits = amps.view(np.uint64)  # an amplitude's real then imaginary part
-    idx = np.flatnonzero(bits[0::2] | bits[1::2])
+    idx = np.flatnonzero((bits[0::2] != 0) | (bits[1::2] != 0))  # boolean temporaries
     if ctrls:
         cmask = sum(1 << q for q, _ in ctrls)
         idx = idx[idx & cmask == sum(bit << q for q, bit in ctrls)]
     mask = np.zeros_like(idx)
-    for b, dq in enumerate(data):
+    for b, dq in enumerate(db.layout.data_qubits):
         mask |= (idx >> dq & 1) << out[b]
     moved = mask != 0
     idx, mask = idx[moved], mask[moved]
-    wide = np.zeros(2**n, dtype=complex)
-    wide[:amps.size] = amps
     wide[idx | mask] = amps[idx]
     wide[idx] = 0
-    state = StateVector(wide, copy=False)
-    if u_d is not None:
-        _run_gates(state, _encoding(u_d, n, data).gates)
-    return state
 
 
 def read_copy(db: QdbState, label: int) -> QdbState:
@@ -1356,16 +1355,15 @@ def remove_reservoir(db: QdbState, label: int) -> QdbState:
 
 def _remove_reservoir(db: QdbState, new: QdbMeta, label: int) -> QdbState:
     """Effect of ``remove_reservoir``; ``write``'s effect clears the word.
-    The merge, then the encoding, run in place on the one decoded copy."""
+    The merge runs in place on the state's one working copy (``_decode``),
+    and E then runs on it in place (``_encode``)."""
     value = db.descriptor.data_value(label)
     if value:  # refuses an entry that carries no amplitude
         db = _write(db, db.meta._derived(descriptor=db.descriptor.with_data_value(label, 0)),
                     label)
     else:
         _check_occupied(db.state, db.layout, label)
-    n = db.n_qubits
-    enc = _encoding(db.descriptor.u_d, n, db.layout.data_qubits)
-    state = db.state.copy() if enc is None else simulate(enc.inverse(), db.state)
+    state, enc = _decode(db, db.n_qubits)
     a_idx = db.layout.physical_index(0, 0)
     b_idx = db.layout.physical_index(label, 0)
     a = complex(state.amplitudes[a_idx])
@@ -1376,9 +1374,7 @@ def _remove_reservoir(db: QdbState, new: QdbMeta, label: int) -> QdbState:
             raise SemanticError("entry phases are not aligned; cannot merge unitarily")
     merge = rot2(a_idx, b_idx, -math.atan2(abs(b), abs(a)))
     apply_gate(state, merge, out=state)
-    if enc is not None:
-        _run_gates(state, enc.gates)
-    return _advance(db, new, _decoded(Circuit(n, [merge]), enc), state)
+    return _advance(db, new, _decoded(Circuit(db.n_qubits, [merge]), enc), _encode(state, enc))
 
 
 def remove_projective_meta(meta: QdbMeta, label: int) -> tuple[float, QdbMeta | None]:

@@ -12,11 +12,13 @@ Conventions
   writes the state it is given. ``circuit.simulate`` makes one copy of its
   input, widened by ``add_ancillas`` when the circuit is wider, and updates
   that copy in place through them; an op that only moves amplitudes copies
-  its input once and moves entry branches within the copy (``qdb.permute``)
-  or into it from the input (``qdb.write``'s fold, one branch), and a
-  copy-read (``qdb.read_copy``, ``read_copy_all``) copies its
+  its input once and moves entry branches within the copy (``qdb.permute``,
+  and ``qdb.write``'s fold, one branch, which reads it from the copy), and
+  a copy-read (``qdb.read_copy``, ``read_copy_all``) copies its
   input once into the low block of a zeroed wider array and scatters the
-  copied amplitudes from there.
+  copied amplitudes from there. Under a data encoding, the fold and a
+  removal's merge work on ``simulate``'s copy of the decoded input, and
+  every such op encodes its result in place (``qdb._decode``).
 * Every slice is a view taken by one selector, ``_Axes.select``: the
   amplitudes split by register runs (``_axes``), some wires fixed to one
   pattern. A gate (every kind but rot2, which names two basis indices)

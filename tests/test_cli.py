@@ -174,7 +174,7 @@ def test_run_produces_expected_artifacts(tmp_path, capsys):
 
 
 def test_a_script_builds_each_layouts_entry_axes_once(tmp_path, capsys, monkeypatch):
-    # writes select two branches and permutes two per transposition, all
+    # writes select one branch and permutes two per transposition, all
     # through one memoized split per layout (``statevector._axes``): before
     # and after the extend. Gates split by their own wires, with no data.
     sv = importlib.import_module("qdbsim.statevector")
@@ -205,8 +205,8 @@ def test_a_script_builds_each_layouts_entry_axes_once(tmp_path, capsys, monkeypa
     assert run_cli("run", str(write_script(tmp_path, "\n".join(lines) + "\n")),
                    "--out", str(tmp_path / "out")) == 0
     sv._axes.cache_clear()  # no spied split outlives the test
-    # a folded write selects two branches, a 2-cycle permute two
-    assert sum(1 for data in selected if data) >= 2 * (len(lines) - 2)
+    # a folded write selects one branch, a 2-cycle permute two
+    assert sum(1 for data in selected if data) >= len(lines) - 2
     assert sum(1 for data in built if data) <= 2
     capsys.readouterr()
 
@@ -297,6 +297,16 @@ def test_a_data_encoding_with_a_bad_parameter_is_refused(tmp_path, capsys, gate,
     # the script's line, then the file and the gate's line in it
     assert "line 2: data-encoding circuit u.txt, line 3: " in err
     assert why in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_data_encoding_with_rot2_fails_its_prepare_line(tmp_path, capsys):
+    # the dry run refuses it on line 1, before the unknown label of line 2
+    (tmp_path / "u.txt").write_text("qubits 2\nrot2(0,3,0.4)\n")
+    script = write_script(tmp_path, "prepare k=4 m=2 u_d=u.txt\nwrite j=9 d=01\n")
+    assert run_cli("run", str(script), "--out", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert "prepare (line 1): a data encoding cannot hold rot2 gates" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -12,6 +12,7 @@ from qdbsim.errors import CapacityError, SemanticError
 from qdbsim.extend import extend, extend_imbalanced, transfer
 from qdbsim.gates import phase, ry, x
 from qdbsim.qdb import (
+    _encoding,
     permute,
     prepare_general,
     read_copy,
@@ -118,3 +119,22 @@ def test_operations_act_inside_the_encoding(u_d, k, data):
             plain.sensor_qubits, plain.copy_qubits)
         err = np.max(np.abs(encoded.state.amplitudes - _encoded_view(plain, u_d)))
         assert err <= STATE_TOL, (name, err)
+
+
+@settings(deadline=None, max_examples=50)
+@given(u_d=encodings(), labeled=st.booleans(), data=st.data())
+def test_the_encoding_places_u_d_as_remapped_would(u_d, labeled, data):
+    # E is built from u_d's fields; ``remapped``, which checks every gate,
+    # is the reference, with u_d's labels carried to each register
+    m = u_d.n_qubits
+    if labeled:
+        u_d = Circuit(m, u_d.gates, {0: "D"})
+    n = 2 * m + 1
+    wires = data.draw(st.permutations(range(n)), label="wires")
+    registers = (tuple(wires[:m]), tuple(wires[m:2 * m]))
+    want = Circuit(n)
+    for qubits in registers:
+        want += u_d.remapped(dict(enumerate(qubits)), n)
+    assert _encoding(u_d, n, *registers) == want
+    assert _encoding(u_d, n, registers[0]) == u_d.remapped(dict(enumerate(registers[0])), n)
+    assert _encoding(None, n, *registers) is None

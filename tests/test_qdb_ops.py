@@ -291,6 +291,56 @@ def test_prepare_with_data_encoding_circuit():
     assert abs(abs(minus) - math.sqrt(1 / 3)) < 1e-12
 
 
+def test_a_data_encoding_with_rot2_is_refused_before_anything_runs():
+    # rot2 names basis indices of a whole register, and the data register
+    # never is one: the record refuses it, so no transition accepts what an
+    # effect would refuse
+    u_d = Circuit(2, [ry(0, 0.3), GateSpec("rot2", (0, 3, 0.4))])
+    with pytest.raises(SemanticError, match="rot2"):
+        prepare_meta(4, 0, {1: 1}, m_data=2, u_d=u_d)
+    with pytest.raises(SemanticError, match="rot2"):
+        QdbDescriptor(4, 0, {1: "01"}, u_d=u_d, m_data=2)
+    text = QdbDescriptor(4, 0, {1: "01"}, u_d=Circuit(2, [ry(0, 0.3)]), m_data=2).to_json()
+    with pytest.raises(SemanticError, match="rot2"):
+        QdbDescriptor.from_json(text.replace("ry(0.3) q[0]", "rot2(0,3,0.4)"))
+
+
+def test_labels_are_non_negative():
+    # a label of -1 would be re-keyed by relabel_contiguous onto label 0,
+    # the reservoir, with its word
+    with pytest.raises(SemanticError, match="negative"):
+        QdbLayout((0, 1), (2,), {-1: 0, 1: 1, 2: 2})
+    for word in ("1", "0"):
+        with pytest.raises(SemanticError, match="negative"):
+            QdbDescriptor(3, 0, {-1: word}, m_data=1)
+    with pytest.raises(SemanticError, match="negative"):
+        QdbDescriptor.from_json('{"k": 3, "l": 0, "data": {"-1": "1"}, "m_data": 1}')
+
+
+def test_an_encoded_effect_decodes_once_and_encodes_in_place(monkeypatch):
+    # a folded write, a removal's merge and a copy-read each simulate E^-1
+    # on the state once, and run E in place on the copy the op returns (the
+    # copy-read on that copy widened by its copy register)
+    qdb = importlib.import_module("qdbsim.qdb")
+    db = prepare_general(4, 0, {1: "1"}, m_data=1, u_d=RY_ENCODING)
+    simulated, ran = [], []
+    real_simulate, real_run = qdb.simulate, qdb._run_gates
+    monkeypatch.setattr(qdb, "simulate", lambda circ, *args, **kw: (
+        simulated.append(circ) or real_simulate(circ, *args, **kw)))
+    monkeypatch.setattr(qdb, "_run_gates", lambda state, gates: (
+        ran.append((state, list(gates))) or real_run(state, gates)))
+    for op in (lambda d: write(d, 2, "1"), lambda d: remove_reservoir(d, 3),
+               lambda d: read_copy(d, 1)):
+        simulated.clear(), ran.clear()
+        before, db = db, op(db)
+        data = db.layout.data_qubits
+        assert simulated == [_encoding(RY_ENCODING, before.n_qubits, data).inverse()]
+        ((encoded, gates),) = ran
+        assert encoded is db.state
+        assert gates == _encoding(RY_ENCODING, db.n_qubits, data).gates
+    assert state_matches_oracle(db) < 1e-12
+
+
 def test_prepare_balanced_matches_general_route_exactly():
     bal = prepare_balanced(8)
     gen = prepare_general(8)
@@ -334,6 +384,15 @@ def test_preparation_circuit_rebuilds_holey_layouts():
     survivor = out.success_state
     circ = preparation_circuit(survivor.descriptor, survivor.layout)
     assert states_equal(simulate(circ), survivor.state, tol=1e-9)
+
+
+@pytest.mark.parametrize("u_d", [None, Circuit(2, [ry(1, 0.3)])], ids=["plain", "encoded"])
+def test_preparation_circuit_needs_a_data_register_as_wide_as_the_words(u_d):
+    # a one-qubit data register would drop the word's high bit, or the
+    # encoding's second qubit
+    layout = QdbLayout((0, 1), (2,), {0: 0, 1: 1, 2: 2})
+    with pytest.raises(SemanticError, match="data register is not 2 qubits"):
+        preparation_circuit(QdbDescriptor(3, 0, {1: "11"}, u_d=u_d, m_data=2), layout)
 
 
 # --- write -------------------------------------------------------------------
@@ -1281,8 +1340,8 @@ def test_permute_guards():
 @pytest.mark.parametrize("perm,branches", [({1: 2, 2: 1}, 2), ({1: 2, 2: 3, 3: 1}, 4)],
                          ids=["2-cycle", "3-cycle"])
 def test_permute_trades_two_slots_per_transposition(monkeypatch, perm, branches):
-    # two entry selections per transposition of the recorded plan; neither a
-    # permute nor a folded write applies a gate or moves a table
+    # two entry selections per transposition of the recorded plan and one
+    # per folded write; neither applies a gate or moves a table
     sv = importlib.import_module("qdbsim.statevector")
     db = prepare_general(4, 0, {1: "01", 2: "10", 3: "11"}, m_data=2)
     selected, gates, moved = [], [], []
@@ -1300,7 +1359,7 @@ def test_permute_trades_two_slots_per_transposition(monkeypatch, perm, branches)
     assert {j: permuted.descriptor.data_value(t) for j, t in perm.items()} == {
         j: db.descriptor.data_value(j) for j in perm}
     written = write(permuted, 1, "11")
-    assert (len(selected), gates, moved) == (branches + 2, [], [])
+    assert (len(selected), gates, moved) == (branches + 1, [], [])
     written.check()
 
 
@@ -1768,13 +1827,14 @@ def _records(circ):
             if type(part) is GateRecord and part.table() is None]
 
 
-def _write_gates_built_at_once(db, label, value, mode):
-    """The gates a write recorded as records, built as ``write`` and
+def _write_gates_built_at_once(db, label, value, mode, u_d):
+    """The gates of a write, built as ``write`` and
     ``write_swap_conditional`` built them before records: the sensor
-    prepared in |value> and encoded, then one swap per data bit ("swap") or
-    the toggles inside the encoding of sensor and data, then, for a folded
-    write ("write"), the preparation undone."""
-    data, u_d = db.layout.data_qubits, db.descriptor.u_d
+    prepared in |value> and encoded by ``u_d``, then one swap per data bit
+    ("swap") or the toggles inside the encoding of sensor and data, then,
+    for a folded write ("write"), the preparation undone. With ``u_d``
+    None, the gates its records hold."""
+    data = db.layout.data_qubits
     sensor = tuple(range(db.n_qubits, db.n_qubits + len(data)))
     n = sensor[-1] + 1
     ctrls = db.layout.pattern_controls(label)
@@ -1817,12 +1877,15 @@ def test_records_hold_the_gates_their_ops_would_build(data):
     else:
         written = write(moved, label, word, keep_sensor=mode == "keep")
     # the sensor's preparation, the core and, for a folded write, the
-    # preparation undone
+    # preparation undone, records of words and wires; an encoding's gates
+    # sit between them, outside the records
     records = _records(written.circuit)[len(_records(moved.circuit)):]
     assert len(records) == (3 if mode == "write" else 2)
     assert all(len(rec) == len(rec.gates) for rec in records)
     assert [g for rec in records for g in rec.gates] == _write_gates_built_at_once(
-        moved, label, word, mode)
+        moved, label, word, mode, None)
+    assert written.circuit.gates[len(moved.circuit):] == _write_gates_built_at_once(
+        moved, label, word, mode, u_d)
     # the history inverted keeps its records in reverse order, each one read
     # the other way, and stands for the inverse of its gates, which it emits
     history = written.circuit
