@@ -32,6 +32,7 @@ from .statevector import (
     _check_budget,
     _collapsed,
     _exchange,
+    _ranks,
     _register_scan,
     _renormalized,
     _spread,
@@ -996,10 +997,10 @@ def _word_value(meta: QdbMeta, label: int, word: int | str) -> int:
 
 def _entry(state: StateVector, layout: QdbLayout, pattern: int) -> np.ndarray:
     """The branch of ``state`` on which the index register reads ``pattern``,
-    a view through the layout's split (``statevector._axes``). Every entry
-    op selects its entry here."""
-    axes = _axes(layout.index_qubits, layout.data_qubits, state.n_qubits)
-    return axes.select(state.amplitudes, pattern)
+    a view through the split by the index wires (``statevector._axes``).
+    Every entry op selects its entry here; flattened, the branch holds a
+    data word at the position ``_spread(word, _ranks(index, data))``."""
+    return _axes(layout.index_qubits, state.n_qubits).select(state.amplitudes, pattern)
 
 
 def _check_occupied(state: StateVector, layout: QdbLayout, label: int) -> np.ndarray:
@@ -1083,20 +1084,23 @@ def _write_folded(db: QdbState, label: int, value: int, old: int) -> StateVector
     when bit b of ``value`` is set, inside the data encoding, if any.
 
     The fold selects the entry's branch of the state's working copy
-    (``_decode``) once, and checks in order that the entry is occupied
-    (SemanticError), then that the branch moved by ``value`` along the data
-    axes (``statevector._Axes.moved``) holds at the entry's new word what
-    the branch held at its ``old`` word (VerificationError). The moved
-    branch is written over the branch, and E runs on the copy (``_encode``).
+    (``_decode``) once and flattens it, where a data word w sits at
+    ``_spread(w, ranks)`` (``statevector._ranks``). It checks in order that
+    the entry is occupied (SemanticError), then that the branch moved by
+    one XOR index, what lies at f landing at f XOR ``_spread(value,
+    ranks)``, holds at the entry's new word what the branch held at its
+    ``old`` word (VerificationError). The moved branch is written over the
+    branch, and E runs on the copy (``_encode``).
     """
     layout = db.layout
     state, enc = _decode(db, db.n_qubits)
     branch = _check_occupied(state, layout, label)
-    axes = _axes(layout.index_qubits, layout.data_qubits, state.n_qubits)
-    moved = axes.moved(branch, value)
-    if abs(moved[axes.position(old ^ value)] - branch[axes.position(old)]) > STATE_TOL:
+    ranks = _ranks(layout.index_qubits, layout.data_qubits)
+    flat = branch.reshape(-1)
+    moved = flat[np.arange(flat.size) ^ _spread(value, ranks)]
+    if abs(moved[_spread(old ^ value, ranks)] - flat[_spread(old, ranks)]) > STATE_TOL:
         raise VerificationError(f"write left entry {label}'s amplitude behind")
-    branch[...] = moved
+    branch[...] = moved.reshape(branch.shape)
     return _encode(state, enc)
 
 
@@ -1198,10 +1202,11 @@ def _copy_data(db: QdbState, new: QdbMeta, label: int | None = None) -> QdbState
     recorded CNOT per data bit onto ``new``'s copy register, under entry
     ``label``'s pattern (``_attached`` places it, as the transition did),
     once the entry is found occupied (``_copy_folded``)."""
-    out, ctrls = _attached(db), ()
+    out, ctrls, wires, pattern = _attached(db), (), (), 0
     if label is not None:
         _check_occupied(db.state, db.layout, label)
         ctrls = db.layout.pattern_controls(label)
+        wires, pattern = db.layout.index_qubits, db.layout.pattern(label)
     n = out[-1] + 1
     data = db.layout.data_qubits
     gates = [GateSpec._built("x", (), (out[b],), ctrls + ((dq, 1),))
@@ -1209,34 +1214,39 @@ def _copy_data(db: QdbState, new: QdbMeta, label: int | None = None) -> QdbState
     circ = Circuit._joined(n, (gates,), {q: "A" for q in out}, len(gates))
     enc = _encoding(db.descriptor.u_d, n, data)
     state = _decode(db, n)[0]
-    _copy_folded(db, state, out, ctrls)
+    _copy_folded(db, state, out, wires, pattern)
     return _advance(db, new, _decoded(circ, enc), _encode(state, enc))
 
 
-def _copy_folded(db: QdbState, state: StateVector, out, ctrls):
+def _copy_folded(db: QdbState, state: StateVector, out, wires, pattern: int):
     """The copy's CNOT fan-out, written directly into ``state``, the
     working copy (``_decode``) widened by the copy register ``out``, rather
     than simulated over the whole widened array.
 
     The copy register starts in |0>, so the CNOTs send the amplitude at
     index i of the low block to i with each data bit b copied onto
-    ``out[b]``, on the indices that match ``ctrls``, and leave +0.0 behind.
-    An index whose word is 0 does not move, and one whose amplitude's bits
-    are all zero would only move +0.0 onto +0.0, so neither is touched;
-    unencoded, the result equals the CNOTs' bits exactly."""
+    ``out[b]``, on the branch where ``wires`` read ``pattern`` (the whole
+    low block when there are no wires), and leave +0.0 behind. Only that
+    branch is scanned: its flat position f lies at the index
+    ``_spread(pattern, wires) | _spread(f, free)``, the free qubits in
+    ascending order (``statevector._Axes``), and only the amplitudes that
+    move are written, by those indices. An index whose word is 0 does not
+    move, and one whose amplitude's bits are all zero would only move +0.0
+    onto +0.0, so neither is touched; unencoded, the result equals the
+    CNOTs' bits exactly."""
     wide = state.amplitudes
-    amps = wide[:db.state.dim]
-    bits = amps.view(np.uint64)  # an amplitude's real then imaginary part
+    axes = _axes(wires, db.n_qubits)
+    branch = np.ascontiguousarray(axes.select(wide[:db.state.dim], pattern)).reshape(-1)
+    bits = branch.view(np.uint64)  # an amplitude's real then imaginary part
     idx = np.flatnonzero((bits[0::2] != 0) | (bits[1::2] != 0))  # boolean temporaries
-    if ctrls:
-        cmask = sum(1 << q for q, _ in ctrls)
-        idx = idx[idx & cmask == sum(bit << q for q, bit in ctrls)]
+    if wires:  # else a flat position is the index itself
+        idx = _spread(pattern, wires) | _spread(idx, axes.free)
     mask = np.zeros_like(idx)
     for b, dq in enumerate(db.layout.data_qubits):
         mask |= (idx >> dq & 1) << out[b]
     moved = mask != 0
     idx, mask = idx[moved], mask[moved]
-    wide[idx | mask] = amps[idx]
+    wide[idx | mask] = wide[idx]
     wide[idx] = 0
 
 
@@ -1250,9 +1260,10 @@ def read_copy(db: QdbState, label: int) -> QdbState:
     the copy register holds the word unencoded.
 
     The build circuit records the CNOTs; the entry's amplitudes are scattered
-    to their copy blocks without simulating them (``_copy_folded``). The
-    checks run in order: the transition (``read_copy_meta``, the copy
-    register's budget included), then the entry's amplitude (SemanticError).
+    to their copy blocks without simulating them (``_copy_folded``), and
+    only the entry's branch is scanned for them. The checks run in order:
+    the transition (``read_copy_meta``, the copy register's budget
+    included), then the entry's amplitude (SemanticError).
     """
     return _copy_data(db, read_copy_meta(db.meta, label), label)
 
@@ -1264,7 +1275,8 @@ def read_copy_all(db: QdbState) -> QdbState:
     holding each entry's word on that entry's branch, entangled with the
     database whenever two occupied entries store different words. As in
     ``read_copy``, the CNOTs are recorded and every amplitude with a
-    nonzero word is scattered to its copy block (``_copy_folded``).
+    nonzero word is scattered to its copy block (``_copy_folded``, the
+    same code with no index wires, so the whole state is its branch).
     """
     return _copy_data(db, read_copy_all_meta(db.meta))
 
@@ -1528,7 +1540,7 @@ def _permute(db: QdbState, new: QdbMeta, moves: dict[int, int]) -> QdbState:
     circ = Circuit._joined(db.n_qubits, (GateRecord(_gray_steps, (pairs, index_qubits), size),),
                            {}, size)
     state = db.state.copy()
-    axes = _axes(index_qubits, db.layout.data_qubits, state.n_qubits)
+    axes = _axes(index_qubits, state.n_qubits)
     for a, b in pairs:
         _exchange(state.amplitudes, axes, a, b)
     return _advance(db, new, circ, state)

@@ -20,13 +20,15 @@ Conventions
   removal's merge work on ``simulate``'s copy of the decoded input, and
   every such op encodes its result in place (``qdb._decode``).
 * Every slice is a view taken by one selector, ``_Axes.select``: the
-  amplitudes split by register runs (``_axes``), some wires fixed to one
-  pattern. A gate (every kind but rot2, which names two basis indices)
-  reads its controls then its targets as one pattern, so it reads and
-  writes only the slices its controls select, and takes its norm check
-  there too. An entry's branch (``qdb._entry``) is the slice on which the
-  index register reads its pattern; a projection onto one pattern writes
-  that slice into zeros (``_collapsed``).
+  amplitudes split by the runs of some wires (``_axes``), those wires
+  fixed to one pattern. Flattened, a slice holds a register's word at its
+  bits spread onto their ranks among the free qubits (``_ranks``). A gate
+  (every kind but rot2, which names two basis indices) reads its controls
+  then its targets as one pattern, so it reads and writes only the slices
+  its controls select, and takes its norm check there too. An entry's
+  branch (``qdb._entry``) is the slice on which the index register reads
+  its pattern; a projection onto one pattern writes that slice into zeros
+  (``_collapsed``).
 * Amplitudes move without arithmetic, and every amplitude (signed zeros
   included) keeps its bits, so a move skips the norm check, which a
   permutation cannot fail. Two slices trade places (``_exchange``) for an
@@ -34,8 +36,9 @@ Conventions
   ``qdb.permute``. ``move_amplitudes`` moves a table in place: on the
   branch at flat base ``bases[i]``, free bits f go to f XOR ``masks[i]``,
   by pairs that trade places a chunk at a time; it serves ``simulate``'s
-  data-write records. ``qdb.write``'s fold moves one branch by one word
-  along its data axes (``_Axes.moved``).
+  data-write records. ``qdb.write``'s fold moves one flattened branch by
+  one XOR index, and a copy-read scatters from one branch (or, for
+  ``read_copy_all``, the whole state) by the indices of its free qubits.
 * State equality is judged up to global phase by default.
 
 The default qubit budget is 26; anything above that is rejected rather than
@@ -203,7 +206,7 @@ def apply_gate(state: StateVector, gate: GateSpec, *,
     else:
         # the controls, then the targets, read as one pattern: slice ``one``
         # sets the first target, slice ``pattern`` clears it
-        axes = _axes(gate.qubits[len(gate.targets):] + gate.targets, (), n)
+        axes = _axes(gate.qubits[len(gate.targets):] + gate.targets, n)
         pattern = sum(bit << j for j, (_, bit) in enumerate(gate.controls))
         one = pattern | 1 << len(gate.controls)
         if kind == "x" or kind == "swap":
@@ -291,41 +294,34 @@ def _spread(value, qubits: tuple[int, ...]):
 
 
 class _Axes:
-    """A state on ``n`` qubits split into axes, highest qubit first: each
-    run of consecutive bits of ``wires``, of a data register ``data`` or of
-    the qubits in neither (free) on consecutive qubits is one axis, so
-    ``shape`` reshapes the amplitudes without a copy.
+    """A state on ``n`` qubits split by the wires ``wires`` into axes,
+    highest qubit first: each run of consecutive bits of ``wires`` on
+    consecutive qubits is one axis, and so is each run of the other (free)
+    qubits, so ``shape`` reshapes the amplitudes without a copy.
 
     A pattern is one integer per wire axis (``wire``: axis, lowest bit,
     mask), so its slice is one reshape and a short key. The slice keeps the
-    data and free axes, in order; a data word is one position per data axis
-    (``data``: slice axis, lowest bit, mask, mesh shape). Gates and
-    projections pass ``data=()``: no mesh for a free run of up to 25 qubits."""
+    free axes in order: flattened, its position f holds bit r of f on
+    ``free[r]``, the free qubits in ascending order (``_ranks``)."""
 
-    __slots__ = ("shape", "key", "wire", "data", "grids")
+    __slots__ = ("shape", "key", "wire", "free")
 
-    def __init__(self, wires: tuple[int, ...], data: tuple[int, ...], n: int):
-        held = {q: ("wire", i) for i, q in enumerate(wires)}
-        held.update((q, ("data", b)) for b, q in enumerate(data))
-        runs = []  # (register, lowest bit, width)
+    def __init__(self, wires: tuple[int, ...], n: int):
+        held = {q: i for i, q in enumerate(wires)}
+        runs = []  # (lowest wire bit, None for free qubits; width)
         for q in reversed(range(n)):
-            reg, bit = held.get(q, (None, None))
-            if runs and runs[-1][0] == reg and (reg is None or runs[-1][1] == bit + 1):
-                runs[-1] = (reg, bit, runs[-1][2] + 1)
+            bit = held.get(q)
+            if runs and runs[-1][0] == (None if bit is None else bit + 1):
+                runs[-1] = (bit, runs[-1][1] + 1)
             else:
-                runs.append((reg, bit, 1))
-        self.shape = tuple(1 << width for _, _, width in runs)
+                runs.append((bit, 1))
+        self.shape = tuple(1 << width for _, width in runs)
         # the Ellipsis keeps a view when every axis is fixed: an all-integer
         # key would give a scalar copy, and writes to it would be lost
         self.key = [slice(None)] * len(runs) + [Ellipsis]
         self.wire = tuple((axis, bit, (1 << width) - 1)
-                          for axis, (reg, bit, width) in enumerate(runs) if reg == "wire")
-        kept = [(reg, bit, width) for reg, bit, width in runs if reg != "wire"]
-        meshes = [tuple(1 << w if a == axis else 1 for a, (_, _, w) in enumerate(kept))
-                  for axis in range(len(kept))] if data else []
-        self.grids = tuple(_mesh(shape, 0) for shape in meshes)
-        self.data = tuple((axis, bit, (1 << width) - 1, meshes[axis])
-                          for axis, (reg, bit, width) in enumerate(kept) if reg == "data")
+                          for axis, (bit, width) in enumerate(runs) if bit is not None)
+        self.free = tuple(q for q in range(n) if q not in held)
 
     def select(self, amps: np.ndarray, pattern: int) -> np.ndarray:
         """The view of the flat amplitudes ``amps`` on which the wires read
@@ -335,34 +331,21 @@ class _Axes:
             key[axis] = pattern >> low & mask
         return amps.reshape(self.shape)[tuple(key)]
 
-    def position(self, word: int) -> tuple[int, ...]:
-        """Where data word ``word`` lies in a slice."""
-        at = [0] * (len(self.shape) - len(self.wire))
-        for axis, low, mask, _ in self.data:
-            at[axis] = word >> low & mask
-        return tuple(at)
 
-    def moved(self, piece: np.ndarray, word: int) -> np.ndarray:
-        """A copy of the slice ``piece`` moved by ``word`` along its data
-        axes, an XOR index on each: what lies at data word w lands at
-        w XOR ``word``."""
-        index = list(self.grids)
-        for axis, low, mask, shape in self.data:
-            index[axis] = _mesh(shape, word >> low & mask)
-        return piece[tuple(index)]
+@functools.lru_cache(maxsize=256)
+def _axes(wires: tuple[int, ...], n: int) -> _Axes:
+    """``_Axes``, memoized by the wires and the width as ``_runs`` is."""
+    return _Axes(wires, n)
 
 
 @functools.lru_cache(maxsize=256)
-def _mesh(shape: tuple[int, ...], bits: int) -> np.ndarray:
-    """The open-mesh index along the one axis of ``shape`` longer than 1,
-    position p reading p XOR ``bits``; a script writes few distinct words."""
-    return np.arange(max(shape)).reshape(shape) ^ bits
-
-
-@functools.lru_cache(maxsize=256)
-def _axes(wires: tuple[int, ...], data: tuple[int, ...], n: int) -> _Axes:
-    """``_Axes``, memoized by the registers and the width as ``_runs`` is."""
-    return _Axes(wires, data, n)
+def _ranks(wires: tuple[int, ...], qubits: tuple[int, ...]) -> tuple[int, ...]:
+    """Where the bits of a register ``qubits`` fall in the flat index of a
+    slice that ``_Axes.select`` gives on ``wires``, flattened: each qubit's
+    rank among the free qubits, so ``_spread(word, _ranks(wires, qubits))``
+    is the position of word ``word``. Memoized as ``_runs`` is: every
+    folded write asks for it."""
+    return tuple(q - sum(w < q for w in wires) for q in qubits)
 
 
 def _exchange(amps: np.ndarray, axes: _Axes, one: int, two: int) -> None:
@@ -431,7 +414,7 @@ def project(state: StateVector, keep) -> tuple[StateVector, float]:
 def _collapsed(state: StateVector, wires, pattern: int) -> tuple[StateVector, float]:
     """``project`` onto the basis states on which ``wires`` read
     ``pattern``: that slice of ``state`` written into zeros, renormalized."""
-    axes = _axes(tuple(wires), (), state.n_qubits)
+    axes = _axes(tuple(wires), state.n_qubits)
     # filled, not np.zeros_like, whose lazily zeroed pages read slower
     amps = np.empty_like(state.amplitudes)
     amps[...] = 0

@@ -277,9 +277,12 @@ def _check_permute_routing() -> list[tuple[int, ...]]:
 
 def _check_db_ops() -> str:
     encoded = prepare_general(4, 0, {1: "1"}, m_data=1, u_d=_RY_ENCODING)
-    # the plain database goes last: the checks below go on from its write
-    for db, label, word in ((encoded, 2, "1"),
-                            (prepare_general(4, 0, {1: "10", 2: "01"}), 3, "11")):
+    plain = prepare_general(4, 0, {1: "10", 2: "01"})
+    # grown by extend, the index register's new qubit lies above the data
+    # register, so an entry's branch is a non-contiguous view; the plain database
+    # goes last: the checks below go on from its write
+    for db, label, word in ((extend(encoded, 1), 4, "1"), (extend(plain, 1), 4, "10"),
+                            (encoded, 2, "1"), (plain, 3, "11")):
         state, circuit = _write_through_sensor(db, label, word)
         db = write(db, label, word)
         if not states_equal(db.state, state, up_to_global_phase=False):
@@ -311,7 +314,7 @@ def _check_db_ops() -> str:
     if swapped.descriptor.data_value(2) != 2:
         raise SemanticError("permutation did not move entry data")
     return ("folded write matches the sensor register and folded copy-reads their "
-            "CNOTs, plain and under u_d = ry(0.7); "
+            "CNOTs, on fresh and grown databases, plain and under u_d = ry(0.7); "
             f"permute matches its routing gates on index registers {registers[0]} "
             f"and {registers[1]} (u_d = ry(0.7)); "
             "Schmidt report matches the full-matrix SVD; "

@@ -175,10 +175,13 @@ def test_run_produces_expected_artifacts(tmp_path, capsys):
 
 def test_a_script_builds_each_layouts_entry_axes_once(tmp_path, capsys, monkeypatch):
     # writes select one branch and permutes two per transposition, all
-    # through one memoized split per layout (``statevector._axes``): before
-    # and after the extend. Gates split by their own wires, with no data.
+    # through one memoized split by the index wires (``statevector._axes``):
+    # before and after the extend. Gates split by their own wires.
     sv = importlib.import_module("qdbsim.statevector")
-    lines = ["prepare k=16 m=4 data=" + ",".join(f"{j}:{j:04b}" for j in range(1, 16))]
+    words = {j: j for j in range(1, 16)}
+    db = prepare_general(16, 0, words, m_data=4)
+    index = {db.layout.index_qubits, extend(db, 3).layout.index_qubits}
+    lines = ["prepare k=16 m=4 data=" + ",".join(f"{j}:{j:04b}" for j in words)]
     for i in range(50):
         if i == 25:
             lines.append("extend l=3")
@@ -190,14 +193,15 @@ def test_a_script_builds_each_layouts_entry_axes_once(tmp_path, capsys, monkeypa
     built, selected = [], []
 
     class Spied(sv._Axes):
-        __slots__ = ()
+        __slots__ = ("wires",)
 
-        def __init__(self, wires, data, n):
-            built.append(data)
-            super().__init__(wires, data, n)
+        def __init__(self, wires, n):
+            built.append(wires)
+            self.wires = wires
+            super().__init__(wires, n)
 
         def select(self, amps, pattern):
-            selected.append(self.data)
+            selected.append(self.wires)
             return super().select(amps, pattern)
 
     monkeypatch.setattr(sv, "_Axes", Spied)
@@ -206,8 +210,8 @@ def test_a_script_builds_each_layouts_entry_axes_once(tmp_path, capsys, monkeypa
                    "--out", str(tmp_path / "out")) == 0
     sv._axes.cache_clear()  # no spied split outlives the test
     # a folded write selects one branch, a 2-cycle permute two
-    assert sum(1 for data in selected if data) >= len(lines) - 2
-    assert sum(1 for data in built if data) <= 2
+    assert sum(1 for wires in selected if wires in index) >= len(lines) - 2
+    assert sorted(wires for wires in built if wires in index) == sorted(index)  # once each
     capsys.readouterr()
 
 

@@ -66,6 +66,7 @@ from qdbsim.qdb import (
 )
 from qdbsim.statevector import (
     StateVector,
+    add_ancillas,
     drop_qubits,
     project,
     schmidt,
@@ -689,43 +690,48 @@ def test_hand_built_layouts_split_into_register_runs():
     sv = importlib.import_module("qdbsim.statevector")
     # index bits 0 and 1 on qubits 0 and 2; data bit 0 on qubit 5, bits 1, 2
     # on qubits 3, 4; qubit 1 in neither register
-    axes = sv._axes((0, 2), (5, 3, 4), 6)
-    assert axes.shape == (2, 4, 2, 2, 2)
-    assert [axis for axis, _, _ in axes.wire] == [2, 4]
-    assert axes.position(0b110) == (0, 3, 0)
-    assert sv._axes((0, 2), (5, 3, 4), 6) is axes  # memoized
+    axes = sv._axes((0, 2), 6)
+    assert axes.shape == (8, 2, 2, 2)  # qubits 5-3, 2, 1, 0
+    assert [axis for axis, _, _ in axes.wire] == [1, 3]
+    assert axes.free == (1, 3, 4, 5)
+    ranks = sv._ranks((0, 2), (5, 3, 4))
+    assert ranks == (3, 1, 2)
+    assert sv._spread(0b110, ranks) == 0b0110  # bits 1, 2 on qubits 3, 4
+    assert sv._axes((0, 2), 6) is axes and sv._ranks((0, 2), (5, 3, 4)) is ranks  # memoized
 
 
-# The fold selects its entry's branch (``_entry``) in its source and in its
-# copy, and writes the source's branch into the copy's moved by the word
-# (``statevector._Axes.moved``), so these tests corrupt that move.
+# The fold moves its entry's flattened branch by one XOR index, the word's
+# mask spread onto the data bits' flat positions (``_spread``), and checks
+# the entry's new word against its old one at their flat positions, so these
+# tests corrupt the mask, on words whose three positions differ.
 
 
 def test_folded_write_checks_that_the_entry_moved(monkeypatch):
     db = prepare_general(4, 0, {1: "01"}, m_data=2)
-    sv = importlib.import_module("qdbsim.statevector")
+    qdb = importlib.import_module("qdbsim.qdb")
+    spread = qdb._spread
 
-    def lost(self, branch, word):
-        # the move is lost: the copy's branch gets the entry back unmoved
-        return branch.copy()
+    def lost(value, qubits):
+        # the move is lost: the mask of the change 0b11 reads 0
+        return 0 if value == 0b11 else spread(value, qubits)
 
-    monkeypatch.setattr(sv._Axes, "moved", lost)
+    monkeypatch.setattr(qdb, "_spread", lost)
     with pytest.raises(VerificationError, match="amplitude behind"):
         write(db, 1, "11")
 
 
 def test_folded_write_checks_the_bits_its_entry_moved_by(monkeypatch):
     db = prepare_general(4, 0, {1: "01"}, m_data=2)
-    sv = importlib.import_module("qdbsim.statevector")
-    moved = sv._Axes.moved
+    qdb = importlib.import_module("qdbsim.qdb")
+    spread = qdb._spread
 
-    def misdirected(self, branch, word):
-        # the move lands, but flips data bit 1 where the word sets bit 0
-        return moved(self, branch, word ^ 0b11 if word else word)
+    def misdirected(value, qubits):
+        # the move lands, but flips data bit 0 where the change 0b10 sets bit 1
+        return spread(0b01 if value == 0b10 else value, qubits)
 
-    monkeypatch.setattr(sv._Axes, "moved", misdirected)
+    monkeypatch.setattr(qdb, "_spread", misdirected)
     with pytest.raises(VerificationError, match="amplitude behind"):
-        write(db, 1, "01")
+        write(db, 1, "10")
 
 
 def test_write_swap_conditional_keeps_sensor_and_moves_word():
@@ -915,6 +921,21 @@ def test_read_copy_writes_only_the_copied_amplitudes():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert int(proc.stdout) < 24 * 1024  # KiB
+
+
+def test_a_one_entry_copy_read_scans_only_its_branch():
+    # 15 -> 16 qubits: the widened array is twice the state; a scan of every
+    # amplitude for nonzeros held their indices beside it, 2.53 times the state
+    db = prepare_general(2**14, 0, {j: 1 for j in range(1, 2**14)}, m_data=1)
+    read_copy(db, 7)  # memoized layouts and splits are built outside the count
+    tracemalloc.start()
+    try:
+        copied = read_copy(db, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert copied.n_qubits == 16
+    assert peak <= 2.05 * db.state.amplitudes.nbytes
 
 
 def test_read_projective_probability_and_state():
@@ -1954,3 +1975,52 @@ def test_registers_of_gapless_layouts_land_where_they_always_did(shape):
     assert write(db, 1, 1, keep_sensor=True).sensor_qubits == (n, n + 1)
     assert write_swap_conditional(db, 4, 2).sensor_qubits == (n, n + 1)
     assert write(db, 1, 1).circuit.n_qubits == n + 2
+
+
+# Refusals that README or the code documents, each with its class and exit code.
+
+
+def _refused(call, match: str):
+    with pytest.raises(SemanticError, match=match) as caught:
+        call()
+    assert caught.value.exit_code == 3
+
+
+def test_a_reservoir_removal_refuses_unaligned_phases():
+    db = prepare_general(4, 0, {1: "1"}, m_data=1)
+    amps = db.state.amplitudes.copy()
+    amps[db.layout.physical_index(2, 0)] *= 1j  # entry 2 a quarter turn off entry 0
+    turned = dataclasses.replace(db, state=StateVector(amps))
+    _refused(lambda: remove_reservoir(turned, 2), "^entry phases are not aligned")
+    remove_reservoir(db, 2).check()  # the same removal, phases aligned
+
+
+def test_growth_refuses_a_state_wider_than_its_layout():
+    db = prepare_general(4, 0, {1: "1"}, m_data=1)
+    loaded, _ = transfer(db, 2)
+    for call in (lambda: transfer(dataclasses.replace(db, state=add_ancillas(db.state, 1)), 2),
+                 lambda: unfold(dataclasses.replace(loaded, state=add_ancillas(loaded.state, 1)))):
+        _refused(call, "^state register does not match the database layout$")
+    unfold(loaded).check()  # the same unfold on the layout's own width
+
+
+def test_a_descriptor_refuses_no_entries_and_a_negative_reservoir():
+    _refused(lambda: QdbDescriptor(0, 0), "^a database needs at least one entry")
+    _refused(lambda: QdbDescriptor(2, -1), "^reservoir multiplicity cannot be negative$")
+    assert QdbDescriptor(1, 0).k == 1
+
+
+def test_physical_indices_refuse_words_wider_than_the_data_register():
+    layout = prepare_general(4, 0, {1: "1"}, m_data=1).layout
+    _refused(lambda: layout.physical_index(1, 2), "^data value 2 wider than the data register$")
+    _refused(lambda: layout.physical_indices([1, 2], [1, 2]),
+             "^data value 2 wider than the data register$")
+    assert layout.physical_indices([1, 2], [1, 1]).tolist() == [
+        layout.physical_index(1, 1), layout.physical_index(2, 1)]
+
+
+def test_a_layout_refuses_shared_qubits_no_index_and_a_pattern_outside():
+    _refused(lambda: QdbLayout((0, 1), (1,)), "^index and data registers overlap$")
+    _refused(lambda: QdbLayout((), (0,)), "^a database needs an index register$")
+    _refused(lambda: QdbLayout((0,), (1,), {0: 0, 1: 2}), "^index pattern 2 outside the register$")
+    assert QdbLayout((0,), (1,), {0: 0, 1: 1}).n_qubits == 2

@@ -24,6 +24,8 @@ from qdbsim.statevector import (
     StateVector,
     _axes,
     _exchange,
+    _ranks,
+    _spread,
     add_ancillas,
     apply_gate,
     drop_qubits,
@@ -568,19 +570,22 @@ def _place(value, qubits) -> int:
 @given(split=_splits(), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_register_run_split_selects_the_qubit_views_slots(split, seed, data):
     n, wires, reg = split
-    axes = _axes(wires, reg, n)
+    axes = _axes(wires, n)
     state = signed_zero_state(np.random.default_rng(seed), n)
     amps = state.amplitudes
     pattern = data.draw(st.integers(0, (1 << len(wires)) - 1), label="pattern")
     got = axes.select(amps, pattern)
     assert np.shares_memory(got, amps)  # a view, also with every axis fixed
     assert got.tobytes() == qubit_slot(amps, wires, pattern).tobytes()
+    # flattened, position f lies at the pattern with f spread on the free qubits
+    flat = got.reshape(-1)
+    free = _spread(np.arange(flat.size), axes.free)
+    assert flat.tobytes() == amps[_place(pattern, wires) | free].tobytes()
+    # a register's word lies at its bits spread onto their ranks
     word = data.draw(st.integers(0, (1 << len(reg)) - 1), label="word")
     at = _place(pattern, wires) | _place(word, reg)
-    assert got[axes.position(word)].tobytes() == amps[at:at + 1].tobytes()
-    if reg:  # what lies at data word w lands at w XOR word
-        assert (axes.moved(got, word).tobytes()
-                == qubit_slot(amps, wires, pattern, _place(word, reg)).tobytes())
+    pos = _spread(word, _ranks(wires, reg))
+    assert flat[pos:pos + 1].tobytes() == amps[at:at + 1].tobytes()
     if wires:
         two = data.draw(st.integers(0, (1 << len(wires)) - 1), label="two")
         traded, want = state.copy().amplitudes, state.copy().amplitudes
