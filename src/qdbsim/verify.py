@@ -4,13 +4,26 @@
 cross-checks, round-trips, and end-to-end operation invariants — and returns
 a report that serializes to JSON and back. The fast level covers the cheap
 always-on checks; the full level adds the expensive end-to-end suites.
+
+The database ops run faster equivalents of the paper's circuits. ``DB_OPS``
+pairs each op with its circuit, built from public gates on the layout's
+registers: the folded ``write`` (a sensor prepared, toggling the data, and
+undone), ``read_copy`` and ``read_copy_all`` (CNOTs onto a copy register),
+``permute`` (its routing), ``transfer`` (every amplification step) and
+``remove_reservoir`` (the clearing write, then a rot2 merge). ``_check_op``
+applies the circuit's flat gates one by one to the op's input and keeps the
+block where the registers the op detaches read 0 (``_by_gates``). The op's
+state must equal it byte for byte on an unencoded database, transfer's and
+every encoded one's within ``STATE_TOL``, and ``emit()`` its text. At the
+full level, every op runs on a fresh database, the same grown by ``extend``
++1 and that with an empty entry removed, plain and under u_d = ry(0.7).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,14 +63,7 @@ from .qdb import (
     write_meta,
     write_swap_meta,
 )
-from .statevector import (
-    StateVector,
-    add_ancillas,
-    apply_gate,
-    drop_qubits,
-    schmidt,
-    states_equal,
-)
+from .statevector import StateVector, add_ancillas, apply_gate, schmidt, states_equal
 from .text_format import emit_text, parse_text
 from .tolerances import ORACLE_TOL, STATE_TOL
 
@@ -126,33 +132,15 @@ def _check_transfer_small() -> str:
     return f"transfer (k=2, l=2): m={plan.m}, residual {plan.residual:.2e}"
 
 
-def _transfer_by_gates(db, l: int) -> tuple[StateVector, Circuit]:
-    """The paper's transfer with every amplification step simulated gate by
-    gate on the input state. Returns the state and build circuit that
-    ``transfer``, which applies the steps as reflections, must reproduce."""
-    u_qdb = preparation_circuit(db.descriptor, db.layout)
-    db_qubits = db.layout.index_qubits + db.layout.data_qubits
-    circ = amplification_circuit(u_qdb, db_qubits, plan_transfer(db.k, l),
-                                 _encoding(db.descriptor.u_d, db.n_qubits, db.layout.data_qubits))
-    return simulate(circ, db.state), _grow(db.circuit, circ)
-
-
 def _check_transfer_suite() -> str:
     details = []
     for k, l in [(4, 4), (4, 2), (8, 8)]:
         moved, plan = transfer(prepare_general(k, 0), l)
         moved.check()
         details.append(f"({k},{l}):m={plan.m}")
-    for db, l in [(prepare_general(16, 0, {1: "10", 3: "01", 9: "11"}), 16),
-                  (prepare_general(16, 0, {1: "1"}, m_data=1, u_d=_RY_ENCODING), 13)]:
-        state, circuit = _transfer_by_gates(db, l)
-        moved, plan = transfer(db, l)
-        if not states_equal(moved.state, state, tol=STATE_TOL, up_to_global_phase=False):
-            raise VerificationError("transfer's reflections disagree with its gates")
-        if moved.emit() != emit_text(circuit):
-            raise VerificationError("transfer built a different circuit")
-        details.append(f"({db.k},{l}{',u_d' if db.descriptor.u_d else ''}):m={plan.m}")
-    return "transfers " + " ".join(details) + "; reflections match the gates"
+    _check_table(["transfer"])
+    return ("transfers " + " ".join(details) + "; transfers for k entries match their "
+            "gates on fresh (k = 16) and grown databases, plain and under u_d = ry(0.7)")
 
 
 def _check_extend_chain() -> str:
@@ -186,113 +174,132 @@ def _check_imbalanced() -> str:
             f"gamma={plan.gamma:.6f}; preloaded route agrees; z=1 balanced")
 
 
-def _write_through_sensor(db, label: int, word) -> tuple[StateVector, Circuit]:
-    """The paper's write with its sensor register simulated: ``write`` with
-    the sensor kept, then the sensor uncomputed and dropped. Returns the state
-    and build circuit that the folded ``write`` must reproduce."""
-    kept = write(db, label, word, keep_sensor=True)
-    sensor = kept.sensor_qubits
-    value = db.descriptor.data_value(label) ^ kept.descriptor.data_value(label)
-    n = sensor[-1] + 1
-    prep = Circuit(n, [x(q) for b, q in enumerate(sensor) if (value >> b) & 1])
-    enc = _encoding(db.descriptor.u_d, n, sensor)
-    unprep = (prep if enc is None else prep + enc).inverse()
-    return drop_qubits(simulate(unprep, kept.state), sensor), _grow(kept.circuit, unprep)
+def _write_gates(db, label: int, value: int, mode: str = "write") -> Circuit:
+    """A write of ``value`` into entry ``label``: a sensor above ``db``'s
+    qubits prepared in |value> (and encoded by u_d, if any); under the
+    entry's pattern, each data bit swapped with its sensor bit for ``mode``
+    "swap", else toggled on it inside E; for "write", the preparation
+    undone ("keep" leaves the sensor set)."""
+    data, u_d, ctrls = db.layout.data_qubits, db.descriptor.u_d, db.layout.pattern_controls(label)
+    n = db.n_qubits + len(data)
+    sensor = range(db.n_qubits, n)
+    prep = Circuit(n, [x(q) for b, q in enumerate(sensor) if value >> b & 1],
+                   {q: "S" for q in sensor})
+    prep = prep if u_d is None else prep + _encoding(u_d, n, sensor)
+    core = Circuit(n, [GateSpec("swap", (), (dq, s), ctrls) if mode == "swap"
+                       else GateSpec("x", (), (dq,), ctrls + ((s, 1),))
+                       for s, dq in zip(sensor, data)])
+    core = core if mode == "swap" else _decoded(core, _encoding(u_d, n, sensor, data))
+    return prep + core + prep.inverse() if mode == "write" else prep + core
 
 
-def _permute_by_gates(db, perm: dict[int, int]) -> tuple[StateVector, Circuit]:
-    """The permutation with its routing circuit simulated gate by gate on
-    the input state. Returns the state and build circuit that ``permute``,
-    which moves whole pattern slices, must reproduce."""
-    lmap = db.layout.logical_index_map
-    routing = pattern_permutation_circuit({lmap[j]: lmap[t] for j, t in perm.items()},
-                                          db.layout.index_qubits, db.n_qubits)
-    state = db.state.copy()
-    for g in routing.gates:
-        apply_gate(state, g, out=state)
-    return state, _grow(db.circuit, routing)
-
-
-def _copy_circuit(db, label: int | None) -> Circuit:
-    """The circuit a copy-read appends: one CNOT per data bit onto a copy
-    register above ``db``'s qubits, on entry ``label``'s index pattern (on
-    every entry when ``label`` is None), inside the data encoding, if any."""
+def _copy_gates(db, label: int | None = None) -> Circuit:
+    """A CNOT from each data bit onto a copy register above ``db``'s qubits
+    under entry ``label``'s pattern (every entry's when None), inside E."""
     data = db.layout.data_qubits
     n = db.n_qubits + len(data)
-    out = range(db.n_qubits, n)
-    ctrls = () if label is None else db.layout.pattern_controls(label)
-    fanout = Circuit(n, [GateSpec("x", (), (out[b],), ctrls + ((dq, 1),))
-                         for b, dq in enumerate(data)], {q: "A" for q in out})
+    copy, ctrls = range(db.n_qubits, n), () if label is None else db.layout.pattern_controls(label)
+    fanout = Circuit(n, [GateSpec("x", (), (c,), ctrls + ((dq, 1),)) for c, dq in zip(copy, data)],
+                     {q: "A" for q in copy})
     return _decoded(fanout, _encoding(db.descriptor.u_d, n, data))
 
 
-def _copy_by_gates(db, label: int | None) -> tuple[StateVector, Circuit]:
-    """The copy-read with ``_copy_circuit`` simulated gate by gate on the
-    input state widened by the copy register. Returns the state and build
-    circuit that ``read_copy`` or ``read_copy_all``, which scatter only the
-    copied amplitudes, must reproduce."""
-    circ = _copy_circuit(db, label)
-    state = add_ancillas(db.state, circ.n_qubits - db.n_qubits)
+def _permute_gates(db, perm) -> Circuit:
+    """The routing of the index patterns of the labels ``perm`` moves."""
+    lmap = db.layout.logical_index_map
+    pairs = perm.items() if isinstance(perm, dict) else enumerate(perm)
+    return pattern_permutation_circuit({lmap[j]: lmap[t] for j, t in pairs if j != t},
+                                       db.layout.index_qubits, db.n_qubits)
+
+
+def _transfer_gates(db, l: int) -> Circuit:
+    """Every amplification step of a transfer for l entries."""
+    layout = db.layout
+    return amplification_circuit(preparation_circuit(db.descriptor, layout),
+                                 layout.index_qubits + layout.data_qubits, plan_transfer(db.k, l),
+                                 _encoding(db.descriptor.u_d, db.n_qubits, layout.data_qubits))
+
+
+def _remove_gates(db, label: int) -> Circuit:
+    """The write clearing entry ``label``'s word, if any, then the rot2 merge
+    of its amplitude into the reservoir's inside E, at the angle the op
+    reads: from the decoded state that ``write`` leaves."""
+    layout, value = db.layout, db.descriptor.data_value(label)
+    enc = _encoding(db.descriptor.u_d, db.n_qubits, layout.data_qubits)
+    cleared = write(db, label, value).state if value else db.state
+    amps = (cleared if enc is None else simulate(enc.inverse(), cleared)).amplitudes
+    a, b = layout.physical_index(0, 0), layout.physical_index(label, 0)
+    merge = _decoded(Circuit(db.n_qubits, [rot2(a, b, -math.atan2(abs(amps[b]), abs(amps[a])))]),
+                     enc)
+    clear = _write_gates(db, label, value) if value else Circuit(db.n_qubits)
+    return clear + merge.extended(clear.n_qubits)
+
+
+# Each database op, and the builder of the paper's circuit for it; both
+# take the database and the op's arguments.
+DB_OPS = {
+    "write": (write, _write_gates),
+    "read_copy": (read_copy, _copy_gates),
+    "read_copy_all": (read_copy_all, _copy_gates),
+    "permute": (permute, _permute_gates),
+    "transfer": (lambda db, l: transfer(db, l)[0], _transfer_gates),
+    "remove_reservoir": (remove_reservoir, _remove_gates),
+}
+
+
+def _by_gates(state: StateVector, circ: Circuit, n: int) -> StateVector:
+    """``circ``'s flat gates applied one by one to ``state`` widened to it;
+    then, once the rest is found zero (VerificationError), the block where the
+    qubits from n up read 0, not renormalized, so it keeps its bits."""
+    state = add_ancillas(state, circ.n_qubits - state.n_qubits)
     for g in circ.gates:
         apply_gate(state, g, out=state)
-    return state, _grow(db.circuit, circ)
+    kept, rest = np.split(state.amplitudes, [2 ** n])
+    if np.any(np.abs(rest) > STATE_TOL):
+        raise VerificationError("a register the gates detach does not end in |0>")
+    return StateVector(kept, copy=False)
 
 
-def _check_copy_reads(db, label: int):
-    """``read_copy(db, label)`` and ``read_copy_all(db)`` against
-    ``_copy_by_gates``: bit for bit without an encoding, within
-    ``STATE_TOL`` under one, and with the same ``emit()`` text."""
-    for copied, at in ((read_copy(db, label), label), (read_copy_all(db), None)):
-        state, circuit = _copy_by_gates(db, at)
-        if db.descriptor.u_d is None:
-            same = copied.state.amplitudes.tobytes() == state.amplitudes.tobytes()
-        else:
-            same = states_equal(copied.state, state, up_to_global_phase=False)
-        if not same:
-            raise VerificationError("folded copy-read disagrees with its CNOTs")
-        if copied.emit() != emit_text(circuit):
-            raise VerificationError("folded copy-read built a different circuit")
+def _check_op(name: str, db, *args) -> tuple:
+    """``DB_OPS[name]`` on ``db`` against its circuit, as the module docstring
+    says (VerificationError); returns the op's result and the gates' state."""
+    op, gates = DB_OPS[name]
+    circ, out = gates(db, *args), op(db, *args)
+    want = _by_gates(db.state, circ, out.n_qubits)
+    if db.descriptor.u_d is None and name != "transfer":
+        same = out.state.amplitudes.tobytes() == want.amplitudes.tobytes()
+    else:
+        same = states_equal(out.state, want, STATE_TOL, up_to_global_phase=False)
+    if not same:
+        raise VerificationError(f"{name} disagrees with its gates")
+    if out.emit() != emit_text(_grow(db.circuit, circ)):
+        raise VerificationError(f"{name} built a different circuit")
+    if not out.copy_qubits:  # a bare result holds the words its record says
+        out.check()
+    return out, want
 
 
-def _check_permute_routing() -> list[tuple[int, ...]]:
-    """``permute`` against its routing gates on databases whose index
-    register is not contiguous (grown by ``extend``) and has a pattern freed
-    by a removal, plain and under ``_RY_ENCODING``. Returns the index
-    registers checked."""
-    registers = []
-    for data, m_data, u_d in (({1: "10", 6: "01"}, 2, None),
-                              ({1: "1", 6: "1"}, 1, _RY_ENCODING)):
-        db = remove_reservoir(extend(prepare_general(8, 0, data, m_data=m_data, u_d=u_d), 1), 3)
-        perm = {1: 8, 8: 5, 5: 1, 2: 7, 7: 2}
-        state, circuit = _permute_by_gates(db, perm)
-        db = permute(db, perm)
-        if db.state.amplitudes.tobytes() != state.amplitudes.tobytes():
-            raise VerificationError("permute disagrees with its routing gates")
-        if db.emit() != emit_text(circuit):
-            raise VerificationError("permute built a different circuit")
-        db.check()
-        registers.append(db.layout.index_qubits)
-    return registers
+def _check_table(names) -> None:
+    """``_check_op`` for the ops ``names`` on the module docstring's
+    databases (k = 16), their arguments fixed; a transfer needs l = 0."""
+    for data, m_data, u_d in (({1: "10", 3: "01", 9: "11"}, 2, None),
+                              ({1: "1", 9: "1"}, 1, _RY_ENCODING)):
+        fresh = prepare_general(16, 0, data, m_data=m_data, u_d=u_d)
+        grown = extend(fresh, 1)
+        for db in (fresh, grown, remove_reservoir(grown, 2)):
+            movable = db.layout.labels[1:]
+            cycle = dict(zip(movable, movable[1:] + movable[:1]))
+            args = {"write": (db.layout.labels[-1], 2 ** m_data - 1), "read_copy": (1,),
+                    "read_copy_all": (), "permute": (cycle,), "transfer": (db.k,),
+                    "remove_reservoir": (1,)}
+            for name in names:
+                if name != "transfer" or db.l == 0:
+                    _check_op(name, db, *args[name])
 
 
 def _check_db_ops() -> str:
-    encoded = prepare_general(4, 0, {1: "1"}, m_data=1, u_d=_RY_ENCODING)
-    plain = prepare_general(4, 0, {1: "10", 2: "01"})
-    # grown by extend, the index register's new qubit lies above the data
-    # register, so an entry's branch is a non-contiguous view; the plain database
-    # goes last: the checks below go on from its write
-    for db, label, word in ((extend(encoded, 1), 4, "1"), (extend(plain, 1), 4, "10"),
-                            (encoded, 2, "1"), (plain, 3, "11")):
-        state, circuit = _write_through_sensor(db, label, word)
-        db = write(db, label, word)
-        if not states_equal(db.state, state, up_to_global_phase=False):
-            raise VerificationError("folded write disagrees with the sensor-register write")
-        if db.emit() != emit_text(circuit):
-            raise VerificationError("folded write built a different circuit")
-        _check_copy_reads(db, label)
-    registers = _check_permute_routing()
-    if db.descriptor.data_value(3) != 3:
-        raise SemanticError("write did not record the data word")
+    _check_table([name for name in DB_OPS if name != "transfer"])
+    db = write(prepare_general(4, 0, {1: "10", 2: "01"}), 3, "11")
     copied = read_copy(db, 3)
     rep = schmidt(copied.state, copied.copy_qubits)
     if not rep.entangled:
@@ -313,11 +320,9 @@ def _check_db_ops() -> str:
     swapped.check()
     if swapped.descriptor.data_value(2) != 2:
         raise SemanticError("permutation did not move entry data")
-    return ("folded write matches the sensor register and folded copy-reads their "
-            "CNOTs, on fresh and grown databases, plain and under u_d = ry(0.7); "
-            f"permute matches its routing gates on index registers {registers[0]} "
-            f"and {registers[1]} (u_d = ry(0.7)); "
-            "Schmidt report matches the full-matrix SVD; "
+    return ("write, read_copy, read_copy_all, permute and remove_reservoir match their "
+            "gates on fresh, grown and reservoir-removed databases, plain and under "
+            "u_d = ry(0.7); Schmidt report matches the full-matrix SVD; "
             "write/read/remove/permute invariants hold")
 
 
@@ -327,18 +332,16 @@ def _check_history() -> str:
     records), extended by a transfer with a full step (m = 1), whose u and
     u^-1 parts every step shares, and permuted by a 3-cycle whose route
     (a permute record) runs through the index qubit the growth added. Its
-    flat gates, simulated one by one from |0...0>, must give the live state
-    within ``STATE_TOL``, and ``emit()``, which renders each shared part
-    once, a reversed data-write block backwards and each record from its
-    fields, must equal the text of the flat gates."""
+    flat gates, simulated one by one from |0...0> (``_by_gates``), must
+    give the live state within ``STATE_TOL``, and ``emit()``, which renders
+    each shared part once, a reversed data-write block backwards and each
+    record from its fields, must equal the text of the flat gates."""
     db = prepare_general(16, 0, {1: "1", 5: "1", 9: "1"}, m_data=1, u_d=_RY_ENCODING)
     db = permute(extend(write(write(db, 3, "1"), 5, "1"), 16), {3: 9, 9: 20, 20: 3})
     text = db.emit()
     history = db.circuit
-    state = StateVector.zero(history.n_qubits)
-    for g in history.gates:  # from here on the history is one flat list
-        apply_gate(state, g, out=state)
-    state = drop_qubits(state, range(db.n_qubits, history.n_qubits))
+    # from here on the history is one flat list
+    state = _by_gates(StateVector.zero(db.n_qubits), history, db.n_qubits)
     if not states_equal(state, db.state, STATE_TOL, up_to_global_phase=False):
         raise VerificationError("the flat history does not rebuild the live state")
     if text != emit_text(history):
@@ -389,13 +392,9 @@ def _check_mcx() -> str:
         if got != want:
             raise SemanticError(f"tau={tau}: {got} Toffolis, expected {want}")
         amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-        amps /= np.linalg.norm(amps)
-        target = simulate(circ, StateVector(amps))
-        padded = np.zeros(2 ** low.n_qubits, dtype=complex)
-        padded[:2 ** n] = amps
-        lowered = simulate(low, StateVector(padded))
-        marg = lowered.amplitudes[:2 ** n]
-        if float(np.max(np.abs(marg - target.amplitudes))) > 1e-9:
+        state = StateVector(amps / np.linalg.norm(amps))
+        lowered = simulate(low, add_ancillas(state, low.n_qubits - n)).amplitudes[:2 ** n]
+        if float(np.max(np.abs(lowered - simulate(circ, state).amplitudes))) > 1e-9:
             raise SemanticError(f"tau={tau}: decomposition changed the action")
     return "multi-controlled X decompositions agree (tau = 3, 4, 5)"
 
@@ -433,23 +432,13 @@ class VerifyReport:
     checks: tuple[CheckResult, ...]
 
     def to_json(self) -> str:
-        obj = {
-            "level": self.level,
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
-        return json.dumps(obj, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "VerifyReport":
         obj = json.loads(text)
-        checks = tuple(
-            CheckResult(c["name"], bool(c["passed"]), c["detail"])
-            for c in obj["checks"])
-        return cls(level=obj["level"], passed=bool(obj["passed"]), checks=checks)
+        return cls(obj["level"], bool(obj["passed"]), tuple(
+            CheckResult(c["name"], bool(c["passed"]), c["detail"]) for c in obj["checks"]))
 
 
 def run_verify(level: str = "fast") -> VerifyReport:

@@ -24,6 +24,7 @@ from qdbsim.extend import extend
 from qdbsim.qdb import prepare_general
 from qdbsim.statevector import DEFAULT_MAX_QUBITS, project
 from qdbsim.tolerances import PLAN_RESIDUAL_TOL, STATE_TOL
+from qdbsim.verify import FULL_CHECKS
 
 
 def run_cli(*argv):
@@ -786,6 +787,13 @@ def test_verify_subcommand(capsys):
     assert run_cli("verify", "--level", "fast") == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "verification passed" in out
+
+
+def test_verify_full_prints_one_pass_line_per_check(capsys):
+    assert run_cli("verify", "--level", "full") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [f"[PASS] {name}" for name, _ in FULL_CHECKS]
+    assert lines[-1] == "verification passed (full)"
 
 
 def test_console_script_entry_point(tmp_path):

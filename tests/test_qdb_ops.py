@@ -1,7 +1,6 @@
 """Database operations: prepare, write, read, remove, permute."""
 
 import dataclasses
-import functools
 import importlib
 import json
 import math
@@ -38,9 +37,7 @@ from qdbsim.qdb import (
     QdbDescriptor,
     QdbLayout,
     QdbState,
-    _decoded,
     _encoding,
-    _grow,
     _moves,
     index_width,
     pattern_permutation_circuit,
@@ -74,7 +71,7 @@ from qdbsim.statevector import (
 )
 from qdbsim.text_format import emit_text, parse_text
 from qdbsim.tolerances import DUMP_THRESHOLD, EMPTY_ENTRY_WEIGHT, STATE_TOL
-from qdbsim.verify import _copy_circuit, _write_through_sensor
+from qdbsim.verify import DB_OPS, _check_op, _write_gates
 
 
 # --- descriptor and layout ---------------------------------------------------
@@ -582,28 +579,73 @@ def _random_encoding(rng, m: int) -> Circuit:
     return circ.append(phase(0, float(rng.uniform(-3, 3))))
 
 
-@settings(deadline=None, max_examples=40)
-@given(k=st.integers(2, 64), m=st.integers(1, 4), shape=st.sampled_from(["plain", "u_d", "profile"]),
-       seed=st.integers(0, 2**32 - 1))
-def test_folded_write_matches_sensor_register_write(k, m, shape, seed):
-    rng = np.random.default_rng(seed)
+def _table_case(rng, k: int, m: int, shape: str, coded: bool):
+    """A database with random words: fresh, with an imbalanced profile
+    (k <= 8, plain: ``extend_imbalanced``), or grown by ``extend`` (a new
+    index qubit above the data register) and written, then with an entry
+    removed, then permuted; under a ``_random_encoding`` if ``coded``."""
+    k = min(k, 8) if shape == "profile" else k
+    data = {j: int(rng.integers(2**m)) for j in range(1, k) if rng.random() < 0.7}
     if shape == "profile":
-        # no encoding: extend cannot grow an encoded database yet
-        k = min(k, 8)
-    data = {j: int(rng.integers(2**m)) for j in range(1, k) if rng.random() < 0.5}
-    db = prepare_general(k, 0, data, m_data=m,
-                         u_d=_random_encoding(rng, m) if shape == "u_d" else None)
-    if shape == "profile":
-        db = extend_imbalanced(db, 3 * int(rng.integers(2, k + 1)), 2)
+        db = extend_imbalanced(prepare_general(k, 0, data, m_data=m),
+                               3 * int(rng.integers(2, k + 1)), 2)
         assert db.amplitude_profile is not None
-    label = int(rng.choice(db.layout.labels[1:]))
-    word = int(rng.integers(2**m))
-    folded = write(db, label, word)
-    state, circuit = _write_through_sensor(db, label, word)
-    assert states_equal(folded.state, state, tol=STATE_TOL, up_to_global_phase=False)
-    assert folded.emit() == emit_text(circuit)
-    assert folded.descriptor.data_value(label) == db.descriptor.data_value(label) ^ word
-    folded.check()
+        return db
+    db = prepare_general(k, 0, data, m_data=m, u_d=_random_encoding(rng, m) if coded else None)
+    if shape != "fresh":
+        db = extend(db, int(rng.integers(1, k + 2)))
+        db = write(db, int(rng.choice(db.layout.labels[1:])), int(rng.integers(2**m)))
+    if shape in ("removed", "permuted"):
+        db = remove_reservoir(db, int(rng.choice(db.layout.labels[1:])))
+    if shape == "permuted":
+        movable = list(db.layout.labels[1:])
+        db = permute(db, dict(zip(movable, map(int, rng.permutation(movable)))))
+    return db
+
+
+@pytest.mark.parametrize("name", list(DB_OPS))
+@settings(deadline=None, max_examples=60)
+@given(k=st.integers(2, 64), m=st.integers(1, 4), coded=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_every_database_op_matches_its_circuit(name, k, m, coded, seed, data):
+    """Each op of ``verify.DB_OPS`` against the paper's circuit for it,
+    simulated gate by gate (``verify._check_op``): the same state, byte for
+    byte without an encoding (transfer's within STATE_TOL), the same text,
+    and a bare result that passes ``check()``. A transfer starts from a
+    fresh or grown database (l = 0, no profile)."""
+    shapes = ["fresh", "extended"] + ["profile", "removed", "permuted"] * (name != "transfer")
+    shape = data.draw(st.sampled_from(shapes), label="shape")
+    db = _table_case(np.random.default_rng(seed), k, m, shape, coded)
+    labels, moves = db.layout.labels, None
+    if name == "permute":  # the reservoir stays put
+        chosen = data.draw(st.lists(st.sampled_from(labels[1:]), unique=True), label="labels")
+        perm = dict(zip(chosen, data.draw(st.permutations(chosen), label="targets")))
+        moves = {j: t for j, t in perm.items() if j != t}
+        if labels == tuple(range(len(labels))) and data.draw(st.booleans(), label="as list"):
+            perm = [perm.get(j, j) for j in labels]
+        args = (perm,)
+    elif name == "transfer":
+        args = (data.draw(st.integers(1, 2 * db.k), label="l"),)
+    elif name == "read_copy_all":
+        args = ()
+    else:
+        label = data.draw(st.sampled_from(labels[1:]), label="label")
+        args = (label,)
+        if name == "write":
+            args += (data.draw(st.integers(0, 2**m - 1), label="word"),)
+    before = db.state.amplitudes.tobytes()
+    out, want = _check_op(name, db, *args)
+    assert db.state.amplitudes.tobytes() == before
+    if moves == {}:
+        assert out is db
+    if db.descriptor.u_d is not None and name in ("read_copy", "read_copy_all", "permute"):
+        # the encoding's arithmetic on the all-zero copy blocks may sign
+        # their zeros differently; every other amplitude keeps its bits
+        got = out.state.amplitudes
+        nonzero = (got != 0) | (want.amplitudes != 0)
+        assert got[nonzero].tobytes() == want.amplitudes[nonzero].tobytes()
+    if name == "write":
+        assert out.descriptor.data_value(label) == db.descriptor.data_value(label) ^ args[1]
 
 
 @st.composite
@@ -840,46 +882,6 @@ def test_read_copy_with_encoding_copies_computational_word():
     # data register is encoded, copy register is computational |1>
     rep = schmidt(copied.state, copied.copy_qubits)
     assert rep.entangled  # copy differs per entry
-
-
-def _copy_read_case(k, m, shape, coded, seed):
-    """A database of ``shape``, with random words, and an occupied entry: fresh,
-    grown by ``extend`` (a new index qubit above the data register), then
-    with an entry removed, then permuted."""
-    rng = np.random.default_rng(seed)
-    data = {j: int(rng.integers(2**m)) for j in range(1, k) if rng.random() < 0.7}
-    db = prepare_general(k, 0, data, m_data=m, u_d=_random_encoding(rng, m) if coded else None)
-    if shape != "fresh":
-        db = extend(db, int(rng.integers(1, k + 2)))
-        db = write(db, int(rng.choice(db.layout.labels[1:])), int(rng.integers(2**m)))
-    if shape in ("removed", "permuted"):
-        db = remove_reservoir(db, int(rng.choice(db.layout.labels[1:])))
-    if shape == "permuted":
-        movable = list(db.layout.labels[1:])
-        db = permute(db, dict(zip(movable, map(int, rng.permutation(movable)))))
-    return db, int(rng.choice(db.occupied_labels()[1:]))
-
-
-@settings(deadline=None, max_examples=60)
-@given(k=st.integers(2, 20), m=st.integers(1, 4),
-       shape=st.sampled_from(["fresh", "extended", "removed", "permuted"]),
-       coded=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_folded_copy_reads_match_their_cnots(k, m, shape, coded, seed):
-    db, label = _copy_read_case(k, m, shape, coded, seed)
-    for copied, at in ((read_copy(db, label), label), (read_copy_all(db), None)):
-        circ = _copy_circuit(db, at)
-        want = simulate(circ, db.state).amplitudes
-        got = copied.state.amplitudes
-        assert copied.emit() == emit_text(_grow(db.circuit, circ))
-        if not coded:
-            assert got.tobytes() == want.tobytes()
-            continue
-        # the encoding's arithmetic on the all-zero copy blocks may sign
-        # their zeros differently; every other amplitude keeps its bits
-        assert states_equal(copied.state, StateVector(want), tol=STATE_TOL,
-                            up_to_global_phase=False)
-        nonzero = (got != 0) | (want != 0)
-        assert got[nonzero].tobytes() == want[nonzero].tobytes()
 
 
 def test_copy_read_checks_run_in_order():
@@ -1273,64 +1275,6 @@ def test_permute_routes_the_same_gates_as_the_full_pattern_map(data):
     mapping = {0: 0, **dict(zip(movable, data.draw(st.permutations(movable), label="perm")))}
     moved = permute(db, mapping)
     assert moved.circuit.gates[len(db.circuit.gates):] == _routed_by_full_map(db, mapping)
-
-
-@functools.lru_cache(maxsize=None)
-def _permute_layouts():
-    """A fresh database, the same grown by ``extend`` (index register
-    (0, 1, 2, 5): the new index qubit sits above the data register) and the
-    grown one with a pattern freed by a reservoir removal (l = 1)."""
-    fresh = prepare_general(8, 0, {1: "10", 3: "01", 6: "11"}, m_data=2)
-    grown = extend(fresh, 3)
-    assert grown.layout.index_qubits == (0, 1, 2, 5)
-    return {"fresh": fresh, "extended": grown, "removed": remove_reservoir(grown, 3)}
-
-
-@settings(deadline=None, max_examples=60)
-@given(data=st.data())
-def test_permute_moves_the_bits_its_routing_gates_would(data):
-    name = data.draw(st.sampled_from(["fresh", "extended", "removed"]), label="layout")
-    db = _permute_layouts()[name]
-    movable = [j for j in db.layout.labels if j]  # the reservoir stays put
-    if name != "removed" and data.draw(st.booleans(), label="as list"):
-        perm = [0] + data.draw(st.permutations(movable), label="perm")
-        moves = {j: t for j, t in enumerate(perm) if j != t}
-    else:
-        chosen = data.draw(st.lists(st.sampled_from(movable), unique=True), label="labels")
-        perm = dict(zip(chosen, data.draw(st.permutations(chosen), label="targets")))
-        moves = {j: t for j, t in perm.items() if j != t}
-    before = db.state.amplitudes.tobytes()
-    moved = permute(db, perm)
-    assert db.state.amplitudes.tobytes() == before
-    if not moves:
-        assert moved is db
-        return
-    lmap = db.layout.logical_index_map
-    routing = pattern_permutation_circuit({lmap[j]: lmap[t] for j, t in moves.items()},
-                                          db.layout.index_qubits, db.n_qubits)
-    want = simulate(routing, db.state)
-    assert moved.state.amplitudes.tobytes() == want.amplitudes.tobytes()
-    assert len(moved.circuit) == len(db.circuit) + len(routing)
-    assert moved.emit() == emit_text(_grow(db.circuit, routing))
-
-
-@settings(deadline=None, max_examples=60)
-@given(data=st.data())
-def test_write_moves_the_bits_its_toggles_would(data):
-    name = data.draw(st.sampled_from(["fresh", "extended", "removed"]), label="layout")
-    db = _permute_layouts()[name]
-    layout = db.layout
-    label = data.draw(st.sampled_from(layout.labels[1:]), label="label")
-    word = data.draw(st.integers(0, 2 ** len(layout.data_qubits) - 1), label="word")
-    before = db.state.amplitudes.tobytes()
-    written = write(db, label, word)
-    assert db.state.amplitudes.tobytes() == before
-    # one x per set bit of the word, controlled on the entry's pattern
-    toggles = Circuit(db.n_qubits, [GateSpec("x", (), (q,), layout.pattern_controls(label))
-                                    for b, q in enumerate(layout.data_qubits)
-                                    if (word >> b) & 1])
-    want = simulate(toggles, db.state)
-    assert written.state.amplitudes.tobytes() == want.amplitudes.tobytes()
 
 
 def test_transpose_entries_at_k_1024_routes_the_full_map_gates():
@@ -1848,31 +1792,6 @@ def _records(circ):
             if type(part) is GateRecord and part.table() is None]
 
 
-def _write_gates_built_at_once(db, label, value, mode, u_d):
-    """The gates of a write, built as ``write`` and
-    ``write_swap_conditional`` built them before records: the sensor
-    prepared in |value> and encoded by ``u_d``, then one swap per data bit
-    ("swap") or the toggles inside the encoding of sensor and data, then,
-    for a folded write ("write"), the preparation undone. With ``u_d``
-    None, the gates its records hold."""
-    data = db.layout.data_qubits
-    sensor = tuple(range(db.n_qubits, db.n_qubits + len(data)))
-    n = sensor[-1] + 1
-    ctrls = db.layout.pattern_controls(label)
-    prep = Circuit(n, [x(q) for b, q in enumerate(sensor) if (value >> b) & 1])
-    if u_d is not None:
-        prep += _encoding(u_d, n, sensor)
-    if mode == "swap":
-        core = Circuit(n, [GateSpec("swap", (), (dq, sensor[b]), ctrls)
-                           for b, dq in enumerate(data)])
-    else:
-        core = _decoded(Circuit(n, [GateSpec("x", (), (dq,), ctrls + ((sensor[b], 1),))
-                                    for b, dq in enumerate(data)]),
-                        _encoding(u_d, n, sensor, data))
-    circ = prep + core
-    return (circ + prep.inverse() if mode == "write" else circ).gates
-
-
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())
 def test_records_hold_the_gates_their_ops_would_build(data):
@@ -1903,10 +1822,9 @@ def test_records_hold_the_gates_their_ops_would_build(data):
     records = _records(written.circuit)[len(_records(moved.circuit)):]
     assert len(records) == (3 if mode == "write" else 2)
     assert all(len(rec) == len(rec.gates) for rec in records)
-    assert [g for rec in records for g in rec.gates] == _write_gates_built_at_once(
-        moved, label, word, mode, None)
-    assert written.circuit.gates[len(moved.circuit):] == _write_gates_built_at_once(
-        moved, label, word, mode, u_d)
+    bare = dataclasses.replace(moved, descriptor=moved.descriptor._derived(u_d=None))
+    assert [g for rec in records for g in rec.gates] == _write_gates(bare, label, word, mode).gates
+    assert written.circuit.gates[len(moved.circuit):] == _write_gates(moved, label, word, mode).gates
     # the history inverted keeps its records in reverse order, each one read
     # the other way, and stands for the inverse of its gates, which it emits
     history = written.circuit

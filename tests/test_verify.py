@@ -84,7 +84,7 @@ def test_database_ops_check_catches_a_folded_write_outside_the_encoding(monkeypa
 
     assert "under u_d = ry(0.7)" in verify_mod._check_db_ops()
     monkeypatch.setattr(qdb_mod, "_write_folded", unencoded)
-    with pytest.raises(VerificationError, match="folded write disagrees"):
+    with pytest.raises(VerificationError, match="^write disagrees with its gates$"):
         verify_mod._check_db_ops()
 
 
@@ -103,9 +103,56 @@ def test_database_ops_check_catches_a_permute_that_moves_other_bits(monkeypatch)
             amps[np.flatnonzero(amps)[0]] *= -1
         exchange(amps, *args)
 
-    assert "permute matches its routing gates" in verify_mod._check_db_ops()
+    assert "permute and remove_reservoir match their gates" in verify_mod._check_db_ops()
     monkeypatch.setattr(qdb_mod, "_exchange", negated)
-    with pytest.raises(VerificationError, match="^permute disagrees with its routing gates$"):
+    with pytest.raises(VerificationError, match="^permute disagrees with its gates$"):
+        verify_mod._check_db_ops()
+
+
+@pytest.mark.parametrize("op", ["read_copy", "read_copy_all"])
+def test_database_ops_check_catches_a_copy_read_that_drops_a_data_bit(monkeypatch, op):
+    import dataclasses
+
+    import qdbsim.qdb as qdb_mod
+    import qdbsim.verify as verify_mod
+
+    scatter = qdb_mod._copy_folded
+
+    def dropped(db, state, out, wires, pattern):
+        # one op's scatter, shown a layout without the highest data bit; the
+        # one-entry read selects its branch by the index wires
+        if bool(wires) == (op == "read_copy"):
+            layout = db.layout._derived(data_qubits=db.layout.data_qubits[:-1])
+            db = dataclasses.replace(db, layout=layout)
+        scatter(db, state, out, wires, pattern)
+
+    monkeypatch.setattr(qdb_mod, "_copy_folded", dropped)
+    with pytest.raises(VerificationError, match=f"^{op} disagrees with its gates$"):
+        verify_mod._check_db_ops()
+
+
+def test_transfer_suite_catches_a_reflection_with_its_phase_flipped(monkeypatch):
+    import importlib
+
+    import qdbsim.verify as verify_mod
+
+    # the package's `extend` is the op, so the module is imported by name
+    extend_mod = importlib.import_module("qdbsim.extend")
+    reflect = extend_mod._reflect
+    monkeypatch.setattr(extend_mod, "_reflect", lambda v, about, theta: reflect(v, about, -theta))
+    # every axis is real, so the flipped transfer gives the conjugate state:
+    # its moduli and its phases' agreement, which transfer checks, hold
+    with pytest.raises(VerificationError, match="^transfer disagrees with its gates$"):
+        verify_mod._check_transfer_suite()
+
+
+def test_database_ops_check_catches_a_merge_with_the_wrong_angle_sign(monkeypatch):
+    import qdbsim.qdb as qdb_mod
+    import qdbsim.verify as verify_mod
+
+    rot2 = qdb_mod.rot2
+    monkeypatch.setattr(qdb_mod, "rot2", lambda a, b, theta: rot2(a, b, -theta))
+    with pytest.raises(VerificationError, match="^remove_reservoir disagrees with its gates$"):
         verify_mod._check_db_ops()
 
 
