@@ -1,6 +1,7 @@
 """Database operations: prepare, write, read, remove, permute."""
 
 import dataclasses
+import functools
 import importlib
 import json
 import math
@@ -38,6 +39,7 @@ from qdbsim.qdb import (
     QdbLayout,
     QdbState,
     _encoding,
+    _grow,
     _moves,
     index_width,
     pattern_permutation_circuit,
@@ -71,7 +73,7 @@ from qdbsim.statevector import (
 )
 from qdbsim.text_format import emit_text, parse_text
 from qdbsim.tolerances import DUMP_THRESHOLD, EMPTY_ENTRY_WEIGHT, STATE_TOL
-from qdbsim.verify import DB_OPS, _check_op, _write_gates
+from qdbsim.verify import DB_OPS, _by_gates, _check_op, _write_gates
 
 
 # --- descriptor and layout ---------------------------------------------------
@@ -577,6 +579,32 @@ def _random_encoding(rng, m: int) -> Circuit:
     circ = Circuit(m, [ry(q, float(rng.uniform(-3, 3))) for q in range(m)])
     circ.extend_gates(x(q + 1, ctrl=(q,)) for q in range(m - 1))
     return circ.append(phase(0, float(rng.uniform(-3, 3))))
+
+
+@settings(deadline=None, max_examples=40)
+@given(k=st.integers(2, 64), m=st.integers(1, 4), shape=st.sampled_from(["plain", "u_d", "profile"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_folded_write_matches_sensor_register_write(k, m, shape, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "profile":
+        # no encoding: extend cannot grow an encoded database yet
+        k = min(k, 8)
+    data = {j: int(rng.integers(2**m)) for j in range(1, k) if rng.random() < 0.5}
+    db = prepare_general(k, 0, data, m_data=m,
+                         u_d=_random_encoding(rng, m) if shape == "u_d" else None)
+    if shape == "profile":
+        db = extend_imbalanced(db, 3 * int(rng.integers(2, k + 1)), 2)
+        assert db.amplitude_profile is not None
+    label = int(rng.choice(db.layout.labels[1:]))
+    word = int(rng.integers(2**m))
+    folded = write(db, label, word)
+    # the write through a sensor register, simulated gate by gate
+    circuit = _write_gates(db, label, word)
+    state = _by_gates(db.state, circuit, db.n_qubits)
+    assert states_equal(folded.state, state, tol=STATE_TOL, up_to_global_phase=False)
+    assert folded.emit() == emit_text(_grow(db.circuit, circuit))
+    assert folded.descriptor.data_value(label) == db.descriptor.data_value(label) ^ word
+    folded.check()
 
 
 def _table_case(rng, k: int, m: int, shape: str, coded: bool):
@@ -1275,6 +1303,36 @@ def test_permute_routes_the_same_gates_as_the_full_pattern_map(data):
     mapping = {0: 0, **dict(zip(movable, data.draw(st.permutations(movable), label="perm")))}
     moved = permute(db, mapping)
     assert moved.circuit.gates[len(db.circuit.gates):] == _routed_by_full_map(db, mapping)
+
+
+@functools.lru_cache(maxsize=None)
+def _write_layouts():
+    """A fresh database, the same grown by ``extend`` (index register
+    (0, 1, 2, 5): the new index qubit sits above the data register) and the
+    grown one with a pattern freed by a reservoir removal (l = 1)."""
+    fresh = prepare_general(8, 0, {1: "10", 3: "01", 6: "11"}, m_data=2)
+    grown = extend(fresh, 3)
+    assert grown.layout.index_qubits == (0, 1, 2, 5)
+    return {"fresh": fresh, "extended": grown, "removed": remove_reservoir(grown, 3)}
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_write_moves_the_bits_its_toggles_would(data):
+    name = data.draw(st.sampled_from(["fresh", "extended", "removed"]), label="layout")
+    db = _write_layouts()[name]
+    layout = db.layout
+    label = data.draw(st.sampled_from(layout.labels[1:]), label="label")
+    word = data.draw(st.integers(0, 2 ** len(layout.data_qubits) - 1), label="word")
+    before = db.state.amplitudes.tobytes()
+    written = write(db, label, word)
+    assert db.state.amplitudes.tobytes() == before
+    # one x per set bit of the word, controlled on the entry's pattern
+    toggles = Circuit(db.n_qubits, [GateSpec("x", (), (q,), layout.pattern_controls(label))
+                                    for b, q in enumerate(layout.data_qubits)
+                                    if (word >> b) & 1])
+    want = simulate(toggles, db.state)
+    assert written.state.amplitudes.tobytes() == want.amplitudes.tobytes()
 
 
 def test_transpose_entries_at_k_1024_routes_the_full_map_gates():
